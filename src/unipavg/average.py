@@ -18,7 +18,7 @@ transitions are f_j f_i^{-1}, never f_i^{-1} f_j.
 
 from __future__ import annotations
 
-from .errors import InputError, MembershipError, NonConstantError, RingMismatch
+from .errors import InputError, NonConstantError, RingMismatch
 from .exactring import (PolyRing, SimplexMap, eval_at_weights, permute_coordinates,
                         substitute_simplex_map)
 from .nilpotent import (LieSpan, NilMatrix, UniMatrix, derived_series_length,
@@ -28,6 +28,7 @@ from .nilpotent import (LieSpan, NilMatrix, UniMatrix, derived_series_length,
 __all__ = [
     "WeightSeq", "SectionTuple", "SimplexMap", "transition", "wsym", "lift_w",
     "wav", "act_simplex_map", "act_permutation", "wav_at_weights",
+    "eval_matrix_at_weights",
 ]
 
 
@@ -107,10 +108,7 @@ class SectionTuple:
                 raise RingMismatch("sections must share one ring and matrix size")
             if s.ring.field != group.field:
                 raise RingMismatch("section field differs from the group's")
-            try:
-                group.coordinates(log_unipotent(s))
-            except MembershipError:
-                raise MembershipError("a section's log lies outside the group span") from None
+            group.require_element(s, "a section")
 
     @property
     def ring(self):
@@ -151,10 +149,7 @@ def transition(f_i: UniMatrix, f_j: UniMatrix, group=None) -> UniMatrix:
         raise RingMismatch("sections live in different spaces")
     if group is not None:
         for f in (f_i, f_j):
-            try:
-                group.coordinates(log_unipotent(f))
-            except MembershipError:
-                raise MembershipError("section log lies outside the group span") from None
+            group.require_element(f, "a section")
     return f_j * f_i.inverse()
 
 
@@ -194,19 +189,24 @@ def wsym(t: SectionTuple) -> SectionTuple:
 
 def lift_w(t: SectionTuple) -> SectionTuple:
     """Lift a tuple of t-constant sections onto the q-simplex, with the same
-    defining formula but t-constant transitions."""
+    defining formula but t-constant transitions.  A constant tuple lifts to
+    its embedding, which wsym fixes."""
     if t.r != 0:
         raise InputError("lift_w needs t-constant sections (domain degree %d)" % t.r)
     if t.q == 0:
         return t
     embedded = SectionTuple(t.group, [embed_simplex(s, t.q) for s in t.sections])
+    if embedded.is_constant_tuple():
+        return embedded
     return wsym(embedded)
 
 
 def wav(t: SectionTuple, d_override=None) -> UniMatrix:
     """The weighted average of a tuple of t-constant sections: lift, then
-    symmetrize d times (d = derived series length of the group, or a larger
-    override); all components then agree and the common value is returned."""
+    symmetrize at most d times (d = derived series length of the group, or a
+    larger override); all components then agree and the common value is
+    returned.  Passes stop once the components agree, since wsym fixes a
+    constant tuple (every transition log is 0)."""
     if t.r != 0:
         raise InputError("wav needs t-constant sections (domain degree %d)" % t.r)
     d = derived_series_length(t.group)
@@ -216,6 +216,8 @@ def wav(t: SectionTuple, d_override=None) -> UniMatrix:
         d = d_override
     cur = lift_w(t)
     for _ in range(d):
+        if cur.is_constant_tuple():
+            break
         cur = wsym(cur)
     if not cur.is_constant_tuple():
         raise NonConstantError("tuple components still disagree after %d passes" % d)
@@ -271,12 +273,15 @@ def wav_at_weights(points, weights: WeightSeq, group=None) -> UniMatrix:
                          % (len(weights), len(points)))
     if weights.field != field:
         raise RingMismatch("weights and points use different fields")
-    t = SectionTuple(group, points)
-    averaged = wav(t)
-    ring = averaged.ring
-    out_ring = PolyRing(field, 0, ring.params)
+    return eval_matrix_at_weights(wav(SectionTuple(group, points)), weights)
+
+
+def eval_matrix_at_weights(mat, weights: WeightSeq):
+    """A matrix over the q-simplex evaluated at a point of it, as a constant
+    matrix; t-constant matrices are returned unchanged."""
+    ring = mat.ring
     if ring.q == 0:
-        return averaged
-    def ev(entry):
-        return out_ring.constant(eval_at_weights(entry, weights.values))
-    return averaged.map_entries(ev, out_ring)
+        return mat
+    out_ring = PolyRing(ring.field, 0, ring.params)
+    return mat.map_entries(
+        lambda e: out_ring.constant(eval_at_weights(e, weights.values)), out_ring)

@@ -3,7 +3,8 @@
 One job per invocation: read UTF-8 JSON from --input, write JSON to
 --output (or stdout).  Exit codes: 0 on success, 2 for bad input, 3 when
 an internal guarantee fails (for example a tuple that is still not
-constant after the requested number of passes).  Errors are emitted as a
+constant after the requested number of passes) or on any other
+unexpected error, so no input ends in a traceback.  Errors are emitted as a
 machine-readable object on stderr.
 """
 
@@ -12,14 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import serialize
-from .average import (SectionTuple, WeightSeq, wav, wav_at_weights, wsym)
+from .average import WeightSeq, eval_matrix_at_weights, wav, wsym
 from .errors import InputError, InvariantViolation
-from .exactring import PolyRing, eval_at_weights
 from .nilpotent import bch, exp_nilpotent, log_unipotent
 from .serialize import FormatError
 from .simplicial import build_simplicial_section, validate_simplicial_section
@@ -83,7 +84,7 @@ def cmd_wav(job: JobSpec):
     if job.weights is not None:
         field = t.group.field
         weights = _parse_weights(job.weights, field, t.q + 1)
-        point = wav_at_weights(t.sections, weights, t.group)
+        point = eval_matrix_at_weights(averaged, weights)
         doc["weights"] = [serialize.scalar_to_json(w) for w in weights]
         doc["evaluated"] = serialize.matrix_to_json(point)
     _write_json(doc, job.output_path)
@@ -189,13 +190,9 @@ def cmd_figure_data(job: JobSpec):
         raise InputError("resolution must be a positive integer")
     field = t.group.field
     averaged = wav(t, d_override=job.iterations)
-    ring = averaged.ring
-    out_ring = PolyRing(field, 0, ring.params)
     samples = []
     for weights in _simplex_grid(t.q, resolution):
-        ws = WeightSeq(field, weights)
-        value = averaged.map_entries(
-            lambda e: out_ring.constant(eval_at_weights(e, ws.values)), out_ring)
+        value = eval_matrix_at_weights(averaged, WeightSeq(field, weights))
         entries = []
         for i in range(value.n):
             row = []
@@ -282,12 +279,17 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         _emit_error("invariant-violation", exc)
         return 3
+    except Exception as exc:
+        # last resort: any other failure is a defect, reported as one
+        _emit_error("internal-error", exc, traceback.format_exc())
+        return 3
 
 
-def _emit_error(kind, exc):
-    sys.stderr.write(json.dumps(
-        {"error": {"kind": kind, "type": type(exc).__name__, "message": str(exc)}})
-        + "\n")
+def _emit_error(kind, exc, trace=None):
+    error = {"kind": kind, "type": type(exc).__name__, "message": str(exc)}
+    if trace is not None:
+        error["traceback"] = trace
+    sys.stderr.write(json.dumps({"error": error}) + "\n")
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .average import WeightSeq, wav_at_weights
-from .errors import InputError, MembershipError, RationalityError, RingMismatch
+from .errors import InputError, RationalityError, RingMismatch
 from .exactring import QQ, GaloisAction, PolyRing
-from .nilpotent import LieSpan, UniMatrix, log_unipotent
+from .nilpotent import LieSpan, UniMatrix
 
 __all__ = ["GaloisOrbit", "rational_point"]
 
@@ -44,10 +44,7 @@ class GaloisOrbit:
                 raise RingMismatch("orbit point has the wrong shape or field")
             if z.ring.q != 0 or z.ring.params:
                 raise InputError("orbit points must be constant matrices")
-            try:
-                group.coordinates(log_unipotent(z))
-            except MembershipError:
-                raise MembershipError("an orbit point lies outside the group span") from None
+            group.require_element(z, "an orbit point")
         self.group = group
         self.action = action
         self.points = points

@@ -11,6 +11,7 @@ values; all arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -65,8 +66,9 @@ def _upoly_sub(a, b):
     return _trim(out)
 
 
-def _upoly_inverse_mod(a, m):
-    """Inverse of a modulo m in Q[x]; requires gcd(a, m) = 1."""
+def _upoly_inverse_mod(a, m, var):
+    """Inverse of a modulo m in Q[x].  A common factor of positive degree
+    proves m reducible, which is bad input rather than a division error."""
     # extended Euclid on coefficient lists
     r0, r1 = list(m), _trim(list(a))
     s0, s1 = [], [Fraction(1)]
@@ -75,21 +77,45 @@ def _upoly_inverse_mod(a, m):
         r0, r1 = r1, r
         s0, s1 = s1, _upoly_sub(s0, _upoly_mul(q, s1))
     if len(r0) != 1:
-        raise ZeroDivisionError("element is a zero divisor modulo the defining polynomial")
+        factor = [c / r0[-1] for c in r0]
+        raise InputError("defining polynomial %s is reducible: it has the factor %s"
+                         % (_upoly_str(m, var), _upoly_str(factor, var)))
     inv_lead = 1 / r0[0]
     return [c * inv_lead for c in s0]
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return out
+def _has_integer_root_cubic(b2, b1, b0):
+    """Does y^3 + b2 y^2 + b1 y + b0 (integer coefficients) have an integer
+    root?  Every root lies inside the Cauchy bound; the stationary points
+    (-b2 -+ sqrt(b2^2 - 3 b1)) / 3 split that range into strictly monotone
+    runs of integers, each searched by exact bisection."""
+    bound = 1 + max(abs(b2), abs(b1), abs(b0))
+
+    def f(y):
+        return ((y + b2) * y + b1) * y + b0
+
+    def root_in(lo, hi, sign):
+        lo, hi = max(lo, -bound), min(hi, bound)
+        if lo > hi:
+            return False
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        return f(lo) == 0
+
+    disc = b2 * b2 - 3 * b1
+    if disc < 0:
+        return root_in(-bound, bound, 1)
+    r = math.isqrt(disc)
+    # the floors of the stationary points are k1 or k1 + 1, and k2 or k2 + 1
+    k1 = (-b2 - r - 1) // 3
+    k2 = (-b2 + r) // 3
+    return (root_in(-bound, k1, 1) or f(k1 + 1) == 0
+            or root_in(k1 + 2, k2, -1) or f(k2 + 1) == 0
+            or root_in(k2 + 2, bound, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +127,9 @@ class ScalarField:
 
     ``minpoly`` is the monic defining polynomial as a coefficient tuple
     (constant term first).  For degrees 2 and 3 a rational-root test
-    certifies irreducibility; higher degrees are accepted as declared.
+    certifies irreducibility; higher degrees are accepted as declared, and
+    a zero divisor met while inverting is reported as a proof of
+    reducibility.
     """
 
     __slots__ = ("var", "minpoly", "degree", "_xpow", "_hash")
@@ -141,22 +169,21 @@ class ScalarField:
         return self.minpoly is None
 
     def _has_rational_root(self):
-        # clear denominators, then test all p/q with p | c_0 and q | c_d
+        # clear denominators: a_0 + a_1 x + ... + a_d x^d with integer a_i
         den = 1
         for c in self.minpoly:
             den = den * c.denominator // _gcd(den, c.denominator)
         ints = [int(c * den) for c in self.minpoly]
         if ints[0] == 0:
             return True
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    acc = Fraction(0)
-                    for c in reversed(ints):
-                        acc = acc * cand + c
-                    if acc == 0:
-                        return True
-        return False
+        if self.degree == 2:
+            a0, a1, a2 = ints
+            disc = a1 * a1 - 4 * a2 * a0
+            return disc >= 0 and math.isqrt(disc) ** 2 == disc
+        # x = y / a_3 turns a_3^2 f(x) into a monic integer cubic in y, whose
+        # rational roots are integers
+        a0, a1, a2, a3 = ints
+        return _has_integer_root_cubic(a2, a1 * a3, a0 * a3 * a3)
 
     def _power_table(self):
         """Coordinates of x^k for k = 0 .. 2d-2, each reduced mod m(x)."""
@@ -324,7 +351,7 @@ class ScalarValue:
         f = self.field
         if f.degree == 1:
             return ScalarValue(f, (1 / self.coords[0],))
-        inv = _upoly_inverse_mod(list(self.coords), list(f.minpoly))
+        inv = _upoly_inverse_mod(list(self.coords), list(f.minpoly), f.var)
         inv = inv + [Fraction(0)] * (f.degree - len(inv))
         return ScalarValue(f, tuple(inv[: f.degree]))
 

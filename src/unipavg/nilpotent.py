@@ -15,6 +15,7 @@ left multiplication fixes the ground vector 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InputError, MembershipError, RingMismatch
 from .exactring import PolyRing, ScalarField, SimplexPoly, extend_to_simplex
@@ -404,7 +405,7 @@ class LieSpan:
     by an independent basis of constant matrices over a scalar field.
     Construction verifies independence and closure under the bracket."""
 
-    __slots__ = ("field", "ring", "n", "basis", "_solver")
+    __slots__ = ("field", "ring", "n", "basis", "_solver", "_derived_length")
 
     def __init__(self, basis, n=None, field=None, check=True):
         basis = tuple(basis)
@@ -431,6 +432,7 @@ class LieSpan:
         self.basis = tuple(fixed)
         columns = [tuple(e.constant_value() for e in b.strict_upper()) for b in self.basis]
         self._solver = _LinSolver(field, columns, what="span basis") if columns else None
+        self._derived_length = None
         if check:
             for i in range(len(self.basis)):
                 for j in range(i + 1, len(self.basis)):
@@ -460,6 +462,21 @@ class LieSpan:
                 raise MembershipError("vector lies outside the span")
             return []
         return self._solver.solve(vec, zero)
+
+    def require_element(self, u, what="a matrix"):
+        """Raise unless the unit upper matrix u lies in the group of this
+        span: RingMismatch for the wrong size or field, MembershipError when
+        log(u) lies outside the span.  A span of dimension n(n-1)/2 holds
+        every strictly upper matrix, and log(u) is strictly upper, so then
+        the log is not computed."""
+        if u.n != self.n or u.ring.field != self.field:
+            raise RingMismatch("%s does not live in this span's space" % what)
+        if self.dim == self.n * (self.n - 1) // 2:
+            return
+        try:
+            self.coordinates(log_unipotent(u))
+        except MembershipError:
+            raise MembershipError("%s lies outside the group span" % what) from None
 
     def contains(self, mat):
         try:
@@ -515,14 +532,20 @@ def lower_central_series(span: LieSpan):
 
 def derived_series_length(span: LieSpan) -> int:
     """Length of the shortest normal chain with abelian quotients: the number
-    of nonzero terms of the derived series g, [g, g], [[g,g],[g,g]], ..."""
-    cur = span
-    count = 0
-    while cur.dim > 0:
-        count += 1
-        nxt = _bracket_basis(span.field, cur.basis, cur.basis)
-        cur = LieSpan(nxt, n=span.n, field=span.field)
-    return count
+    of nonzero terms of the derived series g, [g, g], [[g,g],[g,g]], ...
+
+    [a, a] = 0 and [b, a] = -[a, b], so [g, g] is spanned by the brackets of
+    basis pairs i < j.  The result is cached on the span."""
+    if span._derived_length is None:
+        cur = span
+        count = 0
+        while cur.dim > 0:
+            count += 1
+            nxt = _independent_matrices(
+                span.field, (a.bracket(b) for a, b in combinations(cur.basis, 2)))
+            cur = LieSpan(nxt, n=span.n, field=span.field)
+        span._derived_length = count
+    return span._derived_length
 
 
 def nilpotency_class(span: LieSpan) -> int:

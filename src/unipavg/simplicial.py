@@ -21,8 +21,7 @@ from itertools import combinations_with_replacement
 from .average import SectionTuple, wav
 from .errors import InputError, MembershipError, RingMismatch
 from .exactring import PolyRing, SimplexMap, substitute_simplex_map
-from .nilpotent import (LieHom, LieSpan, UniMatrix, apply_hom, log_unipotent,
-                        quotient_span)
+from .nilpotent import LieHom, LieSpan, UniMatrix, apply_hom, quotient_span
 
 
 class FiniteCover:
@@ -97,11 +96,7 @@ class LocalSection:
                 raise InputError("local section values must be constant in t")
             if mat.n != group.n or mat.ring.field != group.field:
                 raise RingMismatch("local section value at %r has the wrong shape" % (x,))
-            try:
-                group.coordinates(log_unipotent(mat))
-            except MembershipError:
-                raise MembershipError("local value at point %r lies outside the "
-                                      "group span" % (x,)) from None
+            group.require_element(mat, "local value at point %r" % (x,))
 
     def __repr__(self):
         return "LocalSection(open %d, %d points)" % (self.open_index, len(self.values))
@@ -228,7 +223,7 @@ def validate_simplicial_section(s: SimplicialSection, max_q=None) -> ValidationR
                          detail="value is not a UniMatrix on the %d-simplex" % q)
                     continue
                 try:
-                    s.group.coordinates(log_unipotent(mat))
+                    s.group.require_element(mat)
                 except (MembershipError, RingMismatch):
                     fail(map=None, multi_index=mi, point=x,
                          detail="value lies outside the group")

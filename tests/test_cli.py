@@ -1,8 +1,12 @@
 """End-to-end runs of the command line driver."""
 
+import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +22,7 @@ from unipavg import (
     wav,
     wsym,
 )
+import unipavg
 from unipavg.cli import _HANDLERS, main
 from unipavg.errors import InvariantViolation
 from unipavg import serialize
@@ -311,3 +316,87 @@ def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["wav", "--input", path])
     assert code == 3
     assert err["error"]["kind"] == "invariant-violation"
+
+
+def test_unexpected_error_exits_3_with_json(tmp_path, capsys, monkeypatch):
+    def boom(job):
+        raise ZeroDivisionError("a defect outside the error hierarchy")
+
+    monkeypatch.setitem(_HANDLERS, "wav", boom)
+    path = write_doc(tmp_path, "t.json", serialize.tuple_to_json(two_point_tuple()))
+    code, out, err = run(capsys, ["wav", "--input", path])
+    assert code == 3 and out is None
+    assert err["error"]["kind"] == "internal-error"
+    assert err["error"]["type"] == "ZeroDivisionError"
+    assert "in boom" in err["error"]["traceback"]
+
+
+def _poly_doc(coords):
+    terms = [] if coords is None else [{"exp": [], "coef": {"coords": coords}}]
+    return {"q": 0, "params": [], "terms": terms}
+
+
+def test_reducible_minimal_polynomial_is_bad_input(tmp_path, capsys):
+    # x^4 - 1 = (x^2 + 1)(x^2 - 1): the basis entry 1 + x^2 has no inverse
+    z, one, b = _poly_doc(None), _poly_doc([1, 0, 0, 0]), _poly_doc([1, 0, 1, 0])
+    doc = {"field": {"var": "x", "minpoly": [-1, 0, 0, 0, 1]},
+           "group": {"n": 2, "basis": [{"n": 2, "entries": [[z, b], [z, z]]}]},
+           "sections": [{"n": 2, "entries": [[one, z], [z, one]]},
+                        {"n": 2, "entries": [[one, b], [z, one]]}]}
+    path = write_doc(tmp_path, "reducible.json", doc)
+    code, out, err = run(capsys, ["wav", "--input", path])
+    assert code == 2 and out is None
+    assert err["error"]["kind"] == "input-error"
+    assert "reducible" in err["error"]["message"]
+    assert "1 + x^2" in err["error"]["message"]
+
+
+def _run_cli_process(args):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(unipavg.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "unipavg.cli"] + args,
+                          capture_output=True, text=True, env=env, timeout=30)
+
+
+def test_huge_quadratic_constant_term_is_fast(tmp_path):
+    # a 22-digit constant term: the rational-root test is exact but does
+    # not scan divisors
+    z, one = _poly_doc(None), _poly_doc([1, 0])
+    field = {"var": "a", "minpoly": [1000000000000000000003, 0, 1]}
+    doc = {"field": field, "matrix": {"n": 2, "entries": [[z, one], [z, z]]}}
+    proc = _run_cli_process(["exp", "--input", write_doc(tmp_path, "big.json", doc)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n"] == 2
+    # the same field with a bare-list matrix is a format error, also at once
+    doc = {"field": field, "matrix": [[0, 1], [0, 0]]}
+    proc = _run_cli_process(["exp", "--input", write_doc(tmp_path, "list.json", doc)])
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"]["kind"] == "input-error"
+
+
+# sha256 digests of the output bytes of the implementation that evaluated
+# `wav --weights` by averaging a second time, and figure-data by its own
+# inline evaluation; the shared evaluation must reproduce them exactly
+SEED_OUTPUT_DIGESTS = {
+    "pair": ("ec991cdf89108a36f5d2d4c9535722b5b7fa67c23d70e94a85c402527fde4846",
+             "ac93debdccf5366c04900678f94c5629f7ceac8112347733dd906050d66c5c45"),
+    "heis": ("2fa495d39c82bf6be35d210677bd517419425bcdef03aabe9e7d4256dcfd3a82",
+             "2bbb6b9a300dcdd7dca5de1cd7410390cd5946ff1da3e6152a3528b301833726"),
+}
+
+
+def test_evaluated_outputs_are_byte_identical(tmp_path, capsys):
+    cases = {
+        "pair": (two_point_tuple(), '[{"num":1,"den":3},{"num":2,"den":3}]'),
+        "heis": (rand_tuple(random.Random(2024), heisenberg_span(), 2),
+                 '[{"num":1,"den":6},{"num":1,"den":3},{"num":1,"den":2}]'),
+    }
+    for name, (t, weights) in cases.items():
+        path = write_doc(tmp_path, name + ".json", serialize.tuple_to_json(t))
+        digests = []
+        for argv in (["wav", "--input", path, "--weights", weights],
+                     ["figure-data", "--input", path, "--resolution", "3"]):
+            assert main(argv) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert tuple(digests) == SEED_OUTPUT_DIGESTS[name]

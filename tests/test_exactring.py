@@ -86,6 +86,42 @@ def test_reducible_minpoly_rejected():
             ScalarField.extension("y", [Fraction(c) for c in coeffs])
 
 
+def _expand(roots, rest):
+    """Coefficients (constant first) of prod (x - r) * rest."""
+    coeffs = [Fraction(c) for c in rest]
+    for r in roots:
+        shifted = [Fraction(0)] + coeffs
+        coeffs = [s - r * c for s, c in zip(shifted, coeffs + [Fraction(0)])]
+    return coeffs
+
+
+def test_rational_root_test_with_huge_coefficients():
+    big = 10**21 + 3
+    # no rational root: accepted, with no scan over divisors of the constant
+    for coeffs in ([big, 0, 1], [Fraction(big, 7), 5, 1], [big, 0, 0, 1],
+                   [1, -3 * big, 0, 1], [2, 0, -big, 1]):
+        ScalarField.extension("y", coeffs)
+    # a rational root anywhere, including between the stationary points of a
+    # cubic with three real roots: rejected
+    for roots, rest in (([10**20, -10**20], [1]),
+                        ([Fraction(big, 7)], [Fraction(-1, 3), 1]),
+                        ([Fraction(-big, 5)], [1, 0, 1]),
+                        ([Fraction(1, 2)], [-2 * big * big, 0, 1]),
+                        ([-big, Fraction(1, 2), big * big], [1]),
+                        ([Fraction(3, 4)], [big, 0, 1])):
+        coeffs = _expand(roots, rest)
+        with pytest.raises(InputError, match="rational root"):
+            ScalarField.extension("y", coeffs)
+
+
+def test_reducible_quartic_reported_by_its_factor():
+    field = ScalarField.extension("y", [-1, 0, 0, 0, 1])
+    unit = field.value([2, 1, 0, 0])
+    assert unit.inverse() * unit == field.one
+    with pytest.raises(InputError, match=r"reducible: it has the factor 1 \+ y\^2"):
+        field.value([1, 0, 1, 0]).inverse()
+
+
 def test_bad_minpoly_shapes_rejected():
     with pytest.raises(InputError):
         ScalarField.extension("y", [Fraction(-2), Fraction(0), Fraction(2)])  # not monic
