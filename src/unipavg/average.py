@@ -19,11 +19,10 @@ transitions are f_j f_i^{-1}, never f_i^{-1} f_j.
 from __future__ import annotations
 
 from .errors import InputError, NonConstantError, RingMismatch
-from .exactring import (PolyRing, SimplexMap, eval_at_weights, permute_coordinates,
-                        substitute_simplex_map)
+from .exactring import PolyRing, SimplexMap, eval_at_weights, permute_coordinates
 from .nilpotent import (LieSpan, NilMatrix, UniMatrix, derived_series_length,
                         embed_simplex, exp_nilpotent, full_unipotent_span,
-                        log_unipotent)
+                        log_unipotent, pull_back)
 
 __all__ = [
     "WeightSeq", "SectionTuple", "SimplexMap", "transition", "wsym", "lift_w",
@@ -83,11 +82,15 @@ class SectionTuple:
     The domain degree r is the simplex dimension of the entry ring: r = 0
     for t-constant sections, r = q for sections over the q-simplex.  These
     are the only two shapes the operators produce or consume.
+
+    ``check=False`` skips the group-membership test (the ring and size
+    checks stay); the operators pass it for values that lie in the group
+    by construction.
     """
 
     __slots__ = ("group", "sections", "q", "r")
 
-    def __init__(self, group, sections):
+    def __init__(self, group, sections, check=True):
         if not isinstance(group, LieSpan):
             raise InputError("a section tuple needs a LieSpan group")
         sections = tuple(sections)
@@ -108,7 +111,8 @@ class SectionTuple:
                 raise RingMismatch("sections must share one ring and matrix size")
             if s.ring.field != group.field:
                 raise RingMismatch("section field differs from the group's")
-            group.require_element(s, "a section")
+            if check:
+                group.require_element(s, "a section")
 
     @property
     def ring(self):
@@ -184,7 +188,8 @@ def wsym(t: SectionTuple) -> SectionTuple:
             if j != i:
                 acc = acc + logs[i][j].scale(coords[j])
         new.append(exp_nilpotent(acc) * t.sections[i])
-    return SectionTuple(t.group, new)
+    # exp of a span element times a group element stays in the group
+    return SectionTuple(t.group, new, check=False)
 
 
 def lift_w(t: SectionTuple) -> SectionTuple:
@@ -195,7 +200,8 @@ def lift_w(t: SectionTuple) -> SectionTuple:
         raise InputError("lift_w needs t-constant sections (domain degree %d)" % t.r)
     if t.q == 0:
         return t
-    embedded = SectionTuple(t.group, [embed_simplex(s, t.q) for s in t.sections])
+    embedded = SectionTuple(t.group, [embed_simplex(s, t.q) for s in t.sections],
+                            check=False)
     if embedded.is_constant_tuple():
         return embedded
     return wsym(embedded)
@@ -235,10 +241,7 @@ def act_simplex_map(t: SectionTuple, alpha: SimplexMap) -> SectionTuple:
     picked = [t.sections[alpha(i)] for i in range(alpha.p + 1)]
     if t.r == 0:
         return SectionTuple(t.group, picked)
-    target = PolyRing(t.ring.field, alpha.p, t.ring.params)
-    pulled = [s.map_entries(lambda e: substitute_simplex_map(e, alpha), target)
-              for s in picked]
-    return SectionTuple(t.group, pulled)
+    return SectionTuple(t.group, [pull_back(s, alpha) for s in picked])
 
 
 def act_permutation(t: SectionTuple, perm) -> SectionTuple:

@@ -18,7 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, MembershipError, RingMismatch
-from .exactring import PolyRing, ScalarField, SimplexPoly, extend_to_simplex
+from .exactring import (PolyRing, ScalarField, SimplexPoly, extend_to_simplex,
+                        substitute_simplex_map)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +300,13 @@ def embed_simplex(mat, q):
     return mat.map_entries(lambda p: extend_to_simplex(p, q), target)
 
 
+def pull_back(mat, alpha):
+    """A matrix over the q-simplex pulled back, entry by entry, along the
+    simplex map alpha: [p] -> [q]."""
+    target = PolyRing(mat.ring.field, alpha.p, mat.ring.params)
+    return mat.map_entries(lambda e: substitute_simplex_map(e, alpha), target)
+
+
 # ---------------------------------------------------------------------------
 # exact linear solves against a fixed independent column family
 # ---------------------------------------------------------------------------
@@ -525,7 +533,8 @@ def lower_central_series(span: LieSpan):
     cur = span
     while cur.dim > 0:
         nxt = _bracket_basis(span.field, span.basis, cur.basis)
-        cur = LieSpan(nxt, n=span.n, field=span.field)
+        # [g, g_k] is an ideal of g, so closed; the basis is independent
+        cur = LieSpan(nxt, n=span.n, field=span.field, check=False)
         out.append(cur)
     return out
 
@@ -543,7 +552,8 @@ def derived_series_length(span: LieSpan) -> int:
             count += 1
             nxt = _independent_matrices(
                 span.field, (a.bracket(b) for a, b in combinations(cur.basis, 2)))
-            cur = LieSpan(nxt, n=span.n, field=span.field)
+            # a derived term is closed under the bracket by construction
+            cur = LieSpan(nxt, n=span.n, field=span.field, check=False)
         span._derived_length = count
     return span._derived_length
 

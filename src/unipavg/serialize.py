@@ -242,6 +242,8 @@ def simplicial_from_json(obj) -> SimplicialSection:
     cover = cover_from_json(_expect(obj.get("cover"), dict, "cover"))
     group = span_from_json(field, _expect(obj.get("group"), dict, "group"))
     max_q = _expect(obj.get("max_q"), int, "max_q")
+    if max_q < 0:
+        raise FormatError("max_q must be nonnegative, got %d" % max_q)
     levels = {q: {} for q in range(max_q + 1)}
     for key, per_point in _expect(obj.get("levels"), dict, "levels").items():
         mi = _mi_from_key(key)

@@ -20,8 +20,8 @@ from itertools import combinations_with_replacement
 
 from .average import SectionTuple, wav
 from .errors import InputError, MembershipError, RingMismatch
-from .exactring import PolyRing, SimplexMap, substitute_simplex_map
-from .nilpotent import LieHom, LieSpan, UniMatrix, apply_hom, quotient_span
+from .exactring import SimplexMap
+from .nilpotent import LieHom, LieSpan, UniMatrix, apply_hom, pull_back, quotient_span
 
 
 class FiniteCover:
@@ -148,7 +148,14 @@ def build_simplicial_section(cover: FiniteCover, local_sections, group: LieSpan,
                              max_q=3) -> SimplicialSection:
     """Glue local sections into averaged sections on every multi-intersection:
     the level-q datum at (i_0, ..., i_q) is, pointwise, the weighted average
-    of the local values of opens i_0, ..., i_q."""
+    of the local values of opens i_0, ..., i_q.
+
+    Only strictly increasing multi-indices are averaged.  A multi-index with
+    repeats is distinct o sigma for its distinct opens and the surjection
+    sigma, and its datum is the pullback of the distinct datum along sigma
+    (every simplex is a unique degeneracy of a nondegenerate one)."""
+    if max_q < 0:
+        raise InputError("max_q must be nonnegative, got %d" % max_q)
     local_sections = list(local_sections)
     if len(local_sections) != len(cover.opens):
         raise InputError("expected one local section per open (%d), got %d"
@@ -168,11 +175,14 @@ def build_simplicial_section(cover: FiniteCover, local_sections, group: LieSpan,
             pts = cover.intersection(mi)
             if not pts:
                 continue
-            per_point = {}
-            for x in pts:
-                tup = SectionTuple(group, [by_open[i].values[x] for i in mi])
-                per_point[x] = wav(tup)
-            level[mi] = per_point
+            distinct = tuple(sorted(set(mi)))
+            if len(distinct) == len(mi):
+                level[mi] = {x: wav(SectionTuple(group, [by_open[i].values[x] for i in mi]))
+                             for x in pts}
+            else:
+                sigma = SimplexMap(len(distinct) - 1, [distinct.index(i) for i in mi])
+                source = levels[len(distinct) - 1][distinct]
+                level[mi] = {x: pull_back(source[x], sigma) for x in pts}
         levels[q] = level
     return SimplicialSection(cover, group, levels, max_q)
 
@@ -189,6 +199,8 @@ def validate_simplicial_section(s: SimplicialSection, max_q=None) -> ValidationR
     (condition (ii)); compositions of these generate all order maps."""
     if max_q is None:
         max_q = s.max_q
+    if max_q < 0:
+        raise InputError("max_q must be nonnegative, got %d" % max_q)
     if max_q > s.max_q:
         raise InputError("levels are only populated up to q = %d" % s.max_q)
     cover = s.cover
@@ -244,19 +256,13 @@ def validate_simplicial_section(s: SimplicialSection, max_q=None) -> ValidationR
             alpha = SimplexMap.coface(q, i)
             for mi, per_point in s.levels.get(q, {}).items():
                 for x, mat in per_point.items():
-                    target = PolyRing(mat.ring.field, alpha.p, mat.ring.params)
-                    pulled = mat.map_entries(
-                        lambda e: substitute_simplex_map(e, alpha), target)
-                    compare(alpha, q - 1, mi, x, pulled)
+                    compare(alpha, q - 1, mi, x, pull_back(mat, alpha))
     for q in range(max_q):
         for i in range(q + 1):
             alpha = SimplexMap.codegeneracy(q, i)
             for mi, per_point in s.levels.get(q, {}).items():
                 for x, mat in per_point.items():
-                    target = PolyRing(mat.ring.field, alpha.p, mat.ring.params)
-                    pulled = mat.map_entries(
-                        lambda e: substitute_simplex_map(e, alpha), target)
-                    compare(alpha, q + 1, mi, x, pulled)
+                    compare(alpha, q + 1, mi, x, pull_back(mat, alpha))
     return report
 
 

@@ -30,6 +30,7 @@ from unipavg.fixtures import (
     cover_local_sections,
     heisenberg_span,
     six_point_cover,
+    sqrt2_field,
     sqrt2_orbit,
     two_point_tuple,
 )
@@ -178,10 +179,10 @@ def test_bch_through_cli(tmp_path, capsys):
 # sections
 # ---------------------------------------------------------------------------
 
-def build_sections_doc():
+def build_sections_doc(field=QQ):
     cover = six_point_cover()
-    span, locals_ = cover_local_sections()
-    return {"field": serialize.field_to_json(QQ),
+    span, locals_ = cover_local_sections(field)
+    return {"field": serialize.field_to_json(field),
             "cover": serialize.cover_to_json(cover),
             "group": serialize.span_to_json(span),
             "locals": serialize.locals_to_json(locals_)}
@@ -221,6 +222,44 @@ def test_sections_validate_catches_corruption(tmp_path, capsys):
     assert out["report"]["ok"] is False
     named = [f["map"] for f in out["report"]["failures"] if f.get("map")]
     assert named and named[0].startswith(("d^", "s^"))
+
+
+def test_sections_negative_max_q_is_bad_input(tmp_path, capsys):
+    path = write_doc(tmp_path, "cover.json", build_sections_doc())
+    code, out, err = run(capsys, ["sections", "--input", path, "--max-q", "-1"])
+    assert code == 2 and out is None
+    assert "max_q" in err["error"]["message"]
+    code, built, _ = run(capsys, ["sections", "--input", path, "--max-q", "1"])
+    assert code == 0
+    built.pop("report")
+    path2 = write_doc(tmp_path, "built.json", built)
+    code, out, err = run(capsys, ["sections", "--input", path2, "--max-q", "-2"])
+    assert code == 2 and out is None
+    assert "max_q" in err["error"]["message"]
+    built["max_q"] = -1
+    path3 = write_doc(tmp_path, "negative.json", built)
+    code, out, err = run(capsys, ["sections", "--input", path3])
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "FormatError"
+
+
+# sha256 digests of `sections --max-q 3` output bytes for the six-point
+# cover, from the build that averaged every multi-index; building the
+# degenerate levels by pullback must reproduce them exactly
+SEED_SECTIONS_DIGESTS = {
+    "Q": "f6cc984bdc46bbaea5daaa3f65e5491286b1d5c2583480996601468c479990ee",
+    "Q(sqrt2)": "1d4e148d895bf25cfd098dfcdcec097f90bc2dddbf57b94111096269f8c94869",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_SECTIONS_DIGESTS))
+def test_built_sections_are_byte_identical(tmp_path, capsys, name):
+    field = QQ if name == "Q" else sqrt2_field()
+    path = write_doc(tmp_path, "cover.json", build_sections_doc(field))
+    assert main(["sections", "--input", path, "--max-q", "3"]) == 0
+    text = capsys.readouterr().out
+    assert json.loads(text)["report"]["checks"] == 416
+    assert hashlib.sha256(text.encode()).hexdigest() == SEED_SECTIONS_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Exact cross-checks of the averaging core's shortcuts against the paths
 they replace: `wav` stopping once the tuple agrees, group membership
-decided by shape for full spans, and the derived series built from the
-brackets of basis pairs i < j."""
+decided by shape for full spans, tuples built by the operators trusted
+without a membership check, and the derived and lower central series
+built from the brackets of basis pairs i < j without closure checks."""
 
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
 import unipavg.average as average_module
+import unipavg.nilpotent as nilpotent_module
 from unipavg import (
     QQ,
     FiniteCover,
@@ -45,7 +49,7 @@ from unipavg.fixtures import (
     two_point_tuple,
     u2_span,
 )
-from unipavg.nilpotent import _bracket_basis
+from unipavg.nilpotent import _bracket_basis, _independent_matrices
 from helpers import rand_nil_poly, rand_point, rand_tuple
 
 
@@ -148,6 +152,62 @@ def test_iteration_override_keeps_its_bound_and_value(monkeypatch):
         wav(t, d_override=d - 1)
 
 
+def log_calls_from_operator_tuples(monkeypatch, t, checked=False):
+    """Run wav and return (result, number of log_unipotent calls made while
+    a SectionTuple is built inside wsym or lift_w).  With checked=True,
+    every tuple the operators build checks membership again."""
+    operators = {average_module.wsym.__code__, average_module.lift_w.__code__}
+    init = SectionTuple.__init__.__code__
+    calls = []
+    real_log = nilpotent_module.log_unipotent
+
+    def tracking_log(u):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not init:
+            frame = frame.f_back
+        while frame is not None:
+            if frame.f_code in operators:
+                calls.append(frame.f_code.co_name)
+                break
+            frame = frame.f_back
+        return real_log(u)
+
+    class CheckedTuple(SectionTuple):
+        __slots__ = ()
+
+        def __init__(self, group, sections, check=True):
+            super().__init__(group, sections, check=True)
+
+    monkeypatch.setattr(nilpotent_module, "log_unipotent", tracking_log)
+    if checked:
+        monkeypatch.setattr(average_module, "SectionTuple", CheckedTuple)
+    result = wav(t)
+    monkeypatch.undo()
+    return result, len(calls)
+
+
+def test_operator_tuples_on_a_quotient_skip_the_membership_check(monkeypatch):
+    rng = random.Random(609)
+    for q in (1, 2):
+        t = quotient_tuple(rng, q)
+        assert t.group.dim < t.group.n * (t.group.n - 1) // 2
+        fast, trusted_logs = log_calls_from_operator_tuples(monkeypatch, t)
+        checked, checked_logs = log_calls_from_operator_tuples(monkeypatch, t, checked=True)
+        assert fast == checked == wav_all_passes(t)
+        assert trusted_logs == 0
+        assert checked_logs > 0          # the tracking sees the checks it replaces
+
+
+def test_public_section_tuples_still_check_membership():
+    ab = abelian3_span()
+    bad = outside_abelian3()
+    with pytest.raises(MembershipError):
+        SectionTuple(ab, [bad])
+    SectionTuple(ab, [bad], check=False)
+    with pytest.raises(RingMismatch):
+        SectionTuple(ab, [sqrt2_point(4)], check=False)
+
+
 # ---------------------------------------------------------------------------
 # derived series: pairs i < j against all ordered pairs
 # ---------------------------------------------------------------------------
@@ -172,6 +232,36 @@ def test_derived_length_matches_ordered_pairs():
         d = derived_series_length(span)
         assert d == derived_length_ordered_pairs(span)
         assert derived_series_length(span) == d      # cached value agrees
+
+
+def series_with_closure_checks(span):
+    """Lower central series dimensions and derived length, with every term
+    built by a LieSpan that re-checks closure under the bracket."""
+    dims = [span.dim]
+    cur = span
+    while cur.dim > 0:
+        cur = LieSpan(_bracket_basis(span.field, span.basis, cur.basis),
+                      n=span.n, field=span.field, check=True)
+        dims.append(cur.dim)
+    cur = span
+    length = 0
+    while cur.dim > 0:
+        length += 1
+        brackets = (a.bracket(b) for a, b in combinations(cur.basis, 2))
+        cur = LieSpan(_independent_matrices(span.field, brackets),
+                      n=span.n, field=span.field, check=True)
+    return dims, length
+
+
+def test_series_without_closure_checks_match_checked_terms():
+    ut4 = full_unipotent_span(4, QQ)
+    spans = [full_unipotent_span(n, QQ) for n in range(1, 7)]
+    spans += [quotient_span(ut4, ideal)[0] for ideal in lower_central_series(ut4)[1:]]
+    assert len(spans) == 9
+    for span in spans:
+        dims, length = series_with_closure_checks(span)
+        assert [term.dim for term in lower_central_series(span)] == dims
+        assert derived_series_length(span) == length
 
 
 def test_derived_length_of_full_groups_is_ceil_log2():
