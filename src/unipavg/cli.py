@@ -164,6 +164,11 @@ def cmd_galois(job: JobSpec):
     return 0
 
 
+# figure-data builds every point of its grid, C(R + q, q) of them, before
+# evaluating any, so the resolution R is bounded
+MAX_RESOLUTION = 64
+
+
 def _simplex_grid(q, resolution):
     """All exact rational points (k_0/R, ..., k_q/R) with sum k_i = R."""
     out = []
@@ -186,8 +191,9 @@ def cmd_figure_data(job: JobSpec):
     if t.q not in (1, 2):
         raise InputError("figure data supports q = 1 or q = 2, got q = %d" % t.q)
     resolution = job.resolution if job.resolution is not None else 4
-    if resolution < 1:
-        raise InputError("resolution must be a positive integer")
+    if not 1 <= resolution <= MAX_RESOLUTION:
+        raise InputError("resolution must be an integer from 1 to %d, got %d"
+                         % (MAX_RESOLUTION, resolution))
     field = t.group.field
     averaged = wav(t, d_override=job.iterations)
     samples = []
@@ -252,7 +258,8 @@ def build_parser():
                            help="symmetrization pass override (>= derived length)")
         if name == "figure-data":
             p.add_argument("--resolution", type=int, default=None,
-                           help="grid resolution R; samples at multiples of 1/R")
+                           help="grid resolution R, at most %d; samples at "
+                                "multiples of 1/R" % MAX_RESOLUTION)
         if name == "sections":
             p.add_argument("--max-q", type=int, default=3, dest="max_q",
                            help="highest simplex level to build/validate")

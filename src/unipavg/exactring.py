@@ -236,6 +236,8 @@ class ScalarField:
         return ScalarValue(self, tuple(coords))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, ScalarField)
                 and self.var == other.var and self.minpoly == other.minpoly)
 
@@ -383,11 +385,11 @@ class ScalarValue:
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     @property
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.coords[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -523,6 +525,8 @@ class PolyRing:
         self._hash = hash((field, q, params))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, PolyRing) and self.field == other.field
                 and self.q == other.q and self.params == other.params)
 

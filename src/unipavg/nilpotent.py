@@ -35,30 +35,37 @@ def _identity_rows(ring, n):
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 
 def _add_rows(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(y if x.is_zero else x if y.is_zero else x + y
+                       for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 def _sub_rows(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x if y.is_zero else -y if x.is_zero else x - y
+                       for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 def _scale_rows(rows, s):
-    return tuple(tuple(x * s for x in row) for row in rows)
+    # a zero entry scales to itself
+    return tuple(tuple(x if x.is_zero else x * s for x in row) for row in rows)
 
 def _matmul(a, b, ring):
+    """The product of two upper triangular matrices.  Every caller passes a
+    NilMatrix, a UniMatrix or identity plus strictly upper, and the checked
+    constructors enforce that shape, so entries below the diagonal are never
+    read: (ab)_ij sums a_ik b_kj over i <= k <= j only, in increasing k, and
+    is zero for j < i."""
     n = len(a)
     z = ring.zero()
     out = []
     for i in range(n):
-        row = []
         ai = a[i]
-        for j in range(n):
-            acc = z
-            for k in range(n):
-                x = ai[k]
-                if not x.is_zero:
-                    y = b[k][j]
+        row = [z] * n
+        for k in range(i, n):
+            x = ai[k]
+            if not x.is_zero:
+                bk = b[k]
+                for j in range(k, n):
+                    y = bk[j]
                     if not y.is_zero:
-                        acc = acc + x * y
-            row.append(acc)
+                        row[j] = row[j] + x * y
         out.append(tuple(row))
     return tuple(out)
 
@@ -357,13 +364,14 @@ class _LinSolver:
         if len(vec) != self.length:
             raise InputError("vector length %d does not match solver length %d"
                              % (len(vec), self.length))
+        nonzero = [(i, v) for i, v in enumerate(vec) if not v.is_zero]
         out = []
         for r in range(self.length):
             acc = zero
             srow = self.srows[r]
-            for i, v in enumerate(vec):
+            for i, v in nonzero:
                 c = srow[i]
-                if not c.is_zero and not v.is_zero:
+                if not c.is_zero:
                     acc = acc + v * c
             if r < self.m:
                 out.append(acc)

@@ -96,12 +96,19 @@ def poly_to_json(p: SimplexPoly):
     return {"q": p.ring.q, "params": list(p.ring.params), "terms": terms}
 
 
-def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
+def poly_from_json(field: ScalarField, obj, rings=None) -> SimplexPoly:
+    """Read a polynomial.  ``rings`` maps (q, params) to the PolyRing already
+    built in the same read, so the values of one document share ring
+    objects and compare them by identity."""
     _expect(obj, dict, "polynomial")
     q = _expect(obj.get("q", 0), int, "q")
     params = tuple(_expect(n, str, "parameter name")
                    for n in _expect(obj.get("params", []), list, "params"))
-    ring = PolyRing(field, q, params)
+    if rings is None:
+        rings = {}
+    ring = rings.get((q, params))
+    if ring is None:
+        ring = rings[(q, params)] = PolyRing(field, q, params)
     raw = {}
     for term in _expect(obj.get("terms", []), list, "terms"):
         _expect(term, dict, "term")
@@ -123,7 +130,7 @@ def matrix_to_json(mat):
     return {"n": mat.n, "entries": [[poly_to_json(e) for e in row] for row in mat.rows]}
 
 
-def _grid_from_json(field, obj, what):
+def _grid_from_json(field, obj, what, rings=None):
     _expect(obj, dict, what)
     n = _expect(obj.get("n"), int, "n")
     if n < 1:
@@ -131,20 +138,21 @@ def _grid_from_json(field, obj, what):
     entries = _expect(obj.get("entries"), list, "entries")
     if len(entries) != n or any(len(_expect(r, list, "matrix row")) != n for r in entries):
         raise FormatError("matrix entries must form an n x n grid")
-    rows = [[poly_from_json(field, e) for e in row] for row in entries]
-    rings = {e.ring for row in rows for e in row}
-    if len(rings) > 1:
+    if rings is None:
+        rings = {}
+    rows = [[poly_from_json(field, e, rings) for e in row] for row in entries]
+    if len({e.ring for row in rows for e in row}) > 1:
         raise FormatError("matrix entries mix different rings")
     return n, rows, rows[0][0].ring if rows else PolyRing(field, 0)
 
 
-def nil_from_json(field, obj) -> NilMatrix:
-    n, rows, ring = _grid_from_json(field, obj, "matrix")
+def nil_from_json(field, obj, rings=None) -> NilMatrix:
+    n, rows, ring = _grid_from_json(field, obj, "matrix", rings)
     return NilMatrix(ring, rows)
 
 
-def uni_from_json(field, obj) -> UniMatrix:
-    n, rows, ring = _grid_from_json(field, obj, "matrix")
+def uni_from_json(field, obj, rings=None) -> UniMatrix:
+    n, rows, ring = _grid_from_json(field, obj, "matrix", rings)
     return UniMatrix(ring, rows)
 
 
@@ -152,10 +160,11 @@ def span_to_json(span: LieSpan):
     return {"n": span.n, "basis": [matrix_to_json(b) for b in span.basis]}
 
 
-def span_from_json(field, obj) -> LieSpan:
+def span_from_json(field, obj, rings=None) -> LieSpan:
     _expect(obj, dict, "group span")
     n = _expect(obj.get("n"), int, "n")
-    basis = [nil_from_json(field, b) for b in _expect(obj.get("basis", []), list, "basis")]
+    basis = [nil_from_json(field, b, rings)
+             for b in _expect(obj.get("basis", []), list, "basis")]
     return LieSpan(basis, n=n, field=field)
 
 
@@ -240,7 +249,8 @@ def simplicial_from_json(obj) -> SimplicialSection:
     _expect(obj, dict, "simplicial section")
     field = field_from_json(obj.get("field"))
     cover = cover_from_json(_expect(obj.get("cover"), dict, "cover"))
-    group = span_from_json(field, _expect(obj.get("group"), dict, "group"))
+    rings = {}
+    group = span_from_json(field, _expect(obj.get("group"), dict, "group"), rings)
     max_q = _expect(obj.get("max_q"), int, "max_q")
     if max_q < 0:
         raise FormatError("max_q must be nonnegative, got %d" % max_q)
@@ -250,7 +260,7 @@ def simplicial_from_json(obj) -> SimplicialSection:
         q = len(mi) - 1
         if q not in levels:
             raise FormatError("multi-index %r exceeds max_q=%d" % (key, max_q))
-        vals = {_expect(x, str, "point label"): uni_from_json(field, v)
+        vals = {_expect(x, str, "point label"): uni_from_json(field, v, rings)
                 for x, v in _expect(per_point, dict, "level datum").items()}
         levels[q][mi] = vals
     return SimplicialSection(cover, group, levels, max_q)

@@ -331,6 +331,15 @@ def test_figure_data_rejections(tmp_path, capsys):
     assert code == 2
 
 
+def test_figure_data_resolution_limit(tmp_path, capsys):
+    # only the exit code: a resolution past the limit is refused before any
+    # grid point is built
+    path = write_doc(tmp_path, "t.json", serialize.tuple_to_json(two_point_tuple()))
+    code, out, err = run(capsys, ["figure-data", "--input", path, "--resolution", "65"])
+    assert code == 2 and out is None
+    assert err["error"]["kind"] == "input-error"
+
+
 # ---------------------------------------------------------------------------
 # failure plumbing
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Exact cross-checks of the averaging core's shortcuts against the paths
 they replace: `wav` stopping once the tuple agrees, group membership
 decided by shape for full spans, tuples built by the operators trusted
-without a membership check, and the derived and lower central series
-built from the brackets of basis pairs i < j without closure checks."""
+without a membership check, the derived and lower central series
+built from the brackets of basis pairs i < j without closure checks, and
+the triangular row kernels that skip structural zeros.  The tower outputs
+are pinned to digests of the dense kernels' output bytes."""
 
+import hashlib
+import json
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -36,6 +41,7 @@ from unipavg import (
     log_unipotent,
     lower_central_series,
     quotient_span,
+    tower_compatibility,
     transition,
     validate_simplicial_section,
     wav,
@@ -50,7 +56,9 @@ from unipavg.fixtures import (
     u2_span,
 )
 from unipavg.nilpotent import _bracket_basis, _independent_matrices
-from helpers import rand_nil_poly, rand_point, rand_tuple
+from unipavg.serialize import (matrix_to_json, span_to_json, tower_report_to_json,
+                               tuple_to_json)
+from helpers import rand_nil_poly, rand_point, rand_scalar, rand_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -364,3 +372,233 @@ def test_validator_condition_i_still_checks_membership():
     # a value of the right field in a full span is never flagged
     ut4 = full_unipotent_span(4, QQ)
     assert not tampered_level_failures(ut4, rand_point(random.Random(608), ut4))
+
+
+# ---------------------------------------------------------------------------
+# triangular row kernels against the dense loops they replace
+# ---------------------------------------------------------------------------
+
+def dense_matmul(a, b, ring):
+    n = len(a)
+    z = ring.zero()
+    out = []
+    for i in range(n):
+        row = []
+        ai = a[i]
+        for j in range(n):
+            acc = z
+            for k in range(n):
+                x = ai[k]
+                if not x.is_zero:
+                    y = b[k][j]
+                    if not y.is_zero:
+                        acc = acc + x * y
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def dense_add_rows(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_sub_rows(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_scale_rows(rows, s):
+    return tuple(tuple(x * s for x in row) for row in rows)
+
+
+def dense_solve(solver, vec, zero):
+    out = []
+    for r in range(solver.length):
+        acc = zero
+        srow = solver.srows[r]
+        for i, v in enumerate(vec):
+            c = srow[i]
+            if not c.is_zero and not v.is_zero:
+                acc = acc + v * c
+        if r < solver.m:
+            out.append(acc)
+        elif not acc.is_zero:
+            raise MembershipError("vector lies outside the span")
+    return out
+
+
+class BelowDiagonal:
+    """Stands in for an entry below the diagonal of a triangular input,
+    which the kernels must never read."""
+
+    @property
+    def is_zero(self):
+        raise AssertionError("a kernel read an entry below the diagonal")
+
+
+def below_diagonal_unreadable(rows):
+    return tuple(tuple(BelowDiagonal() if j < i else x for j, x in enumerate(row))
+                 for i, row in enumerate(rows))
+
+
+KERNEL_FIELDS = {"Q": QQ, "Q(sqrt2)": sqrt2_field()}
+DENSITIES = (0.05, 0.2, 0.5, 1.0)
+
+
+def rand_entry(rng, ring, density):
+    """Zero with probability 1 - density, else a constant or (for q > 0)
+    a polynomial of degree at most 1 in the simplex coordinates."""
+    if rng.random() >= density:
+        return ring.zero()
+    p = ring.constant(rand_scalar(rng, ring.field))
+    for v in range(ring.q):
+        if rng.random() < 0.5:
+            p = p + ring.coordinate(v).scale(rand_scalar(rng, ring.field))
+    return p
+
+
+def rand_upper_rows(rng, ring, n, density, diagonal):
+    """Upper triangular rows; the diagonal is 0, 1 or random entries."""
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if j < i or (j == i and diagonal == "zero"):
+                row.append(ring.zero())
+            elif j == i and diagonal == "one":
+                row.append(ring.one())
+            else:
+                row.append(rand_entry(rng, ring, density))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def kernel_cases(rng, field):
+    """(ring, n, density, diagonal) over sizes 1..12, every density, and
+    simplex dimensions 0..2."""
+    for n in range(1, 13):
+        for density in DENSITIES:
+            ring = PolyRing(field, rng.randrange(3))
+            yield ring, n, density, rng.choice(("zero", "one", "random"))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_sparse_matmul_matches_dense(name):
+    rng = random.Random(621)
+    for ring, n, density, diagonal in kernel_cases(rng, KERNEL_FIELDS[name]):
+        a = rand_upper_rows(rng, ring, n, density, diagonal)
+        b = rand_upper_rows(rng, ring, n, density, rng.choice(("zero", "one", "random")))
+        want = dense_matmul(a, b, ring)
+        got = nilpotent_module._matmul(below_diagonal_unreadable(a),
+                                       below_diagonal_unreadable(b), ring)
+        assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_sparse_row_sums_and_scaling_match_dense(name):
+    field = KERNEL_FIELDS[name]
+    rng = random.Random(622)
+    for ring, n, density, diagonal in kernel_cases(rng, field):
+        a = rand_upper_rows(rng, ring, n, density, diagonal)
+        b = rand_upper_rows(rng, ring, n, density, rng.choice(("zero", "one", "random")))
+        assert nilpotent_module._add_rows(a, b) == dense_add_rows(a, b)
+        assert nilpotent_module._sub_rows(a, b) == dense_sub_rows(a, b)
+        assert nilpotent_module._sub_rows(b, a) == dense_sub_rows(b, a)
+        for s in (-1, Fraction(1, 3), 0, rand_scalar(rng, field), field.zero,
+                  rand_entry(rng, ring, 1.0), ring.zero()):
+            scaled = nilpotent_module._scale_rows(a, s)
+            assert scaled == dense_scale_rows(a, s)
+            assert all(y is x for ra, rs in zip(a, scaled) for x, y in zip(ra, rs)
+                       if x.is_zero)
+
+
+def solve_or_outside(solve, vec, zero):
+    try:
+        return solve(vec, zero)
+    except MembershipError:
+        return "outside"
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_sparse_solve_matches_dense(name):
+    field = KERNEL_FIELDS[name]
+    rng = random.Random(623)
+    ut4 = full_unipotent_span(4, field)
+    spans = [ut4, heisenberg_span(field), abelian3_span(field),
+             lower_central_series(ut4)[1]]
+    spans += [quotient_span(ut4, ideal)[0] for ideal in lower_central_series(ut4)[1:3]]
+    constants = PolyRing(field, 0)
+    outside = 0
+    for span in spans:
+        solver = span._solver
+        for density in DENSITIES:
+            ring = PolyRing(field, rng.randrange(3))
+            coords = [rand_entry(rng, ring, density) for _ in range(span.dim)]
+            inside = span.from_coordinates(coords, ring).strict_upper()
+            other = tuple(rand_entry(rng, ring, density) for _ in range(solver.length))
+            scalars = tuple(rand_entry(rng, constants, density).constant_value()
+                            for _ in range(solver.length))
+            for vec, zero in ((inside, ring.zero()), (other, ring.zero()),
+                              (scalars, field.zero)):
+                want = solve_or_outside(lambda v, z: dense_solve(solver, v, z), vec, zero)
+                assert solve_or_outside(solver.solve, vec, zero) == want
+                outside += want == "outside"
+            assert solver.solve(inside, ring.zero()) == coords
+    assert outside > 0           # the random vectors reach the MembershipError path
+
+
+# ---------------------------------------------------------------------------
+# tower outputs on U_4 pinned to the dense kernels' output bytes
+# ---------------------------------------------------------------------------
+
+# sha256 digests of the JSON documents below, taken with the dense row
+# kernels; the sparse kernels must reproduce them byte for byte
+TOWER_DIGESTS = {
+    "projected-0-q1": "e5f68f1432cb283f5f01c838cac1b213050ba2944597389893bbcc5f055b7973",
+    "projected-0-q2": "0918f644c45878ff82fdc5edf3a8234869c70433e02237993368cf01d1e5f4a8",
+    "projected-1-q1": "8bb92237c39ae440d518b6a6e0d923d0a6a36569dbfb1621f401d35c667bd9a3",
+    "projected-1-q2": "cc6f13823d431a047e39161a1c20b8eec6b82b2a53e25ff40ec9913a38426f70",
+    "projected-2-q1": "7ca3b3732b3a4d36406b7a3bafb8f3a4f7f04cb2b334979ed0321c2ea287fb9b",
+    "projected-2-q2": "96c41edc176a575b318281a433e206f88376dbe5ec9d6f4f50ccfa9a79d8f6a7",
+    "quotient-0": "a5a9e5d52fb64d449a6ff41d0dbfe46a8a1fa32390d1d636c9afe0ffa038fac6",
+    "quotient-1": "1ed1fab7b3858564b42ecbcfcb447922f6c64822ea90aa00b105277a9e9db938",
+    "quotient-2": "59c355fcc83e3dd1602afccd55a56da82281a8fddabe006503af03c4818eafa5",
+    "report-q1": "7684b6e3241340eea9ff70d44ef76404773b62768743ac2f241cf60c30f70bf0",
+    "report-q2": "7684b6e3241340eea9ff70d44ef76404773b62768743ac2f241cf60c30f70bf0",
+    "wav-0-q1": "ec25fbfce98aa4b919637b9387afb6cf8ba4051e78e40b3e44e216e4a6170890",
+    "wav-0-q2": "ed9ff454ddc4536a61782fabd244ce3e761f112e87e404eafc402931550599f2",
+    "wav-1-q1": "b448da1d04958ac1cc43941355bdf6b9131a2810321edf94ccf76ca16a1775ec",
+    "wav-1-q2": "9d24c37b4be06b9a3fcb1caa734164a567de04390def5dbcda90e8daa4a36698",
+    "wav-2-q1": "57f4cb196f2d91e64d7815f457a17b93738c2846fd079d98832539afcbeba9e7",
+    "wav-2-q2": "b9151c5690a6785967e0f6f2a4a7f3e87336fd47040ad900e55e0efc4513a7a4",
+}
+
+
+def tower_documents():
+    """The quotient targets and basis projections for the three ideals of
+    the lower central series of U_4, the projected tuples and their `wav`
+    at q = 1 and q = 2, and the tower reports of those tuples."""
+    ut4 = full_unipotent_span(4, QQ)
+    ideals = lower_central_series(ut4)[1:]
+    rng = random.Random(624)
+    tuples = {q: rand_tuple(rng, ut4, q) for q in (1, 2)}
+    docs = {}
+    for k, ideal in enumerate(ideals):
+        quot, proj = quotient_span(ut4, ideal)
+        docs["quotient-%d" % k] = {"target": span_to_json(quot),
+                                   "images": [matrix_to_json(m) for m in proj.images]}
+        for q, t in tuples.items():
+            projected = SectionTuple(quot, [apply_hom(proj, s) for s in t.sections])
+            docs["projected-%d-q%d" % (k, q)] = tuple_to_json(projected)
+            docs["wav-%d-q%d" % (k, q)] = matrix_to_json(wav(projected))
+    for q, t in tuples.items():
+        docs["report-q%d" % q] = tower_report_to_json(tower_compatibility(t, ideals))
+    return docs
+
+
+def tower_digests():
+    return {key: hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+            for key, doc in tower_documents().items()}
+
+
+def test_tower_outputs_are_byte_identical():
+    assert tower_digests() == TOWER_DIGESTS

@@ -1,5 +1,6 @@
 """JSON round-trips and malformed-document rejection."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -162,6 +163,27 @@ def test_simplicial_roundtrip():
     bad["levels"]["0.0.0.0"] = {}
     with pytest.raises(FormatError):
         simplicial_from_json(bad)
+
+
+@pytest.mark.parametrize("field", [QQ, sqrt2_field()], ids=["Q", "Q(sqrt2)"])
+def test_read_document_shares_one_ring_per_simplex(field):
+    span, locals_ = cover_local_sections(field)
+    s = build_simplicial_section(six_point_cover(), locals_, span, max_q=2)
+    text = json.dumps(simplicial_to_json(s))
+    back = simplicial_from_json(json.loads(text))
+    mats = list(back.group.basis)
+    mats += [m for level in back.levels.values() for per_point in level.values()
+             for m in per_point.values()]
+    seen = {}
+    for m in mats:
+        assert m.ring is m.rows[0][0].ring
+        for row in m.rows:
+            for e in row:
+                assert e.ring is seen.setdefault(e.ring.q, e.ring)
+    assert sorted(seen) == [0, 1, 2]
+    assert json.dumps(simplicial_to_json(back)) == text
+    mat = uni_from_json(field, matrix_to_json(s.levels[2][(0, 1, 2)]["d"]))
+    assert len({id(e.ring) for row in mat.rows for e in row}) == 1
 
 
 def test_validation_report_serialization():
