@@ -200,7 +200,8 @@ def lift_w(t: SectionTuple) -> SectionTuple:
         raise InputError("lift_w needs t-constant sections (domain degree %d)" % t.r)
     if t.q == 0:
         return t
-    embedded = SectionTuple(t.group, [embed_simplex(s, t.q) for s in t.sections],
+    target = PolyRing(t.group.field, t.q, t.ring.params)
+    embedded = SectionTuple(t.group, [embed_simplex(s, t.q, target) for s in t.sections],
                             check=False)
     if embedded.is_constant_tuple():
         return embedded

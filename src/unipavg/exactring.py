@@ -1,18 +1,29 @@
 """Exact coefficient arithmetic for simplex polynomials.
 
 Scalars are rationals or elements of a simple extension Q[x]/(m(x)),
-stored as coordinate vectors in the power basis.  Polynomials live on the
-geometric q-simplex t_0 + ... + t_q = 1 (optionally crossed with an affine
-parameter space) and are kept in a canonical normal form that eliminates
-the last coordinate t_q, so two polynomials agree as functions iff their
-term maps are identical.  Every operation is a pure function on immutable
-values; all arithmetic is exact.
+stored as Fraction coordinate vectors in the power basis.  Polynomials
+live on the geometric q-simplex t_0 + ... + t_q = 1 (optionally crossed
+with an affine parameter space) and are kept in a canonical normal form
+that eliminates the last coordinate t_q, so two polynomials agree as
+functions iff their normal forms are identical.
+
+A polynomial stores its coefficients as integer numerators over one
+shared positive denominator (the layout of FLINT's fmpq_poly): each
+exponent maps to a vector of field.degree integers, the power-basis
+coordinates, no vector is all zero, and the gcd of the denominator and
+every numerator is 1.  Products convolve the numerators in integers and
+reduce modulo m(x) once per output term, through the power table cleared
+to integers over one denominator.  Every operation is a pure function on
+immutable values; all arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
+from operator import add, mul
 
 from .errors import InputError, RingMismatch
 
@@ -131,7 +142,7 @@ class ScalarField:
     reducibility.
     """
 
-    __slots__ = ("var", "minpoly", "degree", "_xpow", "_hash")
+    __slots__ = ("var", "minpoly", "degree", "_xpow", "_ixpow", "_xden", "_hash")
 
     def __init__(self, var=None, minpoly=None):
         if var is None and minpoly is None:
@@ -139,6 +150,8 @@ class ScalarField:
             self.minpoly = None
             self.degree = 1
             self._xpow = None
+            self._ixpow = ()
+            self._xden = 1
         else:
             if not isinstance(var, str) or not var:
                 raise InputError("extension variable must be a nonempty string")
@@ -153,6 +166,11 @@ class ScalarField:
             if self.degree <= 3 and self._has_rational_root():
                 raise InputError("defining polynomial of degree <= 3 has a rational root")
             self._xpow = self._power_table()
+            # the rows x^d .. x^(2d-2) cleared to integers over one denominator
+            table = self._xpow[self.degree:]
+            self._xden = math.lcm(*(c.denominator for row in table for c in row))
+            self._ixpow = tuple(tuple(c.numerator * (self._xden // c.denominator) for c in row)
+                                for row in table)
         self._hash = hash((self.var, self.minpoly))
 
     @classmethod
@@ -201,6 +219,31 @@ class ScalarField:
                     shifted[i] -= top * self.minpoly[i]
             table.append(tuple(shifted))
         return table
+
+    def _reduce(self, conv):
+        """xden times the power-basis vector of sum_k conv[k] x^k, for an
+        integer convolution of length 2d - 1."""
+        d = self.degree
+        xden = self._xden
+        out = conv[:d] if xden == 1 else [c * xden for c in conv[:d]]
+        for k, row in enumerate(self._ixpow):
+            ck = conv[d + k]
+            if ck:
+                for i, r in enumerate(row):
+                    if r:
+                        out[i] += ck * r
+        return tuple(out)
+
+    def _imul(self, a, b):
+        """xden times the product of two integer power-basis vectors."""
+        if self.degree == 1:
+            return (a[0] * b[0],)
+        conv = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        return self._reduce(conv)
 
     # -- element constructors ------------------------------------------------
 
@@ -288,7 +331,7 @@ class ScalarValue:
 
     def _coerce(self, other):
         if isinstance(other, ScalarValue):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise RingMismatch("field mismatch in scalar arithmetic")
             return other
         if isinstance(other, (int, Fraction)):
@@ -542,7 +585,7 @@ class PolyRing:
 
     def zero(self) -> "SimplexPoly":
         if self._zero is None:
-            self._zero = SimplexPoly(self, {})
+            self._zero = SimplexPoly(self, 1, {})
         return self._zero
 
     def one(self) -> "SimplexPoly":
@@ -550,11 +593,20 @@ class PolyRing:
             self._one = self.constant(1)
         return self._one
 
+    def _from_coords(self, coords) -> "SimplexPoly":
+        """The canonical form of {exponent: tuple of Fraction coordinates}.
+        Over the least common denominator of reduced fractions, the gcd of
+        the denominator and all numerators is already 1."""
+        den = math.lcm(*(c.denominator for v in coords.values() for c in v))
+        nums = {e: tuple(c.numerator * (den // c.denominator) for c in v)
+                for e, v in coords.items() if any(v)}
+        return SimplexPoly(self, den, nums) if nums else self.zero()
+
     def constant(self, x) -> "SimplexPoly":
         v = self.field.value(x)
         if v.is_zero:
             return self.zero()
-        return SimplexPoly(self, {(0,) * self.nvars: v})
+        return self._from_coords({(0,) * self.nvars: v.coords})
 
     def coordinate(self, j) -> "SimplexPoly":
         """The simplex coordinate t_j in canonical form (t_q eliminated)."""
@@ -562,17 +614,16 @@ class PolyRing:
             raise InputError("coordinate index out of range 0..%d" % self.q)
         if self.q == 0:
             return self.one()
-        one = self.field.one
         if j < self.q:
             exp = [0] * self.nvars
             exp[j] = 1
-            return SimplexPoly(self, {tuple(exp): one})
-        terms = {(0,) * self.nvars: one}
+            return self.poly({tuple(exp): 1})
+        terms = {(0,) * self.nvars: 1}
         for i in range(self.q):
             exp = [0] * self.nvars
             exp[i] = 1
-            terms[tuple(exp)] = -one
-        return SimplexPoly(self, terms)
+            terms[tuple(exp)] = -1
+        return self.poly(terms)
 
     def parameter(self, name) -> "SimplexPoly":
         try:
@@ -581,45 +632,83 @@ class PolyRing:
             raise InputError("unknown parameter %r" % (name,)) from None
         exp = [0] * self.nvars
         exp[self.q + idx] = 1
-        return SimplexPoly(self, {tuple(exp): self.field.one})
+        return self.poly({tuple(exp): 1})
 
     def poly(self, terms) -> "SimplexPoly":
         """Build from a raw {exponent-tuple: coefficient} map (can contain zeros)."""
-        clean = {}
+        coords = {}
         for exp, coef in terms.items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != self.nvars or any(e < 0 for e in exp):
                 raise InputError("bad exponent vector %r" % (exp,))
-            v = self.field.value(coef)
-            if not v.is_zero:
-                if exp in clean:
-                    v = clean[exp] + v
-                    if v.is_zero:
-                        del clean[exp]
-                        continue
-                clean[exp] = v
-        return SimplexPoly(self, clean)
+            v = self.field.value(coef).coords
+            cur = coords.get(exp)
+            coords[exp] = v if cur is None else tuple(map(add, cur, v))
+        return self._from_coords(coords)
+
+
+def _canonical(ring, den, nums):
+    """A SimplexPoly from a positive denominator and nonzero integer
+    vectors, divided through by the gcd of all of them."""
+    if not nums:
+        return ring.zero()
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(nums.values()))
+        if g != 1:
+            den //= g
+            nums = {e: tuple([x // g for x in v]) for e, v in nums.items()}
+    return SimplexPoly(ring, den, nums)
+
+
+class _Terms(Mapping):
+    """The read-only {exponent: ScalarValue} view of a SimplexPoly."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly):
+        self._poly = poly
+
+    def __getitem__(self, exp):
+        return self._poly._scalar(self._poly.nums[exp])
+
+    def __iter__(self):
+        return iter(self._poly.nums)
+
+    def __len__(self):
+        return len(self._poly.nums)
 
 
 class SimplexPoly:
     """A polynomial on the q-simplex (times parameters), in canonical form.
 
-    ``terms`` maps exponent tuples over (t_0..t_{q-1}, params) to nonzero
-    ScalarValue coefficients; the zero polynomial is the empty map.  Over a
-    fixed ring, equality of term maps is equality of functions.
+    The coefficients share one positive integer denominator ``den``;
+    ``nums`` maps each exponent tuple over (t_0..t_{q-1}, params) to the
+    integer numerators of its coefficient, ``field.degree`` power-basis
+    coordinates.  No vector is all zero, and the gcd of ``den`` and every
+    numerator is 1; the zero polynomial is the empty map over den 1.  Over
+    a fixed ring, equality of these forms is equality of functions.
+    ``terms`` reads the same coefficients as ScalarValue values.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "den", "nums")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, den, nums):
         self.ring = ring
-        self.terms = terms
+        self.den = den
+        self.nums = nums
+
+    @property
+    def terms(self):
+        return _Terms(self)
+
+    def _scalar(self, vec):
+        return ScalarValue(self.ring.field, tuple(Fraction(x, self.den) for x in vec))
 
     # -- coercion ------------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, SimplexPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatch("polynomials over different rings")
             return other
         if isinstance(other, (int, Fraction, ScalarValue)):
@@ -632,22 +721,32 @@ class SimplexPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.terms:
+        if not self.nums:
             return o
-        if not o.terms:
+        if not o.nums:
             return self
-        out = dict(self.terms)
-        for exp, coef in o.terms.items():
+        da, db = self.den, o.den
+        if da == db:
+            out = dict(self.nums)
+            mb = 1
+        else:
+            g = math.gcd(da, db)
+            ma, mb = db // g, da // g
+            da *= ma
+            out = {e: tuple([x * ma for x in v]) for e, v in self.nums.items()}
+        for exp, v in o.nums.items():
+            if mb != 1:
+                v = tuple([x * mb for x in v])
             cur = out.get(exp)
             if cur is None:
-                out[exp] = coef
+                out[exp] = v
             else:
-                s = cur + coef
-                if s.is_zero:
-                    del out[exp]
-                else:
+                s = tuple(map(add, cur, v))
+                if any(s):
                     out[exp] = s
-        return SimplexPoly(self.ring, out)
+                else:
+                    del out[exp]
+        return _canonical(self.ring, da, out)
 
     __radd__ = __add__
 
@@ -664,7 +763,8 @@ class SimplexPoly:
         return o.__sub__(self)
 
     def __neg__(self):
-        return SimplexPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return SimplexPoly(self.ring, self.den,
+                           {e: tuple([-x for x in v]) for e, v in self.nums.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ScalarValue)):
@@ -672,35 +772,66 @@ class SimplexPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.terms or not o.terms:
+        if not self.nums or not o.nums:
             return self.ring.zero()
-        a, b = self.terms, o.terms
+        a, b = self.nums, o.nums
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                cur = get(exp)
-                prod = ca * cb
-                if cur is None:
-                    out[exp] = prod
-                else:
-                    s = cur + prod
-                    if s.is_zero:
-                        del out[exp]
-                    else:
-                        out[exp] = s
-        return SimplexPoly(self.ring, out)
+        field = self.ring.field
+        den = self.den * o.den
+        if len(a) == 1:
+            # a one-term factor only shifts exponents: no two products meet
+            (ea, x), = a.items()
+            imul = field._imul
+            return _canonical(self.ring, den * field._xden,
+                              {tuple(map(add, ea, eb)): imul(x, y) for eb, y in b.items()})
+        if field.degree == 1:
+            acc = {}
+            get = acc.get
+            for ea, (x,) in a.items():
+                for eb, (y,) in b.items():
+                    exp = tuple(map(add, ea, eb))
+                    acc[exp] = get(exp, 0) + x * y
+            return _canonical(self.ring, den, {e: (c,) for e, c in acc.items() if c})
+        den *= field._xden
+        # convolve in integers per output term, then reduce modulo m(x) once
+        width = 2 * field.degree - 1
+        conv = {}
+        for ea, x in a.items():
+            for eb, y in b.items():
+                exp = tuple(map(add, ea, eb))
+                c = conv.get(exp)
+                if c is None:
+                    c = conv[exp] = [0] * width
+                for i, xi in enumerate(x):
+                    if xi:
+                        for j, yj in enumerate(y):
+                            c[i + j] += xi * yj
+        reduce = field._reduce
+        nums = {}
+        for exp, c in conv.items():
+            v = reduce(c)
+            if any(v):
+                nums[exp] = v
+        return _canonical(self.ring, den, nums)
 
     __rmul__ = __mul__
 
     def scale(self, s):
-        v = self.ring.field.value(s)
+        field = self.ring.field
+        v = field.value(s)
         if v.is_zero:
             return self.ring.zero()
-        return SimplexPoly(self.ring, {e: c * v for e, c in self.terms.items()})
+        if v.is_rational:
+            f = v.coords[0]
+            n = f.numerator
+            return _canonical(self.ring, self.den * f.denominator,
+                              {e: tuple([x * n for x in u]) for e, u in self.nums.items()})
+        sden = math.lcm(*(c.denominator for c in v.coords))
+        sv = tuple(c.numerator * (sden // c.denominator) for c in v.coords)
+        imul = field._imul
+        return _canonical(self.ring, self.den * sden * field._xden,
+                          {e: imul(u, sv) for e, u in self.nums.items()})
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -718,52 +849,51 @@ class SimplexPoly:
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     @property
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1
-                                  and next(iter(self.terms)) == (0,) * self.ring.nvars)
+        return not self.nums or (len(self.nums) == 1
+                                 and not any(next(iter(self.nums))))
 
     def constant_value(self) -> ScalarValue:
-        if not self.terms:
+        if not self.nums:
             return self.ring.field.zero
         if not self.is_constant:
             raise InputError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        vec, = self.nums.values()
+        return self._scalar(vec)
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.nums), default=0)
 
     def map_coefficients(self, fn) -> "SimplexPoly":
-        out = {}
-        for exp, coef in self.terms.items():
-            v = fn(coef)
-            if not v.is_zero:
-                out[exp] = v
-        return SimplexPoly(self.ring, out)
+        return self.ring._from_coords({exp: fn(coef).coords
+                                       for exp, coef in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, ScalarValue)):
             other = self.ring.constant(other)
         if not isinstance(other, SimplexPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self.den == other.den and self.nums == other.nums)
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         names = ["t%d" % i for i in range(self.ring.q)] + list(self.ring.params)
+        terms = self.terms
         parts = []
-        for exp in sorted(self.terms, key=lambda e: (sum(e), e)):
-            coef = self.terms[exp]
+        for exp in sorted(self.nums, key=lambda e: (sum(e), e)):
+            coef = terms[exp]
             factors = ["%s^%d" % (n, e) if e > 1 else n
                        for n, e in zip(names, exp) if e]
             cs = repr(coef)
@@ -812,13 +942,19 @@ def _evaluate(p: SimplexPoly, images, target_ring: PolyRing):
 
 def _pullback_plan(alpha: SimplexMap, ring: PolyRing):
     """How alpha pulls back the variables of ``ring``, worked out once per
-    (map, source ring) and kept on the map.  ``relabel[v]`` is the target
-    variable of a variable whose image is one honest coordinate, -1 for a
-    variable whose image is 0, and None when the image ``images[v]`` is a
-    sum or the eliminated coordinate t_p; ``powers`` caches its powers."""
+    (map, source ring) and kept on the map, with the one target ring of
+    every pullback along it.  ``relabel[v]`` is the target variable of a
+    variable whose image is one honest coordinate, -1 for a variable whose
+    image is 0, and None when the image ``images[v]`` is a sum or the
+    eliminated coordinate t_p; ``powers`` caches its powers.  The images
+    are sums of coordinates, so their powers have integer rational
+    coefficients over the denominator 1."""
     plan = alpha._pullback
     if plan is not None and plan[0] == ring:
         return plan
+    if alpha.q != ring.q:
+        raise InputError("map target [%d] does not match the polynomial's simplex [%d]"
+                         % (alpha.q, ring.q))
     target = PolyRing(ring.field, alpha.p, ring.params)
     relabel = []
     images = {}
@@ -840,16 +976,9 @@ def _pullback_plan(alpha: SimplexMap, ring: PolyRing):
     return plan
 
 
-def _add_term(out, exp, coef):
+def _add_vector(out, exp, v):
     cur = out.get(exp)
-    if cur is None:
-        out[exp] = coef
-    else:
-        total = cur + coef
-        if total.is_zero:
-            del out[exp]
-        else:
-            out[exp] = total
+    out[exp] = v if cur is None else tuple(map(add, cur, v))
 
 
 def substitute_simplex_map(p: SimplexPoly, alpha: SimplexMap) -> SimplexPoly:
@@ -861,14 +990,10 @@ def substitute_simplex_map(p: SimplexPoly, alpha: SimplexMap) -> SimplexPoly:
     relabelled, a term with a variable sent to 0 is dropped, and only the
     remaining variables are expanded as products.
     """
-    ring = p.ring
-    if alpha.q != ring.q:
-        raise InputError("map target [%d] does not match the polynomial's simplex [%d]"
-                         % (alpha.q, ring.q))
-    _, target, relabel, images, powers = _pullback_plan(alpha, ring)
+    _, target, relabel, images, powers = _pullback_plan(alpha, p.ring)
     width = target.nvars
     out = {}
-    for exp, coef in p.terms.items():
+    for exp, vec in p.nums.items():
         base = [0] * width
         factor = None
         for v, e in enumerate(exp):
@@ -885,11 +1010,12 @@ def substitute_simplex_map(p: SimplexPoly, alpha: SimplexMap) -> SimplexPoly:
                     base[r] = e
         else:
             if factor is None:
-                _add_term(out, tuple(base), coef)
+                _add_vector(out, tuple(base), vec)
             else:
-                for fexp, fcoef in factor.terms.items():
-                    _add_term(out, tuple(b + f for b, f in zip(base, fexp)), coef * fcoef)
-    return SimplexPoly(target, out)
+                for fexp, fvec in factor.nums.items():
+                    f = fvec[0]
+                    _add_vector(out, tuple(map(add, base, fexp)), tuple([x * f for x in vec]))
+    return _canonical(target, p.den, {e: v for e, v in out.items() if any(v)})
 
 
 def permute_coordinates(p: SimplexPoly, perm) -> SimplexPoly:
@@ -903,17 +1029,28 @@ def permute_coordinates(p: SimplexPoly, perm) -> SimplexPoly:
     return _evaluate(p, images, ring)
 
 
-def extend_to_simplex(p: SimplexPoly, q: int) -> SimplexPoly:
-    """View a polynomial constant in t (a q = 0 ring) on the q-simplex."""
+def extend_to_simplex(p: SimplexPoly, q: int, target=None) -> SimplexPoly:
+    """View a polynomial constant in t (a q = 0 ring) on the q-simplex.  A
+    caller extending many polynomials passes their common ``target`` ring."""
     ring = p.ring
     if ring.q != 0:
         raise InputError("only t-constant polynomials can be extended")
-    target = PolyRing(ring.field, q, ring.params)
-    return SimplexPoly(target, {(0,) * q + exp: coef for exp, coef in p.terms.items()})
+    if target is None:
+        target = PolyRing(ring.field, q, ring.params)
+    elif target.q != q or target.params != ring.params or (
+            target.field is not ring.field and target.field != ring.field):
+        raise RingMismatch("target ring does not extend the polynomial's ring")
+    pad = (0,) * q
+    return SimplexPoly(target, p.den, {pad + exp: v for exp, v in p.nums.items()})
 
 
 def eval_at_weights(p: SimplexPoly, weights, param_values=None) -> ScalarValue:
-    """Exact evaluation at a weight sequence (q+1 scalars summing to 1)."""
+    """Exact evaluation at a weight sequence (q+1 scalars summing to 1).
+
+    The variable values are cleared to integer vectors over one scale B,
+    and each power and product of them carries one more factor xden of
+    the field, so a term of total degree D is an integer vector over
+    den (B xden)^D; the terms are summed over the highest such denominator."""
     ring = p.ring
     field = ring.field
     ws = [field.value(w) for w in weights]
@@ -930,14 +1067,31 @@ def eval_at_weights(p: SimplexPoly, weights, param_values=None) -> ScalarValue:
         if name not in pv:
             raise InputError("missing value for parameter %r" % (name,))
         values.append(field.value(pv[name]))
-    acc = field.zero
-    for exp, coef in p.terms.items():
-        v = coef
-        for x, e in zip(values, exp):
+    scale = math.lcm(*(c.denominator for x in values for c in x.coords))
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in x.coords) for x in values]
+    step = scale * field._xden
+    top = p.total_degree()
+    imul = field._imul
+    powers = {}
+    total = [0] * field.degree
+    for exp, vec in p.nums.items():
+        mono = None
+        for v, e in enumerate(exp):
             if e:
-                v = v * x ** e
-        acc = acc + v
-    return acc
+                pw = powers.get((v, e))
+                if pw is None:
+                    pw = ints[v]
+                    for _ in range(e - 1):
+                        pw = imul(pw, ints[v])
+                    powers[(v, e)] = pw
+                mono = pw if mono is None else imul(mono, pw)
+        if mono is not None:
+            vec = imul(vec, mono)
+        lift = step ** (top - sum(exp))
+        for i, x in enumerate(vec):
+            total[i] += x * lift
+    den = p.den * step ** top
+    return ScalarValue(field, tuple(Fraction(x, den) for x in total))
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +1102,7 @@ class FieldAutomorphism:
     """A field automorphism of a simple extension, fixing Q, given by the
     image of the generator (which must again be a root of m(x))."""
 
-    __slots__ = ("field", "image", "_powers")
+    __slots__ = ("field", "image", "_powers", "_rows", "_rden")
 
     def __init__(self, field: ScalarField, image):
         if field.is_rationals:
@@ -959,6 +1113,11 @@ class FieldAutomorphism:
         for _ in range(field.degree - 1):
             powers.append(powers[-1] * self.image)
         self._powers = tuple(powers)
+        # the matrix of the map on power-basis coordinates, cleared to
+        # integers: row i holds coordinate i of image^k for k = 0 .. d-1
+        rden = self._rden = math.lcm(*(c.denominator for pw in powers for c in pw.coords))
+        self._rows = tuple(zip(*[[c.numerator * (rden // c.denominator) for c in pw.coords]
+                                 for pw in powers]))
         # the generator must go to a root of the defining polynomial; that
         # defines a field map of the extension into itself, which is
         # injective and Q-linear, hence an automorphism
@@ -983,9 +1142,13 @@ class FieldAutomorphism:
         if isinstance(v, ScalarValue):
             return self.apply_value(v)
         if isinstance(v, SimplexPoly):
-            if v.ring.field != self.field:
+            if v.ring.field is not self.field and v.ring.field != self.field:
                 raise RingMismatch("polynomial is not over this automorphism's field")
-            return v.map_coefficients(self.apply_value)
+            # an automorphism is injective, so no vector becomes zero
+            rows = self._rows
+            return _canonical(v.ring, v.den * self._rden,
+                              {e: tuple(sum(map(mul, row, u)) for row in rows)
+                               for e, u in v.nums.items()})
         raise InputError("cannot apply an automorphism to %r" % type(v).__name__)
 
     def __repr__(self):

@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, MembershipError, RingMismatch
-from .exactring import (PolyRing, ScalarField, SimplexPoly, extend_to_simplex,
-                        substitute_simplex_map)
+from .exactring import (PolyRing, ScalarField, SimplexPoly, _pullback_plan,
+                        extend_to_simplex, substitute_simplex_map)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def _coerce_rows(ring, n, rows):
         new = []
         for x in row:
             if isinstance(x, SimplexPoly):
-                if x.ring != ring:
+                if x.ring is not ring and x.ring != ring:
                     raise RingMismatch("matrix entry over a different ring")
                 new.append(x)
             else:
@@ -124,7 +124,7 @@ class NilMatrix:
     def _require_same(self, other):
         if not isinstance(other, NilMatrix):
             raise InputError("expected a NilMatrix")
-        if other.ring != self.ring or other.n != self.n:
+        if (other.ring is not self.ring and other.ring != self.ring) or other.n != self.n:
             raise RingMismatch("matrices live in different spaces")
 
     def __add__(self, other):
@@ -219,7 +219,7 @@ class UniMatrix:
     def _require_same(self, other):
         if not isinstance(other, UniMatrix):
             raise InputError("expected a UniMatrix")
-        if other.ring != self.ring or other.n != self.n:
+        if (other.ring is not self.ring and other.ring != self.ring) or other.n != self.n:
             raise RingMismatch("matrices live in different spaces")
 
     def __mul__(self, other):
@@ -301,16 +301,19 @@ def bch(a: NilMatrix, b: NilMatrix) -> NilMatrix:
     return log_unipotent(exp_nilpotent(a) * exp_nilpotent(b))
 
 
-def embed_simplex(mat, q):
-    """Lift a matrix with t-constant entries onto the q-simplex ring."""
-    target = PolyRing(mat.ring.field, q, mat.ring.params)
-    return mat.map_entries(lambda p: extend_to_simplex(p, q), target)
+def embed_simplex(mat, q, target=None):
+    """Lift a matrix with t-constant entries onto the q-simplex ring; every
+    entry lands in one ``target`` ring, built here unless a caller lifting
+    several matrices passes the one they share."""
+    if target is None:
+        target = PolyRing(mat.ring.field, q, mat.ring.params)
+    return mat.map_entries(lambda p: extend_to_simplex(p, q, target), target)
 
 
 def pull_back(mat, alpha):
     """A matrix over the q-simplex pulled back, entry by entry, along the
     simplex map alpha: [p] -> [q]."""
-    target = PolyRing(mat.ring.field, alpha.p, mat.ring.params)
+    target = _pullback_plan(alpha, mat.ring)[1]
     return mat.map_entries(lambda e: substitute_simplex_map(e, alpha), target)
 
 
@@ -469,7 +472,8 @@ class LieSpan:
         MembershipError when the matrix lies outside the span."""
         if not isinstance(mat, NilMatrix):
             raise InputError("expected a NilMatrix")
-        if mat.n != self.n or mat.ring.field != self.field:
+        if mat.n != self.n or (mat.ring.field is not self.field
+                               and mat.ring.field != self.field):
             raise RingMismatch("matrix does not live in this span's space")
         vec = mat.strict_upper()
         zero = mat.ring.zero()

@@ -8,7 +8,9 @@ output is deterministic, though equality is of canonical forms, not bytes.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
 
 from .errors import InputError
 from .exactring import (QQ, GaloisAction, PolyRing, ScalarField, ScalarValue,
@@ -89,10 +91,20 @@ def scalar_from_json(field: ScalarField, obj) -> ScalarValue:
 # polynomials
 # ---------------------------------------------------------------------------
 
+def _ratio_to_json(num, den):
+    g = math.gcd(num, den)
+    return {"num": num // g, "den": den // g}
+
+
 def poly_to_json(p: SimplexPoly):
+    den = p.den
+    rational = p.ring.field.is_rationals
     terms = []
-    for exp in sorted(p.terms, key=lambda e: (sum(e), e)):
-        terms.append({"exp": list(exp), "coef": scalar_to_json(p.terms[exp])})
+    for exp in sorted(p.nums, key=lambda e: (sum(e), e)):
+        vec = p.nums[exp]
+        coef = (_ratio_to_json(vec[0], den) if rational
+                else {"coords": [_ratio_to_json(x, den) for x in vec]})
+        terms.append({"exp": list(exp), "coef": coef})
     return {"q": p.ring.q, "params": list(p.ring.params), "terms": terms}
 
 
@@ -109,7 +121,7 @@ def poly_from_json(field: ScalarField, obj, rings=None) -> SimplexPoly:
     ring = rings.get((q, params))
     if ring is None:
         ring = rings[(q, params)] = PolyRing(field, q, params)
-    raw = {}
+    coords = {}
     for term in _expect(obj.get("terms", []), list, "terms"):
         _expect(term, dict, "term")
         exp = tuple(_expect(e, int, "exponent")
@@ -117,9 +129,10 @@ def poly_from_json(field: ScalarField, obj, rings=None) -> SimplexPoly:
         if len(exp) != ring.nvars:
             raise FormatError("exponent length %d, ring has %d variables"
                               % (len(exp), ring.nvars))
-        coef = scalar_from_json(field, term.get("coef"))
-        raw[exp] = raw.get(exp, field.zero) + coef
-    return ring.poly(raw)
+        coef = scalar_from_json(field, term.get("coef")).coords
+        cur = coords.get(exp)
+        coords[exp] = coef if cur is None else tuple(map(add, cur, coef))
+    return ring.poly(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +190,9 @@ def tuple_to_json(t: SectionTuple):
 def tuple_from_json(obj) -> SectionTuple:
     _expect(obj, dict, "section tuple")
     field = field_from_json(obj.get("field"))
-    group = span_from_json(field, _expect(obj.get("group"), dict, "group"))
-    sections = [uni_from_json(field, s)
+    rings = {}
+    group = span_from_json(field, _expect(obj.get("group"), dict, "group"), rings)
+    sections = [uni_from_json(field, s, rings)
                 for s in _expect(obj.get("sections"), list, "sections")]
     return SectionTuple(group, sections)
 
@@ -296,7 +310,8 @@ def orbit_from_json(obj) -> GaloisOrbit:
     gens = [scalar_from_json(field, g)
             for g in _expect(obj.get("generators"), list, "generators")]
     action = GaloisAction(field, gens)
-    group = span_from_json(field, _expect(obj.get("group"), dict, "group"))
-    points = [uni_from_json(field, z)
+    rings = {}
+    group = span_from_json(field, _expect(obj.get("group"), dict, "group"), rings)
+    points = [uni_from_json(field, z, rings)
               for z in _expect(obj.get("points"), list, "points")]
     return GaloisOrbit(group, action, points)

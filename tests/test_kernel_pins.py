@@ -1,0 +1,118 @@
+"""sha256 digests of CLI output bytes, taken before the integer-numerator
+polynomial kernel replaced the ScalarValue-coefficient one.  The inputs
+cover symbolic averages over Q and a cubic field, Galois descent, and
+wsym/exp/log/bch on polynomial entries, with a parameter and over
+Q[x]/(x^2 - 1/2), whose power table is not integral."""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from unipavg import (
+    QQ,
+    NilMatrix,
+    PolyRing,
+    ScalarField,
+    SectionTuple,
+    exp_nilpotent,
+    full_unipotent_span,
+)
+from unipavg import serialize
+from unipavg.cli import main
+from unipavg.fixtures import cubic_field, cubic_orbit, sqrt2_field, sqrt2_orbit
+from helpers import rand_scalar, rand_tuple
+
+
+def half_field():
+    """Q[x]/(x^2 - 1/2): x^2 reduces to 1/2, not to an integer vector."""
+    return ScalarField.extension("x", (Fraction(-1, 2), 0, 1))
+
+
+def rand_entry(rng, ring, nterms=3, max_exp=2):
+    terms = {}
+    for _ in range(nterms):
+        exp = tuple(rng.randint(0, max_exp) for _ in range(ring.nvars))
+        terms[exp] = rand_scalar(rng, ring.field, -3, 3, 3)
+    return ring.poly(terms)
+
+
+def rand_nil(rng, ring, n):
+    return NilMatrix.from_entries(ring, n, {(i, j): rand_entry(rng, ring)
+                                            for i in range(n) for j in range(i + 1, n)})
+
+
+def field_tuple(rng, field, n, q):
+    """q + 1 constant points of U_n whose log coordinates use every
+    coordinate of the field."""
+    span = full_unipotent_span(n, field)
+    return SectionTuple(span, [
+        exp_nilpotent(span.from_coordinates([rand_scalar(rng, field, -2, 2, 2)
+                                             for _ in range(span.dim)]))
+        for _ in range(q + 1)])
+
+
+def simplex_tuple(rng, field, n, q, params=()):
+    span = full_unipotent_span(n, field)
+    ring = PolyRing(field, q, params)
+    return SectionTuple(span, [exp_nilpotent(rand_nil(rng, ring, n)) for _ in range(q + 1)])
+
+
+def _matrix_doc(field, key, mat):
+    return {"field": serialize.field_to_json(field), key: serialize.matrix_to_json(mat)}
+
+
+def cases():
+    out = {}
+    out["wav-u5-q3-Q"] = (["wav"], serialize.tuple_to_json(
+        rand_tuple(random.Random(5101), full_unipotent_span(5, QQ), 3)))
+    out["wav-u4-q2-cubic"] = (["wav"], serialize.tuple_to_json(
+        field_tuple(random.Random(5102), cubic_field(), 4, 2)))
+    out["galois-sqrt2"] = (["galois"], serialize.orbit_to_json(sqrt2_orbit()))
+    out["galois-cubic"] = (["galois"], serialize.orbit_to_json(cubic_orbit()))
+    out["wsym-param-sqrt2"] = (["wsym"], serialize.tuple_to_json(
+        simplex_tuple(random.Random(5103), sqrt2_field(), 3, 2, ("a",))))
+    out["wsym-half"] = (["wsym"], serialize.tuple_to_json(
+        simplex_tuple(random.Random(5104), half_field(), 3, 1)))
+    rng = random.Random(5105)
+    half = half_field()
+    ring = PolyRing(half, 1)
+    out["exp-half"] = (["exp"], _matrix_doc(half, "matrix", rand_nil(rng, ring, 4)))
+    out["log-half"] = (["log"], _matrix_doc(
+        half, "matrix", exp_nilpotent(rand_nil(rng, ring, 4))))
+    pring = PolyRing(QQ, 2, ("a", "b"))
+    out["exp-param"] = (["exp"], _matrix_doc(QQ, "matrix", rand_nil(rng, pring, 4)))
+    out["bch-param"] = (["bch"], {"field": serialize.field_to_json(QQ),
+                                  "a": serialize.matrix_to_json(rand_nil(rng, pring, 4)),
+                                  "b": serialize.matrix_to_json(rand_nil(rng, pring, 4))})
+    out["bch-half"] = (["bch"], {"field": serialize.field_to_json(half),
+                                 "a": serialize.matrix_to_json(rand_nil(rng, ring, 3)),
+                                 "b": serialize.matrix_to_json(rand_nil(rng, ring, 3))})
+    return out
+
+
+PINNED = {
+    "bch-half": "c94bbc9f59e3ba1e9f4aa42074b3ed4489d8be3d78d6e2a0d550f47cdbd21c92",
+    "bch-param": "61015e60584f0fcc14e89506bdbfcff0d9ce6bbbd47d0c7428648c6db32ab4bf",
+    "exp-half": "90dada8dbd5a3ca7effd69af81769aa5c5d2b3933b603600daaa6e71ec58444e",
+    "exp-param": "d7b602488b6df32bdf160eb7f789e5671f4375de2518339a4cf1e11692ed2dc8",
+    "galois-cubic": "e7921ec01b85f9df507c61f937a995ec92436e463139e78306ec8abadb957dd2",
+    "galois-sqrt2": "dcf078e60bad279d800acc084a1608e47a0e9b5a841c4654ef8ac154706b6488",
+    "log-half": "ac1238a218abbcbe4c05c16e61f60487935c4253ad22ce9a8ced5da723c49136",
+    "wav-u4-q2-cubic": "184ba316c2b13ae05e741629d13c9bd04d53568b8fa98d5e4f4d2597cc155cde",
+    "wav-u5-q3-Q": "750c1db216419fe93aac4186907e26125803669c91e3dbac8f45508c8698d9bc",
+    "wsym-half": "0a8ebb03cd3af5f46ca8af7db2fd90e88a1f3c1eef7aa9d7314ec4b2004202da",
+    "wsym-param-sqrt2": "94d2da1a7dee03aca943d488616aded693c3a7327e782203d69d3cb923707262",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_output_bytes_are_pinned(tmp_path, capsys, name):
+    argv, doc = cases()[name]
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--input", str(path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED[name]
