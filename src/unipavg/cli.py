@@ -14,9 +14,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import serialize
 from .average import WeightSeq, eval_matrix_at_weights, wav, wsym
@@ -24,17 +22,6 @@ from .errors import InputError, InvariantViolation
 from .nilpotent import bch, exp_nilpotent, log_unipotent
 from .serialize import FormatError
 from .simplicial import build_simplicial_section, validate_simplicial_section
-
-
-@dataclass
-class JobSpec:
-    subcommand: str
-    input_path: str
-    output_path: Optional[str] = None
-    weights: Optional[str] = None
-    iterations: Optional[int] = None
-    resolution: Optional[int] = None
-    max_q: int = 3
 
 
 def _read_json(path):
@@ -72,82 +59,84 @@ def _parse_weights(spec_text, field, expected_len):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers, each given the parsed argparse namespace
 # ---------------------------------------------------------------------------
 
-def cmd_wav(job: JobSpec):
-    t = serialize.tuple_from_json(_read_json(job.input_path))
+def cmd_wav(args):
+    t = serialize.tuple_from_json(_read_json(args.input))
     if t.r != 0:
         raise InputError("wav expects t-constant sections")
-    averaged = wav(t, d_override=job.iterations)
+    averaged = wav(t, d_override=args.iterations)
     doc = {"q": t.q, "wav": serialize.matrix_to_json(averaged)}
-    if job.weights is not None:
+    if args.weights is not None:
         field = t.group.field
-        weights = _parse_weights(job.weights, field, t.q + 1)
+        weights = _parse_weights(args.weights, field, t.q + 1)
         point = eval_matrix_at_weights(averaged, weights)
         doc["weights"] = [serialize.scalar_to_json(w) for w in weights]
         doc["evaluated"] = serialize.matrix_to_json(point)
-    _write_json(doc, job.output_path)
+    _write_json(doc, args.output)
     return 0
 
 
-def cmd_wsym(job: JobSpec):
-    t = serialize.tuple_from_json(_read_json(job.input_path))
+def cmd_wsym(args):
+    t = serialize.tuple_from_json(_read_json(args.input))
     if t.r != t.q:
         raise InputError("wsym expects sections over the q-simplex")
     out = wsym(t)
-    _write_json(serialize.tuple_to_json(out), job.output_path)
+    _write_json(serialize.tuple_to_json(out), args.output)
     return 0
 
 
-def cmd_exp(job: JobSpec):
-    doc = _read_json(job.input_path)
+def _map_matrix(args, read, fn):
+    """Read one matrix (optionally under "matrix", with a "field"), apply
+    fn and write the result."""
+    doc = _read_json(args.input)
     field = serialize.field_from_json(doc.get("field") if isinstance(doc, dict) else None)
-    mat = serialize.nil_from_json(field, doc.get("matrix", doc) if isinstance(doc, dict) else doc)
-    _write_json(serialize.matrix_to_json(exp_nilpotent(mat)), job.output_path)
+    mat = read(field, doc.get("matrix", doc) if isinstance(doc, dict) else doc)
+    _write_json(serialize.matrix_to_json(fn(mat)), args.output)
     return 0
 
 
-def cmd_log(job: JobSpec):
-    doc = _read_json(job.input_path)
-    field = serialize.field_from_json(doc.get("field") if isinstance(doc, dict) else None)
-    mat = serialize.uni_from_json(field, doc.get("matrix", doc) if isinstance(doc, dict) else doc)
-    _write_json(serialize.matrix_to_json(log_unipotent(mat)), job.output_path)
-    return 0
+def cmd_exp(args):
+    return _map_matrix(args, serialize.nil_from_json, exp_nilpotent)
 
 
-def cmd_bch(job: JobSpec):
-    doc = _read_json(job.input_path)
+def cmd_log(args):
+    return _map_matrix(args, serialize.uni_from_json, log_unipotent)
+
+
+def cmd_bch(args):
+    doc = _read_json(args.input)
     if not isinstance(doc, dict) or "a" not in doc or "b" not in doc:
         raise FormatError("bch input needs keys a and b")
     field = serialize.field_from_json(doc.get("field"))
     a = serialize.nil_from_json(field, doc["a"])
     b = serialize.nil_from_json(field, doc["b"])
-    _write_json(serialize.matrix_to_json(bch(a, b)), job.output_path)
+    _write_json(serialize.matrix_to_json(bch(a, b)), args.output)
     return 0
 
 
-def cmd_sections(job: JobSpec):
-    doc = _read_json(job.input_path)
+def cmd_sections(args):
+    doc = _read_json(args.input)
     if not isinstance(doc, dict):
         raise FormatError("sections input must be an object")
     if "levels" in doc:
         # validate mode: the document already carries a simplicial section
         section = serialize.simplicial_from_json(doc)
-        report = validate_simplicial_section(section, min(job.max_q, section.max_q))
+        report = validate_simplicial_section(section, min(args.max_q, section.max_q))
         out = {"mode": "validate",
                "report": serialize.validation_report_to_json(report)}
-        _write_json(out, job.output_path)
+        _write_json(out, args.output)
         return 0 if report.ok else 2
     field = serialize.field_from_json(doc.get("field"))
     cover = serialize.cover_from_json(doc.get("cover"))
     group = serialize.span_from_json(field, doc.get("group"))
     local_sections = serialize.locals_from_json(field, doc.get("locals"))
-    section = build_simplicial_section(cover, local_sections, group, max_q=job.max_q)
-    report = validate_simplicial_section(section, job.max_q)
+    section = build_simplicial_section(cover, local_sections, group, max_q=args.max_q)
+    report = validate_simplicial_section(section, args.max_q)
     out = serialize.simplicial_to_json(section)
     out["report"] = serialize.validation_report_to_json(report)
-    _write_json(out, job.output_path)
+    _write_json(out, args.output)
     if not report.ok:
         # the builder guarantees validity; reaching this is a broken invariant
         raise InvariantViolation("freshly built simplicial section failed validation: %s"
@@ -155,12 +144,12 @@ def cmd_sections(job: JobSpec):
     return 0
 
 
-def cmd_galois(job: JobSpec):
+def cmd_galois(args):
     from .descent import rational_point
-    orbit = serialize.orbit_from_json(_read_json(job.input_path))
+    orbit = serialize.orbit_from_json(_read_json(args.input))
     point = rational_point(orbit)
     doc = {"q": orbit.q, "rational_point": serialize.matrix_to_json(point)}
-    _write_json(doc, job.output_path)
+    _write_json(doc, args.output)
     return 0
 
 
@@ -184,18 +173,18 @@ def _simplex_grid(q, resolution):
     return out
 
 
-def cmd_figure_data(job: JobSpec):
-    t = serialize.tuple_from_json(_read_json(job.input_path))
+def cmd_figure_data(args):
+    t = serialize.tuple_from_json(_read_json(args.input))
     if t.r != 0:
         raise InputError("figure data expects t-constant sections")
     if t.q not in (1, 2):
         raise InputError("figure data supports q = 1 or q = 2, got q = %d" % t.q)
-    resolution = job.resolution if job.resolution is not None else 4
+    resolution = args.resolution if args.resolution is not None else 4
     if not 1 <= resolution <= MAX_RESOLUTION:
         raise InputError("resolution must be an integer from 1 to %d, got %d"
                          % (MAX_RESOLUTION, resolution))
     field = t.group.field
-    averaged = wav(t, d_override=job.iterations)
+    averaged = wav(t, d_override=args.iterations)
     samples = []
     for weights in _simplex_grid(t.q, resolution):
         value = eval_matrix_at_weights(averaged, WeightSeq(field, weights))
@@ -214,7 +203,7 @@ def cmd_figure_data(job: JobSpec):
             "entries": entries,
         })
     doc = {"q": t.q, "resolution": resolution, "n": t.group.n, "samples": samples}
-    _write_json(doc, job.output_path)
+    _write_json(doc, args.output)
     return 0
 
 
@@ -268,18 +257,9 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    job = JobSpec(
-        subcommand=args.subcommand,
-        input_path=args.input,
-        output_path=args.output,
-        weights=getattr(args, "weights", None),
-        iterations=getattr(args, "iterations", None),
-        resolution=getattr(args, "resolution", None),
-        max_q=getattr(args, "max_q", 3),
-    )
-    handler = _HANDLERS[job.subcommand]
+    handler = _HANDLERS[args.subcommand]
     try:
-        return handler(job)
+        return handler(args)
     except InputError as exc:
         _emit_error("input-error", exc)
         return 2

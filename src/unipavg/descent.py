@@ -9,8 +9,6 @@ entries; both facts are asserted structurally, never numerically.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .average import WeightSeq, wav_at_weights
 from .errors import InputError, RationalityError, RingMismatch
 from .exactring import QQ, GaloisAction, PolyRing
@@ -40,8 +38,6 @@ class GaloisOrbit:
         for z in points:
             if not isinstance(z, UniMatrix):
                 raise InputError("orbit points must be UniMatrix values")
-            if z.n != group.n or z.ring.field != group.field:
-                raise RingMismatch("orbit point has the wrong shape or field")
             if z.ring.q != 0 or z.ring.params:
                 raise InputError("orbit points must be constant matrices")
             group.require_element(z, "an orbit point")
@@ -76,9 +72,7 @@ def rational_point(orbit: GaloisOrbit) -> UniMatrix:
     field.  Aborts loudly if the result fails Galois invariance or has any
     coordinate outside the rationals; with a valid orbit neither happens.
     """
-    q = orbit.q
-    field = orbit.action.field
-    weights = WeightSeq(field, [Fraction(1, q + 1)] * (q + 1))
+    weights = WeightSeq.uniform(orbit.q, orbit.action.field)
     averaged = wav_at_weights(orbit.points, weights, orbit.group)
     for sigma in orbit.action.generators:
         if averaged.map_entries(sigma, averaged.ring) != averaged:

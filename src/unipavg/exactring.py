@@ -187,9 +187,7 @@ class ScalarField:
 
     def _has_rational_root(self):
         # clear denominators: a_0 + a_1 x + ... + a_d x^d with integer a_i
-        den = 1
-        for c in self.minpoly:
-            den = den * c.denominator // _gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in self.minpoly))
         ints = [int(c * den) for c in self.minpoly]
         if ints[0] == 0:
             return True
@@ -294,12 +292,6 @@ class ScalarField:
         if self.is_rationals:
             return "ScalarField(Q)"
         return "ScalarField(Q[%s]/(%s))" % (self.var, _upoly_str(self.minpoly, self.var))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _upoly_str(coeffs, var):

@@ -2,20 +2,25 @@
 
 Elements are square matrices with simplex-polynomial entries: strictly
 upper triangular for the algebra, unit upper triangular for the group.
-Nilpotency makes exp and log finite sums, so everything here is exact.
+The two kinds share one storage class and one triangular product.
+Nilpotency makes exp, log and the group inverse terminating power series,
+summed by one helper, so everything here is exact.
 
 Spans (subalgebras given by a finite basis of constant matrices) carry a
 precomputed elimination matrix, so membership tests and coordinate solves
-work uniformly for matrices with polynomial entries.  Quotients by an
-ideal are re-embedded as strictly upper triangular matrices through a
-weight-truncated enveloping algebra; the re-embedding is faithful because
-left multiplication fixes the ground vector 1.
+work uniformly for matrices with polynomial entries.  Going back, one
+helper sums coordinates times constant basis matrices, moving each
+constant into the coordinates' ring by its integer numerators.  Quotients
+by an ideal are re-embedded as strictly upper triangular matrices through
+a weight-truncated enveloping algebra; the re-embedding is faithful
+because left multiplication fixes the ground vector 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from .errors import InputError, MembershipError, RingMismatch
 from .exactring import (PolyRing, ScalarField, SimplexPoly, _pullback_plan,
@@ -70,6 +75,16 @@ def _matmul(a, b, ring):
     return tuple(out)
 
 
+def _power_series(acc, x, coefs, ring):
+    """acc + sum_k coefs[k - 1] x^k over k = 1 .. len(coefs), each power of
+    the triangular x one product from the last."""
+    pw = _identity_rows(ring, len(x))
+    for c in coefs:
+        pw = _matmul(pw, x, ring)
+        acc = _add_rows(acc, _scale_rows(pw, c))
+    return acc
+
+
 def _coerce_rows(ring, n, rows):
     if len(rows) != n:
         raise InputError("expected %d rows, got %d" % (n, len(rows)))
@@ -89,8 +104,11 @@ def _coerce_rows(ring, n, rows):
     return tuple(out)
 
 
-class NilMatrix:
-    """A strictly upper triangular matrix over a simplex-polynomial ring."""
+class _TriangularMatrix:
+    """An n x n matrix over a simplex-polynomial ring, stored as a tuple of
+    row tuples.  A subclass fixes the diagonal: `_blank_rows` builds its
+    matrix with no strictly upper entries, and `_check_diagonal` rejects
+    checked rows that break its shape."""
 
     __slots__ = ("ring", "n", "rows")
 
@@ -100,19 +118,12 @@ class NilMatrix:
         self.n = n
         self.rows = _coerce_rows(ring, n, rows) if check else rows
         if check:
-            for i in range(n):
-                for j in range(i + 1):
-                    if not self.rows[i][j].is_zero:
-                        raise InputError("entry (%d, %d) below or on the diagonal is nonzero" % (i, j))
-
-    @classmethod
-    def zero(cls, ring, n):
-        return cls(ring, _zero_rows(ring, n), check=False)
+            self._check_diagonal()
 
     @classmethod
     def from_entries(cls, ring, n, entries):
         """Build from a {(i, j): value} map of strictly upper entries."""
-        rows = [[ring.zero()] * n for _ in range(n)]
+        rows = [list(row) for row in cls._blank_rows(ring, n)]
         for (i, j), v in entries.items():
             if not 0 <= i < j < n:
                 raise InputError("entry (%d, %d) is not strictly upper in size %d" % (i, j, n))
@@ -122,10 +133,52 @@ class NilMatrix:
         return cls(ring, tuple(tuple(r) for r in rows), check=False)
 
     def _require_same(self, other):
-        if not isinstance(other, NilMatrix):
-            raise InputError("expected a NilMatrix")
+        if not isinstance(other, type(self)):
+            raise InputError("expected a %s" % type(self).__name__)
         if (other.ring is not self.ring and other.ring != self.ring) or other.n != self.n:
             raise RingMismatch("matrices live in different spaces")
+
+    def is_constant(self):
+        return all(x.is_constant for row in self.rows for x in row)
+
+    def entry(self, i, j):
+        return self.rows[i][j]
+
+    def map_entries(self, fn, ring):
+        return type(self)(ring, tuple(tuple(fn(x) for x in row) for row in self.rows),
+                          check=False)
+
+    def strict_upper(self):
+        """The strictly upper entries, row by row."""
+        return tuple(self.rows[i][j] for i in range(self.n) for j in range(i + 1, self.n))
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and self.ring == other.ring
+                and self.rows == other.rows)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    def __repr__(self):
+        body = "; ".join("[" + ", ".join(repr(x) for x in row) + "]" for row in self.rows)
+        return "%s(%s)" % (type(self).__name__, body)
+
+
+class NilMatrix(_TriangularMatrix):
+    """A strictly upper triangular matrix over a simplex-polynomial ring."""
+
+    __slots__ = ()
+    _blank_rows = staticmethod(_zero_rows)
+
+    def _check_diagonal(self):
+        for i in range(self.n):
+            for j in range(i + 1):
+                if not self.rows[i][j].is_zero:
+                    raise InputError("entry (%d, %d) below or on the diagonal is nonzero" % (i, j))
+
+    @classmethod
+    def zero(cls, ring, n):
+        return cls(ring, _zero_rows(ring, n), check=False)
 
     def __add__(self, other):
         self._require_same(other)
@@ -141,10 +194,6 @@ class NilMatrix:
     def scale(self, s):
         return NilMatrix(self.ring, _scale_rows(self.rows, s), check=False)
 
-    def matmul(self, other):
-        self._require_same(other)
-        return NilMatrix(self.ring, _matmul(self.rows, other.rows, self.ring), check=False)
-
     def bracket(self, other):
         """The commutator [self, other] = self other - other self."""
         self._require_same(other)
@@ -156,71 +205,25 @@ class NilMatrix:
     def is_zero(self):
         return all(x.is_zero for row in self.rows for x in row)
 
-    def is_constant(self):
-        return all(x.is_constant for row in self.rows for x in row)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def map_entries(self, fn, ring):
-        return NilMatrix(ring, tuple(tuple(fn(x) for x in row) for row in self.rows),
-                         check=False)
-
-    def strict_upper(self):
-        """The strictly upper entries, row by row."""
-        return tuple(self.rows[i][j] for i in range(self.n) for j in range(i + 1, self.n))
-
-    def __eq__(self, other):
-        return (isinstance(other, NilMatrix) and self.ring == other.ring
-                and self.rows == other.rows)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __repr__(self):
-        body = "; ".join("[" + ", ".join(repr(x) for x in row) + "]" for row in self.rows)
-        return "NilMatrix(%s)" % body
-
-
-class UniMatrix:
+class UniMatrix(_TriangularMatrix):
     """A unit upper triangular matrix over a simplex-polynomial ring."""
 
-    __slots__ = ("ring", "n", "rows")
+    __slots__ = ()
+    _blank_rows = staticmethod(_identity_rows)
 
-    def __init__(self, ring, rows, check=True):
-        n = len(rows)
-        self.ring = ring
-        self.n = n
-        self.rows = _coerce_rows(ring, n, rows) if check else rows
-        if check:
-            one = ring.one()
-            for i in range(n):
-                if self.rows[i][i] != one:
-                    raise InputError("diagonal entry (%d, %d) is not 1" % (i, i))
-                for j in range(i):
-                    if not self.rows[i][j].is_zero:
-                        raise InputError("entry (%d, %d) below the diagonal is nonzero" % (i, j))
+    def _check_diagonal(self):
+        one = self.ring.one()
+        for i in range(self.n):
+            if self.rows[i][i] != one:
+                raise InputError("diagonal entry (%d, %d) is not 1" % (i, i))
+            for j in range(i):
+                if not self.rows[i][j].is_zero:
+                    raise InputError("entry (%d, %d) below the diagonal is nonzero" % (i, j))
 
     @classmethod
     def identity(cls, ring, n):
         return cls(ring, _identity_rows(ring, n), check=False)
-
-    @classmethod
-    def from_entries(cls, ring, n, entries):
-        rows = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
-        for (i, j), v in entries.items():
-            if not 0 <= i < j < n:
-                raise InputError("entry (%d, %d) is not strictly upper in size %d" % (i, j, n))
-            rows[i][j] = v if isinstance(v, SimplexPoly) else ring.constant(v)
-            if rows[i][j].ring != ring:
-                raise RingMismatch("matrix entry over a different ring")
-        return cls(ring, tuple(tuple(r) for r in rows), check=False)
-
-    def _require_same(self, other):
-        if not isinstance(other, UniMatrix):
-            raise InputError("expected a UniMatrix")
-        if (other.ring is not self.ring and other.ring != self.ring) or other.n != self.n:
-            raise RingMismatch("matrices live in different spaces")
 
     def __mul__(self, other):
         self._require_same(other)
@@ -228,42 +231,16 @@ class UniMatrix:
 
     def inverse(self):
         """Exact inverse via the terminating Neumann series of U - I."""
-        x = _sub_rows(self.rows, _identity_rows(self.ring, self.n))
-        acc = _identity_rows(self.ring, self.n)
-        pw = _identity_rows(self.ring, self.n)
-        for _ in range(1, self.n):
-            pw = _scale_rows(_matmul(pw, x, self.ring), -1)
-            acc = _add_rows(acc, pw)
-        return UniMatrix(self.ring, acc, check=False)
+        ring, n = self.ring, self.n
+        x = _sub_rows(self.rows, _identity_rows(ring, n))
+        coefs = [(-1) ** k for k in range(1, n)]
+        return UniMatrix(ring, _power_series(_identity_rows(ring, n), x, coefs, ring),
+                         check=False)
 
     @property
     def is_identity(self):
         return all(self.rows[i][j].is_zero
                    for i in range(self.n) for j in range(i + 1, self.n))
-
-    def is_constant(self):
-        return all(x.is_constant for row in self.rows for x in row)
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def map_entries(self, fn, ring):
-        return UniMatrix(ring, tuple(tuple(fn(x) for x in row) for row in self.rows),
-                         check=False)
-
-    def strict_upper(self):
-        return tuple(self.rows[i][j] for i in range(self.n) for j in range(i + 1, self.n))
-
-    def __eq__(self, other):
-        return (isinstance(other, UniMatrix) and self.ring == other.ring
-                and self.rows == other.rows)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __repr__(self):
-        body = "; ".join("[" + ", ".join(repr(x) for x in row) + "]" for row in self.rows)
-        return "UniMatrix(%s)" % body
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +250,17 @@ class UniMatrix:
 def exp_nilpotent(n_mat: NilMatrix) -> UniMatrix:
     """exp(N) = sum_{k < n} N^k / k!, exact because N^n = 0."""
     ring, n = n_mat.ring, n_mat.n
-    acc = _identity_rows(ring, n)
-    term = _identity_rows(ring, n)
-    for k in range(1, n):
-        term = _scale_rows(_matmul(term, n_mat.rows, ring), Fraction(1, k))
-        acc = _add_rows(acc, term)
-    return UniMatrix(ring, acc, check=False)
+    coefs = [Fraction(1, factorial(k)) for k in range(1, n)]
+    return UniMatrix(ring, _power_series(_identity_rows(ring, n), n_mat.rows, coefs, ring),
+                     check=False)
 
 
 def log_unipotent(u_mat: UniMatrix) -> NilMatrix:
     """log(U) = sum_{1 <= k < n} (-1)^(k+1) (U - I)^k / k."""
     ring, n = u_mat.ring, u_mat.n
     x = _sub_rows(u_mat.rows, _identity_rows(ring, n))
-    acc = _zero_rows(ring, n)
-    pw = _identity_rows(ring, n)
-    for k in range(1, n):
-        pw = _matmul(pw, x, ring)
-        coef = Fraction(1, k) if k % 2 == 1 else Fraction(-1, k)
-        acc = _add_rows(acc, _scale_rows(pw, coef))
-    return NilMatrix(ring, acc, check=False)
+    coefs = [Fraction((-1) ** (k + 1), k) for k in range(1, n)]
+    return NilMatrix(ring, _power_series(_zero_rows(ring, n), x, coefs, ring), check=False)
 
 
 def bch(a: NilMatrix, b: NilMatrix) -> NilMatrix:
@@ -411,13 +380,42 @@ class _Echelon:
         self.rows.append((piv, tuple(x * inv for x in vec)))
         return True
 
-    def contains(self, vec):
-        return all(x.is_zero for x in self.reduce(vec))
-
 
 # ---------------------------------------------------------------------------
 # spans (subalgebras) of strictly upper matrices
 # ---------------------------------------------------------------------------
+
+def _constant_vector(mat):
+    """The strictly upper entries of a constant matrix, as field values."""
+    return tuple(e.constant_value() for e in mat.strict_upper())
+
+
+def _lift(mat, ring):
+    """A constant matrix moved into ring, which has the same field: each
+    entry keeps its denominator and numerator vector, now at the zero
+    exponent of ring."""
+    if mat.ring is ring or mat.ring == ring:
+        return mat
+    at = (0,) * ring.nvars
+
+    def move(p):
+        if not p.nums:
+            return ring.zero()
+        vec, = p.nums.values()
+        return SimplexPoly(ring, p.den, {at: vec})
+
+    return mat.map_entries(move, ring)
+
+
+def _combination(coefs, mats, ring, n):
+    """sum_k c_k M_k as an n x n NilMatrix over ring, for constant matrices
+    M_k lifted into ring; a zero coefficient adds nothing."""
+    rows = _zero_rows(ring, n)
+    for c, m in zip(coefs, mats):
+        if not c.is_zero:
+            rows = _add_rows(rows, _scale_rows(_lift(m, ring).rows, c))
+    return NilMatrix(ring, rows, check=False)
+
 
 class LieSpan:
     """A Lie subalgebra of strictly upper triangular n x n matrices, given
@@ -445,11 +443,9 @@ class LieSpan:
                 raise RingMismatch("span basis matrices live in different spaces")
             if not b.is_constant():
                 raise InputError("span basis matrices must have constant entries")
-            if b.ring != self.ring:
-                b = b.map_entries(lambda p: self.ring.constant(p.constant_value()), self.ring)
-            fixed.append(b)
+            fixed.append(_lift(b, self.ring))
         self.basis = tuple(fixed)
-        columns = [tuple(e.constant_value() for e in b.strict_upper()) for b in self.basis]
+        columns = [_constant_vector(b) for b in self.basis]
         self._solver = _LinSolver(field, columns, what="span basis") if columns else None
         self._derived_length = None
         if check:
@@ -509,12 +505,8 @@ class LieSpan:
         ring = ring or self.ring
         if len(coords) != self.dim:
             raise InputError("expected %d coordinates, got %d" % (self.dim, len(coords)))
-        acc = NilMatrix.zero(ring, self.n)
-        for c, b in zip(coords, self.basis):
-            lifted = b if ring == self.ring else b.map_entries(
-                lambda p: ring.constant(p.constant_value()), ring)
-            acc = acc + lifted.scale(c)
-        return acc
+        coefs = [c if isinstance(c, SimplexPoly) else self.field.value(c) for c in coords]
+        return _combination(coefs, self.basis, ring, self.n)
 
     def same_space(self, other):
         """Do the two spans have identical row spaces?"""
@@ -529,8 +521,7 @@ def _independent_matrices(field, mats):
     ech = _Echelon(field)
     out = []
     for m in mats:
-        vec = tuple(e.constant_value() for e in m.strict_upper())
-        if ech.add(vec):
+        if ech.add(_constant_vector(m)):
             out.append(m)
     return out
 
@@ -539,16 +530,19 @@ def _bracket_basis(field, left, right):
     return _independent_matrices(field, (a.bracket(b) for a in left for b in right))
 
 
+def _bracket_series(span, brackets):
+    """span = s_0, s_1, ... down to and including zero, where s_{k+1} has
+    the independent basis brackets(s_k).  Every term is closed under the
+    bracket by construction, so none is checked."""
+    out = [span]
+    while out[-1].dim > 0:
+        out.append(LieSpan(brackets(out[-1]), n=span.n, field=span.field, check=False))
+    return out
+
+
 def lower_central_series(span: LieSpan):
     """g = g_1, g_{k+1} = [g, g_k], listed down to and including zero."""
-    out = [span]
-    cur = span
-    while cur.dim > 0:
-        nxt = _bracket_basis(span.field, span.basis, cur.basis)
-        # [g, g_k] is an ideal of g, so closed; the basis is independent
-        cur = LieSpan(nxt, n=span.n, field=span.field, check=False)
-        out.append(cur)
-    return out
+    return _bracket_series(span, lambda cur: _bracket_basis(span.field, span.basis, cur.basis))
 
 
 def derived_series_length(span: LieSpan) -> int:
@@ -558,15 +552,9 @@ def derived_series_length(span: LieSpan) -> int:
     [a, a] = 0 and [b, a] = -[a, b], so [g, g] is spanned by the brackets of
     basis pairs i < j.  The result is cached on the span."""
     if span._derived_length is None:
-        cur = span
-        count = 0
-        while cur.dim > 0:
-            count += 1
-            nxt = _independent_matrices(
-                span.field, (a.bracket(b) for a, b in combinations(cur.basis, 2)))
-            # a derived term is closed under the bracket by construction
-            cur = LieSpan(nxt, n=span.n, field=span.field, check=False)
-        span._derived_length = count
+        series = _bracket_series(span, lambda cur: _independent_matrices(
+            span.field, (a.bracket(b) for a, b in combinations(cur.basis, 2))))
+        span._derived_length = len(series) - 1
     return span._derived_length
 
 
@@ -626,13 +614,6 @@ class LieHom:
     def identity(cls, span):
         return cls(span, span, span.basis, check=False, section=span.basis)
 
-    def compose(self, other: "LieHom") -> "LieHom":
-        """self o other."""
-        if other.target.n != self.source.n or other.target.field != self.source.field:
-            raise InputError("homs are not composable")
-        images = tuple(self(img) for img in other.images)
-        return LieHom(other.source, self.target, images, check=False)
-
     def __call__(self, mat):
         return apply_hom(self, mat)
 
@@ -646,18 +627,9 @@ def apply_hom(hom: LieHom, mat):
     if isinstance(mat, UniMatrix):
         return exp_nilpotent(apply_hom(hom, log_unipotent(mat)))
     coords = hom.source.coordinates(mat)
-    ring = mat.ring
-    target_ring = ring if ring.field == hom.target.field else None
-    if target_ring is None:
+    if mat.ring.field != hom.target.field:
         raise RingMismatch("matrix field does not match the hom")
-    acc = NilMatrix.zero(ring, hom.target.n)
-    for c, img in zip(coords, hom.images):
-        if c.is_zero:
-            continue
-        lifted = img if ring == img.ring else img.map_entries(
-            lambda p: ring.constant(p.constant_value()), ring)
-        acc = acc + lifted.scale(c)
-    return acc
+    return _combination(coords, hom.images, mat.ring, hom.target.n)
 
 
 # ---------------------------------------------------------------------------
@@ -831,15 +803,15 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     # pick span basis vectors completing the ideal to a basis of the span
     ech = _Echelon(field)
     for b in ideal.basis:
-        ech.add(tuple(e.constant_value() for e in b.strict_upper()))
+        ech.add(_constant_vector(b))
     complement = []
     for idx, b in enumerate(span.basis):
-        if ech.add(tuple(e.constant_value() for e in b.strict_upper())):
+        if ech.add(_constant_vector(b)):
             complement.append(idx)
     complement = tuple(complement)
     m = len(complement)
     mixed = [span.basis[i] for i in complement] + list(ideal.basis)
-    mixed_cols = [tuple(e.constant_value() for e in b.strict_upper()) for b in mixed]
+    mixed_cols = [_constant_vector(b) for b in mixed]
     mixed_solver = _LinSolver(field, mixed_cols, what="complement basis")
 
     def h_coords(mat):
@@ -880,24 +852,11 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     target = LieSpan(rho)
 
     # project each span basis vector: complement coords, then adapted coords
-    images = []
-    for b in span.basis:
-        e_coords = h_coords(b)
-        f_coords = to_adapted(e_coords)
-        img = NilMatrix.zero(ring, target.n)
-        for c, r in zip(f_coords, rho):
-            if not c.is_zero:
-                img = img + r.scale(c)
-        images.append(img)
+    images = tuple(_combination(to_adapted(h_coords(b)), rho, ring, target.n)
+                   for b in span.basis)
     # a preimage of each target basis vector: the same combination of the
     # complement representatives that defines the adapted basis vector
-    section = []
-    for v, _ in adapted:
-        x = NilMatrix.zero(ring, span.n)
-        for c, rep in zip(v, mixed[:m]):
-            if not c.is_zero:
-                x = x + rep.scale(c)
-        section.append(x)
-    hom = LieHom(span, target, tuple(images), check=True, complement=complement,
-                 section=tuple(section))
+    section = tuple(_combination(v, mixed[:m], ring, span.n) for v, _ in adapted)
+    hom = LieHom(span, target, images, check=True, complement=complement,
+                 section=section)
     return target, hom

@@ -94,8 +94,6 @@ class LocalSection:
                 raise InputError("local section values must be UniMatrix constants")
             if mat.ring.q != 0:
                 raise InputError("local section values must be constant in t")
-            if mat.n != group.n or mat.ring.field != group.field:
-                raise RingMismatch("local section value at %r has the wrong shape" % (x,))
             group.require_element(mat, "local value at point %r" % (x,))
 
     def __repr__(self):
@@ -240,29 +238,24 @@ def validate_simplicial_section(s: SimplicialSection, max_q=None) -> ValidationR
                     fail(map=None, multi_index=mi, point=x,
                          detail="value lies outside the group")
 
-    # condition (ii): compatibility along cofaces and codegeneracies
-    def compare(alpha, q_high_datum_level, mi, x, pulled):
-        other = s.levels[q_high_datum_level].get(_reindex(mi, alpha), {}).get(x)
-        report.checks += 1
-        if other is None:
-            fail(map=alpha.describe(), multi_index=mi, point=x,
-                 detail="reindexed datum missing")
-        elif pulled != other:
-            fail(map=alpha.describe(), multi_index=mi, point=x,
-                 detail="pullback does not match reindexed datum")
-
-    for q in range(1, max_q + 1):
-        for i in range(q + 1):
-            alpha = SimplexMap.coface(q, i)
-            for mi, per_point in s.levels.get(q, {}).items():
-                for x, mat in per_point.items():
-                    compare(alpha, q - 1, mi, x, pull_back(mat, alpha))
-    for q in range(max_q):
-        for i in range(q + 1):
-            alpha = SimplexMap.codegeneracy(q, i)
-            for mi, per_point in s.levels.get(q, {}).items():
-                for x, mat in per_point.items():
-                    compare(alpha, q + 1, mi, x, pull_back(mat, alpha))
+    # condition (ii): compatibility along cofaces, then codegeneracies; each
+    # map alpha pulls level-q data back onto the datum at level p
+    maps = [(SimplexMap.coface(q, i), q, q - 1)
+            for q in range(1, max_q + 1) for i in range(q + 1)]
+    maps += [(SimplexMap.codegeneracy(q, i), q, q + 1)
+             for q in range(max_q) for i in range(q + 1)]
+    for alpha, q, p in maps:
+        for mi, per_point in s.levels.get(q, {}).items():
+            for x, mat in per_point.items():
+                pulled = pull_back(mat, alpha)
+                other = s.levels[p].get(_reindex(mi, alpha), {}).get(x)
+                report.checks += 1
+                if other is None:
+                    fail(map=alpha.describe(), multi_index=mi, point=x,
+                         detail="reindexed datum missing")
+                elif pulled != other:
+                    fail(map=alpha.describe(), multi_index=mi, point=x,
+                         detail="pullback does not match reindexed datum")
     return report
 
 
