@@ -14,12 +14,12 @@ from .exactring import (QQ, FieldAutomorphism, GaloisAction, PolyRing,
                         apply_galois, eval_at_weights, extend_to_simplex,
                         make_simplex_coordinate, permute_coordinates, poly_arith,
                         substitute_simplex_map)
-from .nilpotent import (LieHom, LieSpan, NilMatrix, UniMatrix, apply_hom, bch,
+from .nilpotent import (LieHom, LieSpan, LieTable, NilMatrix, UniMatrix, apply_hom, bch,
                         derived_series_length, embed_simplex, exp_nilpotent,
                         full_unipotent_span, log_unipotent, lower_central_series,
                         nilpotency_class, quotient_span)
-from .average import (SectionTuple, WeightSeq, act_permutation, act_simplex_map,
-                      lift_w, transition, wav, wav_at_weights, wsym)
+from .average import (CoordinateTuple, SectionTuple, WeightSeq, act_permutation,
+                      act_simplex_map, lift_w, transition, wav, wav_at_weights, wsym)
 from .simplicial import (FiniteCover, LocalSection, SimplicialSection,
                          TowerReport, ValidationReport, build_simplicial_section,
                          tower_compatibility, validate_simplicial_section)

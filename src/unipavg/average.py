@@ -14,19 +14,27 @@ simplex that restricts to f_i at the i-th vertex.
 
 The torsor is always the group acting on itself by left multiplication;
 transitions are f_j f_i^{-1}, never f_i^{-1} f_j.
+
+The operators are written once over a group law (product, inverse, log,
+exp and the algebra's linear operations).  A `SectionTuple` holds unit
+upper triangular matrices under the matrix product; a `CoordinateTuple`
+holds the Lie coordinates of its elements' logs under the truncated BCH
+product of a `LieTable`, which is how quotient towers are averaged.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 from .errors import InputError, NonConstantError, RingMismatch
-from .exactring import PolyRing, SimplexMap, eval_at_weights, permute_coordinates
-from .nilpotent import (LieSpan, NilMatrix, UniMatrix, derived_series_length,
-                        embed_simplex, exp_nilpotent, full_unipotent_span,
-                        log_unipotent, pull_back)
+from .exactring import PolyRing, SimplexMap, SimplexPoly, eval_at_weights, permute_coordinates
+from .nilpotent import (LieSpan, UniMatrix, embed_simplex, exp_nilpotent,
+                        full_unipotent_span, log_unipotent, pull_back)
 
 __all__ = [
-    "WeightSeq", "SectionTuple", "SimplexMap", "transition", "wsym", "lift_w",
-    "wav", "act_simplex_map", "act_permutation", "wav_at_weights",
+    "WeightSeq", "SectionTuple", "CoordinateTuple", "SimplexMap", "transition", "wsym",
+    "lift_w", "wav", "act_simplex_map", "act_permutation", "wav_at_weights",
     "eval_matrix_at_weights",
 ]
 
@@ -75,7 +83,59 @@ class WeightSeq:
         return "WeightSeq(%s)" % (list(self.values),)
 
 
-class SectionTuple:
+class _MatrixLaw:
+    """The group law of unit upper triangular matrices: the matrix product,
+    with exp and log to and from strictly upper matrices.  Each operation
+    looks its function up when called, so a wrapper put on the module
+    function (as perfbench's tracer does) sees every call."""
+
+    mul = staticmethod(operator.mul)
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+
+    @staticmethod
+    def inverse(g):
+        return g.inverse()
+
+    @staticmethod
+    def log(g):
+        return log_unipotent(g)
+
+    @staticmethod
+    def exp(x):
+        return exp_nilpotent(x)
+
+    @staticmethod
+    def scale(x, s):
+        return x.scale(s)
+
+    @staticmethod
+    def embed(g, q, target):
+        return embed_simplex(g, q, target)
+
+
+class _Sections:
+    """q+1 group elements over one ring, whose simplex dimension r (the
+    domain degree) is 0 for t-constant elements or q over the q-simplex."""
+
+    __slots__ = ("sections", "q", "r")
+
+    def __len__(self):
+        return len(self.sections)
+
+    def __getitem__(self, i):
+        return self.sections[i]
+
+    def __iter__(self):
+        return iter(self.sections)
+
+    def is_constant_tuple(self):
+        """Do all components agree (as canonical forms)?"""
+        first = self.sections[0]
+        return all(s == first for s in self.sections[1:])
+
+
+class SectionTuple(_Sections):
     """q+1 sections of the trivial torsor: unit upper triangular matrices
     over a common ring whose logs lie in the group span.
 
@@ -88,7 +148,8 @@ class SectionTuple:
     by construction.
     """
 
-    __slots__ = ("group", "sections", "q", "r")
+    __slots__ = ("group",)
+    law = _MatrixLaw
 
     def __init__(self, group, sections, check=True):
         if not isinstance(group, LieSpan):
@@ -118,14 +179,13 @@ class SectionTuple:
     def ring(self):
         return self.sections[0].ring
 
-    def __len__(self):
-        return len(self.sections)
+    @property
+    def table(self):
+        return self.group.table
 
-    def __getitem__(self, i):
-        return self.sections[i]
-
-    def __iter__(self):
-        return iter(self.sections)
+    def _rebuild(self, sections, ring):
+        # the operators' values lie in the group by construction
+        return SectionTuple(self.group, sections, check=False)
 
     def __eq__(self, other):
         return (isinstance(other, SectionTuple)
@@ -135,14 +195,50 @@ class SectionTuple:
     def __ne__(self, other):
         return not self.__eq__(other)
 
-    def is_constant_tuple(self):
-        """Do all components agree (as canonical forms)?"""
-        first = self.sections[0]
-        return all(s == first for s in self.sections[1:])
-
     def __repr__(self):
         return "SectionTuple(q=%d, r=%d, n=%d, dim %d group)" % (
             self.q, self.r, self.group.n, self.group.dim)
+
+
+class CoordinateTuple(_Sections):
+    """q+1 elements of the group of a nilpotent LieTable, each given by the
+    coordinates of its log: a tuple of table.dim polynomials over one ring
+    of domain degree 0 or q.  The operators treat it like a SectionTuple
+    with the table's truncated BCH product as the group law, and `wav`
+    returns the coordinates of the average's log."""
+
+    __slots__ = ("table", "ring")
+
+    def __init__(self, table, sections, ring):
+        sections = tuple(tuple(s) for s in sections)
+        if not sections:
+            raise InputError("a section tuple needs at least one section")
+        if ring.field != table.field:
+            raise RingMismatch("coordinate ring field differs from the table's")
+        for s in sections:
+            if len(s) != table.dim:
+                raise InputError("expected %d coordinates, got %d" % (table.dim, len(s)))
+            if not all(isinstance(x, SimplexPoly) and (x.ring is ring or x.ring == ring)
+                       for x in s):
+                raise RingMismatch("coordinates must lie in the tuple's ring")
+        self.table = table
+        self.ring = ring
+        self.sections = sections
+        self.q = len(sections) - 1
+        self.r = ring.q
+        if self.r not in (0, self.q):
+            raise InputError("domain degree %d must be 0 or the tuple degree %d"
+                             % (self.r, self.q))
+
+    @property
+    def law(self):
+        return self.table
+
+    def _rebuild(self, sections, ring):
+        return CoordinateTuple(self.table, sections, ring)
+
+    def __repr__(self):
+        return "CoordinateTuple(q=%d, r=%d, dim %d group)" % (self.q, self.r, self.table.dim)
 
 
 def transition(f_i: UniMatrix, f_j: UniMatrix, group=None) -> UniMatrix:
@@ -157,42 +253,41 @@ def transition(f_i: UniMatrix, f_j: UniMatrix, group=None) -> UniMatrix:
     return f_j * f_i.inverse()
 
 
-def _transition_logs(t: SectionTuple):
+def _transition_logs(t):
     """logs[i][j] = log(f_j f_i^{-1}); computed for i < j and negated for
     the mirror entries, since log(g^{-1}) = -log(g)."""
+    law = t.law
     m = len(t.sections)
-    inverses = [s.inverse() for s in t.sections]
+    inverses = [law.inverse(s) for s in t.sections]
     logs = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            l_ij = log_unipotent(t.sections[j] * inverses[i])
+            l_ij = law.log(law.mul(t.sections[j], inverses[i]))
             logs[i][j] = l_ij
-            logs[j][i] = -l_ij
+            logs[j][i] = law.neg(l_ij)
     return logs
 
 
-def wsym(t: SectionTuple) -> SectionTuple:
+def wsym(t):
     """One symmetrization pass on a tuple of sections over the q-simplex."""
     if t.r != t.q:
         raise InputError("wsym needs sections over the q-simplex (domain degree %d, "
                          "tuple degree %d)" % (t.r, t.q))
     if t.q == 0:
         return t
-    ring = t.ring
+    law, ring = t.law, t.ring
     coords = [ring.coordinate(j) for j in range(t.q + 1)]
     logs = _transition_logs(t)
     new = []
     for i in range(t.q + 1):
-        acc = NilMatrix.zero(ring, t.group.n)
-        for j in range(t.q + 1):
-            if j != i:
-                acc = acc + logs[i][j].scale(coords[j])
-        new.append(exp_nilpotent(acc) * t.sections[i])
+        acc = reduce(law.add, [law.scale(logs[i][j], coords[j])
+                               for j in range(t.q + 1) if j != i])
+        new.append(law.mul(law.exp(acc), t.sections[i]))
     # exp of a span element times a group element stays in the group
-    return SectionTuple(t.group, new, check=False)
+    return t._rebuild(new, ring)
 
 
-def lift_w(t: SectionTuple) -> SectionTuple:
+def lift_w(t):
     """Lift a tuple of t-constant sections onto the q-simplex, with the same
     defining formula but t-constant transitions.  A constant tuple lifts to
     its embedding, which wsym fixes."""
@@ -200,15 +295,14 @@ def lift_w(t: SectionTuple) -> SectionTuple:
         raise InputError("lift_w needs t-constant sections (domain degree %d)" % t.r)
     if t.q == 0:
         return t
-    target = PolyRing(t.group.field, t.q, t.ring.params)
-    embedded = SectionTuple(t.group, [embed_simplex(s, t.q, target) for s in t.sections],
-                            check=False)
+    target = PolyRing(t.ring.field, t.q, t.ring.params)
+    embedded = t._rebuild([t.law.embed(s, t.q, target) for s in t.sections], target)
     if embedded.is_constant_tuple():
         return embedded
     return wsym(embedded)
 
 
-def wav(t: SectionTuple, d_override=None) -> UniMatrix:
+def wav(t, d_override=None):
     """The weighted average of a tuple of t-constant sections: lift, then
     symmetrize at most d times (d = derived series length of the group, or a
     larger override); all components then agree and the common value is
@@ -216,7 +310,7 @@ def wav(t: SectionTuple, d_override=None) -> UniMatrix:
     constant tuple (every transition log is 0)."""
     if t.r != 0:
         raise InputError("wav needs t-constant sections (domain degree %d)" % t.r)
-    d = derived_series_length(t.group)
+    d = t.table.derived_length
     if d_override is not None:
         if not isinstance(d_override, int) or d_override < d:
             raise InputError("iteration override must be an integer >= %d" % d)

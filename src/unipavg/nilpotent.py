@@ -14,6 +14,14 @@ constant into the coordinates' ring by its integer numerators.  Quotients
 by an ideal are re-embedded as strictly upper triangular matrices through
 a weight-truncated enveloping algebra; the re-embedding is faithful
 because left multiplication fixes the ground vector 1.
+
+Each span also has a structure-constant table (`LieTable`), built on
+first use; the derived length and the nilpotency class are read from it.
+The table is the group law in Lie coordinates as well: an element is the
+coordinate vector of its log and the product is BCH truncated at the
+class, so a quotient floor can be averaged on its table alone.
+`quotient_span` seeds its target's table from the structure constants it
+computes anyway, and records each projected basis vector's coordinates.
 """
 
 from __future__ import annotations
@@ -77,10 +85,11 @@ def _matmul(a, b, ring):
 
 def _power_series(acc, x, coefs, ring):
     """acc + sum_k coefs[k - 1] x^k over k = 1 .. len(coefs), each power of
-    the triangular x one product from the last."""
-    pw = _identity_rows(ring, len(x))
-    for c in coefs:
-        pw = _matmul(pw, x, ring)
+    the triangular x one product from the last, starting from x itself."""
+    pw = x
+    for k, c in enumerate(coefs):
+        if k:
+            pw = _matmul(pw, x, ring)
         acc = _add_rows(acc, _scale_rows(pw, c))
     return acc
 
@@ -322,11 +331,14 @@ class _LinSolver:
                 raise InputError("the %s is linearly dependent" % what)
             aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
             inv = aug[pivot_row][col].inverse()
-            aug[pivot_row] = [x * inv for x in aug[pivot_row]]
+            aug[pivot_row] = [x if x.is_zero else x * inv for x in aug[pivot_row]]
+            # row operations touch only the pivot row's nonzero entries
+            pivot = [(i, y) for i, y in enumerate(aug[pivot_row]) if not y.is_zero]
             for r in range(self.length):
                 if r != pivot_row and not aug[r][col].is_zero:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[pivot_row])]
+                    f, row = aug[r][col], aug[r]
+                    for i, y in pivot:
+                        row[i] = row[i] - f * y
             pivot_row += 1
         self.srows = tuple(tuple(row[self.m:]) for row in aug)
 
@@ -367,7 +379,8 @@ class _Echelon:
             c = vec[piv]
             if not c.is_zero:
                 for i in range(piv, len(vec)):
-                    vec[i] = vec[i] - c * row[i]
+                    if not row[i].is_zero:
+                        vec[i] = vec[i] - c * row[i]
         return vec
 
     def add(self, vec):
@@ -379,6 +392,190 @@ class _Echelon:
         inv = vec[piv].inverse()
         self.rows.append((piv, tuple(x * inv for x in vec)))
         return True
+
+
+# ---------------------------------------------------------------------------
+# structure constants, and the group law in Lie coordinates
+# ---------------------------------------------------------------------------
+
+def _free_mul(a, b, c):
+    """The product of two elements of the free associative algebra on the
+    letters 0 and 1, as {word: Fraction} maps, dropping words longer than c."""
+    out = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            if len(u) + len(v) <= c:
+                out[u + v] = out.get(u + v, 0) + x * y
+    return out
+
+
+_BCH_TERMS = {}
+
+
+def _bch_terms(c):
+    """The terms of degree 2..c of BCH(X, Y) = log(exp X exp Y), as
+    (word, coefficient) pairs in order of increasing length.  A word over
+    {0: X, 1: Y} stands for the right-nested bracket [w_1, [w_2, ...,
+    [w_{k-1}, w_k]]], and every word ends in (0, 1).
+
+    The series is computed once per c in the free associative algebra
+    truncated at degree c; the Dynkin-Specht-Wever lemma then turns its
+    degree-k part into Lie words: it is 1/k times the sum over words w of
+    coef(w) [w].  A word ending in two equal letters brackets to zero, and
+    one ending in (1, 0) is minus the word ending in (0, 1)."""
+    terms = _BCH_TERMS.get(c)
+    if terms is not None:
+        return terms
+    w = {(0,) * i + (1,) * j: Fraction(1, factorial(i) * factorial(j))
+         for i in range(c + 1) for j in range(c + 1 - i) if i + j}
+    log, pw = {}, {(): Fraction(1)}
+    for k in range(1, c + 1):
+        pw = _free_mul(pw, w, c)
+        for word, x in pw.items():
+            log[word] = log.get(word, 0) + x * Fraction((-1) ** (k + 1), k)
+    lie = {}
+    for word, x in log.items():
+        if len(word) < 2 or word[-1] == word[-2]:
+            continue
+        if word[-1] == 0:
+            word, x = word[:-2] + (0, 1), -x
+        lie[word] = lie.get(word, 0) + x / len(word)
+    terms = [(word, x) for word, x in sorted(lie.items(), key=lambda e: (len(e[0]), e[0]))
+             if x]
+    _BCH_TERMS[c] = terms
+    return terms
+
+
+class LieTable:
+    """The structure constants of a Lie algebra on a basis e_0, ...,
+    e_{dim-1}: [e_i, e_j] = sum_k struct[(i, j)][k] e_k for i < j, as field
+    scalars.  Coordinate vectors may hold scalars or polynomials over any
+    ring with the table's field.
+
+    For a nilpotent algebra the table is also its group's law in Lie
+    coordinates: an element is the coordinate vector of its log, the
+    product is BCH(X, Y) truncated at the nilpotency class c (exact, since
+    every bracket of more than c elements vanishes), the inverse is the
+    negative, and log and exp are the identity.  `average.wsym` and `wav`
+    run on this law as on the matrix product."""
+
+    __slots__ = ("field", "dim", "struct", "_pairs", "_class", "_derived_length")
+
+    def __init__(self, field, dim, struct):
+        self.field = field
+        self.dim = dim
+        self.struct = struct
+        # the pairs with a nonzero bracket, each with its nonzero constants
+        self._pairs = []
+        for pair, consts in sorted(struct.items()):
+            nonzero = tuple((k, s) for k, s in enumerate(consts) if not s.is_zero)
+            if nonzero:
+                self._pairs.append((pair, nonzero))
+        self._class = None
+        self._derived_length = None
+
+    def bracket(self, u, v, zero):
+        """[u, v] for coordinate vectors u and v; `zero` is the zero of
+        their entries."""
+        out = [zero] * self.dim
+        for (i, j), consts in self._pairs:
+            ui, uj, vi, vj = u[i], u[j], v[i], v[j]
+            if ui.is_zero or vj.is_zero:
+                if uj.is_zero or vi.is_zero:
+                    continue
+                c = -(uj * vi)
+            elif uj.is_zero or vi.is_zero:
+                c = ui * vj
+            else:
+                c = ui * vj - uj * vi
+            if not c.is_zero:
+                for k, s in consts:
+                    out[k] = out[k] + c * s
+        return tuple(out)
+
+    def _series(self, pairs):
+        """Nonzero terms s_0 = g, s_1, ... of a bracket series, each an
+        independent list of coordinate vectors; s_{k+1} keeps the brackets of
+        pairs(s_0, s_k) that are independent of the ones kept before them."""
+        zero, one = self.field.zero, self.field.one
+        cur = [tuple(one if k == i else zero for k in range(self.dim))
+               for i in range(self.dim)]
+        out = []
+        while cur:
+            out.append(cur)
+            ech = _Echelon(self.field)
+            cur = [w for w in (self.bracket(a, b, zero) for a, b in pairs(out[0], cur))
+                   if ech.add(w)]
+        return out
+
+    def lower_central_series(self):
+        """g = g_1, g_{k+1} = [g, g_k], down to the last nonzero term."""
+        return self._series(lambda unit, cur: ((a, b) for a in unit for b in cur))
+
+    @property
+    def nilpotency_class(self):
+        if self._class is None:
+            self._class = len(self.lower_central_series())
+        return self._class
+
+    @property
+    def derived_length(self):
+        """The number of nonzero terms of g, [g, g], [[g,g],[g,g]], ...;
+        [g, g] is spanned by the brackets of pairs i < j."""
+        if self._derived_length is None:
+            self._derived_length = len(self._series(lambda unit, cur: combinations(cur, 2)))
+        return self._derived_length
+
+    # -- the group law in Lie coordinates ---------------------------------
+
+    def mul(self, x, y):
+        """BCH(x, y) truncated at the nilpotency class, for vectors of
+        polynomials over one ring."""
+        out = self.add(x, y)
+        if not self.dim:
+            return out
+        zero = x[0].ring.zero()
+        letters = (x, y)
+        nested = {}
+
+        def bracketed(word):
+            # the right-nested bracket of a word, one bracket per suffix
+            if len(word) == 1:
+                return letters[word[0]]
+            got = nested.get(word)
+            if got is None:
+                got = nested[word] = self.bracket(letters[word[0]], bracketed(word[1:]), zero)
+            return got
+
+        for word, coef in _bch_terms(self.nilpotency_class):
+            out = self.add(out, self.scale(bracketed(word), coef))
+        return out
+
+    def inverse(self, x):
+        return self.neg(x)
+
+    def log(self, x):
+        return x
+
+    def exp(self, x):
+        return x
+
+    @staticmethod
+    def add(x, y):
+        return tuple(b if a.is_zero else a if b.is_zero else a + b for a, b in zip(x, y))
+
+    @staticmethod
+    def neg(x):
+        return tuple(-a for a in x)
+
+    @staticmethod
+    def scale(x, s):
+        return tuple(a if a.is_zero else a * s for a in x)
+
+    @staticmethod
+    def embed(x, q, target):
+        """A vector of t-constant entries lifted onto the q-simplex ring."""
+        return tuple(extend_to_simplex(a, q, target) for a in x)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +619,7 @@ class LieSpan:
     by an independent basis of constant matrices over a scalar field.
     Construction verifies independence and closure under the bracket."""
 
-    __slots__ = ("field", "ring", "n", "basis", "_solver", "_derived_length")
+    __slots__ = ("field", "ring", "n", "basis", "_solver", "_table")
 
     def __init__(self, basis, n=None, field=None, check=True):
         basis = tuple(basis)
@@ -447,7 +644,7 @@ class LieSpan:
         self.basis = tuple(fixed)
         columns = [_constant_vector(b) for b in self.basis]
         self._solver = _LinSolver(field, columns, what="span basis") if columns else None
-        self._derived_length = None
+        self._table = None
         if check:
             for i in range(len(self.basis)):
                 for j in range(i + 1, len(self.basis)):
@@ -461,6 +658,18 @@ class LieSpan:
     @property
     def dim(self):
         return len(self.basis)
+
+    @property
+    def table(self):
+        """The structure constants on this basis, built on first use."""
+        if self._table is None:
+            zero = self.field.zero
+            struct = {}
+            for i, j in combinations(range(self.dim), 2):
+                br = _constant_vector(self.basis[i].bracket(self.basis[j]))
+                struct[(i, j)] = tuple(self._solver.solve(br, zero))
+            self._table = LieTable(self.field, self.dim, struct)
+        return self._table
 
     def coordinates(self, mat):
         """Coordinates of a matrix (entries may be polynomials over any ring
@@ -530,36 +739,26 @@ def _bracket_basis(field, left, right):
     return _independent_matrices(field, (a.bracket(b) for a in left for b in right))
 
 
-def _bracket_series(span, brackets):
-    """span = s_0, s_1, ... down to and including zero, where s_{k+1} has
-    the independent basis brackets(s_k).  Every term is closed under the
-    bracket by construction, so none is checked."""
+def lower_central_series(span: LieSpan):
+    """g = g_1, g_{k+1} = [g, g_k], listed down to and including zero.
+    Every term is closed under the bracket by construction, so none is
+    checked."""
     out = [span]
     while out[-1].dim > 0:
-        out.append(LieSpan(brackets(out[-1]), n=span.n, field=span.field, check=False))
+        out.append(LieSpan(_bracket_basis(span.field, span.basis, out[-1].basis),
+                           n=span.n, field=span.field, check=False))
     return out
-
-
-def lower_central_series(span: LieSpan):
-    """g = g_1, g_{k+1} = [g, g_k], listed down to and including zero."""
-    return _bracket_series(span, lambda cur: _bracket_basis(span.field, span.basis, cur.basis))
 
 
 def derived_series_length(span: LieSpan) -> int:
     """Length of the shortest normal chain with abelian quotients: the number
-    of nonzero terms of the derived series g, [g, g], [[g,g],[g,g]], ...
-
-    [a, a] = 0 and [b, a] = -[a, b], so [g, g] is spanned by the brackets of
-    basis pairs i < j.  The result is cached on the span."""
-    if span._derived_length is None:
-        series = _bracket_series(span, lambda cur: _independent_matrices(
-            span.field, (a.bracket(b) for a, b in combinations(cur.basis, 2))))
-        span._derived_length = len(series) - 1
-    return span._derived_length
+    of nonzero terms of the derived series g, [g, g], [[g,g],[g,g]], ...,
+    read from the span's structure constants."""
+    return span.table.derived_length
 
 
 def nilpotency_class(span: LieSpan) -> int:
-    return len(lower_central_series(span)) - 1
+    return span.table.nilpotency_class
 
 
 def full_unipotent_span(n: int, field: ScalarField) -> LieSpan:
@@ -582,10 +781,10 @@ class LieHom:
     Construction verifies the images land in the target span and that
     brackets of basis pairs are preserved."""
 
-    __slots__ = ("source", "target", "images", "complement", "section")
+    __slots__ = ("source", "target", "images", "complement", "section", "_image_coords")
 
     def __init__(self, source, target, images, check=True, complement=None,
-                 section=None):
+                 section=None, image_coords=None):
         if not isinstance(source, LieSpan) or not isinstance(target, LieSpan):
             raise InputError("hom endpoints must be LieSpan values")
         images = tuple(images)
@@ -596,6 +795,7 @@ class LieHom:
         self.images = images
         self.complement = complement
         self.section = section      # chosen preimages of the target basis, if any
+        self._image_coords = image_coords
         if check:
             for img in images:
                 try:
@@ -617,6 +817,27 @@ class LieHom:
     def __call__(self, mat):
         return apply_hom(self, mat)
 
+    @property
+    def image_coords(self):
+        """The target coordinates of each basis image, as field scalars;
+        solved on first use unless the hom was built with them."""
+        if self._image_coords is None:
+            self._image_coords = tuple(
+                tuple(c.constant_value() for c in self.target.coordinates(img))
+                for img in self.images)
+        return self._image_coords
+
+    def map_coordinates(self, coords, zero):
+        """The target coordinates of the hom's value at the source element
+        with these coordinates; `zero` is the zero of their entries."""
+        out = [zero] * self.target.dim
+        for x, row in zip(coords, self.image_coords):
+            if not x.is_zero:
+                for k, a in enumerate(row):
+                    if not a.is_zero:
+                        out[k] = out[k] + x * a
+        return tuple(out)
+
     def __repr__(self):
         return "LieHom(%r -> %r)" % (self.source, self.target)
 
@@ -635,46 +856,6 @@ def apply_hom(hom: LieHom, mat):
 # ---------------------------------------------------------------------------
 # quotients, re-embedded as strictly upper matrices
 # ---------------------------------------------------------------------------
-
-def _abstract_bracket(u, v, struct, m, field):
-    out = [field.zero] * m
-    for i in range(m):
-        ui, vi = u[i], v[i]
-        for j in range(i + 1, m):
-            c = ui * v[j] - u[j] * vi
-            if not c.is_zero:
-                sij = struct[(i, j)]
-                for k in range(m):
-                    if not sij[k].is_zero:
-                        out[k] = out[k] + c * sij[k]
-    return tuple(out)
-
-
-def _abstract_lcs(struct, m, field):
-    """Lower central series of an abstract algebra given by structure
-    constants; each level is returned as an echelon basis of coordinate
-    vectors."""
-    unit = []
-    for i in range(m):
-        v = [field.zero] * m
-        v[i] = field.one
-        unit.append(tuple(v))
-    levels = [unit]
-    cur = unit
-    while cur:
-        ech = _Echelon(field)
-        nxt = []
-        for a in unit:
-            for b in cur:
-                w = _abstract_bracket(a, b, struct, m, field)
-                if ech.add(w):
-                    nxt.append(w)
-        if not nxt:
-            break
-        levels.append(nxt)
-        cur = nxt
-    return levels
-
 
 def _pbw_monomials(weights, cls_bound):
     """All exponent tuples with weighted degree <= cls_bound, sorted by
@@ -772,7 +953,10 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
 
     Returns (quotient LieSpan, LieHom from span onto it).  The hom also
     records which span basis indices were chosen to complement the ideal
-    (`complement`), which pins down compatible projections along towers.
+    (`complement`), which pins down compatible projections along towers,
+    and each basis image's target coordinates (`image_coords`).  The
+    target's table is its structure constants on the adapted basis, so a
+    caller can average in the quotient's Lie coordinates.
     """
     field = span.field
     if ideal.n != span.n or ideal.field != field:
@@ -824,9 +1008,10 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     for i in range(m):
         for j in range(i + 1, m):
             struct[(i, j)] = h_coords(mixed[i].bracket(mixed[j]))
+    table = LieTable(field, m, struct)
 
     # weights from a lower-central-series adapted basis of the quotient
-    levels = _abstract_lcs(struct, m, field)
+    levels = table.lower_central_series()
     cls_bound = len(levels)
     adapted = []            # (vector over the complement classes, weight)
     ech2 = _Echelon(field)
@@ -843,20 +1028,22 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     astruct = {}
     for i in range(m):
         for j in range(i + 1, m):
-            br = _abstract_bracket(adapted[i][0], adapted[j][0], struct, m, field)
+            br = table.bracket(adapted[i][0], adapted[j][0], field.zero)
             astruct[(i, j)] = to_adapted(br)
 
     algebra = _PbwAlgebra(field, weights, cls_bound, astruct)
     ring = span.ring
     rho = [algebra.left_mult_matrix(g, ring) for g in range(m)]
     target = LieSpan(rho)
+    # rho_i is the adapted basis vector i, so astruct is its table
+    target._table = LieTable(field, m, astruct)
 
     # project each span basis vector: complement coords, then adapted coords
-    images = tuple(_combination(to_adapted(h_coords(b)), rho, ring, target.n)
-                   for b in span.basis)
+    image_coords = tuple(to_adapted(h_coords(b)) for b in span.basis)
+    images = tuple(_combination(c, rho, ring, target.n) for c in image_coords)
     # a preimage of each target basis vector: the same combination of the
     # complement representatives that defines the adapted basis vector
     section = tuple(_combination(v, mixed[:m], ring, span.n) for v, _ in adapted)
     hom = LieHom(span, target, images, check=True, complement=complement,
-                 section=section)
+                 section=section, image_coords=image_coords)
     return target, hom

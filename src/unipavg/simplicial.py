@@ -10,7 +10,11 @@ simplices reproduces the datum of the reindexed multi-index.
 
 `tower_compatibility` checks the finite content of averaging through a
 descending chain of ideals: projections to each quotient commute with the
-average, and the quotient averages agree along the induced maps.
+average, and the quotient averages agree along the induced maps.  Each
+quotient floor is averaged in Lie coordinates, with the truncated BCH
+product of its structure constants, rather than in its matrix
+re-embedding: a section enters as the coordinates of its log, projected
+linearly, and every comparison is between exact coordinate vectors.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations_with_replacement
 
-from .average import SectionTuple, wav
+from .average import CoordinateTuple, SectionTuple, wav
 from .errors import InputError, MembershipError, RingMismatch
 from .exactring import SimplexMap
-from .nilpotent import LieHom, LieSpan, UniMatrix, apply_hom, pull_back, quotient_span
+from .nilpotent import (LieHom, LieSpan, UniMatrix, apply_hom, log_unipotent, pull_back,
+                        quotient_span)
 
 
 class FiniteCover:
@@ -287,14 +292,19 @@ def tower_compatibility(t: SectionTuple, ideals) -> TowerReport:
                 raise InputError("ideal chain is not descending at step %d" % (k + 1))
 
     base_avg = wav(t)
+    # the coordinates of each log on the group's basis; a floor's projection
+    # maps them linearly to the quotient's coordinates
+    logs = [group.coordinates(log_unipotent(s)) for s in t.sections]
+    base_log = group.coordinates(log_unipotent(base_avg))
+    zero, simplex_zero, field_zero = t.ring.zero(), base_avg.ring.zero(), group.field.zero
     report = TowerReport(ok=True, levels=[])
     quotients = []
     for k, ideal in enumerate(ideals):
         quotient, proj = quotient_span(group, ideal)   # validates ideal-ness
-        projected = SectionTuple(quotient, [apply_hom(proj, s) for s in t.sections])
+        projected = CoordinateTuple(quotient.table, [proj.map_coordinates(x, zero)
+                                                     for x in logs], t.ring)
         q_avg = wav(projected)
-        pushed = apply_hom(proj, base_avg)
-        ok = pushed == q_avg
+        ok = proj.map_coordinates(base_log, simplex_zero) == q_avg
         if not ok:
             report.ok = False
             report.failures.append("projection %d does not commute with the average" % k)
@@ -315,13 +325,13 @@ def tower_compatibility(t: SectionTuple, ideals) -> TowerReport:
             report.failures.append("no induced map between quotients %d and %d: %s"
                                    % (k + 1, k, exc))
             continue
-        for b in group.basis:
-            if apply_hom(induced, apply_hom(fine_proj, b)) != apply_hom(coarse_proj, b):
+        for fine_b, coarse_b in zip(fine_proj.image_coords, coarse_proj.image_coords):
+            if induced.map_coordinates(fine_b, field_zero) != coarse_b:
                 report.ok = False
                 report.failures.append("induced map %d -> %d does not factor the "
                                        "projection" % (k + 1, k))
                 break
-        if apply_hom(induced, fine_avg) != coarse_avg:
+        if induced.map_coordinates(fine_avg, simplex_zero) != coarse_avg:
             report.ok = False
             report.failures.append("averages disagree along the tower at step %d" % k)
     return report

@@ -1,0 +1,261 @@
+"""The Lie-coordinate group law and the quotient tower averaged with it.
+
+A LieTable holds structure constants; its group law is BCH truncated at
+the nilpotency class, with the homogeneous terms taken from the free
+associative algebra.  The law is checked against the textbook BCH
+coefficients and against `bch` on matrices, and the coordinate tower
+against the matrix `wav` it replaced.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from unipavg import (
+    QQ,
+    InputError,
+    PolyRing,
+    RingMismatch,
+    SectionTuple,
+    apply_hom,
+    bch,
+    exp_nilpotent,
+    full_unipotent_span,
+    log_unipotent,
+    lower_central_series,
+    quotient_span,
+    simplicial,
+    tower_compatibility,
+    wav,
+)
+from unipavg.average import CoordinateTuple
+from unipavg.fixtures import heisenberg_span, sqrt2_field
+from unipavg.nilpotent import LieSpan, LieTable, _bch_terms
+from helpers import rand_scalar, rand_tuple
+
+FIELDS = [QQ, sqrt2_field()]
+
+
+# ---------------------------------------------------------------------------
+# the BCH terms
+# ---------------------------------------------------------------------------
+
+def commutator(a, b):
+    """[a, b] = ab - ba in the free associative algebra, as {word: coef}."""
+    out = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            out[u + v] = out.get(u + v, 0) + x * y
+            out[v + u] = out.get(v + u, 0) - x * y
+    return {w: c for w, c in out.items() if c}
+
+
+def expand(word):
+    """The right-nested bracket [w_1, [w_2, ..., w_k]] as associative words."""
+    out = {word[-1:]: Fraction(1)}
+    for letter in reversed(word[:-1]):
+        out = commutator({(letter,): Fraction(1)}, out)
+    return out
+
+
+def expand_terms(terms):
+    out = {}
+    for word, coef in terms:
+        for w, c in expand(word).items():
+            out[w] = out.get(w, 0) + coef * c
+    return {w: c for w, c in out.items() if c}
+
+
+def test_bch_terms_give_the_textbook_coefficients():
+    # X + Y + 1/2 [X,Y] + 1/12 [X,[X,Y]] - 1/12 [Y,[X,Y]] - 1/24 [Y,[X,[X,Y]]]
+    textbook = [((0, 1), Fraction(1, 2)), ((0, 0, 1), Fraction(1, 12)),
+                ((1, 0, 1), Fraction(-1, 12)), ((1, 0, 0, 1), Fraction(-1, 24))]
+    # below degree 4 the right-nested words ending in (0, 1) are a basis
+    assert _bch_terms(2) == textbook[:1]
+    assert _bch_terms(3) == textbook[:3]
+    # in degree 4 they are not ([X,[Y,[X,Y]]] = [Y,[X,[X,Y]]]), so compare
+    # the associative expansions
+    assert expand_terms(_bch_terms(4)) == expand_terms(textbook)
+    assert _bch_terms(1) == []
+
+
+def test_bch_terms_of_lower_classes_are_truncations():
+    top = _bch_terms(6)
+    for c in range(1, 6):
+        assert _bch_terms(c) == [(w, x) for w, x in top if len(w) <= c]
+    assert all(w[-2:] == (0, 1) for w, _ in top)
+
+
+# ---------------------------------------------------------------------------
+# the coordinate group law against matrices
+# ---------------------------------------------------------------------------
+
+def rand_coords(rng, ring, dim):
+    """A coordinate vector over ring: some zero entries, constants, and
+    affine polynomials in the simplex coordinates when ring.q > 0."""
+    field = ring.field
+    out = []
+    for _ in range(dim):
+        if rng.random() < 0.25:
+            out.append(ring.zero())
+            continue
+        p = ring.constant(rand_scalar(rng, field, -2, 2, 2))
+        for v in range(ring.q):
+            if rng.random() < 0.5:
+                p = p + ring.coordinate(v).scale(rand_scalar(rng, field, -2, 2, 2))
+        out.append(p)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(sqrt2)"])
+def test_coordinate_product_equals_matrix_bch(field):
+    rng = random.Random(901 + field.degree)
+    for n in range(1, 7):
+        span = full_unipotent_span(n, field)
+        table = span.table
+        assert table.nilpotency_class == max(n - 1, 0)
+        for q in (0, 2):
+            ring = PolyRing(field, q)
+            for _ in range(2 if n < 6 else 1):
+                x, y = rand_coords(rng, ring, span.dim), rand_coords(rng, ring, span.dim)
+                a, b = span.from_coordinates(x, ring), span.from_coordinates(y, ring)
+                assert span.from_coordinates(table.mul(x, y), ring) == bch(a, b)
+                assert span.from_coordinates(table.bracket(x, y, ring.zero()), ring) \
+                    == a.bracket(b)
+                assert table.mul(x, table.inverse(x)) == tuple(ring.zero() for _ in x)
+
+
+def test_quotient_table_is_the_bracket_table_of_its_matrices():
+    for field in FIELDS:
+        for span in (full_unipotent_span(4, field), heisenberg_span(field)):
+            for ideal in lower_central_series(span)[1:-1]:
+                quot, proj = quotient_span(span, ideal)
+                rebuilt = LieSpan(quot.basis).table
+                assert quot.table.struct == rebuilt.struct
+                assert quot.table.nilpotency_class == len(lower_central_series(quot)) - 1
+                # the recorded image coordinates are those of the images
+                assert proj.image_coords == tuple(
+                    tuple(c.constant_value() for c in quot.coordinates(img))
+                    for img in proj.images)
+
+
+def test_trivial_table_law():
+    table = LieTable(QQ, 0, {})
+    assert table.nilpotency_class == 0 and table.derived_length == 0
+    assert table.mul((), ()) == ()
+    ring = PolyRing(QQ, 0)
+    assert wav(CoordinateTuple(table, [(), ()], ring)) == ()
+
+
+def test_coordinate_tuple_rejects_bad_vectors():
+    table = heisenberg_span().table
+    ring = PolyRing(QQ, 0)
+    one = ring.one()
+    with pytest.raises(InputError, match="expected 3 coordinates"):
+        CoordinateTuple(table, [(one, one)], ring)
+    with pytest.raises(RingMismatch, match="tuple's ring"):
+        CoordinateTuple(table, [(one, one, PolyRing(QQ, 1).one())], ring)
+    line = PolyRing(QQ, 1)
+    with pytest.raises(InputError, match="domain degree"):
+        CoordinateTuple(table, [(line.one(),) * 3] * 3, line)
+
+
+# ---------------------------------------------------------------------------
+# the tower floors in coordinates against the matrix average
+# ---------------------------------------------------------------------------
+
+def floors(field):
+    """(span, ideal) for every floor of the U_4 lower-central-series tower
+    and for the Heisenberg algebra modulo its centre."""
+    ut4 = full_unipotent_span(4, field)
+    heis = heisenberg_span(field)
+    return [(ut4, ideal) for ideal in lower_central_series(ut4)[1:]] + \
+        [(heis, lower_central_series(heis)[1])]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(sqrt2)"])
+def test_coordinate_floor_average_equals_matrix_wav(field):
+    rng = random.Random(902 + field.degree)
+    for span, ideal in floors(field):
+        quot, proj = quotient_span(span, ideal)
+        for q in range(4):
+            t = rand_tuple(rng, span, q)
+            projected = SectionTuple(quot, [apply_hom(proj, s) for s in t.sections])
+            # the coordinates of the projected logs, read two ways
+            zero = t.ring.zero()
+            coords = [proj.map_coordinates(span.coordinates(log_unipotent(s)), zero)
+                      for s in t.sections]
+            assert coords == [tuple(quot.coordinates(log_unipotent(s)))
+                              for s in projected.sections]
+            avg = wav(CoordinateTuple(quot.table, coords, t.ring))
+            expected = wav(projected)
+            assert exp_nilpotent(quot.from_coordinates(avg, expected.ring)) == expected
+
+
+def perturb_floor(monkeypatch, floor):
+    """Make the tower's coordinate average of one floor (0 = the first
+    ideal) wrong by a central term."""
+    calls = []
+    original = simplicial.wav
+
+    def patched(t, *args, **kwargs):
+        out = original(t, *args, **kwargs)
+        if isinstance(t, CoordinateTuple):
+            calls.append(t)
+            if len(calls) == floor + 1:
+                central = t.table.lower_central_series()[-1][0]
+                ring = out[0].ring
+                out = tuple(x + ring.constant(c) for x, c in zip(out, central))
+        return out
+
+    monkeypatch.setattr(simplicial, "wav", patched)
+    return calls
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(sqrt2)"])
+def test_a_wrong_floor_average_fails_the_tower(field, monkeypatch):
+    rng = random.Random(903 + field.degree)
+    span = full_unipotent_span(4, field)
+    ideals = lower_central_series(span)[1:]
+    # the messages the tower gave for the same perturbation when it averaged
+    # each floor as matrices; the last floor's centre maps to zero in the
+    # floor below it, so only its own commutation fails
+    expected = {0: ["projection 0 does not commute with the average",
+                    "averages disagree along the tower at step 0"],
+                1: ["projection 1 does not commute with the average",
+                    "averages disagree along the tower at step 1"],
+                2: ["projection 2 does not commute with the average"]}
+    for q in (1, 2):
+        t = rand_tuple(rng, span, q)
+        assert tower_compatibility(t, ideals).ok
+        for floor, failures in expected.items():
+            with monkeypatch.context() as m:
+                calls = perturb_floor(m, floor)
+                report = tower_compatibility(t, ideals)
+            assert len(calls) == len(ideals)
+            assert not report.ok
+            assert report.failures == failures
+            assert [lv["commutes"] for lv in report.levels] == [k != floor for k in range(3)]
+
+
+def test_tower_rejects_a_wrong_induced_factorisation(monkeypatch):
+    # a corrupted recorded projection of one basis vector must be caught by
+    # the factorisation check, in coordinates
+    span = full_unipotent_span(4, QQ)
+    ideals = lower_central_series(span)[1:]
+    t = rand_tuple(random.Random(904), span, 1)
+    original = simplicial.quotient_span
+
+    def corrupting(group, ideal):
+        quot, proj = original(group, ideal)
+        if ideal is ideals[1]:
+            coords = list(proj.image_coords)
+            coords[0] = tuple(c + 1 for c in coords[0])
+            proj._image_coords = tuple(coords)
+        return quot, proj
+
+    monkeypatch.setattr(simplicial, "quotient_span", corrupting)
+    report = tower_compatibility(t, ideals)
+    assert not report.ok
+    assert "induced map 1 -> 0 does not factor the projection" in report.failures

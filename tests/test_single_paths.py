@@ -165,8 +165,9 @@ def test_exp_log_inverse_match_the_old_loops(field):
             assert_same(uni.inverse(), old_inverse(uni))
 
 
-def test_each_series_takes_n_minus_1_products(monkeypatch):
-    # the bench counts triangular products; the shared series keeps the count
+def test_each_series_takes_n_minus_2_products(monkeypatch):
+    # the bench counts triangular products; the series starts from x, so
+    # x^1 costs no product and no power is multiplied by the identity
     calls = []
 
     def counting(a, b, ring):
@@ -182,7 +183,7 @@ def test_each_series_takes_n_minus_1_products(monkeypatch):
         for run in (lambda: exp_nilpotent(nil), lambda: log_unipotent(uni), uni.inverse):
             calls.clear()
             run()
-            assert calls == [n] * (n - 1)
+            assert calls == [n] * (n - 2)
 
 
 # ---------------------------------------------------------------------------
