@@ -6,22 +6,27 @@ The two kinds share one storage class and one triangular product.
 Nilpotency makes exp, log and the group inverse terminating power series,
 summed by one helper, so everything here is exact.
 
-Spans (subalgebras given by a finite basis of constant matrices) carry a
-precomputed elimination matrix, so membership tests and coordinate solves
-work uniformly for matrices with polynomial entries.  Going back, one
-helper sums coordinates times constant basis matrices, moving each
-constant into the coordinates' ring by its integer numerators.  Quotients
-by an ideal are re-embedded as strictly upper triangular matrices through
-a weight-truncated enveloping algebra; the re-embedding is faithful
-because left multiplication fixes the ground vector 1.
+Spans (subalgebras given by a finite basis of constant matrices) keep
+their basis in one sparse reduced echelon store, with the transform back
+to the basis, so membership tests and coordinate solves work uniformly
+for matrices with polynomial entries; the same store picks independent
+vectors wherever a basis is chosen.  Going back, one helper sums
+coordinates times constant basis matrices, moving each constant into the
+coordinates' ring by its integer numerators.  Quotients by an ideal are
+re-embedded as strictly upper triangular matrices through a
+weight-truncated enveloping algebra; the re-embedding is faithful because
+left multiplication fixes the ground vector 1.
 
 Each span also has a structure-constant table (`LieTable`), built on
-first use; the derived length and the nilpotency class are read from it.
-The table is the group law in Lie coordinates as well: an element is the
-coordinate vector of its log and the product is BCH truncated at the
-class, so a quotient floor can be averaged on its table alone.
-`quotient_span` seeds its target's table from the structure constants it
-computes anyway, and records each projected basis vector's coordinates.
+first use; the lower central series, the derived length and the
+nilpotency class are read from it, and a hom's bracket check compares
+the two tables.  The table is the group law in Lie coordinates as well:
+an element is the coordinate vector of its log and the product is BCH
+truncated at the class, so a quotient floor can be averaged on its table
+alone.  `quotient_span` seeds its target's table and class from the
+structure constants and series it computes anyway, records each projected
+basis vector's coordinates, and checks neither the target's closure nor
+the projection, which hold by construction.
 """
 
 from __future__ import annotations
@@ -296,102 +301,79 @@ def pull_back(mat, alpha):
 
 
 # ---------------------------------------------------------------------------
-# exact linear solves against a fixed independent column family
+# exact linear algebra: one incremental echelon store
 # ---------------------------------------------------------------------------
 
-class _LinSolver:
-    """Given independent columns b_1..b_m in field^E, precompute a matrix S
-    with S B = [I_m; 0].  A solve then reads coordinates off the first m
-    entries of S v and demands the remaining E - m entries vanish; because
-    S is invertible this is equivalent to v lying in the column span."""
-
-    __slots__ = ("field", "m", "length", "srows")
-
-    def __init__(self, field, columns, what="basis"):
-        self.field = field
-        self.m = len(columns)
-        self.length = len(columns[0]) if columns else 0
-        if any(len(c) != self.length for c in columns):
-            raise InputError("solver columns have mixed lengths")
-        zero, one = field.zero, field.one
-        aug = []
-        for r in range(self.length):
-            row = [columns[c][r] for c in range(self.m)]
-            row.extend(one if r == s else zero for s in range(self.length))
-            aug.append(row)
-        # reduced row echelon form on the first m columns
-        pivot_row = 0
-        for col in range(self.m):
-            sel = None
-            for r in range(pivot_row, self.length):
-                if not aug[r][col].is_zero:
-                    sel = r
-                    break
-            if sel is None:
-                raise InputError("the %s is linearly dependent" % what)
-            aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
-            inv = aug[pivot_row][col].inverse()
-            aug[pivot_row] = [x if x.is_zero else x * inv for x in aug[pivot_row]]
-            # row operations touch only the pivot row's nonzero entries
-            pivot = [(i, y) for i, y in enumerate(aug[pivot_row]) if not y.is_zero]
-            for r in range(self.length):
-                if r != pivot_row and not aug[r][col].is_zero:
-                    f, row = aug[r][col], aug[r]
-                    for i, y in pivot:
-                        row[i] = row[i] - f * y
-            pivot_row += 1
-        self.srows = tuple(tuple(row[self.m:]) for row in aug)
-
-    def solve(self, vec, zero):
-        """Coordinates of vec in the column family.  Entries of vec may be
-        scalars or polynomials; `zero` is the zero of their ring."""
-        if len(vec) != self.length:
-            raise InputError("vector length %d does not match solver length %d"
-                             % (len(vec), self.length))
-        nonzero = [(i, v) for i, v in enumerate(vec) if not v.is_zero]
-        out = []
-        for r in range(self.length):
-            acc = zero
-            srow = self.srows[r]
-            for i, v in nonzero:
-                c = srow[i]
-                if not c.is_zero:
-                    acc = acc + v * c
-            if r < self.m:
-                out.append(acc)
-            elif not acc.is_zero:
-                raise MembershipError("vector lies outside the span")
-        return out
+def _axpy(acc, c, vec):
+    """acc += c vec for sparse {index: value} maps, dropping zero entries."""
+    for i, x in vec.items():
+        y = acc.get(i)
+        y = c * x if y is None else y + c * x
+        if y.is_zero:
+            acc.pop(i, None)
+        else:
+            acc[i] = y
 
 
 class _Echelon:
-    """Incremental row echelon store for picking independent subsets."""
+    """Independent vectors v_0, v_1, ... over a field, in the order they
+    were kept, stored as the rows of their reduced echelon form: each row
+    is a sparse {index: value} map that is 1 at its own pivot and 0 at the
+    other rows' pivots, and `transform[r]` writes row r as a sparse
+    combination {k: value} of the kept v_k.  A solve reads a vector's
+    entries at the pivots and maps them back through the transform, so
+    nothing larger than the rows and an m x m transform is stored."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "transform")
 
-    def __init__(self, field):
+    def __init__(self, field, vectors=(), what="basis"):
         self.field = field
-        self.rows = []          # list of (pivot index, normalized vector)
-
-    def reduce(self, vec):
-        vec = list(vec)
-        for piv, row in self.rows:
-            c = vec[piv]
-            if not c.is_zero:
-                for i in range(piv, len(vec)):
-                    if not row[i].is_zero:
-                        vec[i] = vec[i] - c * row[i]
-        return vec
+        self.rows = []          # (pivot, sparse row)
+        self.transform = []
+        for vec in vectors:
+            if not self.add(vec):
+                raise InputError("the %s is linearly dependent" % what)
 
     def add(self, vec):
-        """Reduce vec; if independent of stored rows, keep it and return True."""
-        vec = self.reduce(vec)
-        piv = next((i for i, x in enumerate(vec) if not x.is_zero), None)
-        if piv is None:
+        """Keep vec, as the next v_k, if it is independent of the vectors
+        kept so far, and return whether it was kept."""
+        row = {i: x for i, x in enumerate(vec) if not x.is_zero}
+        comb = {len(self.rows): self.field.one}
+        for (piv, old), old_comb in zip(self.rows, self.transform):
+            c = row.get(piv)
+            if c is not None:
+                _axpy(row, -c, old)
+                _axpy(comb, -c, old_comb)
+        if not row:
             return False
-        inv = vec[piv].inverse()
-        self.rows.append((piv, tuple(x * inv for x in vec)))
+        piv = min(row)
+        inv = row[piv].inverse()
+        row = {i: x * inv for i, x in row.items()}
+        comb = {k: x * inv for k, x in comb.items()}
+        for (_, old), old_comb in zip(self.rows, self.transform):
+            c = old.get(piv)
+            if c is not None:
+                _axpy(old, -c, row)
+                _axpy(old_comb, -c, comb)
+        self.rows.append((piv, row))
+        self.transform.append(comb)
         return True
+
+    def solve(self, vec, zero):
+        """The coordinates of vec on the kept vectors.  Entries of vec may be
+        scalars or polynomials; `zero` is the zero of their ring.  Raises
+        MembershipError when vec is not a combination of the kept vectors."""
+        rest = {i: x for i, x in enumerate(vec) if not x.is_zero}
+        out = [zero] * len(self.rows)
+        for (piv, row), comb in zip(self.rows, self.transform):
+            c = rest.get(piv)
+            if c is not None:
+                _axpy(rest, -c, row)
+                for k, t in comb.items():
+                    out[k] = out[k] + c * t
+        if rest:
+            raise MembershipError("vector lies outside the span")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +566,8 @@ class LieTable:
 
 def _constant_vector(mat):
     """The strictly upper entries of a constant matrix, as field values."""
-    return tuple(e.constant_value() for e in mat.strict_upper())
+    zero = mat.ring.field.zero
+    return tuple(zero if e.is_zero else e.constant_value() for e in mat.strict_upper())
 
 
 def _lift(mat, ring):
@@ -619,7 +602,7 @@ class LieSpan:
     by an independent basis of constant matrices over a scalar field.
     Construction verifies independence and closure under the bracket."""
 
-    __slots__ = ("field", "ring", "n", "basis", "_solver", "_table")
+    __slots__ = ("field", "ring", "n", "basis", "_echelon", "_table")
 
     def __init__(self, basis, n=None, field=None, check=True):
         basis = tuple(basis)
@@ -642,8 +625,8 @@ class LieSpan:
                 raise InputError("span basis matrices must have constant entries")
             fixed.append(_lift(b, self.ring))
         self.basis = tuple(fixed)
-        columns = [_constant_vector(b) for b in self.basis]
-        self._solver = _LinSolver(field, columns, what="span basis") if columns else None
+        self._echelon = _Echelon(field, [_constant_vector(b) for b in self.basis],
+                                 what="span basis")
         self._table = None
         if check:
             for i in range(len(self.basis)):
@@ -667,7 +650,7 @@ class LieSpan:
             struct = {}
             for i, j in combinations(range(self.dim), 2):
                 br = _constant_vector(self.basis[i].bracket(self.basis[j]))
-                struct[(i, j)] = tuple(self._solver.solve(br, zero))
+                struct[(i, j)] = tuple(self._echelon.solve(br, zero))
             self._table = LieTable(self.field, self.dim, struct)
         return self._table
 
@@ -680,13 +663,7 @@ class LieSpan:
         if mat.n != self.n or (mat.ring.field is not self.field
                                and mat.ring.field != self.field):
             raise RingMismatch("matrix does not live in this span's space")
-        vec = mat.strict_upper()
-        zero = mat.ring.zero()
-        if self.dim == 0:
-            if any(not v.is_zero for v in vec):
-                raise MembershipError("vector lies outside the span")
-            return []
-        return self._solver.solve(vec, zero)
+        return self._echelon.solve(mat.strict_upper(), mat.ring.zero())
 
     def require_element(self, u, what="a matrix"):
         """Raise unless the unit upper matrix u lies in the group of this
@@ -726,27 +703,16 @@ class LieSpan:
         return "LieSpan(n=%d, dim=%d over %r)" % (self.n, self.dim, self.field)
 
 
-def _independent_matrices(field, mats):
-    ech = _Echelon(field)
-    out = []
-    for m in mats:
-        if ech.add(_constant_vector(m)):
-            out.append(m)
-    return out
-
-
-def _bracket_basis(field, left, right):
-    return _independent_matrices(field, (a.bracket(b) for a in left for b in right))
-
-
 def lower_central_series(span: LieSpan):
-    """g = g_1, g_{k+1} = [g, g_k], listed down to and including zero.
-    Every term is closed under the bracket by construction, so none is
-    checked."""
+    """g = g_1, g_{k+1} = [g, g_k], listed down to and including zero: the
+    span's table picks each term's basis, and the matrices are those
+    coordinates on the span basis.  Every term is closed under the bracket
+    by construction, so none is checked."""
     out = [span]
-    while out[-1].dim > 0:
-        out.append(LieSpan(_bracket_basis(span.field, span.basis, out[-1].basis),
-                           n=span.n, field=span.field, check=False))
+    if span.dim:
+        for level in span.table.lower_central_series()[1:] + [[]]:
+            out.append(LieSpan([span.from_coordinates(c) for c in level],
+                               n=span.n, field=span.field, check=False))
     return out
 
 
@@ -779,7 +745,9 @@ def full_unipotent_span(n: int, field: ScalarField) -> LieSpan:
 class LieHom:
     """A Lie algebra homomorphism between spans, given by basis images.
     Construction verifies the images land in the target span and that
-    brackets of basis pairs are preserved."""
+    brackets of basis pairs are preserved, both in coordinates: the image
+    of [b_i, b_j] is read from the source table, the bracket of the images
+    from the target table."""
 
     __slots__ = ("source", "target", "images", "complement", "section", "_image_coords")
 
@@ -795,20 +763,20 @@ class LieHom:
         self.images = images
         self.complement = complement
         self.section = section      # chosen preimages of the target basis, if any
-        self._image_coords = image_coords
+        self._image_coords = None if check else image_coords
         if check:
-            for img in images:
-                try:
-                    target.coordinates(img)
-                except MembershipError:
-                    raise InputError("a basis image lies outside the target span") from None
-            for i in range(source.dim):
-                for j in range(i + 1, source.dim):
-                    lhs = self(source.basis[i].bracket(source.basis[j]))
-                    rhs = images[i].bracket(images[j])
-                    if lhs != rhs:
-                        raise InputError("images do not preserve the bracket "
-                                         "(basis pair %d, %d)" % (i, j))
+            try:
+                coords = self.image_coords
+            except MembershipError:
+                raise InputError("a basis image lies outside the target span") from None
+            if source.field != target.field:
+                raise RingMismatch("matrix field does not match the hom")
+            zero = target.field.zero
+            for i, j in combinations(range(source.dim), 2):
+                lhs = self.map_coordinates(source.table.struct[(i, j)], zero)
+                if lhs != target.table.bracket(coords[i], coords[j], zero):
+                    raise InputError("images do not preserve the bracket "
+                                     "(basis pair %d, %d)" % (i, j))
 
     @classmethod
     def identity(cls, span):
@@ -984,30 +952,19 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
         hom = LieHom(span, target, images, check=False, complement=(), section=())
         return target, hom
 
-    # pick span basis vectors completing the ideal to a basis of the span
-    ech = _Echelon(field)
-    for b in ideal.basis:
-        ech.add(_constant_vector(b))
-    complement = []
-    for idx, b in enumerate(span.basis):
-        if ech.add(_constant_vector(b)):
-            complement.append(idx)
-    complement = tuple(complement)
+    # pick span basis vectors completing the ideal to a basis of the span;
+    # the store then solves on the ideal basis followed by the complement
+    ech = _Echelon(field, [_constant_vector(b) for b in ideal.basis], what="ideal basis")
+    complement = tuple(idx for idx, b in enumerate(span.basis)
+                       if ech.add(_constant_vector(b)))
     m = len(complement)
-    mixed = [span.basis[i] for i in complement] + list(ideal.basis)
-    mixed_cols = [_constant_vector(b) for b in mixed]
-    mixed_solver = _LinSolver(field, mixed_cols, what="complement basis")
+    reps = [span.basis[i] for i in complement]
 
     def h_coords(mat):
-        full = mixed_solver.solve(mat.strict_upper(), mat.ring.zero())
-        return tuple(c.constant_value() if isinstance(c, SimplexPoly) else c
-                     for c in full[:m])
+        return tuple(ech.solve(_constant_vector(mat), field.zero)[ideal.dim:])
 
     # structure constants of the quotient on the complement classes
-    struct = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            struct[(i, j)] = h_coords(mixed[i].bracket(mixed[j]))
+    struct = {(i, j): h_coords(reps[i].bracket(reps[j])) for i, j in combinations(range(m), 2)}
     table = LieTable(field, m, struct)
 
     # weights from a lower-central-series adapted basis of the quotient
@@ -1016,34 +973,32 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     adapted = []            # (vector over the complement classes, weight)
     ech2 = _Echelon(field)
     for k in range(cls_bound, 0, -1):
-        for v in levels[k - 1]:
-            if ech2.add(v):
-                adapted.append((v, k))
-    adapted_solver = _LinSolver(field, [v for v, _ in adapted], what="adapted basis")
+        adapted += [(v, k) for v in levels[k - 1] if ech2.add(v)]
     weights = [w for _, w in adapted]
 
     def to_adapted(vec):
-        return tuple(adapted_solver.solve(list(vec), field.zero))
+        return tuple(ech2.solve(vec, field.zero))
 
-    astruct = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            br = table.bracket(adapted[i][0], adapted[j][0], field.zero)
-            astruct[(i, j)] = to_adapted(br)
+    astruct = {(i, j): to_adapted(table.bracket(adapted[i][0], adapted[j][0], field.zero))
+               for i, j in combinations(range(m), 2)}
 
     algebra = _PbwAlgebra(field, weights, cls_bound, astruct)
     ring = span.ring
     rho = [algebra.left_mult_matrix(g, ring) for g in range(m)]
-    target = LieSpan(rho)
-    # rho_i is the adapted basis vector i, so astruct is its table
+    # closed under the bracket by construction, so not checked
+    target = LieSpan(rho, check=False)
+    # rho_i is the adapted basis vector i, so astruct is its table, and its
+    # class is the quotient's
     target._table = LieTable(field, m, astruct)
+    target._table._class = cls_bound
 
     # project each span basis vector: complement coords, then adapted coords
     image_coords = tuple(to_adapted(h_coords(b)) for b in span.basis)
     images = tuple(_combination(c, rho, ring, target.n) for c in image_coords)
     # a preimage of each target basis vector: the same combination of the
     # complement representatives that defines the adapted basis vector
-    section = tuple(_combination(v, mixed[:m], ring, span.n) for v, _ in adapted)
-    hom = LieHom(span, target, images, check=True, complement=complement,
+    section = tuple(_combination(v, reps, ring, span.n) for v, _ in adapted)
+    # a hom by construction (rho is faithful on the quotient), so not checked
+    hom = LieHom(span, target, images, check=False, complement=complement,
                  section=section, image_coords=image_coords)
     return target, hom

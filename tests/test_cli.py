@@ -104,6 +104,20 @@ def test_wav_rejects_simplex_sections(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("keep, message", [
+    ([0, 1, 2, 0], "the span basis is linearly dependent"),
+    ([0, 2], "span is not closed under the bracket (basis pair 0, 1)"),
+], ids=["dependent", "not-closed"])
+def test_wav_rejects_a_bad_span_basis(tmp_path, capsys, keep, message):
+    # the Heisenberg basis is E_01, E_02, E_12, and [E_01, E_12] = E_02
+    doc = serialize.tuple_to_json(two_point_tuple())
+    doc["group"]["basis"] = [doc["group"]["basis"][k] for k in keep]
+    path = write_doc(tmp_path, "t.json", doc)
+    code, out, err = run(capsys, ["wav", "--input", path])
+    assert code == 2 and out is None
+    assert err["error"] == {"kind": "input-error", "type": "InputError", "message": message}
+
+
 def test_wav_output_file(tmp_path, capsys):
     t = two_point_tuple()
     path = write_doc(tmp_path, "t.json", serialize.tuple_to_json(t))

@@ -2,9 +2,12 @@
 they replace: `wav` stopping once the tuple agrees, group membership
 decided by shape for full spans, tuples built by the operators trusted
 without a membership check, the derived and lower central series
-built from the brackets of basis pairs i < j without closure checks, and
-the triangular row kernels that skip structural zeros.  The tower outputs
-are pinned to digests of the dense kernels' output bytes."""
+built from the brackets of basis pairs i < j without closure checks, the
+triangular row kernels that skip structural zeros, the sparse echelon
+solve against the augmented-identity solver, and the quotient structure
+and hom bracket checks done on structure-constant tables against the
+matrix rules.  The tower outputs are pinned to digests of the dense
+kernels' output bytes."""
 
 import hashlib
 import json
@@ -23,6 +26,7 @@ from unipavg import (
     GaloisAction,
     GaloisOrbit,
     InputError,
+    LieHom,
     LieSpan,
     LocalSection,
     MembershipError,
@@ -55,7 +59,6 @@ from unipavg.fixtures import (
     two_point_tuple,
     u2_span,
 )
-from unipavg.nilpotent import _bracket_basis, _independent_matrices
 from unipavg.serialize import (matrix_to_json, span_to_json, tower_report_to_json,
                                tuple_to_json)
 from helpers import rand_nil_poly, rand_point, rand_scalar, rand_tuple
@@ -220,12 +223,23 @@ def test_public_section_tuples_still_check_membership():
 # derived series: pairs i < j against all ordered pairs
 # ---------------------------------------------------------------------------
 
+def independent_matrices(field, mats):
+    """The matrices independent of the ones kept before them, picked by the
+    library's echelon store; the matrix series below are built from them."""
+    ech = nilpotent_module._Echelon(field)
+    return [m for m in mats if ech.add([e.constant_value() for e in m.strict_upper()])]
+
+
+def bracket_basis(field, left, right):
+    return independent_matrices(field, (a.bracket(b) for a in left for b in right))
+
+
 def derived_length_ordered_pairs(span):
     cur = span
     count = 0
     while cur.dim > 0:
         count += 1
-        cur = LieSpan(_bracket_basis(span.field, cur.basis, cur.basis),
+        cur = LieSpan(bracket_basis(span.field, cur.basis, cur.basis),
                       n=span.n, field=span.field)
     return count
 
@@ -248,7 +262,7 @@ def series_with_closure_checks(span):
     dims = [span.dim]
     cur = span
     while cur.dim > 0:
-        cur = LieSpan(_bracket_basis(span.field, span.basis, cur.basis),
+        cur = LieSpan(bracket_basis(span.field, span.basis, cur.basis),
                       n=span.n, field=span.field, check=True)
         dims.append(cur.dim)
     cur = span
@@ -256,7 +270,7 @@ def series_with_closure_checks(span):
     while cur.dim > 0:
         length += 1
         brackets = (a.bracket(b) for a, b in combinations(cur.basis, 2))
-        cur = LieSpan(_independent_matrices(span.field, brackets),
+        cur = LieSpan(independent_matrices(span.field, brackets),
                       n=span.n, field=span.field, check=True)
     return dims, length
 
@@ -275,6 +289,131 @@ def test_series_without_closure_checks_match_checked_terms():
 def test_derived_length_of_full_groups_is_ceil_log2():
     for n in range(1, 7):
         assert derived_series_length(full_unipotent_span(n, QQ)) == (n - 1).bit_length()
+
+
+def test_lower_central_series_keeps_the_matrix_brackets():
+    """The table keeps the same brackets [b, c] (b in g, c in the previous
+    term) as the matrix series, in the same order, so every term has the
+    same basis matrices."""
+    spans = [full_unipotent_span(n, field) for n in range(1, 6)
+             for field in (QQ, sqrt2_field())]
+    ut4 = full_unipotent_span(4, QQ)
+    spans += [heisenberg_span(), abelian3_span(), LieSpan((), n=3, field=QQ)]
+    spans += [quotient_span(ut4, ideal)[0] for ideal in lower_central_series(ut4)[1:]]
+    for span in spans:
+        series = lower_central_series(span)
+        for prev, term in zip(series, series[1:]):
+            assert list(term.basis) == bracket_basis(span.field, span.basis, prev.basis)
+        assert series[-1].dim == 0
+
+
+# ---------------------------------------------------------------------------
+# quotients: the structure checks quotient_span no longer runs
+# ---------------------------------------------------------------------------
+
+def quotient_cases():
+    """Every floor of the U_4 and U_5 lower central series, and Heisenberg
+    modulo its centre, over Q and Q(sqrt2)."""
+    for field in (QQ, sqrt2_field()):
+        for n in (4, 5):
+            group = full_unipotent_span(n, field)
+            for ideal in lower_central_series(group):
+                yield group, ideal
+        heis = heisenberg_span(field)
+        yield heis, lower_central_series(heis)[1]
+
+
+def matrix_hom_rule(source, target, images):
+    """The check LieHom ran on matrices, written out: every image lies in
+    the target span, then hom([b_i, b_j]) == [image_i, image_j] for each
+    basis pair i < j in order.  Returns "ok" or the message."""
+    for img in images:
+        if not target.contains(img):
+            return "a basis image lies outside the target span"
+    for i, j in combinations(range(source.dim), 2):
+        coords = source.coordinates(source.basis[i].bracket(source.basis[j]))
+        lhs = NilMatrix.zero(target.ring, target.n)
+        for c, img in zip(coords, images):
+            lhs = lhs + img.scale(c.constant_value())
+        if lhs != images[i].bracket(images[j]):
+            return "images do not preserve the bracket (basis pair %d, %d)" % (i, j)
+    return "ok"
+
+
+def coordinate_hom_rule(source, target, images):
+    try:
+        LieHom(source, target, images)
+    except InputError as exc:
+        return str(exc)
+    return "ok"
+
+
+def test_quotients_pass_the_checks_quotient_span_skips():
+    floors = 0
+    for group, ideal in quotient_cases():
+        quot, proj = quotient_span(group, ideal)
+        seeded = quot.table
+        fresh = LieSpan(quot.basis, n=quot.n, field=quot.field, check=True)
+        assert fresh.table.struct == seeded.struct
+        checked = LieHom(group, quot, proj.images, check=True)
+        assert checked.image_coords == proj.image_coords
+        assert matrix_hom_rule(group, quot, proj.images) == "ok"
+        if 0 < ideal.dim < group.dim:
+            floors += 1
+            assert seeded._class is not None        # seeded, not computed
+        rebuilt = nilpotent_module.LieTable(quot.field, quot.dim, seeded.struct)
+        assert seeded.nilpotency_class == rebuilt.nilpotency_class
+    assert floors == 2 * (2 + 3 + 1)
+
+
+def random_images(rng, source, target):
+    """Basis images for a candidate hom from source to target: the zero
+    map, the identity, images on one line, or random combinations of the
+    target basis; sometimes one image is then moved by an elementary
+    matrix, which for a non-full target may leave it."""
+    ring, field = target.ring, target.field
+    zero = NilMatrix.zero(ring, target.n)
+
+    def combination(density):
+        return target.from_coordinates([rand_scalar(rng, field) if rng.random() < density
+                                        else field.zero for _ in range(target.dim)])
+
+    kind = rng.choice(("zero", "identity", "line", "random", "random"))
+    if kind == "identity" and source is target:
+        images = list(target.basis)
+    elif kind == "zero":
+        images = [zero] * source.dim
+    elif kind == "line":
+        v = combination(0.7)
+        images = [v.scale(rand_scalar(rng, field)) if rng.random() < 0.6 else zero
+                  for _ in range(source.dim)]
+    else:
+        images = [combination(rng.choice((0.2, 0.5, 1.0))) for _ in range(source.dim)]
+    if rng.random() < 0.25:
+        i, j = sorted(rng.sample(range(target.n), 2))
+        k = rng.randrange(source.dim)
+        images[k] = images[k] + NilMatrix.from_entries(ring, target.n, {(i, j): 1})
+    return images
+
+
+@pytest.mark.parametrize("field", [QQ, sqrt2_field()], ids=["Q", "Q(sqrt2)"])
+def test_coordinate_hom_check_matches_the_matrix_rule(field):
+    rng = random.Random(625)
+    ut4 = full_unipotent_span(4, field)
+    spans = [heisenberg_span(field), abelian3_span(field)]
+    spans += [quotient_span(ut4, ideal)[0] for ideal in lower_central_series(ut4)[1:3]]
+    seen = set()
+    for source in spans:
+        for target in spans:
+            for _ in range(8):
+                images = random_images(rng, source, target)
+                want = matrix_hom_rule(source, target, images)
+                assert coordinate_hom_rule(source, target, images) == want
+                seen.add(want)
+    assert "ok" in seen
+    assert "a basis image lies outside the target span" in seen
+    pairs = [m for m in seen if m.startswith("images do not preserve")]
+    assert len(pairs) > 3        # rejections at several different pairs
 
 
 # ---------------------------------------------------------------------------
@@ -410,22 +549,6 @@ def dense_scale_rows(rows, s):
     return tuple(tuple(x * s for x in row) for row in rows)
 
 
-def dense_solve(solver, vec, zero):
-    out = []
-    for r in range(solver.length):
-        acc = zero
-        srow = solver.srows[r]
-        for i, v in enumerate(vec):
-            c = srow[i]
-            if not c.is_zero and not v.is_zero:
-                acc = acc + v * c
-        if r < solver.m:
-            out.append(acc)
-        elif not acc.is_zero:
-            raise MembershipError("vector lies outside the span")
-    return out
-
-
 class BelowDiagonal:
     """Stands in for an entry below the diagonal of a triangular input,
     which the kernels must never read."""
@@ -511,39 +634,137 @@ def test_sparse_row_sums_and_scaling_match_dense(name):
                        if x.is_zero)
 
 
-def solve_or_outside(solve, vec, zero):
+class AugmentedSolver:
+    """The solver the echelon store replaced, written out as the reference.
+    For independent columns b_1..b_m in field^E it brings [B | I_E] to
+    reduced echelon form on the first m columns, which gives S with
+    S B = [I_m; 0].  A solve reads the coordinates off the first m entries
+    of S v and demands that the other E - m vanish; S is invertible, so
+    that holds exactly when v lies in the column span."""
+
+    def __init__(self, field, columns, length):
+        zero, one = field.zero, field.one
+        self.m, self.length = len(columns), length
+        aug = [[c[r] for c in columns] + [one if r == s else zero for s in range(length)]
+               for r in range(length)]
+        pivot_row = 0
+        for col in range(self.m):
+            sel = next((r for r in range(pivot_row, length) if not aug[r][col].is_zero), None)
+            if sel is None:
+                raise InputError("the basis is linearly dependent")
+            aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
+            inv = aug[pivot_row][col].inverse()
+            aug[pivot_row] = [x * inv for x in aug[pivot_row]]
+            pivot = [(i, y) for i, y in enumerate(aug[pivot_row]) if not y.is_zero]
+            for r in range(length):
+                f, row = aug[r][col], aug[r]
+                if r != pivot_row and not f.is_zero:
+                    for i, y in pivot:
+                        row[i] = row[i] - f * y
+            pivot_row += 1
+        self.srows = [row[self.m:] for row in aug]
+
+    def solve(self, vec, zero):
+        nonzero = [(i, v) for i, v in enumerate(vec) if not v.is_zero]
+        out = []
+        for r, srow in enumerate(self.srows):
+            acc = zero
+            for i, v in nonzero:
+                if not srow[i].is_zero:
+                    acc = acc + v * srow[i]
+            if r < self.m:
+                out.append(acc)
+            elif not acc.is_zero:
+                raise MembershipError("vector lies outside the span")
+        return out
+
+
+def outcome(solve):
     try:
-        return solve(vec, zero)
+        return solve()
     except MembershipError:
         return "outside"
+
+
+def solve_spans(field):
+    """The spans of the solve test: U_4 with two subalgebras and two of its
+    quotients, and the quotients of U_5 by its lower central series, the
+    largest of them on 52 x 52 matrices."""
+    ut4, ut5 = full_unipotent_span(4, field), full_unipotent_span(5, field)
+    spans = [ut4, heisenberg_span(field), abelian3_span(field),
+             lower_central_series(ut4)[1]]
+    spans += [quotient_span(ut4, ideal)[0] for ideal in lower_central_series(ut4)[1:3]]
+    spans += [quotient_span(ut5, ideal)[0] for ideal in lower_central_series(ut5)[1:4]]
+    return spans
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
 def test_sparse_solve_matches_dense(name):
     field = KERNEL_FIELDS[name]
     rng = random.Random(623)
-    ut4 = full_unipotent_span(4, field)
-    spans = [ut4, heisenberg_span(field), abelian3_span(field),
-             lower_central_series(ut4)[1]]
-    spans += [quotient_span(ut4, ideal)[0] for ideal in lower_central_series(ut4)[1:3]]
     constants = PolyRing(field, 0)
     outside = 0
-    for span in spans:
-        solver = span._solver
-        for density in DENSITIES:
+    for span in solve_spans(field):
+        length = span.n * (span.n - 1) // 2
+        ref = AugmentedSolver(field, [[e.constant_value() for e in b.strict_upper()]
+                                      for b in span.basis], length)
+        # sparse vectors on the large quotients keep the reference's dense walk short
+        for density in DENSITIES if length < 100 else DENSITIES[:2]:
             ring = PolyRing(field, rng.randrange(3))
             coords = [rand_entry(rng, ring, density) for _ in range(span.dim)]
-            inside = span.from_coordinates(coords, ring).strict_upper()
-            other = tuple(rand_entry(rng, ring, density) for _ in range(solver.length))
+            inside = span.from_coordinates(coords, ring)
+            other = NilMatrix.from_entries(ring, span.n, {
+                (i, j): rand_entry(rng, ring, density)
+                for i in range(span.n) for j in range(i + 1, span.n)})
             scalars = tuple(rand_entry(rng, constants, density).constant_value()
-                            for _ in range(solver.length))
-            for vec, zero in ((inside, ring.zero()), (other, ring.zero()),
-                              (scalars, field.zero)):
-                want = solve_or_outside(lambda v, z: dense_solve(solver, v, z), vec, zero)
-                assert solve_or_outside(solver.solve, vec, zero) == want
+                            for _ in range(length))
+            for mat in (inside, other):
+                want = outcome(lambda: ref.solve(mat.strict_upper(), ring.zero()))
+                assert outcome(lambda: span.coordinates(mat)) == want
                 outside += want == "outside"
-            assert solver.solve(inside, ring.zero()) == coords
+            want = outcome(lambda: ref.solve(scalars, field.zero))
+            assert outcome(lambda: span._echelon.solve(scalars, field.zero)) == want
+            outside += want == "outside"
+            assert span.coordinates(inside) == coords
     assert outside > 0           # the random vectors reach the MembershipError path
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_echelon_add_matches_augmented_rank(name):
+    """add keeps a vector exactly when the reference still finds the kept
+    vectors plus it independent, and the kept vectors then solve like the
+    reference built on them."""
+    field = KERNEL_FIELDS[name]
+    rng = random.Random(624)
+    for length in (1, 3, 6, 10):
+        ech, kept, answers = nilpotent_module._Echelon(field), [], []
+        for _ in range(2 * length):
+            if kept and rng.random() < 0.4:
+                # a combination of kept vectors, sometimes with a new entry
+                vec = [field.zero] * length
+                for v in rng.sample(kept, rng.randint(1, len(kept))):
+                    c = rand_scalar(rng, field)
+                    vec = [x + c * y for x, y in zip(vec, v)]
+                if rng.random() < 0.3:
+                    vec[rng.randrange(length)] += rand_scalar(rng, field)
+            else:
+                vec = [rand_entry(rng, PolyRing(field, 0), 0.4).constant_value()
+                       for _ in range(length)]
+            try:
+                AugmentedSolver(field, kept + [vec], length)
+                want = True
+            except InputError:
+                want = False
+            got = ech.add(vec)
+            assert got == want
+            answers.append(got)
+            if got:
+                kept.append(vec)
+        assert True in answers and False in answers
+        ref = AugmentedSolver(field, kept, length)
+        for vec in kept + [[rand_scalar(rng, field) for _ in range(length)]]:
+            assert (outcome(lambda: ech.solve(vec, field.zero))
+                    == outcome(lambda: ref.solve(vec, field.zero)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from unipavg import (
     nilpotency_class,
     quotient_span,
 )
-from unipavg.fixtures import abelian3_span, heisenberg_span, point_from_coordinates, u2_span
+from unipavg.fixtures import (abelian3_span, heisenberg_span, point_from_coordinates,
+                              sqrt2_field, u2_span)
 from helpers import rand_nil_poly, rand_point, rand_unipotent
 
 R0 = PolyRing(QQ, 0)
@@ -238,6 +239,13 @@ def test_hom_must_preserve_brackets():
     # bracket cannot preserve [e0, e1] = e2
     with pytest.raises(InputError):
         LieHom(heis, ab, [ab.basis[0], ab.basis[1], ab.basis[2]])
+
+
+@pytest.mark.parametrize("make_span", [heisenberg_span, abelian3_span])
+def test_hom_between_fields_is_rejected(make_span):
+    target = make_span(sqrt2_field())
+    with pytest.raises(RingMismatch, match="matrix field does not match the hom"):
+        LieHom(make_span(QQ), target, target.basis)
 
 
 def test_identity_hom_and_group_push():

@@ -223,6 +223,19 @@ def test_tower_over_central_series():
     assert "pass" in rep.summary()
 
 
+@pytest.mark.parametrize("n, qs", [(5, (1, 2)), (6, (1,))])
+def test_tower_over_central_series_of_larger_groups(n, qs):
+    rng = random.Random(506 + n)
+    group = full_unipotent_span(n, QQ)
+    chain = lower_central_series(group)[1:]
+    for q in qs:
+        rep = tower_compatibility(rand_tuple(rng, group, q), chain)
+        assert rep.ok, rep.failures
+        assert [lv["ideal_dim"] for lv in rep.levels] == [k * (k + 1) // 2
+                                                         for k in range(n - 2, -1, -1)]
+        assert "pass" in rep.summary()
+
+
 def test_tower_heisenberg_center():
     rng = random.Random(502)
     heis = heisenberg_span()
