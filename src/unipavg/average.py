@@ -381,5 +381,9 @@ def eval_matrix_at_weights(mat, weights: WeightSeq):
     if ring.q == 0:
         return mat
     out_ring = PolyRing(ring.field, 0, ring.params)
+    if mat.n == 1:
+        # only strictly upper entries are evaluated, and each evaluation
+        # checks the point; a 1 x 1 matrix has none, so check it here
+        eval_at_weights(ring.zero(), weights.values)
     return mat.map_entries(
         lambda e: out_ring.constant(eval_at_weights(e, weights.values)), out_ring)

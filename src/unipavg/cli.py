@@ -15,6 +15,7 @@ import json
 import sys
 import traceback
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import serialize
 from .average import WeightSeq, eval_matrix_at_weights, wav, wsym
@@ -36,13 +37,61 @@ def _read_json(path):
         raise FormatError("invalid JSON in %s: %s" % (path, exc)) from None
 
 
+def _leaf(obj):
+    """The JSON text of a string, integer, boolean or None."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
+def _emit_json(obj, write, pad="\n"):
+    """Write obj in pieces, byte for byte as json.dumps(obj, indent=2)
+    prints it.  json.dumps uses its C encoder only without an indent, and
+    its pure-Python one passes each piece up through every enclosing level,
+    so outputs are written here, straight to `write`, one piece per member.
+    Documents hold dicts with string keys, lists, tuples, strings,
+    integers, booleans and None; `pad` is the newline and indent of obj's
+    own level."""
+    if isinstance(obj, dict):
+        members = ((_quote(key) + ": ", value) for key, value in obj.items())
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        members = (("", item) for item in obj)
+        brackets = "[]"
+    else:
+        write(_leaf(obj))
+        return
+    if not obj:
+        write(brackets)
+        return
+    inner = pad + "  "
+    lead = brackets[0] + inner
+    for head, value in members:
+        if isinstance(value, (dict, list, tuple)):
+            write(lead + head)
+            _emit_json(value, write, inner)
+        else:
+            write(lead + head + _leaf(value))
+        lead = "," + inner
+    write(pad + brackets[1])
+
+
 def _write_json(doc, path):
-    text = json.dumps(doc, indent=2, sort_keys=False)
     if path is None or path == "-":
-        sys.stdout.write(text + "\n")
+        _emit_json(doc, sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            _emit_json(doc, fh.write)
+            fh.write("\n")
 
 
 def _parse_weights(spec_text, field, expected_len):

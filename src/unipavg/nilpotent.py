@@ -2,7 +2,9 @@
 
 Elements are square matrices with simplex-polynomial entries: strictly
 upper triangular for the algebra, unit upper triangular for the group.
-The two kinds share one storage class and one triangular product.
+The two kinds share one storage class and one triangular product; the
+kind fixes the diagonal, so entrywise maps and equality touch only the
+strictly upper entries.
 Nilpotency makes exp, log and the group inverse terminating power series,
 summed by one helper, so everything here is exact.
 
@@ -17,13 +19,13 @@ re-embedded as strictly upper triangular matrices through a
 weight-truncated enveloping algebra; the re-embedding is faithful because
 left multiplication fixes the ground vector 1.
 
-Each span also has a structure-constant table (`LieTable`), built on
-first use; the lower central series, the derived length and the
-nilpotency class are read from it, and a hom's bracket check compares
-the two tables.  The table is the group law in Lie coordinates as well:
-an element is the coordinate vector of its log and the product is BCH
-truncated at the class, so a quotient floor can be averaged on its table
-alone.  `quotient_span` seeds its target's table and class from the
+Each span also has a structure-constant table (`LieTable`), recorded by
+its closure check or built on first use; the lower central series, the
+derived length and the nilpotency class are read from it, and a hom's
+bracket check compares the two tables.  The table is the group law in
+Lie coordinates as well: an element is the coordinate vector of its log
+and the product is BCH truncated at the class, so a quotient floor can be
+averaged on its table alone.  `quotient_span` seeds its target's table and class from the
 structure constants and series it computes anyway, records each projected
 basis vector's coordinates, and checks neither the target's closure nor
 the projection, which hold by construction.
@@ -32,7 +34,7 @@ the projection, which hold by construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial
 
 from .errors import InputError, MembershipError, RingMismatch
@@ -45,12 +47,11 @@ from .exactring import (PolyRing, ScalarField, SimplexPoly, _pullback_plan,
 # ---------------------------------------------------------------------------
 
 def _zero_rows(ring, n):
-    z = ring.zero()
-    return tuple(tuple(z for _ in range(n)) for _ in range(n))
+    return ((ring.zero(),) * n,) * n
 
 def _identity_rows(ring, n):
-    z, o = ring.zero(), ring.one()
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+    zeros = (ring.zero(),) * n
+    return tuple(zeros[:i] + (ring.one(),) + zeros[i + 1:] for i in range(n))
 
 def _add_rows(a, b):
     return tuple(tuple(y if x.is_zero else x if y.is_zero else x + y
@@ -153,22 +154,39 @@ class _TriangularMatrix:
             raise RingMismatch("matrices live in different spaces")
 
     def is_constant(self):
-        return all(x.is_constant for row in self.rows for x in row)
+        return all(x.is_constant for x in self.strict_upper())
 
     def entry(self, i, j):
         return self.rows[i][j]
 
     def map_entries(self, fn, ring):
-        return type(self)(ring, tuple(tuple(fn(x) for x in row) for row in self.rows),
+        """The matrix over ring with fn applied to each strictly upper entry.
+        fn must send 0 to 0 and 1 to 1, as every ring map does (pullback,
+        extension, evaluation, a Galois automorphism, descent to Q, a
+        permutation of coordinates), so the diagonal and the part below it
+        are taken from ring's blank matrix of this kind, not mapped."""
+        rows = self.rows
+        blank = self._blank_rows(ring, self.n)
+        return type(self)(ring, tuple(head[:i + 1] + tuple(map(fn, row[i + 1:]))
+                                      for i, (head, row) in enumerate(zip(blank, rows))),
                           check=False)
 
     def strict_upper(self):
         """The strictly upper entries, row by row."""
-        return tuple(self.rows[i][j] for i in range(self.n) for j in range(i + 1, self.n))
+        return tuple(chain.from_iterable(row[i + 1:] for i, row in enumerate(self.rows)))
 
     def __eq__(self, other):
-        return (isinstance(other, type(self)) and self.ring == other.ring
-                and self.rows == other.rows)
+        """The kind fixes the diagonal and the zeros below it, so only the
+        strictly upper entries are compared, by canonical form."""
+        if not (isinstance(other, type(self)) and other.n == self.n
+                and (other.ring is self.ring or other.ring == self.ring)):
+            return False
+        for i, (ra, rb) in enumerate(zip(self.rows, other.rows)):
+            for j in range(i + 1, self.n):
+                x, y = ra[j], rb[j]
+                if x is not y and (x.den != y.den or x.nums != y.nums):
+                    return False
+        return True
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -570,12 +588,12 @@ def _constant_vector(mat):
     return tuple(zero if e.is_zero else e.constant_value() for e in mat.strict_upper())
 
 
-def _lift(mat, ring):
-    """A constant matrix moved into ring, which has the same field: each
-    entry keeps its denominator and numerator vector, now at the zero
-    exponent of ring."""
-    if mat.ring is ring or mat.ring == ring:
-        return mat
+def _mover(src, ring):
+    """The map moving a constant polynomial over src into ring, which has
+    the same field: it keeps its denominator and numerator vector, now at
+    the zero exponent of ring.  None when the rings are equal."""
+    if src is ring or src == ring:
+        return None
     at = (0,) * ring.nvars
 
     def move(p):
@@ -584,23 +602,35 @@ def _lift(mat, ring):
         vec, = p.nums.values()
         return SimplexPoly(ring, p.den, {at: vec})
 
-    return mat.map_entries(move, ring)
+    return move
 
 
 def _combination(coefs, mats, ring, n):
     """sum_k c_k M_k as an n x n NilMatrix over ring, for constant matrices
-    M_k lifted into ring; a zero coefficient adds nothing."""
-    rows = _zero_rows(ring, n)
+    M_k: the nonzero strictly upper entries of each M_k with c_k != 0 are
+    moved into ring, scaled and summed into one accumulator, and the rows
+    are built once."""
+    acc = {}
     for c, m in zip(coefs, mats):
-        if not c.is_zero:
-            rows = _add_rows(rows, _scale_rows(_lift(m, ring).rows, c))
-    return NilMatrix(ring, rows, check=False)
+        if c.is_zero:
+            continue
+        move = _mover(m.ring, ring)
+        for i, row in enumerate(m.rows):
+            for j in range(i + 1, n):
+                x = row[j]
+                if x.nums:
+                    y = (x if move is None else move(x)) * c
+                    cur = acc.get((i, j))
+                    acc[(i, j)] = y if cur is None else cur + y
+    return NilMatrix.from_entries(ring, n, acc)
 
 
 class LieSpan:
     """A Lie subalgebra of strictly upper triangular n x n matrices, given
     by an independent basis of constant matrices over a scalar field.
-    Construction verifies independence and closure under the bracket."""
+    Construction verifies independence and closure under the bracket; the
+    closure check solves every basis pair's bracket, which gives the
+    structure-constant table as well."""
 
     __slots__ = ("field", "ring", "n", "basis", "_echelon", "_table")
 
@@ -623,20 +653,25 @@ class LieSpan:
                 raise RingMismatch("span basis matrices live in different spaces")
             if not b.is_constant():
                 raise InputError("span basis matrices must have constant entries")
-            fixed.append(_lift(b, self.ring))
+            move = _mover(b.ring, self.ring)
+            fixed.append(b if move is None else b.map_entries(move, self.ring))
         self.basis = tuple(fixed)
         self._echelon = _Echelon(field, [_constant_vector(b) for b in self.basis],
                                  what="span basis")
         self._table = None
         if check:
-            for i in range(len(self.basis)):
-                for j in range(i + 1, len(self.basis)):
-                    br = self.basis[i].bracket(self.basis[j])
-                    try:
-                        self.coordinates(br)
-                    except MembershipError:
-                        raise InputError("span is not closed under the bracket "
-                                         "(basis pair %d, %d)" % (i, j)) from None
+            # each pair's solved coordinates are its structure constants, so
+            # the check builds the table and no pair is solved twice
+            struct = {}
+            for i, j in combinations(range(len(self.basis)), 2):
+                br = self.basis[i].bracket(self.basis[j])
+                try:
+                    coords = self.coordinates(br)
+                except MembershipError:
+                    raise InputError("span is not closed under the bracket "
+                                     "(basis pair %d, %d)" % (i, j)) from None
+                struct[(i, j)] = tuple(c.constant_value() for c in coords)
+            self._table = LieTable(field, len(self.basis), struct)
 
     @property
     def dim(self):
@@ -644,7 +679,8 @@ class LieSpan:
 
     @property
     def table(self):
-        """The structure constants on this basis, built on first use."""
+        """The structure constants on this basis: recorded by the closure
+        check, or built on first use for an unchecked span."""
         if self._table is None:
             zero = self.field.zero
             struct = {}

@@ -14,7 +14,7 @@ from operator import add
 
 from .errors import InputError
 from .exactring import (QQ, GaloisAction, PolyRing, ScalarField, ScalarValue,
-                        SimplexPoly)
+                        SimplexPoly, _canonical)
 from .nilpotent import LieSpan, NilMatrix, UniMatrix
 from .average import SectionTuple
 from .simplicial import (FiniteCover, LocalSection, SimplicialSection,
@@ -41,18 +41,25 @@ def fraction_to_json(f: Fraction):
     return {"num": f.numerator, "den": f.denominator}
 
 
-def fraction_from_json(obj) -> Fraction:
+def _literal(obj):
+    """A number literal, an integer or a num/den object, as integers
+    (numerator, denominator) with a positive denominator; every number
+    read is parsed here.  num and den may be booleans, read as 0 and 1."""
     if isinstance(obj, bool):
         raise FormatError("booleans are not numbers")
     if isinstance(obj, int):
-        return Fraction(obj)
+        return obj, 1
     if isinstance(obj, dict) and set(obj) <= {"num", "den"}:
-        num = _expect(obj.get("num", 0), int, "num")
-        den = _expect(obj.get("den", 1), int, "den")
+        num = int(_expect(obj.get("num", 0), int, "num"))
+        den = int(_expect(obj.get("den", 1), int, "den"))
         if den == 0:
             raise FormatError("zero denominator")
-        return Fraction(num, den)
+        return (-num, -den) if den < 0 else (num, den)
     raise FormatError("expected an integer or a num/den object")
+
+
+def fraction_from_json(obj) -> Fraction:
+    return Fraction(*_literal(obj))
 
 
 def field_to_json(field: ScalarField):
@@ -80,11 +87,21 @@ def scalar_to_json(v: ScalarValue):
     return {"coords": [fraction_to_json(c) for c in v.coords]}
 
 
-def scalar_from_json(field: ScalarField, obj) -> ScalarValue:
+def _scalar_literals(field: ScalarField, obj):
+    """A scalar's power-basis coordinates as (numerator, denominator)
+    literals: a {"coords": [...]} object, or one number for the first
+    coordinate."""
     if isinstance(obj, dict) and "coords" in obj:
-        coords = [fraction_from_json(c) for c in _expect(obj["coords"], list, "coords")]
-        return field.value(coords)
-    return field.value(fraction_from_json(obj))
+        lits = [_literal(c) for c in _expect(obj["coords"], list, "coords")]
+        if len(lits) != field.degree:
+            raise InputError("expected %d coordinates, got %d" % (field.degree, len(lits)))
+        return lits
+    return [_literal(obj)] + [(0, 1)] * (field.degree - 1)
+
+
+def scalar_from_json(field: ScalarField, obj) -> ScalarValue:
+    return ScalarValue(field, tuple(Fraction(num, den)
+                                    for num, den in _scalar_literals(field, obj)))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +128,9 @@ def poly_to_json(p: SimplexPoly):
 def poly_from_json(field: ScalarField, obj, rings=None) -> SimplexPoly:
     """Read a polynomial.  ``rings`` maps (q, params) to the PolyRing already
     built in the same read, so the values of one document share ring
-    objects and compare them by identity."""
+    objects and compare them by identity.  Coefficients are read as integer
+    literals and put over their least common denominator, so the canonical
+    form takes one lcm and one gcd reduction."""
     _expect(obj, dict, "polynomial")
     q = _expect(obj.get("q", 0), int, "q")
     params = tuple(_expect(n, str, "parameter name")
@@ -121,18 +140,29 @@ def poly_from_json(field: ScalarField, obj, rings=None) -> SimplexPoly:
     ring = rings.get((q, params))
     if ring is None:
         ring = rings[(q, params)] = PolyRing(field, q, params)
-    coords = {}
+    terms = []
+    negative = None         # the first exponent vector with a negative entry
     for term in _expect(obj.get("terms", []), list, "terms"):
         _expect(term, dict, "term")
-        exp = tuple(_expect(e, int, "exponent")
-                    for e in _expect(term.get("exp"), list, "exp"))
+        exp = tuple(_expect(term.get("exp"), list, "exp"))
+        if not all(type(e) is int for e in exp):
+            exp = tuple(int(_expect(e, int, "exponent")) for e in exp)
         if len(exp) != ring.nvars:
             raise FormatError("exponent length %d, ring has %d variables"
                               % (len(exp), ring.nvars))
-        coef = scalar_from_json(field, term.get("coef")).coords
-        cur = coords.get(exp)
-        coords[exp] = coef if cur is None else tuple(map(add, cur, coef))
-    return ring.poly(coords)
+        if negative is None and any(e < 0 for e in exp):
+            negative = exp
+        terms.append((exp, _scalar_literals(field, term.get("coef"))))
+    if negative is not None:
+        raise InputError("bad exponent vector %r" % (negative,))
+    # every coefficient over one common denominator, duplicates summed
+    den = math.lcm(*(d for _, lits in terms for _, d in lits))
+    nums = {}
+    for exp, lits in terms:
+        vec = tuple([num * (den // d) for num, d in lits])
+        cur = nums.get(exp)
+        nums[exp] = vec if cur is None else tuple(map(add, cur, vec))
+    return _canonical(ring, den, {e: v for e, v in nums.items() if any(v)})
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from unipavg import (
     tower_compatibility,
     wav,
 )
+from unipavg import nilpotent
 from unipavg.average import CoordinateTuple
 from unipavg.fixtures import heisenberg_span, sqrt2_field
 from unipavg.nilpotent import LieSpan, LieTable, _bch_terms
@@ -138,6 +139,35 @@ def test_quotient_table_is_the_bracket_table_of_its_matrices():
                 assert proj.image_coords == tuple(
                     tuple(c.constant_value() for c in quot.coordinates(img))
                     for img in proj.images)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(sqrt2)"])
+def test_the_closure_check_records_the_table(field, monkeypatch):
+    calls = {"bracket": 0, "solve": 0, "coordinates": 0}
+
+    def counted(cls, name, key):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(nilpotent.NilMatrix, "bracket", "bracket")
+    counted(nilpotent._Echelon, "solve", "solve")
+    counted(LieSpan, "coordinates", "coordinates")
+    for basis in (full_unipotent_span(4, field).basis, heisenberg_span(field).basis):
+        pairs = len(basis) * (len(basis) - 1) // 2
+        calls.update(bracket=0, solve=0, coordinates=0)
+        checked = LieSpan(basis)
+        assert calls == {"bracket": pairs, "solve": pairs, "coordinates": pairs}
+        table = checked.table
+        assert calls == {"bracket": pairs, "solve": pairs, "coordinates": pairs}
+        unchecked = LieSpan(basis, check=False)
+        assert table.struct == unchecked.table.struct
+        assert all(type(c) is type(field.zero) for consts in table.struct.values()
+                   for c in consts)
+        assert table.derived_length == unchecked.table.derived_length
 
 
 def test_trivial_table_law():

@@ -1,0 +1,239 @@
+"""serialize.poly_from_json reads coefficients as integer literals and
+builds the canonical form with one lcm and one gcd reduction.  The reader
+it replaced, which went through Fraction, field.value and ring.poly, is
+written out here as the reference: on generated term lists over Q,
+Q(sqrt2) and the cubic field the two give equal polynomials, or raise the
+same exception class with the same message."""
+
+from fractions import Fraction
+from operator import add
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unipavg import QQ, PolyRing
+from unipavg.errors import InputError
+from unipavg.fixtures import cubic_field, sqrt2_field
+from unipavg.serialize import (FormatError, _expect, fraction_from_json, poly_from_json,
+                               scalar_from_json)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+FIELDS = [QQ, sqrt2_field(), cubic_field()]
+
+
+# ---------------------------------------------------------------------------
+# the replaced reader
+# ---------------------------------------------------------------------------
+
+def old_fraction_from_json(obj):
+    if isinstance(obj, bool):
+        raise FormatError("booleans are not numbers")
+    if isinstance(obj, int):
+        return Fraction(obj)
+    if isinstance(obj, dict) and set(obj) <= {"num", "den"}:
+        num = _expect(obj.get("num", 0), int, "num")
+        den = _expect(obj.get("den", 1), int, "den")
+        if den == 0:
+            raise FormatError("zero denominator")
+        return Fraction(num, den)
+    raise FormatError("expected an integer or a num/den object")
+
+
+def old_scalar_from_json(field, obj):
+    if isinstance(obj, dict) and "coords" in obj:
+        coords = [old_fraction_from_json(c) for c in _expect(obj["coords"], list, "coords")]
+        return field.value(coords)
+    return field.value(old_fraction_from_json(obj))
+
+
+def old_poly_from_json(field, obj):
+    _expect(obj, dict, "polynomial")
+    q = _expect(obj.get("q", 0), int, "q")
+    params = tuple(_expect(n, str, "parameter name")
+                   for n in _expect(obj.get("params", []), list, "params"))
+    ring = PolyRing(field, q, params)
+    coords = {}
+    for term in _expect(obj.get("terms", []), list, "terms"):
+        _expect(term, dict, "term")
+        exp = tuple(_expect(e, int, "exponent")
+                    for e in _expect(term.get("exp"), list, "exp"))
+        if len(exp) != ring.nvars:
+            raise FormatError("exponent length %d, ring has %d variables"
+                              % (len(exp), ring.nvars))
+        coef = old_scalar_from_json(field, term.get("coef")).coords
+        cur = coords.get(exp)
+        coords[exp] = coef if cur is None else tuple(map(add, cur, coef))
+    return ring.poly(coords)
+
+
+def outcome(read, *args):
+    try:
+        return "value", read(*args)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(new, old):
+    assert new[0] is old[0], (new, old)
+    if new[0] == "value":
+        a, b = new[1], old[1]
+        assert a == b and a.ring == b.ring
+        assert (a.den, a.nums) == (b.den, b.nums)
+        assert all(type(x) is int for v in a.nums.values() for x in v)
+        assert all(type(e) is int for exp in a.nums for e in exp)
+    else:
+        assert new[1] == old[1]
+
+
+# ---------------------------------------------------------------------------
+# generated documents
+# ---------------------------------------------------------------------------
+
+small = st.integers(-6, 6)
+good_literal = (small | st.integers(-10 ** 30, 10 ** 30)
+                | st.fixed_dictionaries({"num": small, "den": st.integers(-6, 6).filter(bool)})
+                | st.fixed_dictionaries({"num": small}) | st.fixed_dictionaries({"den": small}))
+bad_literal = st.sampled_from([True, False, None, 1.5, "1", [1],
+                               {"num": 1, "den": 0}, {"num": "1"}, {"den": 2.0},
+                               {"num": 1, "extra": 2}, {"num": True, "den": 2},
+                               {"num": 3, "den": False}, {"num": -2, "den": True}])
+
+def coefs(degree, literal):
+    vector = st.lists(literal, min_size=degree, max_size=degree)
+    return st.one_of(literal, vector.map(lambda v: {"coords": v}),
+                     vector.map(lambda v: {"coords": v, "num": 5}))
+
+
+def bad_coefs(degree):
+    literal = st.one_of(good_literal, bad_literal)
+    return st.one_of(coefs(degree, literal),
+                     st.lists(literal, max_size=degree + 1).map(lambda v: {"coords": v}),
+                     st.sampled_from([{"coords": 3}, {"coords": None}]))
+
+
+def good_exps(nvars):
+    return st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars)
+
+
+def bad_exps(nvars):
+    return st.one_of(st.lists(st.integers(-1, 2), min_size=nvars, max_size=nvars),
+                     st.lists(st.integers(0, 2), max_size=nvars + 1),
+                     st.lists(st.sampled_from([0, 1, True, False, 1.0, "1", None]),
+                              min_size=nvars, max_size=nvars),
+                     st.sampled_from([None, 0, "0", {"e": 0}]))
+
+
+@st.composite
+def poly_docs(draw, malformed):
+    """A polynomial document; when malformed, some terms may have bad
+    literals, exponents, coordinate counts or shapes."""
+    field = draw(st.sampled_from(FIELDS))
+    q = draw(st.integers(0, 2))
+    params = draw(st.sampled_from([[], ["a"]]))
+    nvars = q + len(params)
+    terms, seen = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        if seen and draw(st.booleans()):
+            # a repeated exponent, sometimes the negation of an earlier term
+            exp = draw(st.sampled_from(seen))
+            coef = draw(st.sampled_from([-1, {"num": -1, "den": -1}, {"num": 1, "den": -3},
+                                         {"coords": [0] * field.degree}]))
+        elif malformed and draw(st.booleans()):
+            exp = draw(st.one_of(good_exps(nvars), bad_exps(nvars)))
+            coef = draw(bad_coefs(field.degree))
+        else:
+            exp = draw(good_exps(nvars))
+            coef = draw(coefs(field.degree, good_literal))
+            seen.append(exp)
+        term = {"exp": exp, "coef": coef}
+        if malformed and draw(st.integers(0, 7)) == 5:
+            term = draw(st.sampled_from([{"coef": coef}, [term]]))
+        terms.append(term)
+    return field, {"q": q, "params": params, "terms": terms}
+
+
+@SETTINGS
+@given(poly_docs(malformed=False))
+def test_reader_matches_the_old_reader(case):
+    field, doc = case
+    assert_same_outcome(outcome(poly_from_json, field, doc),
+                        outcome(old_poly_from_json, field, doc))
+
+
+@SETTINGS
+@given(poly_docs(malformed=True))
+def test_reader_rejects_what_the_old_reader_rejects(case):
+    field, doc = case
+    assert_same_outcome(outcome(poly_from_json, field, doc),
+                        outcome(old_poly_from_json, field, doc))
+
+
+@st.composite
+def cancelling_docs(draw):
+    """Terms that sum to zero at some exponents: each drawn term comes back
+    with the negated coefficient."""
+    field = draw(st.sampled_from(FIELDS))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        exp = draw(st.lists(st.integers(0, 2), min_size=2, max_size=2))
+        vec = draw(st.lists(st.tuples(small, st.integers(1, 6)),
+                            min_size=field.degree, max_size=field.degree))
+        pos = {"coords": [{"num": n, "den": d} for n, d in vec]}
+        neg = {"coords": [{"num": n, "den": -d} for n, d in vec]}
+        terms += [{"exp": exp, "coef": pos}, {"exp": list(exp), "coef": neg}]
+        if draw(st.booleans()):
+            terms.append({"exp": exp, "coef": draw(good_literal)})
+    order = draw(st.permutations(range(len(terms))))
+    return field, {"q": 2, "terms": [terms[i] for i in order]}
+
+
+@SETTINGS
+@given(cancelling_docs())
+def test_cancelling_terms_match_the_old_reader(case):
+    field, doc = case
+    assert_same_outcome(outcome(poly_from_json, field, doc),
+                        outcome(old_poly_from_json, field, doc))
+
+
+# ---------------------------------------------------------------------------
+# named cases
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("doc, kind, message", [
+    ({"q": 1, "terms": [{"exp": [-1], "coef": 1}]}, InputError, "bad exponent vector (-1,)"),
+    ({"q": 1, "terms": [{"exp": [-1], "coef": 1}, {"exp": [0], "coef": True}]},
+     FormatError, "booleans are not numbers"),
+    ({"q": 1, "terms": [{"exp": [-1], "coef": 1}, {"exp": [0, 0], "coef": 1}]},
+     FormatError, "exponent length 2, ring has 1 variables"),
+    ({"q": 1, "terms": [{"exp": [True], "coef": {"num": 1, "den": 0}}]},
+     FormatError, "zero denominator"),
+    ({"q": 1, "terms": [{"exp": [1.0], "coef": 1}]},
+     FormatError, "expected int for exponent, got float"),
+    ({"q": 1, "terms": [{"exp": [0], "coef": {"coords": [1, 2]}}]},
+     InputError, "expected 1 coordinates, got 2"),
+])
+def test_rejections_keep_their_class_and_message(doc, kind, message):
+    with pytest.raises(kind) as info:
+        poly_from_json(QQ, doc)
+    assert type(info.value) is kind and str(info.value) == message
+    assert_same_outcome(outcome(poly_from_json, QQ, doc), outcome(old_poly_from_json, QQ, doc))
+
+
+def test_boolean_exponents_and_numerators_read_as_integers():
+    doc = {"q": 1, "terms": [{"exp": [True], "coef": {"num": True, "den": 2}},
+                             {"exp": [1], "coef": {"num": -3, "den": -2}}]}
+    new = poly_from_json(QQ, doc)
+    assert_same_outcome(("value", new), outcome(old_poly_from_json, QQ, doc))
+    assert new.den == 1 and new.nums == {(1,): (2,)}
+
+
+@pytest.mark.parametrize("obj", [0, -7, 10 ** 40, {"num": 3, "den": -6}, {"den": 5}, {},
+                                 True, None, {"num": 1, "den": 0}, {"num": 1, "x": 1}])
+def test_scalar_and_fraction_readers_match_the_old_ones(obj):
+    assert outcome(fraction_from_json, obj) == outcome(old_fraction_from_json, obj)
+    for field in FIELDS:
+        for doc in (obj, {"coords": [obj] * field.degree}, {"coords": [obj]}):
+            assert outcome(scalar_from_json, field, doc) == outcome(old_scalar_from_json,
+                                                                    field, doc)

@@ -261,6 +261,22 @@ def test_quotient_span_matches_the_old_loop(field, monkeypatch):
         assert new_hom.complement == old_hom.complement
 
 
+def test_combination_matches_the_old_loop():
+    """The sum over nonzero strictly upper entries against the lift-and-scale
+    loop, on the large floor matrices of a U_5 quotient and on span bases,
+    with zero, scalar and polynomial coefficients."""
+    rng = random.Random(814)
+    span = full_unipotent_span(5, QQ)
+    target, hom = quotient_span(span, lower_central_series(span)[3])
+    for mats, n in ((target.basis, target.n), (span.basis, span.n), (hom.section, span.n)):
+        for ring in (mats[0].ring, PolyRing(QQ, 2, ("s",))):
+            for _ in range(3):
+                coefs = [rng.choice([ring.field.zero, rand_scalar(rng, ring.field),
+                                     rand_poly(rng, ring)]) for _ in mats]
+                assert_same(nilpotent._combination(coefs, mats, ring, n),
+                            old_combination(coefs, mats, ring, n))
+
+
 def test_apply_hom_reads_no_constant_values(monkeypatch):
     span = full_unipotent_span(4, QQ)
     _, hom = quotient_span(span, lower_central_series(span)[2])

@@ -1,0 +1,185 @@
+"""The CLI writes its JSON with its own emitter, because json.dumps runs
+its C encoder only without an indent.  These tests hold the emitter to
+json.dumps(doc, indent=2) byte for byte: on the document of every
+subcommand, on failing validation reports (tuple multi-indices), on
+non-ASCII labels, empty containers and long integers, and on generated
+documents."""
+
+import json
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unipavg import (QQ, FiniteCover, SectionTuple, embed_simplex, full_unipotent_span,
+                     tower_compatibility)
+from unipavg import cli, serialize
+from unipavg.fixtures import (cover_local_sections, cubic_orbit, heisenberg_span,
+                              six_point_cover, sqrt2_field, sqrt2_orbit, two_point_tuple)
+from unipavg.nilpotent import log_unipotent, lower_central_series
+from unipavg.simplicial import LocalSection
+from helpers import rand_tuple
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def emitted(doc):
+    pieces = []
+    cli._emit_json(doc, pieces.append)
+    return "".join(pieces)
+
+
+def assert_like_dumps(doc):
+    assert emitted(doc) == json.dumps(doc, indent=2)
+
+
+def write_doc(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run_and_compare(monkeypatch, capsys, argv):
+    """Run one CLI job, keep the document it writes, and check that its
+    stdout is json.dumps of that document with a final newline."""
+    docs = []
+    write = cli._write_json
+
+    def keep(doc, path):
+        docs.append(doc)
+        write(doc, path)
+
+    monkeypatch.setattr(cli, "_write_json", keep)
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert len(docs) == 1
+    assert out == json.dumps(docs[0], indent=2) + "\n"
+    return code, docs[0]
+
+
+def sections_doc(cover, span, locals_):
+    return {"field": serialize.field_to_json(span.field),
+            "cover": serialize.cover_to_json(cover),
+            "group": serialize.span_to_json(span),
+            "locals": serialize.locals_to_json(locals_)}
+
+
+# ---------------------------------------------------------------------------
+# every subcommand
+# ---------------------------------------------------------------------------
+
+def test_averaging_subcommands(tmp_path, monkeypatch, capsys):
+    t = rand_tuple(random.Random(901), heisenberg_span(), 2)
+    path = write_doc(tmp_path, "t.json", serialize.tuple_to_json(t))
+    weights = '[{"num":1,"den":6},{"num":1,"den":3},{"num":1,"den":2}]'
+    for argv in (["wav", "--input", path],
+                 ["wav", "--input", path, "--weights", weights],
+                 ["figure-data", "--input", path, "--resolution", "3"]):
+        assert run_and_compare(monkeypatch, capsys, argv)[0] == 0
+    lifted = SectionTuple(t.group, [embed_simplex(p, 2) for p in t.sections])
+    path = write_doc(tmp_path, "lifted.json", serialize.tuple_to_json(lifted))
+    assert run_and_compare(monkeypatch, capsys, ["wsym", "--input", path])[0] == 0
+
+
+def test_matrix_subcommands(tmp_path, monkeypatch, capsys):
+    a, b = (log_unipotent(s) for s in two_point_tuple().sections)
+    field = {"field": serialize.field_to_json(QQ)}
+    docs = {"exp": dict(field, matrix=serialize.matrix_to_json(a)),
+            "log": dict(field, matrix=serialize.matrix_to_json(two_point_tuple().sections[0])),
+            "bch": dict(field, a=serialize.matrix_to_json(a), b=serialize.matrix_to_json(b))}
+    for name, doc in docs.items():
+        path = write_doc(tmp_path, name + ".json", doc)
+        assert run_and_compare(monkeypatch, capsys, [name, "--input", path])[0] == 0
+
+
+def test_galois_subcommand(tmp_path, monkeypatch, capsys):
+    for orbit in (sqrt2_orbit(), cubic_orbit()):
+        path = write_doc(tmp_path, "orbit.json", serialize.orbit_to_json(orbit))
+        assert run_and_compare(monkeypatch, capsys, ["galois", "--input", path])[0] == 0
+
+
+def test_sections_build_and_validate(tmp_path, monkeypatch, capsys):
+    for field in (QQ, sqrt2_field()):
+        span, locals_ = cover_local_sections(field)
+        path = write_doc(tmp_path, "cover.json", sections_doc(six_point_cover(), span, locals_))
+        code, built = run_and_compare(monkeypatch, capsys,
+                                      ["sections", "--input", path, "--max-q", "2"])
+        assert code == 0 and built["report"]["ok"] is True
+        built.pop("report")
+        path2 = write_doc(tmp_path, "built.json", built)
+        code, out = run_and_compare(monkeypatch, capsys,
+                                    ["sections", "--input", path2, "--max-q", "2"])
+        assert code == 0 and out["mode"] == "validate"
+
+
+def test_failing_validation_report_with_tuple_multi_indices(tmp_path, monkeypatch, capsys):
+    span, locals_ = cover_local_sections(QQ)
+    path = write_doc(tmp_path, "cover.json", sections_doc(six_point_cover(), span, locals_))
+    assert cli.main(["sections", "--input", path, "--max-q", "2"]) == 0
+    built = json.loads(capsys.readouterr().out)
+    built.pop("report")
+    built["levels"]["0.1"]["c"]["entries"][0][1]["terms"] = [
+        {"exp": [0], "coef": {"num": 9, "den": 1}}]
+    path2 = write_doc(tmp_path, "broken.json", built)
+    code, out = run_and_compare(monkeypatch, capsys,
+                                ["sections", "--input", path2, "--max-q", "2"])
+    assert code == 2 and out["report"]["ok"] is False
+    assert any(isinstance(f["multi_index"], tuple) for f in out["report"]["failures"])
+
+
+def test_non_ascii_point_labels(tmp_path, monkeypatch, capsys):
+    span = heisenberg_span()
+    cover = FiniteCover(["été", "点", "x\U0001d54f"],
+                        [("été", "点"), ("点", "x\U0001d54f")])
+    rng = random.Random(902)
+    locals_ = [LocalSection(i, {x: p for x, p in zip(op, rand_tuple(rng, span, 1).sections)})
+               for i, op in enumerate(cover.opens)]
+    path = write_doc(tmp_path, "cover.json", sections_doc(cover, span, locals_))
+    code, out = run_and_compare(monkeypatch, capsys,
+                                ["sections", "--input", path, "--max-q", "2"])
+    assert code == 0 and "点" in out["levels"]["0.1"]
+
+
+def test_tower_report():
+    group = full_unipotent_span(4, QQ)
+    rep = tower_compatibility(rand_tuple(random.Random(903), group, 2),
+                              lower_central_series(group)[1:])
+    assert rep.ok
+    assert_like_dumps(serialize.tower_report_to_json(rep))
+
+
+def test_output_file_gets_the_same_bytes(tmp_path, capsys):
+    path = write_doc(tmp_path, "t.json", serialize.tuple_to_json(two_point_tuple()))
+    out = tmp_path / "out.json"
+    assert cli.main(["wav", "--input", path, "--output", str(out)]) == 0
+    assert cli.main(["wav", "--input", path]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
+
+
+# ---------------------------------------------------------------------------
+# edge values and generated documents
+# ---------------------------------------------------------------------------
+
+def test_empty_containers_signs_and_long_integers():
+    big = 7 ** 200
+    assert len(str(big)) > 100
+    for doc in ({}, [], (), "", 0, -1, None, True, False, big, -big,
+                {"a": [], "b": {}, "c": [[], [{}], {"d": ()}], "": [[[]]]},
+                [{"num": -big, "den": big + 1}, -3, "é\n\"\\\t\x00"],
+                {"multi_index": (0, 1, 1), "point": None, "ok": False}):
+        assert_like_dumps(doc)
+
+
+json_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 120, 10 ** 120)
+               | st.text(max_size=6))
+json_docs = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=25)
+
+
+@SETTINGS
+@given(json_docs)
+def test_generated_documents(doc):
+    assert_like_dumps(doc)
