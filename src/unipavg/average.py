@@ -15,6 +15,13 @@ simplex that restricts to f_i at the i-th vertex.
 The torsor is always the group acting on itself by left multiplication;
 transitions are f_j f_i^{-1}, never f_i^{-1} f_j.
 
+A pass whose transition logs L_j = log(f_j f_0^{-1}) pairwise commute is
+computed as one component, since then every component equals f'_0:
+f_j f_k^{-1} = exp(L_j - L_k), so sum_j t_j log(f_j f_k^{-1}) =
+sum_j t_j L_j - L_k (the t_j sum to 1), and f'_k = exp(sum_j t_j L_j)
+exp(-L_k) exp(L_k) f_0 = f'_0.  For q = 1 there is no pair, so every pass
+averages in one component.
+
 The operators are written once over a group law (product, inverse, log,
 exp and the algebra's linear operations).  A `SectionTuple` holds unit
 upper triangular matrices under the matrix product; a `CoordinateTuple`
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
+from itertools import combinations
 
 from .errors import InputError, NonConstantError, RingMismatch
 from .exactring import PolyRing, SimplexMap, SimplexPoly, eval_at_weights, permute_coordinates
@@ -108,6 +116,10 @@ class _MatrixLaw:
     @staticmethod
     def scale(x, s):
         return x.scale(s)
+
+    @staticmethod
+    def commute(x, y):
+        return x.bracket(y).is_zero
 
     @staticmethod
     def embed(g, q, target):
@@ -253,23 +265,38 @@ def transition(f_i: UniMatrix, f_j: UniMatrix, group=None) -> UniMatrix:
     return f_j * f_i.inverse()
 
 
-def _transition_logs(t):
-    """logs[i][j] = log(f_j f_i^{-1}); computed for i < j and negated for
-    the mirror entries, since log(g^{-1}) = -log(g)."""
+def _transition_logs(t, first):
+    """logs[i][j] = log(f_j f_i^{-1}), given the first row as first[j - 1] =
+    log(f_j f_0^{-1}).  The rest is computed for 0 < i < j, so f_q^{-1} is
+    never needed, and negated for the mirror entries, since
+    log(g^{-1}) = -log(g)."""
     law = t.law
     m = len(t.sections)
-    inverses = [law.inverse(s) for s in t.sections]
     logs = [[None] * m for _ in range(m)]
+    logs[0][1:] = first
+    for i in range(1, m - 1):
+        inverse = law.inverse(t.sections[i])
+        for j in range(i + 1, m):
+            logs[i][j] = law.log(law.mul(t.sections[j], inverse))
     for i in range(m):
         for j in range(i + 1, m):
-            l_ij = law.log(law.mul(t.sections[j], inverses[i]))
-            logs[i][j] = l_ij
-            logs[j][i] = law.neg(l_ij)
+            logs[j][i] = law.neg(logs[i][j])
     return logs
 
 
 def wsym(t):
-    """One symmetrization pass on a tuple of sections over the q-simplex."""
+    """One symmetrization pass on a tuple of sections over the q-simplex.
+
+    The pass first computes f_0^{-1} and the logs L_j = log(f_j f_0^{-1}),
+    then brackets them pair by pair, stopping at the first pair that does
+    not commute.  If they all commute, every component equals
+    exp(sum_j t_j L_j) f_0, which alone is computed:
+      f_j f_k^{-1} = exp(L_j) exp(-L_k) = exp(L_j - L_k), as L_j, L_k commute;
+      so sum_j t_j log(f_j f_k^{-1}) = sum_j t_j L_j - L_k, as sum_j t_j = 1;
+      so f'_k = exp(sum_j t_j L_j) exp(-L_k) exp(L_k) f_0 = f'_0.
+    For q = 1 there is no pair, so every such pass computes one component.
+    Otherwise all q+1 components are computed, reusing f_0^{-1} and the
+    L_j."""
     if t.r != t.q:
         raise InputError("wsym needs sections over the q-simplex (domain degree %d, "
                          "tuple degree %d)" % (t.r, t.q))
@@ -277,12 +304,20 @@ def wsym(t):
         return t
     law, ring = t.law, t.ring
     coords = [ring.coordinate(j) for j in range(t.q + 1)]
-    logs = _transition_logs(t)
-    new = []
-    for i in range(t.q + 1):
-        acc = reduce(law.add, [law.scale(logs[i][j], coords[j])
+    inverse = law.inverse(t.sections[0])
+    first = [law.log(law.mul(f, inverse)) for f in t.sections[1:]]
+
+    def component(i, row):
+        # f'_i = exp(sum_{j != i} t_j row[j]) f_i, where row[j] = log(f_j f_i^{-1})
+        acc = reduce(law.add, [law.scale(row[j], coords[j])
                                for j in range(t.q + 1) if j != i])
-        new.append(law.mul(law.exp(acc), t.sections[i]))
+        return law.mul(law.exp(acc), t.sections[i])
+
+    if all(law.commute(a, b) for a, b in combinations(first, 2)):
+        new = [component(0, [None] + first)] * (t.q + 1)
+    else:
+        logs = _transition_logs(t, first)
+        new = [component(i, logs[i]) for i in range(t.q + 1)]
     # exp of a span element times a group element stays in the group
     return t._rebuild(new, ring)
 

@@ -268,8 +268,18 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (a missing or unknown argument,
+    a bad value, an unknown subcommand) raise InputError, so they reach
+    stderr as the same JSON object as any other bad input, with exit 2.
+    Subcommand parsers are made by the same class."""
+
+    def error(self, message):
+        raise InputError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unipavg",
         description="Exact weighted averages of sections of unipotent-group torsors.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -305,10 +315,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = _HANDLERS[args.subcommand]
     try:
-        return handler(args)
+        args = build_parser().parse_args(argv)
+        return _HANDLERS[args.subcommand](args)
     except InputError as exc:
         _emit_error("input-error", exc)
         return 2

@@ -344,18 +344,22 @@ class _Echelon:
 
     __slots__ = ("field", "rows", "transform")
 
-    def __init__(self, field, vectors=(), what="basis"):
+    def __init__(self, field, rows=(), what="basis"):
         self.field = field
         self.rows = []          # (pivot, sparse row)
         self.transform = []
-        for vec in vectors:
-            if not self.add(vec):
+        for row in rows:
+            if not self.add_row(row):
                 raise InputError("the %s is linearly dependent" % what)
 
     def add(self, vec):
         """Keep vec, as the next v_k, if it is independent of the vectors
         kept so far, and return whether it was kept."""
-        row = {i: x for i, x in enumerate(vec) if not x.is_zero}
+        return self.add_row({i: x for i, x in enumerate(vec) if not x.is_zero})
+
+    def add_row(self, row):
+        """`add` for a vector given as a fresh sparse {index: nonzero value}
+        map, which the store takes over."""
         comb = {len(self.rows): self.field.one}
         for (piv, old), old_comb in zip(self.rows, self.transform):
             c = row.get(piv)
@@ -554,6 +558,10 @@ class LieTable:
     def inverse(self, x):
         return self.neg(x)
 
+    def commute(self, x, y):
+        """Is [x, y] = 0?"""
+        return not self.dim or all(c.is_zero for c in self.bracket(x, y, x[0].ring.zero()))
+
     def log(self, x):
         return x
 
@@ -586,6 +594,13 @@ def _constant_vector(mat):
     """The strictly upper entries of a constant matrix, as field values."""
     zero = mat.ring.field.zero
     return tuple(zero if e.is_zero else e.constant_value() for e in mat.strict_upper())
+
+
+def _upper_row(mat):
+    """The nonzero strictly upper entries of a constant matrix, as a sparse
+    {index: field value} map indexed like `_constant_vector`; InputError
+    when an entry is not constant."""
+    return {k: e.constant_value() for k, e in enumerate(mat.strict_upper()) if e.nums}
 
 
 def _mover(src, ring):
@@ -645,19 +660,20 @@ class LieSpan:
         self.field = field
         self.n = n
         self.ring = PolyRing(field, 0)
-        fixed = []
+        fixed, rows = [], []
         for b in basis:
             if not isinstance(b, NilMatrix):
                 raise InputError("span basis entries must be NilMatrix values")
             if b.n != n or b.ring.field != field:
                 raise RingMismatch("span basis matrices live in different spaces")
-            if not b.is_constant():
-                raise InputError("span basis matrices must have constant entries")
+            try:
+                rows.append(_upper_row(b))
+            except InputError:
+                raise InputError("span basis matrices must have constant entries") from None
             move = _mover(b.ring, self.ring)
             fixed.append(b if move is None else b.map_entries(move, self.ring))
         self.basis = tuple(fixed)
-        self._echelon = _Echelon(field, [_constant_vector(b) for b in self.basis],
-                                 what="span basis")
+        self._echelon = _Echelon(field, rows, what="span basis")
         self._table = None
         if check:
             # each pair's solved coordinates are its structure constants, so
@@ -990,9 +1006,9 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
 
     # pick span basis vectors completing the ideal to a basis of the span;
     # the store then solves on the ideal basis followed by the complement
-    ech = _Echelon(field, [_constant_vector(b) for b in ideal.basis], what="ideal basis")
+    ech = _Echelon(field, [_upper_row(b) for b in ideal.basis], what="ideal basis")
     complement = tuple(idx for idx, b in enumerate(span.basis)
-                       if ech.add(_constant_vector(b)))
+                       if ech.add_row(_upper_row(b)))
     m = len(complement)
     reps = [span.basis[i] for i in complement]
 

@@ -368,6 +368,45 @@ def test_invalid_json_and_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["wav"], "unipavg wav: the following arguments are required: --input"),
+    (["sections", "--input", "x.json", "--max-q", "abc"],
+     "unipavg sections: argument --max-q: invalid int value: 'abc'"),
+    (["figure-data", "--input", "x.json", "--resolution", "x"],
+     "unipavg figure-data: argument --resolution: invalid int value: 'x'"),
+    (["wav", "--input", "x.json", "--iterations", "1.5"],
+     "unipavg wav: argument --iterations: invalid int value: '1.5'"),
+    (["frobnicate", "--input", "x.json"], "unipavg: argument subcommand: invalid choice"),
+    ([], "unipavg: the following arguments are required: subcommand"),
+    (["wav", "--input", "x.json", "--bogus"], "unipavg: unrecognized arguments: --bogus"),
+])
+def test_usage_errors_are_json_input_errors(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["error"]["kind"] == "input-error"
+    assert err["error"]["type"] == "InputError"
+    assert err["error"]["message"].startswith(message)
+
+
+def test_usage_error_exit_status_from_the_entry_point():
+    proc = _run_cli_process(["wav"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["kind"] == "input-error"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["wav", "--help"], ["sections", "-h"]])
+def test_help_still_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    prog = " ".join(["unipavg"] + argv[:-1])
+    assert captured.out.startswith("usage: %s [-h]" % prog)
+
+
 def test_invariant_violation_exit_code(tmp_path, capsys, monkeypatch):
     def boom(job):
         raise InvariantViolation("averaging failed to converge")
