@@ -32,12 +32,11 @@ product of a `LieTable`, which is how quotient towers are averaged.
 from __future__ import annotations
 
 import operator
-from functools import reduce
 from itertools import combinations
 
 from .errors import InputError, NonConstantError, RingMismatch
 from .exactring import PolyRing, SimplexMap, SimplexPoly, eval_at_weights, permute_coordinates
-from .nilpotent import (LieSpan, UniMatrix, embed_simplex, exp_nilpotent,
+from .nilpotent import (LieSpan, NilMatrix, UniMatrix, embed_simplex, exp_nilpotent,
                         full_unipotent_span, log_unipotent, pull_back)
 
 __all__ = [
@@ -116,6 +115,10 @@ class _MatrixLaw:
     @staticmethod
     def scale(x, s):
         return x.scale(s)
+
+    @staticmethod
+    def combine(xs, coefs):
+        return NilMatrix.combination(xs, coefs)
 
     @staticmethod
     def commute(x, y):
@@ -309,8 +312,8 @@ def wsym(t):
 
     def component(i, row):
         # f'_i = exp(sum_{j != i} t_j row[j]) f_i, where row[j] = log(f_j f_i^{-1})
-        acc = reduce(law.add, [law.scale(row[j], coords[j])
-                               for j in range(t.q + 1) if j != i])
+        others = [j for j in range(t.q + 1) if j != i]
+        acc = law.combine([row[j] for j in others], [coords[j] for j in others])
         return law.mul(law.exp(acc), t.sections[i])
 
     if all(law.commute(a, b) for a, b in combinations(first, 2)):
@@ -342,21 +345,28 @@ def wav(t, d_override=None):
     symmetrize at most d times (d = derived series length of the group, or a
     larger override); all components then agree and the common value is
     returned.  Passes stop once the components agree, since wsym fixes a
-    constant tuple (every transition log is 0)."""
+    constant tuple (every transition log is 0).  Without an override the
+    table answers "is d > passes so far?" before each pass, which needs the
+    derived series only before a third pass; the pass count at a failure is
+    d itself."""
     if t.r != 0:
         raise InputError("wav needs t-constant sections (domain degree %d)" % t.r)
-    d = t.table.derived_length
-    if d_override is not None:
+    table = t.table
+    # more(p): is d > p, so that a pass may follow the first p?
+    if d_override is None:
+        more = table.derived_length_exceeds
+    else:
+        d = table.derived_length
         if not isinstance(d_override, int) or d_override < d:
             raise InputError("iteration override must be an integer >= %d" % d)
-        d = d_override
+        more = lambda passes: passes < d_override
     cur = lift_w(t)
-    for _ in range(d):
-        if cur.is_constant_tuple():
-            break
+    passes = 0
+    while not cur.is_constant_tuple():
+        if not more(passes):
+            raise NonConstantError("tuple components still disagree after %d passes" % passes)
         cur = wsym(cur)
-    if not cur.is_constant_tuple():
-        raise NonConstantError("tuple components still disagree after %d passes" % d)
+        passes += 1
     return cur.sections[0]
 
 

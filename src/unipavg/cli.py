@@ -11,6 +11,7 @@ machine-readable object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -314,9 +315,13 @@ def build_parser():
     return parser
 
 
+# parsing leaves a parser unchanged, so one is built per process, on first use
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return _HANDLERS[args.subcommand](args)
     except InputError as exc:
         _emit_error("input-error", exc)

@@ -15,6 +15,14 @@ every numerator is 1.  Products convolve the numerators in integers and
 reduce modulo m(x) once per output term, through the power table cleared
 to integers over one denominator.  Every operation is a pure function on
 immutable values; all arithmetic is exact.
+
+A sum of products sum_k x_k y_k, the entry of a matrix product or of a
+power series, is one fused accumulation (`sum_of_products`, which is also
+the product of two polynomials): each pair is scaled to the lcm of the
+pair denominators, the integer numerators of every product are summed in
+one dict (over a number field as unreduced convolutions, each reduced
+modulo m(x) once), and the sum is put into canonical form once, so no
+partial sum is built or divided by a gcd.
 """
 
 from __future__ import annotations
@@ -142,7 +150,7 @@ class ScalarField:
     reducibility.
     """
 
-    __slots__ = ("var", "minpoly", "degree", "_xpow", "_ixpow", "_xden", "_hash")
+    __slots__ = ("var", "minpoly", "degree", "_xpow", "_ixpow", "_xden", "_hash", "zero", "one")
 
     def __init__(self, var=None, minpoly=None):
         if var is None and minpoly is None:
@@ -172,6 +180,9 @@ class ScalarField:
             self._ixpow = tuple(tuple(c.numerator * (self._xden // c.denominator) for c in row)
                                 for row in table)
         self._hash = hash((self.var, self.minpoly))
+        # values are immutable, so every use shares one zero and one one
+        self.zero = self.value(0)
+        self.one = self.value(1)
 
     @classmethod
     def rationals(cls):
@@ -260,14 +271,6 @@ class ScalarField:
         raise InputError("cannot build a field element from %r" % type(x).__name__)
 
     @property
-    def zero(self):
-        return self.value(0)
-
-    @property
-    def one(self):
-        return self.value(1)
-
-    @property
     def gen(self):
         """The class of x, for extensions."""
         if self.is_rationals:
@@ -306,10 +309,6 @@ def _upoly_str(coeffs, var):
         else:
             parts.append("%s*%s^%d" % (c, var, k) if c != 1 else "%s^%d" % (var, k))
     return " + ".join(parts) if parts else "0"
-
-
-_RATIONALS = ScalarField()
-QQ = _RATIONALS
 
 
 class ScalarValue:
@@ -449,6 +448,10 @@ class ScalarValue:
         if self.field.degree == 1:
             return str(self.coords[0])
         return _upoly_str(self.coords, self.field.var)
+
+
+_RATIONALS = ScalarField()
+QQ = _RATIONALS
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +655,87 @@ def _canonical(ring, den, nums):
     return SimplexPoly(ring, den, nums)
 
 
+def sum_of_products(ring, pairs):
+    """sum_k x_k y_k in canonical form, for a list of pairs of a
+    SimplexPoly x_k over ring and a factor y_k that is a SimplexPoly over
+    ring or a rational scalar (an int or a Fraction).  A product of two
+    polynomials is the sum of one pair.
+
+    Every pair's product is scaled to the lcm of the pair denominators, so
+    the whole sum is one integer accumulation: over Q one integer per
+    exponent, over a number field one unreduced convolution per exponent,
+    reduced modulo m(x) once.  The sum is put into canonical form once, so
+    no partial sum is ever built or normalized."""
+    if not pairs:
+        return ring.zero()
+    field = ring.field
+    # (numerators of the longer polynomial factor, of the other one or None
+    # when it is a constant, the constant's numerator vector, the pair's
+    # denominator); a constant factor only scales, with no exponent sums
+    work = []
+    for x, y in pairs:
+        if isinstance(y, SimplexPoly):
+            a, b = x.nums, y.nums
+            if len(a) < len(b):
+                a, b = b, a
+            s = None
+            if len(b) == 1:
+                (e, v), = b.items()
+                if not any(e):
+                    s = v
+            work.append((a, b if s is None else None, s, x.den * y.den))
+        else:
+            work.append((x.nums, None, (y.numerator,), x.den * y.denominator))
+    den = math.lcm(*[w[3] for w in work])
+    if field.degree == 1:
+        acc = {}
+        get = acc.get
+        for a, b, s, pden in work:
+            m = den // pden
+            if b is None:
+                m *= s[0]
+                for e, (u,) in a.items():
+                    acc[e] = get(e, 0) + m * u
+                continue
+            for ea, (u,) in a.items():
+                u *= m
+                for eb, (v,) in b.items():
+                    e = tuple(map(add, ea, eb))
+                    acc[e] = get(e, 0) + u * v
+        return _canonical(ring, den, {e: (c,) for e, c in acc.items() if c})
+    width = 2 * field.degree - 1
+    conv = {}
+
+    def slot(e):
+        c = conv.get(e)
+        if c is None:
+            c = conv[e] = [0] * width
+        return c
+
+    for a, b, s, pden in work:
+        m = den // pden
+        for ea, u in a.items():
+            if m != 1:
+                u = [m * x for x in u]
+            if b is None:
+                products = ((ea, s),)
+            else:
+                products = [(tuple(map(add, ea, eb)), v) for eb, v in b.items()]
+            for e, v in products:
+                c = slot(e)
+                for i, x in enumerate(u):
+                    if x:
+                        for j, z in enumerate(v):
+                            c[i + j] += x * z
+    reduce = field._reduce
+    nums = {}
+    for e, c in conv.items():
+        v = reduce(c)
+        if any(v):
+            nums[e] = v
+    return _canonical(ring, den * field._xden, nums)
+
+
 class _Terms(Mapping):
     """The read-only {exponent: ScalarValue} view of a SimplexPoly."""
 
@@ -766,46 +850,7 @@ class SimplexPoly:
             return NotImplemented
         if not self.nums or not o.nums:
             return self.ring.zero()
-        a, b = self.nums, o.nums
-        if len(a) > len(b):
-            a, b = b, a
-        field = self.ring.field
-        den = self.den * o.den
-        if len(a) == 1:
-            # a one-term factor only shifts exponents: no two products meet
-            (ea, x), = a.items()
-            imul = field._imul
-            return _canonical(self.ring, den * field._xden,
-                              {tuple(map(add, ea, eb)): imul(x, y) for eb, y in b.items()})
-        if field.degree == 1:
-            acc = {}
-            get = acc.get
-            for ea, (x,) in a.items():
-                for eb, (y,) in b.items():
-                    exp = tuple(map(add, ea, eb))
-                    acc[exp] = get(exp, 0) + x * y
-            return _canonical(self.ring, den, {e: (c,) for e, c in acc.items() if c})
-        den *= field._xden
-        # convolve in integers per output term, then reduce modulo m(x) once
-        width = 2 * field.degree - 1
-        conv = {}
-        for ea, x in a.items():
-            for eb, y in b.items():
-                exp = tuple(map(add, ea, eb))
-                c = conv.get(exp)
-                if c is None:
-                    c = conv[exp] = [0] * width
-                for i, xi in enumerate(x):
-                    if xi:
-                        for j, yj in enumerate(y):
-                            c[i + j] += xi * yj
-        reduce = field._reduce
-        nums = {}
-        for exp, c in conv.items():
-            v = reduce(c)
-            if any(v):
-                nums[exp] = v
-        return _canonical(self.ring, den, nums)
+        return sum_of_products(self.ring, [(self, o)])
 
     __rmul__ = __mul__
 

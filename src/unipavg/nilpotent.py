@@ -6,7 +6,11 @@ The two kinds share one storage class and one triangular product; the
 kind fixes the diagonal, so entrywise maps and equality touch only the
 strictly upper entries.
 Nilpotency makes exp, log and the group inverse terminating power series,
-summed by one helper, so everything here is exact.
+summed by one helper, so everything here is exact.  Every entry of a
+triangular product, every strictly upper entry of a power series (after
+the powers of x are formed) and every entry of a linear combination is
+one fused sum of products (`exactring.sum_of_products`), put into
+canonical form once.
 
 Spans (subalgebras given by a finite basis of constant matrices) keep
 their basis in one sparse reduced echelon store, with the transform back
@@ -39,7 +43,7 @@ from math import factorial
 
 from .errors import InputError, MembershipError, RingMismatch
 from .exactring import (PolyRing, ScalarField, SimplexPoly, _pullback_plan,
-                        extend_to_simplex, substitute_simplex_map)
+                        extend_to_simplex, substitute_simplex_map, sum_of_products)
 
 
 # ---------------------------------------------------------------------------
@@ -69,35 +73,51 @@ def _matmul(a, b, ring):
     """The product of two upper triangular matrices.  Every caller passes a
     NilMatrix, a UniMatrix or identity plus strictly upper, and the checked
     constructors enforce that shape, so entries below the diagonal are never
-    read: (ab)_ij sums a_ik b_kj over i <= k <= j only, in increasing k, and
-    is zero for j < i."""
+    read: (ab)_ij is one sum of products a_ik b_kj over i <= k <= j, and is
+    zero for j < i.  An entry with one nonzero product is that product."""
     n = len(a)
     z = ring.zero()
     out = []
     for i in range(n):
         ai = a[i]
         row = [z] * n
-        for k in range(i, n):
-            x = ai[k]
-            if not x.is_zero:
-                bk = b[k]
-                for j in range(k, n):
-                    y = bk[j]
-                    if not y.is_zero:
-                        row[j] = row[j] + x * y
+        for j in range(i, n):
+            pairs = [(ai[k], b[k][j]) for k in range(i, j + 1) if ai[k].nums and b[k][j].nums]
+            if len(pairs) == 1:
+                (x, y), = pairs
+                row[j] = x * y
+            elif pairs:
+                row[j] = sum_of_products(ring, pairs)
         out.append(tuple(row))
     return tuple(out)
 
 
-def _power_series(acc, x, coefs, ring):
-    """acc + sum_k coefs[k - 1] x^k over k = 1 .. len(coefs), each power of
-    the triangular x one product from the last, starting from x itself."""
-    pw = x
-    for k, c in enumerate(coefs):
-        if k:
-            pw = _matmul(pw, x, ring)
-        acc = _add_rows(acc, _scale_rows(pw, c))
-    return acc
+def _upper_sums(blank, mats, coefs, ring):
+    """blank with each strictly upper entry replaced by sum_k coefs[k]
+    mats[k]_ij, one sum of products per entry; the coefficients are
+    polynomials over ring or rational scalars, and blank carries the
+    diagonal of the result's kind."""
+    n = len(blank)
+    out = []
+    for i, head in enumerate(blank):
+        row = list(head)
+        for j in range(i + 1, n):
+            pairs = [(m[i][j], c) for m, c in zip(mats, coefs) if m[i][j].nums]
+            if pairs:
+                row[j] = sum_of_products(ring, pairs)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _power_series(blank, x, coefs, ring):
+    """blank + sum_k coefs[k - 1] x^k over k = 1 .. len(coefs), for a
+    strictly upper x and a diagonal blank: each power of x is one product
+    from the last, starting from x itself, and then each strictly upper
+    entry is one sum of products."""
+    powers = [x]
+    for _ in coefs[1:]:
+        powers.append(_matmul(powers[-1], x, ring))
+    return _upper_sums(blank, powers, coefs, ring)
 
 
 def _coerce_rows(ring, n, rows):
@@ -175,6 +195,12 @@ class _TriangularMatrix:
         """The strictly upper entries, row by row."""
         return tuple(chain.from_iterable(row[i + 1:] for i, row in enumerate(self.rows)))
 
+    def nonzero_upper(self):
+        """The nonzero strictly upper entries, as a sparse {index: entry}
+        map indexed like `strict_upper`."""
+        return {k: x for k, x in enumerate(chain.from_iterable(
+            row[i + 1:] for i, row in enumerate(self.rows))) if x.nums}
+
     def __eq__(self, other):
         """The kind fixes the diagonal and the zeros below it, so only the
         strictly upper entries are compared, by canonical form."""
@@ -225,6 +251,15 @@ class NilMatrix(_TriangularMatrix):
 
     def scale(self, s):
         return NilMatrix(self.ring, _scale_rows(self.rows, s), check=False)
+
+    @staticmethod
+    def combination(mats, coefs):
+        """sum_k coefs[k] mats[k] for matrices over one ring and
+        coefficients that are polynomials over it or rational scalars: one
+        sum of products per strictly upper entry."""
+        ring, n = mats[0].ring, mats[0].n
+        return NilMatrix(ring, _upper_sums(_zero_rows(ring, n), [m.rows for m in mats],
+                                           coefs, ring), check=False)
 
     def bracket(self, other):
         """The commutator [self, other] = self other - other self."""
@@ -382,10 +417,13 @@ class _Echelon:
         return True
 
     def solve(self, vec, zero):
-        """The coordinates of vec on the kept vectors.  Entries of vec may be
-        scalars or polynomials; `zero` is the zero of their ring.  Raises
-        MembershipError when vec is not a combination of the kept vectors."""
-        rest = {i: x for i, x in enumerate(vec) if not x.is_zero}
+        """The coordinates of vec on the kept vectors: a sequence, or a
+        fresh sparse {index: nonzero value} map that the solve consumes.
+        Entries of vec may be scalars or polynomials; `zero` is the zero of
+        their ring.  Raises MembershipError when vec is not a combination of
+        the kept vectors."""
+        rest = vec if isinstance(vec, dict) else {i: x for i, x in enumerate(vec)
+                                                  if not x.is_zero}
         out = [zero] * len(self.rows)
         for (piv, row), comb in zip(self.rows, self.transform):
             c = rest.get(piv)
@@ -530,14 +568,22 @@ class LieTable:
             self._derived_length = len(self._series(lambda unit, cur: combinations(cur, 2)))
         return self._derived_length
 
+    def derived_length_exceeds(self, k):
+        """Is the derived length greater than k?  It is at least 1 iff the
+        algebra is nonzero and at least 2 iff some bracket is, so only
+        k >= 2 builds the derived series."""
+        if self._derived_length is not None or k >= 2:
+            return self.derived_length > k
+        return bool(self._pairs) if k else self.dim > 0
+
     # -- the group law in Lie coordinates ---------------------------------
 
     def mul(self, x, y):
         """BCH(x, y) truncated at the nilpotency class, for vectors of
-        polynomials over one ring."""
-        out = self.add(x, y)
+        polynomials over one ring: x + y and the rational multiples of the
+        brackets summed as one combination."""
         if not self.dim:
-            return out
+            return x
         zero = x[0].ring.zero()
         letters = (x, y)
         nested = {}
@@ -551,9 +597,22 @@ class LieTable:
                 got = nested[word] = self.bracket(letters[word[0]], bracketed(word[1:]), zero)
             return got
 
-        for word, coef in _bch_terms(self.nilpotency_class):
-            out = self.add(out, self.scale(bracketed(word), coef))
-        return out
+        terms = _bch_terms(self.nilpotency_class)
+        return self.combine([x, y] + [bracketed(word) for word, _ in terms],
+                            [1, 1] + [coef for _, coef in terms])
+
+    def combine(self, xs, coefs):
+        """sum_k coefs[k] xs[k] for vectors xs[k] of polynomials over one
+        ring, whose coefficients are polynomials over that ring or rational
+        scalars: one sum of products per coordinate."""
+        if not self.dim:
+            return ()
+        ring = xs[0][0].ring
+        out = []
+        for k in range(self.dim):
+            pairs = [(x[k], c) for x, c in zip(xs, coefs) if x[k].nums]
+            out.append(sum_of_products(ring, pairs))
+        return tuple(out)
 
     def inverse(self, x):
         return self.neg(x)
@@ -600,7 +659,7 @@ def _upper_row(mat):
     """The nonzero strictly upper entries of a constant matrix, as a sparse
     {index: field value} map indexed like `_constant_vector`; InputError
     when an entry is not constant."""
-    return {k: e.constant_value() for k, e in enumerate(mat.strict_upper()) if e.nums}
+    return {k: e.constant_value() for k, e in mat.nonzero_upper().items()}
 
 
 def _mover(src, ring):
@@ -715,7 +774,7 @@ class LieSpan:
         if mat.n != self.n or (mat.ring.field is not self.field
                                and mat.ring.field != self.field):
             raise RingMismatch("matrix does not live in this span's space")
-        return self._echelon.solve(mat.strict_upper(), mat.ring.zero())
+        return self._echelon.solve(mat.nonzero_upper(), mat.ring.zero())
 
     def require_element(self, u, what="a matrix"):
         """Raise unless the unit upper matrix u lies in the group of this

@@ -31,6 +31,7 @@ from unipavg import (
     LocalSection,
     MembershipError,
     NilMatrix,
+    NonConstantError,
     PolyRing,
     RingMismatch,
     SectionTuple,
@@ -161,6 +162,87 @@ def test_iteration_override_keeps_its_bound_and_value(monkeypatch):
     assert fast == wav_all_passes(t, d + 3)
     with pytest.raises(InputError):
         wav(t, d_override=d - 1)
+
+
+# ---------------------------------------------------------------------------
+# wav: the derived series only when a third pass, the override check or the
+# failure message needs it
+# ---------------------------------------------------------------------------
+
+def count_series_builds(monkeypatch):
+    """Count `LieTable._series` calls from here on, one per derived or lower
+    central series built."""
+    builds = []
+    real = nilpotent_module.LieTable._series
+
+    def counting(table, pairs):
+        builds.append(table)
+        return real(table, pairs)
+
+    monkeypatch.setattr(nilpotent_module.LieTable, "_series", counting)
+    return builds
+
+
+def test_u4_and_u5_averages_build_no_derived_series(monkeypatch):
+    rng = random.Random(605)
+    cases = [(4, q) for q in (1, 2, 3, 4)] + [(5, q) for q in (1, 2, 3)]
+    wants = []
+    for n, q in cases:
+        t = rand_tuple(rng, full_unipotent_span(n, QQ), q)
+        wants.append((t, wav_all_passes(t)))
+    builds = count_series_builds(monkeypatch)
+    for t, want in wants:
+        # a fresh span, so no earlier call has cached the derived length
+        fresh = SectionTuple(full_unipotent_span(t.group.n, QQ), t.sections)
+        assert wav(fresh) == want
+        assert fresh.table._derived_length is None
+    assert builds == []
+
+
+def test_the_override_check_builds_the_derived_series_once(monkeypatch):
+    rng = random.Random(606)
+    ut5 = full_unipotent_span(5, QQ)
+    t = rand_tuple(rng, ut5, 2)
+    want = wav_all_passes(t)
+    fresh = SectionTuple(full_unipotent_span(5, QQ), t.sections)
+    builds = count_series_builds(monkeypatch)
+    assert wav(fresh, d_override=4) == want
+    assert len(builds) == 1
+    with pytest.raises(InputError, match="integer >= 3"):
+        wav(fresh, d_override=2)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("group,d", [(abelian3_span, 1), (heisenberg_span, 2),
+                                     (lambda: full_unipotent_span(4, QQ), 2),
+                                     (lambda: full_unipotent_span(5, QQ), 3)],
+                         ids=["abelian", "heisenberg", "U4", "U5"])
+def test_a_tuple_that_never_agrees_fails_after_d_passes(monkeypatch, group, d):
+    # a pass that changes nothing keeps the tuple disagreeing, so wav runs
+    # out of passes: the lift, then d passes, with d in the message
+    rng = random.Random(607)
+    span = group()
+    t = rand_tuple(rng, span, 2)
+    assert not t.is_constant_tuple()
+    monkeypatch.setattr(average_module, "wsym", lambda tup: tup)
+    builds = count_series_builds(monkeypatch)
+    calls = []
+    real_more = nilpotent_module.LieTable.derived_length_exceeds
+
+    def more(table, k):
+        calls.append(k)
+        return real_more(table, k)
+
+    monkeypatch.setattr(nilpotent_module.LieTable, "derived_length_exceeds", more)
+    with pytest.raises(NonConstantError,
+                       match=r"^tuple components still disagree after %d passes$" % d):
+        wav(t)
+    assert calls == list(range(d + 1))
+    # only a question about a third pass builds the series, once
+    assert len(builds) == (1 if d >= 2 else 0)
+    assert span.table.derived_length == d
+    with pytest.raises(NonConstantError, match="after %d passes" % (d + 2)):
+        wav(t, d_override=d + 2)
 
 
 def log_calls_from_operator_tuples(monkeypatch, t, checked=False):

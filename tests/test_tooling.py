@@ -1,6 +1,6 @@
 """Checks on the code itself: the bench tracer still finds every name it
-wraps, a tower job still reaches every layer the bench maps to it, and no
-module under src/unipavg keeps an unused import."""
+wraps, one job of each workload still reaches every layer the bench maps
+to that workload, and no module under src/unipavg keeps an unused import."""
 
 import ast
 import json
@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "unipavg"
@@ -23,40 +25,46 @@ def test_bench_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
-TOWER_JOB = """
-import json
+TRACED_JOB = """
+import json, sys, tempfile
+from pathlib import Path
+import workloads
 from tracing import Tracer
-from unipavg import QQ, SectionTuple, full_unipotent_span, lower_central_series, simplicial
-from unipavg.fixtures import point_from_coordinates
+from worker import Jobs
 
+workload, job = sys.argv[1], int(sys.argv[2])
 tracer = Tracer()
 tracer.install()
-span = full_unipotent_span(4, QQ)
-pts = [point_from_coordinates(span, [(-1) ** (i + k) * (i + k + 1) for i in range(span.dim)])
-       for k in range(3)]
-t = SectionTuple(span, pts)
-tracer.begin(0)
-report = simplicial.tower_compatibility(t, lower_central_series(span)[1:])
-tracer.end()
-print(json.dumps({"ok": report.ok, "per_job": tracer.summary(1)["per_job"]}))
+with tempfile.TemporaryDirectory() as tmp:
+    (Path(tmp) / "inputs").mkdir()
+    manifest = workloads.generate(workload, 1, Path(tmp) / "inputs")
+    rc, _, _, error = Jobs(manifest, tmp).run(job, tracer)
+print(json.dumps({"rc": rc, "error": error, "per_job": tracer.summary(1)["per_job"]}))
 """
 
+# the job of each workload that is traced: sections-cover starts with a
+# validate job, and its mapped build and wav layers are reached by a build
+TRACED_JOBS = {"wav-symbolic": 0, "galois-descent": 0, "sections-cover": 1, "tower": 0}
 
-def test_tower_job_reaches_every_layer_the_bench_maps_to_it():
-    # the bench's trace gate fails a run whose tower jobs never call a
-    # mapped layer; one U_4 job, traced the same way, must reach them all
+
+@pytest.mark.parametrize("workload", sorted(TRACED_JOBS))
+def test_one_job_of_each_workload_reaches_every_layer_the_bench_maps_to_it(workload):
+    # the bench's trace gate fails a run whose jobs never call a layer mapped
+    # to their workload; one job, generated and run as the bench does, must
+    # reach them all
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(TRACED_JOBS) == sorted(w["name"] for w in bench["workloads"])
     layer_map = json.loads((ROOT / "perfbench" / "layer_map.json").read_text(encoding="utf-8"))
     mapped = {metric["calls"] for metric in layer_map["metrics"].values()
-              if any(move["workload"] == "tower" for move in metric["moves"])}
-    assert {"nilpotent.quotient_span.calls", "nilpotent.apply_hom.calls",
-            "simplicial.tower.calls"} <= mapped
+              if any(move["workload"] == workload for move in metric["moves"])}
+    assert mapped
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", TOWER_JOB], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", TRACED_JOB, workload, str(TRACED_JOBS[workload])],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["ok"]
+    assert (result["rc"], result["error"]) == (0, None)
     assert {name: result["per_job"].get(name, 0) for name in sorted(mapped)
             if not result["per_job"].get(name, 0)} == {}
 
