@@ -1,10 +1,11 @@
 """Exact coefficient arithmetic for simplex polynomials.
 
 Scalars are rationals or elements of a simple extension Q[x]/(m(x)),
-stored as Fraction coordinate vectors in the power basis.  Polynomials
-live on the geometric q-simplex t_0 + ... + t_q = 1 (optionally crossed
-with an affine parameter space) and are kept in a canonical normal form
-that eliminates the last coordinate t_q, so two polynomials agree as
+stored as integer power-basis numerators over one positive denominator,
+the layout of one polynomial term (ANTIC's nf_elem).  Polynomials live
+on the geometric q-simplex t_0 + ... + t_q = 1 (optionally crossed with
+an affine parameter space) and are kept in a canonical normal form that
+eliminates the last coordinate t_q, so two polynomials agree as
 functions iff their normal forms are identical.
 
 A polynomial stores its coefficients as integer numerators over one
@@ -147,17 +148,18 @@ class ScalarField:
     (constant term first).  For degrees 2 and 3 a rational-root test
     certifies irreducibility; higher degrees are accepted as declared, and
     a zero divisor met while inverting is reported as a proof of
-    reducibility.
+    reducibility.  Products of integer power-basis vectors are reduced
+    modulo m(x) through the powers x^d .. x^(2d-2), kept as integer rows
+    ``_ixpow`` over one denominator ``_xden``.
     """
 
-    __slots__ = ("var", "minpoly", "degree", "_xpow", "_ixpow", "_xden", "_hash", "zero", "one")
+    __slots__ = ("var", "minpoly", "degree", "_ixpow", "_xden", "_hash", "zero", "one")
 
     def __init__(self, var=None, minpoly=None):
         if var is None and minpoly is None:
             self.var = None
             self.minpoly = None
             self.degree = 1
-            self._xpow = None
             self._ixpow = ()
             self._xden = 1
         else:
@@ -171,14 +173,12 @@ class ScalarField:
             self.var = var
             self.minpoly = coeffs
             self.degree = len(coeffs) - 1
-            if self.degree <= 3 and self._has_rational_root():
+            # m(x) cleared to integers: ints[0] + ints[1] x + ... + ints[d] x^d
+            mden = math.lcm(*(c.denominator for c in coeffs))
+            ints = [c.numerator * (mden // c.denominator) for c in coeffs]
+            if self.degree <= 3 and self._has_rational_root(ints):
                 raise InputError("defining polynomial of degree <= 3 has a rational root")
-            self._xpow = self._power_table()
-            # the rows x^d .. x^(2d-2) cleared to integers over one denominator
-            table = self._xpow[self.degree:]
-            self._xden = math.lcm(*(c.denominator for row in table for c in row))
-            self._ixpow = tuple(tuple(c.numerator * (self._xden // c.denominator) for c in row)
-                                for row in table)
+            self._xden, self._ixpow = self._power_table(ints)
         self._hash = hash((self.var, self.minpoly))
         # values are immutable, so every use shares one zero and one one
         self.zero = self.value(0)
@@ -196,10 +196,7 @@ class ScalarField:
     def is_rationals(self):
         return self.minpoly is None
 
-    def _has_rational_root(self):
-        # clear denominators: a_0 + a_1 x + ... + a_d x^d with integer a_i
-        den = math.lcm(*(c.denominator for c in self.minpoly))
-        ints = [int(c * den) for c in self.minpoly]
+    def _has_rational_root(self, ints):
         if ints[0] == 0:
             return True
         if self.degree == 2:
@@ -211,23 +208,21 @@ class ScalarField:
         a0, a1, a2, a3 = ints
         return _has_integer_root_cubic(a2, a1 * a3, a0 * a3 * a3)
 
-    def _power_table(self):
-        """Coordinates of x^k for k = 0 .. 2d-2, each reduced mod m(x)."""
+    def _power_table(self, ints):
+        """(xden, rows) for m(x) cleared to the integers ``ints``: x^d ..
+        x^(2d-2) reduced mod m(x), times the lcm xden of the denominators."""
         d = self.degree
-        table = []
-        for k in range(d):
-            row = [Fraction(0)] * d
-            row[k] = Fraction(1)
-            table.append(tuple(row))
-        for k in range(d, 2 * d - 1):
-            prev = table[k - 1]
-            shifted = [Fraction(0)] + list(prev[: d - 1])
-            top = prev[d - 1]
-            if top:
-                for i in range(d):
-                    shifted[i] -= top * self.minpoly[i]
-            table.append(tuple(shifted))
-        return table
+        m, mden = ints[:d], ints[d]
+        # x^k as an integer vector over den, from x^(d-1); x^d = -m / mden
+        den, vec = 1, [0] * (d - 1) + [1]
+        powers = []
+        for _ in range(d - 1):
+            top = vec[-1]
+            vec = [mden * x - top * c for x, c in zip([0] + vec[:-1], m)]
+            den *= mden
+            powers.append((den, vec))
+        xden = math.lcm(*(den // math.gcd(den, x) for den, vec in powers for x in vec))
+        return xden, tuple(tuple(x * xden // den for x in vec) for den, vec in powers)
 
     def _reduce(self, conv):
         """xden times the power-basis vector of sum_k conv[k] x^k, for an
@@ -262,12 +257,15 @@ class ScalarField:
                 raise RingMismatch("value belongs to a different field")
             return x
         if isinstance(x, (int, Fraction)):
-            coords = (Fraction(x),) + (Fraction(0),) * (self.degree - 1)
-            return ScalarValue(self, coords)
+            return ScalarValue(self, x.denominator, (x.numerator,) + (0,) * (self.degree - 1))
         if isinstance(x, (list, tuple)):
             if len(x) != self.degree:
                 raise InputError("expected %d coordinates, got %d" % (self.degree, len(x)))
-            return ScalarValue(self, tuple(_fraction(c) for c in x))
+            coords = [_fraction(c) for c in x]
+            # over the lcm of reduced denominators the gcd is already 1
+            den = math.lcm(*(c.denominator for c in coords))
+            return ScalarValue(self, den, tuple(c.numerator * (den // c.denominator)
+                                                for c in coords))
         raise InputError("cannot build a field element from %r" % type(x).__name__)
 
     @property
@@ -275,9 +273,7 @@ class ScalarField:
         """The class of x, for extensions."""
         if self.is_rationals:
             raise InputError("the rational field has no extension generator")
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return ScalarValue(self, tuple(coords))
+        return ScalarValue(self, 1, (0, 1) + (0,) * (self.degree - 2))
 
     def __eq__(self, other):
         if self is other:
@@ -311,14 +307,33 @@ def _upoly_str(coeffs, var):
     return " + ".join(parts) if parts else "0"
 
 
+def _canonical_scalar(field, den, nums):
+    """A ScalarValue from a positive denominator and an integer numerator
+    vector, divided through by the gcd of all of them."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        return ScalarValue(field, den // g, tuple([x // g for x in nums]))
+    return ScalarValue(field, den, nums)
+
+
 class ScalarValue:
-    """An element of a ScalarField: d rational coordinates in the power basis."""
+    """An element of a ScalarField, in the layout of one SimplexPoly term:
+    a positive integer denominator ``den`` and a tuple ``nums`` of
+    ``field.degree`` integer power-basis numerators, with the gcd of
+    ``den`` and every numerator 1; zero is den 1 over zero numerators.
+    Over a fixed field, equality of these forms is equality of values.
+    ``coords`` reads the coordinates as Fractions."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "den", "nums")
 
-    def __init__(self, field, coords):
+    def __init__(self, field, den, nums):
         self.field = field
-        self.coords = coords
+        self.den = den
+        self.nums = nums
+
+    @property
+    def coords(self):
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def _coerce(self, other):
         if isinstance(other, ScalarValue):
@@ -333,7 +348,15 @@ class ScalarValue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ScalarValue(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        da, db = self.den, o.den
+        if da == db:
+            nums = tuple(map(add, self.nums, o.nums))
+        else:
+            g = math.gcd(da, db)
+            ma, mb = db // g, da // g
+            da *= ma
+            nums = tuple([x * ma + y * mb for x, y in zip(self.nums, o.nums)])
+        return _canonical_scalar(self.field, da, nums)
 
     __radd__ = __add__
 
@@ -341,7 +364,7 @@ class ScalarValue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ScalarValue(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self.__add__(o.__neg__())
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -350,33 +373,14 @@ class ScalarValue:
         return o.__sub__(self)
 
     def __neg__(self):
-        return ScalarValue(self.field, tuple(-a for a in self.coords))
+        return ScalarValue(self.field, self.den, tuple([-x for x in self.nums]))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         f = self.field
-        a, b = self.coords, o.coords
-        if f.degree == 1:
-            return ScalarValue(f, (a[0] * b[0],))
-        d = f.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:d]
-        xpow = f._xpow
-        for k in range(d, 2 * d - 1):
-            ck = conv[k]
-            if ck:
-                row = xpow[k]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += ck * row[i]
-        return ScalarValue(f, tuple(out))
+        return _canonical_scalar(f, self.den * o.den * f._xden, f._imul(self.nums, o.nums))
 
     __rmul__ = __mul__
 
@@ -384,11 +388,13 @@ class ScalarValue:
         if self.is_zero:
             raise ZeroDivisionError("division by zero field element")
         f = self.field
-        if f.degree == 1:
-            return ScalarValue(f, (1 / self.coords[0],))
-        inv = _upoly_inverse_mod(list(self.coords), list(f.minpoly), f.var)
-        inv = inv + [Fraction(0)] * (f.degree - len(inv))
-        return ScalarValue(f, tuple(inv[: f.degree]))
+        n = self.nums[0]
+        if self.is_rational:
+            # n and den are coprime, so den / n needs no reduction
+            return ScalarValue(f, abs(n), (self.den if n > 0 else -self.den,) + self.nums[1:])
+        # (nums / den)^-1 = den * nums^-1
+        inv = _upoly_inverse_mod([Fraction(x) for x in self.nums], list(f.minpoly), f.var)
+        return f.value([c * self.den for c in inv] + [0] * (f.degree - len(inv)))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -419,34 +425,38 @@ class ScalarValue:
 
     @property
     def is_zero(self):
-        return not any(self.coords)
+        return not any(self.nums)
 
     @property
     def is_rational(self):
-        return not any(self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise InputError("value has nonzero coordinates outside Q")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.value(other)
         if not isinstance(other, ScalarValue):
             return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+        return ((self.field is other.field or self.field == other.field)
+                and self.den == other.den and self.nums == other.nums)
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        # a rational value equals its Fraction, so it must hash as one
+        if self.is_rational:
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.field, self.den, self.nums))
 
     def __repr__(self):
         if self.field.degree == 1:
-            return str(self.coords[0])
+            return str(self.as_fraction())
         return _upoly_str(self.coords, self.field.var)
 
 
@@ -588,20 +598,11 @@ class PolyRing:
             self._one = self.constant(1)
         return self._one
 
-    def _from_coords(self, coords) -> "SimplexPoly":
-        """The canonical form of {exponent: tuple of Fraction coordinates}.
-        Over the least common denominator of reduced fractions, the gcd of
-        the denominator and all numerators is already 1."""
-        den = math.lcm(*(c.denominator for v in coords.values() for c in v))
-        nums = {e: tuple(c.numerator * (den // c.denominator) for c in v)
-                for e, v in coords.items() if any(v)}
-        return SimplexPoly(self, den, nums) if nums else self.zero()
-
     def constant(self, x) -> "SimplexPoly":
         v = self.field.value(x)
         if v.is_zero:
             return self.zero()
-        return self._from_coords({(0,) * self.nvars: v.coords})
+        return SimplexPoly(self, v.den, {(0,) * self.nvars: v.nums})
 
     def coordinate(self, j) -> "SimplexPoly":
         """The simplex coordinate t_j in canonical form (t_q eliminated)."""
@@ -630,16 +631,18 @@ class PolyRing:
         return self.poly({tuple(exp): 1})
 
     def poly(self, terms) -> "SimplexPoly":
-        """Build from a raw {exponent-tuple: coefficient} map (can contain zeros)."""
-        coords = {}
+        """Build from a raw {exponent-tuple: coefficient} map (can contain
+        zeros), every coefficient put over their least common denominator."""
+        coefs = {}
         for exp, coef in terms.items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != self.nvars or any(e < 0 for e in exp):
                 raise InputError("bad exponent vector %r" % (exp,))
-            v = self.field.value(coef).coords
-            cur = coords.get(exp)
-            coords[exp] = v if cur is None else tuple(map(add, cur, v))
-        return self._from_coords(coords)
+            v = self.field.value(coef)
+            coefs[exp] = coefs[exp] + v if exp in coefs else v
+        den = math.lcm(*(v.den for v in coefs.values()))
+        return _canonical(self, den, {e: tuple([x * (den // v.den) for x in v.nums])
+                                      for e, v in coefs.items() if not v.is_zero})
 
 
 def _canonical(ring, den, nums):
@@ -745,7 +748,8 @@ class _Terms(Mapping):
         self._poly = poly
 
     def __getitem__(self, exp):
-        return self._poly._scalar(self._poly.nums[exp])
+        p = self._poly
+        return _canonical_scalar(p.ring.field, p.den, p.nums[exp])
 
     def __iter__(self):
         return iter(self._poly.nums)
@@ -776,9 +780,6 @@ class SimplexPoly:
     @property
     def terms(self):
         return _Terms(self)
-
-    def _scalar(self, vec):
-        return ScalarValue(self.ring.field, tuple(Fraction(x, self.den) for x in vec))
 
     # -- coercion ------------------------------------------------------------
 
@@ -860,14 +861,11 @@ class SimplexPoly:
         if v.is_zero:
             return self.ring.zero()
         if v.is_rational:
-            f = v.coords[0]
-            n = f.numerator
-            return _canonical(self.ring, self.den * f.denominator,
+            n = v.nums[0]
+            return _canonical(self.ring, self.den * v.den,
                               {e: tuple([x * n for x in u]) for e, u in self.nums.items()})
-        sden = math.lcm(*(c.denominator for c in v.coords))
-        sv = tuple(c.numerator * (sden // c.denominator) for c in v.coords)
-        imul = field._imul
-        return _canonical(self.ring, self.den * sden * field._xden,
+        imul, sv = field._imul, v.nums
+        return _canonical(self.ring, self.den * v.den * field._xden,
                           {e: imul(u, sv) for e, u in self.nums.items()})
 
     def __pow__(self, k):
@@ -898,15 +896,15 @@ class SimplexPoly:
             return self.ring.field.zero
         if not self.is_constant:
             raise InputError("polynomial is not constant")
+        # one term of a canonical form is itself in canonical form
         vec, = self.nums.values()
-        return self._scalar(vec)
+        return ScalarValue(self.ring.field, self.den, vec)
 
     def total_degree(self):
         return max((sum(e) for e in self.nums), default=0)
 
     def map_coefficients(self, fn) -> "SimplexPoly":
-        return self.ring._from_coords({exp: fn(coef).coords
-                                       for exp, coef in self.terms.items()})
+        return self.ring.poly({exp: fn(coef) for exp, coef in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, ScalarValue)):
@@ -921,6 +919,9 @@ class SimplexPoly:
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
+        # a constant equals its coefficient, so it must hash as that scalar
+        if self.is_constant:
+            return hash(self.constant_value())
         return hash((self.ring, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
@@ -1093,10 +1094,7 @@ def eval_at_weights(p: SimplexPoly, weights, param_values=None) -> ScalarValue:
     ws = [field.value(w) for w in weights]
     if len(ws) != ring.q + 1:
         raise InputError("expected %d weights, got %d" % (ring.q + 1, len(ws)))
-    total_w = field.zero
-    for w in ws:
-        total_w = total_w + w
-    if total_w != field.one:
+    if sum(ws, field.zero) != field.one:
         raise InputError("weights must sum to 1 exactly")
     values = list(ws[: ring.q])
     pv = param_values or {}
@@ -1104,8 +1102,8 @@ def eval_at_weights(p: SimplexPoly, weights, param_values=None) -> ScalarValue:
         if name not in pv:
             raise InputError("missing value for parameter %r" % (name,))
         values.append(field.value(pv[name]))
-    scale = math.lcm(*(c.denominator for x in values for c in x.coords))
-    ints = [tuple(c.numerator * (scale // c.denominator) for c in x.coords) for x in values]
+    scale = math.lcm(*(x.den for x in values))
+    ints = [tuple([c * (scale // x.den) for c in x.nums]) for x in values]
     step = scale * field._xden
     top = p.total_degree()
     imul = field._imul
@@ -1127,8 +1125,7 @@ def eval_at_weights(p: SimplexPoly, weights, param_values=None) -> ScalarValue:
         lift = step ** (top - sum(exp))
         for i, x in enumerate(vec):
             total[i] += x * lift
-    den = p.den * step ** top
-    return ScalarValue(field, tuple(Fraction(x, den) for x in total))
+    return _canonical_scalar(field, p.den * step ** top, tuple(total))
 
 
 # ---------------------------------------------------------------------------
@@ -1139,7 +1136,7 @@ class FieldAutomorphism:
     """A field automorphism of a simple extension, fixing Q, given by the
     image of the generator (which must again be a root of m(x))."""
 
-    __slots__ = ("field", "image", "_powers", "_rows", "_rden")
+    __slots__ = ("field", "image", "_rows", "_rden")
 
     def __init__(self, field: ScalarField, image):
         if field.is_rationals:
@@ -1149,31 +1146,26 @@ class FieldAutomorphism:
         powers = [field.one]
         for _ in range(field.degree - 1):
             powers.append(powers[-1] * self.image)
-        self._powers = tuple(powers)
-        # the matrix of the map on power-basis coordinates, cleared to
-        # integers: row i holds coordinate i of image^k for k = 0 .. d-1
-        rden = self._rden = math.lcm(*(c.denominator for pw in powers for c in pw.coords))
-        self._rows = tuple(zip(*[[c.numerator * (rden // c.denominator) for c in pw.coords]
-                                 for pw in powers]))
+        # the matrix of the map on power-basis numerators, over one
+        # denominator: row i holds numerator i of image^k for k = 0 .. d-1
+        rden = self._rden = math.lcm(*(pw.den for pw in powers))
+        self._rows = tuple(zip(*[[x * (rden // pw.den) for x in pw.nums] for pw in powers]))
         # the generator must go to a root of the defining polynomial; that
         # defines a field map of the extension into itself, which is
-        # injective and Q-linear, hence an automorphism
-        acc = field.zero
-        for k, c in enumerate(field.minpoly):
-            if c:
-                acc = acc + (self._powers[k] if k < field.degree
-                             else self.image ** k) * c
-        if not acc.is_zero:
+        # injective and Q-linear, hence an automorphism.  m(image) is image^d
+        # plus the image of m_0 + m_1 x + ... + m_(d-1) x^(d-1).
+        low = self.apply_value(field.value(field.minpoly[:-1]))
+        if not (powers[-1] * self.image + low).is_zero:
             raise InputError("generator image is not a root of the defining polynomial")
 
     def apply_value(self, v: ScalarValue) -> ScalarValue:
         if v.field != self.field:
             raise RingMismatch("value is not over this automorphism's field")
-        acc = self.field.zero
-        for c, pw in zip(v.coords, self._powers):
-            if c:
-                acc = acc + pw * c
-        return acc
+        return _canonical_scalar(self.field, v.den * self._rden, self._apply(v.nums))
+
+    def _apply(self, u):
+        """rden times the image of the power-basis numerator vector u."""
+        return tuple(sum(map(mul, row, u)) for row in self._rows)
 
     def __call__(self, v):
         if isinstance(v, ScalarValue):
@@ -1182,10 +1174,8 @@ class FieldAutomorphism:
             if v.ring.field is not self.field and v.ring.field != self.field:
                 raise RingMismatch("polynomial is not over this automorphism's field")
             # an automorphism is injective, so no vector becomes zero
-            rows = self._rows
             return _canonical(v.ring, v.den * self._rden,
-                              {e: tuple(sum(map(mul, row, u)) for row in rows)
-                               for e, u in v.nums.items()})
+                              {e: self._apply(u) for e, u in v.nums.items()})
         raise InputError("cannot apply an automorphism to %r" % type(v).__name__)
 
     def __repr__(self):

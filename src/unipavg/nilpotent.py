@@ -65,6 +65,11 @@ def _sub_rows(a, b):
     return tuple(tuple(x if y.is_zero else -y if x.is_zero else x - y
                        for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
+def _minus_identity(rows, ring):
+    # U - I of unit upper triangular rows is U with its diagonal blanked
+    z = ring.zero()
+    return tuple(row[:i] + (z,) + row[i + 1:] for i, row in enumerate(rows))
+
 def _scale_rows(rows, s):
     # a zero entry scales to itself
     return tuple(tuple(x if x.is_zero else x * s for x in row) for row in rows)
@@ -299,7 +304,7 @@ class UniMatrix(_TriangularMatrix):
     def inverse(self):
         """Exact inverse via the terminating Neumann series of U - I."""
         ring, n = self.ring, self.n
-        x = _sub_rows(self.rows, _identity_rows(ring, n))
+        x = _minus_identity(self.rows, ring)
         coefs = [(-1) ** k for k in range(1, n)]
         return UniMatrix(ring, _power_series(_identity_rows(ring, n), x, coefs, ring),
                          check=False)
@@ -325,7 +330,7 @@ def exp_nilpotent(n_mat: NilMatrix) -> UniMatrix:
 def log_unipotent(u_mat: UniMatrix) -> NilMatrix:
     """log(U) = sum_{1 <= k < n} (-1)^(k+1) (U - I)^k / k."""
     ring, n = u_mat.ring, u_mat.n
-    x = _sub_rows(u_mat.rows, _identity_rows(ring, n))
+    x = _minus_identity(u_mat.rows, ring)
     coefs = [Fraction((-1) ** (k + 1), k) for k in range(1, n)]
     return NilMatrix(ring, _power_series(_zero_rows(ring, n), x, coefs, ring), check=False)
 

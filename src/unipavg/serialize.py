@@ -14,7 +14,7 @@ from operator import add
 
 from .errors import InputError
 from .exactring import (QQ, GaloisAction, PolyRing, ScalarField, ScalarValue,
-                        SimplexPoly, _canonical)
+                        SimplexPoly, _canonical, _canonical_scalar)
 from .nilpotent import LieSpan, NilMatrix, UniMatrix
 from .average import SectionTuple
 from .simplicial import (FiniteCover, LocalSection, SimplicialSection,
@@ -81,10 +81,20 @@ def field_from_json(obj) -> ScalarField:
     return ScalarField.extension(_expect(obj["var"], str, "var"), coeffs)
 
 
+def _ratio_to_json(num, den):
+    g = math.gcd(num, den)
+    return {"num": num // g, "den": den // g}
+
+
+def _coef_to_json(vec, den, rational):
+    """A scalar given by its integer power-basis numerators over den."""
+    if rational:
+        return _ratio_to_json(vec[0], den)
+    return {"coords": [_ratio_to_json(x, den) for x in vec]}
+
+
 def scalar_to_json(v: ScalarValue):
-    if v.field.is_rationals:
-        return fraction_to_json(v.coords[0])
-    return {"coords": [fraction_to_json(c) for c in v.coords]}
+    return _coef_to_json(v.nums, v.den, v.field.is_rationals)
 
 
 def _scalar_literals(field: ScalarField, obj):
@@ -100,28 +110,21 @@ def _scalar_literals(field: ScalarField, obj):
 
 
 def scalar_from_json(field: ScalarField, obj) -> ScalarValue:
-    return ScalarValue(field, tuple(Fraction(num, den)
-                                    for num, den in _scalar_literals(field, obj)))
+    lits = _scalar_literals(field, obj)
+    den = math.lcm(*(d for _, d in lits))
+    return _canonical_scalar(field, den, tuple([num * (den // d) for num, d in lits]))
 
 
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
-def _ratio_to_json(num, den):
-    g = math.gcd(num, den)
-    return {"num": num // g, "den": den // g}
-
-
 def poly_to_json(p: SimplexPoly):
     den = p.den
     rational = p.ring.field.is_rationals
     terms = []
     for exp in sorted(p.nums, key=lambda e: (sum(e), e)):
-        vec = p.nums[exp]
-        coef = (_ratio_to_json(vec[0], den) if rational
-                else {"coords": [_ratio_to_json(x, den) for x in vec]})
-        terms.append({"exp": list(exp), "coef": coef})
+        terms.append({"exp": list(exp), "coef": _coef_to_json(p.nums[exp], den, rational)})
     return {"q": p.ring.q, "params": list(p.ring.params), "terms": terms}
 
 

@@ -153,6 +153,24 @@ def test_zero_division_rejected():
         sqrt2().zero.inverse()
 
 
+def test_hash_agrees_with_equality():
+    F = sqrt2()
+    # a rational value or constant polynomial equals its Fraction and hashes as it
+    for c in (0, 1, -4, Fraction(1, 2), Fraction(-5, 3)):
+        for v in (QQ.value(c), F.value(c), PolyRing(QQ, 2).constant(c),
+                  PolyRing(F, 1, ("y",)).constant(c)):
+            assert v == c and hash(v) == hash(c) == hash(Fraction(c))
+    assert QQ.one in {1: 0} and len({QQ.one, 1}) == 1
+    assert PolyRing(QQ, 2).one() in {1: 0} and len({PolyRing(QQ, 2).one(), 1}) == 1
+    assert {Fraction(1, 2): "half"}[QQ.value(Fraction(2, 4))] == "half"
+    # a non-rational value hashes from its field and canonical form, and a
+    # constant polynomial equal to it hashes as it
+    g = F.gen * Fraction(1, 3) + 2
+    assert hash(g) == hash((F, g.den, g.nums)) == hash(F.value([2, Fraction(1, 3)]))
+    c = PolyRing(F, 1).constant(g)
+    assert c == g and hash(c) == hash(g)
+
+
 # ---------------------------------------------------------------------------
 # simplex maps
 # ---------------------------------------------------------------------------

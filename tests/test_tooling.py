@@ -1,6 +1,8 @@
 """Checks on the code itself: the bench tracer still finds every name it
 wraps, one job of each workload still reaches every layer the bench maps
-to that workload, and no module under src/unipavg keeps an unused import."""
+to that workload, no module under src/unipavg keeps an unused import,
+importing the library loads only the standard library, and only exactring
+builds a ScalarValue from its layout."""
 
 import ast
 import json
@@ -102,3 +104,52 @@ def test_no_unused_imports_in_src():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+IMPORTS_OUTSIDE_STDLIB = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import unipavg
+print(unipavg.__file__)
+for name in sorted(set(sys.modules) - before):
+    top = name.split(".")[0]
+    if top != "unipavg" and top not in sys.stdlib_module_names:
+        print(name)
+"""
+
+
+def test_import_loads_only_the_standard_library():
+    # the library is pure stdlib at runtime; -I ignores PYTHONPATH and the
+    # user site, and modules a .pth file loads at start-up are not counted
+    proc = subprocess.run([sys.executable, "-I", "-c", IMPORTS_OUTSIDE_STDLIB, str(ROOT / "src")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    location, *outside = proc.stdout.splitlines()
+    assert Path(location) == PACKAGE / "__init__.py"
+    assert outside == []
+
+
+def scalar_value_calls(source):
+    """Line numbers of calls to the ScalarValue constructor, by bare or
+    dotted name."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and "ScalarValue" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_scalar_value_calls_are_found():
+    source = ("from .exactring import ScalarValue\n"
+              "from . import exactring\n"
+              "a = ScalarValue(F, 1, (0,))\n"
+              "b = isinstance(a, ScalarValue)\n"
+              "c = exactring.ScalarValue(F, 2, (1,))\n")
+    assert scalar_value_calls(source) == [3, 5]
+
+
+def test_only_exactring_calls_the_scalar_value_constructor():
+    # other modules build scalars through exactring's constructors, which
+    # put every value into canonical form
+    found = {path.name: scalar_value_calls(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "exactring.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
