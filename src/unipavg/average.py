@@ -22,11 +22,20 @@ sum_j t_j L_j - L_k (the t_j sum to 1), and f'_k = exp(sum_j t_j L_j)
 exp(-L_k) exp(L_k) f_0 = f'_0.  For q = 1 there is no pair, so every pass
 averages in one component.
 
+Before that test, a matrix pass is checked for being linear: with
+k = ceil(n/2), when every f_j equals f_0 below superdiagonal k, the
+transitions minus I live on superdiagonals >= k, so any two multiply to
+zero (2k >= n); log and exp then stop at degree 1, the logs commute, and
+every component is the plain sum sum_j t_j f_j, computed with no inverse,
+log or exp.  The lift leaves every transition of a full U_n on
+superdiagonals >= 3, so for n <= 6 the pass after the lift is linear.
+
 The operators are written once over a group law (product, inverse, log,
-exp and the algebra's linear operations).  A `SectionTuple` holds unit
-upper triangular matrices under the matrix product; a `CoordinateTuple`
-holds the Lie coordinates of its elements' logs under the truncated BCH
-product of a `LieTable`, which is how quotient towers are averaged.
+exp, the algebra's linear operations and the linear-pass test).  A
+`SectionTuple` holds unit upper triangular matrices under the matrix
+product; a `CoordinateTuple` holds the Lie coordinates of its elements'
+logs under the truncated BCH product of a `LieTable`, which is how
+quotient towers are averaged.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ import operator
 from itertools import combinations
 
 from .errors import InputError, NonConstantError, RingMismatch
-from .exactring import PolyRing, SimplexMap, SimplexPoly, eval_at_weights, permute_coordinates
+from .exactring import (PolyRing, SimplexMap, SimplexPoly, eval_at_weights,
+                        permute_coordinates, sum_of_products)
 from .nilpotent import (LieSpan, NilMatrix, UniMatrix, embed_simplex, exp_nilpotent,
                         full_unipotent_span, log_unipotent, pull_back)
 
@@ -123,6 +133,28 @@ class _MatrixLaw:
     @staticmethod
     def commute(x, y):
         return x.bracket(y).is_zero
+
+    @staticmethod
+    def linear_pass(sections, coords):
+        """The pass's common value sum_j coords[j] sections[j] when every
+        section equals sections[0] below superdiagonal k = ceil(n/2), else
+        None (see `wsym`).  Below superdiagonal k that sum is sections[0]'s
+        entry, since the coordinates sum to 1; each entry from superdiagonal
+        k on is one sum of products."""
+        first = sections[0]
+        n, ring, rows = first.n, first.ring, first.rows
+        k = (n + 1) // 2
+        for f in sections[1:]:
+            for i in range(n - 1):
+                if f.rows[i][i + 1:i + k] != rows[i][i + 1:i + k]:
+                    return None
+        out = [list(row) for row in rows]
+        for i in range(n - k):
+            for j in range(i + k, n):
+                out[i][j] = sum_of_products(ring, [(f.rows[i][j], c)
+                                                   for f, c in zip(sections, coords)
+                                                   if f.rows[i][j].nums])
+        return UniMatrix(ring, tuple(map(tuple, out)), check=False)
 
     @staticmethod
     def embed(g, q, target):
@@ -290,7 +322,19 @@ def _transition_logs(t, first):
 def wsym(t):
     """One symmetrization pass on a tuple of sections over the q-simplex.
 
-    The pass first computes f_0^{-1} and the logs L_j = log(f_j f_0^{-1}),
+    The pass first asks the law for a linear pass.  For matrices, with
+    k = ceil(n/2), it is one when every f_j equals f_0 below superdiagonal
+    k, and then every component equals sum_j t_j f_j:
+      D_j = f_j - f_0 lives on superdiagonals >= k, and so does
+      x_j = f_j f_0^{-1} - I = D_j f_0^{-1};
+      so x_a x_b = 0, as 2k >= n: log(I + x_j) = x_j, exp(S) = I + S, and
+      the logs commute;
+      so every component equals (I + sum_j t_j x_j) f_0 = sum_j t_j f_j.
+    The lift leaves every transition of a full U_n on superdiagonals >= 3,
+    so for n <= 6 the pass after the lift is linear.  Lie coordinates have
+    no linear pass.
+
+    Otherwise the pass computes f_0^{-1} and the logs L_j = log(f_j f_0^{-1}),
     then brackets them pair by pair, stopping at the first pair that does
     not commute.  If they all commute, every component equals
     exp(sum_j t_j L_j) f_0, which alone is computed:
@@ -307,6 +351,9 @@ def wsym(t):
         return t
     law, ring = t.law, t.ring
     coords = [ring.coordinate(j) for j in range(t.q + 1)]
+    linear = law.linear_pass(t.sections, coords)
+    if linear is not None:
+        return t._rebuild([linear] * (t.q + 1), ring)
     inverse = law.inverse(t.sections[0])
     first = [law.log(law.mul(f, inverse)) for f in t.sections[1:]]
 

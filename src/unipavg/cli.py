@@ -34,7 +34,9 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # malformed JSON, text that is not UTF-8, or an integer over
+        # Python's digit limit for integer string conversion
         raise FormatError("invalid JSON in %s: %s" % (path, exc)) from None
 
 
@@ -49,7 +51,12 @@ def _leaf(obj):
     if obj is False:
         return "false"
     if isinstance(obj, int):
-        return int.__repr__(obj)
+        try:
+            return int.__repr__(obj)
+        except ValueError:
+            raise InputError("an output integer has more than %d digits, Python's limit "
+                             "for integer string conversion (sys.get_int_max_str_digits)"
+                             % sys.get_int_max_str_digits()) from None
     raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
@@ -86,13 +93,17 @@ def _emit_json(obj, write, pad="\n"):
 
 
 def _write_json(doc, path):
+    """Write doc and a final newline to path, or to stdout for None or -.
+    Every piece is formed before the first is written, so a document that
+    cannot be written leaves nothing behind."""
+    pieces = []
+    _emit_json(doc, pieces.append)
+    pieces.append("\n")
     if path is None or path == "-":
-        _emit_json(doc, sys.stdout.write)
-        sys.stdout.write("\n")
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            _emit_json(doc, fh.write)
-            fh.write("\n")
+            fh.writelines(pieces)
 
 
 def _parse_weights(spec_text, field, expected_len):
@@ -100,6 +111,9 @@ def _parse_weights(spec_text, field, expected_len):
         raw = json.loads(spec_text)
     except json.JSONDecodeError:
         raise FormatError("weights must be a JSON array") from None
+    except ValueError as exc:
+        # an integer over the digit limit
+        raise FormatError("invalid weights: %s" % exc) from None
     if not isinstance(raw, list):
         raise FormatError("weights must be a JSON array")
     values = [serialize.scalar_from_json(field, w) for w in raw]

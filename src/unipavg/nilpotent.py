@@ -38,6 +38,7 @@ the projection, which hold by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations
 from math import factorial
 
@@ -626,6 +627,12 @@ class LieTable:
         """Is [x, y] = 0?"""
         return not self.dim or all(c.is_zero for c in self.bracket(x, y, x[0].ring.zero()))
 
+    @staticmethod
+    def linear_pass(sections, coords):
+        """Always None: in Lie coordinates `wsym` goes on to the commute
+        test."""
+        return None
+
     def log(self, x):
         return x
 
@@ -654,17 +661,37 @@ class LieTable:
 # spans (subalgebras) of strictly upper matrices
 # ---------------------------------------------------------------------------
 
-def _constant_vector(mat):
-    """The strictly upper entries of a constant matrix, as field values."""
-    zero = mat.ring.field.zero
-    return tuple(zero if e.is_zero else e.constant_value() for e in mat.strict_upper())
-
-
 def _upper_row(mat):
     """The nonzero strictly upper entries of a constant matrix, as a sparse
-    {index: field value} map indexed like `_constant_vector`; InputError
+    {index: field value} map indexed like `strict_upper`; InputError
     when an entry is not constant."""
     return {k: e.constant_value() for k, e in mat.nonzero_upper().items()}
+
+
+@cache
+def _upper_positions(n):
+    """The (i, j) position of each index of `strict_upper`, and the index
+    of each position."""
+    pos = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return pos, {p: k for k, p in enumerate(pos)}
+
+
+def _upper_bracket(u, v, n):
+    """[u, v] = uv - vu for constant n x n strictly upper matrices given as
+    sparse {index: field value} maps like `_upper_row`'s, as a fresh map of
+    the same kind; only products of nonzero entries are formed."""
+    pos, index = _upper_positions(n)
+    out = {}
+    for x, y, sign in ((u, v, 1), (v, u, -1)):
+        for k, a in x.items():
+            i, m = pos[k]
+            for l, b in y.items():
+                if pos[l][0] == m:
+                    at = index[(i, pos[l][1])]
+                    p = a * b if sign > 0 else -(a * b)
+                    cur = out.get(at)
+                    out[at] = p if cur is None else cur + p
+    return {k: x for k, x in out.items() if not x.is_zero}
 
 
 def _mover(src, ring):
@@ -708,8 +735,10 @@ class LieSpan:
     """A Lie subalgebra of strictly upper triangular n x n matrices, given
     by an independent basis of constant matrices over a scalar field.
     Construction verifies independence and closure under the bracket; the
-    closure check solves every basis pair's bracket, which gives the
-    structure-constant table as well."""
+    closure check brackets every basis pair in field scalars and solves it,
+    which gives the structure-constant table as well.  The size n and the
+    field are read from the basis; an empty basis needs both given, and a
+    given n must match the basis."""
 
     __slots__ = ("field", "ring", "n", "basis", "_echelon", "_table")
 
@@ -718,6 +747,9 @@ class LieSpan:
         if basis:
             first = basis[0]
             field = first.ring.field
+            if n is not None and n != first.n:
+                raise InputError("span size n = %d, but its basis matrices are %d x %d"
+                                 % (n, first.n, first.n))
             n = first.n
         elif n is None or field is None:
             raise InputError("an empty span needs explicit n and field")
@@ -737,21 +769,22 @@ class LieSpan:
             move = _mover(b.ring, self.ring)
             fixed.append(b if move is None else b.map_entries(move, self.ring))
         self.basis = tuple(fixed)
+        # the store takes its rows over, so the closure check keeps copies
+        kept = [dict(row) for row in rows] if check else None
         self._echelon = _Echelon(field, rows, what="span basis")
         self._table = None
         if check:
             # each pair's solved coordinates are its structure constants, so
             # the check builds the table and no pair is solved twice
             struct = {}
-            for i, j in combinations(range(len(self.basis)), 2):
-                br = self.basis[i].bracket(self.basis[j])
+            for i, j in combinations(range(len(kept)), 2):
                 try:
-                    coords = self.coordinates(br)
+                    coords = self.coordinates(_upper_bracket(kept[i], kept[j], n))
                 except MembershipError:
                     raise InputError("span is not closed under the bracket "
                                      "(basis pair %d, %d)" % (i, j)) from None
-                struct[(i, j)] = tuple(c.constant_value() for c in coords)
-            self._table = LieTable(field, len(self.basis), struct)
+                struct[(i, j)] = tuple(coords)
+            self._table = LieTable(field, len(kept), struct)
 
     @property
     def dim(self):
@@ -763,17 +796,22 @@ class LieSpan:
         check, or built on first use for an unchecked span."""
         if self._table is None:
             zero = self.field.zero
+            rows = [_upper_row(b) for b in self.basis]
             struct = {}
             for i, j in combinations(range(self.dim), 2):
-                br = _constant_vector(self.basis[i].bracket(self.basis[j]))
+                br = _upper_bracket(rows[i], rows[j], self.n)
                 struct[(i, j)] = tuple(self._echelon.solve(br, zero))
             self._table = LieTable(self.field, self.dim, struct)
         return self._table
 
     def coordinates(self, mat):
         """Coordinates of a matrix (entries may be polynomials over any ring
-        with the same scalar field) in the span basis.  Raises
-        MembershipError when the matrix lies outside the span."""
+        with the same scalar field) in the span basis, or of a constant one
+        given as a fresh sparse {index: field value} map like `_upper_row`'s,
+        which the solve consumes.  Raises MembershipError when the matrix
+        lies outside the span."""
+        if isinstance(mat, dict):
+            return self._echelon.solve(mat, self.field.zero)
         if not isinstance(mat, NilMatrix):
             raise InputError("expected a NilMatrix")
         if mat.n != self.n or (mat.ring.field is not self.field
@@ -1050,11 +1088,12 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
             span.coordinates(b)
         except MembershipError:
             raise InputError("ideal is not contained in the span") from None
-    for a in span.basis:
-        for b in ideal.basis:
-            br = a.bracket(b)
+    rows = [_upper_row(b) for b in span.basis]
+    ideal_rows = [_upper_row(b) for b in ideal.basis]
+    for a in rows:
+        for b in ideal_rows:
             try:
-                ideal.coordinates(br)
+                ideal.coordinates(_upper_bracket(a, b, span.n))
             except MembershipError:
                 raise InputError("the given subspace is not an ideal") from None
 
@@ -1070,17 +1109,19 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
 
     # pick span basis vectors completing the ideal to a basis of the span;
     # the store then solves on the ideal basis followed by the complement
-    ech = _Echelon(field, [_upper_row(b) for b in ideal.basis], what="ideal basis")
-    complement = tuple(idx for idx, b in enumerate(span.basis)
-                       if ech.add_row(_upper_row(b)))
+    # (the store and its solves take their rows over, so each gets a copy)
+    ech = _Echelon(field, ideal_rows, what="ideal basis")
+    complement = tuple(idx for idx, row in enumerate(rows) if ech.add_row(dict(row)))
     m = len(complement)
     reps = [span.basis[i] for i in complement]
 
-    def h_coords(mat):
-        return tuple(ech.solve(_constant_vector(mat), field.zero)[ideal.dim:])
+    def h_coords(vec):
+        return tuple(ech.solve(vec, field.zero)[ideal.dim:])
 
     # structure constants of the quotient on the complement classes
-    struct = {(i, j): h_coords(reps[i].bracket(reps[j])) for i, j in combinations(range(m), 2)}
+    struct = {(i, j): h_coords(_upper_bracket(rows[complement[i]], rows[complement[j]],
+                                              span.n))
+              for i, j in combinations(range(m), 2)}
     table = LieTable(field, m, struct)
 
     # weights from a lower-central-series adapted basis of the quotient
@@ -1109,7 +1150,7 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     target._table._class = cls_bound
 
     # project each span basis vector: complement coords, then adapted coords
-    image_coords = tuple(to_adapted(h_coords(b)) for b in span.basis)
+    image_coords = tuple(to_adapted(h_coords(dict(row))) for row in rows)
     images = tuple(_combination(c, rho, ring, target.n) for c in image_coords)
     # a preimage of each target basis vector: the same combination of the
     # complement representatives that defines the adapted basis vector

@@ -368,6 +368,71 @@ def test_invalid_json_and_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+def _digit_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("integer string conversion is unlimited")
+    return limit
+
+
+@pytest.mark.parametrize("subcommand", ["wav", "wsym", "exp", "sections", "galois"])
+def test_an_integer_over_the_digit_limit_is_bad_input(tmp_path, capsys, subcommand):
+    big = "1" * (_digit_limit() + 700)
+    path = tmp_path / "big.json"
+    path.write_text('{"field": {"rationals": true}, "matrix": {"num": %s, "den": 3}}' % big)
+    code, out, err = run(capsys, [subcommand, "--input", str(path)])
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "FormatError"
+    assert str(sys.get_int_max_str_digits()) in err["error"]["message"]
+
+
+def test_input_that_is_not_utf8_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"a": "\xff"}')
+    code, out, err = run(capsys, ["wav", "--input", str(path)])
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "FormatError"
+    assert "utf-8" in err["error"]["message"]
+
+
+def test_weights_over_the_digit_limit_are_bad_input(tmp_path, capsys):
+    path = write_doc(tmp_path, "t.json", serialize.tuple_to_json(two_point_tuple()))
+    big = "1" * (_digit_limit() + 700)
+    code, out, err = run(capsys, ["wav", "--input", path, "--weights", "[%s, 0]" % big])
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "FormatError"
+    assert str(sys.get_int_max_str_digits()) in err["error"]["message"]
+
+
+def test_an_output_integer_over_the_digit_limit_writes_nothing(tmp_path, capsys):
+    # entries of 0.7 times the limit read back fine, but the log's corner
+    # entry has a product of three of them
+    big = 10 ** (_digit_limit() * 7 // 10) + 1
+    span = unipavg.full_unipotent_span(4, QQ)
+    far = unipavg.UniMatrix.from_entries(span.ring, 4, {(i, j): big for i in range(4)
+                                                         for j in range(i + 1, 4)})
+    t = SectionTuple(span, [unipavg.UniMatrix.identity(span.ring, 4), far])
+    path = write_doc(tmp_path, "t.json", serialize.tuple_to_json(t))
+    out_path = tmp_path / "out.json"
+    for argv in (["wav", "--input", path], ["wav", "--input", path, "--output", str(out_path)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "input-error"
+        assert "more than %d digits" % sys.get_int_max_str_digits() in err["message"]
+    assert not out_path.exists()
+
+
+def test_a_span_whose_basis_disagrees_with_its_size_is_bad_input(tmp_path, capsys):
+    doc = serialize.tuple_to_json(two_point_tuple())
+    doc["group"]["n"] = 2
+    code, out, err = run(capsys, ["wav", "--input", write_doc(tmp_path, "t.json", doc)])
+    assert code == 2 and out is None
+    assert err["error"] == {"kind": "input-error", "type": "InputError",
+                            "message": "span size n = 2, but its basis matrices are 3 x 3"}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["wav"], "unipavg wav: the following arguments are required: --input"),
     (["sections", "--input", "x.json", "--max-q", "abc"],

@@ -153,7 +153,7 @@ def test_the_closure_check_records_the_table(field, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(cls, name, wrapper)
 
-    counted(nilpotent.NilMatrix, "bracket", "bracket")
+    counted(nilpotent, "_upper_bracket", "bracket")
     counted(nilpotent._Echelon, "solve", "solve")
     counted(LieSpan, "coordinates", "coordinates")
     for basis in (full_unipotent_span(4, field).basis, heisenberg_span(field).basis):
