@@ -15,20 +15,15 @@ simplex that restricts to f_i at the i-th vertex.
 The torsor is always the group acting on itself by left multiplication;
 transitions are f_j f_i^{-1}, never f_i^{-1} f_j.
 
-A pass whose transition logs L_j = log(f_j f_0^{-1}) pairwise commute is
-computed as one component, since then every component equals f'_0:
-f_j f_k^{-1} = exp(L_j - L_k), so sum_j t_j log(f_j f_k^{-1}) =
-sum_j t_j L_j - L_k (the t_j sum to 1), and f'_k = exp(sum_j t_j L_j)
-exp(-L_k) exp(L_k) f_0 = f'_0.  For q = 1 there is no pair, so every pass
-averages in one component.
-
-Before that test, a matrix pass is checked for being linear: with
-k = ceil(n/2), when every f_j equals f_0 below superdiagonal k, the
-transitions minus I live on superdiagonals >= k, so any two multiply to
-zero (2k >= n); log and exp then stop at degree 1, the logs commute, and
-every component is the plain sum sum_j t_j f_j, computed with no inverse,
-log or exp.  The lift leaves every transition of a full U_n on
-superdiagonals >= 3, so for n <= 6 the pass after the lift is linear.
+Lemma A: if the transition logs L_j = log(f_j f_0^{-1}) generate a Lie
+algebra of class <= 2, every component of a pass equals exp(S) f_0, with
+S = sum_j t_j L_j.  Lemma B: if every transition lies in Gamma_m, then
+after the pass every transition lies in Gamma_{3m}.  So each tuple records
+such an m, its `depth` (1 when constructed, 3m after a full pass), and a
+pass computes one component exactly when q = 1 or 3m exceeds the
+nilpotency class: one integer comparison, no bracket.  Before that, a
+matrix pass whose sections agree below superdiagonal ceil(n/2) is linear:
+every component is sum_j t_j f_j.  The proofs are in `wsym`.
 
 The operators are written once over a group law (product, inverse, log,
 exp, the algebra's linear operations and the linear-pass test).  A
@@ -41,7 +36,6 @@ quotient towers are averaged.
 from __future__ import annotations
 
 import operator
-from itertools import combinations
 
 from .errors import InputError, NonConstantError, RingMismatch
 from .exactring import (PolyRing, SimplexMap, SimplexPoly, eval_at_weights,
@@ -131,10 +125,6 @@ class _MatrixLaw:
         return NilMatrix.combination(xs, coefs)
 
     @staticmethod
-    def commute(x, y):
-        return x.bracket(y).is_zero
-
-    @staticmethod
     def linear_pass(sections, coords):
         """The pass's common value sum_j coords[j] sections[j] when every
         section equals sections[0] below superdiagonal k = ceil(n/2), else
@@ -163,9 +153,10 @@ class _MatrixLaw:
 
 class _Sections:
     """q+1 group elements over one ring, whose simplex dimension r (the
-    domain degree) is 0 for t-constant elements or q over the q-simplex."""
+    domain degree) is 0 for t-constant elements or q over the q-simplex.
+    Every transition lies in Gamma_depth; only `_rebuild` sets depth > 1."""
 
-    __slots__ = ("sections", "q", "r")
+    __slots__ = ("sections", "q", "r", "depth")
 
     def __len__(self):
         return len(self.sections)
@@ -207,6 +198,7 @@ class SectionTuple(_Sections):
         self.group = group
         self.sections = sections
         self.q = len(sections) - 1
+        self.depth = 1
         ring = sections[0].ring
         self.r = ring.q
         if self.r not in (0, self.q):
@@ -230,9 +222,11 @@ class SectionTuple(_Sections):
     def table(self):
         return self.group.table
 
-    def _rebuild(self, sections, ring):
+    def _rebuild(self, sections, ring, depth=1):
         # the operators' values lie in the group by construction
-        return SectionTuple(self.group, sections, check=False)
+        out = SectionTuple(self.group, sections, check=False)
+        out.depth = depth
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, SectionTuple)
@@ -272,6 +266,7 @@ class CoordinateTuple(_Sections):
         self.ring = ring
         self.sections = sections
         self.q = len(sections) - 1
+        self.depth = 1
         self.r = ring.q
         if self.r not in (0, self.q):
             raise InputError("domain degree %d must be 0 or the tuple degree %d"
@@ -281,8 +276,10 @@ class CoordinateTuple(_Sections):
     def law(self):
         return self.table
 
-    def _rebuild(self, sections, ring):
-        return CoordinateTuple(self.table, sections, ring)
+    def _rebuild(self, sections, ring, depth=1):
+        out = CoordinateTuple(self.table, sections, ring)
+        out.depth = depth
+        return out
 
     def __repr__(self):
         return "CoordinateTuple(q=%d, r=%d, dim %d group)" % (self.q, self.r, self.table.dim)
@@ -330,20 +327,22 @@ def wsym(t):
       so x_a x_b = 0, as 2k >= n: log(I + x_j) = x_j, exp(S) = I + S, and
       the logs commute;
       so every component equals (I + sum_j t_j x_j) f_0 = sum_j t_j f_j.
-    The lift leaves every transition of a full U_n on superdiagonals >= 3,
-    so for n <= 6 the pass after the lift is linear.  Lie coordinates have
-    no linear pass.
+    By Lemma B, the lift leaves every transition of a full U_n on
+    superdiagonals >= 3, so for n <= 6 the pass after the lift is linear.
+    Lie coordinates have no linear pass.
 
-    Otherwise the pass computes f_0^{-1} and the logs L_j = log(f_j f_0^{-1}),
-    then brackets them pair by pair, stopping at the first pair that does
-    not commute.  If they all commute, every component equals
-    exp(sum_j t_j L_j) f_0, which alone is computed:
-      f_j f_k^{-1} = exp(L_j) exp(-L_k) = exp(L_j - L_k), as L_j, L_k commute;
-      so sum_j t_j log(f_j f_k^{-1}) = sum_j t_j L_j - L_k, as sum_j t_j = 1;
-      so f'_k = exp(sum_j t_j L_j) exp(-L_k) exp(L_k) f_0 = f'_0.
-    For q = 1 there is no pair, so every such pass computes one component.
-    Otherwise all q+1 components are computed, reusing f_0^{-1} and the
-    L_j."""
+    Otherwise the pass computes f_0^{-1} and the logs L_j = log(f_j f_0^{-1}).
+    Lemma A: if the L_j generate a Lie algebra of class <= 2, every
+    component equals exp(S) f_0, where S = sum_j t_j L_j:
+      log(f_j f_k^{-1}) = L_j - L_k - [L_j, L_k]/2 by BCH;
+      so sum_j t_j log(f_j f_k^{-1}) = S - L_k - [S, L_k]/2, as sum_j t_j = 1;
+      so f'_k = exp(S - L_k - [S, L_k]/2) exp(L_k) f_0 = exp(S) f_0 by BCH.
+    Lemma B: if every transition lies in Gamma_m, Lemma A holds in
+    G/Gamma_{3m}, where every triple bracket of the L_j vanishes; so after
+    the pass every transition lies in Gamma_{3m}.
+    So when q = 1 (one log) or 3 * depth exceeds the class, which makes
+    Gamma_{3 depth} trivial, only f'_0 is computed; otherwise all q+1
+    components are, reusing f_0^{-1} and the L_j, with depth 3 * depth."""
     if t.r != t.q:
         raise InputError("wsym needs sections over the q-simplex (domain degree %d, "
                          "tuple degree %d)" % (t.r, t.q))
@@ -363,13 +362,11 @@ def wsym(t):
         acc = law.combine([row[j] for j in others], [coords[j] for j in others])
         return law.mul(law.exp(acc), t.sections[i])
 
-    if all(law.commute(a, b) for a, b in combinations(first, 2)):
-        new = [component(0, [None] + first)] * (t.q + 1)
-    else:
-        logs = _transition_logs(t, first)
-        new = [component(i, logs[i]) for i in range(t.q + 1)]
     # exp of a span element times a group element stays in the group
-    return t._rebuild(new, ring)
+    if t.q == 1 or 3 * t.depth > t.table.nilpotency_class:
+        return t._rebuild([component(0, [None] + first)] * (t.q + 1), ring)
+    logs = _transition_logs(t, first)
+    return t._rebuild([component(i, logs[i]) for i in range(t.q + 1)], ring, 3 * t.depth)
 
 
 def lift_w(t):

@@ -259,7 +259,10 @@ def cmd_figure_data(args):
                 c = value.entry(i, j).constant_value()
                 cell = {"value": serialize.scalar_to_json(c)}
                 if c.is_rational:
-                    cell["decimal"] = format(float(c.as_fraction()), ".12g")
+                    try:
+                        cell["decimal"] = format(float(c.as_fraction()), ".12g")
+                    except OverflowError:
+                        pass    # beyond the float range: the exact value alone
                 row.append(cell)
             entries.append(row)
         samples.append({

@@ -472,7 +472,7 @@ class SimplexMap:
     """An order-preserving map [p] -> [q], the morphisms of the simplex
     category.  Cofaces skip one value, codegeneracies take one value twice;
     every order-preserving map is a composition of these.  The pullback
-    plan of `substitute_simplex_map` is kept per instance in ``_pullback``."""
+    plan of `substitute_simplex_map` is kept per instance (`_plan`)."""
 
     __slots__ = ("p", "q", "values", "_pullback")
 
@@ -518,6 +518,17 @@ class SimplexMap:
 
     def preimage(self, j):
         return tuple(i for i, v in enumerate(self.values) if v == j)
+
+    def _plan(self, ring):
+        """The pullback plan for polynomials over ring, kept per last ring."""
+        plan = self._pullback
+        if plan is None or plan[0] != ring:
+            if self.q != ring.q:
+                raise InputError("map target [%d] does not match the polynomial's simplex [%d]"
+                                 % (self.q, ring.q))
+            plan = self._pullback = _pullback_plan(
+                [self.preimage(j) for j in range(self.q + 1)], ring)
+        return plan
 
     def __eq__(self, other):
         return (isinstance(other, SimplexMap)
@@ -960,47 +971,25 @@ def poly_arith(a: SimplexPoly, b: SimplexPoly, op: str) -> SimplexPoly:
     raise InputError("unknown operation %r" % (op,))
 
 
-def _evaluate(p: SimplexPoly, images, target_ring: PolyRing):
-    """Evaluate p at a full list of variable images (ring elements)."""
-    total = target_ring.zero()
-    powcache = {}
-    for exp, coef in p.terms.items():
-        term = target_ring.constant(coef)
-        for v, e in enumerate(exp):
-            if e:
-                key = (v, e)
-                pw = powcache.get(key)
-                if pw is None:
-                    pw = images[v] ** e
-                    powcache[key] = pw
-                term = term * pw
-        total = total + term
-    return total
-
-
-def _pullback_plan(alpha: SimplexMap, ring: PolyRing):
-    """How alpha pulls back the variables of ``ring``, worked out once per
-    (map, source ring) and kept on the map, with the one target ring of
-    every pullback along it.  ``relabel[v]`` is the target variable of a
-    variable whose image is one honest coordinate, -1 for a variable whose
-    image is 0, and None when the image ``images[v]`` is a sum or the
-    eliminated coordinate t_p; ``powers`` caches its powers.  The images
-    are sums of coordinates, so their powers have integer rational
-    coefficients over the denominator 1."""
-    plan = alpha._pullback
-    if plan is not None and plan[0] == ring:
-        return plan
-    if alpha.q != ring.q:
-        raise InputError("map target [%d] does not match the polynomial's simplex [%d]"
-                         % (alpha.q, ring.q))
-    target = PolyRing(ring.field, alpha.p, ring.params)
+def _pullback_plan(preimages, ring: PolyRing):
+    """How the substitution t_j -> (the sum of t_i over preimages[j]) pulls
+    back the variables of ``ring``, with the one target ring of every
+    substitution along the same plan.  The q+1 preimages partition the
+    target's vertices [p]; the target is ``ring`` itself when p = q.
+    ``relabel[v]`` is the target variable of a variable whose image is one
+    honest coordinate, -1 for a variable whose image is 0, and None when
+    the image ``images[v]`` is a sum or the eliminated coordinate t_p;
+    ``powers`` caches its powers.  The images are sums of coordinates, so
+    their powers have integer rational coefficients over the denominator 1."""
+    p = sum(map(len, preimages)) - 1
+    target = ring if p == ring.q else PolyRing(ring.field, p, ring.params)
     relabel = []
     images = {}
     for j in range(ring.q):
-        pre = alpha.preimage(j)
+        pre = preimages[j]
         if not pre:
             relabel.append(-1)
-        elif len(pre) == 1 and pre[0] < alpha.p:
+        elif len(pre) == 1 and pre[0] < p:
             relabel.append(pre[0])
         else:
             relabel.append(None)
@@ -1008,10 +997,8 @@ def _pullback_plan(alpha: SimplexMap, ring: PolyRing):
             for i in pre:
                 img = img + target.coordinate(i)
             images[j] = img
-    relabel.extend(range(alpha.p, target.nvars))
-    plan = (ring, target, relabel, images, {})
-    alpha._pullback = plan
-    return plan
+    relabel.extend(range(p, target.nvars))
+    return (ring, target, relabel, images, {})
 
 
 def _add_vector(out, exp, v):
@@ -1019,16 +1006,11 @@ def _add_vector(out, exp, v):
     out[exp] = v if cur is None else tuple(map(add, cur, v))
 
 
-def substitute_simplex_map(p: SimplexPoly, alpha: SimplexMap) -> SimplexPoly:
-    """Pull back along the affine map of simplices extending alpha: [p]->[q].
-
-    Each t_j with j in [q] becomes the sum of t_i over the alpha-preimage
-    of j (an empty sum is 0); the result is canonical on the p-simplex.
-    A term whose variables all go to single honest coordinates is only
-    relabelled, a term with a variable sent to 0 is dropped, and only the
-    remaining variables are expanded as products.
-    """
-    _, target, relabel, images, powers = _pullback_plan(alpha, p.ring)
+def _substitute(p: SimplexPoly, plan) -> SimplexPoly:
+    """p with its variables replaced as a `_pullback_plan` says: a term is
+    relabelled, dropped when a variable goes to 0, or expanded only in its
+    variables sent to sums."""
+    _, target, relabel, images, powers = plan
     width = target.nvars
     out = {}
     for exp, vec in p.nums.items():
@@ -1056,15 +1038,23 @@ def substitute_simplex_map(p: SimplexPoly, alpha: SimplexMap) -> SimplexPoly:
     return _canonical(target, p.den, {e: v for e, v in out.items() if any(v)})
 
 
+def substitute_simplex_map(p: SimplexPoly, alpha: SimplexMap) -> SimplexPoly:
+    """Pull back along the affine map of simplices extending alpha: [p]->[q].
+
+    Each t_j with j in [q] becomes the sum of t_i over the alpha-preimage
+    of j (an empty sum is 0); the result is canonical on the p-simplex.
+    """
+    return _substitute(p, alpha._plan(p.ring))
+
+
 def permute_coordinates(p: SimplexPoly, perm) -> SimplexPoly:
-    """Substitute t_j -> t_{perm[j]} for a permutation of {0, ..., q}."""
+    """Substitute t_j -> t_{perm[j]} for a permutation of {0, ..., q}: the
+    pullback whose preimage of j is perm[j], over p's own ring."""
     ring = p.ring
     perm = tuple(int(v) for v in perm)
     if sorted(perm) != list(range(ring.q + 1)):
         raise InputError("not a permutation of 0..%d" % ring.q)
-    images = [ring.coordinate(perm[j]) for j in range(ring.q)]
-    images.extend(ring.parameter(name) for name in ring.params)
-    return _evaluate(p, images, ring)
+    return _substitute(p, _pullback_plan([(v,) for v in perm], ring))
 
 
 def extend_to_simplex(p: SimplexPoly, q: int, target=None) -> SimplexPoly:

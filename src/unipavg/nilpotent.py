@@ -43,8 +43,8 @@ from itertools import chain, combinations
 from math import factorial
 
 from .errors import InputError, MembershipError, RingMismatch
-from .exactring import (PolyRing, ScalarField, SimplexPoly, _pullback_plan,
-                        extend_to_simplex, substitute_simplex_map, sum_of_products)
+from .exactring import (PolyRing, ScalarField, SimplexPoly, extend_to_simplex,
+                        substitute_simplex_map, sum_of_products)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,7 @@ def embed_simplex(mat, q, target=None):
 def pull_back(mat, alpha):
     """A matrix over the q-simplex pulled back, entry by entry, along the
     simplex map alpha: [p] -> [q]."""
-    target = _pullback_plan(alpha, mat.ring)[1]
+    target = alpha._plan(mat.ring)[1]
     return mat.map_entries(lambda e: substitute_simplex_map(e, alpha), target)
 
 
@@ -623,14 +623,10 @@ class LieTable:
     def inverse(self, x):
         return self.neg(x)
 
-    def commute(self, x, y):
-        """Is [x, y] = 0?"""
-        return not self.dim or all(c.is_zero for c in self.bracket(x, y, x[0].ring.zero()))
-
     @staticmethod
     def linear_pass(sections, coords):
-        """Always None: in Lie coordinates `wsym` goes on to the commute
-        test."""
+        """Always None: Lie coordinates have no linear pass, so `wsym` goes
+        on to its class rule."""
         return None
 
     def log(self, x):
@@ -769,22 +765,8 @@ class LieSpan:
             move = _mover(b.ring, self.ring)
             fixed.append(b if move is None else b.map_entries(move, self.ring))
         self.basis = tuple(fixed)
-        # the store takes its rows over, so the closure check keeps copies
-        kept = [dict(row) for row in rows] if check else None
         self._echelon = _Echelon(field, rows, what="span basis")
-        self._table = None
-        if check:
-            # each pair's solved coordinates are its structure constants, so
-            # the check builds the table and no pair is solved twice
-            struct = {}
-            for i, j in combinations(range(len(kept)), 2):
-                try:
-                    coords = self.coordinates(_upper_bracket(kept[i], kept[j], n))
-                except MembershipError:
-                    raise InputError("span is not closed under the bracket "
-                                     "(basis pair %d, %d)" % (i, j)) from None
-                struct[(i, j)] = tuple(coords)
-            self._table = LieTable(field, len(kept), struct)
+        self._table = self._build_table() if check else None
 
     @property
     def dim(self):
@@ -792,17 +774,29 @@ class LieSpan:
 
     @property
     def table(self):
-        """The structure constants on this basis: recorded by the closure
-        check, or built on first use for an unchecked span."""
+        """The structure constants on this basis (see `_build_table`)."""
         if self._table is None:
-            zero = self.field.zero
-            rows = [_upper_row(b) for b in self.basis]
-            struct = {}
-            for i, j in combinations(range(self.dim), 2):
-                br = _upper_bracket(rows[i], rows[j], self.n)
-                struct[(i, j)] = tuple(self._echelon.solve(br, zero))
-            self._table = LieTable(self.field, self.dim, struct)
+            self._table = self._build_table()
         return self._table
+
+    def _build_table(self):
+        """Bracket every basis pair in field scalars and solve it: the
+        coordinates are the structure constants, and a bracket outside the
+        span fails the closure check.  A span of dimension n(n-1)/2 is the
+        whole strictly upper algebra, whose class is n - 1."""
+        rows = [_upper_row(b) for b in self.basis]
+        struct = {}
+        for i, j in combinations(range(self.dim), 2):
+            try:
+                struct[(i, j)] = tuple(self.coordinates(_upper_bracket(rows[i], rows[j],
+                                                                       self.n)))
+            except MembershipError:
+                raise InputError("span is not closed under the bracket "
+                                 "(basis pair %d, %d)" % (i, j)) from None
+        table = LieTable(self.field, self.dim, struct)
+        if self.dim == self.n * (self.n - 1) // 2:
+            table._class = self.n - 1
+        return table
 
     def coordinates(self, mat):
         """Coordinates of a matrix (entries may be polynomials over any ring

@@ -16,9 +16,11 @@ from unipavg import (
     NilMatrix,
     PolyRing,
     SectionTuple,
+    UniMatrix,
     bch,
     embed_simplex,
     exp_nilpotent,
+    full_unipotent_span,
     wav,
     wsym,
 )
@@ -322,6 +324,23 @@ def test_figure_data_line(tmp_path, capsys):
     cell = out["samples"][2]["entries"][0][1]
     val = serialize.scalar_from_json(QQ, cell["value"]).as_fraction()
     assert cell["decimal"] == format(float(val), ".12g")
+
+
+def test_figure_data_leaves_out_a_decimal_beyond_the_float_range(tmp_path, capsys):
+    """A rational cell too large for a float carries its exact value alone;
+    the in-range cells keep their decimals."""
+    span = full_unipotent_span(3, QQ)
+    big = 10 ** 400
+    pts = [UniMatrix.from_entries(span.ring, 3, {(0, 1): big, (1, 2): 1}),
+           UniMatrix.from_entries(span.ring, 3, {(1, 2): 2})]
+    path = write_doc(tmp_path, "t.json", serialize.tuple_to_json(SectionTuple(span, pts)))
+    code = main(["figure-data", "--input", path, "--resolution", "2"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    f0 = json.loads(captured.out)["samples"][-1]["entries"]     # weights (1, 0)
+    assert serialize.scalar_from_json(QQ, f0[0][1]["value"]) == QQ.value(big)
+    assert "decimal" not in f0[0][1]
+    assert f0[1][2]["decimal"] == "1"
 
 
 def test_figure_data_triangle_count(tmp_path, capsys):

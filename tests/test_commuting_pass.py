@@ -1,10 +1,15 @@
-"""The commuting-logs shortcut of `wsym`.
+"""The one-component passes of `wsym`.
 
-A pass computes f_0^{-1} and L_j = log(f_j f_0^{-1}) first.  When the L_j
-pairwise commute every component of the pass equals exp(sum_j t_j L_j) f_0
-and only that one is computed; otherwise all q+1 components are.  Both
-branches are compared here, component by component, with the pass written
-out in full: every component from its own inverse and its own q logs.
+A pass computes f_0^{-1} and L_j = log(f_j f_0^{-1}) first.  Lemma A: when
+the L_j generate a Lie algebra of class <= 2, BCH gives
+sum_j t_j log(f_j f_k^{-1}) = S - L_k - [S, L_k]/2 with S = sum_j t_j L_j,
+and BCH with L_k turns every component into exp(S) f_0.  Lemma B: when
+every transition lies in Gamma_m, Lemma A holds modulo Gamma_{3m}, so after
+the pass every transition lies in Gamma_{3m}.  The rule: with m the
+tuple's depth, a pass computes one component when q = 1 or 3m exceeds
+the nilpotency class; otherwise all q+1 components are.  Both branches are
+compared here, component by component, with the pass written out in full:
+every component from its own inverse and its own q logs.
 """
 
 import random
@@ -222,21 +227,26 @@ def test_a_non_commuting_pass_reuses_the_first_row(monkeypatch):
     assert list(got.sections) == want
 
 
-def test_the_table_law_brackets_its_pairs(monkeypatch):
-    """A coordinate pass takes the shortcut through LieTable.commute."""
+def test_the_table_law_takes_one_component_on_the_abelian_floor(monkeypatch):
+    """A coordinate pass on the abelian floor (class 1 < 3) computes one
+    component, chosen by the class rule with no bracket: q logs and one
+    component make q + 1 group products."""
     rng = random.Random(1051)
     ut4 = full_unipotent_span(4, QQ)
     abelian_floor = quotient_span(ut4, lower_central_series(ut4)[1])[0].table
     ring = PolyRing(QQ, 2)
     t = CoordinateTuple(abelian_floor, [[rand_poly(rng, ring) for _ in range(3)]
                                         for _ in range(3)], ring)
+    assert t.depth == 1 and abelian_floor.nilpotency_class == 1
     calls = []
-    real = nilpotent_module.LieTable.commute
-    monkeypatch.setattr(nilpotent_module.LieTable, "commute",
-                        lambda self, x, y: calls.append(1) or real(self, x, y))
+    for name in ("mul", "bracket"):
+        real = getattr(nilpotent_module.LieTable, name)
+        monkeypatch.setattr(nilpotent_module.LieTable, name,
+                            lambda self, *args, name=name, real=real:
+                            calls.append(name) or real(self, *args))
     got = wsym(t)
     monkeypatch.undo()
-    assert calls == [1]                 # q = 2 has one pair
+    assert calls == ["mul"] * 3         # q = 2
     assert got.is_constant_tuple()
     assert list(got.sections) == full_pass(t)
 

@@ -8,7 +8,7 @@ average, so at rational weights w the average is reached by iterating
 on constant matrices, every component on every pass, until they agree.
 The iteration below uses dense lists of field scalars and its own
 terminating series, sharing only scalar arithmetic with the package, so it
-checks `wav` and its commuting-logs shortcut over number fields too,
+checks `wav` and its one-component passes over number fields too,
 where the sympy oracle does not reach.
 """
 

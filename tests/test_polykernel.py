@@ -7,7 +7,7 @@ the same coefficients, and every result must be in canonical form."""
 import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -28,11 +28,11 @@ from unipavg import (
     exp_nilpotent,
     extend_to_simplex,
     full_unipotent_span,
+    permute_coordinates,
     serialize,
     substitute_simplex_map,
     wav,
 )
-from unipavg.exactring import _pullback_plan
 from unipavg.fixtures import cubic_field, sqrt2_field
 from unipavg.nilpotent import pull_back
 from helpers import rand_fraction, rand_scalar
@@ -319,6 +319,25 @@ def test_pullback_extension_and_evaluation_match_reference(name, ring):
                     extend_to_simplex(a, q, PolyRing(field, q, ring.params + ("z",)))
 
 
+@pytest.mark.parametrize("field", [QQ, sqrt2_field()], ids=["Q", "Q(sqrt2)"])
+def test_permute_coordinates_matches_reference_on_every_permutation(field):
+    """t_j -> t_{perm[j]} through the pullback kernel, against evaluation
+    at the image coordinates (t_q's image is 1 - t_0 - ... - t_{q-1}),
+    over p's own ring."""
+    rng = random.Random("perm/%d" % field.degree)
+    for q in range(4):
+        for ring in (PolyRing(field, q), PolyRing(field, q, ("a",))):
+            polys = [rand_poly(rng, ring) for _ in range(4)] + [ring.zero(), ring.one()]
+            params = [{tuple(int(v == q + k) for v in range(ring.nvars)): field.one}
+                      for k in range(len(ring.params))]
+            for perm in permutations(range(q + 1)):
+                images = [ref_coordinate(ring, perm[j]) for j in range(q)] + params
+                for a in polys:
+                    got = permute_coordinates(a, perm)
+                    assert got.ring is ring
+                    assert same(got, ref_evaluate(ring, dict(a.terms), images)), (perm, a)
+
+
 @pytest.mark.parametrize("name,ring", CASES, ids=IDS)
 def test_coefficient_maps_and_galois_match_reference(name, ring):
     rng = random.Random("galois/%s/%d/%d" % (name, ring.q, len(ring.params)))
@@ -422,7 +441,7 @@ def test_lifted_and_pulled_back_matrices_share_one_ring():
     assert all(e.ring is avg.ring for row in avg.rows for e in row)
     alpha = SimplexMap.codegeneracy(2, 1)
     back = pull_back(avg, alpha)
-    assert back.ring is _pullback_plan(alpha, avg.ring)[1]
+    assert back.ring is alpha._plan(avg.ring)[1]
     assert all(e.ring is back.ring for row in back.rows for e in row)
 
 

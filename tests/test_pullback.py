@@ -19,25 +19,18 @@ from unipavg import (
     validate_simplicial_section,
     wav,
 )
-from unipavg.exactring import _evaluate
 from unipavg.fixtures import cover_local_sections, six_point_cover, sqrt2_field
 from unipavg.nilpotent import pull_back
 from helpers import rand_scalar, rand_unipotent
+from test_polykernel import ref_substitute
 
 
 def substitute_by_evaluation(p, alpha):
     """The pullback as it was first written: every variable goes to its
-    image polynomial, and each term is expanded by general products."""
-    ring = p.ring
-    target = PolyRing(ring.field, alpha.p, ring.params)
-    images = []
-    for j in range(ring.q):
-        img = target.zero()
-        for i in alpha.preimage(j):
-            img = img + target.coordinate(i)
-        images.append(img)
-    images.extend(target.parameter(name) for name in ring.params)
-    return _evaluate(p, images, target)
+    image polynomial, and each term is expanded by general products (the
+    reference kernel's evaluation)."""
+    target = PolyRing(p.ring.field, alpha.p, p.ring.params)
+    return target.poly(ref_substitute(p.ring, dict(p.terms), alpha))
 
 
 def order_maps(p, q):
