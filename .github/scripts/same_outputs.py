@@ -1,15 +1,14 @@
 """Check that two source trees write the same bytes on every benchmark job.
 
-    python3 .github/scripts/same_outputs.py BASE HEAD [--seeds 11 23] [--work DIR]
+    python3 .github/scripts/same_outputs.py BASE HEAD [--work DIR]
 
-BASE and HEAD are two checkouts of the repository.  For each seed, the
-inputs of every workload named in HEAD's BENCHMARK.json are generated once
-with the `generate` function of HEAD's perfbench/workloads.py.  Then, for
-each workload, one fresh process per tree imports that tree's package and
-runs every job of the input list in order, as perfbench/worker.py does: a
-CLI job is `cli.main(argv + ["--output", FILE])`, a tower job is
-`tower_compatibility` on the parsed tuple along U_4's lower central series,
-written with `tower_report_to_json`.  The exit code, the standard error
+BASE and HEAD are two checkouts of the repository.  For each seed in SEEDS,
+the inputs of every workload named in HEAD's BENCHMARK.json are generated
+once with the `generate` function of HEAD's perfbench/workloads.py.  Then,
+for each workload, one fresh process per tree imports that tree's
+perfbench/worker.py, which puts the tree's own package first on the path,
+and runs every job of the input list in order through `worker.Jobs`, just
+as the benchmark does.  The exit code, the error text, the standard error
 text and the output bytes of each job are compared, and the check stops at
 the first job that differs, naming it.  Exit status: 0 when every job
 matches, 1 at the first difference.
@@ -29,16 +28,13 @@ import tempfile
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve()
-
-
-def _import_tree(tree):
-    sys.path.insert(0, str(Path(tree).resolve() / "src"))
+SEEDS = (11, 23)
 
 
 def generate(tree, seed, work):
     """Write each workload's inputs and manifest under work; print the
     manifest paths as one JSON list."""
-    _import_tree(tree)
+    sys.path.insert(0, str(Path(tree).resolve() / "src"))
     sys.path.insert(0, str(Path(tree).resolve() / "perfbench"))
     import workloads
     with open(Path(tree) / "BENCHMARK.json", encoding="utf-8") as fh:
@@ -55,33 +51,19 @@ def generate(tree, seed, work):
 
 
 def run_jobs(tree, manifest_path, out_dir):
-    """Run every job of one manifest under tree; job k writes k.json, and
-    status.json lists each job's exit code and standard error text."""
-    _import_tree(tree)
-    from unipavg import QQ, cli, full_unipotent_span, lower_central_series, serialize, simplicial
+    """Run every job of one manifest with tree's benchmark worker; job k
+    writes k.json, and status.json lists each job's exit code, error text
+    and standard error text."""
+    sys.path.insert(0, str(Path(tree).resolve() / "perfbench"))
+    import worker
     with open(manifest_path, encoding="utf-8") as fh:
-        inputs = json.load(fh)["inputs"]
-    ideals = lower_central_series(full_unipotent_span(4, QQ))[1:]
+        jobs = worker.Jobs(json.load(fh), out_dir)
     status = []
-    for k, inp in enumerate(inputs):
-        out = os.path.join(out_dir, "%d.json" % k)
+    for k in range(len(jobs.inputs)):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            try:
-                if inp["kind"] == "tower":
-                    with open(inp["path"], encoding="utf-8") as fh:
-                        t = serialize.tuple_from_json(json.load(fh))
-                    report = simplicial.tower_compatibility(t, ideals)
-                    with open(out, "w", encoding="utf-8") as fh:
-                        json.dump(serialize.tower_report_to_json(report), fh, indent=2)
-                    rc = 0
-                else:
-                    rc = cli.main(inp["argv"] + ["--output", out])
-            except SystemExit as exc:
-                rc = exc.code
-            except Exception as exc:  # reported as this job's outcome
-                rc = "%s: %s" % (type(exc).__name__, exc)
-        status.append([rc, err.getvalue()])
+            rc, _wall, _cpu, error = jobs.run(k)
+        status.append([rc, error, err.getvalue()])
     with open(os.path.join(out_dir, "status.json"), "w", encoding="utf-8") as fh:
         json.dump(status, fh)
 
@@ -100,9 +82,9 @@ def _read(path):
         return None
 
 
-def compare(base, head, seeds, work):
+def compare(base, head, work):
     total = 0
-    for seed in seeds:
+    for seed in SEEDS:
         seed_dir = Path(work) / ("seed-%d" % seed)
         seed_dir.mkdir()
         manifests = json.loads(_self("--generate", head, seed, seed_dir))
@@ -147,17 +129,16 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="checkout of the base commit")
     ap.add_argument("head", help="checkout of the commit under test")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[11, 23])
     ap.add_argument("--work", help="directory for inputs and outputs (default: a fresh "
                     "temporary directory, removed afterwards)")
     args = ap.parse_args(argv)
     base, head = (str(Path(p).resolve()) for p in (args.base, args.head))
     if args.work:
         Path(args.work).mkdir(parents=True, exist_ok=True)
-        return compare(base, head, args.seeds, args.work)
+        return compare(base, head, args.work)
     work = tempfile.mkdtemp(prefix="same-outputs-")
     try:
-        return compare(base, head, args.seeds, work)
+        return compare(base, head, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
