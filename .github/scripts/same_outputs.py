@@ -1,4 +1,5 @@
-"""Check that two source trees write the same bytes on every benchmark job.
+"""Check that two source trees write the same bytes on every benchmark job
+and on a fixed job of every CLI subcommand.
 
     python3 .github/scripts/same_outputs.py BASE HEAD [--work DIR]
 
@@ -9,9 +10,19 @@ for each workload, one fresh process per tree imports that tree's
 perfbench/worker.py, which puts the tree's own package first on the path,
 and runs every job of the input list in order through `worker.Jobs`, just
 as the benchmark does.  The exit code, the error text, the standard error
-text and the output bytes of each job are compared, and the check stops at
-the first job that differs, naming it.  Exit status: 0 when every job
-matches, 1 at the first difference.
+text and the output bytes of each job are compared.
+
+The workloads write no number-field polynomial and leave some subcommands
+out, so `cli_jobs` also writes, once with HEAD's package, the inputs of a
+fixed list of CLI jobs built from `unipavg.fixtures`: wav, with and
+without --weights, over Q and Q(sqrt2), wsym, exp, log, bch, figure-data,
+sections build and validate over Q(sqrt2), and a wav whose output has an
+integer over the digit limit (exit 2).  One fresh process per tree runs
+them through its `cli.main`, and the exit code, standard output and
+standard error of each are compared.
+
+The check stops at the first job that differs, naming it.  Exit status: 0
+when every job matches, 1 at the first difference.
 """
 
 from __future__ import annotations
@@ -68,6 +79,85 @@ def run_jobs(tree, manifest_path, out_dir):
         json.dump(status, fh)
 
 
+def cli_jobs(tree, work):
+    """Write the inputs of the fixed CLI jobs under work with tree's
+    package; print the argument list of each job as one JSON list."""
+    sys.path.insert(0, str(Path(tree).resolve() / "src"))
+    from fractions import Fraction
+    from unipavg import (QQ, SectionTuple, UniMatrix, cli, embed_simplex,
+                         full_unipotent_span, serialize)
+    from unipavg.fixtures import (cover_local_sections, heisenberg_span,
+                                  point_from_coordinates, six_point_cover, sqrt2_field,
+                                  two_point_tuple)
+    from unipavg.nilpotent import log_unipotent
+
+    def dump(name, doc):
+        path = Path(work) / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    sqrt2 = sqrt2_field()
+    span = heisenberg_span(sqrt2)
+    half = Fraction(1, 2)
+    pts = [point_from_coordinates(span, c) for c in (
+        [[1, 1], [0, 2], [half, -1]], [[-2, half], [1, 0], [0, 3]], [[0, -1], [3, 1], [1, 1]])]
+    rational, surd = two_point_tuple(), SectionTuple(span, pts)
+    weights = {QQ: '[{"num":1,"den":3},{"num":2,"den":3}]',
+               sqrt2: '[{"num":1,"den":6},{"coords":[{"num":1,"den":3},0]},{"num":1,"den":2}]'}
+    jobs = []
+    for name, t in (("pair", rational), ("surd", surd)):
+        path = dump(name + ".json", serialize.tuple_to_json(t))
+        jobs += [["wav", "--input", path],
+                 ["wav", "--input", path, "--weights", weights[t.group.field]]]
+    lifted = SectionTuple(span, [embed_simplex(p, 2) for p in surd.sections])
+    jobs.append(["wsym", "--input", dump("lifted.json", serialize.tuple_to_json(lifted))])
+    a, b = (log_unipotent(p) for p in pts[:2])
+    field = {"field": serialize.field_to_json(sqrt2)}
+    jobs += [["exp", "--input", dump("exp.json", serialize.matrix_to_json(
+                 log_unipotent(rational.sections[1])))],
+             ["log", "--input", dump("log.json", dict(field, matrix=serialize.matrix_to_json(
+                 pts[2])))],
+             ["bch", "--input", dump("bch.json", dict(field, a=serialize.matrix_to_json(a),
+                                                      b=serialize.matrix_to_json(b)))],
+             ["figure-data", "--input", str(Path(work) / "pair.json"), "--resolution", "3"]]
+    cover_span, local = cover_local_sections(sqrt2)
+    cover = dump("cover.json", dict(field, cover=serialize.cover_to_json(six_point_cover()),
+                                    group=serialize.span_to_json(cover_span),
+                                    locals=serialize.locals_to_json(local)))
+    built = str(Path(work) / "built.json")
+    if cli.main(["sections", "--input", cover, "--max-q", "2", "--output", built]) != 0:
+        raise RuntimeError("building the validate-mode input %s failed" % built)
+    jobs += [["sections", "--input", cover, "--max-q", "2"],
+             ["sections", "--input", built, "--max-q", "2"]]
+    # the log's corner entry is a product of three entries of 0.7 times the
+    # digit limit, so writing the average exits 2
+    big = 10 ** (sys.get_int_max_str_digits() * 7 // 10) + 1
+    u4 = full_unipotent_span(4, QQ)
+    far = UniMatrix.from_entries(u4.ring, 4, {(i, j): big for i in range(4)
+                                              for j in range(i + 1, 4)})
+    path = dump("big.json", serialize.tuple_to_json(
+        SectionTuple(u4, [UniMatrix.identity(u4.ring, 4), far])))
+    jobs.append(["wav", "--input", path])
+    print(json.dumps(jobs))
+
+
+def run_cli_jobs(tree, jobs_path, result_path):
+    """Run each job of jobs_path with tree's cli.main; result_path lists
+    each job's exit code, standard output and standard error."""
+    sys.path.insert(0, str(Path(tree).resolve() / "src"))
+    from unipavg import cli
+    with open(jobs_path, encoding="utf-8") as fh:
+        jobs = json.load(fh)
+    results = []
+    for argv in jobs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        results.append([rc, out.getvalue(), err.getvalue()])
+    with open(result_path, "w", encoding="utf-8") as fh:
+        json.dump(results, fh)
+
+
 def _self(*args):
     """Run this script in a fresh process; return its standard output."""
     done = subprocess.run([sys.executable, str(SCRIPT)] + [str(a) for a in args],
@@ -113,6 +203,23 @@ def compare(base, head, work):
                     return 1
             total += len(inputs)
             print("same: seed %d, workload %s, %d jobs" % (seed, name, len(inputs)))
+    cli_dir = Path(work) / "cli"
+    cli_dir.mkdir()
+    jobs_path = cli_dir / "jobs.json"
+    jobs_path.write_text(_self("--cli-jobs", head, cli_dir), encoding="utf-8")
+    results = {}
+    for label, tree in (("base", base), ("head", head)):
+        result_path = cli_dir / ("result-%s.json" % label)
+        _self("--cli-run", tree, jobs_path, result_path)
+        results[label] = json.loads(result_path.read_text(encoding="utf-8"))
+    jobs = json.loads(jobs_path.read_text(encoding="utf-8"))
+    for k, argv in enumerate(jobs):
+        if results["base"][k] != results["head"][k]:
+            print("DIFFERS: subcommand job %d (%s): exit code, standard output or "
+                  "standard error" % (k, " ".join(argv)))
+            return 1
+    total += len(jobs)
+    print("same: %d subcommand jobs" % len(jobs))
     print("every one of %d jobs wrote the same bytes under both trees" % total)
     return 0
 
@@ -125,6 +232,12 @@ def main(argv=None):
         return 0
     if argv[:1] == ["--run"]:
         run_jobs(*argv[1:4])
+        return 0
+    if argv[:1] == ["--cli-jobs"]:
+        cli_jobs(argv[1], argv[2])
+        return 0
+    if argv[:1] == ["--cli-run"]:
+        run_cli_jobs(*argv[1:4])
         return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="checkout of the base commit")

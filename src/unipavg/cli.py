@@ -40,10 +40,18 @@ def _read_json(path):
         raise FormatError("invalid JSON in %s: %s" % (path, exc)) from None
 
 
+def _digit_limit_error():
+    return InputError("an output integer has more than %d digits, Python's limit "
+                      "for integer string conversion (sys.get_int_max_str_digits)"
+                      % sys.get_int_max_str_digits())
+
+
 def _leaf(obj):
-    """The JSON text of a string, integer, boolean or None."""
+    """The JSON text of a string, number, boolean or None."""
     if isinstance(obj, str):
         return _quote(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -54,20 +62,93 @@ def _leaf(obj):
         try:
             return int.__repr__(obj)
         except ValueError:
-            raise InputError("an output integer has more than %d digits, Python's limit "
-                             "for integer string conversion (sys.get_int_max_str_digits)"
-                             % sys.get_int_max_str_digits()) from None
+            raise _digit_limit_error() from None
     raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
-def _emit_json(obj, write, pad="\n"):
+@functools.cache
+def _term_format(nvars, ncoords, pad):
+    """The indent=2 text at pad of one polynomial term, with a %d for each
+    integer: nvars exponents, then num and den of the coefficient, or of
+    each of its ncoords coordinates when ncoords is not 0.  It is json.dumps
+    of a term whose integers are all 0, a digit no key contains."""
+    coef = {"num": 0, "den": 0}
+    if ncoords:
+        coef = {"coords": [coef] * ncoords}
+    text = json.dumps({"exp": [0] * nvars, "coef": coef}, indent=2)
+    return text.replace("0", "%d").replace("\n", pad)
+
+
+_INT, _STR = frozenset((int,)), frozenset((str,))
+
+
+def _block(texts, pad):
+    """A nonempty list at pad of items given in their indent=2 text."""
+    at = pad + "  "
+    return "[" + at + ("," + at).join(texts) + pad + "]"
+
+
+def _poly_text(doc, pad):
+    """The indent=2 text at pad of a dict of exactly the shape that
+    serialize.poly_to_json writes, or None for any other dict.  Every
+    integer is checked to be an int, not a bool, and the terms are
+    formatted in one % call from the document's own values."""
+    if tuple(doc) != ("q", "params", "terms"):
+        return None
+    q, params, terms = doc.values()
+    if (type(q) is not int or type(params) is not list or type(terms) is not list
+            or not _STR.issuperset(map(type, params))):
+        return None
+    inner = pad + "  "
+    at = inner + "  "
+    formats = []
+    values = []
+    for term in terms:
+        if type(term) is not dict or tuple(term) != ("exp", "coef"):
+            return None
+        exp, coef = term.values()
+        if type(exp) is not list or type(coef) is not dict:
+            return None
+        values += exp
+        keys = tuple(coef)
+        if keys == ("num", "den"):
+            values += coef.values()
+            ncoords = 0
+        elif keys == ("coords",) and type(coef["coords"]) is list and coef["coords"]:
+            ncoords = len(coef["coords"])
+            for c in coef["coords"]:
+                if type(c) is not dict or tuple(c) != ("num", "den"):
+                    return None
+                values += c.values()
+        else:
+            return None
+        formats.append(_term_format(len(exp), ncoords, at))
+    if not _INT.issuperset(map(type, values)):
+        return None
+    names = _block(list(map(_quote, params)), inner) if params else "[]"
+    try:
+        body = _block(formats, inner) % tuple(values) if formats else "[]"
+        return ('{%s"q": %d,%s"params": %s,%s"terms": %s%s}'
+                % (inner, q, inner, names, inner, body, pad))
+    except ValueError:
+        raise _digit_limit_error() from None
+
+
+def _emit_json(obj, write, pad="\n", lead=""):
     """Write obj in pieces, byte for byte as json.dumps(obj, indent=2)
     prints it.  json.dumps uses its C encoder only without an indent, and
     its pure-Python one passes each piece up through every enclosing level,
-    so outputs are written here, straight to `write`, one piece per member.
-    Documents hold dicts with string keys, lists, tuples, strings,
-    integers, booleans and None; `pad` is the newline and indent of obj's
-    own level."""
+    so outputs are written here, straight to `write`: one piece per leaf
+    and per closing bracket, and one per polynomial, whose fixed shape
+    `_poly_text` formats whole.  Documents hold dicts with string keys,
+    lists, tuples, strings, numbers, booleans and None; `pad` is the
+    newline and indent of obj's own level, and `lead` the text before obj,
+    written with its first piece."""
+    if type(obj) is dict:
+        text = _poly_text(obj, pad)
+        if text is not None:
+            write(lead + text)
+            return
     if isinstance(obj, dict):
         members = ((_quote(key) + ": ", value) for key, value in obj.items())
         brackets = "{}"
@@ -75,17 +156,16 @@ def _emit_json(obj, write, pad="\n"):
         members = (("", item) for item in obj)
         brackets = "[]"
     else:
-        write(_leaf(obj))
+        write(lead + _leaf(obj))
         return
     if not obj:
-        write(brackets)
+        write(lead + brackets)
         return
     inner = pad + "  "
-    lead = brackets[0] + inner
+    lead += brackets[0] + inner
     for head, value in members:
         if isinstance(value, (dict, list, tuple)):
-            write(lead + head)
-            _emit_json(value, write, inner)
+            _emit_json(value, write, inner, lead + head)
         else:
             write(lead + head + _leaf(value))
         lead = "," + inner
@@ -93,17 +173,18 @@ def _emit_json(obj, write, pad="\n"):
 
 
 def _write_json(doc, path):
-    """Write doc and a final newline to path, or to stdout for None or -.
-    Every piece is formed before the first is written, so a document that
+    """Write doc and a final newline to path, or to stdout for None or -,
+    in one write.  The whole text is formed first, so a document that
     cannot be written leaves nothing behind."""
     pieces = []
     _emit_json(doc, pieces.append)
     pieces.append("\n")
+    text = "".join(pieces)
     if path is None or path == "-":
-        sys.stdout.writelines(pieces)
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+            fh.write(text)
 
 
 def _parse_weights(spec_text, field, expected_len):
@@ -125,6 +206,22 @@ def _parse_weights(spec_text, field, expected_len):
 # ---------------------------------------------------------------------------
 # subcommand handlers, each given the parsed argparse namespace
 # ---------------------------------------------------------------------------
+
+# figure-data builds every point of its grid, C(R + q, q) of them, before
+# evaluating any, so the resolution R is bounded
+MAX_RESOLUTION = 64
+
+# sections builds and checks every level up to max_q, and a cover with m
+# opens has C(m + q, q + 1) multi-indices at level q, so max_q is bounded:
+# the --max-q of a build, and the max_q of a validate-mode document, for
+# which the reader makes one dict per level before reading any
+MAX_Q = 8
+
+
+def _check_max_q(max_q):
+    if isinstance(max_q, int) and max_q > MAX_Q:
+        raise InputError("max_q must be at most %d, got %d" % (MAX_Q, max_q))
+
 
 def cmd_wav(args):
     t = serialize.tuple_from_json(_read_json(args.input))
@@ -186,12 +283,14 @@ def cmd_sections(args):
         raise FormatError("sections input must be an object")
     if "levels" in doc:
         # validate mode: the document already carries a simplicial section
+        _check_max_q(doc.get("max_q"))
         section = serialize.simplicial_from_json(doc)
         report = validate_simplicial_section(section, min(args.max_q, section.max_q))
         out = {"mode": "validate",
                "report": serialize.validation_report_to_json(report)}
         _write_json(out, args.output)
         return 0 if report.ok else 2
+    _check_max_q(args.max_q)
     field = serialize.field_from_json(doc.get("field"))
     cover = serialize.cover_from_json(doc.get("cover"))
     group = serialize.span_from_json(field, doc.get("group"))
@@ -215,11 +314,6 @@ def cmd_galois(args):
     doc = {"q": orbit.q, "rational_point": serialize.matrix_to_json(point)}
     _write_json(doc, args.output)
     return 0
-
-
-# figure-data builds every point of its grid, C(R + q, q) of them, before
-# evaluating any, so the resolution R is bounded
-MAX_RESOLUTION = 64
 
 
 def _simplex_grid(q, resolution):
@@ -328,7 +422,8 @@ def build_parser():
                                 "multiples of 1/R" % MAX_RESOLUTION)
         if name == "sections":
             p.add_argument("--max-q", type=int, default=3, dest="max_q",
-                           help="highest simplex level to build/validate")
+                           help="highest simplex level to build (at most %d) or "
+                                "validate" % MAX_Q)
     return parser
 
 

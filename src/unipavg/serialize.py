@@ -41,6 +41,9 @@ def fraction_to_json(f: Fraction):
     return {"num": f.numerator, "den": f.denominator}
 
 
+_NUM_DEN = frozenset(("num", "den"))
+
+
 def _literal(obj):
     """A number literal, an integer or a num/den object, as integers
     (numerator, denominator) with a positive denominator; every number
@@ -49,9 +52,12 @@ def _literal(obj):
         raise FormatError("booleans are not numbers")
     if isinstance(obj, int):
         return obj, 1
-    if isinstance(obj, dict) and set(obj) <= {"num", "den"}:
-        num = int(_expect(obj.get("num", 0), int, "num"))
-        den = int(_expect(obj.get("den", 1), int, "den"))
+    if isinstance(obj, dict) and obj.keys() <= _NUM_DEN:
+        num, den = obj.get("num", 0), obj.get("den", 1)
+        if type(num) is not int:
+            num = int(_expect(num, int, "num"))
+        if type(den) is not int:
+            den = int(_expect(den, int, "den"))
         if den == 0:
             raise FormatError("zero denominator")
         return (-num, -den) if den < 0 else (num, den)
@@ -133,21 +139,40 @@ def poly_from_json(field: ScalarField, obj, rings=None) -> SimplexPoly:
     built in the same read, so the values of one document share ring
     objects and compare them by identity.  Coefficients are read as integer
     literals and put over their least common denominator, so the canonical
-    form takes one lcm and one gcd reduction."""
-    _expect(obj, dict, "polynomial")
-    q = _expect(obj.get("q", 0), int, "q")
-    params = tuple(_expect(n, str, "parameter name")
-                   for n in _expect(obj.get("params", []), list, "params"))
+    form takes one lcm and one gcd reduction.  Types are tested inline;
+    `_expect` runs only on a value that fails the test, so subclasses pass
+    and every message is `_expect`'s."""
+    if type(obj) is not dict:
+        _expect(obj, dict, "polynomial")
+    q = obj.get("q", 0)
+    if type(q) is not int:
+        _expect(q, int, "q")
+    params = obj.get("params", [])
+    if type(params) is not list:
+        _expect(params, list, "params")
+    params = tuple(params)
+    if params and not all(type(n) is str for n in params):
+        for n in params:
+            _expect(n, str, "parameter name")
     if rings is None:
         rings = {}
     ring = rings.get((q, params))
     if ring is None:
         ring = rings[(q, params)] = PolyRing(field, q, params)
+    doc_terms = obj.get("terms", [])
+    if type(doc_terms) is not list:
+        _expect(doc_terms, list, "terms")
+    if not doc_terms:
+        return ring.zero()
     terms = []
     negative = None         # the first exponent vector with a negative entry
-    for term in _expect(obj.get("terms", []), list, "terms"):
-        _expect(term, dict, "term")
-        exp = tuple(_expect(term.get("exp"), list, "exp"))
+    for term in doc_terms:
+        if type(term) is not dict:
+            _expect(term, dict, "term")
+        exp = term.get("exp")
+        if type(exp) is not list:
+            _expect(exp, list, "exp")
+        exp = tuple(exp)
         if not all(type(e) is int for e in exp):
             exp = tuple(int(_expect(e, int, "exponent")) for e in exp)
         if len(exp) != ring.nvars:
@@ -176,8 +201,12 @@ def matrix_to_json(mat):
     return {"n": mat.n, "entries": [[poly_to_json(e) for e in row] for row in mat.rows]}
 
 
-def _grid_from_json(field, obj, what, rings=None):
-    _expect(obj, dict, what)
+def _grid_from_json(field, obj, kind, rings=None):
+    """A NilMatrix or UniMatrix (kind) from its n x n grid.  Every entry is
+    read over a ring of one `rings` map, so equal rings are one object, the
+    grid is square and the entries are polynomials: only the diagonal is
+    left for the matrix to check."""
+    _expect(obj, dict, "matrix")
     n = _expect(obj.get("n"), int, "n")
     if n < 1:
         raise FormatError("matrix size must be at least 1")
@@ -186,20 +215,21 @@ def _grid_from_json(field, obj, what, rings=None):
         raise FormatError("matrix entries must form an n x n grid")
     if rings is None:
         rings = {}
-    rows = [[poly_from_json(field, e, rings) for e in row] for row in entries]
-    if len({e.ring for row in rows for e in row}) > 1:
+    rows = tuple([tuple([poly_from_json(field, e, rings) for e in row]) for row in entries])
+    ring = rows[0][0].ring
+    if any(e.ring is not ring for row in rows for e in row):
         raise FormatError("matrix entries mix different rings")
-    return n, rows, rows[0][0].ring if rows else PolyRing(field, 0)
+    mat = kind(ring, rows, check=False)
+    mat._check_diagonal()
+    return mat
 
 
 def nil_from_json(field, obj, rings=None) -> NilMatrix:
-    n, rows, ring = _grid_from_json(field, obj, "matrix", rings)
-    return NilMatrix(ring, rows)
+    return _grid_from_json(field, obj, NilMatrix, rings)
 
 
 def uni_from_json(field, obj, rings=None) -> UniMatrix:
-    n, rows, ring = _grid_from_json(field, obj, "matrix", rings)
-    return UniMatrix(ring, rows)
+    return _grid_from_json(field, obj, UniMatrix, rings)
 
 
 def span_to_json(span: LieSpan):

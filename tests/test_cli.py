@@ -25,7 +25,8 @@ from unipavg import (
     wsym,
 )
 import unipavg
-from unipavg.cli import _HANDLERS, main
+from unipavg import cli
+from unipavg.cli import _HANDLERS, MAX_Q, main
 from unipavg.errors import InvariantViolation
 from unipavg import serialize
 from unipavg.fixtures import (
@@ -276,6 +277,40 @@ def test_built_sections_are_byte_identical(tmp_path, capsys, name):
     text = capsys.readouterr().out
     assert json.loads(text)["report"]["checks"] == 416
     assert hashlib.sha256(text.encode()).hexdigest() == SEED_SECTIONS_DIGESTS[name]
+
+
+def test_sections_max_q_limit(tmp_path, capsys, monkeypatch):
+    # only the exit code: a max_q past the limit, on the command line of a
+    # build or in a validate-mode document, is refused before any level is
+    # read or built, so reading or building here fails the test
+    assert MAX_Q >= 4
+    path = write_doc(tmp_path, "cover.json", build_sections_doc())
+    code, built, _ = run(capsys, ["sections", "--input", path, "--max-q", "1"])
+    assert code == 0
+    built.pop("report")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the max_q limit")
+
+    monkeypatch.setattr(cli.serialize, "simplicial_from_json", no_work)
+    monkeypatch.setattr(cli, "build_simplicial_section", no_work)
+    for max_q in (MAX_Q + 1, 10 ** 8):
+        code, out, err = run(capsys, ["sections", "--input", path, "--max-q", str(max_q)])
+        assert code == 2 and out is None
+        assert err["error"]["message"] == "max_q must be at most %d, got %d" % (MAX_Q, max_q)
+        path2 = write_doc(tmp_path, "built.json", dict(built, max_q=max_q))
+        code, out, err = run(capsys, ["sections", "--input", path2])
+        assert code == 2 and out is None
+        assert err["error"]["message"] == "max_q must be at most %d, got %d" % (MAX_Q, max_q)
+
+
+def test_sections_validate_mode_caps_a_large_max_q_option(tmp_path, capsys):
+    path = write_doc(tmp_path, "cover.json", build_sections_doc())
+    code, built, _ = run(capsys, ["sections", "--input", path, "--max-q", "1"])
+    built.pop("report")
+    path2 = write_doc(tmp_path, "built.json", built)
+    code, out, _ = run(capsys, ["sections", "--input", path2, "--max-q", str(MAX_Q + 1)])
+    assert code == 0 and out["mode"] == "validate" and out["report"]["ok"] is True
 
 
 # ---------------------------------------------------------------------------

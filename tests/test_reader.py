@@ -6,17 +6,18 @@ Q(sqrt2) and the cubic field the two give equal polynomials, or raise the
 same exception class with the same message."""
 
 from fractions import Fraction
+from itertools import product
 from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipavg import QQ, PolyRing
+from unipavg import QQ, NilMatrix, PolyRing, UniMatrix
 from unipavg.errors import InputError
 from unipavg.fixtures import cubic_field, sqrt2_field
-from unipavg.serialize import (FormatError, _expect, fraction_from_json, poly_from_json,
-                               scalar_from_json)
+from unipavg.serialize import (FormatError, _expect, fraction_from_json, nil_from_json,
+                               poly_from_json, scalar_from_json, uni_from_json)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -237,3 +238,125 @@ def test_scalar_and_fraction_readers_match_the_old_ones(obj):
         for doc in (obj, {"coords": [obj] * field.degree}, {"coords": [obj]}):
             assert outcome(scalar_from_json, field, doc) == outcome(old_scalar_from_json,
                                                                     field, doc)
+
+
+# ---------------------------------------------------------------------------
+# malformed q, params and terms, with and without terms
+# ---------------------------------------------------------------------------
+
+TERM = {"exp": [1], "coef": {"num": 1, "den": 2}}
+ABSENT = object()
+CONTAINER_VALUES = {
+    "q": [ABSENT, 1, 0, -1, "1", True, False, None, 1.5, [1]],
+    "params": [ABSENT, [], ["a"], "a", [1], ["a", 2], ["a", "a"], ("a",), None, {}],
+    "terms": [ABSENT, [], [TERM], [TERM, TERM], {}, None, "x", 0, (TERM,), {"exp": [1]}],
+}
+
+
+def test_every_container_shape_matches_the_old_reader():
+    """The reader returns a polynomial with no terms early, after the same
+    checks of q, params and the term list as the old reader, whose
+    generated documents never have a malformed container."""
+    for field in FIELDS:
+        for q, params, terms in product(*CONTAINER_VALUES.values()):
+            doc = {k: v for k, v in zip(CONTAINER_VALUES, (q, params, terms)) if v is not ABSENT}
+            assert_same_outcome(outcome(poly_from_json, field, doc),
+                                outcome(old_poly_from_json, field, doc))
+    for doc in ([], None, "p", 0, [{"q": 1}]):
+        assert_same_outcome(outcome(poly_from_json, QQ, doc),
+                            outcome(old_poly_from_json, QQ, doc))
+
+
+def test_zero_polynomials_share_their_ring_within_a_read():
+    rings = {}
+    a = poly_from_json(QQ, {"q": 1, "terms": []}, rings)
+    b = poly_from_json(QQ, {"q": 1, "params": [], "terms": [{"exp": [0], "coef": 0}]}, rings)
+    assert a is b and a.ring is rings[(1, ())] and a.is_zero
+
+
+# ---------------------------------------------------------------------------
+# matrices
+# ---------------------------------------------------------------------------
+
+def old_grid_from_json(field, obj, kind):
+    _expect(obj, dict, "matrix")
+    n = _expect(obj.get("n"), int, "n")
+    if n < 1:
+        raise FormatError("matrix size must be at least 1")
+    entries = _expect(obj.get("entries"), list, "entries")
+    if len(entries) != n or any(len(_expect(r, list, "matrix row")) != n for r in entries):
+        raise FormatError("matrix entries must form an n x n grid")
+    rows = [[old_poly_from_json(field, e) for e in row] for row in entries]
+    if len({e.ring for row in rows for e in row}) > 1:
+        raise FormatError("matrix entries mix different rings")
+    return kind(rows[0][0].ring, rows)
+
+
+def assert_same_matrix_outcome(new, old):
+    assert new[0] is old[0], (new, old)
+    if new[0] == "value":
+        a, b = new[1], old[1]
+        assert type(a) is type(b) and a == b and a.ring == b.ring
+        assert [[(x.den, x.nums) for x in row] for row in a.rows] == \
+               [[(x.den, x.nums) for x in row] for row in b.rows]
+    else:
+        assert new[1] == old[1]
+
+
+def const(value, q=0, params=()):
+    terms = [{"exp": [0] * (q + len(params)), "coef": value}] if value else []
+    return {"q": q, "params": list(params), "terms": terms}
+
+
+GRID_ENTRIES = [const(0), const(1), const(-2), const(0, 1), const(1, 1), const(0, 0, ["a"]),
+                {"q": 1, "terms": [{"exp": [1], "coef": 1}]}, "x", None]
+
+
+@st.composite
+def grid_docs(draw):
+    n = draw(st.integers(1, 3))
+    size = draw(st.sampled_from([n, n, n, n + 1, 0, True, "2", None]))
+    rows = [draw(st.lists(st.sampled_from(GRID_ENTRIES), min_size=n, max_size=n))
+            for _ in range(n)]
+    if draw(st.booleans()):
+        # a unit or strictly upper shape, so most documents get past the diagonal
+        one = draw(st.sampled_from([const(1), const(0)]))
+        rows = [[one if i == j else const(0) if j < i else rows[i][j] for j in range(n)]
+                for i in range(n)]
+    if draw(st.integers(0, 5)) == 0:
+        rows = draw(st.sampled_from([rows[:-1], rows + [rows[0]], [rows[0][:-1]] + rows[1:],
+                                     {"0": rows}, [tuple(rows[0])] + rows[1:]]))
+    doc = {"n": size, "entries": rows}
+    if draw(st.integers(0, 7)) == 0:
+        doc = draw(st.sampled_from([{"entries": rows}, {"n": size}, [doc]]))
+    return doc
+
+
+@SETTINGS
+@given(grid_docs())
+def test_grid_reader_matches_the_old_reader(doc):
+    assert_same_matrix_outcome(outcome(nil_from_json, QQ, doc),
+                               outcome(old_grid_from_json, QQ, doc, NilMatrix))
+    assert_same_matrix_outcome(outcome(uni_from_json, QQ, doc),
+                               outcome(old_grid_from_json, QQ, doc, UniMatrix))
+
+
+@pytest.mark.parametrize("read, kind, entries, message", [
+    (nil_from_json, NilMatrix, [[const(0), const(1, 1)], [const(0), const(0)]],
+     "matrix entries mix different rings"),
+    (uni_from_json, UniMatrix, [[const(1), const(1, 0, ["a"])], [const(0), const(1)]],
+     "matrix entries mix different rings"),
+    (nil_from_json, NilMatrix, [[const(0), const(1)], [const(0), const(2)]],
+     "entry (1, 1) below or on the diagonal is nonzero"),
+    (uni_from_json, UniMatrix, [[const(1), const(1)], [const(1), const(1)]],
+     "entry (1, 0) below the diagonal is nonzero"),
+    (uni_from_json, UniMatrix, [[const(1), const(1)], [const(0), const(0)]],
+     "diagonal entry (1, 1) is not 1"),
+    (nil_from_json, NilMatrix, [[const(0), const(1)]], "matrix entries must form an n x n grid"),
+    (uni_from_json, UniMatrix, "x", "expected list for entries, got str"),
+])
+def test_grid_rejections_keep_their_class_and_message(read, kind, entries, message):
+    doc = {"n": 2, "entries": entries}
+    new = outcome(read, QQ, doc)
+    assert new[1] == message
+    assert_same_matrix_outcome(new, outcome(old_grid_from_json, QQ, doc, kind))

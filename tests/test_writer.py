@@ -5,16 +5,21 @@ subcommand, on failing validation reports (tuple multi-indices), on
 non-ASCII labels, empty containers and long integers, and on generated
 documents."""
 
+import io
 import json
 import random
+import sys
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipavg import (QQ, FiniteCover, SectionTuple, embed_simplex, full_unipotent_span,
-                     tower_compatibility)
+from unipavg import (QQ, FiniteCover, PolyRing, SectionTuple, embed_simplex,
+                     full_unipotent_span, tower_compatibility)
 from unipavg import cli, serialize
-from unipavg.fixtures import (cover_local_sections, cubic_orbit, heisenberg_span,
+from unipavg.errors import InputError
+from unipavg.fixtures import (cover_local_sections, cubic_field, cubic_orbit, heisenberg_span,
                               six_point_cover, sqrt2_field, sqrt2_orbit, two_point_tuple)
 from unipavg.nilpotent import log_unipotent, lower_central_series
 from unipavg.simplicial import LocalSection
@@ -183,3 +188,166 @@ json_docs = st.recursive(
 @given(json_docs)
 def test_generated_documents(doc):
     assert_like_dumps(doc)
+
+
+# ---------------------------------------------------------------------------
+# polynomials, written in one piece each
+# ---------------------------------------------------------------------------
+
+FIELDS = [QQ, sqrt2_field(), cubic_field()]
+
+numerators = (st.integers(-6, 6) | st.integers(10 ** 99, 10 ** 100)
+              | st.integers(-10 ** 100, -10 ** 99))
+
+
+@st.composite
+def poly_docs(draw):
+    """poly_to_json of a polynomial over Q, Q(sqrt2) or the cubic field, on
+    the q-simplex for q from 0 to 4, with or without parameters, with mixed
+    denominators and some 100-digit coefficients; sometimes zero."""
+    field = draw(st.sampled_from(FIELDS))
+    ring = PolyRing(field, draw(st.integers(0, 4)),
+                    draw(st.sampled_from([(), ("a",), ("a", "b%")])))
+    scalar = st.lists(st.builds(Fraction, numerators, st.integers(1, 12)),
+                      min_size=field.degree, max_size=field.degree)
+    exps = st.lists(st.integers(0, 3), min_size=ring.nvars, max_size=ring.nvars).map(tuple)
+    return serialize.poly_to_json(ring.poly(draw(st.dictionaries(exps, scalar, max_size=4))))
+
+
+def nest(draw, doc):
+    """doc inside 0 to 4 levels of lists and dicts, next to other members."""
+    for _ in range(draw(st.integers(0, 4))):
+        doc = draw(st.sampled_from([[doc], [0, doc, "x"], {"p": doc}, {"a": [], "p": doc}]))
+    return doc
+
+
+@st.composite
+def nested_poly_docs(draw):
+    return nest(draw, [draw(poly_docs()) for _ in range(draw(st.integers(1, 3)))])
+
+
+def pieces(doc):
+    out = []
+    cli._emit_json(doc, out.append)
+    return out
+
+
+def skeleton(doc):
+    """doc with every polynomial replaced by the integer 0."""
+    if isinstance(doc, dict):
+        if tuple(doc) == ("q", "params", "terms"):
+            return 0
+        return {k: skeleton(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [skeleton(v) for v in doc]
+    return doc
+
+
+@SETTINGS
+@given(poly_docs())
+def test_polynomials_at_depth_zero(doc):
+    assert_like_dumps(doc)
+    assert len(pieces(doc)) == 1
+
+
+@SETTINGS
+@given(nested_poly_docs())
+def test_nested_polynomials_are_one_piece_each(doc):
+    assert_like_dumps(doc)
+    assert len(pieces(doc)) == len(pieces(skeleton(doc)))
+
+
+def one_term_doc(coef):
+    return {"q": 2, "params": ["a"], "terms": [{"exp": [1, 0, 2], "coef": coef}]}
+
+
+def near_misses():
+    """Documents one step away from the shape poly_to_json writes."""
+    rat = {"num": -3, "den": 4}
+    base = one_term_doc(rat)
+    term = base["terms"][0]
+    yield dict(base, q=True)
+    yield dict(base, q=1.0)
+    yield dict(base, params=["a", 1])
+    yield dict(base, params=("a",))
+    yield dict(base, terms=[dict(term, exp=[True, 0, 2])])
+    yield dict(base, terms=[dict(term, exp=(1, 0, 2))])
+    yield dict(base, terms=[dict(term, exp=[1, 0.0, 2])])
+    yield dict(base, terms=[(term,)])
+    yield one_term_doc({"num": True, "den": 4})
+    yield one_term_doc({"num": -3, "den": False})
+    yield one_term_doc({"num": 1.5, "den": 4})
+    yield one_term_doc(1.5)
+    yield one_term_doc(3)
+    yield one_term_doc({"num": 3})
+    yield one_term_doc({"den": 4, "num": -3})
+    yield one_term_doc({"num": -3, "den": 4, "x": 0})
+    yield one_term_doc({"coords": []})
+    yield one_term_doc({"coords": [rat, 2]})
+    yield one_term_doc({"coords": [rat, {"num": 1, "den": True}]})
+    yield one_term_doc({"coords": (rat,)})
+    yield one_term_doc({"coords": [rat], "num": 1})
+    yield dict(base, extra=1)
+    yield {"params": ["a"], "q": 2, "terms": base["terms"]}
+    yield dict(base, terms=[{"coef": rat, "exp": [1, 0, 2]}])
+    yield dict(base, terms=[dict(term, extra=None)])
+    yield dict(base, terms=[term, {"exp": [0, 0, 0]}])
+    yield {"q": 2, "params": ["a"]}
+
+
+def test_near_miss_shapes_fall_back_to_the_generic_walk():
+    for doc in near_misses():
+        for wrapped in (doc, [doc], {"m": [[doc, doc]]}):
+            assert_like_dumps(wrapped)
+        assert len(pieces([doc])) > len(pieces([0]))
+
+
+def test_parameter_names_with_percent_signs_and_escapes():
+    for params in (["%d"], ["%s", "a%%b"], ["é\n\"", "%"]):
+        assert_like_dumps([{"q": 1, "params": params, "terms": [
+            {"exp": [1] + [0] * len(params), "coef": {"num": 1, "den": 2}}]}])
+
+
+def test_term_integer_over_the_digit_limit_writes_nothing(tmp_path, capsys):
+    if not sys.get_int_max_str_digits():
+        pytest.skip("integer string conversion is unlimited")
+    big = 10 ** (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(InputError) as generic:
+        cli._write_json([big], None)
+    for coef in ({"num": big, "den": 1}, {"coords": [{"num": 1, "den": big}]}):
+        doc = {"wav": {"n": 1, "entries": [[one_term_doc(coef)]]}}
+        out = tmp_path / "out.json"
+        for path in (None, str(out)):
+            with pytest.raises(InputError) as info:
+                cli._write_json(doc, path)
+            assert type(info.value) is InputError
+            assert str(info.value) == str(generic.value)
+        assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_wav_document_is_one_piece_per_polynomial(tmp_path, monkeypatch, capsys):
+    t = rand_tuple(random.Random(904), full_unipotent_span(4, QQ), 2)
+    path = write_doc(tmp_path, "t.json", serialize.tuple_to_json(t))
+    code, doc = run_and_compare(monkeypatch, capsys, ["wav", "--input", path])
+    assert code == 0
+    polys = len(json.dumps(doc).split('"terms"')) - 1
+    assert polys == 16
+    assert len(pieces(doc)) == len(pieces(skeleton(doc)))
+
+
+def test_output_is_written_in_one_call(tmp_path, monkeypatch):
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+        def writelines(self, lines):
+            raise AssertionError("writelines called")
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    doc = {"q": 1, "wav": serialize.matrix_to_json(two_point_tuple().sections[0])}
+    cli._write_json(doc, None)
+    assert writes == [json.dumps(doc, indent=2) + "\n"]
