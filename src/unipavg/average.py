@@ -147,8 +147,8 @@ class _MatrixLaw:
         return UniMatrix(ring, tuple(map(tuple, out)), check=False)
 
     @staticmethod
-    def embed(g, q, target):
-        return embed_simplex(g, q, target)
+    def embed(g, q):
+        return embed_simplex(g, q)
 
 
 class _Sections:
@@ -207,9 +207,9 @@ class SectionTuple(_Sections):
         for s in sections:
             if not isinstance(s, UniMatrix):
                 raise InputError("sections must be UniMatrix values")
-            if s.ring != ring or s.n != group.n:
+            if s.ring is not ring or s.n != group.n:
                 raise RingMismatch("sections must share one ring and matrix size")
-            if s.ring.field != group.field:
+            if s.ring.field is not group.field:
                 raise RingMismatch("section field differs from the group's")
             if check:
                 group.require_element(s, "a section")
@@ -254,13 +254,12 @@ class CoordinateTuple(_Sections):
         sections = tuple(tuple(s) for s in sections)
         if not sections:
             raise InputError("a section tuple needs at least one section")
-        if ring.field != table.field:
+        if ring.field is not table.field:
             raise RingMismatch("coordinate ring field differs from the table's")
         for s in sections:
             if len(s) != table.dim:
                 raise InputError("expected %d coordinates, got %d" % (table.dim, len(s)))
-            if not all(isinstance(x, SimplexPoly) and (x.ring is ring or x.ring == ring)
-                       for x in s):
+            if not all(isinstance(x, SimplexPoly) and x.ring is ring for x in s):
                 raise RingMismatch("coordinates must lie in the tuple's ring")
         self.table = table
         self.ring = ring
@@ -289,7 +288,7 @@ def transition(f_i: UniMatrix, f_j: UniMatrix, group=None) -> UniMatrix:
     """The unique g with f_j = g * f_i, namely f_j * f_i^{-1}."""
     if not isinstance(f_i, UniMatrix) or not isinstance(f_j, UniMatrix):
         raise InputError("transitions are defined between UniMatrix sections")
-    if f_i.ring != f_j.ring or f_i.n != f_j.n:
+    if f_i.ring is not f_j.ring or f_i.n != f_j.n:
         raise RingMismatch("sections live in different spaces")
     if group is not None:
         for f in (f_i, f_j):
@@ -377,8 +376,8 @@ def lift_w(t):
         raise InputError("lift_w needs t-constant sections (domain degree %d)" % t.r)
     if t.q == 0:
         return t
-    target = PolyRing(t.ring.field, t.q, t.ring.params)
-    embedded = t._rebuild([t.law.embed(s, t.q, target) for s in t.sections], target)
+    embedded = t._rebuild([t.law.embed(s, t.q) for s in t.sections],
+                          PolyRing(t.ring.field, t.q, t.ring.params))
     if embedded.is_constant_tuple():
         return embedded
     return wsym(embedded)
@@ -458,7 +457,7 @@ def wav_at_weights(points, weights: WeightSeq, group=None) -> UniMatrix:
     if len(points) != len(weights):
         raise InputError("expected %d points for these weights, got %d"
                          % (len(weights), len(points)))
-    if weights.field != field:
+    if weights.field is not field:
         raise RingMismatch("weights and points use different fields")
     return eval_matrix_at_weights(wav(SectionTuple(group, points)), weights)
 

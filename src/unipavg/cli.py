@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import traceback
 from fractions import Fraction
@@ -217,10 +218,21 @@ MAX_RESOLUTION = 64
 # which the reader makes one dict per level before reading any
 MAX_Q = 8
 
+# and so is their total up to the levels built or validated, C(m + max_q + 1,
+# max_q + 1) - 1 at about a millisecond each, counted before any is read
+MAX_MULTI_INDICES = 1000
+
 
 def _check_max_q(max_q):
     if isinstance(max_q, int) and max_q > MAX_Q:
         raise InputError("max_q must be at most %d, got %d" % (MAX_Q, max_q))
+
+
+def _check_multi_indices(cover, max_q):
+    m = len(cover.opens)
+    if max_q >= 0 and math.comb(m + max_q + 1, max_q + 1) - 1 > MAX_MULTI_INDICES:
+        raise InputError("a cover with %d opens has more than %d multi-indices up to max_q %d"
+                         % (m, MAX_MULTI_INDICES, max_q))
 
 
 def cmd_wav(args):
@@ -283,7 +295,11 @@ def cmd_sections(args):
         raise FormatError("sections input must be an object")
     if "levels" in doc:
         # validate mode: the document already carries a simplicial section
-        _check_max_q(doc.get("max_q"))
+        max_q = doc.get("max_q")
+        _check_max_q(max_q)
+        if isinstance(max_q, int):
+            _check_multi_indices(serialize.cover_from_json(doc.get("cover")),
+                                 min(args.max_q, max_q))
         section = serialize.simplicial_from_json(doc)
         report = validate_simplicial_section(section, min(args.max_q, section.max_q))
         out = {"mode": "validate",
@@ -293,6 +309,7 @@ def cmd_sections(args):
     _check_max_q(args.max_q)
     field = serialize.field_from_json(doc.get("field"))
     cover = serialize.cover_from_json(doc.get("cover"))
+    _check_multi_indices(cover, args.max_q)
     group = serialize.span_from_json(field, doc.get("group"))
     local_sections = serialize.locals_from_json(field, doc.get("locals"))
     section = build_simplicial_section(cover, local_sections, group, max_q=args.max_q)

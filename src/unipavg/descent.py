@@ -33,7 +33,7 @@ class GaloisOrbit:
             raise InputError("an orbit needs at least one point")
         if not isinstance(action, GaloisAction):
             raise InputError("expected a GaloisAction")
-        if group.field != action.field:
+        if group.field is not action.field:
             raise RingMismatch("group span and Galois action use different fields")
         for z in points:
             if not isinstance(z, UniMatrix):

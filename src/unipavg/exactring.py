@@ -151,21 +151,34 @@ class ScalarField:
     reducibility.  Products of integer power-basis vectors are reduced
     modulo m(x) through the powers x^d .. x^(2d-2), kept as integer rows
     ``_ixpow`` over one denominator ``_xden``.
+
+    Equal arguments (``var``, coefficients as Fractions), also from a copy
+    or unpickling, give the one field already built, so fields compare by
+    identity; the table grows only by new fields that passed every check.
     """
 
-    __slots__ = ("var", "minpoly", "degree", "_ixpow", "_xden", "_hash", "zero", "one")
+    __slots__ = ("var", "minpoly", "degree", "_ixpow", "_xden", "zero", "one")
+    _table = {}
 
-    def __init__(self, var=None, minpoly=None):
+    def __new__(cls, var=None, minpoly=None):
         if var is None and minpoly is None:
+            key = None
+        else:
+            if not isinstance(var, str) or not var:
+                raise InputError("extension variable must be a nonempty string")
+            key = (var, tuple(_fraction(c) for c in minpoly))
+        self = cls._table.get(key)
+        if self is not None:
+            return self
+        self = object.__new__(cls)
+        if key is None:
             self.var = None
             self.minpoly = None
             self.degree = 1
             self._ixpow = ()
             self._xden = 1
         else:
-            if not isinstance(var, str) or not var:
-                raise InputError("extension variable must be a nonempty string")
-            coeffs = tuple(_fraction(c) for c in minpoly)
+            coeffs = key[1]
             if len(coeffs) < 3:
                 raise InputError("extension degree must be at least 2")
             if coeffs[-1] != 1:
@@ -179,14 +192,10 @@ class ScalarField:
             if self.degree <= 3 and self._has_rational_root(ints):
                 raise InputError("defining polynomial of degree <= 3 has a rational root")
             self._xden, self._ixpow = self._power_table(ints)
-        self._hash = hash((self.var, self.minpoly))
         # values are immutable, so every use shares one zero and one one
         self.zero = self.value(0)
         self.one = self.value(1)
-
-    @classmethod
-    def rationals(cls):
-        return _RATIONALS
+        return cls._table.setdefault(key, self)
 
     @classmethod
     def extension(cls, var, minpoly):
@@ -253,7 +262,7 @@ class ScalarField:
 
     def value(self, x) -> "ScalarValue":
         if isinstance(x, ScalarValue):
-            if x.field != self:
+            if x.field is not self:
                 raise RingMismatch("value belongs to a different field")
             return x
         if isinstance(x, (int, Fraction)):
@@ -275,17 +284,8 @@ class ScalarField:
             raise InputError("the rational field has no extension generator")
         return ScalarValue(self, 1, (0, 1) + (0,) * (self.degree - 2))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, ScalarField)
-                and self.var == other.var and self.minpoly == other.minpoly)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return ScalarField, (self.var, self.minpoly)
 
     def __repr__(self):
         if self.is_rationals:
@@ -337,7 +337,7 @@ class ScalarValue:
 
     def _coerce(self, other):
         if isinstance(other, ScalarValue):
-            if other.field is not self.field and other.field != self.field:
+            if other.field is not self.field:
                 raise RingMismatch("field mismatch in scalar arithmetic")
             return other
         if isinstance(other, (int, Fraction)):
@@ -441,7 +441,7 @@ class ScalarValue:
             other = self.field.value(other)
         if not isinstance(other, ScalarValue):
             return NotImplemented
-        return ((self.field is other.field or self.field == other.field)
+        return (self.field is other.field
                 and self.den == other.den and self.nums == other.nums)
 
     def __ne__(self, other):
@@ -460,8 +460,7 @@ class ScalarValue:
         return _upoly_str(self.coords, self.field.var)
 
 
-_RATIONALS = ScalarField()
-QQ = _RATIONALS
+QQ = ScalarField()
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +521,7 @@ class SimplexMap:
     def _plan(self, ring):
         """The pullback plan for polynomials over ring, kept per last ring."""
         plan = self._pullback
-        if plan is None or plan[0] != ring:
+        if plan is None or plan[0] is not ring:
             if self.q != ring.q:
                 raise InputError("map target [%d] does not match the polynomial's simplex [%d]"
                                  % (self.q, ring.q))
@@ -563,37 +562,41 @@ class PolyRing:
     The honest variables are t_0, ..., t_{q-1} (the last coordinate is
     eliminated through t_q = 1 - t_0 - ... - t_{q-1}) followed by the
     named parameters.  Exponent vectors index these variables in order.
+
+    Equal (field, q, params), also from a copy or unpickling, give the one
+    ring already built, so rings compare by identity; the table only grows,
+    by at most one small ring per (q, params) of a document the CLI reads.
+    The arguments are checked before the lookup (True == 1 as a key, but a
+    boolean q is refused).
     """
 
-    __slots__ = ("field", "q", "params", "nvars", "_zero", "_one", "_hash")
+    __slots__ = ("field", "q", "params", "nvars", "_zero", "_one")
+    _table = {}
 
-    def __init__(self, field, q, params=()):
+    def __new__(cls, field, q, params=()):
         if not isinstance(field, ScalarField):
             raise InputError("ring needs a ScalarField")
-        if not isinstance(q, int) or q < 0:
+        if type(q) is not int or q < 0:
             raise InputError("simplex dimension must be a nonnegative integer")
         params = tuple(params)
         if len(set(params)) != len(params):
             raise InputError("duplicate parameter names")
-        self.field = field
-        self.q = q
-        self.params = params
-        self.nvars = q + len(params)
-        self._zero = None
-        self._one = None
-        self._hash = hash((field, q, params))
+        key = (field, q, params)
+        self = cls._table.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.field = field
+            self.q = q
+            self.params = params
+            self.nvars = q + len(params)
+            self._zero = None
+            self._one = None
+            # setdefault keeps one object per key even if two threads build it
+            self = cls._table.setdefault(key, self)
+        return self
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, PolyRing) and self.field == other.field
-                and self.q == other.q and self.params == other.params)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return PolyRing, (self.field, self.q, self.params)
 
     def __repr__(self):
         extra = " params=%s" % (self.params,) if self.params else ""
@@ -796,7 +799,7 @@ class SimplexPoly:
 
     def _coerce(self, other):
         if isinstance(other, SimplexPoly):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise RingMismatch("polynomials over different rings")
             return other
         if isinstance(other, (int, Fraction, ScalarValue)):
@@ -922,7 +925,7 @@ class SimplexPoly:
             other = self.ring.constant(other)
         if not isinstance(other, SimplexPoly):
             return NotImplemented
-        return ((self.ring is other.ring or self.ring == other.ring)
+        return (self.ring is other.ring
                 and self.den == other.den and self.nums == other.nums)
 
     def __ne__(self, other):
@@ -982,7 +985,7 @@ def _pullback_plan(preimages, ring: PolyRing):
     ``powers`` caches its powers.  The images are sums of coordinates, so
     their powers have integer rational coefficients over the denominator 1."""
     p = sum(map(len, preimages)) - 1
-    target = ring if p == ring.q else PolyRing(ring.field, p, ring.params)
+    target = PolyRing(ring.field, p, ring.params)
     relabel = []
     images = {}
     for j in range(ring.q):
@@ -1057,19 +1060,14 @@ def permute_coordinates(p: SimplexPoly, perm) -> SimplexPoly:
     return _substitute(p, _pullback_plan([(v,) for v in perm], ring))
 
 
-def extend_to_simplex(p: SimplexPoly, q: int, target=None) -> SimplexPoly:
-    """View a polynomial constant in t (a q = 0 ring) on the q-simplex.  A
-    caller extending many polynomials passes their common ``target`` ring."""
+def extend_to_simplex(p: SimplexPoly, q: int) -> SimplexPoly:
+    """View a polynomial constant in t (a q = 0 ring) on the q-simplex."""
     ring = p.ring
     if ring.q != 0:
         raise InputError("only t-constant polynomials can be extended")
-    if target is None:
-        target = PolyRing(ring.field, q, ring.params)
-    elif target.q != q or target.params != ring.params or (
-            target.field is not ring.field and target.field != ring.field):
-        raise RingMismatch("target ring does not extend the polynomial's ring")
     pad = (0,) * q
-    return SimplexPoly(target, p.den, {pad + exp: v for exp, v in p.nums.items()})
+    return SimplexPoly(PolyRing(ring.field, q, ring.params), p.den,
+                       {pad + exp: v for exp, v in p.nums.items()})
 
 
 def eval_at_weights(p: SimplexPoly, weights, param_values=None) -> ScalarValue:
@@ -1149,7 +1147,7 @@ class FieldAutomorphism:
             raise InputError("generator image is not a root of the defining polynomial")
 
     def apply_value(self, v: ScalarValue) -> ScalarValue:
-        if v.field != self.field:
+        if v.field is not self.field:
             raise RingMismatch("value is not over this automorphism's field")
         return _canonical_scalar(self.field, v.den * self._rden, self._apply(v.nums))
 
@@ -1161,7 +1159,7 @@ class FieldAutomorphism:
         if isinstance(v, ScalarValue):
             return self.apply_value(v)
         if isinstance(v, SimplexPoly):
-            if v.ring.field is not self.field and v.ring.field != self.field:
+            if v.ring.field is not self.field:
                 raise RingMismatch("polynomial is not over this automorphism's field")
             # an automorphism is injective, so no vector becomes zero
             return _canonical(v.ring, v.den * self._rden,

@@ -136,7 +136,7 @@ def _coerce_rows(ring, n, rows):
         new = []
         for x in row:
             if isinstance(x, SimplexPoly):
-                if x.ring is not ring and x.ring != ring:
+                if x.ring is not ring:
                     raise RingMismatch("matrix entry over a different ring")
                 new.append(x)
             else:
@@ -169,14 +169,14 @@ class _TriangularMatrix:
             if not 0 <= i < j < n:
                 raise InputError("entry (%d, %d) is not strictly upper in size %d" % (i, j, n))
             rows[i][j] = v if isinstance(v, SimplexPoly) else ring.constant(v)
-            if rows[i][j].ring != ring:
+            if rows[i][j].ring is not ring:
                 raise RingMismatch("matrix entry over a different ring")
         return cls(ring, tuple(tuple(r) for r in rows), check=False)
 
     def _require_same(self, other):
         if not isinstance(other, type(self)):
             raise InputError("expected a %s" % type(self).__name__)
-        if (other.ring is not self.ring and other.ring != self.ring) or other.n != self.n:
+        if other.ring is not self.ring or other.n != self.n:
             raise RingMismatch("matrices live in different spaces")
 
     def is_constant(self):
@@ -211,7 +211,7 @@ class _TriangularMatrix:
         """The kind fixes the diagonal and the zeros below it, so only the
         strictly upper entries are compared, by canonical form."""
         if not (isinstance(other, type(self)) and other.n == self.n
-                and (other.ring is self.ring or other.ring == self.ring)):
+                and other.ring is self.ring):
             return False
         for i, (ra, rb) in enumerate(zip(self.rows, other.rows)):
             for j in range(i + 1, self.n):
@@ -338,18 +338,15 @@ def log_unipotent(u_mat: UniMatrix) -> NilMatrix:
 
 def bch(a: NilMatrix, b: NilMatrix) -> NilMatrix:
     """The group-law pullback log(exp(a) exp(b)), exact in a nilpotent algebra."""
-    if a.ring != b.ring or a.n != b.n:
+    if a.ring is not b.ring or a.n != b.n:
         raise RingMismatch("matrices live in different spaces")
     return log_unipotent(exp_nilpotent(a) * exp_nilpotent(b))
 
 
-def embed_simplex(mat, q, target=None):
-    """Lift a matrix with t-constant entries onto the q-simplex ring; every
-    entry lands in one ``target`` ring, built here unless a caller lifting
-    several matrices passes the one they share."""
-    if target is None:
-        target = PolyRing(mat.ring.field, q, mat.ring.params)
-    return mat.map_entries(lambda p: extend_to_simplex(p, q, target), target)
+def embed_simplex(mat, q):
+    """Lift a matrix with t-constant entries onto the q-simplex ring."""
+    return mat.map_entries(lambda p: extend_to_simplex(p, q),
+                           PolyRing(mat.ring.field, q, mat.ring.params))
 
 
 def pull_back(mat, alpha):
@@ -648,9 +645,9 @@ class LieTable:
         return tuple(a if a.is_zero else a * s for a in x)
 
     @staticmethod
-    def embed(x, q, target):
+    def embed(x, q):
         """A vector of t-constant entries lifted onto the q-simplex ring."""
-        return tuple(extend_to_simplex(a, q, target) for a in x)
+        return tuple(extend_to_simplex(a, q) for a in x)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +691,7 @@ def _mover(src, ring):
     """The map moving a constant polynomial over src into ring, which has
     the same field: it keeps its denominator and numerator vector, now at
     the zero exponent of ring.  None when the rings are equal."""
-    if src is ring or src == ring:
+    if src is ring:
         return None
     at = (0,) * ring.nvars
 
@@ -756,7 +753,7 @@ class LieSpan:
         for b in basis:
             if not isinstance(b, NilMatrix):
                 raise InputError("span basis entries must be NilMatrix values")
-            if b.n != n or b.ring.field != field:
+            if b.n != n or b.ring.field is not field:
                 raise RingMismatch("span basis matrices live in different spaces")
             try:
                 rows.append(_upper_row(b))
@@ -808,8 +805,7 @@ class LieSpan:
             return self._echelon.solve(mat, self.field.zero)
         if not isinstance(mat, NilMatrix):
             raise InputError("expected a NilMatrix")
-        if mat.n != self.n or (mat.ring.field is not self.field
-                               and mat.ring.field != self.field):
+        if mat.n != self.n or mat.ring.field is not self.field:
             raise RingMismatch("matrix does not live in this span's space")
         return self._echelon.solve(mat.nonzero_upper(), mat.ring.zero())
 
@@ -819,7 +815,7 @@ class LieSpan:
         log(u) lies outside the span.  A span of dimension n(n-1)/2 holds
         every strictly upper matrix, and log(u) is strictly upper, so then
         the log is not computed."""
-        if u.n != self.n or u.ring.field != self.field:
+        if u.n != self.n or u.ring.field is not self.field:
             raise RingMismatch("%s does not live in this span's space" % what)
         if self.dim == self.n * (self.n - 1) // 2:
             return
@@ -917,7 +913,7 @@ class LieHom:
                 coords = self.image_coords
             except MembershipError:
                 raise InputError("a basis image lies outside the target span") from None
-            if source.field != target.field:
+            if source.field is not target.field:
                 raise RingMismatch("matrix field does not match the hom")
             zero = target.field.zero
             for i, j in combinations(range(source.dim), 2):
@@ -964,7 +960,7 @@ def apply_hom(hom: LieHom, mat):
     if isinstance(mat, UniMatrix):
         return exp_nilpotent(apply_hom(hom, log_unipotent(mat)))
     coords = hom.source.coordinates(mat)
-    if mat.ring.field != hom.target.field:
+    if mat.ring.field is not hom.target.field:
         raise RingMismatch("matrix field does not match the hom")
     return _combination(coords, hom.images, mat.ring, hom.target.n)
 
@@ -1075,7 +1071,7 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     caller can average in the quotient's Lie coordinates.
     """
     field = span.field
-    if ideal.n != span.n or ideal.field != field:
+    if ideal.n != span.n or ideal.field is not field:
         raise RingMismatch("ideal lives in a different matrix space")
     for b in ideal.basis:
         try:

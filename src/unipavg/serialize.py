@@ -134,12 +134,11 @@ def poly_to_json(p: SimplexPoly):
     return {"q": p.ring.q, "params": list(p.ring.params), "terms": terms}
 
 
-def poly_from_json(field: ScalarField, obj, rings=None) -> SimplexPoly:
-    """Read a polynomial.  ``rings`` maps (q, params) to the PolyRing already
-    built in the same read, so the values of one document share ring
-    objects and compare them by identity.  Coefficients are read as integer
-    literals and put over their least common denominator, so the canonical
-    form takes one lcm and one gcd reduction.  Types are tested inline;
+def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
+    """Read a polynomial over the one PolyRing of its (field, q, params).
+    Coefficients are read as integer literals and put over their least
+    common denominator, so the canonical form takes one lcm and one gcd
+    reduction.  Types are tested inline;
     `_expect` runs only on a value that fails the test, so subclasses pass
     and every message is `_expect`'s."""
     if type(obj) is not dict:
@@ -154,11 +153,7 @@ def poly_from_json(field: ScalarField, obj, rings=None) -> SimplexPoly:
     if params and not all(type(n) is str for n in params):
         for n in params:
             _expect(n, str, "parameter name")
-    if rings is None:
-        rings = {}
-    ring = rings.get((q, params))
-    if ring is None:
-        ring = rings[(q, params)] = PolyRing(field, q, params)
+    ring = PolyRing(field, q, params)
     doc_terms = obj.get("terms", [])
     if type(doc_terms) is not list:
         _expect(doc_terms, list, "terms")
@@ -201,10 +196,9 @@ def matrix_to_json(mat):
     return {"n": mat.n, "entries": [[poly_to_json(e) for e in row] for row in mat.rows]}
 
 
-def _grid_from_json(field, obj, kind, rings=None):
-    """A NilMatrix or UniMatrix (kind) from its n x n grid.  Every entry is
-    read over a ring of one `rings` map, so equal rings are one object, the
-    grid is square and the entries are polynomials: only the diagonal is
+def _grid_from_json(field, obj, kind):
+    """A NilMatrix or UniMatrix (kind) from its n x n grid.  The entries are
+    polynomials over one ring and the grid is square: only the diagonal is
     left for the matrix to check."""
     _expect(obj, dict, "matrix")
     n = _expect(obj.get("n"), int, "n")
@@ -213,9 +207,7 @@ def _grid_from_json(field, obj, kind, rings=None):
     entries = _expect(obj.get("entries"), list, "entries")
     if len(entries) != n or any(len(_expect(r, list, "matrix row")) != n for r in entries):
         raise FormatError("matrix entries must form an n x n grid")
-    if rings is None:
-        rings = {}
-    rows = tuple([tuple([poly_from_json(field, e, rings) for e in row]) for row in entries])
+    rows = tuple([tuple([poly_from_json(field, e) for e in row]) for row in entries])
     ring = rows[0][0].ring
     if any(e.ring is not ring for row in rows for e in row):
         raise FormatError("matrix entries mix different rings")
@@ -224,22 +216,22 @@ def _grid_from_json(field, obj, kind, rings=None):
     return mat
 
 
-def nil_from_json(field, obj, rings=None) -> NilMatrix:
-    return _grid_from_json(field, obj, NilMatrix, rings)
+def nil_from_json(field, obj) -> NilMatrix:
+    return _grid_from_json(field, obj, NilMatrix)
 
 
-def uni_from_json(field, obj, rings=None) -> UniMatrix:
-    return _grid_from_json(field, obj, UniMatrix, rings)
+def uni_from_json(field, obj) -> UniMatrix:
+    return _grid_from_json(field, obj, UniMatrix)
 
 
 def span_to_json(span: LieSpan):
     return {"n": span.n, "basis": [matrix_to_json(b) for b in span.basis]}
 
 
-def span_from_json(field, obj, rings=None) -> LieSpan:
+def span_from_json(field, obj) -> LieSpan:
     _expect(obj, dict, "group span")
     n = _expect(obj.get("n"), int, "n")
-    basis = [nil_from_json(field, b, rings)
+    basis = [nil_from_json(field, b)
              for b in _expect(obj.get("basis", []), list, "basis")]
     return LieSpan(basis, n=n, field=field)
 
@@ -253,9 +245,8 @@ def tuple_to_json(t: SectionTuple):
 def tuple_from_json(obj) -> SectionTuple:
     _expect(obj, dict, "section tuple")
     field = field_from_json(obj.get("field"))
-    rings = {}
-    group = span_from_json(field, _expect(obj.get("group"), dict, "group"), rings)
-    sections = [uni_from_json(field, s, rings)
+    group = span_from_json(field, _expect(obj.get("group"), dict, "group"))
+    sections = [uni_from_json(field, s)
                 for s in _expect(obj.get("sections"), list, "sections")]
     return SectionTuple(group, sections)
 
@@ -326,8 +317,7 @@ def simplicial_from_json(obj) -> SimplicialSection:
     _expect(obj, dict, "simplicial section")
     field = field_from_json(obj.get("field"))
     cover = cover_from_json(_expect(obj.get("cover"), dict, "cover"))
-    rings = {}
-    group = span_from_json(field, _expect(obj.get("group"), dict, "group"), rings)
+    group = span_from_json(field, _expect(obj.get("group"), dict, "group"))
     max_q = _expect(obj.get("max_q"), int, "max_q")
     if max_q < 0:
         raise FormatError("max_q must be nonnegative, got %d" % max_q)
@@ -337,7 +327,7 @@ def simplicial_from_json(obj) -> SimplicialSection:
         q = len(mi) - 1
         if q not in levels:
             raise FormatError("multi-index %r exceeds max_q=%d" % (key, max_q))
-        vals = {_expect(x, str, "point label"): uni_from_json(field, v, rings)
+        vals = {_expect(x, str, "point label"): uni_from_json(field, v)
                 for x, v in _expect(per_point, dict, "level datum").items()}
         levels[q][mi] = vals
     return SimplicialSection(cover, group, levels, max_q)
@@ -373,8 +363,7 @@ def orbit_from_json(obj) -> GaloisOrbit:
     gens = [scalar_from_json(field, g)
             for g in _expect(obj.get("generators"), list, "generators")]
     action = GaloisAction(field, gens)
-    rings = {}
-    group = span_from_json(field, _expect(obj.get("group"), dict, "group"), rings)
-    points = [uni_from_json(field, z, rings)
+    group = span_from_json(field, _expect(obj.get("group"), dict, "group"))
+    points = [uni_from_json(field, z)
               for z in _expect(obj.get("points"), list, "points")]
     return GaloisOrbit(group, action, points)

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -302,6 +303,31 @@ def test_sections_max_q_limit(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, ["sections", "--input", path2])
         assert code == 2 and out is None
         assert err["error"]["message"] == "max_q must be at most %d, got %d" % (MAX_Q, max_q)
+
+
+def test_sections_multi_index_limit(tmp_path, capsys, monkeypatch):
+    # only the exit code: a cover whose levels up to max_q hold more than
+    # MAX_MULTI_INDICES multi-indices is refused before any local section,
+    # group or level is read, so reading or building here fails the test
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the multi-index limit")
+
+    for name in ("span_from_json", "locals_from_json", "simplicial_from_json"):
+        monkeypatch.setattr(cli.serialize, name, no_work)
+    monkeypatch.setattr(cli, "build_simplicial_section", no_work)
+    for opens, max_q in ((12, 3), (30, 8), (10 ** 4, 0)):
+        assert math.comb(opens + max_q + 1, max_q + 1) - 1 > cli.MAX_MULTI_INDICES
+        message = ("a cover with %d opens has more than %d multi-indices up to max_q %d"
+                   % (opens, cli.MAX_MULTI_INDICES, max_q))
+        cover = {"points": ["x"], "opens": [["x"]] * opens}
+        path = write_doc(tmp_path, "cover.json", {"cover": cover})
+        code, out, err = run(capsys, ["sections", "--input", path, "--max-q", str(max_q)])
+        assert code == 2 and out is None and err["error"]["message"] == message
+        # validate mode counts the levels it checks, up to the smaller max_q
+        path = write_doc(tmp_path, "built.json", {"cover": cover, "max_q": max_q,
+                                                  "levels": {}})
+        code, out, err = run(capsys, ["sections", "--input", path, "--max-q", str(MAX_Q)])
+        assert code == 2 and out is None and err["error"]["message"] == message
 
 
 def test_sections_validate_mode_caps_a_large_max_q_option(tmp_path, capsys):
@@ -620,3 +646,55 @@ def test_evaluated_outputs_are_byte_identical(tmp_path, capsys):
             assert main(argv) == 0
             digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
         assert tuple(digests) == SEED_OUTPUT_DIGESTS[name]
+
+
+# sha256 digests of the output bytes over number fields, written before
+# fields and rings were made unique objects: the jobs of
+# `.github/scripts/same_outputs.py` over Q(sqrt2) (wav with and without
+# weights on its Heisenberg tuple, wsym on that tuple's lift, log and bch)
+# and the galois path on both fixture orbits
+NUMBER_FIELD_DIGESTS = {
+    "wav": "5df870c1eda53ee7b235eea15ef7656f4f5ace15ee6f26ea114c8964db71c798",
+    "wav-weights": "d5233ae371ba58690e66be7cf5443032f917b6947cf81312d10cca62755a94cb",
+    "wsym": "ba9af4a9d1f17b4d3816044f146893769ef339b6b554126fba11e3c4500e1645",
+    "log": "8bd7732283da71c02e7cdea5029e06defb641a0f0ee9f29191b4008a07940f99",
+    "bch": "ead703b61ba2d962a62bd2008c446afad9a4c1ecd3db3d951617ab873f0ee5f6",
+    "galois-sqrt2": "dcf078e60bad279d800acc084a1608e47a0e9b5a841c4654ef8ac154706b6488",
+    "galois-cubic": "e7921ec01b85f9df507c61f937a995ec92436e463139e78306ec8abadb957dd2",
+}
+
+
+def _number_field_jobs(tmp_path):
+    from unipavg.fixtures import cubic_orbit, point_from_coordinates
+    from unipavg.nilpotent import log_unipotent
+
+    sqrt2 = sqrt2_field()
+    span = heisenberg_span(sqrt2)
+    half = Fraction(1, 2)
+    pts = [point_from_coordinates(span, c) for c in (
+        [[1, 1], [0, 2], [half, -1]], [[-2, half], [1, 0], [0, 3]], [[0, -1], [3, 1], [1, 1]])]
+    surd = write_doc(tmp_path, "surd.json", serialize.tuple_to_json(SectionTuple(span, pts)))
+    lifted = SectionTuple(span, [embed_simplex(p, 2) for p in pts])
+    field = {"field": serialize.field_to_json(sqrt2)}
+    a, b = (serialize.matrix_to_json(log_unipotent(p)) for p in pts[:2])
+    weights = '[{"num":1,"den":6},{"coords":[{"num":1,"den":3},0]},{"num":1,"den":2}]'
+    return {
+        "wav": ["wav", "--input", surd],
+        "wav-weights": ["wav", "--input", surd, "--weights", weights],
+        "wsym": ["wsym", "--input", write_doc(tmp_path, "lifted.json",
+                                              serialize.tuple_to_json(lifted))],
+        "log": ["log", "--input", write_doc(tmp_path, "log.json", dict(
+            field, matrix=serialize.matrix_to_json(pts[2])))],
+        "bch": ["bch", "--input", write_doc(tmp_path, "bch.json", dict(field, a=a, b=b))],
+        "galois-sqrt2": ["galois", "--input", write_doc(
+            tmp_path, "sqrt2.json", serialize.orbit_to_json(sqrt2_orbit()))],
+        "galois-cubic": ["galois", "--input", write_doc(
+            tmp_path, "cubic.json", serialize.orbit_to_json(cubic_orbit()))],
+    }
+
+
+def test_number_field_outputs_are_byte_identical(tmp_path, capsys):
+    for name, argv in _number_field_jobs(tmp_path).items():
+        assert main(argv) == 0, name
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == NUMBER_FIELD_DIGESTS[name], name

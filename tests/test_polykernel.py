@@ -313,10 +313,7 @@ def test_pullback_extension_and_evaluation_match_reference(name, ring):
             for q in range(1, 4):
                 ext = extend_to_simplex(a, q)
                 assert same(ext, {(0,) * q + e: c for e, c in ra.items()})
-                target = PolyRing(field, q, ring.params)
-                assert extend_to_simplex(a, q, target).ring is target
-                with pytest.raises(RingMismatch):
-                    extend_to_simplex(a, q, PolyRing(field, q, ring.params + ("z",)))
+                assert ext.ring is PolyRing(field, q, ring.params)
 
 
 @pytest.mark.parametrize("field", [QQ, sqrt2_field()], ids=["Q", "Q(sqrt2)"])

@@ -268,10 +268,9 @@ def test_every_container_shape_matches_the_old_reader():
 
 
 def test_zero_polynomials_share_their_ring_within_a_read():
-    rings = {}
-    a = poly_from_json(QQ, {"q": 1, "terms": []}, rings)
-    b = poly_from_json(QQ, {"q": 1, "params": [], "terms": [{"exp": [0], "coef": 0}]}, rings)
-    assert a is b and a.ring is rings[(1, ())] and a.is_zero
+    a = poly_from_json(QQ, {"q": 1, "terms": []})
+    b = poly_from_json(QQ, {"q": 1, "params": [], "terms": [{"exp": [0], "coef": 0}]})
+    assert a is b and a.ring is PolyRing(QQ, 1) and a.is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,8 @@ def test_embed_and_evaluate_match_the_full_grid(field):
         base = PolyRing(field, 0, ("s",))
         target = PolyRing(field, q, ("s",))
         for mat in rand_matrices(rng, base, n):
-            assert_same(embed_simplex(mat, q, target),
-                        full_grid(mat, lambda e: extend_to_simplex(e, q, target), target))
+            assert_same(embed_simplex(mat, q),
+                        full_grid(mat, lambda e: extend_to_simplex(e, q), target))
         ring = PolyRing(field, q)
         out_ring = PolyRing(field, 0)
         weights = WeightSeq(field, rand_weights(rng, q))
@@ -116,7 +116,7 @@ def test_permutation_matches_the_full_grid():
     rng = random.Random(934)
     span = heisenberg_span()
     ring = PolyRing(QQ, 2)
-    lifted = [embed_simplex(s, 2, ring) for s in rand_tuple(rng, span, 2).sections]
+    lifted = [embed_simplex(s, 2) for s in rand_tuple(rng, span, 2).sections]
     for perm in ((1, 0, 2), (2, 0, 1), (1, 2, 0)):
         moved = act_permutation(SectionTuple(span, lifted), perm).sections
         placed = [None] * 3
