@@ -16,7 +16,9 @@ The workloads write no number-field polynomial and leave some subcommands
 out, so `cli_jobs` also writes, once with HEAD's package, the inputs of a
 fixed list of CLI jobs built from `unipavg.fixtures`: wav, with and
 without --weights, over Q and Q(sqrt2), wsym, exp, log, bch, figure-data,
-sections build and validate over Q(sqrt2), and a wav whose output has an
+sections build and validate over Q(sqrt2), validate on two tampered
+copies of the built section (a changed datum and a deleted one, so the
+failure reports are compared; exit 2), and a wav whose output has an
 integer over the digit limit (exit 2).  One fresh process per tree runs
 them through its `cli.main`, and the exit code, standard output and
 standard error of each are compared.
@@ -129,6 +131,16 @@ def cli_jobs(tree, work):
         raise RuntimeError("building the validate-mode input %s failed" % built)
     jobs += [["sections", "--input", cover, "--max-q", "2"],
              ["sections", "--input", built, "--max-q", "2"]]
+    # two tampered copies of the built section fail validation (exit 2): a
+    # term added to the level-1 datum at (0, 1), point d, and the level-2
+    # datum at (0, 0, 1), point c, deleted
+    for name in ("changed", "deleted"):
+        doc = json.loads(Path(built).read_text(encoding="utf-8"))
+        if name == "changed":
+            doc["levels"]["0.1"]["d"]["entries"][0][1]["terms"].append({"exp": [1], "coef": 7})
+        else:
+            del doc["levels"]["0.0.1"]["c"]
+        jobs.append(["sections", "--input", dump(name + ".json", doc), "--max-q", "2"])
     # the log's corner entry is a product of three entries of 0.7 times the
     # digit limit, so writing the average exits 2
     big = 10 ** (sys.get_int_max_str_digits() * 7 // 10) + 1

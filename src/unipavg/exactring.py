@@ -983,7 +983,8 @@ def _pullback_plan(preimages, ring: PolyRing):
     honest coordinate, -1 for a variable whose image is 0, and None when
     the image ``images[v]`` is a sum or the eliminated coordinate t_p;
     ``powers`` caches its powers.  The images are sums of coordinates, so
-    their powers have integer rational coefficients over the denominator 1."""
+    their powers have integer rational coefficients over the denominator 1.
+    The last entry memoises each monomial's image (`_monomial_image`)."""
     p = sum(map(len, preimages)) - 1
     target = PolyRing(ring.field, p, ring.params)
     relabel = []
@@ -1001,44 +1002,47 @@ def _pullback_plan(preimages, ring: PolyRing):
                 img = img + target.coordinate(i)
             images[j] = img
     relabel.extend(range(p, target.nvars))
-    return (ring, target, relabel, images, {})
+    return (ring, target, relabel, images, {}, {})
 
 
-def _add_vector(out, exp, v):
-    cur = out.get(exp)
-    out[exp] = v if cur is None else tuple(map(add, cur, v))
+def _monomial_image(plan, exp):
+    """The monomial t^exp pulled back along plan, as ((target exponent,
+    integer coefficient), ...): relabelled, empty when a variable goes to 0,
+    or expanded only in its variables sent to sums."""
+    _, target, relabel, images, powers, _ = plan
+    base = [0] * target.nvars
+    factor = None
+    for v, e in enumerate(exp):
+        if e:
+            r = relabel[v]
+            if r is None:
+                pw = powers.get((v, e))
+                if pw is None:
+                    pw = powers[(v, e)] = images[v] ** e
+                factor = pw if factor is None else factor * pw
+            elif r < 0:
+                return ()
+            else:
+                base[r] = e
+    if factor is None:
+        return ((tuple(base), 1),)
+    return tuple((tuple(map(add, base, fexp)), fvec[0]) for fexp, fvec in factor.nums.items())
 
 
 def _substitute(p: SimplexPoly, plan) -> SimplexPoly:
-    """p with its variables replaced as a `_pullback_plan` says: a term is
-    relabelled, dropped when a variable goes to 0, or expanded only in its
-    variables sent to sums."""
-    _, target, relabel, images, powers = plan
-    width = target.nvars
+    """p with its variables replaced as a `_pullback_plan` says, each
+    monomial through its image, worked out once per plan."""
+    memo = plan[5]
     out = {}
     for exp, vec in p.nums.items():
-        base = [0] * width
-        factor = None
-        for v, e in enumerate(exp):
-            if e:
-                r = relabel[v]
-                if r is None:
-                    pw = powers.get((v, e))
-                    if pw is None:
-                        pw = powers[(v, e)] = images[v] ** e
-                    factor = pw if factor is None else factor * pw
-                elif r < 0:
-                    break
-                else:
-                    base[r] = e
-        else:
-            if factor is None:
-                _add_vector(out, tuple(base), vec)
-            else:
-                for fexp, fvec in factor.nums.items():
-                    f = fvec[0]
-                    _add_vector(out, tuple(map(add, base, fexp)), tuple([x * f for x in vec]))
-    return _canonical(target, p.den, {e: v for e, v in out.items() if any(v)})
+        image = memo.get(exp)
+        if image is None:
+            image = memo[exp] = _monomial_image(plan, exp)
+        for texp, c in image:
+            v = vec if c == 1 else tuple([x * c for x in vec])
+            cur = out.get(texp)
+            out[texp] = v if cur is None else tuple(map(add, cur, v))
+    return _canonical(plan[1], p.den, {e: v for e, v in out.items() if any(v)})
 
 
 def substitute_simplex_map(p: SimplexPoly, alpha: SimplexMap) -> SimplexPoly:

@@ -153,7 +153,11 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
     if params and not all(type(n) is str for n in params):
         for n in params:
             _expect(n, str, "parameter name")
-    ring = PolyRing(field, q, params)
+    # the ring table first: a call costs more than the lookup, and a q that
+    # is not exactly an int (a bool hashes like 0 or 1) goes to PolyRing
+    ring = PolyRing._table.get((field, q, params)) if type(q) is int else None
+    if ring is None:
+        ring = PolyRing(field, q, params)
     doc_terms = obj.get("terms", [])
     if type(doc_terms) is not list:
         _expect(doc_terms, list, "terms")

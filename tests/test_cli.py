@@ -280,6 +280,36 @@ def test_built_sections_are_byte_identical(tmp_path, capsys, name):
     assert hashlib.sha256(text.encode()).hexdigest() == SEED_SECTIONS_DIGESTS[name]
 
 
+# (exit code, sha256 of stdout) of `sections` validate at max_q 3 on the
+# built six-point document over Q with one datum tampered, written before
+# validation counted the coface checks that passed codegeneracy checks imply
+# without pulling back: a coefficient of the degenerate level-2 datum at
+# (0, 0, 1), point c, and of the nondegenerate level-1 datum at (0, 1),
+# point d, each raised by 1, and the level-1 datum at (1, 2), point e, deleted
+TAMPERED_VALIDATE_DIGESTS = {
+    "degenerate": (2, "7c88e3af960e017808735c636743101db80d3d0a72ec1e6d97a4f0d98e1c59c6"),
+    "nondegenerate": (2, "a849ca39fade21f7bd325ca9a89092f3882714acaa847237113a85e958311859"),
+    "deleted": (2, "f42f9599f3561c2d6372a31c61d0177b2739441d0754519352515342b569faa3"),
+}
+
+
+def test_tampered_validate_reports_are_byte_identical(tmp_path, capsys):
+    path = write_doc(tmp_path, "cover.json", build_sections_doc())
+    assert main(["sections", "--input", path, "--max-q", "3"]) == 0
+    text = capsys.readouterr().out
+    for name, (mi, x) in {"degenerate": ("0.0.1", "c"), "nondegenerate": ("0.1", "d"),
+                          "deleted": ("1.2", "e")}.items():
+        built = json.loads(text)
+        built.pop("report")
+        if name == "deleted":
+            del built["levels"][mi][x]
+        else:
+            built["levels"][mi][x]["entries"][0][1]["terms"][0]["coef"]["num"] += 1
+        code = main(["sections", "--input", write_doc(tmp_path, name + ".json", built)])
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (code, digest) == TAMPERED_VALIDATE_DIGESTS[name], name
+
+
 def test_sections_max_q_limit(tmp_path, capsys, monkeypatch):
     # only the exit code: a max_q past the limit, on the command line of a
     # build or in a validate-mode document, is refused before any level is

@@ -77,6 +77,25 @@ def test_substitute_reuses_the_plan_across_rings():
         assert pulled == substitute_by_evaluation(poly, alpha)
 
 
+def test_one_map_pulls_back_over_q_then_a_number_field_then_q_again():
+    """A map keeps its plan, and the plan's memo of monomial images, for
+    the last source ring only: each change of field builds both again, and
+    every pullback still equals the reference substitution."""
+    rng = random.Random(4131)
+    # t_0 -> t_0 + t_1 is expanded, t_1 -> 0 drops its terms, t_2 -> t_3
+    # is relabelled, and the parameter keeps its place
+    alpha = SimplexMap(3, (0, 0, 2, 3, 3))
+    exps = [tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(8)]
+    for field in (QQ, sqrt2_field(), QQ):
+        ring = PolyRing(field, 3, ("a",))
+        for _ in range(3):
+            poly = ring.poly({e: rand_scalar(rng, field) for e in exps})
+            pulled = substitute_simplex_map(poly, alpha)
+            assert pulled.ring is PolyRing(field, 4, ("a",))
+            assert dict(pulled.terms) == ref_substitute(ring, dict(poly.terms), alpha)
+        assert alpha._plan(ring)[0] is ring
+
+
 def test_pull_back_matrix_is_entrywise_substitution():
     rng = random.Random(4121)
     field = sqrt2_field()
