@@ -38,8 +38,8 @@ from __future__ import annotations
 import operator
 
 from .errors import InputError, NonConstantError, RingMismatch
-from .exactring import (PolyRing, SimplexMap, SimplexPoly, eval_at_weights,
-                        permute_coordinates, sum_of_products)
+from .exactring import (PolyRing, SimplexMap, SimplexPoly, coordinate_permutation,
+                        eval_at_weights, sum_of_products)
 from .nilpotent import (LieSpan, NilMatrix, UniMatrix, embed_simplex, exp_nilpotent,
                         full_unipotent_span, log_unipotent, pull_back)
 
@@ -429,7 +429,8 @@ def act_simplex_map(t: SectionTuple, alpha: SimplexMap) -> SectionTuple:
 
 def act_permutation(t: SectionTuple, perm) -> SectionTuple:
     """The symmetry action of a permutation of {0, ..., q}: section i moves
-    to slot perm(i) while entries substitute t_i -> t_{perm(i)}."""
+    to slot perm(i) while entries substitute t_i -> t_{perm(i)}, all
+    through one pullback plan."""
     perm = tuple(int(v) for v in perm)
     if sorted(perm) != list(range(t.q + 1)):
         raise InputError("not a permutation of 0..%d" % t.q)
@@ -439,9 +440,8 @@ def act_permutation(t: SectionTuple, perm) -> SectionTuple:
     if t.r == 0:
         return SectionTuple(t.group, new)
     target = t.ring
-    moved = [s.map_entries(lambda e: permute_coordinates(e, perm), target)
-             for s in new]
-    return SectionTuple(t.group, moved)
+    permute = coordinate_permutation(target, perm)
+    return SectionTuple(t.group, [s.map_entries(permute, target) for s in new])
 
 
 def wav_at_weights(points, weights: WeightSeq, group=None) -> UniMatrix:

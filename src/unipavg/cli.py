@@ -222,6 +222,10 @@ MAX_Q = 8
 # max_q + 1) - 1 at about a millisecond each, counted before any is read
 MAX_MULTI_INDICES = 1000
 
+# every polynomial's total degree is at most exactring.MAX_DEGREE (255), the
+# largest its packed exponent keys hold: the reader refuses an exponent
+# vector beyond it, and the kernel a product that would pass it
+
 
 def _check_max_q(max_q):
     if isinstance(max_q, int) and max_q > MAX_Q:

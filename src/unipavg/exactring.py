@@ -17,6 +17,15 @@ reduce modulo m(x) once per output term, through the power table cleared
 to integers over one denominator.  Every operation is a pure function on
 immutable values; all arithmetic is exact.
 
+An exponent vector is one integer key, the bytes (total degree, e_0, ...,
+e_{nvars-1}) read big-endian (packed exponent vectors, as in Monagan and
+Pearce, CASC 2007): the key of a product of monomials is the sum of their
+keys, and integer order is the order by total degree, then exponents,
+which the JSON writer uses.  So no total degree exceeds MAX_DEGREE; the
+reader checks documents, and the kernel every product.  Exponent tuples
+appear only at the boundary: `terms`, the JSON writer, `repr`, monomials
+new to a substitution plan, and evaluation.
+
 A sum of products sum_k x_k y_k, the entry of a matrix product or of a
 power series, is one fused accumulation (`sum_of_products`, which is also
 the product of two polynomials): each pair is scaled to the lcm of the
@@ -35,6 +44,27 @@ from itertools import chain
 from operator import add, mul
 
 from .errors import InputError, RingMismatch
+
+
+# the largest total degree of a polynomial: one byte of its exponent keys
+MAX_DEGREE = 255
+
+
+def _pack(exp):
+    """The key of an exponent vector; TypeError for an entry that is not
+    an integer, ValueError for a negative one or a total degree above
+    MAX_DEGREE."""
+    return int.from_bytes(bytes((sum(exp), *exp)), "big")
+
+
+def _unpack(key, nvars):
+    """The exponent tuple of a key over nvars variables."""
+    return tuple(key.to_bytes(nvars + 1, "big")[1:])
+
+
+def _degree_error(exp):
+    return InputError("exponent vector %r has total degree %d, above the limit of %d"
+                      % (tuple(exp), sum(exp), MAX_DEGREE))
 
 
 def _fraction(x) -> Fraction:
@@ -616,7 +646,7 @@ class PolyRing:
         v = self.field.value(x)
         if v.is_zero:
             return self.zero()
-        return SimplexPoly(self, v.den, {(0,) * self.nvars: v.nums})
+        return SimplexPoly(self, v.den, {0: v.nums})
 
     def coordinate(self, j) -> "SimplexPoly":
         """The simplex coordinate t_j in canonical form (t_q eliminated)."""
@@ -652,8 +682,12 @@ class PolyRing:
             exp = tuple(int(e) for e in exp)
             if len(exp) != self.nvars or any(e < 0 for e in exp):
                 raise InputError("bad exponent vector %r" % (exp,))
+            try:
+                key = _pack(exp)
+            except ValueError:
+                raise _degree_error(exp) from None
             v = self.field.value(coef)
-            coefs[exp] = coefs[exp] + v if exp in coefs else v
+            coefs[key] = coefs[key] + v if key in coefs else v
         den = math.lcm(*(v.den for v in coefs.values()))
         return _canonical(self, den, {e: tuple([x * (den // v.den) for x in v.nums])
                                       for e, v in coefs.items() if not v.is_zero})
@@ -682,10 +716,13 @@ def sum_of_products(ring, pairs):
     the whole sum is one integer accumulation: over Q one integer per
     exponent, over a number field one unreduced convolution per exponent,
     reduced modulo m(x) once.  The sum is put into canonical form once, so
-    no partial sum is ever built or normalized."""
+    no partial sum is ever built or normalized.  A product's key is the
+    sum of its factors' keys, so a pair whose total degrees add up to more
+    than MAX_DEGREE raises InputError."""
     if not pairs:
         return ring.zero()
     field = ring.field
+    shift = 8 * ring.nvars
     # (numerators of the longer polynomial factor, of the other one or None
     # when it is a constant, the constant's numerator vector, the pair's
     # denominator); a constant factor only scales, with no exponent sums
@@ -696,10 +733,12 @@ def sum_of_products(ring, pairs):
             if len(a) < len(b):
                 a, b = b, a
             s = None
-            if len(b) == 1:
-                (e, v), = b.items()
-                if not any(e):
-                    s = v
+            if len(b) == 1 and 0 in b:
+                s = b[0]
+            elif b and (max(a) >> shift) + (max(b) >> shift) > MAX_DEGREE:
+                raise InputError("a product of total degrees %d and %d exceeds the "
+                                 "limit of %d" % (max(a) >> shift, max(b) >> shift,
+                                                  MAX_DEGREE))
             work.append((a, b if s is None else None, s, x.den * y.den))
         else:
             work.append((x.nums, None, (y.numerator,), x.den * y.denominator))
@@ -717,7 +756,7 @@ def sum_of_products(ring, pairs):
             for ea, (u,) in a.items():
                 u *= m
                 for eb, (v,) in b.items():
-                    e = tuple(map(add, ea, eb))
+                    e = ea + eb
                     acc[e] = get(e, 0) + u * v
         return _canonical(ring, den, {e: (c,) for e, c in acc.items() if c})
     width = 2 * field.degree - 1
@@ -737,7 +776,7 @@ def sum_of_products(ring, pairs):
             if b is None:
                 products = ((ea, s),)
             else:
-                products = [(tuple(map(add, ea, eb)), v) for eb, v in b.items()]
+                products = [(ea + eb, v) for eb, v in b.items()]
             for e, v in products:
                 c = slot(e)
                 for i, x in enumerate(u):
@@ -754,7 +793,7 @@ def sum_of_products(ring, pairs):
 
 
 class _Terms(Mapping):
-    """The read-only {exponent: ScalarValue} view of a SimplexPoly."""
+    """The read-only {exponent tuple: ScalarValue} view of a SimplexPoly."""
 
     __slots__ = ("_poly",)
 
@@ -763,10 +802,16 @@ class _Terms(Mapping):
 
     def __getitem__(self, exp):
         p = self._poly
-        return _canonical_scalar(p.ring.field, p.den, p.nums[exp])
+        try:
+            if len(exp) == p.ring.nvars:
+                return _canonical_scalar(p.ring.field, p.den, p.nums[_pack(exp)])
+        except (TypeError, ValueError, KeyError):
+            pass
+        raise KeyError(exp)
 
     def __iter__(self):
-        return iter(self._poly.nums)
+        nvars = self._poly.ring.nvars
+        return (_unpack(key, nvars) for key in self._poly.nums)
 
     def __len__(self):
         return len(self._poly.nums)
@@ -776,12 +821,15 @@ class SimplexPoly:
     """A polynomial on the q-simplex (times parameters), in canonical form.
 
     The coefficients share one positive integer denominator ``den``;
-    ``nums`` maps each exponent tuple over (t_0..t_{q-1}, params) to the
-    integer numerators of its coefficient, ``field.degree`` power-basis
-    coordinates.  No vector is all zero, and the gcd of ``den`` and every
-    numerator is 1; the zero polynomial is the empty map over den 1.  Over
-    a fixed ring, equality of these forms is equality of functions.
-    ``terms`` reads the same coefficients as ScalarValue values.
+    ``nums`` maps the key of each exponent vector over (t_0..t_{q-1},
+    params) to the integer numerators of its coefficient, ``field.degree``
+    power-basis coordinates.  The key is the integer whose big-endian bytes
+    are the total degree and then the exponents, so the constant term's
+    key is 0 and keys add as exponents do.  No vector is all zero, and the
+    gcd of ``den`` and every numerator is 1; the zero polynomial is the
+    empty map over den 1.  Over a fixed ring, equality of these forms is
+    equality of functions.  ``terms`` reads the same coefficients as
+    ScalarValue values, keyed by exponent tuples.
     """
 
     __slots__ = ("ring", "den", "nums")
@@ -854,6 +902,8 @@ class SimplexPoly:
         return o.__sub__(self)
 
     def __neg__(self):
+        if not self.nums:
+            return self
         return SimplexPoly(self.ring, self.den,
                            {e: tuple([-x for x in v]) for e, v in self.nums.items()})
 
@@ -890,8 +940,9 @@ class SimplexPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- inspection ----------------------------------------------------------
@@ -902,8 +953,7 @@ class SimplexPoly:
 
     @property
     def is_constant(self):
-        return not self.nums or (len(self.nums) == 1
-                                 and not any(next(iter(self.nums))))
+        return not self.nums or (len(self.nums) == 1 and 0 in self.nums)
 
     def constant_value(self) -> ScalarValue:
         if not self.nums:
@@ -915,7 +965,7 @@ class SimplexPoly:
         return ScalarValue(self.ring.field, self.den, vec)
 
     def total_degree(self):
-        return max((sum(e) for e in self.nums), default=0)
+        return max(self.nums, default=0) >> 8 * self.ring.nvars
 
     def map_coefficients(self, fn) -> "SimplexPoly":
         return self.ring.poly({exp: fn(coef) for exp, coef in self.terms.items()})
@@ -942,12 +992,11 @@ class SimplexPoly:
         if not self.nums:
             return "0"
         names = ["t%d" % i for i in range(self.ring.q)] + list(self.ring.params)
-        terms = self.terms
         parts = []
-        for exp in sorted(self.nums, key=lambda e: (sum(e), e)):
-            coef = terms[exp]
+        for key in sorted(self.nums):
+            coef = _canonical_scalar(self.ring.field, self.den, self.nums[key])
             factors = ["%s^%d" % (n, e) if e > 1 else n
-                       for n, e in zip(names, exp) if e]
+                       for n, e in zip(names, _unpack(key, self.ring.nvars)) if e]
             cs = repr(coef)
             if ("+" in cs[1:]) or ("-" in cs[1:]):
                 cs = "(%s)" % cs
@@ -1005,14 +1054,14 @@ def _pullback_plan(preimages, ring: PolyRing):
     return (ring, target, relabel, images, {}, {})
 
 
-def _monomial_image(plan, exp):
-    """The monomial t^exp pulled back along plan, as ((target exponent,
+def _monomial_image(plan, key):
+    """The monomial with this key pulled back along plan, as ((target key,
     integer coefficient), ...): relabelled, empty when a variable goes to 0,
     or expanded only in its variables sent to sums."""
-    _, target, relabel, images, powers, _ = plan
+    ring, target, relabel, images, powers, _ = plan
     base = [0] * target.nvars
     factor = None
-    for v, e in enumerate(exp):
+    for v, e in enumerate(_unpack(key, ring.nvars)):
         if e:
             r = relabel[v]
             if r is None:
@@ -1024,9 +1073,10 @@ def _monomial_image(plan, exp):
                 return ()
             else:
                 base[r] = e
+    base = _pack(base)
     if factor is None:
-        return ((tuple(base), 1),)
-    return tuple((tuple(map(add, base, fexp)), fvec[0]) for fexp, fvec in factor.nums.items())
+        return ((base, 1),)
+    return tuple((base + fkey, fvec[0]) for fkey, fvec in factor.nums.items())
 
 
 def _substitute(p: SimplexPoly, plan) -> SimplexPoly:
@@ -1054,14 +1104,21 @@ def substitute_simplex_map(p: SimplexPoly, alpha: SimplexMap) -> SimplexPoly:
     return _substitute(p, alpha._plan(p.ring))
 
 
-def permute_coordinates(p: SimplexPoly, perm) -> SimplexPoly:
-    """Substitute t_j -> t_{perm[j]} for a permutation of {0, ..., q}: the
-    pullback whose preimage of j is perm[j], over p's own ring."""
-    ring = p.ring
+def coordinate_permutation(ring: PolyRing, perm):
+    """The map t_j -> t_{perm[j]} on polynomials over ring, for a
+    permutation of {0, ..., q}: the pullback whose preimage of j is
+    perm[j], with one plan for every polynomial it maps."""
     perm = tuple(int(v) for v in perm)
     if sorted(perm) != list(range(ring.q + 1)):
         raise InputError("not a permutation of 0..%d" % ring.q)
-    return _substitute(p, _pullback_plan([(v,) for v in perm], ring))
+    plan = _pullback_plan([(v,) for v in perm], ring)
+    return lambda p: _substitute(p, plan)
+
+
+def permute_coordinates(p: SimplexPoly, perm) -> SimplexPoly:
+    """Substitute t_j -> t_{perm[j]} for a permutation of {0, ..., q}, over
+    p's own ring."""
+    return coordinate_permutation(p.ring, perm)(p)
 
 
 def extend_to_simplex(p: SimplexPoly, q: int) -> SimplexPoly:
@@ -1069,9 +1126,11 @@ def extend_to_simplex(p: SimplexPoly, q: int) -> SimplexPoly:
     ring = p.ring
     if ring.q != 0:
         raise InputError("only t-constant polynomials can be extended")
-    pad = (0,) * q
+    # the total degree's byte moves up past q new zero exponents
+    lo = 8 * ring.nvars
+    lift = (1 << lo + 8 * q) - (1 << lo)
     return SimplexPoly(PolyRing(ring.field, q, ring.params), p.den,
-                       {pad + exp: v for exp, v in p.nums.items()})
+                       {key + (key >> lo) * lift: v for key, v in p.nums.items()})
 
 
 def eval_at_weights(p: SimplexPoly, weights, param_values=None) -> ScalarValue:
@@ -1097,13 +1156,14 @@ def eval_at_weights(p: SimplexPoly, weights, param_values=None) -> ScalarValue:
     scale = math.lcm(*(x.den for x in values))
     ints = [tuple([c * (scale // x.den) for c in x.nums]) for x in values]
     step = scale * field._xden
+    shift = 8 * ring.nvars
     top = p.total_degree()
     imul = field._imul
     powers = {}
     total = [0] * field.degree
-    for exp, vec in p.nums.items():
+    for key, vec in p.nums.items():
         mono = None
-        for v, e in enumerate(exp):
+        for v, e in enumerate(_unpack(key, ring.nvars)):
             if e:
                 pw = powers.get((v, e))
                 if pw is None:
@@ -1114,7 +1174,7 @@ def eval_at_weights(p: SimplexPoly, weights, param_values=None) -> ScalarValue:
                 mono = pw if mono is None else imul(mono, pw)
         if mono is not None:
             vec = imul(vec, mono)
-        lift = step ** (top - sum(exp))
+        lift = step ** (top - (key >> shift))
         for i, x in enumerate(vec):
             total[i] += x * lift
     return _canonical_scalar(field, p.den * step ** top, tuple(total))

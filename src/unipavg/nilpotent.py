@@ -3,14 +3,15 @@
 Elements are square matrices with simplex-polynomial entries: strictly
 upper triangular for the algebra, unit upper triangular for the group.
 The two kinds share one storage class and one triangular product; the
-kind fixes the diagonal, so entrywise maps and equality touch only the
-strictly upper entries.
-Nilpotency makes exp, log and the group inverse terminating power series,
-summed by one helper, so everything here is exact.  Every entry of a
-triangular product, every strictly upper entry of a power series (after
-the powers of x are formed) and every entry of a linear combination is
-one fused sum of products (`exactring.sum_of_products`), put into
-canonical form once.
+kind fixes the diagonal, so products, entrywise maps and equality touch
+only the strictly upper entries.
+Nilpotency makes exp and log terminating power series, summed by one
+helper, and the group inverse one back substitution, so everything here
+is exact.  Every strictly upper entry of a triangular product, of a power
+series (after the powers of x are formed), of an inverse and of a linear
+combination is one fused sum of products (`exactring.sum_of_products`),
+put into canonical form once; an entry that is a single term times 1 is
+that term.
 
 Spans (subalgebras given by a finite basis of constant matrices) keep
 their basis in one sparse reduced echelon store, with the transform back
@@ -75,34 +76,46 @@ def _scale_rows(rows, s):
     # a zero entry scales to itself
     return tuple(tuple(x if x.is_zero else x * s for x in row) for row in rows)
 
-def _matmul(a, b, ring):
-    """The product of two upper triangular matrices.  Every caller passes a
-    NilMatrix, a UniMatrix or identity plus strictly upper, and the checked
-    constructors enforce that shape, so entries below the diagonal are never
-    read: (ab)_ij is one sum of products a_ik b_kj over i <= k <= j, and is
-    zero for j < i.  An entry with one nonzero product is that product."""
+def _entry(ring, pairs):
+    """sum_k x_k y_k for the nonempty pairs of one matrix entry, each x_k a
+    nonzero polynomial over ring and each y_k a polynomial over ring or a
+    rational scalar: one sum of products, but a lone product is one
+    product, and a lone term times the scalar 1 is the term itself."""
+    if len(pairs) == 1:
+        x, y = pairs[0]
+        if type(y) is SimplexPoly:
+            return x * y
+        if y == 1:
+            return x
+    return sum_of_products(ring, pairs)
+
+
+def _matmul(a, b, ring, unit=False):
+    """The product of two strictly upper triangular matrices, or with unit
+    of two unit upper triangular ones, as rows of the same kind.  The kind
+    fixes the diagonal and the zeros below it, so only strictly upper
+    entries are read or computed: (ab)_ij = sum_{i<k<j} a_ik b_kj, plus
+    a_ij + b_ij for unit matrices, one `_entry`."""
     n = len(a)
-    z = ring.zero()
     out = []
-    for i in range(n):
+    for i, row in enumerate(_identity_rows(ring, n) if unit else _zero_rows(ring, n)):
         ai = a[i]
-        row = [z] * n
-        for j in range(i, n):
-            pairs = [(ai[k], b[k][j]) for k in range(i, j + 1) if ai[k].nums and b[k][j].nums]
-            if len(pairs) == 1:
-                (x, y), = pairs
-                row[j] = x * y
-            elif pairs:
-                row[j] = sum_of_products(ring, pairs)
+        row = list(row)
+        for j in range(i + 1, n):
+            pairs = [(ai[k], b[k][j]) for k in range(i + 1, j) if ai[k].nums and b[k][j].nums]
+            if unit:
+                pairs += [(x, 1) for x in (ai[j], b[i][j]) if x.nums]
+            if pairs:
+                row[j] = _entry(ring, pairs)
         out.append(tuple(row))
     return tuple(out)
 
 
 def _upper_sums(blank, mats, coefs, ring):
     """blank with each strictly upper entry replaced by sum_k coefs[k]
-    mats[k]_ij, one sum of products per entry; the coefficients are
-    polynomials over ring or rational scalars, and blank carries the
-    diagonal of the result's kind."""
+    mats[k]_ij, one `_entry` each; the coefficients are polynomials over
+    ring or rational scalars, and blank carries the diagonal of the
+    result's kind."""
     n = len(blank)
     out = []
     for i, head in enumerate(blank):
@@ -110,7 +123,7 @@ def _upper_sums(blank, mats, coefs, ring):
         for j in range(i + 1, n):
             pairs = [(m[i][j], c) for m, c in zip(mats, coefs) if m[i][j].nums]
             if pairs:
-                row[j] = sum_of_products(ring, pairs)
+                row[j] = _entry(ring, pairs)
         out.append(tuple(row))
     return tuple(out)
 
@@ -253,7 +266,9 @@ class NilMatrix(_TriangularMatrix):
         return NilMatrix(self.ring, _sub_rows(self.rows, other.rows), check=False)
 
     def __neg__(self):
-        return NilMatrix(self.ring, _scale_rows(self.rows, -1), check=False)
+        # negation keeps each entry's canonical form
+        return NilMatrix(self.ring, tuple(tuple(-x for x in row) for row in self.rows),
+                         check=False)
 
     def scale(self, s):
         return NilMatrix(self.ring, _scale_rows(self.rows, s), check=False)
@@ -300,15 +315,25 @@ class UniMatrix(_TriangularMatrix):
 
     def __mul__(self, other):
         self._require_same(other)
-        return UniMatrix(self.ring, _matmul(self.rows, other.rows, self.ring), check=False)
+        return UniMatrix(self.ring, _matmul(self.rows, other.rows, self.ring, unit=True),
+                         check=False)
 
     def inverse(self):
-        """Exact inverse via the terminating Neumann series of U - I."""
-        ring, n = self.ring, self.n
-        x = _minus_identity(self.rows, ring)
-        coefs = [(-1) ** k for k in range(1, n)]
-        return UniMatrix(ring, _power_series(_identity_rows(ring, n), x, coefs, ring),
-                         check=False)
+        """Exact inverse by back substitution: V = U^-1 has V_ij = -(U_ij +
+        sum_{i<k<j} U_ik V_kj) for i < j, from the last row up, one negated
+        `_entry` each, so -U_ij itself where the sum has no product."""
+        ring, u = self.ring, self.rows
+        rows = [list(row) for row in _identity_rows(ring, self.n)]
+        for i in range(self.n - 2, -1, -1):
+            ui, vi = u[i], rows[i]
+            for j in range(i + 1, self.n):
+                pairs = [(ui[k], rows[k][j]) for k in range(i + 1, j)
+                         if ui[k].nums and rows[k][j].nums]
+                if ui[j].nums:
+                    pairs.append((ui[j], 1))
+                if pairs:
+                    vi[j] = -_entry(ring, pairs)
+        return UniMatrix(ring, tuple(map(tuple, rows)), check=False)
 
     @property
     def is_identity(self):
@@ -689,17 +714,17 @@ def _upper_bracket(u, v, n):
 
 def _mover(src, ring):
     """The map moving a constant polynomial over src into ring, which has
-    the same field: it keeps its denominator and numerator vector, now at
-    the zero exponent of ring.  None when the rings are equal."""
+    the same field: it keeps its denominator and numerator vector, at the
+    key 0 of the zero exponent in every ring.  None when the rings are
+    equal."""
     if src is ring:
         return None
-    at = (0,) * ring.nvars
 
     def move(p):
         if not p.nums:
             return ring.zero()
         vec, = p.nums.values()
-        return SimplexPoly(ring, p.den, {at: vec})
+        return SimplexPoly(ring, p.den, {0: vec})
 
     return move
 

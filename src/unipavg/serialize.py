@@ -13,8 +13,8 @@ from fractions import Fraction
 from operator import add
 
 from .errors import InputError
-from .exactring import (QQ, GaloisAction, PolyRing, ScalarField, ScalarValue,
-                        SimplexPoly, _canonical, _canonical_scalar)
+from .exactring import (QQ, GaloisAction, PolyRing, ScalarField, ScalarValue, SimplexPoly,
+                        _canonical, _canonical_scalar, _degree_error, _pack, _unpack)
 from .nilpotent import LieSpan, NilMatrix, UniMatrix
 from .average import SectionTuple
 from .simplicial import (FiniteCover, LocalSection, SimplicialSection,
@@ -126,11 +126,12 @@ def scalar_from_json(field: ScalarField, obj) -> ScalarValue:
 # ---------------------------------------------------------------------------
 
 def poly_to_json(p: SimplexPoly):
-    den = p.den
+    """Terms in order of total degree, then exponents: the order of the
+    exponent keys."""
+    den, nums, nvars = p.den, p.nums, p.ring.nvars
     rational = p.ring.field.is_rationals
-    terms = []
-    for exp in sorted(p.nums, key=lambda e: (sum(e), e)):
-        terms.append({"exp": list(exp), "coef": _coef_to_json(p.nums[exp], den, rational)})
+    terms = [{"exp": list(_unpack(key, nvars)), "coef": _coef_to_json(nums[key], den, rational)}
+             for key in sorted(nums)]
     return {"q": p.ring.q, "params": list(p.ring.params), "terms": terms}
 
 
@@ -138,9 +139,14 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
     """Read a polynomial over the one PolyRing of its (field, q, params).
     Coefficients are read as integer literals and put over their least
     common denominator, so the canonical form takes one lcm and one gcd
-    reduction.  Types are tested inline;
+    reduction.  An exponent list of the ring's length becomes its key
+    through `exactring._pack`, which takes only integers (booleans among
+    them) in 0..MAX_DEGREE summing to at most MAX_DEGREE; any other list
+    is checked again, element by element, for the message of the check it
+    fails.  Types are tested inline;
     `_expect` runs only on a value that fails the test, so subclasses pass
-    and every message is `_expect`'s."""
+    and every message is `_expect`'s.  A negative exponent, and then a
+    total degree above MAX_DEGREE, is reported after every term is read."""
     if type(obj) is not dict:
         _expect(obj, dict, "polynomial")
     q = obj.get("q", 0)
@@ -164,31 +170,40 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
     if not doc_terms:
         return ring.zero()
     terms = []
+    nvars = ring.nvars
     negative = None         # the first exponent vector with a negative entry
+    high = None             # the first one of total degree above MAX_DEGREE
     for term in doc_terms:
         if type(term) is not dict:
             _expect(term, dict, "term")
         exp = term.get("exp")
         if type(exp) is not list:
             _expect(exp, list, "exp")
-        exp = tuple(exp)
-        if not all(type(e) is int for e in exp):
+        try:
+            key = _pack(exp) if len(exp) == nvars else None
+        except (TypeError, ValueError):
+            key = None
+        if key is None:
             exp = tuple(int(_expect(e, int, "exponent")) for e in exp)
-        if len(exp) != ring.nvars:
-            raise FormatError("exponent length %d, ring has %d variables"
-                              % (len(exp), ring.nvars))
-        if negative is None and any(e < 0 for e in exp):
-            negative = exp
-        terms.append((exp, _scalar_literals(field, term.get("coef"))))
+            if len(exp) != nvars:
+                raise FormatError("exponent length %d, ring has %d variables"
+                                  % (len(exp), nvars))
+            if min(exp) < 0:
+                negative = negative or exp
+            else:
+                high = high or exp
+        terms.append((key, _scalar_literals(field, term.get("coef"))))
     if negative is not None:
         raise InputError("bad exponent vector %r" % (negative,))
+    if high is not None:
+        raise _degree_error(high)
     # every coefficient over one common denominator, duplicates summed
     den = math.lcm(*(d for _, lits in terms for _, d in lits))
     nums = {}
-    for exp, lits in terms:
+    for key, lits in terms:
         vec = tuple([num * (den // d) for num, d in lits])
-        cur = nums.get(exp)
-        nums[exp] = vec if cur is None else tuple(map(add, cur, vec))
+        cur = nums.get(key)
+        nums[key] = vec if cur is None else tuple(map(add, cur, vec))
     return _canonical(ring, den, {e: v for e, v in nums.items() if any(v)})
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line driver."""
 
+import functools
 import hashlib
 import io
 import json
@@ -728,3 +729,192 @@ def test_number_field_outputs_are_byte_identical(tmp_path, capsys):
         assert main(argv) == 0, name
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == NUMBER_FIELD_DIGESTS[name], name
+
+
+# sha256 digests of the output bytes of the jobs over Q, written before
+# polynomial exponents were packed into one integer key: wav on one tuple
+# of each wav-symbolic benchmark class (n, q), with coordinates drawn as
+# the benchmark draws them, wsym on a lifted tuple, exp, log and bch on
+# matrices with polynomial entries, figure-data, and sections build and
+# validate over the six-point cover
+Q_JOB_DIGESTS = {
+    "wav-n4-q3": "49159bc36047e66c3e0c3061f9304d46262bbdcaaf8dfcb66f40cbffd70f47ee",
+    "wav-n4-q4": "d9eb6d3ddc53b36fa6148fc4a81f4114b5a92715ef609037d0869ad330a2806f",
+    "wav-n5-q2": "e3784c1e1caa5908a936bec6e0ca90de63a62fc13dd0055f5616ff7a758377fd",
+    "wav-n5-q3": "e46d53e213dc0258eb2a1b9f53de6aab1c6f8720e78125a5ae508fa9102df646",
+    "wsym": "6de6e57cf0d966e69fda5f09d97171c1bd50579462256736970f675293a2e368",
+    "exp": "7b6ed74e05ed1ba4ae31809c57c58f2234f32315ea5eebf44ce25914f1513e4b",
+    "log": "db715841d593e024c66ce938f8cddb11acda350621d75cef8fe7176793634c1c",
+    "bch": "b1b8acdf5d217a243708e9736cb27dc32c05074b10d1f32ab09fb4ffa402e8c6",
+    "figure-data": "f407271c53baa5fd302ef0372b9709a8d5e7983771614b48fe01d3e64ba49f79",
+    "sections-build": "258af7e2c2a8acce0d2c0a90a4dd99aa8f2acfdc8b4daecc2c4aca753161ac29",
+    "sections-validate": "d79dc3568c155067ec21c65c7f888b0391cb3b05c6ff37ff6928d6e2e3605810",
+}
+
+
+def _q_jobs(tmp_path):
+    from unipavg.fixtures import point_from_coordinates
+    from unipavg.nilpotent import log_unipotent
+
+    rng = random.Random(1812)
+
+    def points(n, q):
+        span = full_unipotent_span(n, QQ)
+        return span, [point_from_coordinates(span, [
+            Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+            for _ in range(span.dim)]) for _ in range(q + 1)]
+
+    jobs = {}
+    for n, q in ((4, 3), (4, 4), (5, 2), (5, 3)):
+        t = SectionTuple(*points(n, q))
+        jobs["wav-n%d-q%d" % (n, q)] = ["wav", "--input", write_doc(
+            tmp_path, "wav-n%d-q%d.json" % (n, q), serialize.tuple_to_json(t))]
+    span, pts = points(4, 2)
+    lifted = SectionTuple(span, [embed_simplex(p, 2) for p in pts])
+    jobs["wsym"] = ["wsym", "--input", write_doc(tmp_path, "lifted.json",
+                                                 serialize.tuple_to_json(lifted))]
+    jobs["figure-data"] = ["figure-data", "--input", write_doc(
+        tmp_path, "figure.json", serialize.tuple_to_json(SectionTuple(span, pts))),
+        "--resolution", "4"]
+    # averages over the 2-simplex give matrices with polynomial entries
+    avg = wav(SectionTuple(span, pts))
+    other = wav(SectionTuple(*points(4, 2)))
+    a, b = log_unipotent(avg), log_unipotent(other)
+    jobs["exp"] = ["exp", "--input", write_doc(tmp_path, "exp.json",
+                                               serialize.matrix_to_json(a))]
+    jobs["log"] = ["log", "--input", write_doc(tmp_path, "log.json",
+                                               serialize.matrix_to_json(avg))]
+    jobs["bch"] = ["bch", "--input", write_doc(tmp_path, "bch.json", {
+        "a": serialize.matrix_to_json(a), "b": serialize.matrix_to_json(b)})]
+    cover = write_doc(tmp_path, "cover.json", build_sections_doc())
+    jobs["sections-build"] = ["sections", "--input", cover, "--max-q", "2"]
+    built = str(tmp_path / "built.json")
+    assert main(["sections", "--input", cover, "--max-q", "2", "--output", built]) == 0
+    jobs["sections-validate"] = ["sections", "--input", built, "--max-q", "2"]
+    return jobs
+
+
+def test_q_outputs_are_byte_identical(tmp_path, capsys):
+    for name, argv in _q_jobs(tmp_path).items():
+        assert main(argv) == 0, name
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == Q_JOB_DIGESTS[name], name
+
+
+# ---------------------------------------------------------------------------
+# exponent vectors: the degree limit and malformed entries
+# ---------------------------------------------------------------------------
+
+BAD_EXPONENTS = {"true": [True], "false": [False], "float": [1.5], "whole-float": [1.0],
+                 "string": ["1"], "null": [None], "negative": [-1], "over-limit": [256],
+                 "too-long": [1, 0], "empty": [], "nested": [[1]]}
+
+
+@functools.cache
+def _exponent_doc(sub):
+    """A document for the subcommand with one variable per polynomial, and
+    the path in it of a polynomial to put an exponent vector into: wav on
+    sections with a parameter, log and exp over the 1-simplex, and
+    sections validate."""
+    from unipavg.simplicial import build_simplicial_section
+
+    if sub == "wav":
+        ring = PolyRing(QQ, 0, ("a",))
+        a = ring.parameter("a")
+        tup = SectionTuple(full_unipotent_span(3, QQ), [
+            UniMatrix.identity(ring, 3),
+            UniMatrix.from_entries(ring, 3, {(0, 1): a, (1, 2): 1, (0, 2): a * a})])
+        return serialize.tuple_to_json(tup), ("sections", 1, "entries", 0, 1)
+    if sub == "sections":
+        span, local = cover_local_sections(QQ)
+        built = build_simplicial_section(six_point_cover(), local, span, max_q=1)
+        return serialize.simplicial_to_json(built), ("levels", "0.1", "d", "entries", 0, 1)
+    line = PolyRing(QQ, 1)
+    t = line.coordinate(0)
+    nil = NilMatrix.from_entries(line, 3, {(0, 1): t, (1, 2): t + 2, (0, 2): t * t})
+    mat = exp_nilpotent(nil) if sub == "log" else nil
+    return {"matrix": serialize.matrix_to_json(mat)}, ("matrix", "entries", 0, 1)
+
+
+def _exponent_job(tmp_path, sub, case):
+    doc, where = _exponent_doc(sub)
+    bad = json.loads(json.dumps(doc))
+    poly = bad
+    for key in where:
+        poly = poly[key]
+    poly["terms"][0]["exp"] = BAD_EXPONENTS[case]
+    argv = [sub, "--input", write_doc(tmp_path, "%s-%s.json" % (sub, case), bad)]
+    return argv + (["--max-q", "1"] if sub == "sections" else [])
+
+
+# exit code and error message of each job, None for no error; every one
+# but the over-limit vectors is what the reader wrote before exponent
+# vectors were packed into one integer, which took them all
+_LIMIT = "exponent vector (256,) has total degree 256, above the limit of 255"
+EXPONENT_OUTCOMES = {
+    ("exp", "true"): (0, None),
+    ("exp", "false"): (0, None),
+    ("exp", "float"): (2, "expected int for exponent, got float"),
+    ("exp", "whole-float"): (2, "expected int for exponent, got float"),
+    ("exp", "string"): (2, "expected int for exponent, got str"),
+    ("exp", "null"): (2, "expected int for exponent, got NoneType"),
+    ("exp", "negative"): (2, "bad exponent vector (-1,)"),
+    ("exp", "over-limit"): (2, _LIMIT),
+    ("exp", "too-long"): (2, "exponent length 2, ring has 1 variables"),
+    ("exp", "empty"): (2, "exponent length 0, ring has 1 variables"),
+    ("exp", "nested"): (2, "expected int for exponent, got list"),
+    ("log", "true"): (0, None),
+    ("log", "false"): (0, None),
+    ("log", "float"): (2, "expected int for exponent, got float"),
+    ("log", "whole-float"): (2, "expected int for exponent, got float"),
+    ("log", "string"): (2, "expected int for exponent, got str"),
+    ("log", "null"): (2, "expected int for exponent, got NoneType"),
+    ("log", "negative"): (2, "bad exponent vector (-1,)"),
+    ("log", "over-limit"): (2, _LIMIT),
+    ("log", "too-long"): (2, "exponent length 2, ring has 1 variables"),
+    ("log", "empty"): (2, "exponent length 0, ring has 1 variables"),
+    ("log", "nested"): (2, "expected int for exponent, got list"),
+    ("sections", "true"): (2, None),
+    ("sections", "false"): (0, None),
+    ("sections", "float"): (2, "expected int for exponent, got float"),
+    ("sections", "whole-float"): (2, "expected int for exponent, got float"),
+    ("sections", "string"): (2, "expected int for exponent, got str"),
+    ("sections", "null"): (2, "expected int for exponent, got NoneType"),
+    ("sections", "negative"): (2, "bad exponent vector (-1,)"),
+    ("sections", "over-limit"): (2, _LIMIT),
+    ("sections", "too-long"): (2, "exponent length 2, ring has 1 variables"),
+    ("sections", "empty"): (2, "exponent length 0, ring has 1 variables"),
+    ("sections", "nested"): (2, "expected int for exponent, got list"),
+    ("wav", "true"): (0, None),
+    ("wav", "false"): (0, None),
+    ("wav", "float"): (2, "expected int for exponent, got float"),
+    ("wav", "whole-float"): (2, "expected int for exponent, got float"),
+    ("wav", "string"): (2, "expected int for exponent, got str"),
+    ("wav", "null"): (2, "expected int for exponent, got NoneType"),
+    ("wav", "negative"): (2, "bad exponent vector (-1,)"),
+    ("wav", "over-limit"): (2, _LIMIT),
+    ("wav", "too-long"): (2, "exponent length 2, ring has 1 variables"),
+    ("wav", "empty"): (2, "exponent length 0, ring has 1 variables"),
+    ("wav", "nested"): (2, "expected int for exponent, got list"),
+}
+
+
+@pytest.mark.parametrize("sub, case", sorted(EXPONENT_OUTCOMES))
+def test_malformed_exponent_vectors_keep_their_outcome(tmp_path, capsys, sub, case):
+    code = main(_exponent_job(tmp_path, sub, case))
+    err = capsys.readouterr().err
+    message = json.loads(err)["error"]["message"] if err else None
+    assert (code, message) == EXPONENT_OUTCOMES[sub, case]
+    assert code in (0, 2)
+
+
+def test_a_product_past_the_degree_limit_is_bad_input(tmp_path, capsys):
+    # each entry is within the limit; exp's square N^2 multiplies two of them
+    line = PolyRing(QQ, 1)
+    t = line.coordinate(0)
+    nil = NilMatrix.from_entries(line, 3, {(0, 1): t ** 200, (1, 2): t ** 100})
+    path = write_doc(tmp_path, "exp.json", {"matrix": serialize.matrix_to_json(nil)})
+    code, out, err = run(capsys, ["exp", "--input", path])
+    assert code == 2 and out is None
+    assert err["error"]["message"] == ("a product of total degrees 200 and 100 exceeds "
+                                       "the limit of 255")

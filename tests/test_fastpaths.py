@@ -632,16 +632,18 @@ def dense_scale_rows(rows, s):
 
 
 class BelowDiagonal:
-    """Stands in for an entry below the diagonal of a triangular input,
-    which the kernels must never read."""
+    """Stands in for an entry on or below the diagonal of a triangular
+    input, which its kind fixes, so the product must never read it."""
 
     @property
     def is_zero(self):
-        raise AssertionError("a kernel read an entry below the diagonal")
+        raise AssertionError("a kernel read an entry on or below the diagonal")
+
+    nums = is_zero
 
 
 def below_diagonal_unreadable(rows):
-    return tuple(tuple(BelowDiagonal() if j < i else x for j, x in enumerate(row))
+    return tuple(tuple(BelowDiagonal() if j <= i else x for j, x in enumerate(row))
                  for i, row in enumerate(rows))
 
 
@@ -688,14 +690,17 @@ def kernel_cases(rng, field):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
 def test_sparse_matmul_matches_dense(name):
+    """Two strictly upper or two unit upper factors, the two kinds the
+    triangular product takes."""
     rng = random.Random(621)
-    for ring, n, density, diagonal in kernel_cases(rng, KERNEL_FIELDS[name]):
-        a = rand_upper_rows(rng, ring, n, density, diagonal)
-        b = rand_upper_rows(rng, ring, n, density, rng.choice(("zero", "one", "random")))
-        want = dense_matmul(a, b, ring)
-        got = nilpotent_module._matmul(below_diagonal_unreadable(a),
-                                       below_diagonal_unreadable(b), ring)
-        assert got == want
+    for ring, n, density, _ in kernel_cases(rng, KERNEL_FIELDS[name]):
+        for unit, diagonal in ((False, "zero"), (True, "one")):
+            a = rand_upper_rows(rng, ring, n, density, diagonal)
+            b = rand_upper_rows(rng, ring, n, density, diagonal)
+            want = dense_matmul(a, b, ring)
+            got = nilpotent_module._matmul(below_diagonal_unreadable(a),
+                                           below_diagonal_unreadable(b), ring, unit=unit)
+            assert got == want
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))

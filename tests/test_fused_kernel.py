@@ -210,7 +210,9 @@ def test_matmul_exp_and_log_match_the_per_term_loops(name):
         eye = _identity_rows(ring, n)
         unit = tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(eye, y.rows))
         assert _matmul(x.rows, y.rows, ring) == old_matmul(x.rows, y.rows, ring)
-        assert _matmul(eye, unit, ring) == old_matmul(eye, unit, ring)
+        assert _matmul(eye, unit, ring, unit=True) == old_matmul(eye, unit, ring)
+        other = tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(eye, x.rows))
+        assert _matmul(other, unit, ring, unit=True) == old_matmul(other, unit, ring)
         e = exp_nilpotent(x)
         facts = [Fraction(1, math.factorial(k)) for k in range(1, n)]
         assert upper(e.rows) == upper(old_power_series(eye, x.rows, facts, ring))

@@ -2,7 +2,8 @@
 polynomial kernel replaced the ScalarValue-coefficient one.  The inputs
 cover symbolic averages over Q and a cubic field, Galois descent, and
 wsym/exp/log/bch on polynomial entries, with a parameter and over
-Q[x]/(x^2 - 1/2), whose power table is not integral."""
+Q[x]/(x^2 - 1/2), whose power table is not integral.  The number of
+kernel calls per wav is pinned too: a deterministic operation count."""
 
 import hashlib
 import json
@@ -116,3 +117,34 @@ def test_output_bytes_are_pinned(tmp_path, capsys, name):
     assert main(argv + ["--input", str(path)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED[name]
+
+
+# sum_of_products calls per wav on one tuple of each wav-symbolic benchmark
+# class (n, q), drawn as the benchmark draws them; before the unit product,
+# the back-substitution inverse and the lone terms times 1 they were 247,
+# 352, 279 and 425
+KERNEL_CALLS = {(4, 3): 154, (4, 4): 219, (5, 2): 197, (5, 3): 291}
+
+
+def test_kernel_calls_per_wav_are_pinned(monkeypatch):
+    from unipavg import average, exactring, nilpotent, wav
+    from unipavg.fixtures import point_from_coordinates
+
+    calls = []
+    original = exactring.sum_of_products
+
+    def counting(ring, pairs):
+        calls.append(len(pairs))
+        return original(ring, pairs)
+
+    for module in (exactring, nilpotent, average):
+        monkeypatch.setattr(module, "sum_of_products", counting)
+    rng = random.Random(1812)
+    for (n, q), want in KERNEL_CALLS.items():
+        span = full_unipotent_span(n, QQ)
+        t = SectionTuple(span, [point_from_coordinates(span, [
+            Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+            for _ in range(span.dim)]) for _ in range(q + 1)])
+        calls.clear()
+        wav(t)
+        assert len(calls) == want, (n, q)

@@ -191,12 +191,16 @@ def ref_poly_to_json(p):
 
 def assert_canonical(p):
     """One positive denominator, field.degree integer numerators per
-    exponent, no zero vector, and the gcd of everything equal to 1."""
+    exponent, no zero vector, and the gcd of everything equal to 1.  Each
+    exponent key is an int of nvars + 1 big-endian bytes, the total degree
+    and then the nvars exponents, whose sum the first byte is."""
     ring = p.ring
     assert type(p.den) is int and p.den > 0
     flat = []
-    for exp, vec in p.nums.items():
-        assert len(exp) == ring.nvars and all(type(e) is int and e >= 0 for e in exp)
+    for key, vec in p.nums.items():
+        assert type(key) is int and 0 <= key < 256 ** (ring.nvars + 1)
+        degree, *exp = key.to_bytes(ring.nvars + 1, "big")
+        assert degree == sum(exp)
         assert len(vec) == ring.field.degree
         assert all(type(x) is int for x in vec)
         assert any(vec)

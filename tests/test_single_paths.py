@@ -2,11 +2,13 @@
 hold the shared paths to the separate loops they replaced, written out
 here as the reference.
 
-exp, log and the group inverse are one power-series helper; sums of
-coordinates times constant basis matrices (from_coordinates, apply_hom,
-quotient_span) are one combination helper, which lifts constants by their
-integer numerators instead of through Fractions; NilMatrix and UniMatrix
-share one storage class.
+exp and log are one power-series helper, and the group inverse is one
+back substitution; the triangular product computes only the strictly
+upper entries of its kind, against the full-diagonal product it replaced;
+sums of coordinates times constant basis matrices (from_coordinates,
+apply_hom, quotient_span) are one combination helper, which lifts
+constants by their integer numerators instead of through Fractions;
+NilMatrix and UniMatrix share one storage class.
 """
 
 import random
@@ -36,6 +38,7 @@ from unipavg import (
     quotient_span,
 )
 from unipavg import nilpotent
+from unipavg.exactring import sum_of_products
 from unipavg.fixtures import abelian3_span, heisenberg_span, sqrt2_field
 from unipavg.nilpotent import _add_rows, _identity_rows, _matmul, _scale_rows, _sub_rows
 from helpers import rand_point, rand_scalar
@@ -47,12 +50,33 @@ FIELDS = [QQ, sqrt2_field()]
 # the replaced loops
 # ---------------------------------------------------------------------------
 
+def full_matmul(a, b, ring):
+    """The product of two upper triangular matrices that read and computed
+    the diagonal: (ab)_ij is one sum of products a_ik b_kj over
+    i <= k <= j, and an entry with one nonzero product is that product."""
+    n = len(a)
+    z = ring.zero()
+    out = []
+    for i in range(n):
+        ai = a[i]
+        row = [z] * n
+        for j in range(i, n):
+            pairs = [(ai[k], b[k][j]) for k in range(i, j + 1) if ai[k].nums and b[k][j].nums]
+            if len(pairs) == 1:
+                (x, y), = pairs
+                row[j] = x * y
+            elif pairs:
+                row[j] = sum_of_products(ring, pairs)
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def old_exp(n_mat):
     ring, n = n_mat.ring, n_mat.n
     acc = _identity_rows(ring, n)
     term = _identity_rows(ring, n)
     for k in range(1, n):
-        term = _scale_rows(_matmul(term, n_mat.rows, ring), Fraction(1, k))
+        term = _scale_rows(full_matmul(term, n_mat.rows, ring), Fraction(1, k))
         acc = _add_rows(acc, term)
     return UniMatrix(ring, acc, check=False)
 
@@ -63,19 +87,20 @@ def old_log(u_mat):
     acc = NilMatrix.zero(ring, n).rows
     pw = _identity_rows(ring, n)
     for k in range(1, n):
-        pw = _matmul(pw, x, ring)
+        pw = full_matmul(pw, x, ring)
         coef = Fraction(1, k) if k % 2 == 1 else Fraction(-1, k)
         acc = _add_rows(acc, _scale_rows(pw, coef))
     return NilMatrix(ring, acc, check=False)
 
 
 def old_inverse(u_mat):
+    """The Neumann series of U - I."""
     ring, n = u_mat.ring, u_mat.n
     x = _sub_rows(u_mat.rows, _identity_rows(ring, n))
     acc = _identity_rows(ring, n)
     pw = _identity_rows(ring, n)
     for _ in range(1, n):
-        pw = _scale_rows(_matmul(pw, x, ring), -1)
+        pw = _scale_rows(full_matmul(pw, x, ring), -1)
         acc = _add_rows(acc, pw)
     return UniMatrix(ring, acc, check=False)
 
@@ -165,9 +190,29 @@ def test_exp_log_inverse_match_the_old_loops(field):
             assert_same(uni.inverse(), old_inverse(uni))
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(sqrt2)"])
+def test_products_and_negation_match_the_full_grid(field):
+    """The unit product against the full-diagonal one, the strictly upper
+    product too, and the entrywise negation against scaling by -1."""
+    rng = random.Random(807 + field.degree)
+    for n in range(1, 7):
+        for q in (0, 1, 2):
+            ring = PolyRing(field, q)
+            a, b = (UniMatrix(ring, rand_unipotent_rows(rng, ring, n)) for _ in range(2))
+            x, y = (NilMatrix(ring, rand_strict_rows(rng, ring, n)) for _ in range(2))
+            assert_same(a * b, UniMatrix(ring, full_matmul(a.rows, b.rows, ring)))
+            assert_same(a * UniMatrix.identity(ring, n), a)
+            assert_same(UniMatrix(ring, _matmul(x.rows, y.rows, ring), check=False),
+                        UniMatrix(ring, full_matmul(x.rows, y.rows, ring), check=False))
+            assert_same(-x, NilMatrix(ring, _scale_rows(x.rows, -1)))
+            assert_same(x.bracket(y), NilMatrix(ring, _sub_rows(
+                full_matmul(x.rows, y.rows, ring), full_matmul(y.rows, x.rows, ring))))
+
+
 def test_each_series_takes_n_minus_2_products(monkeypatch):
     # the bench counts triangular products; the series starts from x, so
-    # x^1 costs no product and no power is multiplied by the identity
+    # x^1 costs no product and no power is multiplied by the identity; the
+    # inverse is a back substitution, with no product of matrices
     calls = []
 
     def counting(a, b, ring):
@@ -180,10 +225,13 @@ def test_each_series_takes_n_minus_2_products(monkeypatch):
     for n in range(1, 6):
         nil = NilMatrix(ring, rand_strict_rows(rng, ring, n))
         uni = UniMatrix(ring, rand_unipotent_rows(rng, ring, n))
-        for run in (lambda: exp_nilpotent(nil), lambda: log_unipotent(uni), uni.inverse):
+        for run in (lambda: exp_nilpotent(nil), lambda: log_unipotent(uni)):
             calls.clear()
             run()
             assert calls == [n] * (n - 2)
+        calls.clear()
+        assert uni.inverse() == old_inverse(uni)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from unipavg import (
     substitute_simplex_map,
 )
 from unipavg import nilpotent
+from unipavg.exactring import _pack, _unpack
 from unipavg.average import eval_matrix_at_weights, wav_at_weights
 from unipavg.fixtures import cubic_orbit, heisenberg_span, sqrt2_field, sqrt2_orbit
 from unipavg.nilpotent import embed_simplex, pull_back
@@ -158,8 +159,9 @@ def test_matrices_of_another_kind_ring_or_size_stay_unequal():
     # the same numerators over another ring
     for other in (PolyRing(QQ, 1, ("s",)), PolyRing(sqrt2_field(), 1), PolyRing(QQ, 2)):
         moved = UniMatrix(other, tuple(tuple(type(x)(other, x.den, {
-            e + (0,) * (other.nvars - len(e)): v + (0,) * (other.field.degree - len(v))
-            for e, v in x.nums.items()}) for x in row) for row in uni.rows), check=False)
+            _pack(_unpack(key, ring.nvars) + (0,) * (other.nvars - ring.nvars)):
+            v + (0,) * (other.field.degree - len(v))
+            for key, v in x.nums.items()}) for x in row) for row in uni.rows), check=False)
         assert uni != moved and moved != uni
     # another size
     assert UniMatrix.identity(ring, 2) != UniMatrix.identity(ring, 3)
