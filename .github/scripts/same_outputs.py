@@ -16,12 +16,13 @@ The workloads write no number-field polynomial and leave some subcommands
 out, so `cli_jobs` also writes, once with HEAD's package, the inputs of a
 fixed list of CLI jobs built from `unipavg.fixtures`: wav, with and
 without --weights, over Q and Q(sqrt2), wsym, exp, log, bch, figure-data,
-sections build and validate over Q(sqrt2), validate on two tampered
-copies of the built section (a changed datum and a deleted one, so the
-failure reports are compared; exit 2), and a wav whose output has an
-integer over the digit limit (exit 2).  One fresh process per tree runs
-them through its `cli.main`, and the exit code, standard output and
-standard error of each are compared.
+sections build and validate over Q(sqrt2), validate on three tampered
+copies of the built section (a changed datum, a deleted one, and a datum
+changed together with every degenerate datum pulled back from it, which
+only a coface check catches, so the failure reports are compared; exit
+2), and a wav whose output has an integer over the digit limit (exit 2).
+One fresh process per tree runs them through its `cli.main`, and the exit
+code, standard output and standard error of each are compared.
 
 The check stops at the first job that differs, naming it.  Exit status: 0
 when every job matches, 1 at the first difference.
@@ -86,12 +87,12 @@ def cli_jobs(tree, work):
     package; print the argument list of each job as one JSON list."""
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
     from fractions import Fraction
-    from unipavg import (QQ, SectionTuple, UniMatrix, cli, embed_simplex,
+    from unipavg import (QQ, SectionTuple, SimplexMap, UniMatrix, cli, embed_simplex,
                          full_unipotent_span, serialize)
     from unipavg.fixtures import (cover_local_sections, heisenberg_span,
                                   point_from_coordinates, six_point_cover, sqrt2_field,
                                   two_point_tuple)
-    from unipavg.nilpotent import log_unipotent
+    from unipavg.nilpotent import log_unipotent, pull_back
 
     def dump(name, doc):
         path = Path(work) / name
@@ -141,6 +142,22 @@ def cli_jobs(tree, work):
         else:
             del doc["levels"]["0.0.1"]["c"]
         jobs.append(["sections", "--input", dump(name + ".json", doc), "--max-q", "2"])
+    # the level-1 datum at (0, 1), point d, with its (0, 1) entry raised by
+    # 1, and every degenerate datum over opens 0 and 1 at d its pullback
+    # along the surjection: each degenerate datum is still the pullback of
+    # its nondegenerate one, so only a coface check fails (exit 2)
+    section = serialize.simplicial_from_json(json.loads(Path(built).read_text(encoding="utf-8")))
+    mat = section.levels[1][(0, 1)]["d"]
+    rows = [list(row) for row in mat.rows]
+    rows[0][1] = rows[0][1] + 1
+    mat = UniMatrix(mat.ring, rows)
+    for level in section.levels.values():
+        for mi, per_point in level.items():
+            if set(mi) == {0, 1}:
+                per_point["d"] = pull_back(mat, SimplexMap(1, mi))
+    jobs.append(["sections", "--input", dump("consistent.json",
+                                             serialize.simplicial_to_json(section)),
+                 "--max-q", "2"])
     # the log's corner entry is a product of three entries of 0.7 times the
     # digit limit, so writing the average exits 2
     big = 10 ** (sys.get_int_max_str_digits() * 7 // 10) + 1

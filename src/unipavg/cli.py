@@ -228,7 +228,7 @@ MAX_MULTI_INDICES = 1000
 
 
 def _check_max_q(max_q):
-    if isinstance(max_q, int) and max_q > MAX_Q:
+    if type(max_q) is int and max_q > MAX_Q:
         raise InputError("max_q must be at most %d, got %d" % (MAX_Q, max_q))
 
 
@@ -301,7 +301,7 @@ def cmd_sections(args):
         # validate mode: the document already carries a simplicial section
         max_q = doc.get("max_q")
         _check_max_q(max_q)
-        if isinstance(max_q, int):
+        if type(max_q) is int:
             _check_multi_indices(serialize.cover_from_json(doc.get("cover")),
                                  min(args.max_q, max_q))
         section = serialize.simplicial_from_json(doc)

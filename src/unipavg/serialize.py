@@ -313,11 +313,19 @@ def _mi_key(mi):
     return ".".join(str(i) for i in mi)
 
 
-def _mi_from_key(key):
+def _mi_from_key(key, nopens):
+    """The multi-index a level key names.  Only the writer's spelling
+    (`_mi_key`) of a weakly increasing multi-index of opens 0..nopens-1 is
+    read, so no two keys name one multi-index."""
     try:
-        return tuple(int(p) for p in key.split("."))
+        mi = tuple(int(p) for p in key.split("."))
     except ValueError:
-        raise FormatError("bad multi-index key %r" % (key,)) from None
+        mi = None
+    if (mi is None or _mi_key(mi) != key or mi[0] < 0 or mi[-1] >= nopens
+            or any(a > b for a, b in zip(mi, mi[1:]))):
+        raise FormatError("bad multi-index key %r: expected weakly increasing open "
+                          "indices from 0 to %d joined by '.'" % (key, nopens - 1))
+    return mi
 
 
 def simplicial_to_json(s: SimplicialSection):
@@ -337,12 +345,14 @@ def simplicial_from_json(obj) -> SimplicialSection:
     field = field_from_json(obj.get("field"))
     cover = cover_from_json(_expect(obj.get("cover"), dict, "cover"))
     group = span_from_json(field, _expect(obj.get("group"), dict, "group"))
-    max_q = _expect(obj.get("max_q"), int, "max_q")
+    max_q = obj.get("max_q")
+    if type(max_q) is not int:
+        raise FormatError("expected int for max_q, got %s" % type(max_q).__name__)
     if max_q < 0:
         raise FormatError("max_q must be nonnegative, got %d" % max_q)
     levels = {q: {} for q in range(max_q + 1)}
     for key, per_point in _expect(obj.get("levels"), dict, "levels").items():
-        mi = _mi_from_key(key)
+        mi = _mi_from_key(key, len(cover.opens))
         q = len(mi) - 1
         if q not in levels:
             raise FormatError("multi-index %r exceeds max_q=%d" % (key, max_q))

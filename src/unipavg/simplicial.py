@@ -147,6 +147,22 @@ class ValidationReport:
             self.checks, len(self.failures))
 
 
+def _degeneracy(multi_index, maps):
+    """A weakly increasing multi-index as distinct o sigma: the multi-index
+    of its distinct opens, and the surjection sigma onto their positions,
+    or None when the multi-index is nondegenerate (sigma is the identity).
+    maps holds one SimplexMap per surjection for the caller's run, so
+    pullbacks along the same surjection share one pullback plan."""
+    distinct = tuple(sorted(set(multi_index)))
+    if len(distinct) == len(multi_index):
+        return distinct, None
+    values = tuple(distinct.index(i) for i in multi_index)
+    sigma = maps.get(values)
+    if sigma is None:
+        sigma = maps[values] = SimplexMap(len(distinct) - 1, values)
+    return distinct, sigma
+
+
 def build_simplicial_section(cover: FiniteCover, local_sections, group: LieSpan,
                              max_q=3) -> SimplicialSection:
     """Glue local sections into averaged sections on every multi-intersection:
@@ -172,18 +188,18 @@ def build_simplicial_section(cover: FiniteCover, local_sections, group: LieSpan,
         ls.check_against(cover, group)
         by_open[ls.open_index] = ls
     levels = {}
+    maps = {}
     for q in range(max_q + 1):
         level = {}
         for mi in cover.multi_indices(q):
             pts = cover.intersection(mi)
             if not pts:
                 continue
-            distinct = tuple(sorted(set(mi)))
-            if len(distinct) == len(mi):
+            distinct, sigma = _degeneracy(mi, maps)
+            if sigma is None:
                 level[mi] = {x: wav(SectionTuple(group, [by_open[i].values[x] for i in mi]))
                              for x in pts}
             else:
-                sigma = SimplexMap(len(distinct) - 1, [distinct.index(i) for i in mi])
                 source = levels[len(distinct) - 1][distinct]
                 level[mi] = {x: pull_back(source[x], sigma) for x in pts}
         levels[q] = level
@@ -195,11 +211,54 @@ def _reindex(multi_index, alpha):
     return tuple(multi_index[alpha(v)] for v in range(alpha.p + 1))
 
 
+def _certified(s, max_q):
+    """Whether (C1) every coface pullback of a nondegenerate datum at a
+    level q >= 1 matches the datum of its face, and (C2) every degenerate
+    datum distinct o sigma is the pullback of the datum at distinct along
+    sigma, on the levels up to max_q of a section that passed condition
+    (i).  The first mismatch stops the certificate."""
+    levels = s.levels
+    maps = {}
+    for q in range(max_q + 1):
+        cofaces = [SimplexMap.coface(q, i) for i in range(q + 1)] if q else []
+        for mi, per_point in levels[q].items():
+            distinct, sigma = _degeneracy(mi, maps)
+            if sigma is None:
+                for alpha in cofaces:
+                    face = levels[q - 1][_reindex(mi, alpha)]
+                    for x, mat in per_point.items():
+                        if pull_back(mat, alpha) != face[x]:
+                            return False
+            else:
+                source = levels[len(distinct) - 1][distinct]
+                for x, mat in per_point.items():
+                    if pull_back(source[x], sigma) != mat:
+                        return False
+    return True
+
+
 def validate_simplicial_section(s: SimplicialSection, max_q=None) -> ValidationReport:
     """Check the defining conditions: each level datum is defined on exactly
     the points of its intersection and lies in the group (condition (i)),
     and every coface and codegeneracy pullback matches the reindexed datum
-    (condition (ii)); compositions of these generate all order maps."""
+    (condition (ii)); compositions of these generate all order maps.
+
+    Condition (ii) counts one check per generator, datum and point, but
+    once condition (i) has passed it is certified with fewer pullbacks, by
+    (C1) the coface checks of the nondegenerate data at levels q >= 1 and
+    (C2) one comparison per degenerate datum mi = delta o sigma, for delta
+    the multi-index of mi's distinct opens and sigma a surjection:
+    D(mi) == sigma* D(delta).  These imply every generator check.  For a
+    generator alpha, factor sigma alpha = iota tau, a surjection tau then
+    an injection iota (the epi-mono factorization of the simplex category).
+    Then alpha* D(mi) = (sigma alpha)* D(delta) = tau* iota* D(delta)
+    = tau* D(delta iota) = D(mi o alpha): iota* D(delta) = D(delta iota)
+    by iterating (C1), since iota is a composite of cofaces and every face
+    of a nondegenerate multi-index is nondegenerate; the last step is (C2) for
+    mi o alpha = (delta iota) o tau.  Pullback is an exact ring map on
+    canonical forms, so each equality is exact.  When a comparison fails,
+    or condition (i) did, every generator is pulled back, in the order
+    cofaces then codegeneracies, and the report lists each failure."""
     if max_q is None:
         max_q = s.max_q
     if max_q < 0:
@@ -243,55 +302,29 @@ def validate_simplicial_section(s: SimplicialSection, max_q=None) -> ValidationR
                     fail(map=None, multi_index=mi, point=x,
                          detail="value lies outside the group")
 
-    # condition (ii): compatibility along cofaces, then codegeneracies; each
-    # map alpha pulls level-q data back onto the datum at level p
-    def compare(alpha, mi, x, pulled, other):
-        report.checks += 1
-        if other is None:
-            fail(map=alpha.describe(), multi_index=mi, point=x,
-                 detail="reindexed datum missing")
-        elif pulled != other:
-            fail(map=alpha.describe(), multi_index=mi, point=x,
-                 detail="pullback does not match reindexed datum")
-
-    degeneracies = {(q, j): SimplexMap.codegeneracy(q, j)
-                    for q in range(max_q) for j in range(q + 1)}
-    degenerate = {}     # (q, j, mi, x) -> the s^j check's (pulled, other)
-
-    def degeneracy_check(q, j, mi, x, mat):
-        key = (q, j, mi, x)
-        found = degenerate.get(key)
-        if found is None:
-            alpha = degeneracies[q, j]
-            found = degenerate[key] = (pull_back(mat, alpha),
-                                       s.levels[q + 1].get(_reindex(mi, alpha), {}).get(x))
-        return found
-
-    # A multi-index mi that repeats at j, j + 1 is its face under d^i,
-    # i in {j, j + 1}, composed with s^j, and s^j d^i = id.  So once the s^j
-    # check of the face's datum passes (it cannot raise on a UniMatrix of
-    # the face's level), the d^i check passes too, and it is counted
-    # without a pullback.
-    for q in range(1, max_q + 1):
-        for i in range(q + 1):
-            alpha = SimplexMap.coface(q, i)
-            for mi, per_point in s.levels.get(q, {}).items():
-                j = next((j for j in (i - 1, i) if 0 <= j < q and mi[j] == mi[j + 1]), None)
-                for x, mat in per_point.items():
-                    face = _reindex(mi, alpha)
-                    if j is not None:
-                        src = s.levels.get(q - 1, {}).get(face, {}).get(x)
-                        if isinstance(src, UniMatrix) and src.ring.q == q - 1:
-                            pulled, other = degeneracy_check(q - 1, j, face, x, src)
-                            if other is mat and pulled == other:
-                                report.checks += 1
-                                continue
-                    compare(alpha, mi, x, pull_back(mat, alpha),
-                            s.levels[q - 1].get(face, {}).get(x))
-    for (q, j), alpha in degeneracies.items():
+    # condition (ii): level q has q + 1 cofaces (q >= 1) and, below max_q,
+    # q + 1 codegeneracies, each checked at every datum and point
+    if report.ok and _certified(s, max_q):
+        for q in range(max_q + 1):
+            generators = (q + 1) * ((q >= 1) + (q < max_q))
+            report.checks += generators * sum(map(len, s.levels[q].values()))
+        return report
+    maps = [(SimplexMap.coface(q, i), q, q - 1)
+            for q in range(1, max_q + 1) for i in range(q + 1)]
+    maps += [(SimplexMap.codegeneracy(q, j), q, q + 1)
+             for q in range(max_q) for j in range(q + 1)]
+    for alpha, q, p in maps:
         for mi, per_point in s.levels.get(q, {}).items():
             for x, mat in per_point.items():
-                compare(alpha, mi, x, *degeneracy_check(q, j, mi, x, mat))
+                pulled = pull_back(mat, alpha)
+                other = s.levels[p].get(_reindex(mi, alpha), {}).get(x)
+                report.checks += 1
+                if other is None:
+                    fail(map=alpha.describe(), multi_index=mi, point=x,
+                         detail="reindexed datum missing")
+                elif pulled != other:
+                    fail(map=alpha.describe(), multi_index=mi, point=x,
+                         detail="pullback does not match reindexed datum")
     return report
 
 

@@ -370,6 +370,39 @@ def test_sections_validate_mode_caps_a_large_max_q_option(tmp_path, capsys):
     assert code == 0 and out["mode"] == "validate" and out["report"]["ok"] is True
 
 
+def built_sections_doc(tmp_path, capsys):
+    """The six-point section built at max_q 2, as a validate-mode document."""
+    path = write_doc(tmp_path, "cover.json", build_sections_doc())
+    code, built, _ = run(capsys, ["sections", "--input", path, "--max-q", "2"])
+    assert code == 0
+    built.pop("report")
+    return built
+
+
+# each key with the datum of a key it could be confused with: an open past
+# the three of the cover, a negative open, spellings int() reads as another
+# key's multi-index, and a decreasing multi-index
+@pytest.mark.parametrize("key, like", [("9", "0"), ("0.9", "0.1"), ("-1", "2"),
+                                       ("0_1", "1"), (" 0", "0"), ("1.0", "0.1")])
+def test_sections_validate_refuses_a_multi_index_key_the_writer_never_writes(
+        tmp_path, capsys, key, like):
+    built = built_sections_doc(tmp_path, capsys)
+    built["levels"][key] = built["levels"][like]
+    code, out, err = run(capsys, ["sections", "--input", write_doc(tmp_path, "bad.json", built)])
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "FormatError"
+    assert err["error"]["message"].startswith("bad multi-index key %r" % key)
+
+
+def test_sections_validate_refuses_a_boolean_max_q(tmp_path, capsys):
+    built = built_sections_doc(tmp_path, capsys)
+    built["max_q"] = True
+    code, out, err = run(capsys, ["sections", "--input", write_doc(tmp_path, "bool.json", built)])
+    assert code == 2 and out is None
+    assert err["error"] == {"kind": "input-error", "type": "FormatError",
+                            "message": "expected int for max_q, got bool"}
+
+
 # ---------------------------------------------------------------------------
 # galois
 # ---------------------------------------------------------------------------

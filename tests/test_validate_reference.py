@@ -1,13 +1,16 @@
-"""Exact cross-check of `validate_simplicial_section` against the validator
-it replaced, written out here as the reference: it pulls every datum back
-along every coface and codegeneracy.  The library counts a coface check
-that a passed codegeneracy check implies without its pullback, so on every
-tampered document the two must still give the same report, or raise the
-same exception."""
+"""Exact cross-check of `validate_simplicial_section` against a reference
+that pulls every datum back along every coface and codegeneracy.  The
+library certifies a section that passes with one pullback per degenerate
+datum and one per coface of each nondegenerate datum, and pulls every
+generator back only for a section that fails; on every tampered document
+the two must still give the same report, or raise the same exception."""
+
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from unipavg import (
+    QQ,
     InputError,
     MembershipError,
     RingMismatch,
@@ -18,7 +21,7 @@ from unipavg import (
     simplicial,
     validate_simplicial_section,
 )
-from unipavg.fixtures import cover_local_sections, six_point_cover
+from unipavg.fixtures import cover_local_sections, six_point_cover, sqrt2_field
 from unipavg.nilpotent import pull_back
 from unipavg.simplicial import ValidationReport, _reindex
 
@@ -96,8 +99,8 @@ def outcome(validate, s):
     return ("report", report.ok, report.checks, report.failures)
 
 
-def built_section():
-    span, local = cover_local_sections()
+def built_section(field=QQ):
+    span, local = cover_local_sections(field)
     return build_simplicial_section(six_point_cover(), local, span, max_q=MAX_Q)
 
 
@@ -142,9 +145,9 @@ def test_every_tampered_datum_gets_the_reference_outcome():
 
 @pytest.mark.parametrize("max_q", range(MAX_Q + 1))
 def test_the_untampered_section_passes_with_fewer_pullbacks(monkeypatch, max_q):
-    """Every check is counted, but a coface d^i whose multi-index repeats at
-    i - 1, i or at i, i + 1 needs no pullback: every codegeneracy check
-    passed."""
+    """Every generator check is counted, but a section that passes is
+    certified by one pullback per degenerate datum, along its surjection,
+    and one per coface of each nondegenerate datum at a level q >= 1."""
     s = built_section()
     expect = outcome(lambda s: reference_validate(s, max_q), s)
     calls = []
@@ -156,12 +159,70 @@ def test_the_untampered_section_passes_with_fewer_pullbacks(monkeypatch, max_q):
     monkeypatch.setattr(simplicial, "pull_back", counted)
     assert outcome(lambda s: validate_simplicial_section(s, max_q), s) == expect
     assert expect[1] is True
-    degeneracies = sum((q + 1) * len(per_point) for q in range(max_q)
-                       for per_point in s.levels[q].values())
-    cofaces = sum(len(per_point) for q in range(1, max_q + 1)
-                  for mi, per_point in s.levels[q].items() for i in range(q + 1)
-                  if not any(0 <= j < q and mi[j] == mi[j + 1] for j in (i - 1, i)))
-    assert len(calls) == degeneracies + cofaces
-    assert [a.p > a.q for a in calls].count(True) == degeneracies
+    degenerate = sum(len(per_point) for q in range(max_q + 1)
+                     for mi, per_point in s.levels[q].items() if len(set(mi)) < len(mi))
+    cofaces = sum((q + 1) * len(per_point) for q in range(1, max_q + 1)
+                  for mi, per_point in s.levels[q].items() if len(set(mi)) == len(mi))
+    assert len(calls) == degenerate + cofaces == (0, 20, 43, 71)[max_q]
+    assert [a.p > a.q for a in calls].count(True) == degenerate
     if max_q == MAX_Q:
-        assert (expect[2], len(calls)) == (416, 142)
+        assert expect[2] == 416
+
+
+def consistently_tampered(s, distinct, x):
+    """A copy of s whose nondegenerate datum at (distinct, x) has a raised
+    coefficient, and whose every degenerate datum over the same opens, at
+    x, is that datum pulled back along its surjection.  Every degenerate
+    datum is still the pullback of its nondegenerate one, so only a coface
+    check can fail."""
+    mat = raised_coefficient(s.levels[len(distinct) - 1][distinct][x])
+    levels = {q: dict(level) for q, level in s.levels.items()}
+    for q, level in levels.items():
+        for mi in level:
+            if set(mi) == set(distinct):
+                sigma = SimplexMap(len(distinct) - 1, [distinct.index(i) for i in mi])
+                level[mi] = dict(level[mi])
+                level[mi][x] = pull_back(mat, sigma)
+    return SimplicialSection(s.cover, s.group, levels, s.max_q)
+
+
+@pytest.mark.parametrize("distinct", [(0, 1), (1,)])
+def test_a_consistently_tampered_datum_fails_only_a_coface_check(distinct):
+    t = consistently_tampered(built_section(), distinct, "d")
+    expect = outcome(reference_validate, t)
+    assert outcome(validate_simplicial_section, t) == expect
+    assert expect[0] == "report" and expect[1] is False
+    assert all(f["map"].startswith("d^") for f in expect[3])
+
+
+def surjections(q, k):
+    """Every order-preserving surjection [q] -> [k]."""
+    return [SimplexMap(k, v) for v in combinations_with_replacement(range(k + 1), q + 1)
+            if len(set(v)) == k + 1]
+
+
+def generators(q):
+    """The cofaces and codegeneracies into [q], up to level MAX_Q."""
+    maps = [SimplexMap.coface(q, i) for i in range(q + 1)] if q else []
+    if q < MAX_Q:
+        maps += [SimplexMap.codegeneracy(q, j) for j in range(q + 1)]
+    return maps
+
+
+@pytest.mark.parametrize("field", [QQ, sqrt2_field()], ids=["Q", "Q(sqrt2)"])
+def test_pullback_along_the_certificates_composites_is_functorial(field):
+    """alpha* sigma* = (sigma alpha)* for a surjection sigma and a
+    generator alpha, and tau* iota* = (iota tau)* for an injection iota
+    and a surjection tau: the two factorizations the certificate uses."""
+    s = built_section(field)
+    pairs = [(sigma, alpha) for q in range(MAX_Q + 1) for k in range(q + 1)
+             for sigma in surjections(q, k) for alpha in generators(q)]
+    pairs += [(SimplexMap(k, iota), tau) for k in range(MAX_Q + 1) for l in range(k + 1)
+              for iota in combinations(range(k + 1), l + 1)
+              for p in range(l, MAX_Q + 1) for tau in surjections(p, l)]
+    for beta, alpha in pairs:
+        # a datum over the most distinct opens at its level, at the point
+        # every open holds
+        m = s.levels[beta.q][max(s.levels[beta.q], key=lambda mi: len(set(mi)))]["d"]
+        assert pull_back(pull_back(m, beta), alpha) == pull_back(m, beta.compose(alpha)), (
+            beta, alpha)
