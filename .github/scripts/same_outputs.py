@@ -16,7 +16,11 @@ The workloads write no number-field polynomial and leave some subcommands
 out, so `cli_jobs` also writes, once with HEAD's package, the inputs of a
 fixed list of CLI jobs built from `unipavg.fixtures`: wav, with and
 without --weights, over Q and Q(sqrt2), wsym, exp, log, bch, figure-data,
-sections build and validate over Q(sqrt2), validate on three tampered
+sections build and validate over Q(sqrt2), validate on the built section
+with every polynomial spelled non-canonically (integer coefficients,
+unreduced and negative-denominator num/den objects, single numbers for
+coords lists, unsorted and duplicate terms; exit 0, so the reader's
+values are compared through the report), validate on three tampered
 copies of the built section (a changed datum, a deleted one, and a datum
 changed together with every degenerate datum pulled back from it, which
 only a coface check catches, so the failure reports are compared; exit
@@ -132,6 +136,41 @@ def cli_jobs(tree, work):
         raise RuntimeError("building the validate-mode input %s failed" % built)
     jobs += [["sections", "--input", cover, "--max-q", "2"],
              ["sections", "--input", built, "--max-q", "2"]]
+
+    # the built section with every polynomial spelled as the writer never
+    # spells it, for the reader: each term twice, as 2c and -c, in reverse
+    # order, with whole numbers as integers, the rest unreduced or with
+    # both signs flipped, and a coefficient whose other coordinates are 0
+    # as one number rather than a coords list
+    def respell(c, k):
+        num, den = c["num"], c["den"]
+        if den == 1 and k % 3 == 0:
+            return num
+        return {"num": -3 * num, "den": -3 * den} if k % 2 else {"num": 2 * num, "den": 2 * den}
+
+    def respell_all(doc):
+        if isinstance(doc, list):
+            for item in doc:
+                respell_all(item)
+        elif isinstance(doc, dict) and "terms" in doc:
+            terms = []
+            for k, term in enumerate(doc["terms"]):
+                for scale in (2, -1):
+                    coords = [{"num": scale * c["num"], "den": c["den"]}
+                              for c in term["coef"]["coords"]]
+                    if not any(c["num"] for c in coords[1:]):
+                        coef = respell(coords[0], k)
+                    else:
+                        coef = {"coords": [respell(c, k + i) for i, c in enumerate(coords)]}
+                    terms.append({"exp": term["exp"], "coef": coef})
+            doc["terms"] = terms[::-1]
+        elif isinstance(doc, dict):
+            for value in doc.values():
+                respell_all(value)
+
+    respelled = json.loads(Path(built).read_text(encoding="utf-8"))
+    respell_all(respelled)
+    jobs.append(["sections", "--input", dump("respelled.json", respelled), "--max-q", "2"])
     # two tampered copies of the built section fail validation (exit 2): a
     # term added to the level-1 datum at (0, 1), point d, and the level-2
     # datum at (0, 0, 1), point c, deleted

@@ -135,7 +135,7 @@ def _poly_text(doc, pad):
         raise _digit_limit_error() from None
 
 
-def _emit_json(obj, write, pad="\n", lead=""):
+def _emit_json(obj, write, pad="\n", lead="", texts=None):
     """Write obj in pieces, byte for byte as json.dumps(obj, indent=2)
     prints it.  json.dumps uses its C encoder only without an indent, and
     its pure-Python one passes each piece up through every enclosing level,
@@ -144,9 +144,18 @@ def _emit_json(obj, write, pad="\n", lead=""):
     `_poly_text` formats whole.  Documents hold dicts with string keys,
     lists, tuples, strings, numbers, booleans and None; `pad` is the
     newline and indent of obj's own level, and `lead` the text before obj,
-    written with its first piece."""
+    written with its first piece.  `texts` holds the polynomial texts of
+    one top-level call by (id of the dict, pad): a dict the document holds
+    at several places (serialize writes one per distinct polynomial) is
+    formatted once per indent, and no id is reused while the document
+    lives."""
+    if texts is None:
+        texts = {}
     if type(obj) is dict:
-        text = _poly_text(obj, pad)
+        key = (id(obj), pad)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _poly_text(obj, pad)
         if text is not None:
             write(lead + text)
             return
@@ -166,7 +175,7 @@ def _emit_json(obj, write, pad="\n", lead=""):
     lead += brackets[0] + inner
     for head, value in members:
         if isinstance(value, (dict, list, tuple)):
-            _emit_json(value, write, inner, lead + head)
+            _emit_json(value, write, inner, lead + head, texts)
         else:
             write(lead + head + _leaf(value))
         lead = "," + inner

@@ -103,22 +103,22 @@ def scalar_to_json(v: ScalarValue):
     return _coef_to_json(v.nums, v.den, v.field.is_rationals)
 
 
-def _scalar_literals(field: ScalarField, obj):
-    """A scalar's power-basis coordinates as (numerator, denominator)
-    literals: a {"coords": [...]} object, or one number for the first
-    coordinate."""
+def _scalar_numerators(field: ScalarField, obj):
+    """A scalar's power-basis coordinates, a {"coords": [...]} object or one
+    number for the first coordinate, as the lcm of their denominators and
+    the integer numerators over it."""
     if isinstance(obj, dict) and "coords" in obj:
         lits = [_literal(c) for c in _expect(obj["coords"], list, "coords")]
         if len(lits) != field.degree:
             raise InputError("expected %d coordinates, got %d" % (field.degree, len(lits)))
-        return lits
-    return [_literal(obj)] + [(0, 1)] * (field.degree - 1)
+    else:
+        lits = [_literal(obj)] + [(0, 1)] * (field.degree - 1)
+    den = math.lcm(*[d for _, d in lits])
+    return den, tuple([num * (den // d) for num, d in lits])
 
 
 def scalar_from_json(field: ScalarField, obj) -> ScalarValue:
-    lits = _scalar_literals(field, obj)
-    den = math.lcm(*(d for _, d in lits))
-    return _canonical_scalar(field, den, tuple([num * (den // d) for num, d in lits]))
+    return _canonical_scalar(field, *_scalar_numerators(field, obj))
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +138,16 @@ def poly_to_json(p: SimplexPoly):
 def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
     """Read a polynomial over the one PolyRing of its (field, q, params).
     Coefficients are read as integer literals and put over their least
-    common denominator, so the canonical form takes one lcm and one gcd
-    reduction.  An exponent list of the ring's length becomes its key
-    through `exactring._pack`, which takes only integers (booleans among
-    them) in 0..MAX_DEGREE summing to at most MAX_DEGREE; any other list
-    is checked again, element by element, for the message of the check it
-    fails.  Types are tested inline;
-    `_expect` runs only on a value that fails the test, so subclasses pass
-    and every message is `_expect`'s.  A negative exponent, and then a
+    common denominator, so the canonical form takes one gcd reduction.  The
+    common literals, an int or a two-key num/den object of exact ints with
+    den > 0, are read inline; `_scalar_numerators` reads every other shape,
+    with the same values and messages.  An exponent list of the ring's
+    length becomes its key through `exactring._pack`, which takes only
+    integers (booleans among them) in 0..MAX_DEGREE summing to at most
+    MAX_DEGREE; any other list is checked again, element by element, for
+    the message of the check it fails.  Types are tested inline; `_expect`
+    runs only on a value that fails the test, so subclasses pass and every
+    message is `_expect`'s.  A negative exponent, and then a
     total degree above MAX_DEGREE, is reported after every term is read."""
     if type(obj) is not dict:
         _expect(obj, dict, "polynomial")
@@ -169,8 +171,10 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
         _expect(doc_terms, list, "terms")
     if not doc_terms:
         return ring.zero()
-    terms = []
+    terms = []              # (key, numerators, their denominator) per term
+    den = 1                 # the lcm of the terms' denominators
     nvars = ring.nvars
+    zeros = (0,) * (field.degree - 1)     # a number's other coordinates
     negative = None         # the first exponent vector with a negative entry
     high = None             # the first one of total degree above MAX_DEGREE
     for term in doc_terms:
@@ -192,27 +196,61 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
                 negative = negative or exp
             else:
                 high = high or exp
-        terms.append((key, _scalar_literals(field, term.get("coef"))))
+        coef = term.get("coef")
+        if type(coef) is int:
+            vec, d = (coef, *zeros), 1
+        elif (type(coef) is dict and len(coef) == 2 and type(num := coef.get("num")) is int
+              and type(d := coef.get("den")) is int and d > 0):
+            vec = (num, *zeros)
+        else:
+            d, vec = _scalar_numerators(field, coef)
+        if d != den:
+            den = math.lcm(den, d)
+        terms.append((key, vec, d))
     if negative is not None:
         raise InputError("bad exponent vector %r" % (negative,))
     if high is not None:
         raise _degree_error(high)
-    # every coefficient over one common denominator, duplicates summed
-    den = math.lcm(*(d for _, lits in terms for _, d in lits))
+    # every coefficient over the common denominator, duplicates summed
     nums = {}
-    for key, lits in terms:
-        vec = tuple([num * (den // d) for num, d in lits])
-        cur = nums.get(key)
-        nums[key] = vec if cur is None else tuple(map(add, cur, vec))
-    return _canonical(ring, den, {e: v for e, v in nums.items() if any(v)})
+    for key, vec, d in terms:
+        if d != den:
+            vec = tuple([x * (den // d) for x in vec])
+        if key in nums:
+            vec = tuple(map(add, nums[key], vec))
+        nums[key] = vec
+    if not all(map(any, nums.values())):
+        nums = {e: v for e, v in nums.items() if any(v)}
+    return _canonical(ring, den, nums)
 
 
 # ---------------------------------------------------------------------------
 # matrices, spans, tuples
 # ---------------------------------------------------------------------------
 
+def _poly_docs():
+    """poly_to_json for the values of one document, writing one dict per
+    distinct polynomial: equal polynomials get the same dict, so
+    `cli._emit_json`, which memoises by dict, formats each once.  Each
+    public writer below makes one table per call and drops it on return,
+    so two documents share no dict."""
+    docs = {}
+
+    def poly_doc(p):
+        key = (p.ring, p.den, frozenset(p.nums.items()))
+        doc = docs.get(key)
+        if doc is None:
+            doc = docs[key] = poly_to_json(p)
+        return doc
+    return poly_doc
+
+
+def _matrix_json(mat, poly_doc):
+    return {"n": mat.n, "entries": [[poly_doc(e) for e in row] for row in mat.rows]}
+
+
 def matrix_to_json(mat):
-    return {"n": mat.n, "entries": [[poly_to_json(e) for e in row] for row in mat.rows]}
+    return _matrix_json(mat, _poly_docs())
 
 
 def _grid_from_json(field, obj, kind):
@@ -243,8 +281,12 @@ def uni_from_json(field, obj) -> UniMatrix:
     return _grid_from_json(field, obj, UniMatrix)
 
 
+def _span_json(span, poly_doc):
+    return {"n": span.n, "basis": [_matrix_json(b, poly_doc) for b in span.basis]}
+
+
 def span_to_json(span: LieSpan):
-    return {"n": span.n, "basis": [matrix_to_json(b) for b in span.basis]}
+    return _span_json(span, _poly_docs())
 
 
 def span_from_json(field, obj) -> LieSpan:
@@ -256,9 +298,10 @@ def span_from_json(field, obj) -> LieSpan:
 
 
 def tuple_to_json(t: SectionTuple):
+    poly_doc = _poly_docs()
     return {"field": field_to_json(t.group.field),
-            "group": span_to_json(t.group),
-            "sections": [matrix_to_json(s) for s in t.sections]}
+            "group": _span_json(t.group, poly_doc),
+            "sections": [_matrix_json(s, poly_doc) for s in t.sections]}
 
 
 def tuple_from_json(obj) -> SectionTuple:
@@ -288,7 +331,8 @@ def cover_from_json(obj) -> FiniteCover:
 
 
 def locals_to_json(local_sections):
-    return {str(ls.open_index): {x: matrix_to_json(v) for x, v in ls.values.items()}
+    poly_doc = _poly_docs()
+    return {str(ls.open_index): {x: _matrix_json(v, poly_doc) for x, v in ls.values.items()}
             for ls in local_sections}
 
 
@@ -329,13 +373,14 @@ def _mi_from_key(key, nopens):
 
 
 def simplicial_to_json(s: SimplicialSection):
+    poly_doc = _poly_docs()
     levels = {}
     for q in sorted(s.levels):
         for mi, per_point in sorted(s.levels[q].items()):
-            levels[_mi_key(mi)] = {x: matrix_to_json(v) for x, v in per_point.items()}
+            levels[_mi_key(mi)] = {x: _matrix_json(v, poly_doc) for x, v in per_point.items()}
     return {"field": field_to_json(s.group.field),
             "cover": cover_to_json(s.cover),
-            "group": span_to_json(s.group),
+            "group": _span_json(s.group, poly_doc),
             "max_q": s.max_q,
             "levels": levels}
 
@@ -378,10 +423,11 @@ def tower_report_to_json(rep: TowerReport):
 # ---------------------------------------------------------------------------
 
 def orbit_to_json(orbit: GaloisOrbit):
+    poly_doc = _poly_docs()
     return {"field": field_to_json(orbit.action.field),
             "generators": [scalar_to_json(g.image) for g in orbit.action.generators],
-            "group": span_to_json(orbit.group),
-            "points": [matrix_to_json(z) for z in orbit.points]}
+            "group": _span_json(orbit.group, poly_doc),
+            "points": [_matrix_json(z, poly_doc) for z in orbit.points]}
 
 
 def orbit_from_json(obj) -> GaloisOrbit:

@@ -199,6 +199,56 @@ def test_cancelling_terms_match_the_old_reader(case):
                         outcome(old_poly_from_json, field, doc))
 
 
+# every shape a coefficient literal takes: the int and num/den forms the
+# reader takes inline, negative denominators among them, and booleans,
+# floats, strings, nulls, zero denominators, and missing and extra keys,
+# which it leaves to the general literal reader
+inline_literal = st.one_of(
+    small, st.integers(-10 ** 30, 10 ** 30),
+    st.fixed_dictionaries({"num": st.integers(-10 ** 20, 10 ** 20),
+                           "den": st.integers(-6, 6).filter(bool)}))
+other_literal = st.one_of(
+    st.booleans(), st.sampled_from([1.0, -0.5, 2.5]), st.sampled_from(["1", "", "1/2"]),
+    st.none(), st.fixed_dictionaries({"num": small, "den": st.just(0)}),
+    st.fixed_dictionaries({"num": small, "den": st.integers(1, 6)},
+                          optional={"x": st.just(0), "coords": st.just([1])}),
+    st.fixed_dictionaries({}, optional={"num": st.one_of(small, st.booleans(), st.none()),
+                                        "den": st.one_of(small, st.booleans(),
+                                                         st.just(2.0))}))
+
+
+@st.composite
+def literal_term_lists(draw):
+    """A polynomial over Q or Q(sqrt2) whose terms have a literal or a
+    coords list of literals, some lists of the wrong length, at exponents
+    drawn with repeats and in no order.  Three literals in four are of the
+    inline forms, so many documents are read to the end."""
+    field = draw(st.sampled_from(FIELDS[:2]))
+    q = draw(st.integers(0, 2))
+    exps = draw(st.lists(good_exps(q), min_size=1, max_size=3))
+
+    def literal():
+        return draw(inline_literal if draw(st.integers(0, 3)) < 3 else other_literal)
+
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            coef = literal()
+        else:
+            size = field.degree + (draw(st.integers(0, 5)) == 0)
+            coef = {"coords": [literal() for _ in range(size)]}
+        terms.append({"exp": list(draw(st.sampled_from(exps))), "coef": coef})
+    return field, {"q": q, "terms": terms}
+
+
+@SETTINGS
+@given(literal_term_lists())
+def test_inline_literals_match_the_old_reader(case):
+    field, doc = case
+    assert_same_outcome(outcome(poly_from_json, field, doc),
+                        outcome(old_poly_from_json, field, doc))
+
+
 # ---------------------------------------------------------------------------
 # named cases
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@ its C encoder only without an indent.  These tests hold the emitter to
 json.dumps(doc, indent=2) byte for byte: on the document of every
 subcommand, on failing validation reports (tuple multi-indices), on
 non-ASCII labels, empty containers and long integers, and on generated
-documents."""
+documents.  Within one document the serializer writes one dict per
+distinct polynomial and the emitter formats each such dict once per
+indent; the last tests check that sharing, and that two documents share
+nothing."""
 
 import io
 import json
@@ -15,14 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipavg import (QQ, FiniteCover, PolyRing, SectionTuple, embed_simplex,
+from unipavg import (QQ, FiniteCover, PolyRing, SectionTuple, UniMatrix, embed_simplex,
                      full_unipotent_span, tower_compatibility)
 from unipavg import cli, serialize
 from unipavg.errors import InputError
 from unipavg.fixtures import (cover_local_sections, cubic_field, cubic_orbit, heisenberg_span,
                               six_point_cover, sqrt2_field, sqrt2_orbit, two_point_tuple)
 from unipavg.nilpotent import log_unipotent, lower_central_series
-from unipavg.simplicial import LocalSection
+from unipavg.simplicial import LocalSection, build_simplicial_section
 from helpers import rand_tuple
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -351,3 +354,80 @@ def test_output_is_written_in_one_call(tmp_path, monkeypatch):
     doc = {"q": 1, "wav": serialize.matrix_to_json(two_point_tuple().sections[0])}
     cli._write_json(doc, None)
     assert writes == [json.dumps(doc, indent=2) + "\n"]
+
+
+# ---------------------------------------------------------------------------
+# one dict per distinct polynomial, formatted once per indent
+# ---------------------------------------------------------------------------
+
+def formats(monkeypatch, doc):
+    """The emitted text of doc and the (dict id, pad) of every polynomial
+    text `_poly_text` formatted for it."""
+    formatted = []
+    poly_text = cli._poly_text
+
+    def counting(obj, pad):
+        text = poly_text(obj, pad)
+        if text is not None:
+            formatted.append((id(obj), pad))
+        return text
+
+    monkeypatch.setattr(cli, "_poly_text", counting)
+    return emitted(doc), formatted
+
+
+def containers(doc):
+    """Every dict and list in doc, with repeats."""
+    if isinstance(doc, dict):
+        yield doc
+        for v in doc.values():
+            yield from containers(v)
+    elif isinstance(doc, list):
+        yield doc
+        for v in doc:
+            yield from containers(v)
+
+
+def test_one_polynomial_dict_at_two_depths(monkeypatch):
+    ring = PolyRing(sqrt2_field(), 1, ("a",))
+    poly = serialize.poly_to_json(ring.parameter("a") * ring.coordinate(0) + ring.field.gen)
+    doc = {"p": poly, "nested": [[poly, {"again": poly}], poly], "list": [poly]}
+    text, formatted = formats(monkeypatch, doc)
+    assert text == json.dumps(doc, indent=2)
+    # depths 1, 2 (twice), 3 and 4: one format per indent
+    assert len(formatted) == len(set(formatted)) == 4
+
+
+def test_number_field_and_parameterised_polynomials_in_one_document(monkeypatch):
+    rng = random.Random(905)
+    sqrt2 = sqrt2_field()
+    ring = PolyRing(sqrt2, 2, ("a",))
+    a, t0 = ring.parameter("a"), ring.coordinate(0)
+    mat = UniMatrix.from_entries(ring, 3, {(0, 1): a * t0 + sqrt2.gen, (1, 2): a * a,
+                                           (0, 2): t0})
+    doc = {"surd": serialize.matrix_to_json(mat),
+           "rational": serialize.tuple_to_json(rand_tuple(rng, heisenberg_span(), 2)),
+           "cubic": serialize.orbit_to_json(cubic_orbit()),
+           "log": serialize.matrix_to_json(log_unipotent(mat))}
+    text, formatted = formats(monkeypatch, doc)
+    assert text == json.dumps(doc, indent=2)
+    assert len(formatted) == len(set(formatted))
+    # equal entries share one dict: the zeros below the diagonal of a unit
+    # matrix, and the ones on it
+    entries = [e for row in doc["surd"]["entries"] for e in row]
+    assert entries[3] is entries[6] is entries[7] and entries[0] is entries[4] is entries[8]
+
+
+def test_two_section_documents_share_no_dict(monkeypatch):
+    span, locals_ = cover_local_sections(sqrt2_field())
+    section = build_simplicial_section(six_point_cover(), locals_, span, max_q=2)
+    first, second = serialize.simplicial_to_json(section), serialize.simplicial_to_json(section)
+    assert not {id(c) for c in containers(first)} & {id(c) for c in containers(second)}
+    text, formatted = formats(monkeypatch, first)
+    assert text == json.dumps(first, indent=2) == json.dumps(second, indent=2)
+    polys = [c for c in containers(first) if "terms" in c]
+    assert len(formatted) == len(set(formatted)) < len(polys)
+    for poly in {id(p): p for p in polys}.values():
+        poly["terms"].append({"exp": [], "coef": {"num": 1, "den": 1}})
+    assert emitted(first) == json.dumps(first, indent=2) != text
+    assert emitted(second) == json.dumps(second, indent=2) == text
