@@ -16,11 +16,14 @@ The workloads write no number-field polynomial and leave some subcommands
 out, so `cli_jobs` also writes, once with HEAD's package, the inputs of a
 fixed list of CLI jobs built from `unipavg.fixtures`: wav, with and
 without --weights, over Q and Q(sqrt2), wsym, exp, log, bch, figure-data,
-sections build and validate over Q(sqrt2), validate on the built section
-with every polynomial spelled non-canonically (integer coefficients,
-unreduced and negative-denominator num/den objects, single numbers for
-coords lists, unsorted and duplicate terms; exit 0, so the reader's
-values are compared through the report), validate on three tampered
+galois on two U_4 orbits whose lift computes one component per orbit of
+the generator's permutation (two conjugate pairs over Q(sqrt2), where the
+second pair is not reached from the first, and a cyclic cubic orbit in
+shuffled order), sections build and validate over Q(sqrt2), validate on
+the built section with every polynomial spelled non-canonically (integer
+coefficients, unreduced and negative-denominator num/den objects, single
+numbers for coords lists, unsorted and duplicate terms; exit 0, so the
+reader's values are compared through the report), validate on three tampered
 copies of the built section (a changed datum, a deleted one, and a datum
 changed together with every degenerate datum pulled back from it, which
 only a coface check catches, so the failure reports are compared; exit
@@ -91,9 +94,9 @@ def cli_jobs(tree, work):
     package; print the argument list of each job as one JSON list."""
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
     from fractions import Fraction
-    from unipavg import (QQ, SectionTuple, SimplexMap, UniMatrix, cli, embed_simplex,
-                         full_unipotent_span, serialize)
-    from unipavg.fixtures import (cover_local_sections, heisenberg_span,
+    from unipavg import (QQ, GaloisAction, GaloisOrbit, SectionTuple, SimplexMap, UniMatrix,
+                         cli, embed_simplex, full_unipotent_span, serialize)
+    from unipavg.fixtures import (cover_local_sections, cubic_field, heisenberg_span,
                                   point_from_coordinates, six_point_cover, sqrt2_field,
                                   two_point_tuple)
     from unipavg.nilpotent import log_unipotent, pull_back
@@ -127,6 +130,26 @@ def cli_jobs(tree, work):
              ["bch", "--input", dump("bch.json", dict(field, a=serialize.matrix_to_json(a),
                                                       b=serialize.matrix_to_json(b)))],
              ["figure-data", "--input", str(Path(work) / "pair.json"), "--resolution", "3"]]
+    # galois on U_4, where the lift computes every component that no
+    # generator's permutation reaches: two conjugate pairs over Q(sqrt2),
+    # and the cyclic cubic orbit z, s(z), s(s(z)) listed as s(s(z)), z, s(z)
+    cubic = cubic_field()
+    theta = cubic.gen
+    for name, action, coords, count, order in (
+            ("pairs", GaloisAction(sqrt2, [[0, -1]]),
+             [[[1, 1], [0, 2], [half, -1], 0, [1, 0], [0, 1]],
+              [[-2, half], 1, [0, 3], [1, 1], 0, [3, 1]]], 2, [0, 1, 2, 3]),
+            ("cubic", GaloisAction(cubic, [theta * theta - 2]),
+             [[theta, 1, theta * theta - theta, -2, half, theta + 1]], 3, [2, 0, 1])):
+        u4 = full_unipotent_span(4, action.field)
+        points = []
+        for c in coords:
+            points.append(point_from_coordinates(u4, c))
+            while len(points) % count:
+                points.append(points[-1].map_entries(action.generators[0], u4.ring))
+        orbit = GaloisOrbit(u4, action, [points[k] for k in order])
+        jobs.append(["galois", "--input", dump("galois-%s.json" % name,
+                                               serialize.orbit_to_json(orbit))])
     cover_span, local = cover_local_sections(sqrt2)
     cover = dump("cover.json", dict(field, cover=serialize.cover_to_json(six_point_cover()),
                                     group=serialize.span_to_json(cover_span),

@@ -22,8 +22,19 @@ after the pass every transition lies in Gamma_{3m}.  So each tuple records
 such an m, its `depth` (1 when constructed, 3m after a full pass), and a
 pass computes one component exactly when q = 1 or 3m exceeds the
 nilpotency class: one integer comparison, no bracket.  Before that, a
-matrix pass whose sections agree below superdiagonal ceil(n/2) is linear:
-every component is sum_j t_j f_j.  The proofs are in `wsym`.
+pass is linear, every component being sum_j t_j f_j, for matrices that
+agree below superdiagonal ceil(n/2), and for Lie coordinates when 2m
+exceeds the class.  The proofs are in `wsym`.
+
+The formula is natural: if a coefficient automorphism sigma and a
+permutation pi of the indices satisfy sigma(f_i) = f_{pi(i)}, then
+tau = P_pi o sigma, with P_pi the substitution t_j -> t_{pi(j)}, is a ring
+automorphism that commutes with product, inverse, log and exp and sends
+t_j to t_{pi(j)}, so tau(f'_i) = f'_{pi(i)} after every pass.  A
+`SectionTuple` may carry such pairs, its `symmetry` (a Galois orbit's
+generators with the permutations they induce), and a pass that computes
+every component computes one per orbit of the permutations and the others
+as images under tau.
 
 The operators are written once over a group law (product, inverse, log,
 exp, the algebra's linear operations and the linear-pass test).  A
@@ -38,8 +49,8 @@ from __future__ import annotations
 import operator
 
 from .errors import InputError, NonConstantError, RingMismatch
-from .exactring import (PolyRing, SimplexMap, SimplexPoly, coordinate_permutation,
-                        eval_at_weights, sum_of_products)
+from .exactring import (FieldAutomorphism, PolyRing, SimplexMap, SimplexPoly,
+                        coordinate_permutation, eval_at_weights, sum_of_products)
 from .nilpotent import (LieSpan, NilMatrix, UniMatrix, embed_simplex, exp_nilpotent,
                         full_unipotent_span, log_unipotent, pull_back)
 
@@ -125,12 +136,13 @@ class _MatrixLaw:
         return NilMatrix.combination(xs, coefs)
 
     @staticmethod
-    def linear_pass(sections, coords):
+    def linear_pass(sections, coords, depth=1):
         """The pass's common value sum_j coords[j] sections[j] when every
         section equals sections[0] below superdiagonal k = ceil(n/2), else
-        None (see `wsym`).  Below superdiagonal k that sum is sections[0]'s
-        entry, since the coordinates sum to 1; each entry from superdiagonal
-        k on is one sum of products."""
+        None (see `wsym`); the entries decide, not the depth.  Below
+        superdiagonal k that sum is sections[0]'s entry, since the
+        coordinates sum to 1; each entry from superdiagonal k on is one sum
+        of products."""
         first = sections[0]
         n, ring, rows = first.n, first.ring, first.rows
         k = (n + 1) // 2
@@ -154,9 +166,10 @@ class _MatrixLaw:
 class _Sections:
     """q+1 group elements over one ring, whose simplex dimension r (the
     domain degree) is 0 for t-constant elements or q over the q-simplex.
-    Every transition lies in Gamma_depth; only `_rebuild` sets depth > 1."""
+    Every transition lies in Gamma_depth; only `_rebuild` sets depth > 1.
+    Only a SectionTuple has a nonempty `symmetry`."""
 
-    __slots__ = ("sections", "q", "r", "depth")
+    __slots__ = ("sections", "q", "r", "depth", "symmetry")
 
     def __len__(self):
         return len(self.sections)
@@ -184,12 +197,18 @@ class SectionTuple(_Sections):
     ``check=False`` skips the group-membership test (the ring and size
     checks stay); the operators pass it for values that lie in the group
     by construction.
+
+    ``symmetry`` lists pairs (sigma, perm): a `FieldAutomorphism` of the
+    group's field and a permutation of {0, ..., q} with
+    tau(f_i) = f_{perm[i]}, where tau applies sigma to the coefficients and,
+    over the q-simplex, then substitutes t_j -> t_{perm[j]}.  Every pass
+    keeps it (see `wsym`).  ``check=True`` verifies each pair.
     """
 
     __slots__ = ("group",)
     law = _MatrixLaw
 
-    def __init__(self, group, sections, check=True):
+    def __init__(self, group, sections, check=True, symmetry=()):
         if not isinstance(group, LieSpan):
             raise InputError("a section tuple needs a LieSpan group")
         sections = tuple(sections)
@@ -213,6 +232,19 @@ class SectionTuple(_Sections):
                 raise RingMismatch("section field differs from the group's")
             if check:
                 group.require_element(s, "a section")
+        # passes with q < 2 compute one component, which no symmetry saves
+        self.symmetry = symmetry = (tuple((sigma, tuple(perm)) for sigma, perm in symmetry)
+                                    if self.q > 1 else ())
+        for k, (sigma, perm) in enumerate(symmetry if check else ()):
+            if not isinstance(sigma, FieldAutomorphism) or sigma.field is not group.field:
+                raise InputError("symmetry %d needs an automorphism of the group's field" % k)
+            if sorted(perm) != list(range(self.q + 1)):
+                raise InputError("symmetry %d needs a permutation of 0..%d" % (k, self.q))
+            tau = _conjugation(ring, sigma, perm)
+            for i, s in enumerate(sections):
+                if s.map_entries(tau, ring) != sections[perm[i]]:
+                    raise InputError("symmetry %d does not send section %d to section %d"
+                                     % (k, i, perm[i]))
 
     @property
     def ring(self):
@@ -223,9 +255,11 @@ class SectionTuple(_Sections):
         return self.group.table
 
     def _rebuild(self, sections, ring, depth=1):
-        # the operators' values lie in the group by construction
+        # the operators' values lie in the group by construction, and every
+        # pass and the lift's embedding keep the symmetry
         out = SectionTuple(self.group, sections, check=False)
         out.depth = depth
+        out.symmetry = self.symmetry
         return out
 
     def __eq__(self, other):
@@ -266,6 +300,7 @@ class CoordinateTuple(_Sections):
         self.sections = sections
         self.q = len(sections) - 1
         self.depth = 1
+        self.symmetry = ()
         self.r = ring.q
         if self.r not in (0, self.q):
             raise InputError("domain degree %d must be 0 or the tuple degree %d"
@@ -296,31 +331,21 @@ def transition(f_i: UniMatrix, f_j: UniMatrix, group=None) -> UniMatrix:
     return f_j * f_i.inverse()
 
 
-def _transition_logs(t, first):
-    """logs[i][j] = log(f_j f_i^{-1}), given the first row as first[j - 1] =
-    log(f_j f_0^{-1}).  The rest is computed for 0 < i < j, so f_q^{-1} is
-    never needed, and negated for the mirror entries, since
-    log(g^{-1}) = -log(g)."""
-    law = t.law
-    m = len(t.sections)
-    logs = [[None] * m for _ in range(m)]
-    logs[0][1:] = first
-    for i in range(1, m - 1):
-        inverse = law.inverse(t.sections[i])
-        for j in range(i + 1, m):
-            logs[i][j] = law.log(law.mul(t.sections[j], inverse))
-    for i in range(m):
-        for j in range(i + 1, m):
-            logs[j][i] = law.neg(logs[i][j])
-    return logs
+def _conjugation(ring, sigma, perm):
+    """tau = P_perm o sigma on entries over ring: sigma on the coefficients,
+    then, over the q-simplex, t_j -> t_{perm[j]} through one plan."""
+    if ring.q == 0:
+        return sigma
+    permute = coordinate_permutation(ring, perm)
+    return lambda e: permute(sigma(e))
 
 
 def wsym(t):
     """One symmetrization pass on a tuple of sections over the q-simplex.
 
-    The pass first asks the law for a linear pass.  For matrices, with
-    k = ceil(n/2), it is one when every f_j equals f_0 below superdiagonal
-    k, and then every component equals sum_j t_j f_j:
+    The pass first asks the law for a linear pass, after which every
+    component equals sum_j t_j f_j.  For matrices, with k = ceil(n/2), it is
+    one when every f_j equals f_0 below superdiagonal k:
       D_j = f_j - f_0 lives on superdiagonals >= k, and so does
       x_j = f_j f_0^{-1} - I = D_j f_0^{-1};
       so x_a x_b = 0, as 2k >= n: log(I + x_j) = x_j, exp(S) = I + S, and
@@ -328,11 +353,16 @@ def wsym(t):
       so every component equals (I + sum_j t_j x_j) f_0 = sum_j t_j f_j.
     By Lemma B, the lift leaves every transition of a full U_n on
     superdiagonals >= 3, so for n <= 6 the pass after the lift is linear.
-    Lie coordinates have no linear pass.
+    For Lie coordinates, with m the depth, it is one when 2m exceeds the
+    class c:
+      every transition log lies in Gamma_m, so every bracket with two of
+      them lies in Gamma_{2m} = 0, and BCH(S, F) = F + A(S) with A linear;
+      so, as sum_j t_j = 1 and BCH(log(f_j f_i^{-1}), f_i) = f_j,
+      f'_i = BCH(sum_j t_j log(f_j f_i^{-1}), f_i) = sum_j t_j f_j.
 
-    Otherwise the pass computes f_0^{-1} and the logs L_j = log(f_j f_0^{-1}).
-    Lemma A: if the L_j generate a Lie algebra of class <= 2, every
-    component equals exp(S) f_0, where S = sum_j t_j L_j:
+    Otherwise the pass computes f'_0 from f_0^{-1} and the logs
+    L_j = log(f_j f_0^{-1}).  Lemma A: if the L_j generate a Lie algebra of
+    class <= 2, every component equals exp(S) f_0, where S = sum_j t_j L_j:
       log(f_j f_k^{-1}) = L_j - L_k - [L_j, L_k]/2 by BCH;
       so sum_j t_j log(f_j f_k^{-1}) = S - L_k - [S, L_k]/2, as sum_j t_j = 1;
       so f'_k = exp(S - L_k - [S, L_k]/2) exp(L_k) f_0 = exp(S) f_0 by BCH.
@@ -341,31 +371,65 @@ def wsym(t):
     the pass every transition lies in Gamma_{3m}.
     So when q = 1 (one log) or 3 * depth exceeds the class, which makes
     Gamma_{3 depth} trivial, only f'_0 is computed; otherwise all q+1
-    components are, reusing f_0^{-1} and the L_j, with depth 3 * depth."""
+    components are, with depth 3 * depth.
+
+    Then tau(f'_i) = f'_{perm[i]} for each (sigma, perm) of the tuple's
+    symmetry (see the module docstring), so a component is computed, with
+    its row of logs, only for an index no symmetry reaches from one
+    computed before it, and the rest are images under the tau's.  A row
+    negates the logs of earlier rows, as log(g^{-1}) = -log(g), so without
+    a symmetry f_q^{-1} is never needed."""
     if t.r != t.q:
         raise InputError("wsym needs sections over the q-simplex (domain degree %d, "
                          "tuple degree %d)" % (t.r, t.q))
     if t.q == 0:
         return t
-    law, ring = t.law, t.ring
+    law, ring, f = t.law, t.ring, t.sections
     coords = [ring.coordinate(j) for j in range(t.q + 1)]
-    linear = law.linear_pass(t.sections, coords)
+    linear = law.linear_pass(f, coords, t.depth)
     if linear is not None:
         return t._rebuild([linear] * (t.q + 1), ring)
-    inverse = law.inverse(t.sections[0])
-    first = [law.log(law.mul(f, inverse)) for f in t.sections[1:]]
+    # logs[(i, j)] = log(f_j f_i^{-1}), for the pairs computed so far
+    logs = {}
 
-    def component(i, row):
-        # f'_i = exp(sum_{j != i} t_j row[j]) f_i, where row[j] = log(f_j f_i^{-1})
-        others = [j for j in range(t.q + 1) if j != i]
-        acc = law.combine([row[j] for j in others], [coords[j] for j in others])
-        return law.mul(law.exp(acc), t.sections[i])
+    def component(i):
+        # f'_i = exp(sum_{j != i} t_j log(f_j f_i^{-1})) f_i
+        row = []
+        inverse = None
+        for j in range(t.q + 1):
+            if j == i:
+                continue
+            x = logs.get((i, j))
+            if x is None:
+                mirror = logs.get((j, i))
+                if mirror is not None:
+                    x = law.neg(mirror)
+                else:
+                    if inverse is None:
+                        inverse = law.inverse(f[i])
+                    x = logs[(i, j)] = law.log(law.mul(f[j], inverse))
+            row.append(x)
+        acc = law.combine(row, coords[:i] + coords[i + 1:])
+        return law.mul(law.exp(acc), f[i])
 
     # exp of a span element times a group element stays in the group
     if t.q == 1 or 3 * t.depth > t.table.nilpotency_class:
-        return t._rebuild([component(0, [None] + first)] * (t.q + 1), ring)
-    logs = _transition_logs(t, first)
-    return t._rebuild([component(i, logs[i]) for i in range(t.q + 1)], ring, 3 * t.depth)
+        return t._rebuild([component(0)] * (t.q + 1), ring)
+    conjugations = [(perm, _conjugation(ring, sigma, perm)) for sigma, perm in t.symmetry]
+    out = [None] * (t.q + 1)
+    for i in range(t.q + 1):
+        if out[i] is not None:
+            continue
+        out[i] = component(i)
+        reached = [i]
+        while reached:
+            k = reached.pop()
+            for perm, tau in conjugations:
+                if out[perm[k]] is None:
+                    # only a SectionTuple carries a symmetry
+                    out[perm[k]] = out[k].map_entries(tau, ring)
+                    reached.append(perm[k])
+    return t._rebuild(out, ring, 3 * t.depth)
 
 
 def lift_w(t):
@@ -444,9 +508,10 @@ def act_permutation(t: SectionTuple, perm) -> SectionTuple:
     return SectionTuple(t.group, [s.map_entries(permute, target) for s in new])
 
 
-def wav_at_weights(points, weights: WeightSeq, group=None) -> UniMatrix:
+def wav_at_weights(points, weights: WeightSeq, group=None, symmetry=()) -> UniMatrix:
     """The weighted average point of q+1 constant group elements: evaluate
-    the averaged section at the given weights."""
+    the averaged section at the given weights.  ``symmetry`` is the points'
+    symmetry, as `SectionTuple` takes it, for `wsym` to use."""
     points = list(points)
     if not points:
         raise InputError("need at least one point")
@@ -459,7 +524,8 @@ def wav_at_weights(points, weights: WeightSeq, group=None) -> UniMatrix:
                          % (len(weights), len(points)))
     if weights.field is not field:
         raise RingMismatch("weights and points use different fields")
-    return eval_matrix_at_weights(wav(SectionTuple(group, points)), weights)
+    return eval_matrix_at_weights(wav(SectionTuple(group, points, symmetry=symmetry)),
+                                  weights)
 
 
 def eval_matrix_at_weights(mat, weights: WeightSeq):

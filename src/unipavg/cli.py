@@ -231,6 +231,16 @@ MAX_Q = 8
 # max_q + 1) - 1 at about a millisecond each, counted before any is read
 MAX_MULTI_INDICES = 1000
 
+# wav, wsym, galois and figure-data average q+1 sections of n x n matrices,
+# taking n and q from the document.  In every average computed here (full
+# U_n, n <= 8, q <= 4) the entry on superdiagonal d has total degree <= d
+# in t, as the lift's entries provably do, so the average has at most
+# sum_{d=1}^{n-1} (n - d) C(q + d, d) terms; that count is bounded, after
+# reading and before any averaging.  The limit admits U_3 up to q = 137,
+# U_5 up to q = 17, U_8 up to q = 6, U_10 up to q = 4 and, at q = 1, U_n up
+# to n = 38; U_5 at q = 32 (73,810 terms) took 5.5 s.
+MAX_AVERAGE_TERMS = 10000
+
 # every polynomial's total degree is at most exactring.MAX_DEGREE (255), the
 # largest its packed exponent keys hold: the reader refuses an exponent
 # vector beyond it, and the kernel a product that would pass it
@@ -248,10 +258,19 @@ def _check_multi_indices(cover, max_q):
                          % (m, MAX_MULTI_INDICES, max_q))
 
 
+def _check_average_terms(n, q):
+    bound = sum((n - d) * math.comb(q + d, d) for d in range(1, n))
+    if bound > MAX_AVERAGE_TERMS:
+        raise InputError("an average of %d sections of %d x %d matrices may have %d terms, "
+                         "more than MAX_AVERAGE_TERMS = %d" % (q + 1, n, n, bound,
+                                                              MAX_AVERAGE_TERMS))
+
+
 def cmd_wav(args):
     t = serialize.tuple_from_json(_read_json(args.input))
     if t.r != 0:
         raise InputError("wav expects t-constant sections")
+    _check_average_terms(t.group.n, t.q)
     averaged = wav(t, d_override=args.iterations)
     doc = {"q": t.q, "wav": serialize.matrix_to_json(averaged)}
     if args.weights is not None:
@@ -268,6 +287,7 @@ def cmd_wsym(args):
     t = serialize.tuple_from_json(_read_json(args.input))
     if t.r != t.q:
         raise InputError("wsym expects sections over the q-simplex")
+    _check_average_terms(t.group.n, t.q)
     out = wsym(t)
     _write_json(serialize.tuple_to_json(out), args.output)
     return 0
@@ -340,6 +360,7 @@ def cmd_sections(args):
 def cmd_galois(args):
     from .descent import rational_point
     orbit = serialize.orbit_from_json(_read_json(args.input))
+    _check_average_terms(orbit.group.n, orbit.q)
     point = rational_point(orbit)
     doc = {"q": orbit.q, "rational_point": serialize.matrix_to_json(point)}
     _write_json(doc, args.output)
@@ -367,6 +388,7 @@ def cmd_figure_data(args):
         raise InputError("figure data expects t-constant sections")
     if t.q not in (1, 2):
         raise InputError("figure data supports q = 1 or q = 2, got q = %d" % t.q)
+    _check_average_terms(t.group.n, t.q)
     resolution = args.resolution if args.resolution is not None else 4
     if not 1 <= resolution <= MAX_RESOLUTION:
         raise InputError("resolution must be an integer from 1 to %d, got %d"

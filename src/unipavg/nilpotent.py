@@ -645,10 +645,12 @@ class LieTable:
     def inverse(self, x):
         return self.neg(x)
 
-    @staticmethod
-    def linear_pass(sections, coords):
-        """Always None: Lie coordinates have no linear pass, so `wsym` goes
-        on to its class rule."""
+    def linear_pass(self, sections, coords, depth):
+        """The pass's common value sum_j coords[j] sections[j] when every
+        transition log lies in Gamma_depth with 2 depth above the class,
+        so that BCH is affine in them (see `average.wsym`), else None."""
+        if 2 * depth > self.nilpotency_class:
+            return self.combine(sections, coords)
         return None
 
     def log(self, x):

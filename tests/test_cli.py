@@ -951,3 +951,83 @@ def test_a_product_past_the_degree_limit_is_bad_input(tmp_path, capsys):
     assert code == 2 and out is None
     assert err["error"]["message"] == ("a product of total degrees 200 and 100 exceeds "
                                        "the limit of 255")
+
+
+# ---------------------------------------------------------------------------
+# the bound on an average's terms
+# ---------------------------------------------------------------------------
+
+def term_bound(n, q):
+    return sum((n - d) * math.comb(q + d, d) for d in range(1, n))
+
+
+def term_limit_message(n, q):
+    return ("an average of %d sections of %d x %d matrices may have %d terms, more than "
+            "MAX_AVERAGE_TERMS = %d" % (q + 1, n, n, term_bound(n, q), cli.MAX_AVERAGE_TERMS))
+
+
+def sqrt2_pair_orbit(rng, n, q):
+    """q + 1 points of U_n over Q(sqrt 2): conjugate pairs, and the identity
+    when q + 1 is odd."""
+    from unipavg import GaloisAction, GaloisOrbit
+    field = sqrt2_field()
+    action = GaloisAction(field, [[0, -1]])
+    span = full_unipotent_span(n, field)
+    points = [UniMatrix.identity(span.ring, n)] * ((q + 1) % 2)
+    while len(points) < q + 1:
+        z = UniMatrix.from_entries(span.ring, n, {
+            (i, j): field.value([rng.randint(-3, 3), rng.randint(-3, 3)])
+            for i in range(n) for j in range(i + 1, n)})
+        points += [z, z.map_entries(action.generators[0], span.ring)]
+    return GaloisOrbit(span, action, points)
+
+
+def limit_jobs(tmp_path, rng, n, q):
+    """wav, wsym and galois jobs averaging q + 1 sections of U_n."""
+    t = rand_tuple(rng, full_unipotent_span(n, QQ), q)
+    lifted = SectionTuple(t.group, [embed_simplex(s, q) for s in t.sections])
+    return [["wav", "--input", write_doc(tmp_path, "wav.json", serialize.tuple_to_json(t))],
+            ["wsym", "--input", write_doc(tmp_path, "wsym.json",
+                                          serialize.tuple_to_json(lifted))],
+            ["galois", "--input", write_doc(tmp_path, "galois.json", serialize.orbit_to_json(
+                sqrt2_pair_orbit(rng, n, q)))]]
+
+
+@pytest.mark.parametrize("n,q", [(5, 32), (8, 10)])
+def test_an_average_past_the_term_limit_is_refused_before_any_averaging(
+        tmp_path, capsys, monkeypatch, n, q):
+    assert term_bound(n, q) > cli.MAX_AVERAGE_TERMS
+    jobs = limit_jobs(tmp_path, random.Random(1201 + n), n, q)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("averaging started past the term limit")
+
+    for name in ("wav", "wsym"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(unipavg.descent, "rational_point", no_work)
+    for argv in jobs:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out is None, argv
+        assert err["error"]["message"] == term_limit_message(n, q), argv
+
+
+def test_the_term_limit_admits_its_bound_and_refuses_one_less(tmp_path, capsys, monkeypatch):
+    rng = random.Random(1211)
+    jobs = [(4, 2, argv) for argv in limit_jobs(tmp_path, rng, 4, 2)]
+    pair = write_doc(tmp_path, "pair.json", serialize.tuple_to_json(two_point_tuple()))
+    jobs.append((3, 1, ["figure-data", "--input", pair, "--resolution", "2"]))
+    for n, q, argv in jobs:
+        monkeypatch.setattr(cli, "MAX_AVERAGE_TERMS", term_bound(n, q))
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err is None, argv
+        monkeypatch.setattr(cli, "MAX_AVERAGE_TERMS", term_bound(n, q) - 1)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out is None, argv
+        assert err["error"]["message"] == term_limit_message(n, q), argv
+
+
+def test_the_term_limit_admits_the_largest_q_its_comment_names():
+    # U_5 at q = 17, U_8 at q = 6 and U_10 at q = 4 each average in under
+    # a second as CLI jobs
+    for n, q in ((3, 137), (4, 35), (5, 17), (8, 6), (10, 4)):
+        assert term_bound(n, q) <= cli.MAX_AVERAGE_TERMS < term_bound(n, q + 1)

@@ -228,9 +228,9 @@ def test_a_non_commuting_pass_reuses_the_first_row(monkeypatch):
 
 
 def test_the_table_law_takes_one_component_on_the_abelian_floor(monkeypatch):
-    """A coordinate pass on the abelian floor (class 1 < 3) computes one
-    component, chosen by the class rule with no bracket: q logs and one
-    component make q + 1 group products."""
+    """A coordinate pass on the abelian floor (class 1 < 2 * depth) is
+    linear: its one component is one combination sum_j t_j f_j, with no
+    group product and no bracket."""
     rng = random.Random(1051)
     ut4 = full_unipotent_span(4, QQ)
     abelian_floor = quotient_span(ut4, lower_central_series(ut4)[1])[0].table
@@ -246,9 +246,36 @@ def test_the_table_law_takes_one_component_on_the_abelian_floor(monkeypatch):
                             calls.append(name) or real(self, *args))
     got = wsym(t)
     monkeypatch.undo()
-    assert calls == ["mul"] * 3         # q = 2
+    assert calls == []
     assert got.is_constant_tuple()
     assert list(got.sections) == full_pass(t)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("q", [2, 3])
+def test_the_table_law_is_linear_on_the_class_3_floor_at_depth_3(monkeypatch, field, q):
+    """After the lift every transition log of U_4 in Lie coordinates lies
+    in Gamma_3, and 2 * 3 exceeds the class 3, so BCH is affine in them and
+    the next pass is the combination sum_j t_j f_j: no product, no bracket."""
+    rng = random.Random(1071 + 10 * field.degree + q)
+    table = full_unipotent_span(4, field).table
+    ring = PolyRing(field, 0)
+    t = CoordinateTuple(table, [[rand_poly(rng, ring) for _ in range(table.dim)]
+                                for _ in range(q + 1)], ring)
+    lifted = lift_w(t)
+    assert table.nilpotency_class == 3 and lifted.depth == 3
+    assert not lifted.is_constant_tuple()
+    calls = []
+    for name in ("mul", "bracket"):
+        real = getattr(nilpotent_module.LieTable, name)
+        monkeypatch.setattr(nilpotent_module.LieTable, name,
+                            lambda self, *args, name=name, real=real:
+                            calls.append(name) or real(self, *args))
+    got = wsym(lifted)
+    monkeypatch.undo()
+    assert calls == []
+    assert got.is_constant_tuple()
+    assert list(got.sections) == full_pass(lifted)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
