@@ -27,7 +27,10 @@ reader's values are compared through the report), validate on three tampered
 copies of the built section (a changed datum, a deleted one, and a datum
 changed together with every degenerate datum pulled back from it, which
 only a coface check catches, so the failure reports are compared; exit
-2), and a wav whose output has an integer over the digit limit (exit 2).
+2), then, in the same process, sections build and validate over Q on the
+same cover and validate with one datum raised along s^0 to the next
+simplex, which no generator of its level fits (exit 2), and a wav whose
+output has an integer over the digit limit (exit 2).
 One fresh process per tree runs them through its `cli.main`, and the exit
 code, standard output and standard error of each are compared.
 
@@ -220,6 +223,27 @@ def cli_jobs(tree, work):
     jobs.append(["sections", "--input", dump("consistent.json",
                                              serialize.simplicial_to_json(section)),
                  "--max-q", "2"])
+    # after the Q(sqrt2) jobs, in the same process, a build and a validate
+    # over Q on the same cover, whose maps meet rings over Q, and a validate
+    # with the level-1 datum at (0, 1), point d, raised along s^0 to the
+    # 2-simplex, which no generator of level 1 fits (exit 2)
+    rational_span, rational_local = cover_local_sections(QQ)
+    rational_cover = dump("cover-q.json", {
+        "field": serialize.field_to_json(QQ), "cover": serialize.cover_to_json(six_point_cover()),
+        "group": serialize.span_to_json(rational_span),
+        "locals": serialize.locals_to_json(rational_local)})
+    rational_built = str(Path(work) / "built-q.json")
+    if cli.main(["sections", "--input", rational_cover, "--max-q", "2",
+                 "--output", rational_built]) != 0:
+        raise RuntimeError("building the validate-mode input %s failed" % rational_built)
+    section = serialize.simplicial_from_json(
+        json.loads(Path(rational_built).read_text(encoding="utf-8")))
+    mat = section.levels[1][(0, 1)]["d"]
+    section.levels[1][(0, 1)]["d"] = pull_back(mat, SimplexMap.codegeneracy(1, 0))
+    jobs += [["sections", "--input", rational_cover, "--max-q", "2"],
+             ["sections", "--input", rational_built, "--max-q", "2"],
+             ["sections", "--input", dump("raised.json", serialize.simplicial_to_json(section)),
+              "--max-q", "2"]]
     # the log's corner entry is a product of three entries of 0.7 times the
     # digit limit, so writing the average exits 2
     big = 10 ** (sys.get_int_max_str_digits() * 7 // 10) + 1

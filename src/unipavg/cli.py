@@ -241,9 +241,30 @@ MAX_MULTI_INDICES = 1000
 # to n = 38; U_5 at q = 32 (73,810 terms) took 5.5 s.
 MAX_AVERAGE_TERMS = 10000
 
+# every reader of a group checks that its basis is closed under the bracket,
+# bracketing and solving each of the C(k, 2) pairs of its k basis matrices,
+# so that count is bounded, on the raw document before any basis matrix is
+# read.  The limit admits full U_n up to n = 12 (66 matrices, 2,145 pairs,
+# read in 0.045 s) and the planned jet groups up to dimension 48 (1,128
+# pairs); U_38 (703 matrices, 246,753 pairs) took 16.4 s to read.
+MAX_SPAN_PAIRS = 2500
+
 # every polynomial's total degree is at most exactring.MAX_DEGREE (255), the
 # largest its packed exponent keys hold: the reader refuses an exponent
 # vector beyond it, and the kernel a product that would pass it
+
+
+def _read_group_doc(path):
+    """The JSON document at path, refused when its group basis, if it has a
+    list there, has more than MAX_SPAN_PAIRS pairs."""
+    doc = _read_json(path)
+    group = doc.get("group") if isinstance(doc, dict) else None
+    basis = group.get("basis") if isinstance(group, dict) else None
+    pairs = math.comb(len(basis), 2) if isinstance(basis, list) else 0
+    if pairs > MAX_SPAN_PAIRS:
+        raise InputError("a group basis of %d matrices has %d pairs to bracket, more than "
+                         "MAX_SPAN_PAIRS = %d" % (len(basis), pairs, MAX_SPAN_PAIRS))
+    return doc
 
 
 def _check_max_q(max_q):
@@ -267,7 +288,7 @@ def _check_average_terms(n, q):
 
 
 def cmd_wav(args):
-    t = serialize.tuple_from_json(_read_json(args.input))
+    t = serialize.tuple_from_json(_read_group_doc(args.input))
     if t.r != 0:
         raise InputError("wav expects t-constant sections")
     _check_average_terms(t.group.n, t.q)
@@ -284,7 +305,7 @@ def cmd_wav(args):
 
 
 def cmd_wsym(args):
-    t = serialize.tuple_from_json(_read_json(args.input))
+    t = serialize.tuple_from_json(_read_group_doc(args.input))
     if t.r != t.q:
         raise InputError("wsym expects sections over the q-simplex")
     _check_average_terms(t.group.n, t.q)
@@ -323,7 +344,7 @@ def cmd_bch(args):
 
 
 def cmd_sections(args):
-    doc = _read_json(args.input)
+    doc = _read_group_doc(args.input)
     if not isinstance(doc, dict):
         raise FormatError("sections input must be an object")
     if "levels" in doc:
@@ -359,7 +380,7 @@ def cmd_sections(args):
 
 def cmd_galois(args):
     from .descent import rational_point
-    orbit = serialize.orbit_from_json(_read_json(args.input))
+    orbit = serialize.orbit_from_json(_read_group_doc(args.input))
     _check_average_terms(orbit.group.n, orbit.q)
     point = rational_point(orbit)
     doc = {"q": orbit.q, "rational_point": serialize.matrix_to_json(point)}
@@ -383,7 +404,7 @@ def _simplex_grid(q, resolution):
 
 
 def cmd_figure_data(args):
-    t = serialize.tuple_from_json(_read_json(args.input))
+    t = serialize.tuple_from_json(_read_group_doc(args.input))
     if t.r != 0:
         raise InputError("figure data expects t-constant sections")
     if t.q not in (1, 2):

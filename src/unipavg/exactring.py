@@ -24,7 +24,7 @@ keys, and integer order is the order by total degree, then exponents,
 which the JSON writer uses.  So no total degree exceeds MAX_DEGREE; the
 reader checks documents, and the kernel every product.  Exponent tuples
 appear only at the boundary: `terms`, the JSON writer, `repr`, monomials
-new to a substitution plan, and evaluation.
+new to a pullback plan (kept by its source ring), and evaluation.
 
 A sum of products sum_k x_k y_k, the entry of a matrix product or of a
 power series, is one fused accumulation (`sum_of_products`, which is also
@@ -500,10 +500,10 @@ QQ = ScalarField()
 class SimplexMap:
     """An order-preserving map [p] -> [q], the morphisms of the simplex
     category.  Cofaces skip one value, codegeneracies take one value twice;
-    every order-preserving map is a composition of these.  The pullback
-    plan of `substitute_simplex_map` is kept per instance (`_plan`)."""
+    every order-preserving map is a composition of these.  A map is a
+    value: its pullback plans are kept on their source rings (`_plan`)."""
 
-    __slots__ = ("p", "q", "values", "_pullback")
+    __slots__ = ("p", "q", "values")
 
     def __init__(self, q, values):
         values = tuple(int(v) for v in values)
@@ -516,7 +516,6 @@ class SimplexMap:
         self.q = q
         self.p = len(values) - 1
         self.values = values
-        self._pullback = None
 
     @classmethod
     def identity(cls, q):
@@ -549,13 +548,14 @@ class SimplexMap:
         return tuple(i for i, v in enumerate(self.values) if v == j)
 
     def _plan(self, ring):
-        """The pullback plan for polynomials over ring, kept per last ring."""
-        plan = self._pullback
-        if plan is None or plan[0] is not ring:
+        """The pullback plan over ring, kept by the ring under (q, values):
+        the values alone do not fix [q], and only q = ring.q gets a plan."""
+        plan = ring._plans.get((self.q, self.values))
+        if plan is None:
             if self.q != ring.q:
                 raise InputError("map target [%d] does not match the polynomial's simplex [%d]"
                                  % (self.q, ring.q))
-            plan = self._pullback = _pullback_plan(
+            plan = ring._plans[self.q, self.values] = _pullback_plan(
                 [self.preimage(j) for j in range(self.q + 1)], ring)
         return plan
 
@@ -598,9 +598,13 @@ class PolyRing:
     by at most one small ring per (q, params) of a document the CLI reads.
     The arguments are checked before the lookup (True == 1 as a key, but a
     boolean q is refused).
+
+    A ring keeps the pullback plan of each simplex map used over it by
+    (q, values), for the life of the process, shared by a build, its
+    validation and later jobs; CLI maps have q <= `cli.MAX_Q`, so it is bounded.
     """
 
-    __slots__ = ("field", "q", "params", "nvars", "_zero", "_one")
+    __slots__ = ("field", "q", "params", "nvars", "_zero", "_one", "_plans")
     _table = {}
 
     def __new__(cls, field, q, params=()):
@@ -621,6 +625,7 @@ class PolyRing:
             self.nvars = q + len(params)
             self._zero = None
             self._one = None
+            self._plans = {}
             # setdefault keeps one object per key even if two threads build it
             self = cls._table.setdefault(key, self)
         return self

@@ -527,11 +527,11 @@ class LieTable:
     product is BCH(X, Y) truncated at the nilpotency class c (exact, since
     every bracket of more than c elements vanishes), the inverse is the
     negative, and log and exp are the identity.  `average.wsym` and `wav`
-    run on this law as on the matrix product."""
+    run on this law as on the matrix product.  A known class may be given."""
 
     __slots__ = ("field", "dim", "struct", "_pairs", "_class", "_derived_length")
 
-    def __init__(self, field, dim, struct):
+    def __init__(self, field, dim, struct, nilpotency_class=None):
         self.field = field
         self.dim = dim
         self.struct = struct
@@ -541,7 +541,7 @@ class LieTable:
             nonzero = tuple((k, s) for k, s in enumerate(consts) if not s.is_zero)
             if nonzero:
                 self._pairs.append((pair, nonzero))
-        self._class = None
+        self._class = nilpotency_class
         self._derived_length = None
 
     def bracket(self, u, v, zero):
@@ -817,10 +817,8 @@ class LieSpan:
             except MembershipError:
                 raise InputError("span is not closed under the bracket "
                                  "(basis pair %d, %d)" % (i, j)) from None
-        table = LieTable(self.field, self.dim, struct)
-        if self.dim == self.n * (self.n - 1) // 2:
-            table._class = self.n - 1
-        return table
+        full = self.dim == self.n * (self.n - 1) // 2
+        return LieTable(self.field, self.dim, struct, self.n - 1 if full else None)
 
     def coordinates(self, mat):
         """Coordinates of a matrix (entries may be polynomials over any ring
@@ -1163,8 +1161,7 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     target = LieSpan(rho, check=False)
     # rho_i is the adapted basis vector i, so astruct is its table, and its
     # class is the quotient's
-    target._table = LieTable(field, m, astruct)
-    target._table._class = cls_bound
+    target._table = LieTable(field, m, astruct, cls_bound)
 
     # project each span basis vector: complement coords, then adapted coords
     image_coords = tuple(to_adapted(h_coords(dict(row))) for row in rows)

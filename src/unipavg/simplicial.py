@@ -147,20 +147,15 @@ class ValidationReport:
             self.checks, len(self.failures))
 
 
-def _degeneracy(multi_index, maps):
+def _degeneracy(multi_index):
     """A weakly increasing multi-index as distinct o sigma: the multi-index
-    of its distinct opens, and the surjection sigma onto their positions,
-    or None when the multi-index is nondegenerate (sigma is the identity).
-    maps holds one SimplexMap per surjection for the caller's run, so
-    pullbacks along the same surjection share one pullback plan."""
+    of its distinct opens, and the surjection sigma onto their positions
+    (whose pullback plans their source rings keep), or None when the
+    multi-index is nondegenerate (sigma is the identity)."""
     distinct = tuple(sorted(set(multi_index)))
     if len(distinct) == len(multi_index):
         return distinct, None
-    values = tuple(distinct.index(i) for i in multi_index)
-    sigma = maps.get(values)
-    if sigma is None:
-        sigma = maps[values] = SimplexMap(len(distinct) - 1, values)
-    return distinct, sigma
+    return distinct, SimplexMap(len(distinct) - 1, [distinct.index(i) for i in multi_index])
 
 
 def build_simplicial_section(cover: FiniteCover, local_sections, group: LieSpan,
@@ -188,14 +183,13 @@ def build_simplicial_section(cover: FiniteCover, local_sections, group: LieSpan,
         ls.check_against(cover, group)
         by_open[ls.open_index] = ls
     levels = {}
-    maps = {}
     for q in range(max_q + 1):
         level = {}
         for mi in cover.multi_indices(q):
             pts = cover.intersection(mi)
             if not pts:
                 continue
-            distinct, sigma = _degeneracy(mi, maps)
+            distinct, sigma = _degeneracy(mi)
             if sigma is None:
                 level[mi] = {x: wav(SectionTuple(group, [by_open[i].values[x] for i in mi]))
                              for x in pts}
@@ -218,11 +212,10 @@ def _certified(s, max_q):
     sigma, on the levels up to max_q of a section that passed condition
     (i).  The first mismatch stops the certificate."""
     levels = s.levels
-    maps = {}
     for q in range(max_q + 1):
         cofaces = [SimplexMap.coface(q, i) for i in range(q + 1)] if q else []
         for mi, per_point in levels[q].items():
-            distinct, sigma = _degeneracy(mi, maps)
+            distinct, sigma = _degeneracy(mi)
             if sigma is None:
                 for alpha in cofaces:
                     face = levels[q - 1][_reindex(mi, alpha)]

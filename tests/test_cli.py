@@ -1031,3 +1031,69 @@ def test_the_term_limit_admits_the_largest_q_its_comment_names():
     # a second as CLI jobs
     for n, q in ((3, 137), (4, 35), (5, 17), (8, 6), (10, 4)):
         assert term_bound(n, q) <= cli.MAX_AVERAGE_TERMS < term_bound(n, q + 1)
+
+
+# ---------------------------------------------------------------------------
+# the bound on a group's closure-check pairs
+# ---------------------------------------------------------------------------
+
+# the reader's error on a null basis entry, reached only past the pair limit
+NULL_MATRIX = "expected dict for matrix, got NoneType"
+
+
+def pair_limit_message(k):
+    return ("a group basis of %d matrices has %d pairs to bracket, more than "
+            "MAX_SPAN_PAIRS = %d" % (k, math.comb(k, 2), cli.MAX_SPAN_PAIRS))
+
+
+def group_jobs(tmp_path, capsys, k):
+    """A job of every subcommand that reads a group, each on a valid document
+    whose group basis is replaced by k nulls: the reader fails on the first
+    basis entry, so no job reaches the closure check."""
+    t = two_point_tuple()
+    lifted = SectionTuple(t.group, [embed_simplex(s, 1) for s in t.sections])
+    docs = {"wav": serialize.tuple_to_json(t), "wsym": serialize.tuple_to_json(lifted),
+            "figure-data": serialize.tuple_to_json(t),
+            "galois": serialize.orbit_to_json(sqrt2_orbit()),
+            "build": build_sections_doc(), "validate": built_sections_doc(tmp_path, capsys)}
+    jobs = []
+    for name, doc in docs.items():
+        doc["group"]["basis"] = [None] * k
+        path = write_doc(tmp_path, name + ".json", doc)
+        jobs.append(["sections" if name in ("build", "validate") else name, "--input", path])
+    return jobs
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_the_pair_limit_admits_its_bound_and_refuses_one_less(tmp_path, capsys, monkeypatch,
+                                                               k):
+    for argv in group_jobs(tmp_path, capsys, k):
+        monkeypatch.setattr(cli, "MAX_SPAN_PAIRS", math.comb(k, 2))
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out is None, argv
+        assert err["error"]["message"] == NULL_MATRIX, argv
+        monkeypatch.setattr(cli, "MAX_SPAN_PAIRS", math.comb(k, 2) - 1)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out is None, argv
+        assert err["error"]["message"] == pair_limit_message(k), argv
+
+
+def test_the_pair_limit_refuses_a_large_group_before_reading_its_basis(tmp_path, capsys):
+    # 71 matrices have 2,485 pairs and 72 have 2,556
+    assert math.comb(71, 2) <= cli.MAX_SPAN_PAIRS < math.comb(72, 2)
+    for argv in group_jobs(tmp_path, capsys, 72):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out is None, argv
+        assert err["error"]["message"] == pair_limit_message(72), argv
+    for argv in group_jobs(tmp_path, capsys, 71):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out is None, argv
+        assert err["error"]["message"] == NULL_MATRIX, argv
+
+
+def test_the_pair_limit_admits_the_groups_its_comment_names():
+    # full U_9 (36 matrices) and U_12 (66), and jets of dimension 48, but
+    # not full U_13 (78)
+    for k in (36, 48, 66):
+        assert math.comb(k, 2) <= cli.MAX_SPAN_PAIRS
+    assert math.comb(78, 2) > cli.MAX_SPAN_PAIRS

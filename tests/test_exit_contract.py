@@ -1,0 +1,118 @@
+"""Property test of the command line's exit-code contract: a valid document
+of every subcommand, with one member or item swapped for another value,
+deleted or duplicated, ends in exit 0, 2 or 3, never in an internal
+error, and within a stated wall-clock bound.  Each example runs in process
+through `cli.main`, reading the document from stdin; the example count is
+fixed and the examples are derived from the test itself (the settings of
+tests/test_properties.py)."""
+
+import contextlib
+import io
+import json
+import sys
+import time
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from unipavg import SectionTuple, cli, embed_simplex, serialize
+from unipavg.fixtures import (cover_local_sections, cubic_orbit, six_point_cover, sqrt2_orbit,
+                              two_point_tuple)
+from unipavg.nilpotent import log_unipotent
+from test_properties import SETTINGS
+
+# every run seen takes well under a tenth of this on a shared 2-core box
+WALL_BOUND_S = 2.0
+
+# the values swapped in: zero, units, the two sides of one byte, large
+# magnitudes, a fraction, booleans, null, strings and empty containers
+VALUES = [0, 1, -1, 255, 256, 10 ** 6, -10 ** 6, 0.5, True, False, None, "x", "", [], {}]
+
+
+def _main(argv, doc):
+    """cli.main on argv with the document on stdin."""
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        return cli.main(argv)
+    finally:
+        sys.stdin = stdin
+
+
+def _sections_docs():
+    span, local = cover_local_sections()
+    build = {"field": serialize.field_to_json(span.field),
+             "cover": serialize.cover_to_json(six_point_cover()),
+             "group": serialize.span_to_json(span),
+             "locals": serialize.locals_to_json(local)}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _main(["sections", "--input", "-", "--max-q", "1"], build) == 0
+    validate = json.loads(out.getvalue())
+    del validate["report"]
+    return build, validate
+
+
+def _jobs():
+    t = two_point_tuple()
+    lifted = SectionTuple(t.group, [embed_simplex(s, 1) for s in t.sections])
+    a, b = (log_unipotent(s) for s in t.sections)
+    build, validate = _sections_docs()
+    return {
+        "wav": (["wav"], serialize.tuple_to_json(t)),
+        "wsym": (["wsym"], serialize.tuple_to_json(lifted)),
+        "figure-data": (["figure-data", "--resolution", "2"], serialize.tuple_to_json(t)),
+        "exp": (["exp"], {"matrix": serialize.matrix_to_json(b)}),
+        "log": (["log"], {"matrix": serialize.matrix_to_json(t.sections[1])}),
+        "bch": (["bch"], {"a": serialize.matrix_to_json(a), "b": serialize.matrix_to_json(b)}),
+        "sections-build": (["sections", "--max-q", "1"], build),
+        "sections-validate": (["sections", "--max-q", "1"], validate),
+        "galois-sqrt2": (["galois"], serialize.orbit_to_json(sqrt2_orbit())),
+        "galois-cubic": (["galois"], serialize.orbit_to_json(cubic_orbit())),
+    }
+
+
+JOBS = _jobs()
+
+
+def mutated(doc, path, op, value):
+    """A copy of doc with one member or item, found by following path (each
+    step an index into a container's members, taken modulo their number),
+    replaced by value, deleted or, in a list, duplicated."""
+    doc = json.loads(json.dumps(doc))      # serialize shares equal polynomials' dicts
+    parent, key = None, None
+    node = doc
+    for step in path:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, keys[step % len(keys)]
+        node = node[key]
+    if parent is None:
+        return value if op == "replace" else doc
+    if op == "replace":
+        parent[key] = value
+    elif op == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+@SETTINGS
+@given(path=st.lists(st.integers(0, 63), max_size=10),
+       op=st.sampled_from(["replace", "delete", "duplicate"]),
+       value=st.sampled_from(VALUES))
+def test_a_mutated_document_exits_0_2_or_3_in_bounded_time(name, path, op, value):
+    argv, doc = JOBS[name]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _main(argv + ["--input", "-"], mutated(doc, path, op, value))
+    elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3), (code, err.getvalue())
+    if err.getvalue():
+        assert json.loads(err.getvalue())["error"]["kind"] != "internal-error", err.getvalue()
+    assert elapsed < WALL_BOUND_S, elapsed

@@ -78,9 +78,10 @@ def test_substitute_reuses_the_plan_across_rings():
 
 
 def test_one_map_pulls_back_over_q_then_a_number_field_then_q_again():
-    """A map keeps its plan, and the plan's memo of monomial images, for
-    the last source ring only: each change of field builds both again, and
-    every pullback still equals the reference substitution."""
+    """Each source ring keeps the map's plan, with the plan's memo of
+    monomial images, so a change of field pulls back through the other
+    ring's plan, and every pullback still equals the reference
+    substitution."""
     rng = random.Random(4131)
     # t_0 -> t_0 + t_1 is expanded, t_1 -> 0 drops its terms, t_2 -> t_3
     # is relabelled, and the parameter keeps its place
