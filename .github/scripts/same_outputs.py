@@ -29,8 +29,11 @@ changed together with every degenerate datum pulled back from it, which
 only a coface check catches, so the failure reports are compared; exit
 2), then, in the same process, sections build and validate over Q on the
 same cover and validate with one datum raised along s^0 to the next
-simplex, which no generator of its level fits (exit 2), and a wav whose
-output has an integer over the digit limit (exit 2).
+simplex, which no generator of its level fits (exit 2), a sections build
+and validate of full U_4 over Q on one point covered by four opens at
+--max-q 4, the only job whose data reach level 4 over four distinct
+opens, and a wav whose output has an integer over the digit limit (exit
+2).
 One fresh process per tree runs them through its `cli.main`, and the exit
 code, standard output and standard error of each are compared.
 
@@ -97,8 +100,9 @@ def cli_jobs(tree, work):
     package; print the argument list of each job as one JSON list."""
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
     from fractions import Fraction
-    from unipavg import (QQ, GaloisAction, GaloisOrbit, SectionTuple, SimplexMap, UniMatrix,
-                         cli, embed_simplex, full_unipotent_span, serialize)
+    from unipavg import (QQ, FiniteCover, GaloisAction, GaloisOrbit, LocalSection,
+                         SectionTuple, SimplexMap, UniMatrix, cli, embed_simplex,
+                         full_unipotent_span, serialize)
     from unipavg.fixtures import (cover_local_sections, cubic_field, heisenberg_span,
                                   point_from_coordinates, six_point_cover, sqrt2_field,
                                   two_point_tuple)
@@ -244,6 +248,24 @@ def cli_jobs(tree, work):
              ["sections", "--input", rational_built, "--max-q", "2"],
              ["sections", "--input", dump("raised.json", serialize.simplicial_to_json(section)),
               "--max-q", "2"]]
+    # full U_4 over Q on a one-point cover with four opens, built and
+    # validated at max_q 4: the only data that reach level 4 over four
+    # distinct opens, so the degenerate data are pullbacks along
+    # surjections onto [3], which no workload builds
+    values = (1, -1, 2, -2, half, -half)
+    u4 = full_unipotent_span(4, QQ)
+    deep_local = [LocalSection(i, {"x": point_from_coordinates(
+        u4, [values[(3 * i + k) % 6] for k in range(u4.dim)])}) for i in range(4)]
+    deep_cover = dump("cover-u4.json", {
+        "field": serialize.field_to_json(QQ),
+        "cover": serialize.cover_to_json(FiniteCover(["x"], [["x"]] * 4)),
+        "group": serialize.span_to_json(u4), "locals": serialize.locals_to_json(deep_local)})
+    deep_built = str(Path(work) / "built-u4.json")
+    if cli.main(["sections", "--input", deep_cover, "--max-q", "4",
+                 "--output", deep_built]) != 0:
+        raise RuntimeError("building the validate-mode input %s failed" % deep_built)
+    jobs += [["sections", "--input", deep_cover, "--max-q", "4"],
+             ["sections", "--input", deep_built, "--max-q", "4"]]
     # the log's corner entry is a product of three entries of 0.7 times the
     # digit limit, so writing the average exits 2
     big = 10 ** (sys.get_int_max_str_digits() * 7 // 10) + 1

@@ -389,7 +389,8 @@ def wsym(t):
     linear = law.linear_pass(f, coords, t.depth)
     if linear is not None:
         return t._rebuild([linear] * (t.q + 1), ring)
-    # logs[(i, j)] = log(f_j f_i^{-1}), for the pairs computed so far
+    # logs[(i, j)] = log(f_j f_i^{-1}), for the components computed so far;
+    # each component is computed once, so only the mirror (j, i) is looked up
     logs = {}
 
     def component(i):
@@ -399,15 +400,13 @@ def wsym(t):
         for j in range(t.q + 1):
             if j == i:
                 continue
-            x = logs.get((i, j))
-            if x is None:
-                mirror = logs.get((j, i))
-                if mirror is not None:
-                    x = law.neg(mirror)
-                else:
-                    if inverse is None:
-                        inverse = law.inverse(f[i])
-                    x = logs[(i, j)] = law.log(law.mul(f[j], inverse))
+            mirror = logs.get((j, i))
+            if mirror is not None:
+                x = law.neg(mirror)
+            else:
+                if inverse is None:
+                    inverse = law.inverse(f[i])
+                x = logs[(i, j)] = law.log(law.mul(f[j], inverse))
             row.append(x)
         acc = law.combine(row, coords[:i] + coords[i + 1:])
         return law.mul(law.exp(acc), f[i])

@@ -16,7 +16,9 @@ import json
 import math
 import sys
 import traceback
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import serialize
@@ -228,7 +230,9 @@ MAX_RESOLUTION = 64
 MAX_Q = 8
 
 # and so is their total up to the levels built or validated, C(m + max_q + 1,
-# max_q + 1) - 1 at about a millisecond each, counted before any is read
+# max_q + 1) - 1, counted before any is read.  A multi-index costs more the
+# larger the group and the level (about 10 ms each for U_7 on four opens at
+# max_q 8), so the terms of a build are bounded as well (MAX_SECTION_TERMS)
 MAX_MULTI_INDICES = 1000
 
 # wav, wsym, galois and figure-data average q+1 sections of n x n matrices,
@@ -248,6 +252,19 @@ MAX_AVERAGE_TERMS = 10000
 # read in 0.045 s) and the planned jet groups up to dimension 48 (1,128
 # pairs); U_38 (703 matrices, 246,753 pairs) took 16.4 s to read.
 MAX_SPAN_PAIRS = 2500
+
+# a sections build writes every datum at every level, and pullbacks keep
+# degrees, so a level-q datum at one point of n x n matrices has at most the
+# per-average count of MAX_AVERAGE_TERMS.  That count times the number of
+# intersection points of each multi-index, summed up to max_q, is bounded
+# once the cover and the group size are known and before any averaging.
+# The limit admits every sections input of the tests and the benchmark (at
+# most 971 terms on the benchmark's covers) and full U_4 on a one-point
+# cover with four opens at max_q 4 (7,104 terms, 1.2 MB written); it
+# refuses U_5 there at max_q 6 (103,455 terms), and U_6 at max_q 8 (1.2
+# million terms), which wrote 194 MB, and U_8 at max_q 8, which ran out of
+# 3 GB of memory.
+MAX_SECTION_TERMS = 100000
 
 # every polynomial's total degree is at most exactring.MAX_DEGREE (255), the
 # largest its packed exponent keys hold: the reader refuses an exponent
@@ -279,12 +296,28 @@ def _check_multi_indices(cover, max_q):
                          % (m, MAX_MULTI_INDICES, max_q))
 
 
+def _average_terms(n, q):
+    return sum((n - d) * math.comb(q + d, d) for d in range(1, n))
+
+
 def _check_average_terms(n, q):
-    bound = sum((n - d) * math.comb(q + d, d) for d in range(1, n))
+    bound = _average_terms(n, q)
     if bound > MAX_AVERAGE_TERMS:
         raise InputError("an average of %d sections of %d x %d matrices may have %d terms, "
                          "more than MAX_AVERAGE_TERMS = %d" % (q + 1, n, n, bound,
                                                               MAX_AVERAGE_TERMS))
+
+
+def _check_section_terms(cover, n, max_q):
+    # a point in k opens lies in the intersection of C(k + q, q + 1)
+    # multi-indices at level q
+    counts = Counter(chain.from_iterable(cover.opens)).values()
+    bound = sum(_average_terms(n, q) * sum(math.comb(k + q, q + 1) for k in counts)
+                for q in range(max_q + 1))
+    if bound > MAX_SECTION_TERMS:
+        raise InputError("a sections build of %d x %d matrices on this cover up to max_q %d "
+                         "may write %d terms, more than MAX_SECTION_TERMS = %d"
+                         % (n, n, max_q, bound, MAX_SECTION_TERMS))
 
 
 def cmd_wav(args):
@@ -366,6 +399,7 @@ def cmd_sections(args):
     _check_multi_indices(cover, args.max_q)
     group = serialize.span_from_json(field, doc.get("group"))
     local_sections = serialize.locals_from_json(field, doc.get("locals"))
+    _check_section_terms(cover, group.n, args.max_q)
     section = build_simplicial_section(cover, local_sections, group, max_q=args.max_q)
     report = validate_simplicial_section(section, args.max_q)
     out = serialize.simplicial_to_json(section)

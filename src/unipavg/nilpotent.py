@@ -18,11 +18,12 @@ their basis in one sparse reduced echelon store, with the transform back
 to the basis, so membership tests and coordinate solves work uniformly
 for matrices with polynomial entries; the same store picks independent
 vectors wherever a basis is chosen.  Going back, one helper sums
-coordinates times constant basis matrices, moving each constant into the
-coordinates' ring by its integer numerators.  Quotients by an ideal are
-re-embedded as strictly upper triangular matrices through a
-weight-truncated enveloping algebra; the re-embedding is faithful because
-left multiplication fixes the ground vector 1.
+coordinates times the basis, kept as sparse rows of field scalars, into a
+matrix over the coordinates' ring; a hom maps coordinates to coordinates
+through its images'.  Quotients by an ideal are re-embedded as strictly
+upper triangular matrices through a weight-truncated enveloping algebra;
+the re-embedding is faithful because left multiplication fixes the
+ground vector 1.
 
 Each span also has a structure-constant table (`LieTable`), recorded by
 its closure check or built on first use; the lower central series, the
@@ -714,53 +715,36 @@ def _upper_bracket(u, v, n):
     return {k: x for k, x in out.items() if not x.is_zero}
 
 
-def _mover(src, ring):
-    """The map moving a constant polynomial over src into ring, which has
-    the same field: it keeps its denominator and numerator vector, at the
-    key 0 of the zero exponent in every ring.  None when the rings are
-    equal."""
-    if src is ring:
-        return None
-
-    def move(p):
-        if not p.nums:
-            return ring.zero()
-        vec, = p.nums.values()
-        return SimplexPoly(ring, p.den, {0: vec})
-
-    return move
-
-
-def _combination(coefs, mats, ring, n):
-    """sum_k c_k M_k as an n x n NilMatrix over ring, for constant matrices
-    M_k: the nonzero strictly upper entries of each M_k with c_k != 0 are
-    moved into ring, scaled and summed into one accumulator, and the rows
-    are built once."""
+def _sum_rows(coefs, rows, ring, n):
+    """sum_k c_k r_k as an n x n NilMatrix over ring, for sparse rows r_k
+    like `_upper_row`'s and coefficients that are field values or
+    polynomials over ring: each product of a nonzero c_k and an entry is
+    summed into one accumulator by index, and the rows are built once."""
     acc = {}
-    for c, m in zip(coefs, mats):
+    for c, row in zip(coefs, rows):
         if c.is_zero:
             continue
-        move = _mover(m.ring, ring)
-        for i, row in enumerate(m.rows):
-            for j in range(i + 1, n):
-                x = row[j]
-                if x.nums:
-                    y = (x if move is None else move(x)) * c
-                    cur = acc.get((i, j))
-                    acc[(i, j)] = y if cur is None else cur + y
-    return NilMatrix.from_entries(ring, n, acc)
+        for k, x in row.items():
+            y = c * x
+            cur = acc.get(k)
+            acc[k] = y if cur is None else cur + y
+    pos = _upper_positions(n)[0]
+    return NilMatrix.from_entries(ring, n, {pos[k]: v for k, v in acc.items()})
 
 
 class LieSpan:
     """A Lie subalgebra of strictly upper triangular n x n matrices, given
     by an independent basis of constant matrices over a scalar field.
-    Construction verifies independence and closure under the bracket; the
-    closure check brackets every basis pair in field scalars and solves it,
-    which gives the structure-constant table as well.  The size n and the
-    field are read from the basis; an empty basis needs both given, and a
-    given n must match the basis."""
+    Each basis matrix is read once, into a sparse row like `_upper_row`'s
+    (`_rows`), which the closure check, quotients and `from_coordinates`
+    read; the echelon store takes copies.  Construction verifies
+    independence and closure under the bracket; the closure check brackets
+    every basis pair of rows and solves it, which gives the
+    structure-constant table as well.  The size n and the field are read
+    from the basis; an empty basis needs both given, and a given n must
+    match the basis."""
 
-    __slots__ = ("field", "ring", "n", "basis", "_echelon", "_table")
+    __slots__ = ("field", "ring", "n", "basis", "_rows", "_echelon", "_table")
 
     def __init__(self, basis, n=None, field=None, check=True):
         basis = tuple(basis)
@@ -783,13 +767,15 @@ class LieSpan:
             if b.n != n or b.ring.field is not field:
                 raise RingMismatch("span basis matrices live in different spaces")
             try:
-                rows.append(_upper_row(b))
+                row = _upper_row(b)
             except InputError:
                 raise InputError("span basis matrices must have constant entries") from None
-            move = _mover(b.ring, self.ring)
-            fixed.append(b if move is None else b.map_entries(move, self.ring))
+            rows.append(row)
+            fixed.append(b if b.ring is self.ring
+                         else _sum_rows((field.one,), (row,), self.ring, n))
         self.basis = tuple(fixed)
-        self._echelon = _Echelon(field, rows, what="span basis")
+        self._rows = tuple(rows)
+        self._echelon = _Echelon(field, [dict(row) for row in rows], what="span basis")
         self._table = self._build_table() if check else None
 
     @property
@@ -808,7 +794,7 @@ class LieSpan:
         coordinates are the structure constants, and a bracket outside the
         span fails the closure check.  A span of dimension n(n-1)/2 is the
         whole strictly upper algebra, whose class is n - 1."""
-        rows = [_upper_row(b) for b in self.basis]
+        rows = self._rows
         struct = {}
         for i, j in combinations(range(self.dim), 2):
             try:
@@ -861,7 +847,7 @@ class LieSpan:
         if len(coords) != self.dim:
             raise InputError("expected %d coordinates, got %d" % (self.dim, len(coords)))
         coefs = [c if isinstance(c, SimplexPoly) else self.field.value(c) for c in coords]
-        return _combination(coefs, self.basis, ring, self.n)
+        return _sum_rows(coefs, self._rows, ring, self.n)
 
     def same_space(self, other):
         """Do the two spans have identical row spaces?"""
@@ -916,7 +902,10 @@ class LieHom:
     Construction verifies the images land in the target span and that
     brackets of basis pairs are preserved, both in coordinates: the image
     of [b_i, b_j] is read from the source table, the bracket of the images
-    from the target table."""
+    from the target table.  A hom built with check=False promises that its
+    images lie in the target: `apply_hom` solves them once (`image_coords`),
+    so a broken promise raises MembershipError.  `identity` and
+    `quotient_span` keep it by construction."""
 
     __slots__ = ("source", "target", "images", "complement", "section", "_image_coords")
 
@@ -981,13 +970,14 @@ class LieHom:
 
 def apply_hom(hom: LieHom, mat):
     """Apply a hom to an algebra element, or to a group element through
-    log and exp.  Polynomial entries are carried along."""
+    log and exp, as a map of coordinates (`LieHom.map_coordinates`).
+    Polynomial entries are carried along."""
     if isinstance(mat, UniMatrix):
         return exp_nilpotent(apply_hom(hom, log_unipotent(mat)))
     coords = hom.source.coordinates(mat)
     if mat.ring.field is not hom.target.field:
         raise RingMismatch("matrix field does not match the hom")
-    return _combination(coords, hom.images, mat.ring, hom.target.n)
+    return hom.target.from_coordinates(hom.map_coordinates(coords, mat.ring.zero()), mat.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -1098,13 +1088,12 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     field = span.field
     if ideal.n != span.n or ideal.field is not field:
         raise RingMismatch("ideal lives in a different matrix space")
-    for b in ideal.basis:
+    rows, ideal_rows = span._rows, ideal._rows
+    for row in ideal_rows:
         try:
-            span.coordinates(b)
+            span.coordinates(dict(row))
         except MembershipError:
             raise InputError("ideal is not contained in the span") from None
-    rows = [_upper_row(b) for b in span.basis]
-    ideal_rows = [_upper_row(b) for b in ideal.basis]
     for a in rows:
         for b in ideal_rows:
             try:
@@ -1125,10 +1114,9 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     # pick span basis vectors completing the ideal to a basis of the span;
     # the store then solves on the ideal basis followed by the complement
     # (the store and its solves take their rows over, so each gets a copy)
-    ech = _Echelon(field, ideal_rows, what="ideal basis")
+    ech = _Echelon(field, [dict(row) for row in ideal_rows], what="ideal basis")
     complement = tuple(idx for idx, row in enumerate(rows) if ech.add_row(dict(row)))
     m = len(complement)
-    reps = [span.basis[i] for i in complement]
 
     def h_coords(vec):
         return tuple(ech.solve(vec, field.zero)[ideal.dim:])
@@ -1165,10 +1153,11 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
 
     # project each span basis vector: complement coords, then adapted coords
     image_coords = tuple(to_adapted(h_coords(dict(row))) for row in rows)
-    images = tuple(_combination(c, rho, ring, target.n) for c in image_coords)
+    images = tuple(target.from_coordinates(c) for c in image_coords)
     # a preimage of each target basis vector: the same combination of the
     # complement representatives that defines the adapted basis vector
-    section = tuple(_combination(v, reps, ring, span.n) for v, _ in adapted)
+    reps = [rows[i] for i in complement]
+    section = tuple(_sum_rows(v, reps, ring, span.n) for v, _ in adapted)
     # a hom by construction (rho is faithful on the quotient), so not checked
     hom = LieHom(span, target, images, check=False, complement=complement,
                  section=section, image_coords=image_coords)

@@ -361,6 +361,55 @@ def test_sections_multi_index_limit(tmp_path, capsys, monkeypatch):
         assert code == 2 and out is None and err["error"]["message"] == message
 
 
+def full_group_on_four_opens(n):
+    """Full U_n on a one-point cover with four identical opens, one local
+    value per open with log coordinates in {+-1, +-2, +-1/2}."""
+    from unipavg import FiniteCover, LocalSection
+    from unipavg.fixtures import point_from_coordinates
+    span = full_unipotent_span(n, QQ)
+    values = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))
+    local = [LocalSection(i, {"x": point_from_coordinates(
+        span, [values[(3 * i + k) % 6] for k in range(span.dim)])}) for i in range(4)]
+    return {"field": serialize.field_to_json(QQ),
+            "cover": serialize.cover_to_json(FiniteCover(["x"], [["x"]] * 4)),
+            "group": serialize.span_to_json(span), "locals": serialize.locals_to_json(local)}
+
+
+def test_sections_term_limit(tmp_path, capsys, monkeypatch):
+    # sum over levels q <= max_q of the intersection points of each
+    # multi-index times sum_{d=1}^{n-1} (n - d) C(q + d, d); full U_4 on
+    # four opens of one point at max_q 4 holds 7,104 terms
+    path = write_doc(tmp_path, "u4.json", full_group_on_four_opens(4))
+    assert cli.MAX_SECTION_TERMS >= 7104
+    code, out, _ = run(capsys, ["sections", "--input", path, "--max-q", "4"])
+    assert code == 0 and out["report"]["ok"] is True and out["max_q"] == 4
+    monkeypatch.setattr(cli, "MAX_SECTION_TERMS", 7104)
+    code, out, _ = run(capsys, ["sections", "--input", path, "--max-q", "4"])
+    assert code == 0 and out["report"]["ok"] is True
+    monkeypatch.setattr(cli, "MAX_SECTION_TERMS", 7103)
+    code, out, err = run(capsys, ["sections", "--input", path, "--max-q", "4"])
+    assert code == 2 and out is None
+    assert err["error"]["message"] == (
+        "a sections build of 4 x 4 matrices on this cover up to max_q 4 may write 7104 "
+        "terms, more than MAX_SECTION_TERMS = 7103")
+    monkeypatch.undo()
+
+    # past the limit a build is refused after reading and before any
+    # averaging, so building here fails the test
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the term limit")
+
+    monkeypatch.setattr(cli, "build_simplicial_section", no_work)
+    for n, max_q, terms in ((5, 6, 103455), (6, 8, 1245530)):
+        path = write_doc(tmp_path, "u%d.json" % n, full_group_on_four_opens(n))
+        code, out, err = run(capsys, ["sections", "--input", path, "--max-q", str(max_q)])
+        assert code == 2 and out is None
+        assert err["error"]["message"] == (
+            "a sections build of %d x %d matrices on this cover up to max_q %d may write %d "
+            "terms, more than MAX_SECTION_TERMS = %d"
+            % (n, n, max_q, terms, cli.MAX_SECTION_TERMS))
+
+
 def test_sections_validate_mode_caps_a_large_max_q_option(tmp_path, capsys):
     path = write_doc(tmp_path, "cover.json", build_sections_doc())
     code, built, _ = run(capsys, ["sections", "--input", path, "--max-q", "1"])

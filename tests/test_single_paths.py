@@ -5,10 +5,12 @@ here as the reference.
 exp and log are one power-series helper, and the group inverse is one
 back substitution; the triangular product computes only the strictly
 upper entries of its kind, against the full-diagonal product it replaced;
-sums of coordinates times constant basis matrices (from_coordinates,
-apply_hom, quotient_span) are one combination helper, which lifts
-constants by their integer numerators instead of through Fractions;
-NilMatrix and UniMatrix share one storage class.
+sums of coordinates times a span's basis, kept as sparse rows of field
+scalars, are one helper (from_coordinates, quotient_span's images and
+sections), held to the lift-and-scale loop over constant matrices, and
+apply_hom maps coordinates through the hom's image coordinates, held to
+the sum over its image matrices; NilMatrix and UniMatrix share one
+storage class.
 """
 
 import random
@@ -137,6 +139,16 @@ def old_combination(coefs, mats, ring, n):
         if not c.is_zero:
             acc = acc + old_lift(m, ring).scale(c)
     return acc
+
+
+def old_sum_rows(coefs, rows, ring, n):
+    """The row helper's arguments with each sparse row rebuilt as a constant
+    matrix, summed by the old loop."""
+    const = PolyRing(ring.field, 0)
+    pos = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mats = [NilMatrix.from_entries(const, n, {pos[k]: x for k, x in row.items()})
+            for row in rows]
+    return old_combination(coefs, mats, ring, n)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +311,7 @@ def test_quotient_span_matches_the_old_loop(field, monkeypatch):
     cases = [(span, ideal) for span in (full_unipotent_span(4, field), heisenberg_span(field))
              for ideal in lower_central_series(span)[1:-1]]
     new = [quotient_span(span, ideal) for span, ideal in cases]
-    monkeypatch.setattr(nilpotent, "_combination", old_combination)
+    monkeypatch.setattr(nilpotent, "_sum_rows", old_sum_rows)
     old = [quotient_span(span, ideal) for span, ideal in cases]
     for (new_target, new_hom), (old_target, old_hom) in zip(new, old):
         for a, b in zip(new_target.basis + new_hom.images + new_hom.section,
@@ -310,9 +322,9 @@ def test_quotient_span_matches_the_old_loop(field, monkeypatch):
 
 
 def test_combination_matches_the_old_loop():
-    """The sum over nonzero strictly upper entries against the lift-and-scale
-    loop, on the large floor matrices of a U_5 quotient and on span bases,
-    with zero, scalar and polynomial coefficients."""
+    """The row helper on the sparse rows of the large floor matrices of a
+    U_5 quotient and of span bases against the lift-and-scale loop on the
+    matrices, with zero, scalar and polynomial coefficients."""
     rng = random.Random(814)
     span = full_unipotent_span(5, QQ)
     target, hom = quotient_span(span, lower_central_series(span)[3])
@@ -321,7 +333,8 @@ def test_combination_matches_the_old_loop():
             for _ in range(3):
                 coefs = [rng.choice([ring.field.zero, rand_scalar(rng, ring.field),
                                      rand_poly(rng, ring)]) for _ in mats]
-                assert_same(nilpotent._combination(coefs, mats, ring, n),
+                rows = [nilpotent._upper_row(m) for m in mats]
+                assert_same(nilpotent._sum_rows(coefs, rows, ring, n),
                             old_combination(coefs, mats, ring, n))
 
 
