@@ -19,7 +19,12 @@ without --weights, over Q and Q(sqrt2), wsym, exp, log, bch, figure-data,
 galois on two U_4 orbits whose lift computes one component per orbit of
 the generator's permutation (two conjugate pairs over Q(sqrt2), where the
 second pair is not reached from the first, and a cyclic cubic orbit in
-shuffled order), sections build and validate over Q(sqrt2), validate on
+shuffled order), wav on both sides of the universal-polynomial dispatch
+(U_6 over Q at q = 2, through Phi_{5,2}; U_5 over Q at q = 3 with
+--iterations 4, through Phi_{3,3}; a non-full class-3 subgroup of U_5 over
+Q(sqrt2) at q = 3, through Phi_{3,3}; and U_6 over Q at q = 3, whose
+Phi_{5,3} lies above the bound, by the pass loop), sections build and
+validate over Q(sqrt2), validate on
 the built section with every polynomial spelled non-canonically (integer
 coefficients, unreduced and negative-denominator num/den objects, single
 numbers for coords lists, unsorted and duplicate terms; exit 0, so the
@@ -100,9 +105,9 @@ def cli_jobs(tree, work):
     package; print the argument list of each job as one JSON list."""
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
     from fractions import Fraction
-    from unipavg import (QQ, FiniteCover, GaloisAction, GaloisOrbit, LocalSection,
-                         SectionTuple, SimplexMap, UniMatrix, cli, embed_simplex,
-                         full_unipotent_span, serialize)
+    from unipavg import (QQ, FiniteCover, GaloisAction, GaloisOrbit, LieSpan, LocalSection,
+                         NilMatrix, PolyRing, SectionTuple, SimplexMap, UniMatrix, cli,
+                         embed_simplex, full_unipotent_span, serialize)
     from unipavg.fixtures import (cover_local_sections, cubic_field, heisenberg_span,
                                   point_from_coordinates, six_point_cover, sqrt2_field,
                                   two_point_tuple)
@@ -157,6 +162,29 @@ def cli_jobs(tree, work):
         orbit = GaloisOrbit(u4, action, [points[k] for k in order])
         jobs.append(["galois", "--input", dump("galois-%s.json" % name,
                                                serialize.orbit_to_json(orbit))])
+    # wav through the universal polynomial Phi_{c',q} and, above its bound,
+    # by the pass loop: full U_6 at q = 2 and q = 3, U_5 at q = 3 with an
+    # iteration override, and over Q(sqrt2) the subgroup of U_5 spanned by
+    # the E_ij with j <= 3 and the corner E_04, which is central there
+    # (dimension 7 of 10, class 3)
+    values = (1, -1, 2, -2, half, -half)
+    ring = PolyRing(sqrt2, 0)
+    block = LieSpan([NilMatrix.from_entries(ring, 5, {(i, j): 1})
+                     for i in range(5) for j in range(i + 1, 5) if j <= 3 or i == 0])
+    for name, span, q, extra in (
+            ("phi-5-2", full_unipotent_span(6, QQ), 2, []),
+            ("phi-3-3", full_unipotent_span(5, QQ), 3, ["--iterations", "4"]),
+            ("phi-3-3-block", block, 3, []),
+            ("passes-6-3", full_unipotent_span(6, QQ), 3, [])):
+        count = span.dim * span.field.degree
+        points = []
+        for k in range(q + 1):
+            coords = [values[(5 * k + 3 * i + k * i) % 6] for i in range(count)]
+            if span.field.degree > 1:
+                coords = [coords[2 * i:2 * i + 2] for i in range(span.dim)]
+            points.append(point_from_coordinates(span, coords))
+        path = dump(name + ".json", serialize.tuple_to_json(SectionTuple(span, points)))
+        jobs.append(["wav", "--input", path] + extra)
     cover_span, local = cover_local_sections(sqrt2)
     cover = dump("cover.json", dict(field, cover=serialize.cover_to_json(six_point_cover()),
                                     group=serialize.span_to_json(cover_span),

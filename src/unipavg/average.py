@@ -24,17 +24,48 @@ pass computes one component exactly when q = 1 or 3m exceeds the
 nilpotency class: one integer comparison, no bracket.  Before that, a
 pass is linear, every component being sum_j t_j f_j, for matrices that
 agree below superdiagonal ceil(n/2), and for Lie coordinates when 2m
-exceeds the class.  The proofs are in `wsym`.
+exceeds the class.  The proofs are in `wsym`.  `wav_by_passes` runs the
+lift and the passes; it is the one place the formula is iterated.
 
-The formula is natural: if a coefficient automorphism sigma and a
-permutation pi of the indices satisfy sigma(f_i) = f_{pi(i)}, then
-tau = P_pi o sigma, with P_pi the substitution t_j -> t_{pi(j)}, is a ring
-automorphism that commutes with product, inverse, log and exp and sends
-t_j to t_{pi(j)}, so tau(f'_i) = f'_{pi(i)} after every pass.  A
-`SectionTuple` may carry such pairs, its `symmetry` (a Galois orbit's
-generators with the permutations they induce), and a pass that computes
-every component computes one per orbit of the permutations and the others
-as images under tau.
+The formula is natural: every step is a group operation, so a pass
+commutes with group homomorphisms and with ring automorphisms of the
+entries.  If a coefficient automorphism sigma and a permutation pi of the
+indices satisfy sigma(f_i) = f_{pi(i)}, then tau = P_pi o sigma, with P_pi
+the substitution t_j -> t_{pi(j)}, commutes with product, inverse, log and
+exp and sends t_j to t_{pi(j)}, so tau(f'_i) = f'_{pi(i)} after every pass;
+that is why a Galois orbit's average at uniform weights is Galois
+invariant (`descent.rational_point`).
+
+The universal polynomial.  Right translation by a constant h leaves every
+transition unchanged, so wav(f h) = wav(f) h and wav(f) = wav(f f_0^{-1})
+f_0.  The tuple f f_0^{-1} = (1, exp L_1, ..., exp L_q) is the image of
+(1, exp e_1, ..., exp e_q) in the free nilpotent group of class c on q
+generators under the hom e_j -> L_j, for a group of class <= c, so by
+naturality
+
+    wav(f) = exp(Phi_{c,q}(L_1, ..., L_q)) f_0,
+
+with Phi_{c,q} the log of that free average: one Lie polynomial on the
+Lyndon basis of the free algebra, with coefficients in Q[t].  `wav` also
+commutes with inversion: for h_i = f_i^{-1}, log(h_j h_i^{-1}) =
+-Ad(f_i^{-1}) log(f_j f_i^{-1}), so h'_i = f_i^{-1} exp(-S_i) = (f'_i)^{-1}
+after each pass.  Inversion in the free group is the hom e_j -> -e_j, so
+Phi is odd: its parts of even weight vanish.  The projection onto class
+c - 1 maps Phi_{c,q} to Phi_{c-1,q}, so for an even class Phi_{c,q} =
+Phi_{c-1,q}, and `wav` uses Phi_{c',q} with c' the largest odd number <=
+the class.
+
+`wav` averages through Phi when the lift would compute every component (q
+>= 2, class >= 3, components not all equal) and the free algebra of class
+c' on q generators has dimension <= MAX_UNIVERSAL_DIM; that admits (c', q)
+= (3, 2), (3, 3), (3, 4) and (5, 2) only.  Phi_{c',q} is built on first
+use, once per process, by `wav_by_passes` on a `CoordinateTuple` over the
+free algebra's `LieTable` (`nilpotent.free_lie_table`), and only its
+Lyndon words and coefficients are kept.  A tuple then costs f_0^{-1}, the
+q logs L_j, one bracket per Lyndon word needed, one combination, one exp
+and one product, where the lift alone takes q + 1 exps.  Every other tuple
+(q <= 1, class <= 2, constant, or Phi above the bound) takes the pass
+loop.
 
 The operators are written once over a group law (product, inverse, log,
 exp, the algebra's linear operations and the linear-pass test).  A
@@ -47,18 +78,26 @@ quotient towers are averaged.
 from __future__ import annotations
 
 import operator
+from itertools import islice
 
 from .errors import InputError, NonConstantError, RingMismatch
-from .exactring import (FieldAutomorphism, PolyRing, SimplexMap, SimplexPoly,
-                        coordinate_permutation, eval_at_weights, sum_of_products)
+from .exactring import (QQ, PolyRing, SimplexMap, SimplexPoly, coordinate_permutation,
+                        eval_at_weights, extend_scalars, sum_of_products)
 from .nilpotent import (LieSpan, NilMatrix, UniMatrix, embed_simplex, exp_nilpotent,
-                        full_unipotent_span, log_unipotent, pull_back)
+                        free_lie_table, full_unipotent_span, log_unipotent, lyndon_words,
+                        pull_back, standard_factorization)
 
 __all__ = [
     "WeightSeq", "SectionTuple", "CoordinateTuple", "SimplexMap", "transition", "wsym",
-    "lift_w", "wav", "act_simplex_map", "act_permutation", "wav_at_weights",
-    "eval_matrix_at_weights",
+    "lift_w", "wav", "wav_by_passes", "act_simplex_map", "act_permutation",
+    "wav_at_weights", "eval_matrix_at_weights",
 ]
+
+# the largest free algebra whose universal polynomial `wav` builds and
+# keeps: dimension 32 admits classes 3 and 4 up to q = 4 (Phi_{3,4} has 30
+# Lyndon words) and classes 5 and 6 at q = 2 (14 words), while Phi_{5,3}
+# has 80 words and Phi_{7,2} 41
+MAX_UNIVERSAL_DIM = 32
 
 
 class WeightSeq:
@@ -136,6 +175,10 @@ class _MatrixLaw:
         return NilMatrix.combination(xs, coefs)
 
     @staticmethod
+    def bracket(x, y):
+        return x.bracket(y)
+
+    @staticmethod
     def linear_pass(sections, coords, depth=1):
         """The pass's common value sum_j coords[j] sections[j] when every
         section equals sections[0] below superdiagonal k = ceil(n/2), else
@@ -166,10 +209,9 @@ class _MatrixLaw:
 class _Sections:
     """q+1 group elements over one ring, whose simplex dimension r (the
     domain degree) is 0 for t-constant elements or q over the q-simplex.
-    Every transition lies in Gamma_depth; only `_rebuild` sets depth > 1.
-    Only a SectionTuple has a nonempty `symmetry`."""
+    Every transition lies in Gamma_depth; only `_rebuild` sets depth > 1."""
 
-    __slots__ = ("sections", "q", "r", "depth", "symmetry")
+    __slots__ = ("sections", "q", "r", "depth")
 
     def __len__(self):
         return len(self.sections)
@@ -197,18 +239,12 @@ class SectionTuple(_Sections):
     ``check=False`` skips the group-membership test (the ring and size
     checks stay); the operators pass it for values that lie in the group
     by construction.
-
-    ``symmetry`` lists pairs (sigma, perm): a `FieldAutomorphism` of the
-    group's field and a permutation of {0, ..., q} with
-    tau(f_i) = f_{perm[i]}, where tau applies sigma to the coefficients and,
-    over the q-simplex, then substitutes t_j -> t_{perm[j]}.  Every pass
-    keeps it (see `wsym`).  ``check=True`` verifies each pair.
     """
 
     __slots__ = ("group",)
     law = _MatrixLaw
 
-    def __init__(self, group, sections, check=True, symmetry=()):
+    def __init__(self, group, sections, check=True):
         if not isinstance(group, LieSpan):
             raise InputError("a section tuple needs a LieSpan group")
         sections = tuple(sections)
@@ -232,19 +268,6 @@ class SectionTuple(_Sections):
                 raise RingMismatch("section field differs from the group's")
             if check:
                 group.require_element(s, "a section")
-        # passes with q < 2 compute one component, which no symmetry saves
-        self.symmetry = symmetry = (tuple((sigma, tuple(perm)) for sigma, perm in symmetry)
-                                    if self.q > 1 else ())
-        for k, (sigma, perm) in enumerate(symmetry if check else ()):
-            if not isinstance(sigma, FieldAutomorphism) or sigma.field is not group.field:
-                raise InputError("symmetry %d needs an automorphism of the group's field" % k)
-            if sorted(perm) != list(range(self.q + 1)):
-                raise InputError("symmetry %d needs a permutation of 0..%d" % (k, self.q))
-            tau = _conjugation(ring, sigma, perm)
-            for i, s in enumerate(sections):
-                if s.map_entries(tau, ring) != sections[perm[i]]:
-                    raise InputError("symmetry %d does not send section %d to section %d"
-                                     % (k, i, perm[i]))
 
     @property
     def ring(self):
@@ -255,11 +278,9 @@ class SectionTuple(_Sections):
         return self.group.table
 
     def _rebuild(self, sections, ring, depth=1):
-        # the operators' values lie in the group by construction, and every
-        # pass and the lift's embedding keep the symmetry
+        # the operators' values lie in the group by construction
         out = SectionTuple(self.group, sections, check=False)
         out.depth = depth
-        out.symmetry = self.symmetry
         return out
 
     def __eq__(self, other):
@@ -300,7 +321,6 @@ class CoordinateTuple(_Sections):
         self.sections = sections
         self.q = len(sections) - 1
         self.depth = 1
-        self.symmetry = ()
         self.r = ring.q
         if self.r not in (0, self.q):
             raise InputError("domain degree %d must be 0 or the tuple degree %d"
@@ -329,15 +349,6 @@ def transition(f_i: UniMatrix, f_j: UniMatrix, group=None) -> UniMatrix:
         for f in (f_i, f_j):
             group.require_element(f, "a section")
     return f_j * f_i.inverse()
-
-
-def _conjugation(ring, sigma, perm):
-    """tau = P_perm o sigma on entries over ring: sigma on the coefficients,
-    then, over the q-simplex, t_j -> t_{perm[j]} through one plan."""
-    if ring.q == 0:
-        return sigma
-    permute = coordinate_permutation(ring, perm)
-    return lambda e: permute(sigma(e))
 
 
 def wsym(t):
@@ -371,14 +382,8 @@ def wsym(t):
     the pass every transition lies in Gamma_{3m}.
     So when q = 1 (one log) or 3 * depth exceeds the class, which makes
     Gamma_{3 depth} trivial, only f'_0 is computed; otherwise all q+1
-    components are, with depth 3 * depth.
-
-    Then tau(f'_i) = f'_{perm[i]} for each (sigma, perm) of the tuple's
-    symmetry (see the module docstring), so a component is computed, with
-    its row of logs, only for an index no symmetry reaches from one
-    computed before it, and the rest are images under the tau's.  A row
-    negates the logs of earlier rows, as log(g^{-1}) = -log(g), so without
-    a symmetry f_q^{-1} is never needed."""
+    components are, with depth 3 * depth.  A row negates the logs of
+    earlier rows, as log(g^{-1}) = -log(g), so f_q^{-1} is never needed."""
     if t.r != t.q:
         raise InputError("wsym needs sections over the q-simplex (domain degree %d, "
                          "tuple degree %d)" % (t.r, t.q))
@@ -414,21 +419,7 @@ def wsym(t):
     # exp of a span element times a group element stays in the group
     if t.q == 1 or 3 * t.depth > t.table.nilpotency_class:
         return t._rebuild([component(0)] * (t.q + 1), ring)
-    conjugations = [(perm, _conjugation(ring, sigma, perm)) for sigma, perm in t.symmetry]
-    out = [None] * (t.q + 1)
-    for i in range(t.q + 1):
-        if out[i] is not None:
-            continue
-        out[i] = component(i)
-        reached = [i]
-        while reached:
-            k = reached.pop()
-            for perm, tau in conjugations:
-                if out[perm[k]] is None:
-                    # only a SectionTuple carries a symmetry
-                    out[perm[k]] = out[k].map_entries(tau, ring)
-                    reached.append(perm[k])
-    return t._rebuild(out, ring, 3 * t.depth)
+    return t._rebuild([component(i) for i in range(t.q + 1)], ring, 3 * t.depth)
 
 
 def lift_w(t):
@@ -446,26 +437,23 @@ def lift_w(t):
     return wsym(embedded)
 
 
-def wav(t, d_override=None):
-    """The weighted average of a tuple of t-constant sections: lift, then
-    symmetrize at most d times (d = derived series length of the group, or a
-    larger override); all components then agree and the common value is
-    returned.  Passes stop once the components agree, since wsym fixes a
-    constant tuple (every transition log is 0).  Without an override the
-    table answers "is d > passes so far?" before each pass, which needs the
-    derived series only before a third pass; the pass count at a failure is
-    d itself."""
+def _pass_bound(t, d_override):
+    """more(p): is d > p, so that a pass may follow the first p?  d is the
+    derived length of t's group, or an override of at least that; without
+    one the table answers, which needs the derived series only before a
+    third pass."""
     if t.r != 0:
         raise InputError("wav needs t-constant sections (domain degree %d)" % t.r)
     table = t.table
-    # more(p): is d > p, so that a pass may follow the first p?
     if d_override is None:
-        more = table.derived_length_exceeds
-    else:
-        d = table.derived_length
-        if not isinstance(d_override, int) or d_override < d:
-            raise InputError("iteration override must be an integer >= %d" % d)
-        more = lambda passes: passes < d_override
+        return table.derived_length_exceeds
+    d = table.derived_length
+    if not isinstance(d_override, int) or d_override < d:
+        raise InputError("iteration override must be an integer >= %d" % d)
+    return lambda passes: passes < d_override
+
+
+def _passes(t, more):
     cur = lift_w(t)
     passes = 0
     while not cur.is_constant_tuple():
@@ -474,6 +462,91 @@ def wav(t, d_override=None):
         cur = wsym(cur)
         passes += 1
     return cur.sections[0]
+
+
+def wav_by_passes(t, d_override=None):
+    """The weighted average of a tuple of t-constant sections by the
+    paper's iteration: lift, then symmetrize at most d times (d = derived
+    series length of the group, or a larger override); all components then
+    agree and the common value is returned.  Passes stop once the
+    components agree, since wsym fixes a constant tuple (every transition
+    log is 0).  The pass count at a failure is d itself."""
+    return _passes(t, _pass_bound(t, d_override))
+
+
+# Phi_{c,q} for odd c, as (Lyndon word, coefficient over Q on the
+# q-simplex) pairs with a nonzero coefficient; the keys are the (c, q)
+# within MAX_UNIVERSAL_DIM, four at most
+_UNIVERSAL = {}
+
+
+def universal_polynomial(c, q):
+    """Phi_{c,q}: the log of the average of (0, e_1, ..., e_q) in the free
+    nilpotent Lie algebra of class c on q >= 2 generators, computed by
+    `wav_by_passes` in its Lie coordinates, as (Lyndon word, coefficient)
+    pairs with a nonzero coefficient; letter j - 1 stands for e_j."""
+    words, table = free_lie_table(q, c, QQ)
+    ring = PolyRing(QQ, 0)
+    zero, one = ring.zero(), ring.one()
+    points = [(zero,) * table.dim] + [(zero,) * j + (one,) + (zero,) * (table.dim - j - 1)
+                                      for j in range(q)]
+    phi = wav_by_passes(CoordinateTuple(table, points, ring))
+    return tuple((w, x) for w, x in zip(words, phi) if x.nums)
+
+
+def _universal_terms(t):
+    """Phi_{c',q} for t when `wav` averages through it (see the module
+    docstring), built on first use, else None."""
+    if t.q < 2 or t.is_constant_tuple():
+        return None
+    c = t.table.nilpotency_class
+    if c < 3:
+        return None
+    key = (c - 1 + c % 2, t.q)
+    terms = _UNIVERSAL.get(key)
+    if terms is None and _admits(*key):
+        terms = _UNIVERSAL[key] = universal_polynomial(*key)
+    return terms
+
+
+def _admits(c, q):
+    """Has the free algebra of class c on q generators dimension at most
+    MAX_UNIVERSAL_DIM?  Its Lyndon words are counted up to one more."""
+    return sum(1 for _ in islice(lyndon_words(q, c), MAX_UNIVERSAL_DIM + 1)) \
+        <= MAX_UNIVERSAL_DIM
+
+
+def _through_universal(t, terms):
+    """exp(Phi(L_1, ..., L_q)) f_0 for L_j = log(f_j f_0^{-1}): each Lyndon
+    word's standard bracketing of the L_j, one bracket per word reached,
+    is embedded on the q-simplex and weighted by its coefficient."""
+    law, f, q = t.law, t.sections, t.q
+    inverse = law.inverse(f[0])
+    brackets = {(j,): law.log(law.mul(f[j + 1], inverse)) for j in range(q)}
+
+    def bracketed(word):
+        got = brackets.get(word)
+        if got is None:
+            u, v = standard_factorization(word)
+            got = brackets[word] = law.bracket(bracketed(u), bracketed(v))
+        return got
+
+    ring = PolyRing(t.ring.field, q, t.ring.params)
+    s = law.combine([law.embed(bracketed(w), q) for w, _ in terms],
+                    [extend_scalars(x, ring) for _, x in terms])
+    return law.mul(law.exp(s), law.embed(f[0], q))
+
+
+def wav(t, d_override=None):
+    """The weighted average of a tuple of t-constant sections: the value of
+    `wav_by_passes`, computed as exp(Phi(L)) f_0 where the module docstring
+    says so.  An override below the derived length is refused on both
+    paths."""
+    more = _pass_bound(t, d_override)
+    terms = _universal_terms(t)
+    if terms is None:
+        return _passes(t, more)
+    return _through_universal(t, terms)
 
 
 def act_simplex_map(t: SectionTuple, alpha: SimplexMap) -> SectionTuple:
@@ -507,10 +580,9 @@ def act_permutation(t: SectionTuple, perm) -> SectionTuple:
     return SectionTuple(t.group, [s.map_entries(permute, target) for s in new])
 
 
-def wav_at_weights(points, weights: WeightSeq, group=None, symmetry=()) -> UniMatrix:
+def wav_at_weights(points, weights: WeightSeq, group=None) -> UniMatrix:
     """The weighted average point of q+1 constant group elements: evaluate
-    the averaged section at the given weights.  ``symmetry`` is the points'
-    symmetry, as `SectionTuple` takes it, for `wsym` to use."""
+    the averaged section at the given weights."""
     points = list(points)
     if not points:
         raise InputError("need at least one point")
@@ -523,8 +595,7 @@ def wav_at_weights(points, weights: WeightSeq, group=None, symmetry=()) -> UniMa
                          % (len(weights), len(points)))
     if weights.field is not field:
         raise RingMismatch("weights and points use different fields")
-    return eval_matrix_at_weights(wav(SectionTuple(group, points, symmetry=symmetry)),
-                                  weights)
+    return eval_matrix_at_weights(wav(SectionTuple(group, points)), weights)
 
 
 def eval_matrix_at_weights(mat, weights: WeightSeq):

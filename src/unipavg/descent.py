@@ -22,13 +22,10 @@ class GaloisOrbit:
 
     Construction verifies that applying each generator entrywise permutes
     the list of points (exact multiset equality) and that every point's
-    log lies in the group span.  The permutations it finds are kept in
-    `symmetry`, as pairs (generator, perm) with generator(z_i) = z_{perm[i]},
-    and feed the lift: `wsym` then computes one component per orbit of the
-    permutations and conjugates it into the others.
+    log lies in the group span.
     """
 
-    __slots__ = ("group", "action", "points", "symmetry")
+    __slots__ = ("group", "action", "points")
 
     def __init__(self, group: LieSpan, action: GaloisAction, points):
         points = tuple(points)
@@ -47,21 +44,17 @@ class GaloisOrbit:
         self.group = group
         self.action = action
         self.points = points
-        symmetry = []
         for g_idx, sigma in enumerate(action.generators):
-            remaining = list(range(len(points)))
-            perm = []
+            remaining = list(points)
             for z in points:
                 moved = z.map_entries(sigma, z.ring)
                 for k, w in enumerate(remaining):
-                    if moved == points[w]:
-                        perm.append(remaining.pop(k))
+                    if moved == w:
+                        del remaining[k]
                         break
                 else:
                     raise InputError("orbit is not closed under Galois generator %d"
                                      % g_idx)
-            symmetry.append((sigma, tuple(perm)))
-        self.symmetry = tuple(symmetry)
 
     @property
     def q(self):
@@ -80,7 +73,7 @@ def rational_point(orbit: GaloisOrbit) -> UniMatrix:
     coordinate outside the rationals; with a valid orbit neither happens.
     """
     weights = WeightSeq.uniform(orbit.q, orbit.action.field)
-    averaged = wav_at_weights(orbit.points, weights, orbit.group, orbit.symmetry)
+    averaged = wav_at_weights(orbit.points, weights, orbit.group)
     for sigma in orbit.action.generators:
         if averaged.map_entries(sigma, averaged.ring) != averaged:
             raise RationalityError("averaged point is not Galois invariant")

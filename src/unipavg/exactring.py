@@ -1138,6 +1138,18 @@ def extend_to_simplex(p: SimplexPoly, q: int) -> SimplexPoly:
                        {key + (key >> lo) * lift: v for key, v in p.nums.items()})
 
 
+def extend_scalars(p: SimplexPoly, ring: PolyRing) -> SimplexPoly:
+    """View a polynomial over Q without parameters over ring, a ring of the
+    same simplex over any field and with any parameters."""
+    if p.ring is ring:
+        return p
+    # the parameters' zero exponents follow t's, and each rational
+    # numerator is a power-basis vector
+    shift = 8 * len(ring.params)
+    pad = (0,) * (ring.field.degree - 1)
+    return SimplexPoly(ring, p.den, {key << shift: v + pad for key, v in p.nums.items()})
+
+
 def eval_at_weights(p: SimplexPoly, weights, param_values=None) -> ScalarValue:
     """Exact evaluation at a weight sequence (q+1 scalars summing to 1).
 

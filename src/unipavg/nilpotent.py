@@ -31,10 +31,12 @@ derived length and the nilpotency class are read from it, and a hom's
 bracket check compares the two tables.  The table is the group law in
 Lie coordinates as well: an element is the coordinate vector of its log
 and the product is BCH truncated at the class, so a quotient floor can be
-averaged on its table alone.  `quotient_span` seeds its target's table and class from the
-structure constants and series it computes anyway, records each projected
-basis vector's coordinates, and checks neither the target's closure nor
-the projection, which hold by construction.
+averaged on its table alone; `free_lie_table` builds the table of a free
+nilpotent Lie algebra on its Lyndon basis.  `quotient_span` seeds its
+target's table and class from the structure constants and series it
+computes anyway, records each projected basis vector's coordinates, and
+checks neither the target's closure nor the projection, which hold by
+construction.
 """
 
 from __future__ import annotations
@@ -471,7 +473,8 @@ class _Echelon:
 
 def _free_mul(a, b, c):
     """The product of two elements of the free associative algebra on the
-    letters 0 and 1, as {word: Fraction} maps, dropping words longer than c."""
+    letters 0, 1, ..., as {word: rational} maps, dropping words longer
+    than c."""
     out = {}
     for u, x in a.items():
         for v, y in b.items():
@@ -545,9 +548,11 @@ class LieTable:
         self._class = nilpotency_class
         self._derived_length = None
 
-    def bracket(self, u, v, zero):
+    def bracket(self, u, v, zero=None):
         """[u, v] for coordinate vectors u and v; `zero` is the zero of
-        their entries."""
+        their entries, by default that of the polynomials in u."""
+        if zero is None and self.dim:
+            zero = u[0].ring.zero()
         out = [zero] * self.dim
         for (i, j), consts in self._pairs:
             ui, uj, vi, vj = u[i], u[j], v[i], v[j]
@@ -676,6 +681,82 @@ class LieTable:
     def embed(x, q):
         """A vector of t-constant entries lifted onto the q-simplex ring."""
         return tuple(extend_to_simplex(a, q) for a in x)
+
+
+# ---------------------------------------------------------------------------
+# the free nilpotent Lie algebra, on its Lyndon basis
+# ---------------------------------------------------------------------------
+
+def lyndon_words(q, c):
+    """The Lyndon words of length <= c over the letters 0, ..., q-1, as
+    tuples in lexicographic order, one at a time (Duval, Theoret. Comput.
+    Sci. 60, 1988): each word is strictly smaller than its proper
+    suffixes."""
+    w = [-1]
+    while w:
+        w[-1] += 1
+        yield tuple(w)
+        m = len(w)
+        while len(w) < c:
+            w.append(w[-m])
+        while w and w[-1] == q - 1:
+            w.pop()
+
+
+@cache
+def standard_factorization(word):
+    """(u, v) with word = uv and v the least proper suffix of the Lyndon
+    word, so that the standard bracketing is P_word = [P_u, P_v]."""
+    i = min(range(1, len(word)), key=lambda i: word[i:])
+    return word[:i], word[i:]
+
+
+def _free_bracket(a, b, c):
+    """ab - ba in the free associative algebra truncated above length c,
+    with no zero coefficient."""
+    out = _free_mul(a, b, c)
+    for word, x in _free_mul(b, a, c).items():
+        out[word] = out.get(word, 0) - x
+    return {word: x for word, x in out.items() if x}
+
+
+def free_lie_table(q, c, field):
+    """The free nilpotent Lie algebra of class c on q >= 2 generators: its
+    basis, the Lyndon words of length <= c by length and then
+    lexicographically (the generators first, word (j,) being generator j),
+    and its `LieTable` on the standard bracketings P_w of those words
+    (Chen-Fox-Lyndon, Ann. Math. 68, 1958; Reutenauer, *Free Lie
+    Algebras*, 1993, ch. 5).  A bracket [P_u, P_v] is formed in the free
+    associative algebra, where P_w is w plus larger words of its length,
+    and solved triangularly: its least word is Lyndon and its coefficient
+    is that word's coordinate.  The constants are integers; every zero of
+    the table is the field's one zero, and every zero bracket shares one
+    zero row."""
+    words = sorted(lyndon_words(q, c), key=lambda w: (len(w), w))
+    index = {w: k for k, w in enumerate(words)}
+    polys = {}
+    for w in words:
+        polys[w] = {w: 1} if len(w) == 1 else _free_bracket(
+            *(polys[u] for u in standard_factorization(w)), c)
+    zeros = (field.zero,) * len(words)
+    struct = {}
+    for i, j in combinations(range(len(words)), 2):
+        consts = zeros
+        rest = _free_bracket(polys[words[i]], polys[words[j]], c)
+        if rest:
+            consts = list(zeros)
+        while rest:
+            least = min(rest)
+            x = rest[least]
+            consts[index[least]] = field.value(x)
+            for word, y in polys[least].items():
+                y = rest.get(word, 0) - x * y
+                if y:
+                    rest[word] = y
+                else:
+                    del rest[word]
+        struct[(i, j)] = tuple(consts)
+    return words, LieTable(field, len(words), struct, c)
 
 
 # ---------------------------------------------------------------------------

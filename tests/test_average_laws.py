@@ -7,7 +7,13 @@ wav returns the one point):
   simplex coordinates permuted the same way;
 - naturality: a Lie hom applied to wav(t) is wav of the hom's images, for
   the identity of U_4 and its projections onto the quotients by the terms
-  of its lower central series.
+  of its lower central series;
+- inversion: wav of the inverses is the inverse of wav(t);
+- translation: wav(h t) = h wav(t) and wav(t h) = wav(t) h for a constant
+  point h of the group.
+
+U_4 at q = 2 averages through the universal polynomial and the other
+classes by the pass loop, so every law is checked on both paths.
 
 They use the fixed settings of `test_properties`, so every run checks the
 same examples."""
@@ -25,6 +31,7 @@ from unipavg import (
     WeightSeq,
     act_permutation,
     apply_hom,
+    embed_simplex,
     full_unipotent_span,
     lower_central_series,
     permute_coordinates,
@@ -99,3 +106,23 @@ def test_wav_commutes_with_lie_homs(hom, q, data):
     t = data.draw(tuples(hom.source, q))
     images = SectionTuple(hom.target, [apply_hom(hom, point) for point in t.sections])
     assert apply_hom(hom, wav(t)) == wav(images)
+
+
+@pytest.mark.parametrize("span, q", CLASSES)
+@SETTINGS
+@given(data=st.data())
+def test_wav_commutes_with_inversion(span, q, data):
+    t = data.draw(tuples(span, q))
+    inverses = SectionTuple(span, [point.inverse() for point in t.sections])
+    assert wav(inverses) == wav(t).inverse()
+
+
+@pytest.mark.parametrize("span, q", CLASSES)
+@SETTINGS
+@given(data=st.data())
+def test_wav_commutes_with_constant_translations(span, q, data):
+    t = data.draw(tuples(span, q))
+    h = data.draw(tuples(span, 0)).sections[0]
+    average, lifted = wav(t), embed_simplex(h, q)
+    assert wav(SectionTuple(span, [h * point for point in t.sections])) == lifted * average
+    assert wav(SectionTuple(span, [point * h for point in t.sections])) == average * lifted

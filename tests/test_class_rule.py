@@ -8,8 +8,9 @@ then after the pass every transition lies in Gamma_{3m}.  A tuple's
 pass computes one component exactly when q = 1 or 3m exceeds the
 nilpotency class c.  So pass k (the lift is pass 0) leaves every
 transition log in gamma_{3^(k+1)}, checked here by exact membership in the
-lower central series, and every pass is compared with the pass written out
-in full (`full_pass`).
+lower central series along `wav_by_passes` (`wav` itself takes no pass
+where it averages through the universal polynomial), and every pass is
+compared with the pass written out in full (`full_pass`).
 """
 
 import random
@@ -33,7 +34,7 @@ from unipavg import (
 )
 from unipavg import average as average_module
 from unipavg import nilpotent as nilpotent_module
-from unipavg.average import CoordinateTuple
+from unipavg.average import CoordinateTuple, wav_by_passes
 from unipavg.fixtures import heisenberg_span, sqrt2_field
 from helpers import rand_tuple
 from test_commuting_pass import full_pass, rand_poly, rand_simplex_tuple
@@ -112,7 +113,7 @@ def test_each_pass_leaves_transitions_in_gamma_3_to_the_k(monkeypatch, field):
         for q in (2, 3) if span.n < 7 else (2,):
             t = rand_tuple(rng, span, q, lo=-1, hi=1, max_den=2)
             passes = record_passes(monkeypatch)
-            got = wav(t)
+            got = wav_by_passes(t)
             monkeypatch.undo()
             assert got == passes[-1][1].sections[0], (name, q)
             check_lemma_b(passes, series, matrix_logs)
@@ -130,7 +131,7 @@ def test_coordinate_passes_on_every_u4_floor(monkeypatch, field):
             t = CoordinateTuple(floor.table, [[rand_poly(rng, const) for _ in range(floor.dim)]
                                               for _ in range(q + 1)], const)
             passes = record_passes(monkeypatch)
-            wav(t)
+            wav_by_passes(t)
             monkeypatch.undo()
             check_lemma_b(passes, series, lambda t: coordinate_logs(t, floor))
 

@@ -52,6 +52,7 @@ from unipavg import (
     wav,
     wsym,
 )
+from unipavg.average import wav_by_passes
 from unipavg.fixtures import (
     abelian3_span,
     heisenberg_span,
@@ -81,9 +82,10 @@ def wav_all_passes(t, d=None):
     return cur.sections[0]
 
 
-def count_wsym_calls(monkeypatch, t, **kwargs):
-    """Run wav and return (result, wsym calls, the lift's included), checking
-    that no call acts on a tuple that already agrees."""
+def count_wsym_calls(monkeypatch, t, average=wav, **kwargs):
+    """Run average (`wav`, or its pass loop `wav_by_passes`) and return
+    (result, wsym calls, the lift's included), checking that no call acts
+    on a tuple that already agrees."""
     calls = []
     real = average_module.wsym
 
@@ -92,7 +94,7 @@ def count_wsym_calls(monkeypatch, t, **kwargs):
         return real(tup)
 
     monkeypatch.setattr(average_module, "wsym", counting)
-    result = wav(t, **kwargs)
+    result = average(t, **kwargs)
     monkeypatch.undo()
     assert not any(calls), "wsym ran on a constant tuple"
     return result, len(calls)
@@ -134,7 +136,7 @@ def test_wav_matches_all_passes_on_subgroups_and_quotients(monkeypatch):
 
 def test_witness_still_takes_its_second_pass(monkeypatch):
     t = strictness_witness()
-    fast, calls = count_wsym_calls(monkeypatch, t)
+    fast, calls = count_wsym_calls(monkeypatch, t, average=wav_by_passes)
     assert calls == 2          # the lift, then one pass
     assert fast == wav_all_passes(t)
 
@@ -218,8 +220,8 @@ def test_the_override_check_builds_the_derived_series_once(monkeypatch):
                                      (lambda: full_unipotent_span(5, QQ), 3)],
                          ids=["abelian", "heisenberg", "U4", "U5"])
 def test_a_tuple_that_never_agrees_fails_after_d_passes(monkeypatch, group, d):
-    # a pass that changes nothing keeps the tuple disagreeing, so wav runs
-    # out of passes: the lift, then d passes, with d in the message
+    # a pass that changes nothing keeps the tuple disagreeing, so the pass
+    # loop runs out of passes: the lift, then d passes, with d in the message
     rng = random.Random(607)
     span = group()
     t = rand_tuple(rng, span, 2)
@@ -236,13 +238,13 @@ def test_a_tuple_that_never_agrees_fails_after_d_passes(monkeypatch, group, d):
     monkeypatch.setattr(nilpotent_module.LieTable, "derived_length_exceeds", more)
     with pytest.raises(NonConstantError,
                        match=r"^tuple components still disagree after %d passes$" % d):
-        wav(t)
+        wav_by_passes(t)
     assert calls == list(range(d + 1))
     # only a question about a third pass builds the series, once
     assert len(builds) == (1 if d >= 2 else 0)
     assert span.table.derived_length == d
     with pytest.raises(NonConstantError, match="after %d passes" % (d + 2)):
-        wav(t, d_override=d + 2)
+        wav_by_passes(t, d_override=d + 2)
 
 
 def log_calls_from_operator_tuples(monkeypatch, t, checked=False):

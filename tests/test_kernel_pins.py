@@ -119,16 +119,28 @@ def test_output_bytes_are_pinned(tmp_path, capsys, name):
     assert digest == PINNED[name]
 
 
-# sum_of_products calls per wav on one tuple of each wav-symbolic benchmark
-# class (n, q), drawn as the benchmark draws them; before the unit product,
-# the back-substitution inverse and the lone terms times 1 they were 247,
-# 352, 279 and 425
+# sum_of_products calls per average on one tuple of each wav-symbolic
+# benchmark class (n, q), drawn as the benchmark draws them: by the pass
+# loop, which before the unit product, the back-substitution inverse and the
+# lone terms times 1 made 247, 352, 279 and 425, and by `wav`, through the
+# universal polynomial once it is built
 KERNEL_CALLS = {(4, 3): 154, (4, 4): 219, (5, 2): 197, (5, 3): 291}
+UNIVERSAL_KERNEL_CALLS = {(4, 3): 82, (4, 4): 125, (5, 2): 118, (5, 3): 153}
 
 
-def test_kernel_calls_per_wav_are_pinned(monkeypatch):
-    from unipavg import average, exactring, nilpotent, wav
+def benchmark_tuples():
     from unipavg.fixtures import point_from_coordinates
+
+    rng = random.Random(1812)
+    for n, q in KERNEL_CALLS:
+        span = full_unipotent_span(n, QQ)
+        yield (n, q), SectionTuple(span, [point_from_coordinates(span, [
+            Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+            for _ in range(span.dim)]) for _ in range(q + 1)])
+
+
+def count_kernel_calls(monkeypatch, average, t):
+    from unipavg import average as average_module, exactring, nilpotent
 
     calls = []
     original = exactring.sum_of_products
@@ -137,14 +149,25 @@ def test_kernel_calls_per_wav_are_pinned(monkeypatch):
         calls.append(len(pairs))
         return original(ring, pairs)
 
-    for module in (exactring, nilpotent, average):
+    for module in (exactring, nilpotent, average_module):
         monkeypatch.setattr(module, "sum_of_products", counting)
-    rng = random.Random(1812)
-    for (n, q), want in KERNEL_CALLS.items():
-        span = full_unipotent_span(n, QQ)
-        t = SectionTuple(span, [point_from_coordinates(span, [
-            Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
-            for _ in range(span.dim)]) for _ in range(q + 1)])
-        calls.clear()
-        wav(t)
-        assert len(calls) == want, (n, q)
+    try:
+        average(t)
+    finally:
+        monkeypatch.undo()
+    return len(calls)
+
+
+def test_kernel_calls_per_wav_are_pinned(monkeypatch):
+    from unipavg.average import wav_by_passes
+
+    for key, t in benchmark_tuples():
+        assert count_kernel_calls(monkeypatch, wav_by_passes, t) == KERNEL_CALLS[key], key
+
+
+def test_kernel_calls_per_universal_wav_are_pinned(monkeypatch):
+    from unipavg import wav
+
+    for key, t in benchmark_tuples():
+        wav(t)          # builds the universal polynomial on first use
+        assert count_kernel_calls(monkeypatch, wav, t) == UNIVERSAL_KERNEL_CALLS[key], key

@@ -1,12 +1,15 @@
-"""The symmetric lift: one component per orbit of a tuple's symmetry.
+"""Galois orbits: the symmetry of their passes, their averages through
+the universal polynomial, and their rational points.
 
 If a coefficient automorphism sigma and a permutation pi of the indices
-satisfy sigma(f_i) = f_{pi(i)}, then tau = P_pi o sigma, with P_pi the
-substitution t_j -> t_{pi(j)}, commutes with every step of a pass, so
-tau(f'_i) = f'_{pi(i)}.  `wsym` then computes a component only for an index
-that no symmetry reaches from one computed before it, and fills the rest
-with tau.  Every case here is compared, component by component, with the
-same tuple without its symmetry, and `rational_point` with plain
+satisfy sigma(f_i) = f_{pi(i)}, as each Galois generator does on an orbit,
+then tau = P_pi o sigma, with P_pi the substitution t_j -> t_{pi(j)},
+commutes with every step of a pass, so tau(f'_i) = f'_{pi(i)}; this is what
+makes the uniform average of an orbit Galois invariant.  Each orbit below
+(conjugate pairs over Q(sqrt2), a cyclic cubic orbit in order and shuffled,
+with repeated points and with points over Q) checks that fact on every
+pass, compares `wav` (through the universal polynomial where it applies)
+with the pass loop, and compares `rational_point` with plain
 `wav_at_weights` followed by descent to Q.
 """
 
@@ -18,18 +21,19 @@ from unipavg import (
     QQ,
     GaloisAction,
     GaloisOrbit,
-    InputError,
     SectionTuple,
     WeightSeq,
     embed_simplex,
     full_unipotent_span,
     lift_w,
+    permute_coordinates,
     rational_point,
     wav,
     wav_at_weights,
     wsym,
 )
 from unipavg import average as average_module
+from unipavg.average import wav_by_passes
 from unipavg.fixtures import cubic_field, point_from_coordinates, sqrt2_field
 from helpers import rand_scalar
 from test_commuting_pass import full_pass
@@ -59,7 +63,8 @@ def conjugates(z, sigma, count):
 
 
 def orbit_cases():
-    """(name, orbit) for each shape of symmetry the lift meets."""
+    """(name, orbit) for each shape of orbit: how the generators permute
+    the indices, in order, shuffled, with repeats and with fixed points."""
     rng = random.Random(1301)
     cases = []
     for n, q in ((5, 1), (4, 3)):
@@ -90,63 +95,79 @@ CASES = orbit_cases()
 IDS = [name for name, _ in CASES]
 
 
-def tuples(orbit):
-    plain = SectionTuple(orbit.group, orbit.points)
-    symmetric = SectionTuple(orbit.group, orbit.points, symmetry=orbit.symmetry)
-    return plain, symmetric
+def generator_permutations(orbit):
+    """(sigma, perm) for each Galois generator, with sigma(z_i) = z_{perm[i]}:
+    the permutation whose existence the orbit's closure check verifies."""
+    out = []
+    for sigma in orbit.action.generators:
+        remaining = list(range(orbit.q + 1))
+        perm = []
+        for z in orbit.points:
+            moved = z.map_entries(sigma, z.ring)
+            perm.append(remaining.pop(next(k for k, w in enumerate(remaining)
+                                           if orbit.points[w] == moved)))
+        out.append((sigma, tuple(perm)))
+    return out
 
 
-def orbit_count(orbit):
-    """The number of orbits of the permutations on the indices."""
-    parent = list(range(orbit.q + 1))
-
-    def root(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for _, perm in orbit.symmetry:
-        for i, j in enumerate(perm):
-            parent[root(i)] = root(j)
-    return len({root(i) for i in range(orbit.q + 1)})
+def conjugate(f, sigma, perm):
+    """tau(f) = P_perm(sigma(f)) for a matrix f over a q-simplex ring."""
+    return f.map_entries(lambda e: permute_coordinates(sigma(e), perm), f.ring)
 
 
-def count_exps(monkeypatch, fn, *args):
-    calls = []
-    real = average_module.exp_nilpotent
-    monkeypatch.setattr(average_module, "exp_nilpotent", lambda x: calls.append(1) or real(x))
-    try:
-        return fn(*args), len(calls)
-    finally:
-        monkeypatch.undo()
+def through_symmetry(t, symmetry):
+    """The components of t computed only for the indices that no tau
+    reaches from one computed before them, the rest as tau-images: what a
+    pass would give if it used the symmetry."""
+    out = [None] * (t.q + 1)
+    for i in range(t.q + 1):
+        if out[i] is None:
+            out[i] = t.sections[i]
+            reached = [i]
+            while reached:
+                k = reached.pop()
+                for sigma, perm in symmetry:
+                    if out[perm[k]] is None:
+                        out[perm[k]] = conjugate(out[k], sigma, perm)
+                        reached.append(perm[k])
+    return out
 
 
 @pytest.mark.parametrize("name,orbit", CASES, ids=IDS)
 def test_the_orbit_records_each_generators_permutation(name, orbit):
-    for sigma, perm in orbit.symmetry:
+    # the closure check accepted the orbit, so each generator permutes it
+    for sigma, perm in generator_permutations(orbit):
         assert sorted(perm) == list(range(orbit.q + 1))
         for i, z in enumerate(orbit.points):
             assert z.map_entries(sigma, z.ring) == orbit.points[perm[i]]
 
 
 @pytest.mark.parametrize("name,orbit", CASES, ids=IDS)
-def test_every_pass_matches_the_tuple_without_its_symmetry(monkeypatch, name, orbit):
-    plain, symmetric = tuples(orbit)
-    want, plain_exps = count_exps(monkeypatch, lift_w, plain)
-    got, exps = count_exps(monkeypatch, lift_w, symmetric)
-    assert got.symmetry == symmetric.symmetry
-    assert got.depth == want.depth
-    for i, (a, b) in enumerate(zip(got.sections, want.sections)):
-        assert a == b, "lift component %d differs" % i
-    if orbit.q > 1:
-        # the lift takes every component: one exp per orbit of the indices
-        assert plain_exps == orbit.q + 1
-        assert exps == orbit_count(orbit)
-    while not want.is_constant_tuple():
-        want, got = wsym(want), wsym(got)
-        assert list(got.sections) == list(want.sections)
-    assert got.is_constant_tuple()
-    assert wav(symmetric) == wav(plain)
+def test_every_pass_matches_the_tuple_without_its_symmetry(name, orbit):
+    """Each pass of the pass loop, the lift included, equals its components
+    rebuilt from the ones no symmetry reaches, so tau(f'_i) = f'_{pi(i)}."""
+    symmetry = generator_permutations(orbit)
+    cur = lift_w(SectionTuple(orbit.group, orbit.points))
+    while True:
+        assert through_symmetry(cur, symmetry) == list(cur.sections)
+        if cur.is_constant_tuple():
+            break
+        cur = wsym(cur)
+    assert wav(SectionTuple(orbit.group, orbit.points)) == cur.sections[0]
+
+
+@pytest.mark.parametrize("name,orbit", CASES, ids=IDS)
+def test_an_orbits_universal_average_matches_the_pass_loop(monkeypatch, name, orbit):
+    t = SectionTuple(orbit.group, orbit.points)
+    want = wav_by_passes(t)
+    wav(t)          # builds the universal polynomial on first use
+    calls = []
+    real = average_module.wsym
+    monkeypatch.setattr(average_module, "wsym", lambda tup: calls.append(1) or real(tup))
+    assert wav(t) == want
+    # q >= 2 on U_4 (class 3) and U_5 (class 4) averages through Phi_{3,q},
+    # q <= 4; q = 1 and the q = 5 orbit take the pass loop
+    assert (calls == []) == (2 <= orbit.q <= 4)
 
 
 @pytest.mark.parametrize("name,orbit", CASES, ids=IDS)
@@ -164,38 +185,17 @@ def test_rational_point_matches_plain_wav_at_weights(name, orbit):
 
 @pytest.mark.parametrize("name,orbit", [c for c in CASES if c[1].q > 1],
                          ids=[name for name, orbit in CASES if orbit.q > 1])
-def test_a_symmetric_pass_over_the_simplex_matches_the_full_pass(monkeypatch, name, orbit):
+def test_a_symmetric_pass_over_the_simplex_matches_the_full_pass(name, orbit):
     """h_i = f'_i f_i, with f' the lift, satisfies tau(h_i) = h_{pi(i)} with
     the substitution t_j -> t_{pi(j)} at work, and its transitions are as
-    generic as the points', so its pass computes every component."""
+    generic as the points', so its pass computes every component, and they
+    keep the symmetry."""
     lifted = lift_w(SectionTuple(orbit.group, orbit.points))
     h = [a * embed_simplex(z, orbit.q) for a, z in zip(lifted.sections, orbit.points)]
-    fresh = SectionTuple(orbit.group, h, symmetry=orbit.symmetry)
+    fresh = SectionTuple(orbit.group, h)
+    symmetry = generator_permutations(orbit)
+    assert through_symmetry(fresh, symmetry) == h
     assert fresh.depth == 1 and 3 <= fresh.table.nilpotency_class
-    got, exps = count_exps(monkeypatch, wsym, fresh)
-    assert exps == orbit_count(orbit)
+    got = wsym(fresh)
     assert list(got.sections) == full_pass(fresh)
-
-
-def test_a_tuple_with_q_below_2_keeps_no_symmetry():
-    # its passes compute one component, so the symmetry would save nothing
-    name, orbit = CASES[0]
-    assert orbit.q == 1 and orbit.symmetry
-    assert SectionTuple(orbit.group, orbit.points, symmetry=orbit.symmetry).symmetry == ()
-
-
-def test_a_wrong_symmetry_is_refused():
-    name, orbit = next(c for c in CASES if c[0] == "cubic-q2")
-    sigma, perm = orbit.symmetry[0]
-    inverse = tuple(perm.index(i) for i in range(3))
-    bad = [((sigma, inverse), "does not send section 0 to section %d" % inverse[0]),
-           ((sigma, (0, 1)), "needs a permutation of 0..2"),
-           ((sigma, (0, 0, 1)), "needs a permutation of 0..2"),
-           ((sqrt2_action().generators[0], perm), "needs an automorphism"),
-           ((None, perm), "needs an automorphism")]
-    for pair, message in bad:
-        with pytest.raises(InputError, match=message):
-            SectionTuple(orbit.group, orbit.points, symmetry=[pair])
-    # the same pair is trusted when the caller skips the checks
-    trusted = SectionTuple(orbit.group, orbit.points, check=False, symmetry=[bad[0][0]])
-    assert trusted.symmetry == (bad[0][0],)
+    assert through_symmetry(got, symmetry) == list(got.sections)
