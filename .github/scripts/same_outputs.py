@@ -16,10 +16,14 @@ The workloads write no number-field polynomial and leave some subcommands
 out, so `cli_jobs` also writes, once with HEAD's package, the inputs of a
 fixed list of CLI jobs built from `unipavg.fixtures`: wav, with and
 without --weights, over Q and Q(sqrt2), wsym, exp, log, bch, figure-data,
-galois on two U_4 orbits whose lift computes one component per orbit of
-the generator's permutation (two conjugate pairs over Q(sqrt2), where the
-second pair is not reached from the first, and a cyclic cubic orbit in
-shuffled order), wav on both sides of the universal-polynomial dispatch
+galois on five orbits, on both sides of the pointwise average's dispatch
+(two conjugate pairs on U_4 over Q(sqrt2), where the second pair is not
+reached from the first, and a cyclic cubic orbit on U_4 in shuffled order,
+both through a cached universal polynomial; two conjugate pairs on the
+Heisenberg group over Q(sqrt2) at q = 3 and one pair on U_6 over Q(sqrt2)
+at q = 1, both through the linear one; and two cubic orbits on U_4 at
+q = 5, above the bound, averaged symbolically and then evaluated), wav on
+both sides of the universal-polynomial dispatch
 (U_6 over Q at q = 2, through Phi_{5,2}; U_5 over Q at q = 3 with
 --iterations 4, through Phi_{3,3}; a non-full class-3 subgroup of U_5 over
 Q(sqrt2) at q = 3, through Phi_{3,3}; and U_6 over Q at q = 3, whose
@@ -142,24 +146,37 @@ def cli_jobs(tree, work):
              ["bch", "--input", dump("bch.json", dict(field, a=serialize.matrix_to_json(a),
                                                       b=serialize.matrix_to_json(b)))],
              ["figure-data", "--input", str(Path(work) / "pair.json"), "--resolution", "3"]]
-    # galois on U_4, where the lift computes every component that no
-    # generator's permutation reaches: two conjugate pairs over Q(sqrt2),
-    # and the cyclic cubic orbit z, s(z), s(s(z)) listed as s(s(z)), z, s(z)
+    # galois orbits, each point followed by its conjugates: on U_4, two
+    # conjugate pairs over Q(sqrt2) (q = 3, through Phi_{3,3}) and the
+    # cyclic cubic orbit z, s(z), s(s(z)) listed as s(s(z)), z, s(z) (q = 2,
+    # through Phi_{3,2}); on the Heisenberg group, two conjugate pairs over
+    # Q(sqrt2) (q = 3, class 2, so Phi is linear); on U_6, one conjugate
+    # pair over Q(sqrt2) (q = 1, linear Phi); and on U_4, two cubic orbits
+    # (q = 5, whose Phi_{3,5} lies above the bound, so the average is built
+    # symbolically and then evaluated)
     cubic = cubic_field()
     theta = cubic.gen
-    for name, action, coords, count, order in (
-            ("pairs", GaloisAction(sqrt2, [[0, -1]]),
+    conjugate_pairs = GaloisAction(sqrt2, [[0, -1]])
+    cyclic = GaloisAction(cubic, [theta * theta - 2])
+    for name, action, group, coords, count, order in (
+            ("pairs", conjugate_pairs, full_unipotent_span(4, sqrt2),
              [[[1, 1], [0, 2], [half, -1], 0, [1, 0], [0, 1]],
               [[-2, half], 1, [0, 3], [1, 1], 0, [3, 1]]], 2, [0, 1, 2, 3]),
-            ("cubic", GaloisAction(cubic, [theta * theta - 2]),
-             [[theta, 1, theta * theta - theta, -2, half, theta + 1]], 3, [2, 0, 1])):
-        u4 = full_unipotent_span(4, action.field)
+            ("cubic", cyclic, full_unipotent_span(4, cubic),
+             [[theta, 1, theta * theta - theta, -2, half, theta + 1]], 3, [2, 0, 1]),
+            ("heisenberg-pairs", conjugate_pairs, heisenberg_span(sqrt2),
+             [[[1, -1], [half, 2], [0, 1]], [[2, 0], [-1, half], [3, -2]]], 2, [0, 1, 2, 3]),
+            ("u6-pair", conjugate_pairs, full_unipotent_span(6, sqrt2),
+             [[[(k % 3) - 1, half * (k % 2)] for k in range(15)]], 2, [0, 1]),
+            ("cubic-two-orbits", cyclic, full_unipotent_span(4, cubic),
+             [[theta, 1, theta * theta - theta, -2, half, theta + 1],
+              [1, -theta, 0, theta * theta, 2, -half]], 3, [0, 1, 2, 3, 4, 5])):
         points = []
         for c in coords:
-            points.append(point_from_coordinates(u4, c))
+            points.append(point_from_coordinates(group, c))
             while len(points) % count:
-                points.append(points[-1].map_entries(action.generators[0], u4.ring))
-        orbit = GaloisOrbit(u4, action, [points[k] for k in order])
+                points.append(points[-1].map_entries(action.generators[0], group.ring))
+        orbit = GaloisOrbit(group, action, [points[k] for k in order])
         jobs.append(["galois", "--input", dump("galois-%s.json" % name,
                                                serialize.orbit_to_json(orbit))])
     # wav through the universal polynomial Phi_{c',q} and, above its bound,

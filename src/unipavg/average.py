@@ -67,6 +67,15 @@ and one product, where the lift alone takes q + 1 exps.  Every other tuple
 (q <= 1, class <= 2, constant, or Phi above the bound) takes the pass
 loop.
 
+The average at a point.  Evaluation at weights w commutes with every
+step, so wav(f)(w) = exp(Phi_{c,q}(w; L_1, ..., L_q)) f_0.
+`wav_at_weights` evaluates each coefficient of Phi at w in the points'
+field and computes the rest on constant matrices, with the same bracket
+walk as `wav`: Phi = sum_j t_j e_j when q = 1 or the class is <= 2
+(Lemma A), the cached Phi_{c',q} where `wav` takes it, and f_0 itself
+when q = 0.  Every other tuple, and points with parameters, are averaged
+symbolically and then evaluated.
+
 The operators are written once over a group law (product, inverse, log,
 exp, the algebra's linear operations and the linear-pass test).  A
 `SectionTuple` holds unit upper triangular matrices under the matrix
@@ -516,10 +525,12 @@ def _admits(c, q):
         <= MAX_UNIVERSAL_DIM
 
 
-def _through_universal(t, terms):
+def _through_universal(t, terms, coefficient, place):
     """exp(Phi(L_1, ..., L_q)) f_0 for L_j = log(f_j f_0^{-1}): each Lyndon
-    word's standard bracketing of the L_j, one bracket per word reached,
-    is embedded on the q-simplex and weighted by its coefficient."""
+    word's standard bracketing of the L_j, one bracket per word reached, is
+    put in place by `place` and weighted by `coefficient` of its Q[t]
+    coefficient, and f_0 is put in place too.  The symbolic average places
+    them on the q-simplex; a point evaluates the coefficients instead."""
     law, f, q = t.law, t.sections, t.q
     inverse = law.inverse(f[0])
     brackets = {(j,): law.log(law.mul(f[j + 1], inverse)) for j in range(q)}
@@ -531,10 +542,9 @@ def _through_universal(t, terms):
             got = brackets[word] = law.bracket(bracketed(u), bracketed(v))
         return got
 
-    ring = PolyRing(t.ring.field, q, t.ring.params)
-    s = law.combine([law.embed(bracketed(w), q) for w, _ in terms],
-                    [extend_scalars(x, ring) for _, x in terms])
-    return law.mul(law.exp(s), law.embed(f[0], q))
+    s = law.combine([place(bracketed(w)) for w, _ in terms],
+                    [coefficient(x) for _, x in terms])
+    return law.mul(law.exp(s), place(f[0]))
 
 
 def wav(t, d_override=None):
@@ -546,7 +556,10 @@ def wav(t, d_override=None):
     terms = _universal_terms(t)
     if terms is None:
         return _passes(t, more)
-    return _through_universal(t, terms)
+    law, q = t.law, t.q
+    ring = PolyRing(t.ring.field, q, t.ring.params)
+    return _through_universal(t, terms, lambda x: extend_scalars(x, ring),
+                              lambda g: law.embed(g, q))
 
 
 def act_simplex_map(t: SectionTuple, alpha: SimplexMap) -> SectionTuple:
@@ -581,8 +594,11 @@ def act_permutation(t: SectionTuple, perm) -> SectionTuple:
 
 
 def wav_at_weights(points, weights: WeightSeq, group=None) -> UniMatrix:
-    """The weighted average point of q+1 constant group elements: evaluate
-    the averaged section at the given weights."""
+    """The weighted average point of q+1 constant group elements, wav(f)(w).
+    Evaluation at w commutes with every step, so where Phi is known (see
+    `_pointwise_terms`) this is exp(Phi(w; L_1, ..., L_q)) f_0, computed
+    on constant matrices once each coefficient of Phi is evaluated at w;
+    otherwise the averaged section is built and evaluated at w."""
     points = list(points)
     if not points:
         raise InputError("need at least one point")
@@ -595,7 +611,29 @@ def wav_at_weights(points, weights: WeightSeq, group=None) -> UniMatrix:
                          % (len(weights), len(points)))
     if weights.field is not field:
         raise RingMismatch("weights and points use different fields")
-    return eval_matrix_at_weights(wav(SectionTuple(group, points)), weights)
+    t = SectionTuple(group, points)
+    if t.q == 0:
+        return t.sections[0]
+    terms = _pointwise_terms(t)
+    if terms is None:
+        return eval_matrix_at_weights(wav(t), weights)
+    ring, values = PolyRing(field, t.q), weights.values
+    return _through_universal(
+        t, terms, lambda x: t.ring.constant(eval_at_weights(extend_scalars(x, ring), values)),
+        lambda g: g)
+
+
+def _pointwise_terms(t):
+    """Phi's terms for a tuple of points: sum_j t_j e_j when q = 1 or the
+    class is at most 2 (Lemma A), else Phi_{c',q} where `wav` takes it.
+    None for points over a simplex ring or with parameters, and where Phi
+    is not known; those are averaged symbolically and then evaluated."""
+    if t.r or t.ring.params:
+        return None
+    if t.q == 1 or t.table.nilpotency_class <= 2:
+        ring = PolyRing(QQ, t.q)
+        return [((j,), ring.coordinate(j + 1)) for j in range(t.q)]
+    return _universal_terms(t)
 
 
 def eval_matrix_at_weights(mat, weights: WeightSeq):

@@ -4,7 +4,11 @@ An orbit of torsor points over a field extension, closed under the Galois
 generators, is averaged with the uniform weight sequence.  The permutation
 symmetry of the average together with the rationality of the weights
 forces the result to be fixed by the Galois action, hence to have rational
-entries; both facts are asserted structurally, never numerically.
+entries; both facts are asserted structurally, never numerically.  The
+average is taken at the uniform weights w by `wav_at_weights`: where the
+universal polynomial Phi is known (q = 1, class <= 2, or within its
+bound) it is exp(Phi(w; L_1, ..., L_q)) f_0, computed on constant
+matrices, and no symbolic average is built.
 """
 
 from __future__ import annotations

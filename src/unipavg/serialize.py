@@ -117,6 +117,23 @@ def _scalar_numerators(field: ScalarField, obj):
     return den, tuple([num * (den // d) for num, d in lits])
 
 
+def _exact_coords(coords):
+    """A coords list of exact ints and two-key num/den objects of exact
+    ints with den > 0, as `_scalar_numerators` reads it, or None when any
+    item has another shape."""
+    lits = []
+    for c in coords:
+        if type(c) is int:
+            lits.append((c, 1))
+        elif (type(c) is dict and len(c) == 2 and type(num := c.get("num")) is int
+              and type(den := c.get("den")) is int and den > 0):
+            lits.append((num, den))
+        else:
+            return None
+    den = math.lcm(*[d for _, d in lits])
+    return den, tuple([num * (den // d) for num, d in lits])
+
+
 def scalar_from_json(field: ScalarField, obj) -> ScalarValue:
     return _canonical_scalar(field, *_scalar_numerators(field, obj))
 
@@ -140,9 +157,11 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
     Coefficients are read as integer literals and put over their least
     common denominator, so the canonical form takes one gcd reduction.  The
     common literals, an int or a two-key num/den object of exact ints with
-    den > 0, are read inline; `_scalar_numerators` reads every other shape,
-    with the same values and messages.  An exponent list of the ring's
-    length becomes its key through `exactring._pack`, which takes only
+    den > 0, are read inline, and so is a one-key {"coords": [...]} object
+    of field.degree such literals (`_exact_coords`); `_scalar_numerators`
+    reads every other shape, with the same values and messages.  An
+    exponent list of the ring's length becomes its key through
+    `exactring._pack`, which takes only
     integers (booleans among them) in 0..MAX_DEGREE summing to at most
     MAX_DEGREE; any other list is checked again, element by element, for
     the message of the check it fails.  Types are tested inline; `_expect`
@@ -174,7 +193,8 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
     terms = []              # (key, numerators, their denominator) per term
     den = 1                 # the lcm of the terms' denominators
     nvars = ring.nvars
-    zeros = (0,) * (field.degree - 1)     # a number's other coordinates
+    degree = field.degree
+    zeros = (0,) * (degree - 1)           # a number's other coordinates
     negative = None         # the first exponent vector with a negative entry
     high = None             # the first one of total degree above MAX_DEGREE
     for term in doc_terms:
@@ -202,6 +222,9 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
         elif (type(coef) is dict and len(coef) == 2 and type(num := coef.get("num")) is int
               and type(d := coef.get("den")) is int and d > 0):
             vec = (num, *zeros)
+        elif (type(coef) is dict and len(coef) == 1 and type(coords := coef.get("coords")) is list
+              and len(coords) == degree and (read := _exact_coords(coords)) is not None):
+            d, vec = read
         else:
             d, vec = _scalar_numerators(field, coef)
         if d != den:

@@ -171,3 +171,52 @@ def test_kernel_calls_per_universal_wav_are_pinned(monkeypatch):
     for key, t in benchmark_tuples():
         wav(t)          # builds the universal polynomial on first use
         assert count_kernel_calls(monkeypatch, wav, t) == UNIVERSAL_KERNEL_CALLS[key], key
+
+
+# kernel calls of one `rational_point`, on an orbit of each galois-descent
+# benchmark class, through the pointwise average: one inverse (f_0^{-1}), q
+# logs, one exp and one `eval_at_weights` per term of Phi (sum_j t_j e_j at
+# q = 1, the four terms of Phi_{3,2} at q = 2); the averaged section is
+# never built, so `eval_matrix_at_weights` is not reached
+POINTWISE_CALLS = {
+    "sqrt2-n5-q1": {"inverse": 1, "log": 1, "exp": 1, "eval": 1, "eval_matrix": 0},
+    "cubic-n4-q2": {"inverse": 1, "log": 2, "exp": 1, "eval": 4, "eval_matrix": 0},
+}
+
+
+def benchmark_orbits():
+    from unipavg import GaloisOrbit
+    from test_symmetric_lift import conjugates, cubic_action, rand_point, sqrt2_action
+
+    rng = random.Random(1813)
+    for name, action, n, q in (("sqrt2-n5-q1", sqrt2_action(), 5, 1),
+                               ("cubic-n4-q2", cubic_action(), 4, 2)):
+        span = full_unipotent_span(n, action.field)
+        points = conjugates(rand_point(rng, span), action.generators[0], q + 1)
+        yield name, GaloisOrbit(span, action, points)
+
+
+def test_pointwise_kernel_calls_per_rational_point_are_pinned(monkeypatch):
+    from unipavg import UniMatrix, average as average_module, rational_point
+
+    for name, orbit in benchmark_orbits():
+        rational_point(orbit)       # builds the universal polynomial on first use
+        calls = dict.fromkeys(POINTWISE_CALLS[name], 0)
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        for key, owner, attr in (("inverse", UniMatrix, "inverse"),
+                                 ("log", average_module, "log_unipotent"),
+                                 ("exp", average_module, "exp_nilpotent"),
+                                 ("eval", average_module, "eval_at_weights"),
+                                 ("eval_matrix", average_module, "eval_matrix_at_weights")):
+            monkeypatch.setattr(owner, attr, counting(key, getattr(owner, attr)))
+        try:
+            rational_point(orbit)
+        finally:
+            monkeypatch.undo()
+        assert calls == POINTWISE_CALLS[name], name

@@ -294,6 +294,75 @@ def test_scalar_and_fraction_readers_match_the_old_ones(obj):
                                                                     field, doc)
 
 
+# a coords item the inline coords reader leaves to the general one:
+# booleans, floats, strings, nulls, lists, zero, negative and non-integer
+# denominators, and missing or extra keys
+HOSTILE_ITEMS = [True, False, 1.0, -0.5, "1", None, [1], {"num": 1, "den": 0},
+                 {"num": 3, "den": -2}, {"num": -1, "den": -1}, {"num": True, "den": 2},
+                 {"num": 1, "den": True}, {"num": 1, "den": False}, {"num": 1, "den": 2.0},
+                 {"num": 1.0, "den": 2}, {"num": 1}, {"den": 3}, {},
+                 {"num": 1, "den": 2, "x": 0}]
+
+
+def hostile_coefs(field):
+    """Coefficients with one hostile item at each place of a good coords
+    list, good lists of every wrong length, an extra key beside a good
+    list, and coords that are not a list."""
+    good = [{"num": k - 1, "den": k + 1} for k in range(field.degree)]
+    out = [{"coords": good[:k] + [item] + good[k + 1:]}
+           for item in HOSTILE_ITEMS for k in range(field.degree)]
+    out += [{"coords": good[:k]} for k in range(field.degree)]
+    out += [{"coords": good + [1]}, {"coords": good + good},
+            {"coords": good, "x": 1}, {"coords": good, "num": 5},
+            {"coords": tuple(good)}, {"coords": 3}, {"coords": None}, {"coords": {}}]
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(sqrt2)", "cubic"])
+def test_hostile_coords_match_the_old_reader(field):
+    for coef in hostile_coefs(field):
+        for terms in ([{"exp": [1], "coef": coef}],
+                      [{"exp": [0], "coef": {"coords": [1] * field.degree}},
+                       {"exp": [1], "coef": coef}]):
+            doc = {"q": 1, "terms": terms}
+            assert_same_outcome(outcome(poly_from_json, field, doc),
+                                outcome(old_poly_from_json, field, doc))
+
+
+@pytest.mark.parametrize("item, kind, message", [
+    (True, FormatError, "booleans are not numbers"),
+    (1.5, FormatError, "expected an integer or a num/den object"),
+    ({"num": 1, "den": 0}, FormatError, "zero denominator"),
+    ({"num": 1, "den": 2.0}, FormatError, "expected int for den, got float"),
+    ({"num": 1, "den": 2, "x": 0}, FormatError, "expected an integer or a num/den object"),
+])
+def test_hostile_coords_keep_their_class_and_message(item, kind, message):
+    field = cubic_field()
+    doc = {"q": 0, "terms": [{"exp": [], "coef": {"coords": [1, item, {"num": 1, "den": 2}]}}]}
+    with pytest.raises(kind) as info:
+        poly_from_json(field, doc)
+    assert type(info.value) is kind and str(info.value) == message
+
+
+def test_coords_with_a_negative_or_boolean_denominator_read_as_the_old_reader():
+    field = sqrt2_field()
+    for coords, value in (([{"num": 3, "den": -2}, 1], [Fraction(-3, 2), 1]),
+                          ([{"num": 3, "den": True}, {"num": False, "den": 5}], [3, 0])):
+        doc = {"q": 0, "terms": [{"exp": [], "coef": {"coords": coords}}]}
+        got = poly_from_json(field, doc)
+        assert got == PolyRing(field, 0).constant(field.value(value))
+        assert_same_outcome(("value", got), outcome(old_poly_from_json, field, doc))
+
+
+def test_coords_of_the_wrong_length_keep_their_message():
+    for field in FIELDS:
+        for size in {0, field.degree - 1, field.degree + 1}:
+            doc = {"q": 0, "terms": [{"exp": [], "coef": {"coords": [1] * size}}]}
+            with pytest.raises(InputError) as info:
+                poly_from_json(field, doc)
+            assert str(info.value) == "expected %d coordinates, got %d" % (field.degree, size)
+
+
 # ---------------------------------------------------------------------------
 # malformed q, params and terms, with and without terms
 # ---------------------------------------------------------------------------
