@@ -22,7 +22,11 @@ reached from the first, and a cyclic cubic orbit on U_4 in shuffled order,
 both through a cached universal polynomial; two conjugate pairs on the
 Heisenberg group over Q(sqrt2) at q = 3 and one pair on U_6 over Q(sqrt2)
 at q = 1, both through the linear one; and two cubic orbits on U_4 at
-q = 5, above the bound, averaged symbolically and then evaluated), wav on
+q = 5, above the bound, averaged symbolically and then evaluated), exp,
+log and bch on constant U_4 matrices over Q[x]/(x^2 - 1/2) and galois on
+one conjugate pair (x -> -x) of U_4 points over that field, whose power
+table has the denominator 2, so the constant-matrix integer form carries
+it, wav on
 both sides of the universal-polynomial dispatch
 (U_6 over Q at q = 2, through Phi_{5,2}; U_5 over Q at q = 3 with
 --iterations 4, through Phi_{3,3}; a non-full class-3 subgroup of U_5 over
@@ -110,8 +114,8 @@ def cli_jobs(tree, work):
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
     from fractions import Fraction
     from unipavg import (QQ, FiniteCover, GaloisAction, GaloisOrbit, LieSpan, LocalSection,
-                         NilMatrix, PolyRing, SectionTuple, SimplexMap, UniMatrix, cli,
-                         embed_simplex, full_unipotent_span, serialize)
+                         NilMatrix, PolyRing, ScalarField, SectionTuple, SimplexMap, UniMatrix,
+                         cli, embed_simplex, full_unipotent_span, serialize)
     from unipavg.fixtures import (cover_local_sections, cubic_field, heisenberg_span,
                                   point_from_coordinates, six_point_cover, sqrt2_field,
                                   two_point_tuple)
@@ -179,6 +183,28 @@ def cli_jobs(tree, work):
         orbit = GaloisOrbit(group, action, [points[k] for k in order])
         jobs.append(["galois", "--input", dump("galois-%s.json" % name,
                                                serialize.orbit_to_json(orbit))])
+    # constant matrices over Q[x]/(x^2 - 1/2), whose power table has the
+    # denominator 2, so the integer form's products carry it: exp, log and
+    # bch on U_4, and the conjugate pair of a point under x -> -x (q = 1,
+    # linear Phi)
+    half_field = ScalarField.extension("x", (-half, 0, 1))
+    half_group = full_unipotent_span(4, half_field)
+    half_points = [point_from_coordinates(half_group, c) for c in (
+        [[1, half], [0, -2], [half, 1], [-1, 0], [2, -half], [0, 1]],
+        [[half, -1], [1, 1], [0, half], [-2, 1], [1, 0], [-half, 2]])]
+    half_doc = {"field": serialize.field_to_json(half_field)}
+    ha, hb = (log_unipotent(p) for p in half_points)
+    jobs += [["exp", "--input", dump("exp-half.json", dict(
+                 half_doc, matrix=serialize.matrix_to_json(ha)))],
+             ["log", "--input", dump("log-half.json", dict(
+                 half_doc, matrix=serialize.matrix_to_json(half_points[0])))],
+             ["bch", "--input", dump("bch-half.json", dict(
+                 half_doc, a=serialize.matrix_to_json(ha), b=serialize.matrix_to_json(hb)))]]
+    negate = GaloisAction(half_field, [[0, -1]])
+    half_pair = [half_points[1],
+                 half_points[1].map_entries(negate.generators[0], half_group.ring)]
+    jobs.append(["galois", "--input", dump("galois-half-pair.json", serialize.orbit_to_json(
+        GaloisOrbit(half_group, negate, half_pair)))])
     # wav through the universal polynomial Phi_{c',q} and, above its bound,
     # by the pass loop: full U_6 at q = 2 and q = 3, U_5 at q = 3 with an
     # iteration override, and over Q(sqrt2) the subgroup of U_5 spanned by

@@ -73,8 +73,9 @@ step, so wav(f)(w) = exp(Phi_{c,q}(w; L_1, ..., L_q)) f_0.
 field and computes the rest on constant matrices, with the same bracket
 walk as `wav`: Phi = sum_j t_j e_j when q = 1 or the class is <= 2
 (Lemma A), the cached Phi_{c',q} where `wav` takes it, and f_0 itself
-when q = 0.  Every other tuple, and points with parameters, are averaged
-symbolically and then evaluated.
+when q = 0.  Every other tuple is averaged symbolically and then
+evaluated, but points with parameters are refused first, since the
+weights give no parameter a value.
 
 The operators are written once over a group law (product, inverse, log,
 exp, the algebra's linear operations and the linear-pass test).  A
@@ -598,7 +599,9 @@ def wav_at_weights(points, weights: WeightSeq, group=None) -> UniMatrix:
     Evaluation at w commutes with every step, so where Phi is known (see
     `_pointwise_terms`) this is exp(Phi(w; L_1, ..., L_q)) f_0, computed
     on constant matrices once each coefficient of Phi is evaluated at w;
-    otherwise the averaged section is built and evaluated at w."""
+    otherwise the averaged section is built and evaluated at w.  Points
+    with parameters (q >= 1) raise "missing value for parameter" before
+    any averaging, as the evaluation would."""
     points = list(points)
     if not points:
         raise InputError("need at least one point")
@@ -614,6 +617,10 @@ def wav_at_weights(points, weights: WeightSeq, group=None) -> UniMatrix:
     t = SectionTuple(group, points)
     if t.q == 0:
         return t.sections[0]
+    if t.ring.params and not t.r:
+        # the average lies over the q-simplex times the parameters, and the
+        # weights give no parameter a value
+        raise InputError("missing value for parameter %r" % (t.ring.params[0],))
     terms = _pointwise_terms(t)
     if terms is None:
         return eval_matrix_at_weights(wav(t), weights)

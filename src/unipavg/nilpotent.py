@@ -13,6 +13,16 @@ combination is one fused sum of products (`exactring.sum_of_products`),
 put into canonical form once; an entry that is a single term times 1 is
 that term.
 
+A matrix over a ring with no variables (the points of an orbit, the
+transition logs and their brackets) computes in one integer form
+instead: one denominator for the whole matrix and field.degree integer
+numerators per entry, with the gcd taken out once per result.  Products,
+the inverse (there the series sum_k (-X)^k), exp, log, brackets,
+combinations with rational or constant coefficients, negation and
+equality read and write only that form; a matrix converts its rows in
+once, on first use, and a result builds its rows only when something
+reads them (serialization, `map_entries`, coordinates, `repr`).
+
 Spans (subalgebras given by a finite basis of constant matrices) keep
 their basis in one sparse reduced echelon store, with the transform back
 to the basis, so membership tests and coordinate solves work uniformly
@@ -44,7 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import InputError, MembershipError, RingMismatch
 from .exactring import (PolyRing, ScalarField, SimplexPoly, extend_to_simplex,
@@ -161,21 +171,212 @@ def _coerce_rows(ring, n, rows):
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# the integer form of a constant matrix
+# ---------------------------------------------------------------------------
+#
+# The strictly upper part of an n x n matrix over a ring with no variables,
+# as (den, planes): one positive denominator and field.degree lists of
+# integers indexed like `strict_upper`, plane p holding the x^p power-basis
+# numerator of every entry, so that entry k is the vector (planes[0][k],
+# ..., planes[d-1][k]) over den.  gcd(den, every numerator) = 1, so equal
+# matrices have equal forms.  A form is never changed once built.
+
+@cache
+def _upper_positions(n):
+    """The (i, j) position of each index of `strict_upper`, and the index
+    of each position."""
+    pos = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return pos, {p: k for k, p in enumerate(pos)}
+
+
+@cache
+def _upper_products(n):
+    """The terms of a strictly upper product by factor index: for each
+    index of a position (i, k) with k < n - 1, the (index of (i, j), index
+    of (k, j)) pairs over k < j < n."""
+    index = _upper_positions(n)[1]
+    return tuple((index[(i, k)], tuple((index[(i, j)], index[(k, j)])
+                                       for j in range(k + 1, n)))
+                 for i in range(n) for k in range(i + 1, n - 1))
+
+
+def _int_from_rows(rows, d):
+    """The integer form of constant rows.  Over the lcm of the canonical
+    entries' denominators the gcd is already 1."""
+    entries = [x for i, row in enumerate(rows) for x in row[i + 1:]]
+    den = lcm(*[x.den for x in entries if x.nums])
+    planes = [[0] * len(entries) for _ in range(d)]
+    for k, x in enumerate(entries):
+        if x.nums:
+            m = den // x.den
+            for plane, c in zip(planes, x.nums[0]):
+                plane[k] = c * m
+    return den, planes
+
+
+def _int_rows(ring, blank, form):
+    """blank with each strictly upper entry read from the integer form, as
+    a constant polynomial in canonical form."""
+    den, planes = form
+    vecs = iter(zip(*planes))
+    out = []
+    for i, head in enumerate(blank):
+        row = list(head)
+        for j in range(i + 1, len(blank)):
+            vec = next(vecs)
+            if any(vec):
+                g = gcd(den, *vec)
+                row[j] = SimplexPoly(ring, den // g,
+                                     {0: tuple([c // g for c in vec]) if g != 1 else vec})
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _int_acc(c, a, b, m, products):
+    """c += m a b in place, for strictly upper integer planes and the
+    `_upper_products` of their size: only nonzero a_ik and b_kj are
+    multiplied."""
+    for x, pairs in products:
+        u = a[x]
+        if u:
+            u *= m
+            for o, y in pairs:
+                v = b[y]
+                if v:
+                    c[o] += u * v
+
+
+def _int_reduce(field, conv):
+    """xden times the power-basis planes of sum_k conv[k] x^k, for 2d - 1
+    convolution planes: `ScalarField._reduce` applied at every index."""
+    d, xden = field.degree, field._xden
+    out = conv[:d] if xden == 1 else [[xden * v for v in plane] for plane in conv[:d]]
+    for high, row in zip(conv[d:], field._ixpow):
+        if any(high):
+            for i, r in enumerate(row):
+                if r:
+                    out[i] = [v + r * h for v, h in zip(out[i], high)]
+    return out
+
+
+def _int_sum(field, n, terms):
+    """sum_k m_k x_k y_k in integer form, over terms (x, y, den, m): x the
+    planes of a form, y another form's planes (a list) or the integer
+    numerator vector of a scalar (a tuple), den the pair's denominator and
+    m an integer.  As in
+    `exactring.sum_of_products`, every pair is scaled to the lcm of the
+    pair denominators, so the whole sum is one unreduced convolution per
+    entry, reduced modulo m(x) once (with `field._xden` in the
+    denominator), and the gcd is taken out once over the whole matrix.  A
+    sum whose convolution stops below x^d (over Q, or every y a rational
+    scalar) needs no reduction."""
+    d = field.degree
+    size = n * (n - 1) // 2
+    den = lcm(*[t[2] for t in terms])
+    width = max([len(x) + len(y) - 1 for x, y, _, _ in terms], default=1)
+    conv = [[0] * size for _ in range(2 * d - 1 if width > d else d)]
+    products = _upper_products(n)
+    for x, y, pden, mult in terms:
+        m = den // pden * mult
+        xs = [(p, xp) for p, xp in enumerate(x) if any(xp)]
+        if type(y) is tuple:
+            for q, s in enumerate(y):
+                if s:
+                    s *= m
+                    for p, xp in xs:
+                        conv[p + q] = [c + s * v for c, v in zip(conv[p + q], xp)]
+        else:
+            ys = [(q, yq) for q, yq in enumerate(y) if any(yq)]
+            for p, xp in xs:
+                for q, yq in ys:
+                    _int_acc(conv[p + q], xp, yq, m, products)
+    if width > d:
+        den *= field._xden
+        conv = _int_reduce(field, conv)
+    g = gcd(den, *chain.from_iterable(conv))
+    if g != 1:
+        den //= g
+        conv = [[v // g for v in plane] for plane in conv]
+    return den, conv
+
+
+def _int_scalar(c):
+    """(den, numerator vector) of a rational scalar or a constant
+    polynomial, with no zero coordinate after the first, so a rational
+    value is a vector of length one."""
+    if isinstance(c, SimplexPoly):
+        den, vec = c.den, c.nums[0] if c.nums else (0,)
+    else:
+        den, vec = c.denominator, (c.numerator,)
+    while len(vec) > 1 and not vec[-1]:
+        vec = vec[:-1]
+    return den, vec
+
+
+def _int_series(field, n, x, coefs):
+    """sum_k coefs[k - 1] x^k over k = 1 .. len(coefs) in integer form, for
+    x in integer form and rational coefs: each power one product from the
+    last, starting from x itself, and the highest power's product is a term
+    of the one final sum."""
+    powers = [x]
+    for _ in coefs[2:]:
+        p = powers[-1]
+        powers.append(_int_sum(field, n, [(p[1], x[1], p[0] * x[0], 1)]))
+    terms = [(p[1], (c.numerator,), p[0] * c.denominator, 1) for p, c in zip(powers, coefs)]
+    if len(coefs) > 1:
+        p, c = powers[-1], coefs[-1]
+        terms.append((p[1], x[1], p[0] * x[0] * c.denominator, c.numerator))
+    return _int_sum(field, n, terms)
+
+
 class _TriangularMatrix:
     """An n x n matrix over a simplex-polynomial ring, stored as a tuple of
     row tuples.  A subclass fixes the diagonal: `_blank_rows` builds its
     matrix with no strictly upper entries, and `_check_diagonal` rejects
-    checked rows that break its shape."""
+    checked rows that break its shape.
 
-    __slots__ = ("ring", "n", "rows")
+    Over a ring with no variables (no t, no parameter) the products,
+    `UniMatrix.inverse`, exp, log, brackets, combinations and negation
+    compute in the integer form instead, and two matrices that both have
+    it compare it.  A matrix converts its rows to that form once, on first
+    use, and a result in that form builds its rows only when something
+    reads them."""
+
+    __slots__ = ("ring", "n", "_rows", "_int")
 
     def __init__(self, ring, rows, check=True):
         n = len(rows)
         self.ring = ring
         self.n = n
-        self.rows = _coerce_rows(ring, n, rows) if check else rows
+        self._rows = _coerce_rows(ring, n, rows) if check else rows
+        self._int = None
         if check:
             self._check_diagonal()
+
+    @classmethod
+    def _from_int(cls, ring, n, form):
+        self = object.__new__(cls)
+        self.ring = ring
+        self.n = n
+        self._rows = None
+        self._int = form
+        return self
+
+    @property
+    def rows(self):
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = _int_rows(self.ring, self._blank_rows(self.ring, self.n),
+                                          self._int)
+        return rows
+
+    def _int_form(self):
+        """The integer form, for a matrix over a ring with no variables."""
+        form = self._int
+        if form is None:
+            form = self._int = _int_from_rows(self._rows, self.ring.field.degree)
+        return form
 
     @classmethod
     def from_entries(cls, ring, n, entries):
@@ -225,10 +426,13 @@ class _TriangularMatrix:
 
     def __eq__(self, other):
         """The kind fixes the diagonal and the zeros below it, so only the
-        strictly upper entries are compared, by canonical form."""
+        strictly upper entries are compared, by canonical form: the integer
+        forms when both matrices have one, else the rows."""
         if not (isinstance(other, type(self)) and other.n == self.n
                 and other.ring is self.ring):
             return False
+        if self._int is not None and other._int is not None:
+            return self._int == other._int
         for i, (ra, rb) in enumerate(zip(self.rows, other.rows)):
             for j in range(i + 1, self.n):
                 x, y = ra[j], rb[j]
@@ -269,7 +473,11 @@ class NilMatrix(_TriangularMatrix):
         return NilMatrix(self.ring, _sub_rows(self.rows, other.rows), check=False)
 
     def __neg__(self):
-        # negation keeps each entry's canonical form
+        # negation keeps each entry's canonical form, and the integer form's
+        if not self.ring.nvars:
+            den, planes = self._int_form()
+            return NilMatrix._from_int(self.ring, self.n,
+                                       (den, [[-x for x in plane] for plane in planes]))
         return NilMatrix(self.ring, tuple(tuple(-x for x in row) for row in self.rows),
                          check=False)
 
@@ -280,14 +488,27 @@ class NilMatrix(_TriangularMatrix):
     def combination(mats, coefs):
         """sum_k coefs[k] mats[k] for matrices over one ring and
         coefficients that are polynomials over it or rational scalars: one
-        sum of products per strictly upper entry."""
+        sum of products per strictly upper entry, or over a ring with no
+        variables one integer sum."""
         ring, n = mats[0].ring, mats[0].n
+        if not ring.nvars:
+            terms = []
+            for m, c in zip(mats, coefs):
+                cden, cvec = _int_scalar(c)
+                if any(cvec):
+                    den, planes = m._int_form()
+                    terms.append((planes, cvec, den * cden, 1))
+            return NilMatrix._from_int(ring, n, _int_sum(ring.field, n, terms))
         return NilMatrix(ring, _upper_sums(_zero_rows(ring, n), [m.rows for m in mats],
                                            coefs, ring), check=False)
 
     def bracket(self, other):
         """The commutator [self, other] = self other - other self."""
         self._require_same(other)
+        if not self.ring.nvars:
+            (da, a), (db, b) = self._int_form(), other._int_form()
+            return NilMatrix._from_int(self.ring, self.n, _int_sum(
+                self.ring.field, self.n, [(a, b, da * db, 1), (b, a, da * db, -1)]))
         ab = _matmul(self.rows, other.rows, self.ring)
         ba = _matmul(other.rows, self.rows, self.ring)
         return NilMatrix(self.ring, _sub_rows(ab, ba), check=False)
@@ -317,15 +538,28 @@ class UniMatrix(_TriangularMatrix):
         return cls(ring, _identity_rows(ring, n), check=False)
 
     def __mul__(self, other):
+        """(I + A)(I + B) = I + A + B + AB, over a ring with no variables as
+        one integer sum."""
         self._require_same(other)
+        if not self.ring.nvars:
+            (da, a), (db, b) = self._int_form(), other._int_form()
+            return UniMatrix._from_int(self.ring, self.n, _int_sum(
+                self.ring.field, self.n,
+                [(a, b, da * db, 1), (a, (1,), da, 1), (b, (1,), db, 1)]))
         return UniMatrix(self.ring, _matmul(self.rows, other.rows, self.ring, unit=True),
                          check=False)
 
     def inverse(self):
         """Exact inverse by back substitution: V = U^-1 has V_ij = -(U_ij +
         sum_{i<k<j} U_ik V_kj) for i < j, from the last row up, one negated
-        `_entry` each, so -U_ij itself where the sum has no product."""
-        ring, u = self.ring, self.rows
+        `_entry` each, so -U_ij itself where the sum has no product.  Over a
+        ring with no variables it is sum_{k < n} (-X)^k for X = U - I, in
+        integer form."""
+        ring = self.ring
+        if not ring.nvars:
+            return UniMatrix._from_int(ring, self.n, _int_series(
+                ring.field, self.n, self._int_form(), [(-1) ** k for k in range(1, self.n)]))
+        u = self.rows
         rows = [list(row) for row in _identity_rows(ring, self.n)]
         for i in range(self.n - 2, -1, -1):
             ui, vi = u[i], rows[i]
@@ -352,6 +586,9 @@ def exp_nilpotent(n_mat: NilMatrix) -> UniMatrix:
     """exp(N) = sum_{k < n} N^k / k!, exact because N^n = 0."""
     ring, n = n_mat.ring, n_mat.n
     coefs = [Fraction(1, factorial(k)) for k in range(1, n)]
+    if not ring.nvars:
+        return UniMatrix._from_int(ring, n, _int_series(ring.field, n, n_mat._int_form(),
+                                                        coefs))
     return UniMatrix(ring, _power_series(_identity_rows(ring, n), n_mat.rows, coefs, ring),
                      check=False)
 
@@ -359,8 +596,12 @@ def exp_nilpotent(n_mat: NilMatrix) -> UniMatrix:
 def log_unipotent(u_mat: UniMatrix) -> NilMatrix:
     """log(U) = sum_{1 <= k < n} (-1)^(k+1) (U - I)^k / k."""
     ring, n = u_mat.ring, u_mat.n
-    x = _minus_identity(u_mat.rows, ring)
     coefs = [Fraction((-1) ** (k + 1), k) for k in range(1, n)]
+    if not ring.nvars:
+        # the integer form of U holds U - I
+        return NilMatrix._from_int(ring, n, _int_series(ring.field, n, u_mat._int_form(),
+                                                        coefs))
+    x = _minus_identity(u_mat.rows, ring)
     return NilMatrix(ring, _power_series(_zero_rows(ring, n), x, coefs, ring), check=False)
 
 
@@ -539,12 +780,19 @@ class LieTable:
         self.field = field
         self.dim = dim
         self.struct = struct
-        # the pairs with a nonzero bracket, each with its nonzero constants
+        # the pairs with a nonzero bracket, each with its nonzero constants;
+        # the zero brackets of a table usually share one zero row, which is
+        # read once
         self._pairs = []
+        zero_row = None
         for pair, consts in sorted(struct.items()):
+            if consts is zero_row:
+                continue
             nonzero = tuple((k, s) for k, s in enumerate(consts) if not s.is_zero)
             if nonzero:
                 self._pairs.append((pair, nonzero))
+            else:
+                zero_row = consts
         self._class = nilpotency_class
         self._derived_length = None
 
@@ -770,14 +1018,6 @@ def _upper_row(mat):
     return {k: e.constant_value() for k, e in mat.nonzero_upper().items()}
 
 
-@cache
-def _upper_positions(n):
-    """The (i, j) position of each index of `strict_upper`, and the index
-    of each position."""
-    pos = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return pos, {p: k for k, p in enumerate(pos)}
-
-
 def _upper_bracket(u, v, n):
     """[u, v] = uv - vu for constant n x n strictly upper matrices given as
     sparse {index: field value} maps like `_upper_row`'s, as a fresh map of
@@ -821,9 +1061,11 @@ class LieSpan:
     read; the echelon store takes copies.  Construction verifies
     independence and closure under the bracket; the closure check brackets
     every basis pair of rows and solves it, which gives the
-    structure-constant table as well.  The size n and the field are read
-    from the basis; an empty basis needs both given, and a given n must
-    match the basis."""
+    structure-constant table as well.  A basis of dimension n(n-1)/2 spans
+    the whole strictly upper algebra, which is closed, so it is not
+    checked, and its table is built on first use.  The size n and the field
+    are read from the basis; an empty basis needs both given, and a given n
+    must match the basis."""
 
     __slots__ = ("field", "ring", "n", "basis", "_rows", "_echelon", "_table")
 
@@ -857,7 +1099,8 @@ class LieSpan:
         self.basis = tuple(fixed)
         self._rows = tuple(rows)
         self._echelon = _Echelon(field, [dict(row) for row in rows], what="span basis")
-        self._table = self._build_table() if check else None
+        full = self.dim == n * (n - 1) // 2
+        self._table = self._build_table() if check and not full else None
 
     @property
     def dim(self):
@@ -873,14 +1116,16 @@ class LieSpan:
     def _build_table(self):
         """Bracket every basis pair in field scalars and solve it: the
         coordinates are the structure constants, and a bracket outside the
-        span fails the closure check.  A span of dimension n(n-1)/2 is the
+        span fails the closure check.  A zero bracket is not solved; its
+        row is one shared zero row.  A span of dimension n(n-1)/2 is the
         whole strictly upper algebra, whose class is n - 1."""
         rows = self._rows
+        zero_row = (self.field.zero,) * self.dim
         struct = {}
         for i, j in combinations(range(self.dim), 2):
+            bracket = _upper_bracket(rows[i], rows[j], self.n)
             try:
-                struct[(i, j)] = tuple(self.coordinates(_upper_bracket(rows[i], rows[j],
-                                                                       self.n)))
+                struct[(i, j)] = tuple(self.coordinates(bracket)) if bracket else zero_row
             except MembershipError:
                 raise InputError("span is not closed under the bracket "
                                  "(basis pair %d, %d)" % (i, j)) from None

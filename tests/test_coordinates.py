@@ -143,6 +143,12 @@ def test_quotient_table_is_the_bracket_table_of_its_matrices():
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(sqrt2)"])
 def test_the_closure_check_records_the_table(field, monkeypatch):
+    """A non-full span brackets every basis pair when it is built and
+    solves the nonzero brackets; a full span (U_4, and the Heisenberg group,
+    which is U_3) is closed, so it is not checked, and its table is built
+    on first use.  Only the nonzero brackets are solved: the four chains
+    E_ab, E_bc of U_4 and of the U_4 block of a subgroup of U_5, and the
+    one of U_3."""
     calls = {"bracket": 0, "solve": 0, "coordinates": 0}
 
     def counted(cls, name, key):
@@ -156,18 +162,38 @@ def test_the_closure_check_records_the_table(field, monkeypatch):
     counted(nilpotent, "_upper_bracket", "bracket")
     counted(nilpotent._Echelon, "solve", "solve")
     counted(LieSpan, "coordinates", "coordinates")
-    for basis in (full_unipotent_span(4, field).basis, heisenberg_span(field).basis):
+    ring = PolyRing(field, 0)
+    # E_ij with j <= 3, and the central corner E_04: dimension 7 of 10
+    block = [nilpotent.NilMatrix.from_entries(ring, 5, {(i, j): 1})
+             for i in range(5) for j in range(i + 1, 5) if j <= 3 or i == 0]
+    for basis, full, nonzero in ((full_unipotent_span(4, field).basis, True, 4),
+                                 (heisenberg_span(field).basis, True, 1),
+                                 (block, False, 4)):
         pairs = len(basis) * (len(basis) - 1) // 2
+        at_build = {"bracket": 0, "solve": 0, "coordinates": 0} if full else {
+            "bracket": pairs, "solve": nonzero, "coordinates": nonzero}
         calls.update(bracket=0, solve=0, coordinates=0)
         checked = LieSpan(basis)
-        assert calls == {"bracket": pairs, "solve": pairs, "coordinates": pairs}
+        assert calls == at_build
         table = checked.table
-        assert calls == {"bracket": pairs, "solve": pairs, "coordinates": pairs}
+        assert calls == {"bracket": pairs, "solve": nonzero, "coordinates": nonzero}
+        assert checked.table is table
         unchecked = LieSpan(basis, check=False)
         assert table.struct == unchecked.table.struct
         assert all(type(c) is type(field.zero) for consts in table.struct.values()
                    for c in consts)
         assert table.derived_length == unchecked.table.derived_length
+        assert sum(1 for consts in table.struct.values()
+                   if any(not c.is_zero for c in consts)) == nonzero
+
+
+def test_a_non_full_span_fails_its_closure_check_when_built():
+    ring = PolyRing(QQ, 0)
+    # E_01 and E_12 bracket to E_02, which they do not span
+    basis = [nilpotent.NilMatrix.from_entries(ring, 3, {e: 1}) for e in ((0, 1), (1, 2))]
+    with pytest.raises(InputError, match="not closed under the bracket"):
+        LieSpan(basis)
+    assert LieSpan(basis, check=False).dim == 2
 
 
 def test_trivial_table_law():

@@ -123,9 +123,21 @@ def test_output_bytes_are_pinned(tmp_path, capsys, name):
 # benchmark class (n, q), drawn as the benchmark draws them: by the pass
 # loop, which before the unit product, the back-substitution inverse and the
 # lone terms times 1 made 247, 352, 279 and 425, and by `wav`, through the
-# universal polynomial once it is built
+# universal polynomial once it is built.  There f_0^{-1}, the logs and the
+# brackets are constant matrices, computed in the integer form, so only the
+# exp and the product on the simplex call the kernel (82, 125, 118 and 153
+# when every constant entry was a sum of products too)
 KERNEL_CALLS = {(4, 3): 154, (4, 4): 219, (5, 2): 197, (5, 3): 291}
-UNIVERSAL_KERNEL_CALLS = {(4, 3): 82, (4, 4): 125, (5, 2): 118, (5, 3): 153}
+UNIVERSAL_KERNEL_CALLS = {(4, 3): 19, (4, 4): 19, (5, 2): 36, (5, 3): 36}
+
+# integer-form operations per universal `wav` on fresh copies of the same
+# tuples: integer sums (one per product and bracket, and n - 2 per exp, log
+# or inverse series), the q + 1 points converted in once each, and each
+# term of Phi converted out once, when it is embedded on the simplex
+INT_FORM_CALLS = {(4, 3): {"sum": 20, "in": 4, "out": 9},
+                  (4, 4): {"sum": 32, "in": 5, "out": 16},
+                  (5, 2): {"sum": 14, "in": 3, "out": 4},
+                  (5, 3): {"sum": 24, "in": 4, "out": 9}}
 
 
 def benchmark_tuples():
@@ -171,6 +183,28 @@ def test_kernel_calls_per_universal_wav_are_pinned(monkeypatch):
     for key, t in benchmark_tuples():
         wav(t)          # builds the universal polynomial on first use
         assert count_kernel_calls(monkeypatch, wav, t) == UNIVERSAL_KERNEL_CALLS[key], key
+
+
+def test_integer_form_calls_per_universal_wav_are_pinned(monkeypatch):
+    from unipavg import UniMatrix, nilpotent, wav
+
+    for key, t in benchmark_tuples():
+        expected = wav(t)       # builds the universal polynomial on first use
+        fresh = SectionTuple(t.group, [UniMatrix(s.ring, s.rows, check=False)
+                                       for s in t.sections], check=False)
+        calls = dict.fromkeys(INT_FORM_CALLS[key], 0)
+        for name, attr in (("sum", "_int_sum"), ("in", "_int_from_rows"),
+                           ("out", "_int_rows")):
+            def wrapper(*args, _name=name, _fn=getattr(nilpotent, attr)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(nilpotent, attr, wrapper)
+        try:
+            got = wav(fresh)
+        finally:
+            monkeypatch.undo()
+        assert got == expected
+        assert calls == INT_FORM_CALLS[key], key
 
 
 # kernel calls of one `rational_point`, on an orbit of each galois-descent

@@ -137,11 +137,20 @@ def test_points_with_a_parameter_keep_the_missing_value_error(monkeypatch):
               for k in range(3)]
     span = full_unipotent_span(3, QQ)
     fallbacks = count_fallbacks(monkeypatch)
+    averages = []
+    real_wav = average_module.wav
+    monkeypatch.setattr(average_module, "wav", lambda t: averages.append(1) or real_wav(t))
     assert wav_at_weights(points[:1], WeightSeq(QQ, [1]), span) is points[0]
     for q in (1, 2):
         with pytest.raises(InputError, match="missing value for parameter 'a'"):
             wav_at_weights(points[:q + 1], WeightSeq.uniform(q, QQ), span)
-    assert len(fallbacks) == 2
+    # the error names the ring's first parameter, and comes before any average
+    ring = PolyRing(QQ, 0, ("b", "a"))
+    two = [exp_nilpotent(NilMatrix.from_entries(ring, 3, {(0, 1): ring.parameter("a") * k}))
+           for k in range(2)]
+    with pytest.raises(InputError, match="missing value for parameter 'b'"):
+        wav_at_weights(two, WeightSeq.uniform(1, QQ), span)
+    assert fallbacks == [] and averages == []
 
 
 def test_a_constant_tuple_above_class_two_is_averaged_symbolically(monkeypatch):
