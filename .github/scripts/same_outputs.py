@@ -31,7 +31,9 @@ both sides of the universal-polynomial dispatch
 (U_6 over Q at q = 2, through Phi_{5,2}; U_5 over Q at q = 3 with
 --iterations 4, through Phi_{3,3}; a non-full class-3 subgroup of U_5 over
 Q(sqrt2) at q = 3, through Phi_{3,3}; and U_6 over Q at q = 3, whose
-Phi_{5,3} lies above the bound, by the pass loop), sections build and
+Phi_{5,3} lies above the bound, by the pass loop), wav through Lemma A's
+Phi = sum_j t_j e_j (with --weights on the Heisenberg group over Q(sqrt2)
+at q = 3, and with --iterations 3 on U_4 over Q at q = 1), sections build and
 validate over Q(sqrt2), validate on
 the built section with every polynomial spelled non-canonically (integer
 coefficients, unreduced and negative-denominator num/den objects, single
@@ -209,7 +211,9 @@ def cli_jobs(tree, work):
     # by the pass loop: full U_6 at q = 2 and q = 3, U_5 at q = 3 with an
     # iteration override, and over Q(sqrt2) the subgroup of U_5 spanned by
     # the E_ij with j <= 3 and the corner E_04, which is central there
-    # (dimension 7 of 10, class 3)
+    # (dimension 7 of 10, class 3); then through Lemma A's sum_j t_j e_j:
+    # the Heisenberg group over Q(sqrt2) at q = 3 at irrational weights, and
+    # U_4 over Q at q = 1 with an iteration override
     values = (1, -1, 2, -2, half, -half)
     ring = PolyRing(sqrt2, 0)
     block = LieSpan([NilMatrix.from_entries(ring, 5, {(i, j): 1})
@@ -218,7 +222,11 @@ def cli_jobs(tree, work):
             ("phi-5-2", full_unipotent_span(6, QQ), 2, []),
             ("phi-3-3", full_unipotent_span(5, QQ), 3, ["--iterations", "4"]),
             ("phi-3-3-block", block, 3, []),
-            ("passes-6-3", full_unipotent_span(6, QQ), 3, [])):
+            ("passes-6-3", full_unipotent_span(6, QQ), 3, []),
+            ("lemma-a-heisenberg-3", heisenberg_span(sqrt2), 3, [
+                "--weights", '[{"num":1,"den":6},{"coords":[{"num":1,"den":3},'
+                '{"num":1,"den":3}]},{"num":1,"den":2},{"coords":[0,{"num":-1,"den":3}]}]']),
+            ("lemma-a-4-1", full_unipotent_span(4, QQ), 1, ["--iterations", "3"])):
         count = span.dim * span.field.degree
         points = []
         for k in range(q + 1):

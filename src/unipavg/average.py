@@ -55,27 +55,27 @@ c - 1 maps Phi_{c,q} to Phi_{c-1,q}, so for an even class Phi_{c,q} =
 Phi_{c-1,q}, and `wav` uses Phi_{c',q} with c' the largest odd number <=
 the class.
 
-`wav` averages through Phi when the lift would compute every component (q
->= 2, class >= 3, components not all equal) and the free algebra of class
-c' on q generators has dimension <= MAX_UNIVERSAL_DIM; that admits (c', q)
-= (3, 2), (3, 3), (3, 4) and (5, 2) only.  Phi_{c',q} is built on first
-use, once per process, by `wav_by_passes` on a `CoordinateTuple` over the
-free algebra's `LieTable` (`nilpotent.free_lie_table`), and only its
-Lyndon words and coefficients are kept.  A tuple then costs f_0^{-1}, the
-q logs L_j, one bracket per Lyndon word needed, one combination, one exp
-and one product, where the lift alone takes q + 1 exps.  Every other tuple
-(q <= 1, class <= 2, constant, or Phi above the bound) takes the pass
-loop.
+One dispatch, `_phi_terms`, gives Phi to `wav` and `wav_at_weights`: no
+term when the components agree (q = 0 included), the average being f_0;
+sum_j t_j e_j when q = 1 or the class is <= 2, by Lemma A; else
+Phi_{c',q}, when the free algebra of class c' on q generators has
+dimension <= MAX_UNIVERSAL_DIM, which admits (c', q) = (3, 2), (3, 3),
+(3, 4) and (5, 2) only.  Phi_{c',q} is built on first use, once per
+process, by `wav_by_passes` on a `CoordinateTuple` over the free
+algebra's `LieTable` (`nilpotent.free_lie_table`), and only its Lyndon
+words and coefficients are kept.  A tuple then costs f_0^{-1}, the q logs
+L_j and one walk, `_exp_phi`: a bracket per Lyndon word reached, one
+combination, one exp and one product; a pass of `wsym` makes the same
+walk for each component it computes.  Tuples with Phi above the bound
+take the pass loop.
 
 The average at a point.  Evaluation at weights w commutes with every
 step, so wav(f)(w) = exp(Phi_{c,q}(w; L_1, ..., L_q)) f_0.
-`wav_at_weights` evaluates each coefficient of Phi at w in the points'
-field and computes the rest on constant matrices, with the same bracket
-walk as `wav`: Phi = sum_j t_j e_j when q = 1 or the class is <= 2
-(Lemma A), the cached Phi_{c',q} where `wav` takes it, and f_0 itself
-when q = 0.  Every other tuple is averaged symbolically and then
-evaluated, but points with parameters are refused first, since the
-weights give no parameter a value.
+`wav_at_weights` evaluates each coefficient of the dispatch's Phi at w in
+the points' field and makes the same walk on constant matrices.  A tuple
+above the bound is averaged symbolically and then evaluated, but points
+with parameters (q >= 1) are refused first, since the weights give no
+parameter a value.
 
 The operators are written once over a group law (product, inverse, log,
 exp, the algebra's linear operations and the linear-pass test).  A
@@ -409,7 +409,7 @@ def wsym(t):
     logs = {}
 
     def component(i):
-        # f'_i = exp(sum_{j != i} t_j log(f_j f_i^{-1})) f_i
+        # f'_i = exp(Phi(L)) f_i, L = (log(f_j f_i^{-1}))_{j != i}, Phi = sum_{j != i} t_j e_j
         row = []
         inverse = None
         for j in range(t.q + 1):
@@ -423,8 +423,8 @@ def wsym(t):
                     inverse = law.inverse(f[i])
                 x = logs[(i, j)] = law.log(law.mul(f[j], inverse))
             row.append(x)
-        acc = law.combine(row, coords[:i] + coords[i + 1:])
-        return law.mul(law.exp(acc), f[i])
+        return _exp_phi(law, [((k,), c) for k, c in enumerate(coords[:i] + coords[i + 1:])],
+                        row, f[i])
 
     # exp of a span element times a group element stays in the group
     if t.q == 1 or 3 * t.depth > t.table.nilpotency_class:
@@ -504,14 +504,18 @@ def universal_polynomial(c, q):
     return tuple((w, x) for w, x in zip(words, phi) if x.nums)
 
 
-def _universal_terms(t):
-    """Phi_{c',q} for t when `wav` averages through it (see the module
-    docstring), built on first use, else None."""
-    if t.q < 2 or t.is_constant_tuple():
+def _phi_terms(t):
+    """Phi's (Lyndon word, coefficient) terms for t (see the module
+    docstring): () when the components agree, Lemma A's sum_j t_j e_j, or
+    the cached Phi_{c',q}; None above the bound and over a simplex."""
+    if t.r:
         return None
+    if t.is_constant_tuple():
+        return ()
+    if t.q == 1 or t.table.nilpotency_class <= 2:
+        ring = PolyRing(QQ, t.q)
+        return tuple(((j,), ring.coordinate(j + 1)) for j in range(t.q))
     c = t.table.nilpotency_class
-    if c < 3:
-        return None
     key = (c - 1 + c % 2, t.q)
     terms = _UNIVERSAL.get(key)
     if terms is None and _admits(*key):
@@ -526,15 +530,17 @@ def _admits(c, q):
         <= MAX_UNIVERSAL_DIM
 
 
-def _through_universal(t, terms, coefficient, place):
-    """exp(Phi(L_1, ..., L_q)) f_0 for L_j = log(f_j f_0^{-1}): each Lyndon
-    word's standard bracketing of the L_j, one bracket per word reached, is
-    put in place by `place` and weighted by `coefficient` of its Q[t]
-    coefficient, and f_0 is put in place too.  The symbolic average places
-    them on the q-simplex; a point evaluates the coefficients instead."""
-    law, f, q = t.law, t.sections, t.q
-    inverse = law.inverse(f[0])
-    brackets = {(j,): law.log(law.mul(f[j + 1], inverse)) for j in range(q)}
+def _same(x):
+    return x
+
+
+def _exp_phi(law, terms, logs, f, coefficient=_same, place=_same):
+    """exp(Phi(L)) f for Phi's (Lyndon word, coefficient) terms, letter j
+    standing for logs[j]: one bracket per word reached, each put in place
+    by `place` and weighted by `coefficient` of its Q[t] coefficient, and f
+    put in place too.  `wav` places constant logs on the q-simplex, and
+    `wav_at_weights` evaluates the coefficients at the weights."""
+    brackets = {(j,): x for j, x in enumerate(logs)}
 
     def bracketed(word):
         got = brackets.get(word)
@@ -545,22 +551,32 @@ def _through_universal(t, terms, coefficient, place):
 
     s = law.combine([place(bracketed(w)) for w, _ in terms],
                     [coefficient(x) for _, x in terms])
-    return law.mul(law.exp(s), place(f[0]))
+    return law.mul(law.exp(s), place(f))
+
+
+def _average(t, terms, coefficient, place):
+    """wav(t) from `_phi_terms`' terms: exp(Phi(L_1, ..., L_q)) f_0 with
+    L_j = log(f_j f_0^{-1}), or f_0, put in place, when there are none."""
+    law, f = t.law, t.sections
+    if not terms:
+        return place(f[0])
+    inverse = law.inverse(f[0])
+    logs = [law.log(law.mul(g, inverse)) for g in f[1:]]
+    return _exp_phi(law, terms, logs, f[0], coefficient, place)
 
 
 def wav(t, d_override=None):
     """The weighted average of a tuple of t-constant sections: the value of
-    `wav_by_passes`, computed as exp(Phi(L)) f_0 where the module docstring
-    says so.  An override below the derived length is refused on both
+    `wav_by_passes`, computed as exp(Phi(L)) f_0 wherever `_phi_terms`
+    knows Phi.  An override below the derived length is refused on both
     paths."""
     more = _pass_bound(t, d_override)
-    terms = _universal_terms(t)
+    terms = _phi_terms(t)
     if terms is None:
         return _passes(t, more)
     law, q = t.law, t.q
     ring = PolyRing(t.ring.field, q, t.ring.params)
-    return _through_universal(t, terms, lambda x: extend_scalars(x, ring),
-                              lambda g: law.embed(g, q))
+    return _average(t, terms, lambda x: extend_scalars(x, ring), lambda g: law.embed(g, q))
 
 
 def act_simplex_map(t: SectionTuple, alpha: SimplexMap) -> SectionTuple:
@@ -596,9 +612,9 @@ def act_permutation(t: SectionTuple, perm) -> SectionTuple:
 
 def wav_at_weights(points, weights: WeightSeq, group=None) -> UniMatrix:
     """The weighted average point of q+1 constant group elements, wav(f)(w).
-    Evaluation at w commutes with every step, so where Phi is known (see
-    `_pointwise_terms`) this is exp(Phi(w; L_1, ..., L_q)) f_0, computed
-    on constant matrices once each coefficient of Phi is evaluated at w;
+    Evaluation at w commutes with every step, so where `wav` knows Phi
+    (see `_phi_terms`) this is exp(Phi(w; L_1, ..., L_q)) f_0, computed on
+    constant matrices once each coefficient of Phi is evaluated at w;
     otherwise the averaged section is built and evaluated at w.  Points
     with parameters (q >= 1) raise "missing value for parameter" before
     any averaging, as the evaluation would."""
@@ -615,32 +631,17 @@ def wav_at_weights(points, weights: WeightSeq, group=None) -> UniMatrix:
     if weights.field is not field:
         raise RingMismatch("weights and points use different fields")
     t = SectionTuple(group, points)
-    if t.q == 0:
-        return t.sections[0]
-    if t.ring.params and not t.r:
+    if t.q and t.ring.params and not t.r:
         # the average lies over the q-simplex times the parameters, and the
         # weights give no parameter a value
         raise InputError("missing value for parameter %r" % (t.ring.params[0],))
-    terms = _pointwise_terms(t)
+    terms = _phi_terms(t)
     if terms is None:
         return eval_matrix_at_weights(wav(t), weights)
     ring, values = PolyRing(field, t.q), weights.values
-    return _through_universal(
+    return _average(
         t, terms, lambda x: t.ring.constant(eval_at_weights(extend_scalars(x, ring), values)),
-        lambda g: g)
-
-
-def _pointwise_terms(t):
-    """Phi's terms for a tuple of points: sum_j t_j e_j when q = 1 or the
-    class is at most 2 (Lemma A), else Phi_{c',q} where `wav` takes it.
-    None for points over a simplex ring or with parameters, and where Phi
-    is not known; those are averaged symbolically and then evaluated."""
-    if t.r or t.ring.params:
-        return None
-    if t.q == 1 or t.table.nilpotency_class <= 2:
-        ring = PolyRing(QQ, t.q)
-        return [((j,), ring.coordinate(j + 1)) for j in range(t.q)]
-    return _universal_terms(t)
+        _same)
 
 
 def eval_matrix_at_weights(mat, weights: WeightSeq):

@@ -240,16 +240,15 @@ MAX_MULTI_INDICES = 1000
 # total degree <= d in t, the average has at most sum_{d=1}^{n-1} (n - d)
 # C(q + d, d) terms; that count is bounded, after reading and before any
 # averaging.  The degree bound is proved for every average that
-# `average.wav` computes as exp(Phi(L)) f_0 with t-constant L_j (q >= 2,
-# class >= 3, Phi within average.MAX_UNIVERSAL_DIM): a weight-k bracket of
-# strictly upper matrices lies on superdiagonals >= k, and
-# tests/test_universal.py checks that each admitted Phi's weight-k
-# coordinates have t-degree <= max(1, k - 1).  It is proved as well when q = 1
-# or the class is <= 2, where the average is exp(sum_j t_j L_j) f_0 (Lemma
-# A), and only observed for the rest, which the pass loop averages (full
-# U_n, n <= 8, q <= 4 computed).  The limit admits U_3 up to q = 137, U_5 up
-# to q = 17, U_8 up to q = 6, U_10 up to q = 4 and, at q = 1, U_n up to
-# n = 38; U_5 at q = 32 (73,810 terms) took 5.5 s.
+# `average.wav` computes as exp(Phi(L)) f_0 with t-constant L_j, since a
+# weight-k bracket of strictly upper matrices lies on superdiagonals >= k:
+# for q = 1 or class <= 2 it computes exp(sum_j t_j L_j) f_0 (Lemma A), and
+# for a cached Phi (q >= 2, class >= 3, within average.MAX_UNIVERSAL_DIM)
+# tests/test_universal.py checks that its weight-k coordinates have t-degree
+# <= max(1, k - 1).  It is only observed for the rest, which the pass loop
+# averages (full U_n, n <= 8, q <= 4 computed).  The limit admits U_3 up
+# to q = 137, U_5 up to q = 17, U_8 up to q = 6, U_10 up to q = 4 and, at
+# q = 1, U_n up to n = 38; U_5 at q = 32 (73,810 terms) took 5.5 s.
 MAX_AVERAGE_TERMS = 10000
 
 # every reader of a group checks that its basis is closed under the bracket,

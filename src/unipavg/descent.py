@@ -4,11 +4,11 @@ An orbit of torsor points over a field extension, closed under the Galois
 generators, is averaged with the uniform weight sequence.  The permutation
 symmetry of the average together with the rationality of the weights
 forces the result to be fixed by the Galois action, hence to have rational
-entries; both facts are asserted structurally, never numerically.  The
-average is taken at the uniform weights w by `wav_at_weights`: where the
-universal polynomial Phi is known (q = 1, class <= 2, or within its
-bound) it is exp(Phi(w; L_1, ..., L_q)) f_0, computed on constant
-matrices, and no symbolic average is built.
+entries; rationality alone is asserted, as it implies invariance.  The
+average is taken at the uniform weights w by `wav_at_weights`: where `wav`
+knows Phi (agreeing points, q = 1, class <= 2, or within its bound) it is
+exp(Phi(w; L_1, ..., L_q)) f_0, computed on constant matrices, and no
+symbolic average is built.
 """
 
 from __future__ import annotations
@@ -73,14 +73,11 @@ class GaloisOrbit:
 
 def rational_point(orbit: GaloisOrbit) -> UniMatrix:
     """The uniform-weight average of the orbit, returned over the rational
-    field.  Aborts loudly if the result fails Galois invariance or has any
-    coordinate outside the rationals; with a valid orbit neither happens.
-    """
+    field.  Aborts loudly if the result has an entry outside the rationals,
+    which a valid orbit never gives.  That check covers Galois invariance
+    too: every automorphism fixes Q, so a rational point is invariant."""
     weights = WeightSeq.uniform(orbit.q, orbit.action.field)
     averaged = wav_at_weights(orbit.points, weights, orbit.group)
-    for sigma in orbit.action.generators:
-        if averaged.map_entries(sigma, averaged.ring) != averaged:
-            raise RationalityError("averaged point is not Galois invariant")
     rational_ring = PolyRing(QQ, 0)
 
     def descend(entry):

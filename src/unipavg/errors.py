@@ -29,4 +29,5 @@ class NonConstantError(InvariantViolation):
 
 
 class RationalityError(InvariantViolation):
-    """A Galois-averaged point came out non-rational or non-invariant."""
+    """A Galois-averaged point came out non-rational, which covers one that
+    is not Galois invariant, as every automorphism fixes Q."""

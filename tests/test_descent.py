@@ -148,3 +148,19 @@ def test_undersized_action_fails_rationality():
     orbit = GaloisOrbit(span, trivial, [z])
     with pytest.raises(RationalityError):
         rational_point(orbit)
+
+
+def test_a_non_invariant_average_fails_rationality(monkeypatch):
+    # an average moved by the generator has an irrational entry, so the
+    # rationality check refuses it without a separate invariance check
+    from unipavg import descent
+
+    orbit = sqrt2_orbit()
+    ring = orbit.group.ring
+    moved = UniMatrix.from_entries(ring, orbit.group.n, {
+        (0, 1): ring.constant(orbit.action.field.value([1, 1]))})
+    sigma, = orbit.action.generators
+    assert moved.map_entries(sigma, ring) != moved
+    monkeypatch.setattr(descent, "wav_at_weights", lambda points, weights, group: moved)
+    with pytest.raises(RationalityError, match="irrational entry"):
+        rational_point(orbit)

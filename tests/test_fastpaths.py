@@ -248,9 +248,10 @@ def test_a_tuple_that_never_agrees_fails_after_d_passes(monkeypatch, group, d):
 
 
 def log_calls_from_operator_tuples(monkeypatch, t, checked=False):
-    """Run wav and return (result, number of log_unipotent calls made while
-    a SectionTuple is built inside wsym or lift_w).  With checked=True,
-    every tuple the operators build checks membership again."""
+    """Run the pass loop `wav_by_passes` and return (result, number of
+    log_unipotent calls made while a SectionTuple is built inside wsym or
+    lift_w).  With checked=True, every tuple the operators build checks
+    membership again."""
     operators = {average_module.wsym.__code__, average_module.lift_w.__code__}
     init = SectionTuple.__init__.__code__
     calls = []
@@ -276,7 +277,7 @@ def log_calls_from_operator_tuples(monkeypatch, t, checked=False):
     monkeypatch.setattr(nilpotent_module, "log_unipotent", tracking_log)
     if checked:
         monkeypatch.setattr(average_module, "SectionTuple", CheckedTuple)
-    result = wav(t)
+    result = wav_by_passes(t)
     monkeypatch.undo()
     return result, len(calls)
 
@@ -288,7 +289,7 @@ def test_operator_tuples_on_a_quotient_skip_the_membership_check(monkeypatch):
         assert t.group.dim < t.group.n * (t.group.n - 1) // 2
         fast, trusted_logs = log_calls_from_operator_tuples(monkeypatch, t)
         checked, checked_logs = log_calls_from_operator_tuples(monkeypatch, t, checked=True)
-        assert fast == checked == wav_all_passes(t)
+        assert fast == checked == wav_all_passes(t) == wav(t)
         assert trusted_logs == 0
         assert checked_logs > 0          # the tracking sees the checks it replaces
 

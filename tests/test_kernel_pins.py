@@ -185,26 +185,59 @@ def test_kernel_calls_per_universal_wav_are_pinned(monkeypatch):
         assert count_kernel_calls(monkeypatch, wav, t) == UNIVERSAL_KERNEL_CALLS[key], key
 
 
-def test_integer_form_calls_per_universal_wav_are_pinned(monkeypatch):
+def count_int_form_calls(monkeypatch, t):
+    """The integer-form sums and conversions of one `wav` on a fresh copy
+    of t, whose points hold no integer form yet."""
     from unipavg import UniMatrix, nilpotent, wav
 
+    expected = wav(t)       # builds the universal polynomial on first use
+    fresh = SectionTuple(t.group, [UniMatrix(s.ring, s.rows, check=False)
+                                   for s in t.sections], check=False)
+    calls = {"sum": 0, "in": 0, "out": 0}
+    for name, attr in (("sum", "_int_sum"), ("in", "_int_from_rows"), ("out", "_int_rows")):
+        def wrapper(*args, _name=name, _fn=getattr(nilpotent, attr)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(nilpotent, attr, wrapper)
+    try:
+        got = wav(fresh)
+    finally:
+        monkeypatch.undo()
+    assert got == expected
+    return calls
+
+
+def test_integer_form_calls_per_universal_wav_are_pinned(monkeypatch):
     for key, t in benchmark_tuples():
-        expected = wav(t)       # builds the universal polynomial on first use
-        fresh = SectionTuple(t.group, [UniMatrix(s.ring, s.rows, check=False)
-                                       for s in t.sections], check=False)
-        calls = dict.fromkeys(INT_FORM_CALLS[key], 0)
-        for name, attr in (("sum", "_int_sum"), ("in", "_int_from_rows"),
-                           ("out", "_int_rows")):
-            def wrapper(*args, _name=name, _fn=getattr(nilpotent, attr)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(nilpotent, attr, wrapper)
-        try:
-            got = wav(fresh)
-        finally:
-            monkeypatch.undo()
-        assert got == expected
-        assert calls == INT_FORM_CALLS[key], key
+        assert count_int_form_calls(monkeypatch, t) == INT_FORM_CALLS[key], key
+
+
+# one `wav` through Lemma A's Phi = sum_j t_j e_j, on U_4 at q = 1 and on
+# the Heisenberg group at q = 3: f_0^{-1} and the q logs in the integer
+# form, then the exp and the product on the simplex.  The lift and the
+# pass loop made 35 and 20 kernel calls and no integer-form sum
+LINEAR_CALLS = {"u4-q1": {"kernel": 19, "sum": 5, "in": 2, "out": 1},
+                "heisenberg-q3": {"kernel": 8, "sum": 7, "in": 4, "out": 3}}
+
+
+def linear_tuples():
+    from unipavg.fixtures import heisenberg_span, point_from_coordinates
+
+    rng = random.Random(1814)
+    for name, span, q in (("u4-q1", full_unipotent_span(4, QQ), 1),
+                          ("heisenberg-q3", heisenberg_span(QQ), 3)):
+        yield name, SectionTuple(span, [point_from_coordinates(span, [
+            Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+            for _ in range(span.dim)]) for _ in range(q + 1)])
+
+
+def test_kernel_calls_per_lemma_a_wav_are_pinned(monkeypatch):
+    from unipavg import wav
+
+    for name, t in linear_tuples():
+        calls = dict(count_int_form_calls(monkeypatch, t),
+                     kernel=count_kernel_calls(monkeypatch, wav, t))
+        assert calls == LINEAR_CALLS[name], name
 
 
 # kernel calls of one `rational_point`, on an orbit of each galois-descent

@@ -1,8 +1,9 @@
 """`wav_at_weights` evaluates Phi at the weights and computes on constant
 matrices: exp(Phi(w; L_1, ..., L_q)) f_0, with Phi = sum_j t_j e_j when
 q = 1 or the class is at most 2 and the cached Phi_{c',q} where `wav`
-takes it.  Every other tuple, and points with parameters, are averaged
-symbolically and then evaluated.  The oracle is the pass loop evaluated
+takes it, and f_0 itself when the points agree.  Every other tuple is
+averaged symbolically and then evaluated, and points with parameters are
+refused first.  The oracle is the pass loop evaluated
 at the weights, `eval_matrix_at_weights(wav_by_passes(t), w)`, on a grid
 of groups, tuple degrees and weights (vertices, interior points and, over
 number fields, irrational points), and `rational_point` on every orbit
@@ -153,10 +154,10 @@ def test_points_with_a_parameter_keep_the_missing_value_error(monkeypatch):
     assert fallbacks == [] and averages == []
 
 
-def test_a_constant_tuple_above_class_two_is_averaged_symbolically(monkeypatch):
+def test_a_constant_tuple_above_class_two_is_its_first_point(monkeypatch):
     span = full_unipotent_span(4, QQ)
     point, = rand_points(random.Random(2731), span, 0)
     fallbacks = count_fallbacks(monkeypatch)
     w = WeightSeq(QQ, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
     assert wav_at_weights([point] * 3, w, span) == point
-    assert len(fallbacks) == 1
+    assert fallbacks == []

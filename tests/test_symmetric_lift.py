@@ -166,8 +166,9 @@ def test_an_orbits_universal_average_matches_the_pass_loop(monkeypatch, name, or
     monkeypatch.setattr(average_module, "wsym", lambda tup: calls.append(1) or real(tup))
     assert wav(t) == want
     # q >= 2 on U_4 (class 3) and U_5 (class 4) averages through Phi_{3,q},
-    # q <= 4; q = 1 and the q = 5 orbit take the pass loop
-    assert (calls == []) == (2 <= orbit.q <= 4)
+    # q <= 4, and q = 1 through sum_j t_j e_j; the q = 5 orbit takes the pass
+    # loop
+    assert (calls == []) == (orbit.q <= 4)
 
 
 @pytest.mark.parametrize("name,orbit", CASES, ids=IDS)

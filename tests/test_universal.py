@@ -3,10 +3,14 @@
 wav(f) = exp(Phi_{c,q}(L_1, ..., L_q)) f_0 with L_j = log(f_j f_0^{-1}),
 where Phi_{c,q} is the log of the average of (0, e_1, ..., e_q) in the free
 nilpotent Lie algebra of class c on q generators, on its Lyndon basis.
-`wav` takes that path for q >= 2 and class >= 3 within MAX_UNIVERSAL_DIM;
-here it is compared exactly with the pass loop `wav_by_passes` over Q,
-Q(sqrt2) and a cubic field, on full groups, on a non-full quotient, over a
-ring with a parameter and in Lie coordinates.  The two facts behind using
+`wav` and `wav_at_weights` share one dispatch for Phi: none when the
+components agree (the average is f_0), sum_j t_j e_j when q = 1 or the
+class is <= 2 (Lemma A), and for q >= 2 and class >= 3 the cached
+Phi_{c',q} within MAX_UNIVERSAL_DIM.  Each path is compared exactly with
+the pass loop `wav_by_passes` over Q, Q(sqrt2) and a cubic field, on full
+groups, on non-full subgroups and quotients, over a ring with a parameter
+and in Lie coordinates, and the pointwise average with the symbolic one
+evaluated at the weights.  The two facts behind using
 the largest odd class c' <= c are checked on Phi itself: its even-weight
 coordinates vanish, and Phi_{c+1,q} agrees with Phi_{c,q} below weight
 c + 1.  Finally, the bound admits finitely many (c', q), and for each of
@@ -22,9 +26,11 @@ import pytest
 
 from unipavg import (
     QQ,
+    InputError,
     NilMatrix,
     PolyRing,
     SectionTuple,
+    WeightSeq,
     apply_hom,
     embed_simplex,
     exp_nilpotent,
@@ -32,22 +38,32 @@ from unipavg import (
     lower_central_series,
     quotient_span,
     wav,
+    wav_at_weights,
 )
 from unipavg import average as average_module
-from unipavg.average import (MAX_UNIVERSAL_DIM, CoordinateTuple, universal_polynomial,
-                             wav_by_passes)
-from unipavg.fixtures import cubic_field, point_from_coordinates, sqrt2_field
+from unipavg.average import (MAX_UNIVERSAL_DIM, CoordinateTuple, eval_matrix_at_weights,
+                             universal_polynomial, wav_by_passes)
+from unipavg.fixtures import cubic_field, heisenberg_span, point_from_coordinates, sqrt2_field
 from unipavg.nilpotent import free_lie_table
 from helpers import rand_point, rand_scalar
+from test_pointwise_path import weight_grid
 
 FIELDS = [QQ, sqrt2_field(), cubic_field()]
 FIELD_IDS = ["Q", "Q(sqrt2)", "cubic"]
 
 
 def assert_universal_matches_passes(t):
-    """t takes the universal path, and its average equals the pass loop's."""
-    assert average_module._universal_terms(t) is not None
+    """t averages through the cached Phi_{c',q}, and its average equals the
+    pass loop's."""
+    c = t.table.nilpotency_class
+    assert average_module._phi_terms(t) is average_module._UNIVERSAL[(c - 1 + c % 2, t.q)]
     assert wav(t) == wav_by_passes(t)
+
+
+def lemma_a_terms(q):
+    """sum_j t_j e_j, on the letters 0, ..., q - 1."""
+    ring = PolyRing(QQ, q)
+    return tuple(((j,), ring.coordinate(j + 1)) for j in range(q))
 
 
 def field_point(rng, span):
@@ -118,15 +134,27 @@ def test_coordinate_tuples_match_the_pass_loop(field, n):
 
 
 def test_the_dispatch():
-    """The pass loop keeps q <= 1, class <= 2, constant tuples and the
-    tuples whose Phi lies above the bound."""
+    """No terms for agreeing components, Lemma A's for q = 1 or class <= 2,
+    the cached Phi_{c',q} within the bound, and None, the pass loop, above
+    it and for sections over a simplex."""
     rng = random.Random(2641)
-    cases = [(full_unipotent_span(5, QQ), 1), (full_unipotent_span(3, QQ), 2),
-             (full_unipotent_span(6, QQ), 3), (full_unipotent_span(8, QQ), 2),
-             (full_unipotent_span(4, QQ), 5)]
-    for span, q in cases:
+    u4 = full_unipotent_span(4, QQ)
+    p = rand_point(rng, u4)
+    assert average_module._phi_terms(SectionTuple(u4, [p])) == ()
+    assert average_module._phi_terms(SectionTuple(u4, [p, p, p])) == ()
+    for span, q in [(full_unipotent_span(5, QQ), 1), (full_unipotent_span(3, QQ), 2),
+                    (full_unipotent_span(3, QQ), 4)]:
         t = SectionTuple(span, [rand_point(rng, span) for _ in range(q + 1)])
-        assert average_module._universal_terms(t) is None, (span, q)
+        assert average_module._phi_terms(t) == lemma_a_terms(q), (span, q)
+    for span, q in [(u4, 2), (full_unipotent_span(6, QQ), 2)]:
+        t = SectionTuple(span, [rand_point(rng, span) for _ in range(q + 1)])
+        assert_universal_matches_passes(t)
+    for span, q in [(full_unipotent_span(6, QQ), 3), (full_unipotent_span(8, QQ), 2),
+                    (u4, 5)]:
+        t = SectionTuple(span, [rand_point(rng, span) for _ in range(q + 1)])
+        assert average_module._phi_terms(t) is None, (span, q)
+    over_simplex = SectionTuple(u4, [embed_simplex(rand_point(rng, u4), 1) for _ in range(2)])
+    assert average_module._phi_terms(over_simplex) is None
 
 
 def test_a_constant_tuple_builds_no_universal_polynomial(monkeypatch):
@@ -136,6 +164,104 @@ def test_a_constant_tuple_builds_no_universal_polynomial(monkeypatch):
     monkeypatch.setattr(average_module, "universal_polynomial", None)
     assert wav(SectionTuple(span, [p, p, p])) == embed_simplex(p, 2)
     assert average_module._UNIVERSAL == {}
+
+
+# ---------------------------------------------------------------------------
+# Lemma A's Phi and the constant tuples against the pass loop
+# ---------------------------------------------------------------------------
+
+def assert_dispatch_matches_passes(t, rng, terms):
+    """t averages through `terms`, its average equals the pass loop's, and
+    for points the pointwise average equals it evaluated at the weights."""
+    assert average_module._phi_terms(t) == terms
+    got = wav(t)
+    assert got == wav_by_passes(t)
+    if isinstance(t, SectionTuple):
+        for w in weight_grid(rng, t.group.field, t.q):
+            assert wav_at_weights(t.sections, w, t.group) == eval_matrix_at_weights(got, w), w
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_q1_on_full_groups_matches_the_pass_loop(field, n):
+    rng = random.Random(2661 + 10 * n + field.degree)
+    span = full_unipotent_span(n, field)
+    for _ in range(2):
+        t = SectionTuple(span, [field_point(rng, span) for _ in range(2)])
+        assert_dispatch_matches_passes(t, rng, lemma_a_terms(1))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_class_two_groups_match_the_pass_loop(field):
+    """The Heisenberg group and Gamma_2 of U_5, the superdiagonals >= 2: a
+    non-full subgroup of class 2."""
+    rng = random.Random(2671 + field.degree)
+    gamma2 = lower_central_series(full_unipotent_span(5, field))[1]
+    assert gamma2.table.nilpotency_class == 2
+    for span in (heisenberg_span(field), gamma2):
+        for q in range(1, 5):
+            t = SectionTuple(span, [field_point(rng, span) for _ in range(q + 1)])
+            assert_dispatch_matches_passes(t, rng, lemma_a_terms(q))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_coordinate_tuples_on_u4_quotients_match_the_pass_loop(field):
+    """The floors of U_4's tower: U_4 / Gamma_2 (class 1) and U_4 / Gamma_3
+    (class 2)."""
+    rng = random.Random(2681 + field.degree)
+    u4 = full_unipotent_span(4, field)
+    series = lower_central_series(u4)
+    ring = PolyRing(field, 0)
+    for k in (1, 2):
+        table = quotient_span(u4, series[k])[0].table
+        assert table.nilpotency_class == k
+        for q in (1, 2, 3):
+            t = CoordinateTuple(table, [const_vector(rng, ring, table.dim)
+                                        for _ in range(q + 1)], ring)
+            assert_dispatch_matches_passes(t, rng, lemma_a_terms(q))
+
+
+def test_a_ring_with_a_parameter_matches_the_pass_loop_at_q1_and_class_two():
+    rng = random.Random(2691)
+    ring = PolyRing(QQ, 0, ("a",))
+    a = ring.parameter("a")
+    for n, qs in ((4, (1,)), (3, (1, 2, 3))):
+        span = full_unipotent_span(n, QQ)
+        for q in qs:
+            points = [exp_nilpotent(NilMatrix.from_entries(ring, n, {
+                (i, j): a * rng.randint(-2, 2) + rng.randint(-2, 2)
+                for i in range(n) for j in range(i + 1, n)})) for _ in range(q + 1)]
+            t = SectionTuple(span, points)
+            assert average_module._phi_terms(t) == lemma_a_terms(q)
+            got = wav(t)
+            assert got == wav_by_passes(t) and got.ring is PolyRing(QQ, q, ("a",))
+            # the weights give the parameter no value, on both sides
+            w = WeightSeq.uniform(q, QQ)
+            for average in (lambda: wav_at_weights(points, w, span),
+                            lambda: eval_matrix_at_weights(got, w)):
+                with pytest.raises(InputError, match="missing value for parameter 'a'"):
+                    average()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_constant_tuples_and_q0_match_the_pass_loop(field):
+    rng = random.Random(2701 + field.degree)
+    for span in (heisenberg_span(field), full_unipotent_span(4, field),
+                 full_unipotent_span(6, field)):
+        p = field_point(rng, span)
+        for q in range(4):
+            assert_dispatch_matches_passes(SectionTuple(span, [p] * (q + 1)), rng, ())
+    table = full_unipotent_span(4, field).table
+    ring = PolyRing(field, 0)
+    x = const_vector(rng, ring, table.dim)
+    for q in range(3):
+        assert_dispatch_matches_passes(CoordinateTuple(table, [x] * (q + 1), ring), rng, ())
+    # q = 0 over a ring with a parameter: the point itself, on both sides
+    pring = PolyRing(field, 0, ("a",))
+    point = exp_nilpotent(NilMatrix.from_entries(pring, 3, {(0, 1): pring.parameter("a")}))
+    t = SectionTuple(heisenberg_span(field), [point])
+    assert wav(t) == wav_by_passes(t) == point
+    assert wav_at_weights([point], WeightSeq(field, [1]), t.group) is point
 
 
 # ---------------------------------------------------------------------------
