@@ -64,10 +64,11 @@ dimension <= MAX_UNIVERSAL_DIM, which admits (c', q) = (3, 2), (3, 3),
 process, by `wav_by_passes` on a `CoordinateTuple` over the free
 algebra's `LieTable` (`nilpotent.free_lie_table`), and only its Lyndon
 words and coefficients are kept.  A tuple then costs f_0^{-1}, the q logs
-L_j and one walk, `_exp_phi`: a bracket per Lyndon word reached, one
-combination, one exp and one product; a pass of `wsym` makes the same
-walk for each component it computes.  Tuples with Phi above the bound
-take the pass loop.
+L_j, one walk, `nilpotent.lie_polynomial` (a bracket per Lyndon word
+reached and one combination), one exp and one product; a pass of `wsym`
+makes the same walk for each component it computes, and the group law of
+a `LieTable` makes it for BCH.  Tuples with Phi above the bound take the
+pass loop.
 
 The average at a point.  Evaluation at weights w commutes with every
 step, so wav(f)(w) = exp(Phi_{c,q}(w; L_1, ..., L_q)) f_0.
@@ -93,9 +94,9 @@ from itertools import islice
 from .errors import InputError, NonConstantError, RingMismatch
 from .exactring import (QQ, PolyRing, SimplexMap, SimplexPoly, coordinate_permutation,
                         eval_at_weights, extend_scalars, sum_of_products)
-from .nilpotent import (LieSpan, NilMatrix, UniMatrix, embed_simplex, exp_nilpotent,
-                        free_lie_table, full_unipotent_span, log_unipotent, lyndon_words,
-                        pull_back, standard_factorization)
+from .nilpotent import (LieSpan, NilMatrix, UniMatrix, _same, embed_simplex, exp_nilpotent,
+                        free_lie_table, full_unipotent_span, lie_polynomial, log_unipotent,
+                        lyndon_words, pull_back)
 
 __all__ = [
     "WeightSeq", "SectionTuple", "CoordinateTuple", "SimplexMap", "transition", "wsym",
@@ -161,7 +162,6 @@ class _MatrixLaw:
     function (as perfbench's tracer does) sees every call."""
 
     mul = staticmethod(operator.mul)
-    add = staticmethod(operator.add)
     neg = staticmethod(operator.neg)
 
     @staticmethod
@@ -175,10 +175,6 @@ class _MatrixLaw:
     @staticmethod
     def exp(x):
         return exp_nilpotent(x)
-
-    @staticmethod
-    def scale(x, s):
-        return x.scale(s)
 
     @staticmethod
     def combine(xs, coefs):
@@ -423,8 +419,9 @@ def wsym(t):
                     inverse = law.inverse(f[i])
                 x = logs[(i, j)] = law.log(law.mul(f[j], inverse))
             row.append(x)
-        return _exp_phi(law, [((k,), c) for k, c in enumerate(coords[:i] + coords[i + 1:])],
-                        row, f[i])
+        s = lie_polynomial(law, [((k,), c) for k, c in enumerate(coords[:i] + coords[i + 1:])],
+                           row)
+        return law.mul(law.exp(s), f[i])
 
     # exp of a span element times a group element stays in the group
     if t.q == 1 or 3 * t.depth > t.table.nilpotency_class:
@@ -530,39 +527,18 @@ def _admits(c, q):
         <= MAX_UNIVERSAL_DIM
 
 
-def _same(x):
-    return x
-
-
-def _exp_phi(law, terms, logs, f, coefficient=_same, place=_same):
-    """exp(Phi(L)) f for Phi's (Lyndon word, coefficient) terms, letter j
-    standing for logs[j]: one bracket per word reached, each put in place
-    by `place` and weighted by `coefficient` of its Q[t] coefficient, and f
-    put in place too.  `wav` places constant logs on the q-simplex, and
-    `wav_at_weights` evaluates the coefficients at the weights."""
-    brackets = {(j,): x for j, x in enumerate(logs)}
-
-    def bracketed(word):
-        got = brackets.get(word)
-        if got is None:
-            u, v = standard_factorization(word)
-            got = brackets[word] = law.bracket(bracketed(u), bracketed(v))
-        return got
-
-    s = law.combine([place(bracketed(w)) for w, _ in terms],
-                    [coefficient(x) for _, x in terms])
-    return law.mul(law.exp(s), place(f))
-
-
 def _average(t, terms, coefficient, place):
     """wav(t) from `_phi_terms`' terms: exp(Phi(L_1, ..., L_q)) f_0 with
-    L_j = log(f_j f_0^{-1}), or f_0, put in place, when there are none."""
+    L_j = log(f_j f_0^{-1}), or f_0 when there are none, with Phi's
+    coefficients mapped by `coefficient` and its brackets and f_0 put in
+    place by `place` (see `nilpotent.lie_polynomial`)."""
     law, f = t.law, t.sections
     if not terms:
         return place(f[0])
     inverse = law.inverse(f[0])
     logs = [law.log(law.mul(g, inverse)) for g in f[1:]]
-    return _exp_phi(law, terms, logs, f[0], coefficient, place)
+    s = lie_polynomial(law, terms, logs, coefficient, place)
+    return law.mul(law.exp(s), place(f[0]))
 
 
 def wav(t, d_override=None):

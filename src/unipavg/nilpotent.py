@@ -41,12 +41,14 @@ derived length and the nilpotency class are read from it, and a hom's
 bracket check compares the two tables.  The table is the group law in
 Lie coordinates as well: an element is the coordinate vector of its log
 and the product is BCH truncated at the class, so a quotient floor can be
-averaged on its table alone; `free_lie_table` builds the table of a free
-nilpotent Lie algebra on its Lyndon basis.  `quotient_span` seeds its
-target's table and class from the structure constants and series it
-computes anyway, records each projected basis vector's coordinates, and
-checks neither the target's closure nor the projection, which hold by
-construction.
+averaged on its table alone.  `free_lie_table` builds the table of a free
+nilpotent Lie algebra on its Lyndon basis, and the same triangular solve
+writes BCH on that basis; BCH and the average's Phi are both Lie
+polynomials on Lyndon words, evaluated by one bracket walk,
+`lie_polynomial`.  `quotient_span` seeds its target's table and class
+from the structure constants and series it computes anyway, records each
+projected basis vector's coordinates, and checks neither the target's
+closure nor the projection, which hold by construction.
 """
 
 from __future__ import annotations
@@ -712,55 +714,6 @@ class _Echelon:
 # structure constants, and the group law in Lie coordinates
 # ---------------------------------------------------------------------------
 
-def _free_mul(a, b, c):
-    """The product of two elements of the free associative algebra on the
-    letters 0, 1, ..., as {word: rational} maps, dropping words longer
-    than c."""
-    out = {}
-    for u, x in a.items():
-        for v, y in b.items():
-            if len(u) + len(v) <= c:
-                out[u + v] = out.get(u + v, 0) + x * y
-    return out
-
-
-_BCH_TERMS = {}
-
-
-def _bch_terms(c):
-    """The terms of degree 2..c of BCH(X, Y) = log(exp X exp Y), as
-    (word, coefficient) pairs in order of increasing length.  A word over
-    {0: X, 1: Y} stands for the right-nested bracket [w_1, [w_2, ...,
-    [w_{k-1}, w_k]]], and every word ends in (0, 1).
-
-    The series is computed once per c in the free associative algebra
-    truncated at degree c; the Dynkin-Specht-Wever lemma then turns its
-    degree-k part into Lie words: it is 1/k times the sum over words w of
-    coef(w) [w].  A word ending in two equal letters brackets to zero, and
-    one ending in (1, 0) is minus the word ending in (0, 1)."""
-    terms = _BCH_TERMS.get(c)
-    if terms is not None:
-        return terms
-    w = {(0,) * i + (1,) * j: Fraction(1, factorial(i) * factorial(j))
-         for i in range(c + 1) for j in range(c + 1 - i) if i + j}
-    log, pw = {}, {(): Fraction(1)}
-    for k in range(1, c + 1):
-        pw = _free_mul(pw, w, c)
-        for word, x in pw.items():
-            log[word] = log.get(word, 0) + x * Fraction((-1) ** (k + 1), k)
-    lie = {}
-    for word, x in log.items():
-        if len(word) < 2 or word[-1] == word[-2]:
-            continue
-        if word[-1] == 0:
-            word, x = word[:-2] + (0, 1), -x
-        lie[word] = lie.get(word, 0) + x / len(word)
-    terms = [(word, x) for word, x in sorted(lie.items(), key=lambda e: (len(e[0]), e[0]))
-             if x]
-    _BCH_TERMS[c] = terms
-    return terms
-
-
 class LieTable:
     """The structure constants of a Lie algebra on a basis e_0, ...,
     e_{dim-1}: [e_i, e_j] = sum_k struct[(i, j)][k] e_k for i < j, as field
@@ -771,8 +724,10 @@ class LieTable:
     coordinates: an element is the coordinate vector of its log, the
     product is BCH(X, Y) truncated at the nilpotency class c (exact, since
     every bracket of more than c elements vanishes), the inverse is the
-    negative, and log and exp are the identity.  `average.wsym` and `wav`
-    run on this law as on the matrix product.  A known class may be given."""
+    negative, and log and exp are the identity.  BCH is a Lie polynomial on
+    the Lyndon basis (`_bch_terms`), evaluated by `lie_polynomial` like
+    the average's Phi.  `average.wsym` and `wav` run on this law as on the
+    matrix product.  A known class may be given."""
 
     __slots__ = ("field", "dim", "struct", "_pairs", "_class", "_derived_length")
 
@@ -862,26 +817,8 @@ class LieTable:
 
     def mul(self, x, y):
         """BCH(x, y) truncated at the nilpotency class, for vectors of
-        polynomials over one ring: x + y and the rational multiples of the
-        brackets summed as one combination."""
-        if not self.dim:
-            return x
-        zero = x[0].ring.zero()
-        letters = (x, y)
-        nested = {}
-
-        def bracketed(word):
-            # the right-nested bracket of a word, one bracket per suffix
-            if len(word) == 1:
-                return letters[word[0]]
-            got = nested.get(word)
-            if got is None:
-                got = nested[word] = self.bracket(letters[word[0]], bracketed(word[1:]), zero)
-            return got
-
-        terms = _bch_terms(self.nilpotency_class)
-        return self.combine([x, y] + [bracketed(word) for word, _ in terms],
-                            [1, 1] + [coef for _, coef in terms])
+        polynomials over one ring."""
+        return lie_polynomial(self, _bch_terms(self.nilpotency_class), (x, y))
 
     def combine(self, xs, coefs):
         """sum_k coefs[k] xs[k] for vectors xs[k] of polynomials over one
@@ -914,16 +851,8 @@ class LieTable:
         return x
 
     @staticmethod
-    def add(x, y):
-        return tuple(b if a.is_zero else a if b.is_zero else a + b for a, b in zip(x, y))
-
-    @staticmethod
     def neg(x):
         return tuple(-a for a in x)
-
-    @staticmethod
-    def scale(x, s):
-        return tuple(a if a.is_zero else a * s for a in x)
 
     @staticmethod
     def embed(x, q):
@@ -959,6 +888,18 @@ def standard_factorization(word):
     return word[:i], word[i:]
 
 
+def _free_mul(a, b, c):
+    """The product of two elements of the free associative algebra on the
+    letters 0, 1, ..., as {word: rational} maps, dropping words longer
+    than c."""
+    out = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            if len(u) + len(v) <= c:
+                out[u + v] = out.get(u + v, 0) + x * y
+    return out
+
+
 def _free_bracket(a, b, c):
     """ab - ba in the free associative algebra truncated above length c,
     with no zero coefficient."""
@@ -968,43 +909,102 @@ def _free_bracket(a, b, c):
     return {word: x for word, x in out.items() if x}
 
 
-def free_lie_table(q, c, field):
-    """The free nilpotent Lie algebra of class c on q >= 2 generators: its
-    basis, the Lyndon words of length <= c by length and then
-    lexicographically (the generators first, word (j,) being generator j),
-    and its `LieTable` on the standard bracketings P_w of those words
-    (Chen-Fox-Lyndon, Ann. Math. 68, 1958; Reutenauer, *Free Lie
-    Algebras*, 1993, ch. 5).  A bracket [P_u, P_v] is formed in the free
-    associative algebra, where P_w is w plus larger words of its length,
-    and solved triangularly: its least word is Lyndon and its coefficient
-    is that word's coordinate.  The constants are integers; every zero of
-    the table is the field's one zero, and every zero bracket shares one
-    zero row."""
-    words = sorted(lyndon_words(q, c), key=lambda w: (len(w), w))
-    index = {w: k for k, w in enumerate(words)}
+@cache
+def _free_lyndon(q, c):
+    """The standard bracketings P_w of the Lyndon words w of length <= c
+    over q letters, as a {w: P_w} map in basis order: by length and then
+    lexicographically, so the letters come first (Chen-Fox-Lyndon, Ann.
+    Math. 68, 1958; Reutenauer, *Free Lie Algebras*, 1993, ch. 5).  P_w is
+    formed in the free associative algebra, where it is w plus larger
+    words of its length."""
     polys = {}
-    for w in words:
+    for w in sorted(lyndon_words(q, c), key=lambda w: (len(w), w)):
         polys[w] = {w: 1} if len(w) == 1 else _free_bracket(
             *(polys[u] for u in standard_factorization(w)), c)
+    return polys
+
+
+def _lyndon_coordinates(element, polys):
+    """The coordinates of a Lie element of the free associative algebra, a
+    {word: nonzero rational} map that the solve consumes, on the P_w of
+    `_free_lyndon`, as a {w: coefficient} map with no zero: triangularly,
+    since the least word of what is left is Lyndon and its coefficient is
+    that word's coordinate."""
+    out = {}
+    while element:
+        least = min(element)
+        x = out[least] = element[least]
+        for word, y in polys[least].items():
+            y = element.get(word, 0) - x * y
+            if y:
+                element[word] = y
+            else:
+                del element[word]
+    return out
+
+
+def free_lie_table(q, c, field):
+    """The free nilpotent Lie algebra of class c on q >= 2 generators: its
+    basis, the Lyndon words of `_free_lyndon` (word (j,) being generator
+    j), and its `LieTable` on their standard bracketings, each bracket
+    [P_u, P_v] formed in the free associative algebra and solved by
+    `_lyndon_coordinates`.  The constants are integers; every zero of the
+    table is the field's one zero, and every zero bracket shares one zero
+    row."""
+    polys = _free_lyndon(q, c)
+    words = list(polys)
     zeros = (field.zero,) * len(words)
     struct = {}
     for i, j in combinations(range(len(words)), 2):
-        consts = zeros
-        rest = _free_bracket(polys[words[i]], polys[words[j]], c)
-        if rest:
-            consts = list(zeros)
-        while rest:
-            least = min(rest)
-            x = rest[least]
-            consts[index[least]] = field.value(x)
-            for word, y in polys[least].items():
-                y = rest.get(word, 0) - x * y
-                if y:
-                    rest[word] = y
-                else:
-                    del rest[word]
-        struct[(i, j)] = tuple(consts)
+        coords = _lyndon_coordinates(_free_bracket(polys[words[i]], polys[words[j]], c), polys)
+        struct[(i, j)] = tuple(field.value(coords[w]) if w in coords else field.zero
+                               for w in words) if coords else zeros
     return words, LieTable(field, len(words), struct, c)
+
+
+@cache
+def _bch_terms(c):
+    """BCH(X, Y) = log(exp X exp Y) through degree c, as (Lyndon word,
+    coefficient) pairs with a nonzero coefficient, in the basis order of
+    `_free_lyndon(2, c)`, letter 0 standing for X and 1 for Y: the series
+    is summed in the free associative algebra truncated at degree c, and
+    solved on the Lyndon basis by `_lyndon_coordinates` (Casas-Murua, J.
+    Math. Phys. 50, 2009)."""
+    w = {(0,) * i + (1,) * j: Fraction(1, factorial(i) * factorial(j))
+         for i in range(c + 1) for j in range(c + 1 - i) if i + j}
+    log, pw = {}, {(): Fraction(1)}
+    for k in range(1, c + 1):
+        pw = _free_mul(pw, w, c)
+        for word, x in pw.items():
+            log[word] = log.get(word, 0) + x * Fraction((-1) ** (k + 1), k)
+    polys = _free_lyndon(2, c)
+    coords = _lyndon_coordinates({word: x for word, x in log.items() if x}, polys)
+    return tuple((word, coords[word]) for word in polys if word in coords)
+
+
+def _same(x):
+    return x
+
+
+def lie_polynomial(law, terms, letters, coefficient=_same, place=_same):
+    """sum_w coefficient(c_w) place(P_w) for a Lie polynomial's (Lyndon
+    word w, coefficient c_w) terms, P_w being w's standard bracketing with
+    letter j standing for letters[j]: one `law.bracket` per Lyndon word
+    reached through `standard_factorization`, and one `law.combine`.
+    `LieTable.mul` evaluates BCH this way, `average.wav` evaluates Phi with
+    its constant logs placed on the q-simplex, and `wav_at_weights` with
+    Phi's coefficients evaluated at the weights."""
+    brackets = {(j,): x for j, x in enumerate(letters)}
+
+    def bracketed(word):
+        got = brackets.get(word)
+        if got is None:
+            u, v = standard_factorization(word)
+            got = brackets[word] = law.bracket(bracketed(u), bracketed(v))
+        return got
+
+    return law.combine([place(bracketed(w)) for w, _ in terms],
+                       [coefficient(x) for _, x in terms])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ every component from its own inverse and its own q logs.
 
 import random
 from functools import reduce
+from operator import add
 
 import pytest
 
@@ -43,6 +44,14 @@ FIELDS = [QQ, sqrt2_field()]
 FIELD_IDS = ["Q", "Q(sqrt2)"]
 
 
+def scaled_sum(xs, coefs):
+    """sum_k coefs[k] xs[k], written out: `NilMatrix.scale` and + for
+    matrices, entry by entry for Lie-coordinate vectors."""
+    if isinstance(xs[0], NilMatrix):
+        return reduce(add, [x.scale(c) for x, c in zip(xs, coefs)])
+    return tuple(reduce(add, [a * c for a, c in zip(entries, coefs)]) for entries in zip(*xs))
+
+
 def full_pass(t):
     """One symmetrization pass with no shortcut: for each i, f_i^{-1}, the q
     logs log(f_j f_i^{-1}), and exp(sum_{j != i} t_j log(f_j f_i^{-1})) f_i."""
@@ -51,9 +60,9 @@ def full_pass(t):
     out = []
     for i in range(t.q + 1):
         inverse = law.inverse(f[i])
-        terms = [law.scale(law.log(law.mul(f[j], inverse)), coords[j])
-                 for j in range(t.q + 1) if j != i]
-        out.append(law.mul(law.exp(reduce(law.add, terms)), f[i]))
+        others = [j for j in range(t.q + 1) if j != i]
+        logs = [law.log(law.mul(f[j], inverse)) for j in others]
+        out.append(law.mul(law.exp(scaled_sum(logs, [coords[j] for j in others])), f[i]))
     return out
 
 

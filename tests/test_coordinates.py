@@ -1,14 +1,17 @@
 """The Lie-coordinate group law and the quotient tower averaged with it.
 
 A LieTable holds structure constants; its group law is BCH truncated at
-the nilpotency class, with the homogeneous terms taken from the free
-associative algebra.  The law is checked against the textbook BCH
-coefficients and against `bch` on matrices, and the coordinate tower
-against the matrix `wav` it replaced.
+the nilpotency class, with its terms solved on the Lyndon basis of the
+free Lie algebra.  The terms are checked, through their standard
+bracketings, against the textbook BCH coefficients and the series
+log(exp X exp Y) summed here; the law against `bch` on matrices; and the
+coordinate tower against the matrix `wav` it replaced.
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -52,7 +55,16 @@ def commutator(a, b):
     return {w: c for w, c in out.items() if c}
 
 
-def expand(word):
+def standard_bracketing(word):
+    """The standard bracketing P_w of a Lyndon word as associative words:
+    a letter, or [P_u, P_v] with v the least proper suffix of w."""
+    if len(word) == 1:
+        return {word: Fraction(1)}
+    i = min(range(1, len(word)), key=lambda i: word[i:])
+    return commutator(standard_bracketing(word[:i]), standard_bracketing(word[i:]))
+
+
+def right_nested(word):
     """The right-nested bracket [w_1, [w_2, ..., w_k]] as associative words."""
     out = {word[-1:]: Fraction(1)}
     for letter in reversed(word[:-1]):
@@ -60,7 +72,7 @@ def expand(word):
     return out
 
 
-def expand_terms(terms):
+def expand_terms(terms, expand=standard_bracketing):
     out = {}
     for word, coef in terms:
         for w, c in expand(word).items():
@@ -68,24 +80,64 @@ def expand_terms(terms):
     return {w: c for w, c in out.items() if c}
 
 
+def is_lyndon(word):
+    return all(word < word[i:] for i in range(1, len(word)))
+
+
+def bch_series(c):
+    """log(exp X exp Y) through degree c in the free associative algebra on
+    X = 0 and Y = 1, as {word: coefficient} with no zero."""
+    def mul(a, b):
+        out = {}
+        for u, x in a.items():
+            for v, y in b.items():
+                if len(u) + len(v) <= c:
+                    out[u + v] = out.get(u + v, 0) + x * y
+        return out
+
+    def exp(letter):
+        return {(letter,) * k: Fraction(1, math.factorial(k)) for k in range(c + 1)}
+
+    z = mul(exp(0), exp(1))
+    del z[()]
+    out, power = {}, {(): Fraction(1)}
+    for k in range(1, c + 1):
+        power = mul(power, z)
+        for w, x in power.items():
+            out[w] = out.get(w, 0) + x * Fraction((-1) ** (k + 1), k)
+    return {w: x for w, x in out.items() if x}
+
+
 def test_bch_terms_give_the_textbook_coefficients():
     # X + Y + 1/2 [X,Y] + 1/12 [X,[X,Y]] - 1/12 [Y,[X,Y]] - 1/24 [Y,[X,[X,Y]]]
-    textbook = [((0, 1), Fraction(1, 2)), ((0, 0, 1), Fraction(1, 12)),
-                ((1, 0, 1), Fraction(-1, 12)), ((1, 0, 0, 1), Fraction(-1, 24))]
-    # below degree 4 the right-nested words ending in (0, 1) are a basis
-    assert _bch_terms(2) == textbook[:1]
-    assert _bch_terms(3) == textbook[:3]
-    # in degree 4 they are not ([X,[Y,[X,Y]]] = [Y,[X,[X,Y]]]), so compare
-    # the associative expansions
-    assert expand_terms(_bch_terms(4)) == expand_terms(textbook)
-    assert _bch_terms(1) == []
+    textbook = [((0,), Fraction(1)), ((1,), Fraction(1)), ((0, 1), Fraction(1, 2)),
+                ((0, 0, 1), Fraction(1, 12)), ((1, 0, 1), Fraction(-1, 12)),
+                ((1, 0, 0, 1), Fraction(-1, 24))]
+    for c in range(1, 5):
+        assert expand_terms(_bch_terms(c)) == expand_terms(
+            [(w, x) for w, x in textbook if len(w) <= c], right_nested)
+    assert _bch_terms(0) == ()
+    # through degree 8 the terms expand to the series itself
+    assert expand_terms(_bch_terms(8)) == bch_series(8)
 
 
 def test_bch_terms_of_lower_classes_are_truncations():
-    top = _bch_terms(6)
-    for c in range(1, 6):
-        assert _bch_terms(c) == [(w, x) for w, x in top if len(w) <= c]
-    assert all(w[-2:] == (0, 1) for w, _ in top)
+    top = _bch_terms(8)
+    for c in range(1, 8):
+        assert _bch_terms(c) == tuple((w, x) for w, x in top if len(w) <= c)
+    assert all(is_lyndon(w) for w, _ in top)
+
+
+@pytest.mark.parametrize("c, q", [(3, 4), (5, 2)])
+def test_lyndon_coordinates_give_back_each_bracket(c, q):
+    # the free table of class c on q letters: sum_w c_w P_w is [P_u, P_v]
+    polys = nilpotent._free_lyndon(q, c)
+    assert {w: standard_bracketing(w) for w in polys} == polys
+    for u, v in combinations(polys, 2):
+        bracket = {w: x for w, x in commutator(polys[u], polys[v]).items() if len(w) <= c}
+        coords = nilpotent._lyndon_coordinates(dict(bracket), polys)
+        assert all(x for x in coords.values())
+        assert expand_terms(coords.items()) == bracket
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +164,12 @@ def rand_coords(rng, ring, dim):
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(sqrt2)"])
 def test_coordinate_product_equals_matrix_bch(field):
     rng = random.Random(901 + field.degree)
-    for n in range(1, 7):
+    # n = 7 and 8 reach classes 6 and 7, where BCH has the most terms
+    for n in range(1, 9):
         span = full_unipotent_span(n, field)
         table = span.table
         assert table.nilpotency_class == max(n - 1, 0)
-        for q in (0, 2):
+        for q in (0, 2) if n < 7 else (0,):
             ring = PolyRing(field, q)
             for _ in range(2 if n < 6 else 1):
                 x, y = rand_coords(rng, ring, span.dim), rand_coords(rng, ring, span.dim)

@@ -234,17 +234,20 @@ def test_law_combinations_match_reduce_add_scale(name):
     mats = [rand_nil_poly(rng, field, 4, 2, max_deg=2) for _ in range(3)]
     ring = mats[0].ring
     coefs = [ring.coordinate(j) for j in range(3)]
-    want = reduce(_MatrixLaw.add, [_MatrixLaw.scale(m, c) for m, c in zip(mats, coefs)])
+    want = reduce(add, [m.scale(c) for m, c in zip(mats, coefs)])
     assert _MatrixLaw.combine(mats, coefs) == want
-    # the same sums in the Lie coordinates of a quotient floor
+    # the same sums in the Lie coordinates of a quotient floor, entry by entry
     ut4 = full_unipotent_span(4, field)
     table = quotient_span(ut4, lower_central_series(ut4)[2])[0].table
     vecs = [tuple(rand_poly(rng, ring, 2) if rng.random() < 0.7 else ring.zero()
                   for _ in range(table.dim)) for _ in range(3)]
-    want = reduce(table.add, [table.scale(v, c) for v, c in zip(vecs, coefs)])
-    assert table.combine(vecs, coefs) == want
-    assert table.combine(vecs, [1, Fraction(-1, 3), 2]) == reduce(
-        table.add, [table.scale(v, c) for v, c in zip(vecs, [1, Fraction(-1, 3), 2])])
+
+    def vector_sum(coefs):
+        return tuple(reduce(add, [a * c for a, c in zip(entries, coefs)])
+                     for entries in zip(*vecs))
+
+    assert table.combine(vecs, coefs) == vector_sum(coefs)
+    assert table.combine(vecs, [1, Fraction(-1, 3), 2]) == vector_sum([1, Fraction(-1, 3), 2])
 
 
 def test_bch_in_lie_coordinates_matches_the_matrix_product():

@@ -3,7 +3,8 @@ polynomial kernel replaced the ScalarValue-coefficient one.  The inputs
 cover symbolic averages over Q and a cubic field, Galois descent, and
 wsym/exp/log/bch on polynomial entries, with a parameter and over
 Q[x]/(x^2 - 1/2), whose power table is not integral.  The number of
-kernel calls per wav is pinned too: a deterministic operation count."""
+kernel calls per wav, and of brackets per Lie-coordinate product, is
+pinned too: a deterministic operation count."""
 
 import hashlib
 import json
@@ -287,3 +288,35 @@ def test_pointwise_kernel_calls_per_rational_point_are_pinned(monkeypatch):
         finally:
             monkeypatch.undo()
         assert calls == POINTWISE_CALLS[name], name
+
+
+# `LieTable.bracket` calls of one Lie-coordinate product on the table of the
+# full U_{c+1}, of class c: one per Lyndon word that BCH's terms reach
+# through standard factorization.  Right-nested words, one bracket per
+# suffix, made 0, 1, 3, 5, 13, 29, 55 and 125
+BCH_BRACKETS = {1: 0, 2: 1, 3: 3, 4: 4, 5: 12, 6: 17, 7: 39, 8: 56}
+
+
+def test_brackets_per_coordinate_product_are_pinned(monkeypatch):
+    from unipavg import LieTable
+
+    rng = random.Random(1815)
+    ring = PolyRing(QQ, 0)
+    for c, expected in BCH_BRACKETS.items():
+        span = full_unipotent_span(c + 1, QQ)
+        table = span.table
+        assert table.nilpotency_class == c
+        x, y = ([ring.constant(rand_scalar(rng, QQ, -2, 2, 2)) for _ in range(span.dim)]
+                for _ in range(2))
+        calls = [0]
+
+        def counting(self, *args, _fn=LieTable.bracket):
+            calls[0] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(LieTable, "bracket", counting)
+        try:
+            table.mul(x, y)
+        finally:
+            monkeypatch.undo()
+        assert calls[0] == expected, c

@@ -1,8 +1,9 @@
 """Checks on the code itself: the bench tracer still finds every name it
 wraps, one job of each workload still reaches every layer the bench maps
-to that workload, no module under src/unipavg keeps an unused import,
-importing the library loads only the standard library, and only exactring
-builds a ScalarValue from its layout."""
+to that workload, no module under src/unipavg keeps an unused import or
+defines a private name that the package never reads, importing the
+library loads only the standard library, and only exactring builds a
+ScalarValue from its layout."""
 
 import ast
 import json
@@ -104,6 +105,68 @@ def test_no_unused_imports_in_src():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unused_private_names(sources):
+    """Private names a package defines but never loads, as (module, name)
+    pairs: module-level functions, classes and constants, and methods and
+    class attributes.  A name counts as loaded when any module of the
+    package reads it by bare name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+
+    def defined(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+    found = []
+    for module, tree in trees.items():
+        names = list(defined(tree.body))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                names += defined(node.body)
+        found += [(module, name) for name in dict.fromkeys(names)
+                  if is_private(name) and name not in loaded]
+    return found
+
+
+def test_unused_private_names_are_found():
+    sources = {"a": ("_LIMIT = 3\n"
+                     "_TABLE = {}\n"
+                     "def _old(x):\n"
+                     "    return x\n"
+                     "def _new(x):\n"
+                     "    return _LIMIT * x\n"
+                     "class _Law:\n"
+                     "    def _walk(self):\n"
+                     "        pass\n"
+                     "    def _step(self):\n"
+                     "        return self._walk()\n"
+                     "    def __init__(self):\n"
+                     "        pass\n"),
+               "b": "from .a import _Law, _new\nprint(_Law, _new)\n"}
+    assert unused_private_names(sources) == [("a", "_TABLE"), ("a", "_old"), ("a", "_step")]
+
+
+def test_no_unused_private_names_in_src():
+    # a helper, table or cache that a refactor superseded is deleted with it
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []
 
 
 IMPORTS_OUTSIDE_STDLIB = """
