@@ -33,8 +33,17 @@ both sides of the universal-polynomial dispatch
 Q(sqrt2) at q = 3, through Phi_{3,3}; and U_6 over Q at q = 3, whose
 Phi_{5,3} lies above the bound, by the pass loop), wav through Lemma A's
 Phi = sum_j t_j e_j (with --weights on the Heisenberg group over Q(sqrt2)
-at q = 3, and with --iterations 3 on U_4 over Q at q = 1), sections build and
-validate over Q(sqrt2), validate on
+at q = 3, and with --iterations 3 on U_4 over Q at q = 1), the reader's
+constant-grid path and its fallback (wav on that subgroup of U_5 and galois
+on the U_4 orbits over Q(sqrt2) and the cubic field, with every constant
+polynomial respelled in shapes that path reads: integer coefficients,
+unreduced num/den objects and coords items, single numbers for coords
+lists, explicit zero terms; then again with one entry of every other matrix
+in a shape it leaves to the general reader: a negative denominator, a
+duplicated term, a missing q, params or terms; exit 0, so the values are
+compared through the outputs; and two malformed copies with 1.0 and true
+as the coefficient of a diagonal entry, of a section and of a group basis
+matrix, exit 2), sections build and validate over Q(sqrt2), validate on
 the built section with every polynomial spelled non-canonically (integer
 coefficients, unreduced and negative-denominator num/den objects, single
 numbers for coords lists, unsorted and duplicate terms; exit 0, so the
@@ -236,6 +245,75 @@ def cli_jobs(tree, work):
             points.append(point_from_coordinates(span, coords))
         path = dump(name + ".json", serialize.tuple_to_json(SectionTuple(span, points)))
         jobs.append(["wav", "--input", path] + extra)
+    # the reader's constant-grid path and its fallback: the wav tuple on the
+    # class-3 subgroup of U_5 over Q(sqrt2) and the U_4 galois orbits over
+    # Q(sqrt2) and the cubic field, with every constant polynomial respelled
+    # as the writer never spells it; in the "fast" copies only in shapes the
+    # constant-grid path reads, in the "mixed" copies with one entry of every
+    # other matrix in a shape it leaves to the general reader; and two
+    # malformed copies, with 1.0 as the coefficient of a section's diagonal
+    # entry and true as that of a group basis matrix's (exit 2)
+    def spell(poly, k, fallback):
+        terms = poly["terms"]
+        if not terms:
+            ways = ([{"q": 0, "params": []}, {"params": [], "terms": []}] if fallback else
+                    [dict(poly, terms=[{"exp": [], "coef": 0}]),
+                     dict(poly, terms=[{"exp": [], "coef": {"num": 0, "den": 5}}])])
+            return ways[k % len(ways)]
+        coef = terms[0]["coef"]
+        items = coef.get("coords", [coef])
+
+        def wrap(lits):
+            return {"coords": lits} if "coords" in coef else lits[0]
+
+        def scaled(a, b):
+            return wrap([{"num": a * c["num"], "den": b * c["den"]} for c in items])
+
+        def term(*coefs):
+            return {"q": 0, "params": [], "terms": [{"exp": [], "coef": c} for c in coefs]}
+        if fallback:
+            ways = [term(scaled(-1, -1)), term(scaled(1, 2), scaled(1, 2)),
+                    {"params": [], "terms": terms}, {"q": 0, "terms": terms}]
+        else:
+            ways = [term(scaled(2, 2)), poly]
+            if all(c["den"] == 1 for c in items):
+                ways.append(term(wrap([c["num"] for c in items])))
+            if not any(c["num"] for c in items[1:]):
+                first = items[0]
+                ways.append(term({"num": 3 * first["num"], "den": 3 * first["den"]}))
+                if first["den"] == 1:
+                    ways.append(term(first["num"]))
+        return ways[k % len(ways)]
+
+    def respelled_doc(name, mixed):
+        doc = json.loads((Path(work) / name).read_text(encoding="utf-8"))
+        count = [0]
+
+        def walk(node):
+            if isinstance(node, dict) and "entries" in node:
+                m, n = count[0], len(node["entries"])
+                count[0] += 1
+                node["entries"] = [[spell(e, m + n * i + j,
+                                          mixed and m % 2 == 1 and n * i + j == m % (n * n))
+                                    for j, e in enumerate(row)]
+                                   for i, row in enumerate(node["entries"])]
+            elif isinstance(node, (dict, list)):
+                for value in (node.values() if isinstance(node, dict) else node):
+                    walk(value)
+        walk(doc)
+        return doc
+
+    for name, command in (("phi-3-3-block.json", "wav"), ("galois-pairs.json", "galois"),
+                          ("galois-cubic.json", "galois")):
+        for mixed in (False, True):
+            jobs.append([command, "--input", dump("%s-%s" % ("mixed" if mixed else "fast", name),
+                                                  respelled_doc(name, mixed))])
+    for name, command, key, value in (("phi-3-3-block.json", "wav", "sections", 1.0),
+                                      ("galois-pairs.json", "galois", "group", True)):
+        doc = json.loads((Path(work) / name).read_text(encoding="utf-8"))
+        mat = doc["group"]["basis"][0] if key == "group" else doc[key][1]
+        mat["entries"][1][1]["terms"] = [{"exp": [], "coef": value}]
+        jobs.append([command, "--input", dump("malformed-" + name, doc)])
     cover_span, local = cover_local_sections(sqrt2)
     cover = dump("cover.json", dict(field, cover=serialize.cover_to_json(six_point_cover()),
                                     group=serialize.span_to_json(cover_span),

@@ -67,7 +67,10 @@ words and coefficients are kept.  A tuple then costs f_0^{-1}, the q logs
 L_j, one walk, `nilpotent.lie_polynomial` (a bracket per Lyndon word
 reached and one combination), one exp and one product; a pass of `wsym`
 makes the same walk for each component it computes, and the group law of
-a `LieTable` makes it for BCH.  Tuples with Phi above the bound take the
+a `LieTable` makes it for BCH.  The brackets stay constant: the law's
+combination with Phi's coefficients on the q-simplex puts the sum there
+(for constant matrices one integer sum per t-monomial), and only f_0 is
+embedded, for the product.  Tuples with Phi above the bound take the
 pass loop.
 
 The average at a point.  Evaluation at weights w commutes with every
@@ -530,14 +533,14 @@ def _admits(c, q):
 def _average(t, terms, coefficient, place):
     """wav(t) from `_phi_terms`' terms: exp(Phi(L_1, ..., L_q)) f_0 with
     L_j = log(f_j f_0^{-1}), or f_0 when there are none, with Phi's
-    coefficients mapped by `coefficient` and its brackets and f_0 put in
-    place by `place` (see `nilpotent.lie_polynomial`)."""
+    coefficients mapped by `coefficient` (see `nilpotent.lie_polynomial`)
+    and f_0 put on their ring by `place`."""
     law, f = t.law, t.sections
     if not terms:
         return place(f[0])
     inverse = law.inverse(f[0])
     logs = [law.log(law.mul(g, inverse)) for g in f[1:]]
-    s = lie_polynomial(law, terms, logs, coefficient, place)
+    s = lie_polynomial(law, terms, logs, coefficient)
     return law.mul(law.exp(s), place(f[0]))
 
 

@@ -20,8 +20,12 @@ numerators per entry, with the gcd taken out once per result.  Products,
 the inverse (there the series sum_k (-X)^k), exp, log, brackets,
 combinations with rational or constant coefficients, negation and
 equality read and write only that form; a matrix converts its rows in
-once, on first use, and a result builds its rows only when something
-reads them (serialization, `map_entries`, coordinates, `repr`).
+once, on first use (the JSON reader builds the form of a constant grid
+directly), and a result builds its rows only when something reads them
+(serialization, `map_entries`, coordinates, `repr`).  A combination of
+such matrices with coefficients on the q-simplex, the average's Phi, is
+one integer sum per t-monomial of the coefficients, and each entry of
+the sum on the simplex is built once from those.
 
 Spans (subalgebras given by a finite basis of constant matrices) keep
 their basis in one sparse reduced echelon store, with the transform back
@@ -59,8 +63,8 @@ from itertools import chain, combinations
 from math import factorial, gcd, lcm
 
 from .errors import InputError, MembershipError, RingMismatch
-from .exactring import (PolyRing, ScalarField, SimplexPoly, extend_to_simplex,
-                        substitute_simplex_map, sum_of_products)
+from .exactring import (PolyRing, ScalarField, SimplexPoly, _canonical, _canonical_scalar,
+                        extend_to_simplex, substitute_simplex_map, sum_of_products)
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +307,38 @@ def _int_sum(field, n, terms):
     return den, conv
 
 
-def _int_scalar(c):
-    """(den, numerator vector) of a rational scalar or a constant
-    polynomial, with no zero coordinate after the first, so a rational
-    value is a vector of length one."""
+def _int_terms(c):
+    """(den, [(monomial key, numerator vector)]) of a rational scalar or a
+    polynomial: its nonzero coefficients over one denominator, each vector
+    with no zero coordinate after the first, so a rational value is a
+    vector of length one."""
     if isinstance(c, SimplexPoly):
-        den, vec = c.den, c.nums[0] if c.nums else (0,)
+        den, items = c.den, c.nums.items()
     else:
-        den, vec = c.denominator, (c.numerator,)
-    while len(vec) > 1 and not vec[-1]:
-        vec = vec[:-1]
-    return den, vec
+        den, items = c.denominator, ((0, (c.numerator,)),) if c else ()
+    out = []
+    for key, vec in items:
+        while len(vec) > 1 and not vec[-1]:
+            vec = vec[:-1]
+        out.append((key, vec))
+    return den, out
+
+
+def _int_poly_rows(ring, n, sums):
+    """The rows of the NilMatrix sum_e t^e M_e over ring, a simplex ring
+    with no parameters, for (monomial key e, integer form of M_e) pairs:
+    each strictly upper entry is built once, over the lcm of its
+    monomials' denominators."""
+    columns = [(key, den, list(zip(*planes))) for key, (den, planes) in sums]
+    rows = [list(row) for row in _zero_rows(ring, n)]
+    for k, (i, j) in enumerate(_upper_positions(n)[0]):
+        terms = [(key, den, vecs[k]) for key, den, vecs in columns if any(vecs[k])]
+        if terms:
+            d = lcm(*[den for _, den, _ in terms])
+            rows[i][j] = _canonical(ring, d, {key: vec if den == d else tuple([x * (d // den)
+                                                                               for x in vec])
+                                              for key, den, vec in terms})
+    return tuple(map(tuple, rows))
 
 
 def _int_series(field, n, x, coefs):
@@ -488,21 +513,32 @@ class NilMatrix(_TriangularMatrix):
 
     @staticmethod
     def combination(mats, coefs):
-        """sum_k coefs[k] mats[k] for matrices over one ring and
-        coefficients that are polynomials over it or rational scalars: one
-        sum of products per strictly upper entry, or over a ring with no
-        variables one integer sum."""
+        """sum_k coefs[k] mats[k] for matrices over one ring and coefficients
+        that are rational scalars or polynomials over that ring or, for
+        t-constant matrices, over the q-simplex with the same field and
+        parameters, where the sum then lies.  Over a ring with no variables
+        it is one integer sum per monomial of the coefficients, and a sum on
+        the simplex builds each entry once from those; otherwise each
+        strictly upper entry is one sum of products, of the matrices lifted
+        to the simplex if they are not there."""
         ring, n = mats[0].ring, mats[0].n
-        if not ring.nvars:
-            terms = []
-            for m, c in zip(mats, coefs):
-                cden, cvec = _int_scalar(c)
-                if any(cvec):
-                    den, planes = m._int_form()
-                    terms.append((planes, cvec, den * cden, 1))
-            return NilMatrix._from_int(ring, n, _int_sum(ring.field, n, terms))
-        return NilMatrix(ring, _upper_sums(_zero_rows(ring, n), [m.rows for m in mats],
-                                           coefs, ring), check=False)
+        target = next((c.ring for c in coefs if isinstance(c, SimplexPoly)), ring)
+        if ring.nvars:
+            if target is not ring:
+                mats = [embed_simplex(m, target.q) for m in mats]
+            return NilMatrix(target, _upper_sums(_zero_rows(target, n), [m.rows for m in mats],
+                                                 coefs, target), check=False)
+        field, by_key = ring.field, {}
+        for m, c in zip(mats, coefs):
+            cden, items = _int_terms(c)
+            if items:
+                den, planes = m._int_form()
+                for key, vec in items:
+                    by_key.setdefault(key, []).append((planes, vec, den * cden, 1))
+        if target is ring:
+            return NilMatrix._from_int(ring, n, _int_sum(field, n, by_key.get(0, [])))
+        return NilMatrix(target, _int_poly_rows(target, n, [
+            (key, _int_sum(field, n, by_key[key])) for key in sorted(by_key)]), check=False)
 
     def bracket(self, other):
         """The commutator [self, other] = self other - other self."""
@@ -822,11 +858,16 @@ class LieTable:
 
     def combine(self, xs, coefs):
         """sum_k coefs[k] xs[k] for vectors xs[k] of polynomials over one
-        ring, whose coefficients are polynomials over that ring or rational
-        scalars: one sum of products per coordinate."""
+        ring, whose coefficients are rational scalars or polynomials over
+        that ring or, for t-constant vectors, over the q-simplex, to which
+        the vectors are then lifted: one sum of products per coordinate."""
         if not self.dim:
             return ()
         ring = xs[0][0].ring
+        target = next((c.ring for c in coefs if isinstance(c, SimplexPoly)), ring)
+        if target is not ring:
+            xs = [self.embed(x, target.q) for x in xs]
+            ring = target
         out = []
         for k in range(self.dim):
             pairs = [(x[k], c) for x, c in zip(xs, coefs) if x[k].nums]
@@ -868,7 +909,9 @@ def lyndon_words(q, c):
     """The Lyndon words of length <= c over the letters 0, ..., q-1, as
     tuples in lexicographic order, one at a time (Duval, Theoret. Comput.
     Sci. 60, 1988): each word is strictly smaller than its proper
-    suffixes."""
+    suffixes.  There are none when c < 1 or q < 1."""
+    if q < 1 or c < 1:
+        return
     w = [-1]
     while w:
         w[-1] += 1
@@ -986,14 +1029,15 @@ def _same(x):
     return x
 
 
-def lie_polynomial(law, terms, letters, coefficient=_same, place=_same):
-    """sum_w coefficient(c_w) place(P_w) for a Lie polynomial's (Lyndon
-    word w, coefficient c_w) terms, P_w being w's standard bracketing with
-    letter j standing for letters[j]: one `law.bracket` per Lyndon word
-    reached through `standard_factorization`, and one `law.combine`.
-    `LieTable.mul` evaluates BCH this way, `average.wav` evaluates Phi with
-    its constant logs placed on the q-simplex, and `wav_at_weights` with
-    Phi's coefficients evaluated at the weights."""
+def lie_polynomial(law, terms, letters, coefficient=_same):
+    """sum_w coefficient(c_w) P_w for a Lie polynomial's (Lyndon word w,
+    coefficient c_w) terms, P_w being w's standard bracketing with letter j
+    standing for letters[j]: one `law.bracket` per Lyndon word reached
+    through `standard_factorization`, and one `law.combine`.
+    `LieTable.mul` evaluates BCH this way, `average.wav` evaluates Phi on
+    its constant logs with coefficients on the q-simplex, which the
+    combination lifts, and `wav_at_weights` with Phi's coefficients
+    evaluated at the weights."""
     brackets = {(j,): x for j, x in enumerate(letters)}
 
     def bracketed(word):
@@ -1003,8 +1047,7 @@ def lie_polynomial(law, terms, letters, coefficient=_same, place=_same):
             got = brackets[word] = law.bracket(bracketed(u), bracketed(v))
         return got
 
-    return law.combine([place(bracketed(w)) for w, _ in terms],
-                       [coefficient(x) for _, x in terms])
+    return law.combine([bracketed(w) for w, _ in terms], [coefficient(x) for _, x in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -1013,8 +1056,14 @@ def lie_polynomial(law, terms, letters, coefficient=_same, place=_same):
 
 def _upper_row(mat):
     """The nonzero strictly upper entries of a constant matrix, as a sparse
-    {index: field value} map indexed like `strict_upper`; InputError
-    when an entry is not constant."""
+    {index: field value} map indexed like `strict_upper`, read from the
+    integer form when the matrix has one; InputError when an entry is not
+    constant."""
+    if mat._int is not None:
+        den, planes = mat._int
+        field = mat.ring.field
+        return {k: _canonical_scalar(field, den, vec)
+                for k, vec in enumerate(zip(*planes)) if any(vec)}
     return {k: e.constant_value() for k, e in mat.nonzero_upper().items()}
 
 

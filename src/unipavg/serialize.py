@@ -4,12 +4,17 @@ All numbers travel as exact integers: rationals are {"num", "den"}
 objects, extension scalars are {"coords": [rational]} in the power basis.
 Emitted documents parse back to equal values; term lists are sorted so
 output is deterministic, though equality is of canonical forms, not bytes.
+A matrix of constant entries in the common spellings is read straight
+into the integer form of `nilpotent`, building no polynomial
+(`_constant_grid`); every other matrix is read entry by entry, with the
+same values and messages.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import add
 
 from .errors import InputError
@@ -134,6 +139,25 @@ def _exact_coords(coords):
     return den, tuple([num * (den // d) for num, d in lits])
 
 
+def _inline_scalar(coef, degree):
+    """A coefficient of one of the common shapes, an int, a two-key num/den
+    object of exact ints with den > 0, or a one-key {"coords": [...]}
+    object of degree such literals (`_exact_coords`), as
+    `_scalar_numerators` reads it; None for any other shape."""
+    if type(coef) is int:
+        return 1, (coef,) + (0,) * (degree - 1)
+    if type(coef) is dict:
+        if len(coef) == 2:
+            num, den = coef.get("num"), coef.get("den")
+            if type(num) is int and type(den) is int and den > 0:
+                return den, (num,) + (0,) * (degree - 1)
+        elif len(coef) == 1:
+            coords = coef.get("coords")
+            if type(coords) is list and len(coords) == degree:
+                return _exact_coords(coords)
+    return None
+
+
 def scalar_from_json(field: ScalarField, obj) -> ScalarValue:
     return _canonical_scalar(field, *_scalar_numerators(field, obj))
 
@@ -156,10 +180,9 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
     """Read a polynomial over the one PolyRing of its (field, q, params).
     Coefficients are read as integer literals and put over their least
     common denominator, so the canonical form takes one gcd reduction.  The
-    common literals, an int or a two-key num/den object of exact ints with
-    den > 0, are read inline, and so is a one-key {"coords": [...]} object
-    of field.degree such literals (`_exact_coords`); `_scalar_numerators`
-    reads every other shape, with the same values and messages.  An
+    common shapes of a coefficient are read by `_inline_scalar`;
+    `_scalar_numerators` reads every other shape, with the same values and
+    messages.  An
     exponent list of the ring's length becomes its key through
     `exactring._pack`, which takes only
     integers (booleans among them) in 0..MAX_DEGREE summing to at most
@@ -194,7 +217,6 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
     den = 1                 # the lcm of the terms' denominators
     nvars = ring.nvars
     degree = field.degree
-    zeros = (0,) * (degree - 1)           # a number's other coordinates
     negative = None         # the first exponent vector with a negative entry
     high = None             # the first one of total degree above MAX_DEGREE
     for term in doc_terms:
@@ -217,16 +239,8 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
             else:
                 high = high or exp
         coef = term.get("coef")
-        if type(coef) is int:
-            vec, d = (coef, *zeros), 1
-        elif (type(coef) is dict and len(coef) == 2 and type(num := coef.get("num")) is int
-              and type(d := coef.get("den")) is int and d > 0):
-            vec = (num, *zeros)
-        elif (type(coef) is dict and len(coef) == 1 and type(coords := coef.get("coords")) is list
-              and len(coords) == degree and (read := _exact_coords(coords)) is not None):
-            d, vec = read
-        else:
-            d, vec = _scalar_numerators(field, coef)
+        read = _inline_scalar(coef, degree)
+        d, vec = read if read is not None else _scalar_numerators(field, coef)
         if d != den:
             den = math.lcm(den, d)
         terms.append((key, vec, d))
@@ -276,10 +290,62 @@ def matrix_to_json(mat):
     return _matrix_json(mat, _poly_docs())
 
 
+def _constant_grid(field, entries, unit):
+    """The integer form (see `nilpotent`) of a square grid of constant
+    entries over (field, q = 0, no parameters), or None.  Each entry must
+    have the int q 0, the params [] and a terms list of at most one term,
+    whose exp is [] and whose coefficient is an int, a two-key num/den
+    object of ints with den > 0, or a one-key {"coords": [...]} object of
+    field.degree such literals: shapes that `poly_from_json` reads inline,
+    to the same values.  The diagonal (1 when unit, else 0) and the lower
+    triangle are checked on the parsed integers.  Any other entry or value
+    gives None, and the general reader then reads and reports the grid."""
+    degree = field.degree
+    upper = []              # (denominator, numerators) of each strictly upper entry
+    for i, row in enumerate(entries):
+        for j, entry in enumerate(row):
+            if type(entry) is not dict:
+                return None
+            q, params, terms = entry.get("q"), entry.get("params"), entry.get("terms")
+            if (type(q) is not int or q or type(params) is not list or params
+                    or type(terms) is not list or len(terms) > 1):
+                return None
+            den, vec = 1, None
+            if terms:
+                term = terms[0]
+                if type(term) is not dict:
+                    return None
+                exp, read = term.get("exp"), _inline_scalar(term.get("coef"), degree)
+                if type(exp) is not list or exp or read is None:
+                    return None
+                den, vec = read
+                if not any(vec):
+                    vec = None
+            if j > i:
+                upper.append((den, vec))
+            elif j < i or not unit:
+                if vec is not None:
+                    return None
+            elif vec is None or vec[0] != den or any(vec[1:]):
+                return None
+    den = math.lcm(*[d for d, vec in upper if vec is not None])
+    zero = (0,) * degree
+    planes = [list(plane) for plane in zip(*[
+        zero if vec is None else vec if d == den else tuple([x * (den // d) for x in vec])
+        for d, vec in upper])] if upper else [[] for _ in range(degree)]
+    g = math.gcd(den, *chain.from_iterable(planes))
+    if g != 1:
+        den //= g
+        planes = [[x // g for x in plane] for plane in planes]
+    return den, planes
+
+
 def _grid_from_json(field, obj, kind):
-    """A NilMatrix or UniMatrix (kind) from its n x n grid.  The entries are
-    polynomials over one ring and the grid is square: only the diagonal is
-    left for the matrix to check."""
+    """A NilMatrix or UniMatrix (kind) from its n x n grid.  A grid of
+    constant entries in the common shapes is read straight into the
+    integer form (`_constant_grid`), building no polynomial.  Otherwise
+    the entries are read as polynomials over one ring and the grid is
+    square: only the diagonal is left for the matrix to check."""
     _expect(obj, dict, "matrix")
     n = _expect(obj.get("n"), int, "n")
     if n < 1:
@@ -287,6 +353,9 @@ def _grid_from_json(field, obj, kind):
     entries = _expect(obj.get("entries"), list, "entries")
     if len(entries) != n or any(len(_expect(r, list, "matrix row")) != n for r in entries):
         raise FormatError("matrix entries must form an n x n grid")
+    form = _constant_grid(field, entries, kind is UniMatrix)
+    if form is not None:
+        return kind._from_int(PolyRing(field, 0), n, form)
     rows = tuple([tuple([poly_from_json(field, e) for e in row]) for row in entries])
     ring = rows[0][0].ring
     if any(e.ring is not ring for row in rows for e in row):

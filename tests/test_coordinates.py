@@ -11,7 +11,7 @@ coordinate tower against the matrix `wav` it replaced.
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -138,6 +138,18 @@ def test_lyndon_coordinates_give_back_each_bracket(c, q):
         coords = nilpotent._lyndon_coordinates(dict(bracket), polys)
         assert all(x for x in coords.values())
         assert expand_terms(coords.items()) == bracket
+
+
+def test_lyndon_words_of_no_length_or_no_letter_are_none():
+    # islice bounds the check, so a generator that never stops fails it
+    for q, c in ((2, 0), (3, -1), (0, 3), (-1, 2), (0, 0)):
+        assert list(islice(nilpotent.lyndon_words(q, c), 5)) == [], (q, c)
+    assert nilpotent._free_lyndon(2, 0) == {}
+    assert nilpotent._free_lyndon(0, 3) == {}
+    # one letter, or length one, still gives the letters
+    assert list(nilpotent.lyndon_words(1, 4)) == [(0,)]
+    assert list(nilpotent.lyndon_words(3, 1)) == [(0,), (1,), (2,)]
+    assert all(is_lyndon(w) for w in nilpotent.lyndon_words(3, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ from test_properties import SETTINGS
 WALL_BOUND_S = 2.0
 
 # the values swapped in: zero, units, the two sides of one byte, large
-# magnitudes, a fraction, booleans, null, strings and empty containers
-VALUES = [0, 1, -1, 255, 256, 10 ** 6, -10 ** 6, 0.5, True, False, None, "x", "", [], {}]
+# magnitudes, a fraction, 1.0 and booleans (which == takes for 1 and 0),
+# null, strings and empty containers
+VALUES = [0, 1, -1, 255, 256, 10 ** 6, -10 ** 6, 0.5, 1.0, True, False, None, "x", "", [],
+          {}]
 
 
 def _main(argv, doc):
@@ -116,3 +118,44 @@ def test_a_mutated_document_exits_0_2_or_3_in_bounded_time(name, path, op, value
     if err.getvalue():
         assert json.loads(err.getvalue())["error"]["kind"] != "internal-error", err.getvalue()
     assert elapsed < WALL_BOUND_S, elapsed
+
+
+# a constant matrix entry with 1.0, true or a string as its coefficient,
+# as its q, or in place of the whole entry, and the error the reader
+# reports for it wherever the entry is (a list, since a dict would take
+# the key ("coef", True) for ("coef", 1.0))
+HOSTILE_ERRORS = [
+    ("coef", 1.0, "FormatError", "expected an integer or a num/den object"),
+    ("coef", True, "FormatError", "booleans are not numbers"),
+    ("coef", "1", "FormatError", "expected an integer or a num/den object"),
+    ("q", 1.0, "FormatError", "expected int for q, got float"),
+    ("q", True, "InputError", "simplex dimension must be a nonnegative integer"),
+    ("q", "1", "FormatError", "expected int for q, got str"),
+    ("entry", 1.0, "FormatError", "expected dict for polynomial, got float"),
+    ("entry", True, "FormatError", "expected dict for polynomial, got bool"),
+    ("entry", "1", "FormatError", "expected dict for polynomial, got str"),
+]
+
+
+@pytest.mark.parametrize("name", ["wav", "galois-sqrt2"])
+@pytest.mark.parametrize("where", ["section", "basis"])
+@pytest.mark.parametrize("i, j", [(1, 1), (1, 0)], ids=["diagonal", "below"])
+def test_a_hostile_constant_entry_exits_2_with_its_message(name, where, i, j):
+    argv, doc = JOBS[name]
+    for place, value, kind, message in HOSTILE_ERRORS:
+        bad = json.loads(json.dumps(doc))
+        mat = (bad["group"]["basis"][0] if where == "basis"
+               else bad["sections" if name == "wav" else "points"][1])
+        entry = mat["entries"][i][j]
+        if place == "entry":
+            mat["entries"][i][j] = value
+        elif place == "q":
+            entry["q"] = value
+        else:
+            entry["terms"] = [{"exp": [], "coef": value}]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _main(argv + ["--input", "-"], bad)
+        assert code == 2, (place, value)
+        error = json.loads(err.getvalue())["error"]
+        assert (error["type"], error["message"]) == (kind, message), (place, value)

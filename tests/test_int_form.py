@@ -15,7 +15,7 @@ from math import gcd
 
 import pytest
 
-from unipavg import QQ, NilMatrix, PolyRing, ScalarField, UniMatrix, bch
+from unipavg import QQ, NilMatrix, PolyRing, ScalarField, UniMatrix, bch, embed_simplex
 from unipavg.exactring import SimplexPoly
 from unipavg.fixtures import cubic_field, sqrt2_field
 from unipavg.nilpotent import _int_from_rows, exp_nilpotent, log_unipotent
@@ -157,3 +157,72 @@ def test_inequality_is_decided_in_either_form():
         assert isinstance(m.rows[0][1], SimplexPoly)
     assert NilMatrix.zero(ring, 3) != a and a != NilMatrix.zero(ring, 3)
     assert NilMatrix.combination([a], [0]) == NilMatrix.zero(ring, 3)
+
+
+# ---------------------------------------------------------------------------
+# combinations with coefficients on the q-simplex
+# ---------------------------------------------------------------------------
+
+def simplex_exponents(q, degree):
+    """Every exponent vector over t_0, ..., t_{q-1} of total degree <=
+    degree, in a fixed order."""
+    if q == 0:
+        return [()]
+    return [(e,) + rest for e in range(degree + 1)
+            for rest in simplex_exponents(q - 1, degree - e)]
+
+
+def rand_simplex_coef(rng, ring, nterms):
+    """A polynomial on ring's simplex with exactly nterms monomials, each
+    coefficient a nonzero field scalar."""
+    field = ring.field
+    terms = {}
+    for exp in rng.sample(simplex_exponents(ring.q, 4), nterms):
+        c = field.zero
+        while c.is_zero:
+            c = rand_scalar(rng, field, -3, 3, 4)
+        terms[exp] = c
+    return ring.poly(terms)
+
+
+def assert_canonical_poly(entry):
+    assert entry.den > 0
+    if not entry.nums:
+        assert entry.den == 1
+        return
+    vecs = list(entry.nums.values())
+    assert all(len(v) == entry.ring.field.degree and any(v) for v in vecs)
+    assert gcd(entry.den, *(x for v in vecs for x in v)) == 1
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_a_combination_on_the_simplex_matches_lift_then_combine(name):
+    """Constant matrices with coefficients on the q-simplex: one integer sum
+    per monomial, each entry built once, against each matrix embedded on
+    the simplex and then combined by the polynomial kernel."""
+    field = FIELDS[name]
+    rng = random.Random("lift-" + name)
+    nterms = iter(list(range(1, 16)) * 8)
+    for n in (1, 2, 3, 5):
+        for q in (1, 2, 3):
+            const, target = PolyRing(field, 0), PolyRing(field, q)
+            mats = [NilMatrix.from_entries(const, n, rand_entries(rng, field, n, density))
+                    for density in (0.25, 1.0, 0.0, 0.6)]
+            # results held only in integer form: a bracket, and an all-zero one
+            mats += [mats[1].bracket(mats[3]), mats[1].bracket(mats[1])]
+            limit = len(simplex_exponents(q, 4))
+            coefs = [rand_simplex_coef(rng, target, min(next(nterms), limit)) for _ in mats]
+            # a zero coefficient, and a rational scalar beside polynomials
+            coefs[2 + q % 2] = target.zero()
+            coefs[0] = Fraction(-3, 7)
+            for pick in (slice(None), slice(0, 2), slice(2, 4), slice(4, None)):
+                ms, cs = mats[pick], coefs[pick]
+                got = NilMatrix.combination(ms, cs)
+                want = NilMatrix.combination([embed_simplex(m, q) for m in ms], cs)
+                assert want.ring is target and got.ring is target and got._int is None
+                for i in range(n):
+                    for j in range(n):
+                        x, y = got.rows[i][j], want.rows[i][j]
+                        assert_canonical_poly(x)
+                        assert x.ring is target and (x.den, x.nums) == (y.den, y.nums), (i, j)
+                assert got == want

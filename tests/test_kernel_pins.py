@@ -124,21 +124,25 @@ def test_output_bytes_are_pinned(tmp_path, capsys, name):
 # benchmark class (n, q), drawn as the benchmark draws them: by the pass
 # loop, which before the unit product, the back-substitution inverse and the
 # lone terms times 1 made 247, 352, 279 and 425, and by `wav`, through the
-# universal polynomial once it is built.  There f_0^{-1}, the logs and the
-# brackets are constant matrices, computed in the integer form, so only the
-# exp and the product on the simplex call the kernel (82, 125, 118 and 153
-# when every constant entry was a sum of products too)
+# universal polynomial once it is built.  There f_0^{-1}, the logs, the
+# brackets and Phi's sum are constant matrices and integer sums, so only
+# the exp and the product on the simplex call the kernel (82, 125, 118 and
+# 153 when every constant entry was a sum of products too, and 19, 19, 36
+# and 36 while Phi's sum was one sum of products per entry)
 KERNEL_CALLS = {(4, 3): 154, (4, 4): 219, (5, 2): 197, (5, 3): 291}
-UNIVERSAL_KERNEL_CALLS = {(4, 3): 19, (4, 4): 19, (5, 2): 36, (5, 3): 36}
+UNIVERSAL_KERNEL_CALLS = {(4, 3): 13, (4, 4): 13, (5, 2): 26, (5, 3): 26}
 
 # integer-form operations per universal `wav` on fresh copies of the same
-# tuples: integer sums (one per product and bracket, and n - 2 per exp, log
-# or inverse series), the q + 1 points converted in once each, and each
-# term of Phi converted out once, when it is embedded on the simplex
-INT_FORM_CALLS = {(4, 3): {"sum": 20, "in": 4, "out": 9},
-                  (4, 4): {"sum": 32, "in": 5, "out": 16},
-                  (5, 2): {"sum": 14, "in": 3, "out": 4},
-                  (5, 3): {"sum": 24, "in": 4, "out": 9}}
+# tuples: integer sums (one per product and bracket, n - 2 per exp, log or
+# inverse series, and one per t-monomial of Phi's coefficients), the q + 1
+# points converted in once each, and no form converted out: Phi's sum
+# builds each entry once from its monomials' sums.  Lifting each term of
+# Phi onto the simplex made 20, 32, 14 and 24 sums and 9, 16, 4 and 9
+# conversions out
+INT_FORM_CALLS = {(4, 3): {"sum": 29, "in": 4, "out": 0},
+                  (4, 4): {"sum": 46, "in": 5, "out": 0},
+                  (5, 2): {"sum": 19, "in": 3, "out": 0},
+                  (5, 3): {"sum": 33, "in": 4, "out": 0}}
 
 
 def benchmark_tuples():
@@ -214,11 +218,14 @@ def test_integer_form_calls_per_universal_wav_are_pinned(monkeypatch):
 
 
 # one `wav` through Lemma A's Phi = sum_j t_j e_j, on U_4 at q = 1 and on
-# the Heisenberg group at q = 3: f_0^{-1} and the q logs in the integer
-# form, then the exp and the product on the simplex.  The lift and the
-# pass loop made 35 and 20 kernel calls and no integer-form sum
-LINEAR_CALLS = {"u4-q1": {"kernel": 19, "sum": 5, "in": 2, "out": 1},
-                "heisenberg-q3": {"kernel": 8, "sum": 7, "in": 4, "out": 3}}
+# the Heisenberg group at q = 3: f_0^{-1}, the q logs and their sum (one
+# integer sum per t-monomial, q + 1 of them) in the integer form, then the
+# exp and the product on the simplex.  The lift and the pass loop made 35
+# and 20 kernel calls and no integer-form sum; lifting each log onto the
+# simplex made 19 and 8 kernel calls, 5 and 7 sums, and 1 and 3
+# conversions out
+LINEAR_CALLS = {"u4-q1": {"kernel": 13, "sum": 7, "in": 2, "out": 0},
+                "heisenberg-q3": {"kernel": 5, "sum": 11, "in": 4, "out": 0}}
 
 
 def linear_tuples():

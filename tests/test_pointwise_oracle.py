@@ -9,7 +9,8 @@ on constant matrices, every component on every pass, until they agree.
 The iteration below uses dense lists of field scalars and its own
 terminating series, sharing only scalar arithmetic with the package, so it
 checks `wav` and its one-component passes over number fields too,
-where the sympy oracle does not reach.
+where the sympy oracle does not reach, and through every universal
+polynomial Phi_{c',q} that `wav` admits, on full and non-full spans.
 """
 
 import random
@@ -20,12 +21,17 @@ import pytest
 
 from unipavg import (
     QQ,
+    LieSpan,
+    NilMatrix,
+    PolyRing,
     SectionTuple,
     WeightSeq,
     derived_series_length,
+    exp_nilpotent,
     full_unipotent_span,
     wav,
 )
+from unipavg import average as average_module
 from unipavg.average import eval_matrix_at_weights
 from unipavg.fixtures import (
     abelian3_span,
@@ -39,7 +45,7 @@ from unipavg.fixtures import (
     two_point_tuple,
     u2_span,
 )
-from helpers import rand_tuple, rand_weights
+from helpers import rand_scalar, rand_tuple, rand_weights
 
 
 def matmul(a, b, zero):
@@ -166,3 +172,52 @@ def test_cover_tuples_agree_with_the_pointwise_iteration():
     for p in shared:
         values = [s.values[p] for s in local if p in s.values]
         assert_oracle_agrees(SectionTuple(span, values), rng)
+
+
+def field_tuple(rng, span, q):
+    """q + 1 points of span whose log coordinates use every coordinate of
+    its field."""
+    return SectionTuple(span, [exp_nilpotent(span.from_coordinates(
+        [rand_scalar(rng, span.field, -2, 2, 2) for _ in range(span.dim)]))
+        for _ in range(q + 1)])
+
+
+def block_span(field):
+    """The subgroup of U_5 spanned by the E_ij with j <= 3 and the corner
+    E_04, which is central there: dimension 7 of 10, class 3."""
+    ring = PolyRing(field, 0)
+    return LieSpan([NilMatrix.from_entries(ring, 5, {(i, j): 1})
+                    for i in range(5) for j in range(i + 1, 5) if j <= 3 or i == 0])
+
+
+def assert_through_phi(t):
+    """t is averaged through a cached Phi_{c',q}, not by the pass loop."""
+    c = t.table.nilpotency_class
+    terms = average_module._phi_terms(t)
+    assert terms is average_module._UNIVERSAL[(c - 1 + c % 2, t.q)]
+
+
+FIELD_PARAMS = pytest.mark.parametrize("field", [QQ, sqrt2_field(), cubic_field()],
+                                       ids=["Q", "Q(sqrt2)", "cubic"])
+
+
+@FIELD_PARAMS
+@pytest.mark.parametrize("n, q", [(4, 3), (4, 4), (5, 2), (5, 3), (6, 2)])
+def test_every_admitted_phi_agrees_with_the_pointwise_iteration(field, n, q):
+    """Full U_n through Phi_{3,3}, Phi_{3,4}, Phi_{3,2}, Phi_{3,3} and
+    Phi_{5,2}, with logs in every coordinate of the field."""
+    rng = random.Random(1141 + 10 * n + q + 100 * field.degree)
+    t = field_tuple(rng, full_unipotent_span(n, field), q)
+    assert_through_phi(t)
+    assert_oracle_agrees(t, rng, draws=1)
+
+
+@FIELD_PARAMS
+def test_a_non_full_class_three_span_agrees_with_the_pointwise_iteration(field):
+    rng = random.Random(1151 + field.degree)
+    span = block_span(field)
+    assert span.dim == 7 and span.table.nilpotency_class == 3
+    for q in (2, 3):
+        t = field_tuple(rng, span, q)
+        assert_through_phi(t)
+        assert_oracle_agrees(t, rng, draws=1)

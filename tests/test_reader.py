@@ -3,8 +3,13 @@ builds the canonical form with one lcm and one gcd reduction.  The reader
 it replaced, which went through Fraction, field.value and ring.poly, is
 written out here as the reference: on generated term lists over Q,
 Q(sqrt2) and the cubic field the two give equal polynomials, or raise the
-same exception class with the same message."""
+same exception class with the same message.  A grid of constant entries
+in the common spellings is read straight into the integer form of
+constant matrices; on every spelling, and on values that == takes for 1
+or 0, it gives the general reader's matrix or error, builds no
+polynomial, and leaves every other grid to the general reader."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -13,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipavg import QQ, NilMatrix, PolyRing, UniMatrix
+from unipavg import QQ, NilMatrix, PolyRing, UniMatrix, serialize
 from unipavg.errors import InputError
 from unipavg.fixtures import cubic_field, sqrt2_field
 from unipavg.serialize import (FormatError, _expect, fraction_from_json, nil_from_json,
@@ -474,6 +479,14 @@ def test_grid_reader_matches_the_old_reader(doc):
      "entry (1, 0) below the diagonal is nonzero"),
     (uni_from_json, UniMatrix, [[const(1), const(1)], [const(0), const(0)]],
      "diagonal entry (1, 1) is not 1"),
+    (uni_from_json, UniMatrix, [[const(1), const(1)], [const(0), const(-2)]],
+     "diagonal entry (1, 1) is not 1"),
+    (uni_from_json, UniMatrix, [[const({"num": 2, "den": 1}), const(1)], [const(0), const(1)]],
+     "diagonal entry (0, 0) is not 1"),
+    (nil_from_json, NilMatrix, [[const(1), const(1)], [const(0), const(0)]],
+     "entry (0, 0) below or on the diagonal is nonzero"),
+    (uni_from_json, UniMatrix, [[const(1), const(1)], [const(-2), const(1)]],
+     "entry (1, 0) below the diagonal is nonzero"),
     (nil_from_json, NilMatrix, [[const(0), const(1)]], "matrix entries must form an n x n grid"),
     (uni_from_json, UniMatrix, "x", "expected list for entries, got str"),
 ])
@@ -482,3 +495,166 @@ def test_grid_rejections_keep_their_class_and_message(read, kind, entries, messa
     new = outcome(read, QQ, doc)
     assert new[1] == message
     assert_same_matrix_outcome(new, outcome(old_grid_from_json, QQ, doc, kind))
+
+
+# ---------------------------------------------------------------------------
+# constant grids, read straight into the integer form
+# ---------------------------------------------------------------------------
+
+def general_outcome(read, field, doc):
+    """The reader's outcome with the constant-grid path switched off, so
+    every entry goes through `poly_from_json`."""
+    original = serialize._constant_grid
+    serialize._constant_grid = lambda *args: None
+    try:
+        return outcome(read, field, doc)
+    finally:
+        serialize._constant_grid = original
+
+
+def entry_doc(*coefs):
+    return {"q": 0, "params": [], "terms": [{"exp": [], "coef": c} for c in coefs]}
+
+
+def spellings(value):
+    """(entry document, read by the constant-grid path?) for ways of
+    writing the constant ScalarValue value: the writer's, the other shapes
+    that path takes, and shapes it leaves to the general reader."""
+    field, den, nums = value.field, value.den, value.nums
+    writer = serialize.poly_to_json(PolyRing(field, 0).constant(value))
+    out = [(writer, True),
+           (entry_doc({"coords": [{"num": 2 * x, "den": 2 * den} for x in nums]}), True),
+           (entry_doc({"coords": [{"num": -x, "den": -den} for x in nums]}), False),
+           ({k: v for k, v in writer.items() if k != "q"}, False),
+           ({k: v for k, v in writer.items() if k != "params"}, False),
+           (entry_doc(*[{"coords": [{"num": x, "den": 2 * den} for x in nums]}] * 2), False)]
+    if den == 1:
+        out.append((entry_doc({"coords": list(nums)}), True))
+    if not any(nums[1:]):
+        out += [(entry_doc({"num": 3 * nums[0], "den": 3 * den}), True),
+                (entry_doc({"num": -nums[0], "den": -den}), False)]
+        if den == 1:
+            out.append((entry_doc(nums[0]), True))
+    if not any(nums):
+        out += [(entry_doc(0), True), (entry_doc({"num": 0, "den": 5}), True),
+                ({"q": 0, "params": []}, False), ({"q": 0, "terms": []}, False)]
+    return out
+
+
+def rand_value(rng, field):
+    """A field scalar: zero, an integer, a rational, or any element."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return field.zero
+    if kind == 1:
+        return field.value(rng.randint(-3, 3))
+    if kind == 2:
+        return field.value(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+    return field.value([Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                        for _ in range(field.degree)])
+
+
+def spelled_grid(rng, field, n, unit, fast_only):
+    """A grid of constant entries over field, each spelled by a random
+    choice from `spellings`, with 1 (unit) or 0 on the diagonal and 0 below
+    it; and whether every spelling is one the constant-grid path reads."""
+    rows, fast = [], True
+    for i in range(n):
+        row = []
+        for j in range(n):
+            value = (rand_value(rng, field) if j > i
+                     else field.one if j == i and unit else field.zero)
+            options = [s for s in spellings(value) if s[1] or not fast_only]
+            doc, ok = rng.choice(options)
+            row.append(doc)
+            fast = fast and ok
+        rows.append(row)
+    return {"n": n, "entries": rows}, fast
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(sqrt2)", "cubic"])
+@pytest.mark.parametrize("read, kind", [(nil_from_json, NilMatrix), (uni_from_json, UniMatrix)],
+                         ids=["nil", "uni"])
+def test_constant_grids_match_the_general_reader(field, read, kind):
+    rng = random.Random("grid-%d-%s" % (field.degree, kind.__name__))
+    taken = {True: 0, False: 0}
+    for k in range(120):
+        doc, fast = spelled_grid(rng, field, 1 + k % 5, kind is UniMatrix, k % 2 == 0)
+        new = outcome(read, field, doc)
+        assert new[0] == "value", new
+        # the constant-grid path builds no row, so no polynomial
+        assert (new[1]._rows is None) == fast
+        taken[fast] += 1
+        assert_same_matrix_outcome(new, general_outcome(read, field, doc))
+        assert_same_matrix_outcome(new, outcome(old_grid_from_json, field, doc, kind))
+        if fast:
+            # the form read is the one the canonical rows convert to
+            rebuilt = kind(new[1].ring, new[1].rows, check=False)
+            assert rebuilt._int_form() == new[1]._int
+    assert taken[True] and taken[False]
+
+
+def test_a_constant_grid_builds_no_polynomial(monkeypatch):
+    from unipavg import exactring
+
+    made = []
+    original = exactring.SimplexPoly.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        original(self, *args)
+
+    field = sqrt2_field()
+    rng = random.Random(3301)
+    docs = [spelled_grid(rng, field, 5, unit, True)[0] for unit in (True, False)]
+    monkeypatch.setattr(exactring.SimplexPoly, "__init__", counting)
+    u, a = uni_from_json(field, docs[0]), nil_from_json(field, docs[1])
+    span = serialize.span_from_json(field, {"n": 5, "basis": [docs[1]]})
+    assert made == []
+    monkeypatch.undo()
+    # the span keeps the basis matrix read, and its sparse row
+    assert u._rows is None and a._rows is None and span.basis[0]._rows is None
+    assert span._rows[0] == {k: x.constant_value() for k, x in a.nonzero_upper().items()}
+
+
+# values that == takes for 1 or 0 but the reader refuses or reads through
+# the general path, in each place of an entry: the coefficient, its num or
+# den, a coords item, q, params, terms and exp
+def hostile_entries(value, degree):
+    return [entry_doc(value), entry_doc({"num": value, "den": 1}),
+            entry_doc({"num": 1, "den": value}),
+            entry_doc({"coords": [value] + [0] * (degree - 1)}),
+            {"q": value, "params": [], "terms": []},
+            {"q": 0, "params": value, "terms": []},
+            {"q": 0, "params": [], "terms": value},
+            {"q": 0, "params": [], "terms": [{"exp": value, "coef": 1}]}]
+
+
+@pytest.mark.parametrize("value", [1.0, 0.0, True, False, "1", None, [], {}])
+@pytest.mark.parametrize("read, unit", [(nil_from_json, False), (uni_from_json, True)],
+                         ids=["nil", "uni"])
+def test_hostile_constant_entries_keep_the_general_outcome(value, read, unit):
+    for field in FIELDS:
+        one, zero = (serialize.poly_to_json(PolyRing(field, 0).constant(x))
+                     for x in (field.one, field.zero))
+        for entry in hostile_entries(value, field.degree):
+            for i, j in ((0, 0), (1, 1), (1, 0), (0, 1)):
+                rows = [[one if a == b and unit else zero for b in range(2)] for a in range(2)]
+                rows[i][j] = entry
+                doc = {"n": 2, "entries": rows}
+                new = outcome(read, field, doc)
+                assert_same_matrix_outcome(new, general_outcome(read, field, doc))
+                # a value read is the general reader's, with its rows
+                assert new[0] != "value" or new[1]._rows is not None
+
+
+def test_a_diagonal_entry_off_the_rationals_is_not_1():
+    field = sqrt2_field()
+    one_plus = entry_doc({"coords": [1, 1]})
+    one, zero = entry_doc({"coords": [1, 0]}), {"q": 0, "params": [], "terms": []}
+    doc = {"n": 2, "entries": [[one, one_plus], [zero, one_plus]]}
+    new = outcome(uni_from_json, field, doc)
+    assert new == (InputError, "diagonal entry (1, 1) is not 1")
+    assert_same_matrix_outcome(new, general_outcome(uni_from_json, field, doc))
+    doc["entries"][1][1] = one
+    assert outcome(uni_from_json, field, doc)[0] == "value"

@@ -121,6 +121,37 @@ def test_a_ring_with_a_parameter_matches_the_pass_loop():
         assert wav(t).ring is PolyRing(QQ, q, ("a",))
 
 
+@pytest.mark.parametrize("field", FIELDS[1:], ids=FIELD_IDS[1:])
+def test_a_ring_with_a_parameter_over_a_number_field_matches_the_pass_loop(field):
+    """Phi's brackets over a ring with a parameter are lifted to the simplex
+    one by one, by the polynomial combination."""
+    rng = random.Random(2631 + field.degree)
+    span = full_unipotent_span(4, field)
+    ring = PolyRing(field, 0, ("a",))
+    a = ring.parameter("a")
+    for q in (2, 3):
+        points = [exp_nilpotent(NilMatrix.from_entries(ring, 4, {
+            (i, j): a * rand_scalar(rng, field, -2, 2, 2) + rand_scalar(rng, field, -2, 2, 2)
+            for i in range(4) for j in range(i + 1, 4)})) for _ in range(q + 1)]
+        t = SectionTuple(span, points)
+        assert_universal_matches_passes(t)
+        assert wav(t).ring is PolyRing(field, q, ("a",))
+
+
+def test_coordinate_tuples_with_a_parameter_match_the_pass_loop():
+    """The coordinate law lifts Phi's brackets to the simplex and its
+    parameter inside its combination."""
+    rng = random.Random(2641)
+    table = full_unipotent_span(4, QQ).table
+    ring = PolyRing(QQ, 0, ("a",))
+    a = ring.parameter("a")
+    for q in (2, 3):
+        t = CoordinateTuple(table, [[a * rng.randint(-2, 2) + rng.randint(-2, 2)
+                                     for _ in range(table.dim)] for _ in range(q + 1)], ring)
+        assert_universal_matches_passes(t)
+        assert all(x.ring is PolyRing(QQ, q, ("a",)) for x in wav(t))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("n", [4, 5])
 def test_coordinate_tuples_match_the_pass_loop(field, n):
