@@ -56,8 +56,13 @@ same cover and validate with one datum raised along s^0 to the next
 simplex, which no generator of its level fits (exit 2), a sections build
 and validate of full U_4 over Q on one point covered by four opens at
 --max-q 4, the only job whose data reach level 4 over four distinct
-opens, and a wav whose output has an integer over the digit limit (exit
-2).
+opens, sections build and validate at --max-q 3 over Q(sqrt2) and the
+cubic field with irrational local values, and on each of those built
+sections a validate whose diagonal and lower entries above level 0 are
+respelled (exit 0, so the values the reader's fallback reads are
+compared through the report) and one with a tampered degenerate datum
+(exit 2, so the certificate's failure report is compared), and a wav
+whose output has an integer over the digit limit (exit 2).
 One fresh process per tree runs them through its `cli.main`, and the exit
 code, standard output and standard error of each are compared.
 
@@ -423,6 +428,76 @@ def cli_jobs(tree, work):
         raise RuntimeError("building the validate-mode input %s failed" % deep_built)
     jobs += [["sections", "--input", deep_cover, "--max-q", "4"],
              ["sections", "--input", deep_built, "--max-q", "4"]]
+    # sections build and validate at --max-q 3 on the six-point cover over
+    # Q(sqrt2) and the cubic field, with irrational local values: a build
+    # certifies the degenerate data it pulled back itself, a validate pulls
+    # each back again.  Then, on each built document, a validate with the
+    # diagonal and lower entries of every datum above level 0 spelled as
+    # the writer never spells 1 and 0 (exit 0, so the general reader's
+    # values are compared through the report), and one with a degenerate
+    # datum tampered (exit 2, so the failure reports are compared)
+    for name, field, values in (("sqrt2", sqrt2, [[1, 1], [0, -1], [half, 2], [-1, half],
+                                                  [2, 0], [0, 3]]),
+                                ("cubic", cubic, [theta, 1 - theta, theta * theta, -half,
+                                                  theta + 2, half * theta])):
+        heis = heisenberg_span(field)
+        opens = six_point_cover().opens
+        field_local = [LocalSection(i, {x: point_from_coordinates(heis, [
+            values[(2 * i + k + j) % 6] for j in range(3)]) for k, x in enumerate(op)})
+            for i, op in enumerate(opens)]
+        field_cover = dump("cover-%s-3.json" % name, {
+            "field": serialize.field_to_json(field),
+            "cover": serialize.cover_to_json(six_point_cover()),
+            "group": serialize.span_to_json(heis),
+            "locals": serialize.locals_to_json(field_local)})
+        field_built = str(Path(work) / ("built-%s-3.json" % name))
+        if cli.main(["sections", "--input", field_cover, "--max-q", "3",
+                     "--output", field_built]) != 0:
+            raise RuntimeError("building the validate-mode input %s failed" % field_built)
+        jobs += [["sections", "--input", field_cover, "--max-q", "3"],
+                 ["sections", "--input", field_built, "--max-q", "3"]]
+        doc = json.loads(Path(field_built).read_text(encoding="utf-8"))
+        doc.pop("report")
+        one = {"num": 1, "den": 1}
+        unit = one if field.degree == 1 else {"coords": [one] + [0] * (field.degree - 1)}
+        k = 0
+        for key, per_point in doc["levels"].items():
+            for mat in per_point.values():
+                q = mat["entries"][0][0]["q"]
+                if not q:
+                    continue
+                zero_exp = [0] * q
+                for i, row in enumerate(mat["entries"]):
+                    for j in range(i + 1):
+                        k += 1
+                        if i == j:
+                            row[j] = [
+                                {"q": q, "terms": [{"exp": zero_exp,
+                                                    "coef": {"num": 2, "den": 2}}]},
+                                {"params": [], "terms": [{"coef": 1, "exp": zero_exp}],
+                                 "q": q},
+                                {"q": q, "params": [], "terms": [
+                                    {"exp": zero_exp, "coef": {"num": -1, "den": -2}},
+                                    {"exp": zero_exp, "coef": {"num": 1, "den": 2}}]},
+                                {"q": q, "params": [], "terms": [{"exp": zero_exp,
+                                                                 "coef": unit}]},
+                                dict(row[j], extra=None)][k % 5]
+                        else:
+                            row[j] = [{"q": q},
+                                      {"q": q, "params": [], "terms": [
+                                          {"exp": zero_exp, "coef": 0}]},
+                                      {"terms": [], "params": [], "q": q},
+                                      {"q": q, "params": [], "terms": [
+                                          {"exp": zero_exp, "coef": {"num": 0, "den": -3}}]},
+                                      dict(row[j], extra=[])][k % 5]
+        jobs.append(["sections", "--input", dump("fixed-%s-3.json" % name, doc),
+                     "--max-q", "3"])
+        doc = json.loads(Path(field_built).read_text(encoding="utf-8"))
+        doc.pop("report")
+        doc["levels"]["0.0.1"]["d"]["entries"][0][2]["terms"].append(
+            {"exp": [0, 1], "coef": 5})
+        jobs.append(["sections", "--input", dump("tampered-%s-3.json" % name, doc),
+                     "--max-q", "3"])
     # the log's corner entry is a product of three entries of 0.7 times the
     # digit limit, so writing the average exits 2
     big = 10 ** (sys.get_int_max_str_digits() * 7 // 10) + 1

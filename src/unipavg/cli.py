@@ -24,7 +24,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import serialize
 from .average import WeightSeq, eval_matrix_at_weights, wav, wsym
 from .errors import InputError, InvariantViolation
-from .nilpotent import bch, exp_nilpotent, log_unipotent
+from .exactring import _unpack
+from .nilpotent import NilMatrix, UniMatrix, bch, exp_nilpotent, log_unipotent
 from .serialize import FormatError
 from .simplicial import build_simplicial_section, validate_simplicial_section
 
@@ -91,6 +92,21 @@ def _block(texts, pad):
     return "[" + at + ("," + at).join(texts) + pad + "]"
 
 
+def _poly_layout(q, params, formats, values, pad):
+    """The indent=2 text at pad of a polynomial on the q-simplex with these
+    parameter names, given the `_term_format` of each term and all their
+    integers in order: the one layout of both `_poly_text` and
+    `_poly_object_text`."""
+    inner = pad + "  "
+    names = _block(list(map(_quote, params)), inner) if params else "[]"
+    try:
+        body = _block(formats, inner) % tuple(values) if formats else "[]"
+        return ('{%s"q": %d,%s"params": %s,%s"terms": %s%s}'
+                % (inner, q, inner, names, inner, body, pad))
+    except ValueError:
+        raise _digit_limit_error() from None
+
+
 def _poly_text(doc, pad):
     """The indent=2 text at pad of a dict of exactly the shape that
     serialize.poly_to_json writes, or None for any other dict.  Every
@@ -102,8 +118,7 @@ def _poly_text(doc, pad):
     if (type(q) is not int or type(params) is not list or type(terms) is not list
             or not _STR.issuperset(map(type, params))):
         return None
-    inner = pad + "  "
-    at = inner + "  "
+    at = pad + "    "
     formats = []
     values = []
     for term in terms:
@@ -128,29 +143,74 @@ def _poly_text(doc, pad):
         formats.append(_term_format(len(exp), ncoords, at))
     if not _INT.issuperset(map(type, values)):
         return None
-    names = _block(list(map(_quote, params)), inner) if params else "[]"
-    try:
-        body = _block(formats, inner) % tuple(values) if formats else "[]"
-        return ('{%s"q": %d,%s"params": %s,%s"terms": %s%s}'
-                % (inner, q, inner, names, inner, body, pad))
-    except ValueError:
-        raise _digit_limit_error() from None
+    return _poly_layout(q, params, formats, values, pad)
+
+
+def _poly_object_text(p, pad):
+    """The indent=2 text at pad of serialize.poly_to_json(p), formatted
+    straight from p's canonical denominator and numerators: terms in key
+    order, each coefficient reduced over the denominator."""
+    ring = p.ring
+    nvars, den, nums = ring.nvars, p.den, p.nums
+    rational = ring.field.is_rationals
+    at = pad + "    "
+    formats = []
+    values = []
+    for key in sorted(nums):
+        vec = nums[key]
+        values += _unpack(key, nvars)
+        for x in vec:
+            g = math.gcd(x, den)
+            values += (x // g, den // g)
+        formats.append(_term_format(nvars, 0 if rational else len(vec), at))
+    return _poly_layout(ring.q, ring.params, formats, values, pad)
+
+
+def _matrix_text(mat, pad, texts):
+    """The indent=2 text at pad of serialize.matrix_to_json(mat), in one
+    piece.  texts keeps each entry's text by (id of the polynomial,
+    indent) and by (its canonical form, indent), so equal polynomials,
+    one object or not, are formatted once per indent
+    (`_poly_object_text`)."""
+    inner, row_pad = pad + "  ", pad + "    "
+    at = row_pad + "  "
+    rows = []
+    for row in mat.rows:
+        cells = []
+        for p in row:
+            text = texts.get((id(p), at))
+            if text is None:
+                key = (p.ring, p.den, frozenset(p.nums.items()), at)
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = _poly_object_text(p, at)
+                texts[id(p), at] = text
+            cells.append(text)
+        rows.append(_block(cells, row_pad))
+    return '{%s"n": %d,%s"entries": %s%s}' % (inner, mat.n, inner, _block(rows, inner), pad)
+
+
+_MATRICES = (NilMatrix, UniMatrix)
+_NESTED = (dict, list, tuple) + _MATRICES
 
 
 def _emit_json(obj, write, pad="\n", lead="", texts=None):
-    """Write obj in pieces, byte for byte as json.dumps(obj, indent=2)
-    prints it.  json.dumps uses its C encoder only without an indent, and
-    its pure-Python one passes each piece up through every enclosing level,
-    so outputs are written here, straight to `write`: one piece per leaf
-    and per closing bracket, and one per polynomial, whose fixed shape
-    `_poly_text` formats whole.  Documents hold dicts with string keys,
-    lists, tuples, strings, numbers, booleans and None; `pad` is the
-    newline and indent of obj's own level, and `lead` the text before obj,
-    written with its first piece.  `texts` holds the polynomial texts of
-    one top-level call by (id of the dict, pad): a dict the document holds
-    at several places (serialize writes one per distinct polynomial) is
-    formatted once per indent, and no id is reused while the document
-    lives."""
+    """Write obj in pieces, byte for byte as json.dumps prints it with
+    indent=2 once each matrix object in it is written as
+    serialize.matrix_to_json writes it.  json.dumps uses its C encoder
+    only without an indent, and its pure-Python one passes each piece up
+    through every enclosing level, so outputs are written here, straight
+    to `write`: one piece per leaf and per closing bracket, one per
+    polynomial dict, whose fixed shape `_poly_text` formats whole, and one
+    per matrix object (`_matrix_text`).  Documents hold dicts with string
+    keys, lists, tuples, strings, numbers, booleans, None and NilMatrix or
+    UniMatrix objects; `pad` is the newline and indent of obj's own level,
+    and `lead` the text before obj, written with its first piece.  `texts`
+    holds the polynomial texts of one top-level call by (id of the dict or
+    polynomial object, pad): one the document holds at several places (the
+    zeros and ones of a ring, or a dict serialize shares between equal
+    polynomials) is formatted once per indent, and no id is reused while
+    the document lives."""
     if texts is None:
         texts = {}
     if type(obj) is dict:
@@ -167,6 +227,9 @@ def _emit_json(obj, write, pad="\n", lead="", texts=None):
     elif isinstance(obj, (list, tuple)):
         members = (("", item) for item in obj)
         brackets = "[]"
+    elif isinstance(obj, _MATRICES):
+        write(lead + _matrix_text(obj, pad, texts))
+        return
     else:
         write(lead + _leaf(obj))
         return
@@ -176,7 +239,7 @@ def _emit_json(obj, write, pad="\n", lead="", texts=None):
     inner = pad + "  "
     lead += brackets[0] + inner
     for head, value in members:
-        if isinstance(value, (dict, list, tuple)):
+        if isinstance(value, _NESTED):
             _emit_json(value, write, inner, lead + head, texts)
         else:
             write(lead + head + _leaf(value))
@@ -332,13 +395,13 @@ def cmd_wav(args):
         raise InputError("wav expects t-constant sections")
     _check_average_terms(t.group.n, t.q)
     averaged = wav(t, d_override=args.iterations)
-    doc = {"q": t.q, "wav": serialize.matrix_to_json(averaged)}
+    doc = {"q": t.q, "wav": averaged}
     if args.weights is not None:
         field = t.group.field
         weights = _parse_weights(args.weights, field, t.q + 1)
         point = eval_matrix_at_weights(averaged, weights)
         doc["weights"] = [serialize.scalar_to_json(w) for w in weights]
-        doc["evaluated"] = serialize.matrix_to_json(point)
+        doc["evaluated"] = point
     _write_json(doc, args.output)
     return 0
 
@@ -349,7 +412,7 @@ def cmd_wsym(args):
         raise InputError("wsym expects sections over the q-simplex")
     _check_average_terms(t.group.n, t.q)
     out = wsym(t)
-    _write_json(serialize.tuple_to_json(out), args.output)
+    _write_json(serialize.tuple_doc(out), args.output)
     return 0
 
 
@@ -359,7 +422,7 @@ def _map_matrix(args, read, fn):
     doc = _read_json(args.input)
     field = serialize.field_from_json(doc.get("field") if isinstance(doc, dict) else None)
     mat = read(field, doc.get("matrix", doc) if isinstance(doc, dict) else doc)
-    _write_json(serialize.matrix_to_json(fn(mat)), args.output)
+    _write_json(fn(mat), args.output)
     return 0
 
 
@@ -378,7 +441,7 @@ def cmd_bch(args):
     field = serialize.field_from_json(doc.get("field"))
     a = serialize.nil_from_json(field, doc["a"])
     b = serialize.nil_from_json(field, doc["b"])
-    _write_json(serialize.matrix_to_json(bch(a, b)), args.output)
+    _write_json(bch(a, b), args.output)
     return 0
 
 
@@ -408,7 +471,7 @@ def cmd_sections(args):
     _check_section_terms(cover, group.n, args.max_q)
     section = build_simplicial_section(cover, local_sections, group, max_q=args.max_q)
     report = validate_simplicial_section(section, args.max_q)
-    out = serialize.simplicial_to_json(section)
+    out = serialize.simplicial_doc(section)
     out["report"] = serialize.validation_report_to_json(report)
     _write_json(out, args.output)
     if not report.ok:
@@ -423,7 +486,7 @@ def cmd_galois(args):
     orbit = serialize.orbit_from_json(_read_group_doc(args.input))
     _check_average_terms(orbit.group.n, orbit.q)
     point = rational_point(orbit)
-    doc = {"q": orbit.q, "rational_point": serialize.matrix_to_json(point)}
+    doc = {"q": orbit.q, "rational_point": point}
     _write_json(doc, args.output)
     return 0
 

@@ -4,14 +4,24 @@ All numbers travel as exact integers: rationals are {"num", "den"}
 objects, extension scalars are {"coords": [rational]} in the power basis.
 Emitted documents parse back to equal values; term lists are sorted so
 output is deterministic, though equality is of canonical forms, not bytes.
+
+Each document is built once with its matrices left as NilMatrix or
+UniMatrix objects (`span_doc`, `tuple_doc`, `simplicial_doc`): the CLI
+hands that document to its emitter, which writes each matrix in one
+piece, and the public `*_to_json` writers return its dict form
+(`to_json`), one dict per distinct polynomial.
+
 A matrix of constant entries in the common spellings is read straight
 into the integer form of `nilpotent`, building no polynomial
-(`_constant_grid`); every other matrix is read entry by entry, with the
-same values and messages.
+(`_constant_grid`); a matrix whose entries on and below the diagonal are
+exactly the writer's 0 and 1 has only its strictly upper entries read
+(`_fixed_grid`); every other matrix is read entry by entry.  All three
+give the same values and messages.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import chain
@@ -47,6 +57,7 @@ def fraction_to_json(f: Fraction):
 
 
 _NUM_DEN = frozenset(("num", "den"))
+_INT, _STR = frozenset((int,)), frozenset((str,))
 
 
 def _literal(obj):
@@ -268,9 +279,9 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
 def _poly_docs():
     """poly_to_json for the values of one document, writing one dict per
     distinct polynomial: equal polynomials get the same dict, so
-    `cli._emit_json`, which memoises by dict, formats each once.  Each
-    public writer below makes one table per call and drops it on return,
-    so two documents share no dict."""
+    `cli._emit_json`, which memoises by dict, formats each once.
+    `to_json`, behind every public writer, makes one table per call and
+    drops it on return, so two documents share no dict."""
     docs = {}
 
     def poly_doc(p):
@@ -282,12 +293,31 @@ def _poly_docs():
     return poly_doc
 
 
-def _matrix_json(mat, poly_doc):
-    return {"n": mat.n, "entries": [[poly_doc(e) for e in row] for row in mat.rows]}
+_MATRICES = (NilMatrix, UniMatrix)
+
+
+def _dict_form(doc, poly_doc):
+    """doc with each matrix object in it written as {"n", "entries"}, each
+    entry through poly_doc; dicts and lists are copied, and every other
+    value is kept."""
+    if type(doc) is dict:
+        return {key: _dict_form(value, poly_doc) for key, value in doc.items()}
+    if type(doc) is list:
+        return [_dict_form(value, poly_doc) for value in doc]
+    if isinstance(doc, _MATRICES):
+        return {"n": doc.n, "entries": [[poly_doc(e) for e in row] for row in doc.rows]}
+    return doc
+
+
+def to_json(doc):
+    """The dict form of a document that holds matrix objects (a `*_doc`
+    builder's, or one the CLI assembles): each matrix as `matrix_to_json`
+    writes it, with one dict per distinct polynomial of the document."""
+    return _dict_form(doc, _poly_docs())
 
 
 def matrix_to_json(mat):
-    return _matrix_json(mat, _poly_docs())
+    return to_json(mat)
 
 
 def _constant_grid(field, entries, unit):
@@ -340,12 +370,79 @@ def _constant_grid(field, entries, unit):
     return den, planes
 
 
+@functools.cache
+def _fixed_docs(ring):
+    """poly_to_json of 0 and of 1 over ring, for comparison only: these
+    dicts are never handed out, so nothing edits them."""
+    return poly_to_json(ring.zero()), poly_to_json(ring.one())
+
+
+def _is_fixed(entry, doc):
+    """Whether the parsed entry is doc, one of `_fixed_docs`, with the
+    same types: `==` alone takes 1.0 and true for 1, and false for 0, so
+    once the two are equal every container is checked to be a dict or a
+    list and every number an int."""
+    if type(entry) is not dict or entry != doc:
+        return False
+    terms = entry["terms"]
+    if type(entry["q"]) is not int or type(entry["params"]) is not list or type(terms) is not list:
+        return False
+    for term in terms:
+        exp, coef = term["exp"], term["coef"]
+        if type(term) is not dict or type(exp) is not list or type(coef) is not dict:
+            return False
+        items = coef["coords"] if "coords" in coef else [coef]
+        if (type(items) is not list or not _INT.issuperset(map(type, exp))
+                or not all([type(c) is dict and _INT.issuperset(map(type, c.values()))
+                            for c in items])):
+            return False
+    return True
+
+
+def _fixed_grid(field, entries, kind):
+    """The kind (NilMatrix or UniMatrix) of a square grid whose entries on
+    and below the diagonal are exactly the writer's documents
+    (`_fixed_docs`) for 0, or 1 on a UniMatrix diagonal, over the ring
+    named by the q and params of the first entry: only the strictly upper
+    entries are read, in row order, and the diagonal needs no check.  Any
+    other fixed entry, in spelling, type or value, gives None, and the
+    general reader then reads and reports the grid.  Every fixed entry is
+    valid, so an upper entry that fails to read, or lies over another
+    ring, gets the general reader's error: row by row, each row's fixed
+    entries are compared before its upper entries are read."""
+    first = entries[0][0]
+    if type(first) is not dict:
+        return None
+    q, params = first.get("q"), first.get("params")
+    if type(q) is not int or type(params) is not list or not _STR.issuperset(map(type, params)):
+        return None
+    try:
+        ring = PolyRing(field, q, params)
+    except InputError:
+        return None
+    zero, one = _fixed_docs(ring)
+    unit = kind is UniMatrix
+    fixed, diagonal = (one, ring.one()) if unit else (zero, ring.zero())
+    zeros = (ring.zero(),) * len(entries)
+    rows = []
+    for i, row in enumerate(entries):
+        if not _is_fixed(row[i], fixed) or not all([_is_fixed(e, zero) for e in row[:i]]):
+            return None
+        rows.append(zeros[:i] + (diagonal,) + tuple([poly_from_json(field, e)
+                                                      for e in row[i + 1:]]))
+    if any(e.ring is not ring for i, row in enumerate(rows) for e in row[i + 1:]):
+        raise FormatError("matrix entries mix different rings")
+    return kind(ring, tuple(rows), check=False)
+
+
 def _grid_from_json(field, obj, kind):
     """A NilMatrix or UniMatrix (kind) from its n x n grid.  A grid of
     constant entries in the common shapes is read straight into the
-    integer form (`_constant_grid`), building no polynomial.  Otherwise
-    the entries are read as polynomials over one ring and the grid is
-    square: only the diagonal is left for the matrix to check."""
+    integer form (`_constant_grid`), building no polynomial; a grid whose
+    fixed entries are the writer's 0 and 1 has only its strictly upper
+    entries read (`_fixed_grid`).  Otherwise the entries are read as
+    polynomials over one ring and the grid is square: only the diagonal is
+    left for the matrix to check."""
     _expect(obj, dict, "matrix")
     n = _expect(obj.get("n"), int, "n")
     if n < 1:
@@ -356,6 +453,9 @@ def _grid_from_json(field, obj, kind):
     form = _constant_grid(field, entries, kind is UniMatrix)
     if form is not None:
         return kind._from_int(PolyRing(field, 0), n, form)
+    mat = _fixed_grid(field, entries, kind)
+    if mat is not None:
+        return mat
     rows = tuple([tuple([poly_from_json(field, e) for e in row]) for row in entries])
     ring = rows[0][0].ring
     if any(e.ring is not ring for row in rows for e in row):
@@ -373,12 +473,15 @@ def uni_from_json(field, obj) -> UniMatrix:
     return _grid_from_json(field, obj, UniMatrix)
 
 
-def _span_json(span, poly_doc):
-    return {"n": span.n, "basis": [_matrix_json(b, poly_doc) for b in span.basis]}
+def span_doc(span: LieSpan):
+    """The group's document with its basis matrices as objects; its dict
+    form is `span_to_json`'s, and likewise for the `*_doc` builders
+    below."""
+    return {"n": span.n, "basis": list(span.basis)}
 
 
 def span_to_json(span: LieSpan):
-    return _span_json(span, _poly_docs())
+    return to_json(span_doc(span))
 
 
 def span_from_json(field, obj) -> LieSpan:
@@ -389,11 +492,13 @@ def span_from_json(field, obj) -> LieSpan:
     return LieSpan(basis, n=n, field=field)
 
 
+def tuple_doc(t: SectionTuple):
+    return {"field": field_to_json(t.group.field), "group": span_doc(t.group),
+            "sections": list(t.sections)}
+
+
 def tuple_to_json(t: SectionTuple):
-    poly_doc = _poly_docs()
-    return {"field": field_to_json(t.group.field),
-            "group": _span_json(t.group, poly_doc),
-            "sections": [_matrix_json(s, poly_doc) for s in t.sections]}
+    return to_json(tuple_doc(t))
 
 
 def tuple_from_json(obj) -> SectionTuple:
@@ -423,9 +528,7 @@ def cover_from_json(obj) -> FiniteCover:
 
 
 def locals_to_json(local_sections):
-    poly_doc = _poly_docs()
-    return {str(ls.open_index): {x: _matrix_json(v, poly_doc) for x, v in ls.values.items()}
-            for ls in local_sections}
+    return to_json({str(ls.open_index): ls.values for ls in local_sections})
 
 
 def locals_from_json(field, obj):
@@ -464,17 +567,20 @@ def _mi_from_key(key, nopens):
     return mi
 
 
-def simplicial_to_json(s: SimplicialSection):
-    poly_doc = _poly_docs()
+def simplicial_doc(s: SimplicialSection):
     levels = {}
     for q in sorted(s.levels):
         for mi, per_point in sorted(s.levels[q].items()):
-            levels[_mi_key(mi)] = {x: _matrix_json(v, poly_doc) for x, v in per_point.items()}
+            levels[_mi_key(mi)] = per_point
     return {"field": field_to_json(s.group.field),
             "cover": cover_to_json(s.cover),
-            "group": _span_json(s.group, poly_doc),
+            "group": span_doc(s.group),
             "max_q": s.max_q,
             "levels": levels}
+
+
+def simplicial_to_json(s: SimplicialSection):
+    return to_json(simplicial_doc(s))
 
 
 def simplicial_from_json(obj) -> SimplicialSection:
@@ -515,11 +621,10 @@ def tower_report_to_json(rep: TowerReport):
 # ---------------------------------------------------------------------------
 
 def orbit_to_json(orbit: GaloisOrbit):
-    poly_doc = _poly_docs()
-    return {"field": field_to_json(orbit.action.field),
-            "generators": [scalar_to_json(g.image) for g in orbit.action.generators],
-            "group": _span_json(orbit.group, poly_doc),
-            "points": [_matrix_json(z, poly_doc) for z in orbit.points]}
+    return to_json({"field": field_to_json(orbit.action.field),
+                    "generators": [scalar_to_json(g.image) for g in orbit.action.generators],
+                    "group": span_doc(orbit.group),
+                    "points": list(orbit.points)})
 
 
 def orbit_from_json(obj) -> GaloisOrbit:

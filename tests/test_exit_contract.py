@@ -56,6 +56,31 @@ def _sections_docs():
     return build, validate
 
 
+def _respelled_fixed_entries(validate):
+    """A copy of a validate document whose entries on and below the
+    diagonal of every datum above level 0 are spelled, in turn, in the
+    valid ways the writer never uses, so the reader takes its general
+    path for them."""
+    doc = json.loads(json.dumps(validate))
+    k = 0
+    for per_point in doc["levels"].values():
+        for mat in per_point.values():
+            for i, row in enumerate(mat["entries"]):
+                for j in range(i + 1):
+                    entry = row[j]
+                    if not entry["q"]:
+                        continue
+                    k += 1
+                    zeros = [0] * entry["q"]
+                    coef = [{"num": 2, "den": 2}, {"num": 1}, 1][k % 3] if i == j else 0
+                    row[j] = [{"terms": entry["terms"], "params": [], "q": entry["q"]},
+                              dict(entry, extra=None),
+                              {"q": entry["q"], "terms": [{"exp": zeros, "coef": coef}]},
+                              dict(entry, terms=entry["terms"] + [{"exp": zeros, "coef": 0}]),
+                              ][k % 4]
+    return doc
+
+
 def _jobs():
     t = two_point_tuple()
     lifted = SectionTuple(t.group, [embed_simplex(s, 1) for s in t.sections])
@@ -70,6 +95,8 @@ def _jobs():
         "bch": (["bch"], {"a": serialize.matrix_to_json(a), "b": serialize.matrix_to_json(b)}),
         "sections-build": (["sections", "--max-q", "1"], build),
         "sections-validate": (["sections", "--max-q", "1"], validate),
+        "sections-validate-respelled": (["sections", "--max-q", "1"],
+                                        _respelled_fixed_entries(validate)),
         "galois-sqrt2": (["galois"], serialize.orbit_to_json(sqrt2_orbit())),
         "galois-cubic": (["galois"], serialize.orbit_to_json(cubic_orbit())),
     }
@@ -153,6 +180,37 @@ def test_a_hostile_constant_entry_exits_2_with_its_message(name, where, i, j):
             entry["q"] = value
         else:
             entry["terms"] = [{"exp": [], "coef": value}]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _main(argv + ["--input", "-"], bad)
+        assert code == 2, (place, value)
+        error = json.loads(err.getvalue())["error"]
+        assert (error["type"], error["message"]) == (kind, message), (place, value)
+
+
+def test_a_respelled_validate_document_passes():
+    argv, doc = JOBS["sections-validate-respelled"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _main(argv + ["--input", "-"], doc) == 0
+    assert json.loads(out.getvalue())["report"]["ok"] is True
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (1, 1), (1, 0)], ids=["first", "diagonal", "below"])
+def test_a_hostile_fixed_entry_of_a_validate_document_exits_2_with_its_message(i, j):
+    """The same values in a fixed entry of a level-1 datum, whose upper
+    entry is not constant, get the same errors."""
+    argv, doc = JOBS["sections-validate"]
+    for place, value, kind, message in HOSTILE_ERRORS:
+        bad = json.loads(json.dumps(doc))
+        mat = bad["levels"]["0.1"]["c"]
+        entry = mat["entries"][i][j]
+        if place == "entry":
+            mat["entries"][i][j] = value
+        elif place == "q":
+            entry["q"] = value
+        else:
+            entry["terms"] = [{"exp": [0], "coef": value}]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = _main(argv + ["--input", "-"], bad)

@@ -7,8 +7,12 @@ same exception class with the same message.  A grid of constant entries
 in the common spellings is read straight into the integer form of
 constant matrices; on every spelling, and on values that == takes for 1
 or 0, it gives the general reader's matrix or error, builds no
-polynomial, and leaves every other grid to the general reader."""
+polynomial, and leaves every other grid to the general reader.  A grid
+with a nonconstant entry has its entries on and below the diagonal
+compared with the writer's 0 and 1, not read; every respelling of them
+gives the general reader's matrix or error."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -658,3 +662,122 @@ def test_a_diagonal_entry_off_the_rationals_is_not_1():
     assert_same_matrix_outcome(new, general_outcome(uni_from_json, field, doc))
     doc["entries"][1][1] = one
     assert outcome(uni_from_json, field, doc)[0] == "value"
+
+
+# ---------------------------------------------------------------------------
+# grids with a nonconstant entry: the fixed entries compared, not read
+# ---------------------------------------------------------------------------
+
+def reader_outcome(read, field, doc):
+    """The general reader's outcome, with both the constant-grid and the
+    fixed-entry paths switched off."""
+    originals = serialize._constant_grid, serialize._fixed_grid
+    serialize._constant_grid = serialize._fixed_grid = lambda *args: None
+    try:
+        return outcome(read, field, doc)
+    finally:
+        serialize._constant_grid, serialize._fixed_grid = originals
+
+
+RINGS = [PolyRing(field, q, params) for field in FIELDS for q in (1, 2, 3)
+         for params in ((), ("a",))]
+
+
+def rand_poly(rng, ring):
+    """A polynomial over ring with a nonconstant term."""
+    terms = {}
+    for k in range(rng.randint(1, 3)):
+        exp = [rng.randint(0, 2) for _ in range(ring.nvars)]
+        if k == 0:
+            exp[rng.randrange(ring.nvars)] += 1
+        terms[tuple(exp)] = rand_value(rng, ring.field) if k else ring.field.one
+    return ring.poly(terms)
+
+
+def written_grid(rng, ring, kind, n=3):
+    """The writer's document of a random kind matrix over ring."""
+    mat = kind.from_entries(ring, n, {(i, j): rand_poly(rng, ring)
+                                      for i in range(n) for j in range(i + 1, n)})
+    return json.loads(json.dumps(serialize.matrix_to_json(mat)))
+
+
+def respellings(ring, entry):
+    """Ways of writing the fixed entry (the writer's 0 or 1 over ring) that
+    differ from it in spelling, type or value, by name."""
+    q, params, terms = entry["q"], entry["params"], entry["terms"]
+    zeros = [0] * ring.nvars
+    one = terms[0] if terms else {"exp": zeros, "coef": {"num": 1, "den": 1}}
+
+    def with_coef(coef):
+        return dict(entry, terms=[{"exp": zeros, "coef": coef}])
+    out = {"1.0": with_coef(1.0), "true": with_coef(True), "'1'": with_coef("1"),
+           "2/2": with_coef({"num": 2, "den": 2}), "num only": with_coef({"num": 1}),
+           "-1/-1": with_coef({"num": -1, "den": -1}),
+           "num true": with_coef({"num": True, "den": 1}),
+           "exp floats": dict(entry, terms=[dict(one, exp=[0.0] * ring.nvars)]),
+           "exp false": dict(entry, terms=[dict(one, exp=[False] * ring.nvars)]),
+           "reordered": {"terms": terms, "params": params, "q": q},
+           "extra key": dict(entry, extra=0),
+           "duplicated term": dict(entry, terms=terms * 2),
+           "zero term": dict(entry, terms=terms + [{"exp": zeros, "coef": 0}]),
+           "q true": dict(entry, q=True), "q 1.0": dict(entry, q=float(q)),
+           "another q": dict(entry, q=q + 1), "another params": dict(entry, params=["b"]),
+           "no params": {"q": q, "terms": terms}}
+    if ring.field.degree > 1:
+        out["coords"] = with_coef({"coords": [1] + [0] * (ring.field.degree - 1)})
+        out["coords 1.0"] = with_coef({"coords": [1.0] + [0] * (ring.field.degree - 1)})
+    return out
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: "%d-%d-%d" % (r.field.degree, r.q,
+                                                                      len(r.params)))
+@pytest.mark.parametrize("read, kind", [(nil_from_json, NilMatrix), (uni_from_json, UniMatrix)],
+                         ids=["nil", "uni"])
+def test_fixed_entries_are_compared_and_respellings_keep_the_general_outcome(ring, read,
+                                                                             kind):
+    rng = random.Random("fixed-%r-%s" % (ring, kind.__name__))
+    doc = written_grid(rng, ring, kind)
+    general = reader_outcome(read, ring.field, doc)
+    assert general[0] == "value"
+    parsed = []
+    original = serialize.poly_from_json
+
+    def counting(field, obj):
+        parsed.append(obj)
+        return original(field, obj)
+
+    serialize.poly_from_json = counting
+    try:
+        new = outcome(read, ring.field, doc)
+    finally:
+        serialize.poly_from_json = original
+    assert_same_matrix_outcome(new, general)
+    # only the strictly upper entries are read, in row order
+    assert parsed == [e for i, row in enumerate(doc["entries"]) for e in row[i + 1:]]
+    outcomes = set()
+    for i, j in ((0, 0), (1, 1), (1, 0), (2, 0)):
+        for name, entry in respellings(ring, doc["entries"][i][j]).items():
+            bad = json.loads(json.dumps(doc))
+            bad["entries"][i][j] = entry
+            expect = reader_outcome(read, ring.field, bad)
+            assert_same_matrix_outcome(outcome(read, ring.field, bad), expect)
+            outcomes.add(expect[0])
+    assert outcomes == {"value", FormatError, InputError}
+
+
+def test_a_grid_of_one_nonconstant_entry_is_read_by_the_general_reader():
+    ring = RINGS[0]
+    for read, entry in ((uni_from_json, serialize.poly_to_json(ring.one())),
+                        (nil_from_json, serialize.poly_to_json(ring.coordinate(0)))):
+        doc = {"n": 1, "entries": [[entry]]}
+        assert_same_matrix_outcome(outcome(read, QQ, doc), reader_outcome(read, QQ, doc))
+
+
+def test_fixed_documents_are_never_handed_out():
+    for ring in RINGS:
+        zero, one = serialize._fixed_docs(ring)
+        assert zero == serialize.poly_to_json(ring.zero())
+        assert one == serialize.poly_to_json(ring.one())
+        doc = written_grid(random.Random(3302), ring, UniMatrix)
+        mat = uni_from_json(ring.field, doc)
+        assert serialize.matrix_to_json(mat)["entries"][0][0] is not one

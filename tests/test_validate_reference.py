@@ -1,8 +1,9 @@
 """Exact cross-check of `validate_simplicial_section` against a reference
 that pulls every datum back along every coface and codegeneracy.  The
 library certifies a section that passes with one pullback per degenerate
-datum and one per coface of each nondegenerate datum, and pulls every
-generator back only for a section that fails; on every tampered document
+datum and one per coface of each nondegenerate datum (a fresh build's
+own degenerate data, still the objects it recorded, need none), and
+pulls every generator back only for a section that fails; on every tampered document
 the two must still give the same report, or raise the same exception."""
 
 from itertools import combinations, combinations_with_replacement
@@ -18,6 +19,7 @@ from unipavg import (
     SimplicialSection,
     UniMatrix,
     build_simplicial_section,
+    serialize,
     simplicial,
     validate_simplicial_section,
 )
@@ -143,12 +145,9 @@ def test_every_tampered_datum_gets_the_reference_outcome():
     assert kinds == {"report": 2 * len(data), "raised": len(data)} and len(data) == 74
 
 
-@pytest.mark.parametrize("max_q", range(MAX_Q + 1))
-def test_the_untampered_section_passes_with_fewer_pullbacks(monkeypatch, max_q):
-    """Every generator check is counted, but a section that passes is
-    certified by one pullback per degenerate datum, along its surjection,
-    and one per coface of each nondegenerate datum at a level q >= 1."""
-    s = built_section()
+def counted_pullbacks(monkeypatch, s, max_q):
+    """The maps validate_simplicial_section(s, max_q) pulls back along,
+    after checking that its outcome is the reference's, a pass."""
     expect = outcome(lambda s: reference_validate(s, max_q), s)
     calls = []
 
@@ -158,15 +157,100 @@ def test_the_untampered_section_passes_with_fewer_pullbacks(monkeypatch, max_q):
 
     monkeypatch.setattr(simplicial, "pull_back", counted)
     assert outcome(lambda s: validate_simplicial_section(s, max_q), s) == expect
+    monkeypatch.undo()
     assert expect[1] is True
+    if max_q == MAX_Q:
+        assert expect[2] == 416
+    return calls
+
+
+def pullback_counts(s, max_q):
+    """The degenerate data and the cofaces of nondegenerate data at levels
+    1 .. max_q, each counted once per point."""
     degenerate = sum(len(per_point) for q in range(max_q + 1)
                      for mi, per_point in s.levels[q].items() if len(set(mi)) < len(mi))
     cofaces = sum((q + 1) * len(per_point) for q in range(1, max_q + 1)
                   for mi, per_point in s.levels[q].items() if len(set(mi)) == len(mi))
+    return degenerate, cofaces
+
+
+@pytest.mark.parametrize("max_q", range(MAX_Q + 1))
+def test_the_untampered_section_passes_with_fewer_pullbacks(monkeypatch, max_q):
+    """Every generator check is counted, but a section fresh from the build
+    is certified by one pullback per coface of each nondegenerate datum at
+    a level q >= 1: each degenerate datum is the build's own pullback of
+    its source, which is not pulled back again."""
+    s = built_section()
+    calls = counted_pullbacks(monkeypatch, s, max_q)
+    _, cofaces = pullback_counts(s, max_q)
+    assert len(calls) == cofaces == (0, 10, 13, 13)[max_q]
+    assert not any(a.p > a.q for a in calls)
+
+
+@pytest.mark.parametrize("max_q", range(MAX_Q + 1))
+def test_a_section_read_back_passes_with_one_pullback_per_degenerate_datum(monkeypatch,
+                                                                          max_q):
+    """The same section read from its build document carries no record of
+    the build, so it is certified by one pullback per degenerate datum,
+    along its surjection, and one per coface of each nondegenerate datum
+    at a level q >= 1."""
+    built = built_section()
+    s = serialize.simplicial_from_json(serialize.simplicial_to_json(built))
+    calls = counted_pullbacks(monkeypatch, s, max_q)
+    degenerate, cofaces = pullback_counts(s, max_q)
     assert len(calls) == degenerate + cofaces == (0, 20, 43, 71)[max_q]
     assert [a.p > a.q for a in calls].count(True) == degenerate
-    if max_q == MAX_Q:
-        assert expect[2] == 416
+
+
+def degenerate_places(s):
+    """(level, multi-index, point, distinct opens) of every degenerate
+    datum of s."""
+    return [(q, mi, x, tuple(sorted(set(mi)))) for q, level in s.levels.items()
+            for mi, per_point in level.items() if len(set(mi)) < len(mi)
+            for x in per_point]
+
+
+def fresh_copy(mat):
+    """An equal matrix that is a different object."""
+    return UniMatrix(mat.ring, [list(row) for row in mat.rows])
+
+
+@pytest.mark.parametrize("change", ["equal", "tampered"])
+@pytest.mark.parametrize("where", ["datum", "source"])
+def test_a_replaced_datum_or_source_of_a_build_gets_the_reference_outcome(monkeypatch,
+                                                                          change, where):
+    """A degenerate datum of a built section, or the nondegenerate datum
+    it was pulled back from, replaced in place by an equal fresh object or
+    by a tampered one: the build's record no longer names the objects
+    stored, so (C2) is computed for that datum, and the outcome is the
+    reference's."""
+    places = degenerate_places(built_section())
+    assert len(places) == 58
+    # one place per (distinct opens, level) is enough to reach every
+    # surjection the build used
+    chosen = {(q, distinct): (q, mi, x, distinct) for q, mi, x, distinct in places}
+    for q, mi, x, distinct in chosen.values():
+        s = built_section()
+        at = (len(distinct) - 1, distinct) if where == "source" else (q, mi)
+        per_point = s.levels[at[0]][at[1]]
+        old = per_point[x]
+        per_point[x] = fresh_copy(old) if change == "equal" else raised_coefficient(old)
+        expect = outcome(reference_validate, s)
+        calls = []
+
+        def counted(mat, alpha):
+            calls.append((mat, alpha))
+            return pull_back(mat, alpha)
+
+        monkeypatch.setattr(simplicial, "pull_back", counted)
+        assert outcome(validate_simplicial_section, s) == expect, (q, mi, x, where)
+        monkeypatch.undo()
+        assert expect[1] is (change == "equal")
+        if change == "equal":
+            # the replaced object's degenerate data were pulled back again
+            sigma_calls = [mat for mat, alpha in calls if alpha.p > alpha.q]
+            assert sigma_calls and all(
+                mat is s.levels[len(distinct) - 1][distinct][x] for mat in sigma_calls)
 
 
 def consistently_tampered(s, distinct, x):

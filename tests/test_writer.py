@@ -5,8 +5,10 @@ subcommand, on failing validation reports (tuple multi-indices), on
 non-ASCII labels, empty containers and long integers, and on generated
 documents.  Within one document the serializer writes one dict per
 distinct polynomial and the emitter formats each such dict once per
-indent; the last tests check that sharing, and that two documents share
-nothing."""
+indent; those tests check that sharing, and that two documents share
+nothing.  The CLI itself hands the emitter documents that hold matrix
+objects, each written in one piece; the last tests hold its bytes to
+json.dumps of the public dict writers' documents on every subcommand."""
 
 import io
 import json
@@ -18,15 +20,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipavg import (QQ, FiniteCover, PolyRing, SectionTuple, UniMatrix, embed_simplex,
-                     full_unipotent_span, tower_compatibility)
+from unipavg import (QQ, FiniteCover, NilMatrix, PolyRing, SectionTuple, UniMatrix, WeightSeq,
+                     bch, embed_simplex, exp_nilpotent, full_unipotent_span, rational_point,
+                     tower_compatibility, validate_simplicial_section, wav, wsym)
 from unipavg import cli, serialize
+from unipavg.average import eval_matrix_at_weights
 from unipavg.errors import InputError
 from unipavg.fixtures import (cover_local_sections, cubic_field, cubic_orbit, heisenberg_span,
-                              six_point_cover, sqrt2_field, sqrt2_orbit, two_point_tuple)
+                              point_from_coordinates, six_point_cover, sqrt2_field, sqrt2_orbit,
+                              two_point_tuple)
 from unipavg.nilpotent import log_unipotent, lower_central_series
 from unipavg.simplicial import LocalSection, build_simplicial_section
-from helpers import rand_tuple
+from helpers import rand_scalar, rand_tuple
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -47,9 +52,21 @@ def write_doc(tmp_path, name, doc):
     return str(path)
 
 
+def dict_form(doc):
+    """doc with each matrix object mapped through serialize.matrix_to_json."""
+    if isinstance(doc, (NilMatrix, UniMatrix)):
+        return serialize.matrix_to_json(doc)
+    if isinstance(doc, dict):
+        return {k: dict_form(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [dict_form(v) for v in doc]
+    return doc
+
+
 def run_and_compare(monkeypatch, capsys, argv):
     """Run one CLI job, keep the document it writes, and check that its
-    stdout is json.dumps of that document with a final newline."""
+    stdout is json.dumps of that document's dict form with a final
+    newline; return the exit code and the dict form."""
     docs = []
     write = cli._write_json
 
@@ -61,8 +78,9 @@ def run_and_compare(monkeypatch, capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     assert len(docs) == 1
-    assert out == json.dumps(docs[0], indent=2) + "\n"
-    return code, docs[0]
+    doc = dict_form(docs[0])
+    assert out == json.dumps(doc, indent=2) + "\n"
+    return code, doc
 
 
 def sections_doc(cover, span, locals_):
@@ -431,3 +449,95 @@ def test_two_section_documents_share_no_dict(monkeypatch):
         poly["terms"].append({"exp": [], "coef": {"num": 1, "den": 1}})
     assert emitted(first) == json.dumps(first, indent=2) != text
     assert emitted(second) == json.dumps(second, indent=2) == text
+
+
+# ---------------------------------------------------------------------------
+# the CLI's bytes against the public dict writers
+# ---------------------------------------------------------------------------
+
+def dumped(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def cli_bytes(capsys, argv):
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+def field_point(rng, span):
+    """A group element whose log has coordinates all over the field."""
+    return point_from_coordinates(span, [rand_scalar(rng, span.field) for _ in range(span.dim)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Q(sqrt2)", "cubic"])
+def test_every_document_is_the_public_writers_dump(tmp_path, capsys, field):
+    """The CLI writes matrix objects in one piece each; its bytes are
+    json.dumps, with indent=2 and a final newline, of the document the
+    public dict writers make from the same values, on every subcommand
+    that writes a matrix."""
+    rng = random.Random(906)
+    span = heisenberg_span(field)
+    t = SectionTuple(span, [field_point(rng, span) for _ in range(3)])
+    path = write_doc(tmp_path, "t.json", serialize.tuple_to_json(t))
+    averaged = wav(t)
+    assert cli_bytes(capsys, ["wav", "--input", path]) == (0, dumped(
+        {"q": 2, "wav": serialize.matrix_to_json(averaged)}))
+    weights = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]
+    seq = WeightSeq(field, weights)
+    assert cli_bytes(capsys, ["wav", "--input", path, "--weights",
+                              json.dumps([serialize.fraction_to_json(w) for w in weights])]) == (
+        0, dumped({"q": 2, "wav": serialize.matrix_to_json(averaged),
+                   "weights": [serialize.scalar_to_json(w) for w in seq],
+                   "evaluated": serialize.matrix_to_json(eval_matrix_at_weights(averaged, seq))}))
+    lifted = SectionTuple(span, [embed_simplex(p, 2) for p in t.sections])
+    path = write_doc(tmp_path, "lifted.json", serialize.tuple_to_json(lifted))
+    assert cli_bytes(capsys, ["wsym", "--input", path]) == (
+        0, dumped(serialize.tuple_to_json(wsym(lifted))))
+    a, b = (log_unipotent(s) for s in t.sections[:2])
+    head = {"field": serialize.field_to_json(field)}
+    for name, doc, value in (
+            ("exp", dict(head, matrix=serialize.matrix_to_json(a)), exp_nilpotent(a)),
+            ("log", dict(head, matrix=serialize.matrix_to_json(t.sections[2])),
+             log_unipotent(t.sections[2])),
+            ("bch", dict(head, a=serialize.matrix_to_json(a), b=serialize.matrix_to_json(b)),
+             bch(a, b))):
+        path = write_doc(tmp_path, name + ".json", doc)
+        assert cli_bytes(capsys, [name, "--input", path]) == (
+            0, dumped(serialize.matrix_to_json(value)))
+    if field.degree > 1:
+        orbit = sqrt2_orbit() if field.degree == 2 else cubic_orbit()
+        path = write_doc(tmp_path, "orbit.json", serialize.orbit_to_json(orbit))
+        assert cli_bytes(capsys, ["galois", "--input", path]) == (0, dumped(
+            {"q": orbit.q, "rational_point": serialize.matrix_to_json(rational_point(orbit))}))
+    cover = FiniteCover(["été", "点", "x\U0001d54f"], [("été", "点"), ("点", "x\U0001d54f")])
+    locals_ = [LocalSection(i, {x: field_point(rng, span) for x in op})
+               for i, op in enumerate(cover.opens)]
+    path = write_doc(tmp_path, "cover.json", sections_doc(cover, span, locals_))
+    section = build_simplicial_section(cover, locals_, span, max_q=2)
+    built = serialize.simplicial_to_json(section)
+    built["report"] = serialize.validation_report_to_json(
+        validate_simplicial_section(section, 2))
+    code, out = cli_bytes(capsys, ["sections", "--input", path, "--max-q", "2"])
+    assert (code, out) == (0, dumped(built)) and "点" in json.loads(out)["levels"]["0.1"]
+    built.pop("report")
+    path = write_doc(tmp_path, "built.json", built)
+    read = serialize.simplicial_from_json(json.loads(json.dumps(built)))
+    assert cli_bytes(capsys, ["sections", "--input", path, "--max-q", "2"]) == (0, dumped(
+        {"mode": "validate",
+         "report": serialize.validation_report_to_json(validate_simplicial_section(read, 2))}))
+
+
+def test_a_tuple_with_parameters_is_the_public_writers_dump(tmp_path, capsys):
+    ring = PolyRing(sqrt2_field(), 0, ("a", "b%"))
+    a, b = ring.parameter("a"), ring.parameter("b%")
+    span = heisenberg_span(ring.field)
+    t = SectionTuple(span, [
+        UniMatrix.from_entries(ring, 3, {(0, 1): a, (1, 2): ring.field.gen, (0, 2): a * b}),
+        UniMatrix.from_entries(ring, 3, {(0, 1): 2, (1, 2): b, (0, 2): Fraction(1, 3)})])
+    path = write_doc(tmp_path, "t.json", serialize.tuple_to_json(t))
+    assert cli_bytes(capsys, ["wav", "--input", path]) == (
+        0, dumped({"q": 1, "wav": serialize.matrix_to_json(wav(t))}))
+    lifted = SectionTuple(span, [embed_simplex(p, 1) for p in t.sections])
+    path = write_doc(tmp_path, "lifted.json", serialize.tuple_to_json(lifted))
+    assert cli_bytes(capsys, ["wsym", "--input", path]) == (
+        0, dumped(serialize.tuple_to_json(wsym(lifted))))
