@@ -61,8 +61,13 @@ cubic field with irrational local values, and on each of those built
 sections a validate whose diagonal and lower entries above level 0 are
 respelled (exit 0, so the values the reader's fallback reads are
 compared through the report) and one with a tampered degenerate datum
-(exit 2, so the certificate's failure report is compared), and a wav
-whose output has an integer over the digit limit (exit 2).
+(exit 2, so the certificate's failure report is compared), a wav
+whose output has an integer over the digit limit (exit 2), and, since
+no other job writes a polynomial with parameters, jobs over Q(sqrt2) on
+the Heisenberg group whose entries have the parameters a, b% and é: wav
+on three sections, wsym on their lift and exp of one section's log (exit
+0), and wav --weights on the same sections (exit 2, a missing parameter
+value).
 One fresh process per tree runs them through its `cli.main`, and the exit
 code, standard output and standard error of each are compared.
 
@@ -507,6 +512,27 @@ def cli_jobs(tree, work):
     path = dump("big.json", serialize.tuple_to_json(
         SectionTuple(u4, [UniMatrix.identity(u4.ring, 4), far])))
     jobs.append(["wav", "--input", path])
+    # polynomials with parameters, whose names the writer lays out, over
+    # Q(sqrt2) on the Heisenberg group: wav on three sections, wsym on their
+    # lift to the 2-simplex and exp of one section's log (exit 0), and wav
+    # --weights, which cannot evaluate at a parameter (exit 2)
+    param_span, param_ring = heisenberg_span(sqrt2), PolyRing(sqrt2, 0, ("a", "b%", "é"))
+    pa, pb, pe = (param_ring.parameter(x) for x in param_ring.params)
+    root = sqrt2.gen
+    param_points = [
+        UniMatrix.from_entries(param_ring, 3, {(0, 1): pa + root, (1, 2): pe, (0, 2): pa * pb}),
+        UniMatrix.from_entries(param_ring, 3, {(0, 1): 2, (1, 2): pb * root - half,
+                                               (0, 2): pe * pe}),
+        UniMatrix.from_entries(param_ring, 3, {(0, 1): half * pb, (1, 2): 1 - pa,
+                                               (0, 2): root})]
+    path = dump("params.json", serialize.tuple_to_json(SectionTuple(param_span, param_points)))
+    param_lift = SectionTuple(param_span, [embed_simplex(p, 2) for p in param_points])
+    jobs += [["wav", "--input", path],
+             ["wsym", "--input", dump("params-lifted.json", serialize.tuple_to_json(param_lift))],
+             ["exp", "--input", dump("params-exp.json", {
+                 "field": serialize.field_to_json(sqrt2),
+                 "matrix": serialize.matrix_to_json(log_unipotent(param_points[0]))})],
+             ["wav", "--input", path, "--weights", weights[sqrt2]]]
     print(json.dumps(jobs))
 
 

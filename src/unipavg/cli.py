@@ -83,77 +83,21 @@ def _term_format(nvars, ncoords, pad):
     return text.replace("0", "%d").replace("\n", pad)
 
 
-_INT, _STR = frozenset((int,)), frozenset((str,))
-
-
 def _block(texts, pad):
     """A nonempty list at pad of items given in their indent=2 text."""
     at = pad + "  "
     return "[" + at + ("," + at).join(texts) + pad + "]"
 
 
-def _poly_layout(q, params, formats, values, pad):
-    """The indent=2 text at pad of a polynomial on the q-simplex with these
-    parameter names, given the `_term_format` of each term and all their
-    integers in order: the one layout of both `_poly_text` and
-    `_poly_object_text`."""
-    inner = pad + "  "
-    names = _block(list(map(_quote, params)), inner) if params else "[]"
-    try:
-        body = _block(formats, inner) % tuple(values) if formats else "[]"
-        return ('{%s"q": %d,%s"params": %s,%s"terms": %s%s}'
-                % (inner, q, inner, names, inner, body, pad))
-    except ValueError:
-        raise _digit_limit_error() from None
-
-
-def _poly_text(doc, pad):
-    """The indent=2 text at pad of a dict of exactly the shape that
-    serialize.poly_to_json writes, or None for any other dict.  Every
-    integer is checked to be an int, not a bool, and the terms are
-    formatted in one % call from the document's own values."""
-    if tuple(doc) != ("q", "params", "terms"):
-        return None
-    q, params, terms = doc.values()
-    if (type(q) is not int or type(params) is not list or type(terms) is not list
-            or not _STR.issuperset(map(type, params))):
-        return None
-    at = pad + "    "
-    formats = []
-    values = []
-    for term in terms:
-        if type(term) is not dict or tuple(term) != ("exp", "coef"):
-            return None
-        exp, coef = term.values()
-        if type(exp) is not list or type(coef) is not dict:
-            return None
-        values += exp
-        keys = tuple(coef)
-        if keys == ("num", "den"):
-            values += coef.values()
-            ncoords = 0
-        elif keys == ("coords",) and type(coef["coords"]) is list and coef["coords"]:
-            ncoords = len(coef["coords"])
-            for c in coef["coords"]:
-                if type(c) is not dict or tuple(c) != ("num", "den"):
-                    return None
-                values += c.values()
-        else:
-            return None
-        formats.append(_term_format(len(exp), ncoords, at))
-    if not _INT.issuperset(map(type, values)):
-        return None
-    return _poly_layout(q, params, formats, values, pad)
-
-
 def _poly_object_text(p, pad):
     """The indent=2 text at pad of serialize.poly_to_json(p), formatted
     straight from p's canonical denominator and numerators: terms in key
-    order, each coefficient reduced over the denominator."""
+    order, each coefficient reduced over the denominator, all of their
+    integers put into the terms' `_term_format` texts in one % call."""
     ring = p.ring
     nvars, den, nums = ring.nvars, p.den, p.nums
     rational = ring.field.is_rationals
-    at = pad + "    "
+    inner, at = pad + "  ", pad + "    "
     formats = []
     values = []
     for key in sorted(nums):
@@ -163,7 +107,13 @@ def _poly_object_text(p, pad):
             g = math.gcd(x, den)
             values += (x // g, den // g)
         formats.append(_term_format(nvars, 0 if rational else len(vec), at))
-    return _poly_layout(ring.q, ring.params, formats, values, pad)
+    names = _block(list(map(_quote, ring.params)), inner) if ring.params else "[]"
+    try:
+        body = _block(formats, inner) % tuple(values) if formats else "[]"
+    except ValueError:
+        raise _digit_limit_error() from None
+    return ('{%s"q": %d,%s"params": %s,%s"terms": %s%s}'
+            % (inner, ring.q, inner, names, inner, body, pad))
 
 
 def _matrix_text(mat, pad, texts):
@@ -200,27 +150,17 @@ def _emit_json(obj, write, pad="\n", lead="", texts=None):
     serialize.matrix_to_json writes it.  json.dumps uses its C encoder
     only without an indent, and its pure-Python one passes each piece up
     through every enclosing level, so outputs are written here, straight
-    to `write`: one piece per leaf and per closing bracket, one per
-    polynomial dict, whose fixed shape `_poly_text` formats whole, and one
-    per matrix object (`_matrix_text`).  Documents hold dicts with string
+    to `write`: one piece per leaf and per closing bracket, and one per
+    matrix object (`_matrix_text`).  Documents hold dicts with string
     keys, lists, tuples, strings, numbers, booleans, None and NilMatrix or
     UniMatrix objects; `pad` is the newline and indent of obj's own level,
     and `lead` the text before obj, written with its first piece.  `texts`
-    holds the polynomial texts of one top-level call by (id of the dict or
-    polynomial object, pad): one the document holds at several places (the
-    zeros and ones of a ring, or a dict serialize shares between equal
-    polynomials) is formatted once per indent, and no id is reused while
+    holds the polynomial texts of one top-level call for `_matrix_text`, so
+    a polynomial the document holds at several places (the zeros and ones
+    of a ring) is formatted once per indent; no id in it is reused while
     the document lives."""
     if texts is None:
         texts = {}
-    if type(obj) is dict:
-        key = (id(obj), pad)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = _poly_text(obj, pad)
-        if text is not None:
-            write(lead + text)
-            return
     if isinstance(obj, dict):
         members = ((_quote(key) + ": ", value) for key, value in obj.items())
         brackets = "{}"

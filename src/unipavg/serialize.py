@@ -9,7 +9,7 @@ Each document is built once with its matrices left as NilMatrix or
 UniMatrix objects (`span_doc`, `tuple_doc`, `simplicial_doc`): the CLI
 hands that document to its emitter, which writes each matrix in one
 piece, and the public `*_to_json` writers return its dict form
-(`to_json`), one dict per distinct polynomial.
+(`to_json`), a new dict for every entry.
 
 A matrix of constant entries in the common spellings is read straight
 into the integer form of `nilpotent`, building no polynomial
@@ -276,44 +276,21 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
 # matrices, spans, tuples
 # ---------------------------------------------------------------------------
 
-def _poly_docs():
-    """poly_to_json for the values of one document, writing one dict per
-    distinct polynomial: equal polynomials get the same dict, so
-    `cli._emit_json`, which memoises by dict, formats each once.
-    `to_json`, behind every public writer, makes one table per call and
-    drops it on return, so two documents share no dict."""
-    docs = {}
-
-    def poly_doc(p):
-        key = (p.ring, p.den, frozenset(p.nums.items()))
-        doc = docs.get(key)
-        if doc is None:
-            doc = docs[key] = poly_to_json(p)
-        return doc
-    return poly_doc
-
-
 _MATRICES = (NilMatrix, UniMatrix)
-
-
-def _dict_form(doc, poly_doc):
-    """doc with each matrix object in it written as {"n", "entries"}, each
-    entry through poly_doc; dicts and lists are copied, and every other
-    value is kept."""
-    if type(doc) is dict:
-        return {key: _dict_form(value, poly_doc) for key, value in doc.items()}
-    if type(doc) is list:
-        return [_dict_form(value, poly_doc) for value in doc]
-    if isinstance(doc, _MATRICES):
-        return {"n": doc.n, "entries": [[poly_doc(e) for e in row] for row in doc.rows]}
-    return doc
 
 
 def to_json(doc):
     """The dict form of a document that holds matrix objects (a `*_doc`
-    builder's, or one the CLI assembles): each matrix as `matrix_to_json`
-    writes it, with one dict per distinct polynomial of the document."""
-    return _dict_form(doc, _poly_docs())
+    builder's, or one the CLI assembles): each matrix as {"n", "entries"},
+    each entry through `poly_to_json`, so every entry is a new dict; dicts
+    and lists are copied, and every other value is kept."""
+    if type(doc) is dict:
+        return {key: to_json(value) for key, value in doc.items()}
+    if type(doc) is list:
+        return [to_json(value) for value in doc]
+    if isinstance(doc, _MATRICES):
+        return {"n": doc.n, "entries": [[poly_to_json(e) for e in row] for row in doc.rows]}
+    return doc
 
 
 def matrix_to_json(mat):
@@ -486,7 +463,11 @@ def span_to_json(span: LieSpan):
 
 def span_from_json(field, obj) -> LieSpan:
     _expect(obj, dict, "group span")
-    n = _expect(obj.get("n"), int, "n")
+    n = obj.get("n")
+    if type(n) is not int:
+        raise FormatError("expected int for n, got %s" % type(n).__name__)
+    if n < 1:
+        raise FormatError("matrix size must be at least 1")
     basis = [nil_from_json(field, b)
              for b in _expect(obj.get("basis", []), list, "basis")]
     return LieSpan(basis, n=n, field=field)

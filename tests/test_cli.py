@@ -626,6 +626,31 @@ def test_a_span_whose_basis_disagrees_with_its_size_is_bad_input(tmp_path, capsy
                             "message": "span size n = 2, but its basis matrices are 3 x 3"}
 
 
+@pytest.mark.parametrize("n, message", [
+    (True, "expected int for n, got bool"), (1.0, "expected int for n, got float"),
+    ("2", "expected int for n, got str"), (0, "matrix size must be at least 1"),
+    (-1, "matrix size must be at least 1")])
+def test_a_span_size_that_is_not_a_positive_int_is_bad_input(tmp_path, capsys, n, message):
+    # n is checked as read, before the basis: next to the document's own
+    # basis, next to a 1 x 1 one, and next to an empty one, which takes its
+    # size from n alone
+    t = two_point_tuple()
+    lifted = SectionTuple(t.group, [embed_simplex(s, 1) for s in t.sections])
+    docs = {"wav": serialize.tuple_to_json(t), "wsym": serialize.tuple_to_json(lifted),
+            "galois": serialize.orbit_to_json(sqrt2_orbit()), "build": build_sections_doc(),
+            "validate": built_sections_doc(tmp_path, capsys)}
+    one_by_one = {"n": 1, "entries": [[{"q": 0, "params": [], "terms": []}]]}
+    for name, doc in docs.items():
+        for basis in (doc["group"]["basis"], [one_by_one], []):
+            doc["group"] = {"n": n, "basis": basis}
+            path = write_doc(tmp_path, name + ".json", doc)
+            argv = ["sections" if name in ("build", "validate") else name, "--input", path]
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out is None, argv
+            assert err["error"] == {"kind": "input-error", "type": "FormatError",
+                                    "message": message}, argv
+
+
 @pytest.mark.parametrize("argv, message", [
     (["wav"], "unipavg wav: the following arguments are required: --input"),
     (["sections", "--input", "x.json", "--max-q", "abc"],

@@ -3,12 +3,12 @@ its C encoder only without an indent.  These tests hold the emitter to
 json.dumps(doc, indent=2) byte for byte: on the document of every
 subcommand, on failing validation reports (tuple multi-indices), on
 non-ASCII labels, empty containers and long integers, and on generated
-documents.  Within one document the serializer writes one dict per
-distinct polynomial and the emitter formats each such dict once per
-indent; those tests check that sharing, and that two documents share
-nothing.  The CLI itself hands the emitter documents that hold matrix
-objects, each written in one piece; the last tests hold its bytes to
-json.dumps of the public dict writers' documents on every subcommand."""
+documents.  The CLI hands the emitter documents that hold matrix
+objects, each written in one piece, and never a polynomial dict, which
+takes the generic walk like any other dict; the public dict writers
+give every entry its own dict, so two documents share nothing.  The
+last tests hold the CLI's bytes to json.dumps of the public dict
+writers' documents on every subcommand."""
 
 import io
 import json
@@ -63,10 +63,26 @@ def dict_form(doc):
     return doc
 
 
+def containers(doc):
+    """Every dict and list in doc, with repeats."""
+    if isinstance(doc, dict):
+        yield doc
+        for v in doc.values():
+            yield from containers(v)
+    elif isinstance(doc, list):
+        yield doc
+        for v in doc:
+            yield from containers(v)
+
+
+POLY_KEYS = frozenset(("q", "params", "terms"))
+
+
 def run_and_compare(monkeypatch, capsys, argv):
-    """Run one CLI job, keep the document it writes, and check that its
-    stdout is json.dumps of that document's dict form with a final
-    newline; return the exit code and the dict form."""
+    """Run one CLI job, keep the document it writes, and check that it
+    holds no polynomial dict and that its stdout is json.dumps of its dict
+    form with a final newline; return the exit code, the dict form and the
+    document itself."""
     docs = []
     write = cli._write_json
 
@@ -78,9 +94,10 @@ def run_and_compare(monkeypatch, capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     assert len(docs) == 1
+    assert not any(isinstance(c, dict) and POLY_KEYS <= c.keys() for c in containers(docs[0]))
     doc = dict_form(docs[0])
     assert out == json.dumps(doc, indent=2) + "\n"
-    return code, doc
+    return code, doc, docs[0]
 
 
 def sections_doc(cover, span, locals_):
@@ -128,13 +145,13 @@ def test_sections_build_and_validate(tmp_path, monkeypatch, capsys):
     for field in (QQ, sqrt2_field()):
         span, locals_ = cover_local_sections(field)
         path = write_doc(tmp_path, "cover.json", sections_doc(six_point_cover(), span, locals_))
-        code, built = run_and_compare(monkeypatch, capsys,
-                                      ["sections", "--input", path, "--max-q", "2"])
+        code, built, _ = run_and_compare(monkeypatch, capsys,
+                                         ["sections", "--input", path, "--max-q", "2"])
         assert code == 0 and built["report"]["ok"] is True
         built.pop("report")
         path2 = write_doc(tmp_path, "built.json", built)
-        code, out = run_and_compare(monkeypatch, capsys,
-                                    ["sections", "--input", path2, "--max-q", "2"])
+        code, out, _ = run_and_compare(monkeypatch, capsys,
+                                       ["sections", "--input", path2, "--max-q", "2"])
         assert code == 0 and out["mode"] == "validate"
 
 
@@ -147,8 +164,8 @@ def test_failing_validation_report_with_tuple_multi_indices(tmp_path, monkeypatc
     built["levels"]["0.1"]["c"]["entries"][0][1]["terms"] = [
         {"exp": [0], "coef": {"num": 9, "den": 1}}]
     path2 = write_doc(tmp_path, "broken.json", built)
-    code, out = run_and_compare(monkeypatch, capsys,
-                                ["sections", "--input", path2, "--max-q", "2"])
+    code, out, _ = run_and_compare(monkeypatch, capsys,
+                                   ["sections", "--input", path2, "--max-q", "2"])
     assert code == 2 and out["report"]["ok"] is False
     assert any(isinstance(f["multi_index"], tuple) for f in out["report"]["failures"])
 
@@ -161,8 +178,8 @@ def test_non_ascii_point_labels(tmp_path, monkeypatch, capsys):
     locals_ = [LocalSection(i, {x: p for x, p in zip(op, rand_tuple(rng, span, 1).sections)})
                for i, op in enumerate(cover.opens)]
     path = write_doc(tmp_path, "cover.json", sections_doc(cover, span, locals_))
-    code, out = run_and_compare(monkeypatch, capsys,
-                                ["sections", "--input", path, "--max-q", "2"])
+    code, out, _ = run_and_compare(monkeypatch, capsys,
+                                   ["sections", "--input", path, "--max-q", "2"])
     assert code == 0 and "点" in out["levels"]["0.1"]
 
 
@@ -212,7 +229,7 @@ def test_generated_documents(doc):
 
 
 # ---------------------------------------------------------------------------
-# polynomials, written in one piece each
+# polynomial dicts, through the generic walk, and matrix objects
 # ---------------------------------------------------------------------------
 
 FIELDS = [QQ, sqrt2_field(), cubic_field()]
@@ -254,10 +271,10 @@ def pieces(doc):
 
 
 def skeleton(doc):
-    """doc with every polynomial replaced by the integer 0."""
+    """doc with every matrix object replaced by the integer 0."""
+    if isinstance(doc, (NilMatrix, UniMatrix)):
+        return 0
     if isinstance(doc, dict):
-        if tuple(doc) == ("q", "params", "terms"):
-            return 0
         return {k: skeleton(v) for k, v in doc.items()}
     if isinstance(doc, list):
         return [skeleton(v) for v in doc]
@@ -268,14 +285,12 @@ def skeleton(doc):
 @given(poly_docs())
 def test_polynomials_at_depth_zero(doc):
     assert_like_dumps(doc)
-    assert len(pieces(doc)) == 1
 
 
 @SETTINGS
 @given(nested_poly_docs())
 def test_nested_polynomials_are_one_piece_each(doc):
     assert_like_dumps(doc)
-    assert len(pieces(doc)) == len(pieces(skeleton(doc)))
 
 
 def one_term_doc(coef):
@@ -316,7 +331,7 @@ def near_misses():
     yield {"q": 2, "params": ["a"]}
 
 
-def test_near_miss_shapes_fall_back_to_the_generic_walk():
+def test_near_miss_shapes_take_the_generic_walk():
     for doc in near_misses():
         for wrapped in (doc, [doc], {"m": [[doc, doc]]}):
             assert_like_dumps(wrapped)
@@ -327,6 +342,11 @@ def test_parameter_names_with_percent_signs_and_escapes():
     for params in (["%d"], ["%s", "a%%b"], ["é\n\"", "%"]):
         assert_like_dumps([{"q": 1, "params": params, "terms": [
             {"exp": [1] + [0] * len(params), "coef": {"num": 1, "den": 2}}]}])
+        # a matrix over the ring of these names, written by `_poly_object_text`
+        ring = PolyRing(sqrt2_field(), 1, tuple(params))
+        entry = ring.parameter(params[-1]) * ring.coordinate(0) + Fraction(1, 2)
+        mat = NilMatrix.from_entries(ring, 2, {(0, 1): entry})
+        assert emitted([mat]) == json.dumps(serialize.to_json([mat]), indent=2)
 
 
 def test_term_integer_over_the_digit_limit_writes_nothing(tmp_path, capsys):
@@ -350,11 +370,13 @@ def test_term_integer_over_the_digit_limit_writes_nothing(tmp_path, capsys):
 def test_wav_document_is_one_piece_per_polynomial(tmp_path, monkeypatch, capsys):
     t = rand_tuple(random.Random(904), full_unipotent_span(4, QQ), 2)
     path = write_doc(tmp_path, "t.json", serialize.tuple_to_json(t))
-    code, doc = run_and_compare(monkeypatch, capsys, ["wav", "--input", path])
+    code, doc, objects = run_and_compare(monkeypatch, capsys, ["wav", "--input", path])
     assert code == 0
     polys = len(json.dumps(doc).split('"terms"')) - 1
     assert polys == 16
-    assert len(pieces(doc)) == len(pieces(skeleton(doc)))
+    # one piece per matrix object, whatever its polynomials
+    assert isinstance(objects["wav"], UniMatrix)
+    assert len(pieces(objects)) == len(pieces(skeleton(objects)))
 
 
 def test_output_is_written_in_one_call(tmp_path, monkeypatch):
@@ -375,48 +397,26 @@ def test_output_is_written_in_one_call(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one dict per distinct polynomial, formatted once per indent
+# equal polynomials at several places, and documents that share no dict
 # ---------------------------------------------------------------------------
 
-def formats(monkeypatch, doc):
-    """The emitted text of doc and the (dict id, pad) of every polynomial
-    text `_poly_text` formatted for it."""
-    formatted = []
-    poly_text = cli._poly_text
-
-    def counting(obj, pad):
-        text = poly_text(obj, pad)
-        if text is not None:
-            formatted.append((id(obj), pad))
-        return text
-
-    monkeypatch.setattr(cli, "_poly_text", counting)
-    return emitted(doc), formatted
-
-
-def containers(doc):
-    """Every dict and list in doc, with repeats."""
-    if isinstance(doc, dict):
-        yield doc
-        for v in doc.values():
-            yield from containers(v)
-    elif isinstance(doc, list):
-        yield doc
-        for v in doc:
-            yield from containers(v)
-
-
-def test_one_polynomial_dict_at_two_depths(monkeypatch):
+def test_one_polynomial_dict_at_two_depths():
     ring = PolyRing(sqrt2_field(), 1, ("a",))
-    poly = serialize.poly_to_json(ring.parameter("a") * ring.coordinate(0) + ring.field.gen)
+    value = ring.parameter("a") * ring.coordinate(0) + ring.field.gen
+    poly = serialize.poly_to_json(value)
     doc = {"p": poly, "nested": [[poly, {"again": poly}], poly], "list": [poly]}
-    text, formatted = formats(monkeypatch, doc)
-    assert text == json.dumps(doc, indent=2)
-    # depths 1, 2 (twice), 3 and 4: one format per indent
-    assert len(formatted) == len(set(formatted)) == 4
+    assert_like_dumps(doc)
+    # one matrix object at depths 1, 3 and 2, and an equal entry held by
+    # another object at depths 4 and 2
+    mat = NilMatrix.from_entries(ring, 2, {(0, 1): value})
+    other = NilMatrix.from_entries(ring, 2, {(0, 1): ring.parameter("a") * ring.coordinate(0)
+                                             + ring.field.gen})
+    assert other.rows[0][1] is not mat.rows[0][1] and other.rows[0][1] == mat.rows[0][1]
+    doc = {"p": mat, "nested": [[mat, {"again": other}], mat], "list": [other]}
+    assert emitted(doc) == json.dumps(serialize.to_json(doc), indent=2)
 
 
-def test_number_field_and_parameterised_polynomials_in_one_document(monkeypatch):
+def test_number_field_and_parameterised_polynomials_in_one_document():
     rng = random.Random(905)
     sqrt2 = sqrt2_field()
     ring = PolyRing(sqrt2, 2, ("a",))
@@ -427,25 +427,24 @@ def test_number_field_and_parameterised_polynomials_in_one_document(monkeypatch)
            "rational": serialize.tuple_to_json(rand_tuple(rng, heisenberg_span(), 2)),
            "cubic": serialize.orbit_to_json(cubic_orbit()),
            "log": serialize.matrix_to_json(log_unipotent(mat))}
-    text, formatted = formats(monkeypatch, doc)
-    assert text == json.dumps(doc, indent=2)
-    assert len(formatted) == len(set(formatted))
-    # equal entries share one dict: the zeros below the diagonal of a unit
-    # matrix, and the ones on it
+    assert emitted(doc) == json.dumps(doc, indent=2)
+    # equal entries are distinct dicts: the zeros below the diagonal of a
+    # unit matrix, and the ones on it
     entries = [e for row in doc["surd"]["entries"] for e in row]
-    assert entries[3] is entries[6] is entries[7] and entries[0] is entries[4] is entries[8]
+    for group in ((3, 6, 7), (0, 4, 8)):
+        same = [entries[k] for k in group]
+        assert same[0] == same[1] == same[2]
+        assert len({id(e) for e in same}) == 3
 
 
-def test_two_section_documents_share_no_dict(monkeypatch):
+def test_two_section_documents_share_no_dict():
     span, locals_ = cover_local_sections(sqrt2_field())
     section = build_simplicial_section(six_point_cover(), locals_, span, max_q=2)
     first, second = serialize.simplicial_to_json(section), serialize.simplicial_to_json(section)
     assert not {id(c) for c in containers(first)} & {id(c) for c in containers(second)}
-    text, formatted = formats(monkeypatch, first)
+    text = emitted(first)
     assert text == json.dumps(first, indent=2) == json.dumps(second, indent=2)
-    polys = [c for c in containers(first) if "terms" in c]
-    assert len(formatted) == len(set(formatted)) < len(polys)
-    for poly in {id(p): p for p in polys}.values():
+    for poly in [c for c in containers(first) if "terms" in c]:
         poly["terms"].append({"exp": [], "coef": {"num": 1, "den": 1}})
     assert emitted(first) == json.dumps(first, indent=2) != text
     assert emitted(second) == json.dumps(second, indent=2) == text
