@@ -22,7 +22,10 @@ reached from the first, and a cyclic cubic orbit on U_4 in shuffled order,
 both through a cached universal polynomial; two conjugate pairs on the
 Heisenberg group over Q(sqrt2) at q = 3 and one pair on U_6 over Q(sqrt2)
 at q = 1, both through the linear one; and two cubic orbits on U_4 at
-q = 5, above the bound, averaged symbolically and then evaluated), exp,
+q = 5, above the bound, averaged symbolically and then evaluated),
+galois on two orbits that fail the closure check, which compares integer
+forms (the cyclic cubic orbit with one point dropped, and a conjugate pair
+over Q(sqrt2) whose second point is perturbed; exit 2), exp,
 log and bch on constant U_4 matrices over Q[x]/(x^2 - 1/2) and galois on
 one conjugate pair (x -> -x) of U_4 points over that field, whose power
 table has the denominator 2, so the constant-matrix integer form carries
@@ -136,7 +139,7 @@ def cli_jobs(tree, work):
     from fractions import Fraction
     from unipavg import (QQ, FiniteCover, GaloisAction, GaloisOrbit, LieSpan, LocalSection,
                          NilMatrix, PolyRing, ScalarField, SectionTuple, SimplexMap, UniMatrix,
-                         cli, embed_simplex, full_unipotent_span, serialize)
+                         cli, embed_simplex, exp_nilpotent, full_unipotent_span, serialize)
     from unipavg.fixtures import (cover_local_sections, cubic_field, heisenberg_span,
                                   point_from_coordinates, six_point_cover, sqrt2_field,
                                   two_point_tuple)
@@ -183,6 +186,7 @@ def cli_jobs(tree, work):
     theta = cubic.gen
     conjugate_pairs = GaloisAction(sqrt2, [[0, -1]])
     cyclic = GaloisAction(cubic, [theta * theta - 2])
+    orbit_docs = {}
     for name, action, group, coords, count, order in (
             ("pairs", conjugate_pairs, full_unipotent_span(4, sqrt2),
              [[[1, 1], [0, 2], [half, -1], 0, [1, 0], [0, 1]],
@@ -202,8 +206,20 @@ def cli_jobs(tree, work):
             while len(points) % count:
                 points.append(points[-1].map_entries(action.generators[0], group.ring))
         orbit = GaloisOrbit(group, action, [points[k] for k in order])
-        jobs.append(["galois", "--input", dump("galois-%s.json" % name,
-                                               serialize.orbit_to_json(orbit))])
+        orbit_docs[name] = serialize.orbit_to_json(orbit)
+        jobs.append(["galois", "--input", dump("galois-%s.json" % name, orbit_docs[name])])
+    # two orbits that fail the closure check's comparison (exit 2): the
+    # cyclic cubic orbit with its first point dropped, and the first
+    # conjugate pair over Q(sqrt2) with its second point moved by
+    # exp(E_01), so that it is no longer the first point's conjugate
+    dropped = dict(orbit_docs["cubic"], points=orbit_docs["cubic"]["points"][1:])
+    pairs = orbit_docs["pairs"]
+    moved = serialize.uni_from_json(sqrt2, pairs["points"][1]) * exp_nilpotent(
+        NilMatrix.from_entries(PolyRing(sqrt2, 0), 4, {(0, 1): 1}))
+    perturbed = dict(pairs, points=[pairs["points"][0], serialize.matrix_to_json(moved)]
+                     + pairs["points"][2:])
+    jobs += [["galois", "--input", dump("galois-cubic-dropped.json", dropped)],
+             ["galois", "--input", dump("galois-pairs-perturbed.json", perturbed)]]
     # constant matrices over Q[x]/(x^2 - 1/2), whose power table has the
     # denominator 2, so the integer form's products carry it: exp, log and
     # bch on U_4, and the conjugate pair of a point under x -> -x (q = 1,

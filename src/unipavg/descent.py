@@ -9,6 +9,12 @@ average is taken at the uniform weights w by `wav_at_weights`: where `wav`
 knows Phi (agreeing points, q = 1, class <= 2, or within its bound) it is
 exp(Phi(w; L_1, ..., L_q)) f_0, computed on constant matrices, and no
 symbolic average is built.
+
+Both ends stay in the integer form of constant matrices (see `nilpotent`):
+the closure check applies each generator to a point's form
+(`FieldAutomorphism.apply_form`) and compares forms, and the descent reads
+the average's form, whose planes after the first vanish exactly when the
+average is rational.  Neither builds a polynomial entry.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ __all__ = ["GaloisOrbit", "rational_point"]
 class GaloisOrbit:
     """Torsor points over an extension field, closed under a Galois action.
 
-    Construction verifies that applying each generator entrywise permutes
-    the list of points (exact multiset equality) and that every point's
-    log lies in the group span.
+    Construction verifies that applying each generator permutes the list
+    of points (exact multiset equality of their integer forms) and that
+    every point's log lies in the group span.
     """
 
     __slots__ = ("group", "action", "points")
@@ -75,15 +81,13 @@ def rational_point(orbit: GaloisOrbit) -> UniMatrix:
     """The uniform-weight average of the orbit, returned over the rational
     field.  Aborts loudly if the result has an entry outside the rationals,
     which a valid orbit never gives.  That check covers Galois invariance
-    too: every automorphism fixes Q, so a rational point is invariant."""
+    too: every automorphism fixes Q, so a rational point is invariant.
+    The average is constant, so it is read in the integer form: it is
+    rational exactly when every plane after the first is zero, and then
+    (den, [plane 0]) is its form over Q, whose gcd is already 1."""
     weights = WeightSeq.uniform(orbit.q, orbit.action.field)
     averaged = wav_at_weights(orbit.points, weights, orbit.group)
-    rational_ring = PolyRing(QQ, 0)
-
-    def descend(entry):
-        value = entry.constant_value()
-        if not value.is_rational:
-            raise RationalityError("averaged point has an irrational entry")
-        return rational_ring.constant(value.as_fraction())
-
-    return averaged.map_entries(descend, rational_ring)
+    den, planes = averaged._int_form()
+    if any(map(any, planes[1:])):
+        raise RationalityError("averaged point has an irrational entry")
+    return UniMatrix._from_int(PolyRing(QQ, 0), averaged.n, (den, planes[:1]))

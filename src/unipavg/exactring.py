@@ -1236,6 +1236,27 @@ class FieldAutomorphism:
         """rden times the image of the power-basis numerator vector u."""
         return tuple(sum(map(mul, row, u)) for row in self._rows)
 
+    def apply_form(self, form):
+        """The image of a constant matrix's integer form (den, planes), one
+        plane per power-basis coordinate (see `nilpotent`): the planes
+        times `_rows`, over den * `_rden`, with the gcd taken out once."""
+        den, planes = form
+        den *= self._rden
+        out = []
+        for row in self._rows:
+            # the map is invertible, so no row of its matrix is zero
+            acc = None
+            for r, plane in zip(row, planes):
+                if r:
+                    acc = ([r * x for x in plane] if acc is None
+                           else [a + r * x for a, x in zip(acc, plane)])
+            out.append(acc)
+        g = math.gcd(den, *chain.from_iterable(out))
+        if g != 1:
+            den //= g
+            out = [[x // g for x in plane] for plane in out]
+        return den, out
+
     def __call__(self, v):
         if isinstance(v, ScalarValue):
             return self.apply_value(v)

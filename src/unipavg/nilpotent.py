@@ -63,8 +63,9 @@ from itertools import chain, combinations
 from math import factorial, gcd, lcm
 
 from .errors import InputError, MembershipError, RingMismatch
-from .exactring import (PolyRing, ScalarField, SimplexPoly, _canonical, _canonical_scalar,
-                        extend_to_simplex, substitute_simplex_map, sum_of_products)
+from .exactring import (FieldAutomorphism, PolyRing, ScalarField, SimplexPoly, _canonical,
+                        _canonical_scalar, extend_to_simplex, substitute_simplex_map,
+                        sum_of_products)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +435,12 @@ class _TriangularMatrix:
         fn must send 0 to 0 and 1 to 1, as every ring map does (pullback,
         extension, evaluation, a Galois automorphism, descent to Q, a
         permutation of coordinates), so the diagonal and the part below it
-        are taken from ring's blank matrix of this kind, not mapped."""
+        are taken from ring's blank matrix of this kind, not mapped.  A
+        Galois automorphism of a matrix over a ring with no variables, into
+        that ring, maps the integer form instead (`apply_form`)."""
+        if (type(fn) is FieldAutomorphism and ring is self.ring and not ring.nvars
+                and fn.field is ring.field):
+            return type(self)._from_int(ring, self.n, fn.apply_form(self._int_form()))
         rows = self.rows
         blank = self._blank_rows(ring, self.n)
         return type(self)(ring, tuple(head[:i + 1] + tuple(map(fn, row[i + 1:]))
@@ -714,9 +720,11 @@ class _Echelon:
         if not row:
             return False
         piv = min(row)
-        inv = row[piv].inverse()
-        row = {i: x * inv for i, x in row.items()}
-        comb = {k: x * inv for k, x in comb.items()}
+        if row[piv] != self.field.one:
+            # x * 1 = x, so a row whose pivot is already 1 is kept as it is
+            inv = row[piv].inverse()
+            row = {i: x * inv for i, x in row.items()}
+            comb = {k: x * inv for k, x in comb.items()}
         for (_, old), old_comb in zip(self.rows, self.transform):
             c = old.get(piv)
             if c is not None:
@@ -1259,12 +1267,16 @@ def nilpotency_class(span: LieSpan) -> int:
 
 def full_unipotent_span(n: int, field: ScalarField) -> LieSpan:
     """The span of all strictly upper n x n matrices: the Lie algebra of the
-    full unipotent group of that size."""
+    full unipotent group of that size.  Its basis is the E_ij in row order,
+    each built in the integer form, (1, a unit vector in the first plane);
+    the higher planes of every E_ij are one shared zero list."""
     if n < 1:
         raise InputError("matrix size must be at least 1")
     ring = PolyRing(field, 0)
-    basis = [NilMatrix.from_entries(ring, n, {(i, j): 1})
-             for i in range(n) for j in range(i + 1, n)]
+    size = n * (n - 1) // 2
+    zeros = [[0] * size] * (field.degree - 1)
+    basis = [NilMatrix._from_int(ring, n, (1, [[0] * k + [1] + [0] * (size - k - 1)] + zeros))
+             for k in range(size)]
     return LieSpan(basis, n=n, field=field, check=False)
 
 

@@ -16,7 +16,9 @@ into the integer form of `nilpotent`, building no polynomial
 (`_constant_grid`); a matrix whose entries on and below the diagonal are
 exactly the writer's 0 and 1 has only its strictly upper entries read
 (`_fixed_grid`); every other matrix is read entry by entry.  All three
-give the same values and messages.
+give the same values and messages.  A group document that is exactly the
+writer's document of the full unipotent group is compared with it, not
+read (`_is_full_span`), and gives the span built in the integer form.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from operator import add
 from .errors import InputError
 from .exactring import (QQ, GaloisAction, PolyRing, ScalarField, ScalarValue, SimplexPoly,
                         _canonical, _canonical_scalar, _degree_error, _pack, _unpack)
-from .nilpotent import LieSpan, NilMatrix, UniMatrix
+from .nilpotent import LieSpan, NilMatrix, UniMatrix, _upper_positions, full_unipotent_span
 from .average import SectionTuple
 from .simplicial import (FiniteCover, LocalSection, SimplicialSection,
                          TowerReport, ValidationReport)
@@ -461,13 +463,60 @@ def span_to_json(span: LieSpan):
     return to_json(span_doc(span))
 
 
+@functools.lru_cache(maxsize=16)
+def _full_span_doc(field, n):
+    """The writer's document of `full_unipotent_span(n, field)`, for
+    comparison only: it is never handed out, so nothing edits it.  Each
+    E_ij is put together from the writer's documents of 0 and 1
+    (`_fixed_docs`), shared, so the first read of a size does not write a
+    span."""
+    zero, one = _fixed_docs(PolyRing(field, 0))
+    basis = []
+    for i, j in _upper_positions(n)[0]:
+        entries = [[zero] * n for _ in range(n)]
+        entries[i][j] = one
+        basis.append({"n": n, "entries": entries})
+    return {"n": n, "basis": basis}
+
+
+def _is_full_span(field, n, obj):
+    """Whether the group object obj, of int size n, is exactly the writer's
+    document of `full_unipotent_span(n, field)`.  The basis length is
+    checked first, so the reference built is never larger than the input.
+    `==` takes 1.0 and true for 1 and false for 0, so once the two are
+    equal the type of every number is checked: each matrix's n, each
+    entry's q and the num and den of the one term of each E_ij (every
+    other entry has no term)."""
+    basis = obj.get("basis")
+    size = n * (n - 1) // 2
+    if type(basis) is not list or len(basis) != size or obj != _full_span_doc(field, n):
+        return False
+    for mat, (i, j) in zip(basis, _upper_positions(n)[0]):
+        entries = mat["entries"]
+        if (type(mat["n"]) is not int
+                or not _INT.issuperset([type(e["q"]) for row in entries for e in row])):
+            return False
+        coef = entries[i][j]["terms"][0]["coef"]
+        for c in coef["coords"] if "coords" in coef else (coef,):
+            if type(c["num"]) is not int or type(c["den"]) is not int:
+                return False
+    return True
+
+
 def span_from_json(field, obj) -> LieSpan:
+    """A group span.  The writer's document of the full group,
+    `span_to_json(full_unipotent_span(n, field))`, is compared, not read
+    (`_is_full_span`), and gives that span, built in the integer form;
+    every other document, the same basis in another order among them, is
+    read matrix by matrix and checked by `LieSpan`."""
     _expect(obj, dict, "group span")
     n = obj.get("n")
     if type(n) is not int:
         raise FormatError("expected int for n, got %s" % type(n).__name__)
     if n < 1:
         raise FormatError("matrix size must be at least 1")
+    if _is_full_span(field, n, obj):
+        return full_unipotent_span(n, field)
     basis = [nil_from_json(field, b)
              for b in _expect(obj.get("basis", []), list, "basis")]
     return LieSpan(basis, n=n, field=field)
@@ -619,4 +668,29 @@ def orbit_from_json(obj) -> GaloisOrbit:
     group = span_from_json(field, _expect(obj.get("group"), dict, "group"))
     points = [uni_from_json(field, z)
               for z in _expect(obj.get("points"), list, "points")]
-    return GaloisOrbit(group, action, points)
+    orbit = GaloisOrbit(group, action, points)
+    # the field has at most field.degree automorphisms, and by Artin's
+    # theorem a group of them fixes exactly Q when it has that many; with
+    # fewer, an orbit's average may be irrational through no fault of the
+    # averaging, so the document is refused here
+    count = _automorphism_count(action)
+    if count < field.degree:
+        raise InputError("the Galois generators generate a group of order %d, less than "
+                         "the field degree %d, so they fix more than Q" % (count, field.degree))
+    return orbit
+
+
+def _automorphism_count(action):
+    """The order of the group the generators generate: an automorphism is
+    fixed by its image of the field generator, so this is the size of the
+    closure of the generators' images under the generators."""
+    images = {g.image for g in action.generators}
+    frontier = list(images)
+    while frontier:
+        value = frontier.pop()
+        for g in action.generators:
+            image = g.apply_value(value)
+            if image not in images:
+                images.add(image)
+                frontier.append(image)
+    return len(images)

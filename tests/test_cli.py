@@ -476,6 +476,57 @@ def test_galois_rejects_broken_orbit(tmp_path, capsys):
     assert "closed" in err["error"]["message"]
 
 
+def undersized_orbit(field):
+    """The one-point orbit of a Heisenberg point with the irrational entry
+    theta, closed under theta -> theta, which fixes all of the field."""
+    from unipavg import GaloisAction, GaloisOrbit
+
+    span = heisenberg_span(field)
+    z = UniMatrix.from_entries(span.ring, 3, {(0, 1): span.ring.constant(field.gen)})
+    return GaloisOrbit(span, GaloisAction(field, [field.gen]), [z])
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "cubic", "cbrt2"])
+def test_galois_refuses_an_action_that_fixes_more_than_q(tmp_path, capsys, name):
+    # the identity alone on Q(sqrt2), on the cyclic cubic field and on the
+    # non-normal Q(2^(1/3)): the input is at fault, so it exits 2, not 3
+    from unipavg import ScalarField
+    from unipavg.fixtures import cubic_field
+
+    field = {"sqrt2": sqrt2_field(), "cubic": cubic_field(),
+             "cbrt2": ScalarField.extension("x", (-2, 0, 0, 1))}[name]
+    path = write_doc(tmp_path, "orbit.json", serialize.orbit_to_json(undersized_orbit(field)))
+    code, out, err = run(capsys, ["galois", "--input", path])
+    assert code == 2 and out is None
+    assert err["error"] == {
+        "kind": "input-error", "type": "InputError",
+        "message": "the Galois generators generate a group of order 1, less than the field "
+                   "degree %d, so they fix more than Q" % field.degree}
+
+
+def test_the_automorphism_count_is_the_order_of_the_generated_group():
+    # Q(sqrt2 + sqrt3), theta^4 - 10 theta^2 + 1 = 0: theta -> -theta has
+    # order 2, and with theta -> 1/theta = 10 theta - theta^3 the group is
+    # all four automorphisms
+    from unipavg import GaloisAction, ScalarField
+
+    field = ScalarField.extension("x", (1, 0, -10, 0, 1))
+    theta = field.gen
+    negate, invert = -theta, theta * 10 - theta ** 3
+    for images, order in (([theta], 1), ([negate], 2), ([invert], 2), ([negate, invert], 4),
+                          ([negate, negate, theta], 2)):
+        assert serialize._automorphism_count(GaloisAction(field, images)) == order
+
+
+def test_galois_accepts_the_fixture_actions(tmp_path, capsys):
+    from unipavg.fixtures import cubic_orbit
+
+    for k, orbit in enumerate((sqrt2_orbit(), cubic_orbit())):
+        path = write_doc(tmp_path, "orbit%d.json" % k, serialize.orbit_to_json(orbit))
+        code, out, _ = run(capsys, ["galois", "--input", path])
+        assert code == 0 and out["q"] == orbit.q
+
+
 # ---------------------------------------------------------------------------
 # figure data
 # ---------------------------------------------------------------------------
