@@ -36,7 +36,11 @@ both sides of the universal-polynomial dispatch
 Q(sqrt2) at q = 3, through Phi_{3,3}; and U_6 over Q at q = 3, whose
 Phi_{5,3} lies above the bound, by the pass loop), wav through Lemma A's
 Phi = sum_j t_j e_j (with --weights on the Heisenberg group over Q(sqrt2)
-at q = 3, and with --iterations 3 on U_4 over Q at q = 1), the reader's
+at q = 3, and with --iterations 3 on U_4 over Q at q = 1), wav on U_4
+over Q at q = 2 on both sides of the echelon store's axis rule (its group
+basis the E_ij shuffled and scaled by 2 and -1, solved by lookup on the
+axes, and a unitriangular change of that basis, solved by elimination),
+the reader's
 constant-grid path and its fallback (wav on that subgroup of U_5 and galois
 on the U_4 orbits over Q(sqrt2) and the cubic field, with every constant
 polynomial respelled in shapes that path reads: integer coefficients,
@@ -248,8 +252,17 @@ def cli_jobs(tree, work):
     # the E_ij with j <= 3 and the corner E_04, which is central there
     # (dimension 7 of 10, class 3); then through Lemma A's sum_j t_j e_j:
     # the Heisenberg group over Q(sqrt2) at q = 3 at irrational weights, and
-    # U_4 over Q at q = 1 with an iteration override
+    # U_4 over Q at q = 1 with an iteration override; and U_4 over Q at
+    # q = 2 on both sides of the echelon store's axis rule: its basis the
+    # E_ij shuffled and scaled by 2 and -1, which the store solves on its
+    # axes, and the unitriangular change b_k + b_{k+1} of that basis, which
+    # it solves by elimination
     values = (1, -1, 2, -2, half, -half)
+    q_ring = PolyRing(QQ, 0)
+    scaled = [NilMatrix.from_entries(q_ring, 4, {ij: s}) for ij, s in zip(
+        ((1, 3), (0, 2), (2, 3), (0, 1), (0, 3), (1, 2)), (2, -1, 1, -1, 2, 2))]
+    axis_span = LieSpan(scaled)
+    unitriangular_span = LieSpan([a + b for a, b in zip(scaled, scaled[1:])] + scaled[-1:])
     ring = PolyRing(sqrt2, 0)
     block = LieSpan([NilMatrix.from_entries(ring, 5, {(i, j): 1})
                      for i in range(5) for j in range(i + 1, 5) if j <= 3 or i == 0])
@@ -261,7 +274,9 @@ def cli_jobs(tree, work):
             ("lemma-a-heisenberg-3", heisenberg_span(sqrt2), 3, [
                 "--weights", '[{"num":1,"den":6},{"coords":[{"num":1,"den":3},'
                 '{"num":1,"den":3}]},{"num":1,"den":2},{"coords":[0,{"num":-1,"den":3}]}]']),
-            ("lemma-a-4-1", full_unipotent_span(4, QQ), 1, ["--iterations", "3"])):
+            ("lemma-a-4-1", full_unipotent_span(4, QQ), 1, ["--iterations", "3"]),
+            ("axes-4-2", axis_span, 2, []),
+            ("unitriangular-4-2", unitriangular_span, 2, [])):
         count = span.dim * span.field.degree
         points = []
         for k in range(q + 1):

@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import sys
-import traceback
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -558,7 +557,9 @@ def main(argv=None) -> int:
         _emit_error("invariant-violation", exc)
         return 3
     except Exception as exc:
-        # last resort: any other failure is a defect, reported as one
+        # last resort: any other failure is a defect, reported as one; the
+        # traceback module is loaded only here, off the common path
+        import traceback
         _emit_error("internal-error", exc, traceback.format_exc())
         return 3
 

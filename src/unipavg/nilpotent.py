@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from math import factorial, gcd, lcm
 
 from .errors import InputError, MembershipError, RingMismatch
@@ -691,14 +691,25 @@ class _Echelon:
     other rows' pivots, and `transform[r]` writes row r as a sparse
     combination {k: value} of the kept v_k.  A solve reads a vector's
     entries at the pivots and maps them back through the transform, so
-    nothing larger than the rows and an m x m transform is stored."""
+    nothing larger than the rows and an m x m transform is stored.
 
-    __slots__ = ("field", "rows", "transform")
+    The axis rule: while every kept v_k is s_k times a unit vector at its
+    own pivot, its row is that unit vector and its transform is
+    {k: 1/s_k}, and `axes` maps each pivot to (k, 1/s_k).  While `axes`
+    covers every row, a solve reads each entry of the vector at its axis
+    and scales it, and an entry off the axes lies outside the span; and
+    `add_row` keeps a one-entry row at a new position without reading the
+    old rows, or rejects it as dependent when its position is already an
+    axis.  The first kept row with more than one entry is not an axis, so
+    from then on the store eliminates."""
+
+    __slots__ = ("field", "rows", "transform", "axes")
 
     def __init__(self, field, rows=(), what="basis"):
         self.field = field
         self.rows = []          # (pivot, sparse row)
         self.transform = []
+        self.axes = {}          # pivot -> (k, 1/s_k) of the kept v_k on an axis
         for row in rows:
             if not self.add_row(row):
                 raise InputError("the %s is linearly dependent" % what)
@@ -711,6 +722,19 @@ class _Echelon:
     def add_row(self, row):
         """`add` for a vector given as a fresh sparse {index: nonzero value}
         map, which the store takes over."""
+        axes = self.axes
+        if len(row) == 1 and len(axes) == len(self.rows):
+            (piv, x), = row.items()
+            if piv in axes:
+                return False
+            k, one = len(self.rows), self.field.one
+            t = one if x == one else x.inverse()
+            if t is not one:
+                row = {piv: one}
+            self.rows.append((piv, row))
+            self.transform.append({k: t})
+            axes[piv] = (k, t)
+            return True
         comb = {len(self.rows): self.field.one}
         for (piv, old), old_comb in zip(self.rows, self.transform):
             c = row.get(piv)
@@ -743,6 +767,16 @@ class _Echelon:
         rest = vec if isinstance(vec, dict) else {i: x for i, x in enumerate(vec)
                                                   if not x.is_zero}
         out = [zero] * len(self.rows)
+        axes = self.axes
+        if len(axes) == len(out):
+            one = self.field.one
+            for i, c in rest.items():
+                at = axes.get(i)
+                if at is None:
+                    raise MembershipError("vector lies outside the span")
+                k, t = at
+                out[k] = c if t is one else c * t
+            return out
         for (piv, row), comb in zip(self.rows, self.transform):
             c = rest.get(piv)
             if c is not None:
@@ -1065,13 +1099,19 @@ def lie_polynomial(law, terms, letters, coefficient=_same):
 def _upper_row(mat):
     """The nonzero strictly upper entries of a constant matrix, as a sparse
     {index: field value} map indexed like `strict_upper`, read from the
-    integer form when the matrix has one; InputError when an entry is not
-    constant."""
+    integer form when the matrix has one (only the nonzero positions of
+    the first plane when the higher planes are zero); InputError when an
+    entry is not constant."""
     if mat._int is not None:
         den, planes = mat._int
         field = mat.ring.field
-        return {k: _canonical_scalar(field, den, vec)
-                for k, vec in enumerate(zip(*planes)) if any(vec)}
+        first, higher = planes[0], planes[1:]
+        if any(map(any, higher)):
+            return {k: _canonical_scalar(field, den, vec)
+                    for k, vec in enumerate(zip(*planes)) if any(vec)}
+        tail = (0,) * len(higher)
+        return {k: _canonical_scalar(field, den, (first[k],) + tail)
+                for k in compress(range(len(first)), first)}
     return {k: e.constant_value() for k, e in mat.nonzero_upper().items()}
 
 
@@ -1194,7 +1234,10 @@ class LieSpan:
         with the same scalar field) in the span basis, or of a constant one
         given as a fresh sparse {index: field value} map like `_upper_row`'s,
         which the solve consumes.  Raises MembershipError when the matrix
-        lies outside the span."""
+        lies outside the span.  By the echelon store's axis rule, a basis
+        of multiples of the E_ij (a full U_n on the E_ij, a term of its
+        lower central series) solves by reading each entry at its position
+        and scaling it; any other basis solves by elimination."""
         if isinstance(mat, dict):
             return self._echelon.solve(mat, self.field.zero)
         if not isinstance(mat, NilMatrix):

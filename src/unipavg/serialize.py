@@ -208,6 +208,9 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
         _expect(obj, dict, "polynomial")
     q = obj.get("q", 0)
     if type(q) is not int:
+        if type(q) is bool:
+            # an int to isinstance, so _expect would let it through
+            raise FormatError("expected int for q, got bool")
         _expect(q, int, "q")
     params = obj.get("params", [])
     if type(params) is not list:
@@ -217,7 +220,7 @@ def poly_from_json(field: ScalarField, obj) -> SimplexPoly:
         for n in params:
             _expect(n, str, "parameter name")
     # the ring table first: a call costs more than the lookup, and a q that
-    # is not exactly an int (a bool hashes like 0 or 1) goes to PolyRing
+    # is not exactly an int (a subclass) goes to PolyRing
     ring = PolyRing._table.get((field, q, params)) if type(q) is int else None
     if ring is None:
         ring = PolyRing(field, q, params)

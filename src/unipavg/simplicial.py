@@ -19,7 +19,6 @@ linearly, and every comparison is between exact coordinate vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations_with_replacement
 
 from .average import CoordinateTuple, SectionTuple, wav
@@ -133,11 +132,34 @@ class SimplicialSection:
         return "SimplicialSection(max_q=%d, indices per level %s)" % (self.max_q, counts)
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    checks: int
-    failures: list = dataclass_field(default_factory=list)
+class _Report:
+    """A record of the fields named in `__slots__`, compared and shown
+    field by field; a plain class, so that importing the package loads no
+    dataclass machinery."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self):
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (k, getattr(self, k)) for k in self.__slots__))
+
+
+class ValidationReport(_Report):
+    __slots__ = ("ok", "checks", "failures")
+
+    def __init__(self, ok, checks, failures=None):
+        self.ok = ok
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     def first_failure(self):
         return self.failures[0] if self.failures else None
@@ -352,11 +374,13 @@ def validate_simplicial_section(s: SimplicialSection, max_q=None) -> ValidationR
     return report
 
 
-@dataclass
-class TowerReport:
-    ok: bool
-    levels: list
-    failures: list = dataclass_field(default_factory=list)
+class TowerReport(_Report):
+    __slots__ = ("ok", "levels", "failures")
+
+    def __init__(self, ok, levels, failures=None):
+        self.ok = ok
+        self.levels = levels
+        self.failures = [] if failures is None else failures
 
     def summary(self):
         status = "pass" if self.ok else "FAIL"

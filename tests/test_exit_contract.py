@@ -156,7 +156,7 @@ HOSTILE_ERRORS = [
     ("coef", True, "FormatError", "booleans are not numbers"),
     ("coef", "1", "FormatError", "expected an integer or a num/den object"),
     ("q", 1.0, "FormatError", "expected int for q, got float"),
-    ("q", True, "InputError", "simplex dimension must be a nonnegative integer"),
+    ("q", True, "FormatError", "expected int for q, got bool"),
     ("q", "1", "FormatError", "expected int for q, got str"),
     ("entry", 1.0, "FormatError", "expected dict for polynomial, got float"),
     ("entry", True, "FormatError", "expected dict for polynomial, got bool"),

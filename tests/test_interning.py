@@ -76,7 +76,7 @@ def test_a_boolean_q_is_rejected_before_and_after_a_q1_ring_exists():
         for q in (True, False):
             with pytest.raises(InputError, match="simplex dimension"):
                 PolyRing(base, q)
-            with pytest.raises(InputError, match="simplex dimension"):
+            with pytest.raises(serialize.FormatError, match="expected int for q, got bool"):
                 serialize.poly_from_json(base, {"q": q, "terms": []})
 
 
@@ -96,7 +96,7 @@ def test_cli_rejects_a_boolean_q_in_any_entry(tmp_path, capsys):
         assert main(["log", "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "simplex dimension" in json.loads(captured.err)["error"]["message"]
+        assert json.loads(captured.err)["error"]["message"] == "expected int for q, got bool"
 
 
 def test_a_rejected_construction_raises_again_and_stores_nothing():

@@ -60,7 +60,10 @@ def old_scalar_from_json(field, obj):
 
 def old_poly_from_json(field, obj):
     _expect(obj, dict, "polynomial")
-    q = _expect(obj.get("q", 0), int, "q")
+    q = obj.get("q", 0)
+    if type(q) is bool:          # a wrong type like 1.0 or "1", not a q of 0 or 1
+        raise FormatError("expected int for q, got bool")
+    q = _expect(q, int, "q")
     params = tuple(_expect(n, str, "parameter name")
                    for n in _expect(obj.get("params", []), list, "params"))
     ring = PolyRing(field, q, params)
