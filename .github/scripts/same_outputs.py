@@ -78,6 +78,15 @@ value).
 One fresh process per tree runs them through its `cli.main`, and the exit
 code, standard output and standard error of each are compared.
 
+No subcommand reaches a quotient, so `tower_jobs` writes, once with HEAD's
+package, section tuples for library tower jobs at q = 1 and q = 2: U_4
+over Q(sqrt2) and U_5 over Q along their lower central series, and U_4
+over Q along its centre and the zero ideal.  One fresh process per tree
+reads each tuple, runs `tower_compatibility` and then `quotient_span` on
+every ideal, and writes the tower report, each quotient target's span and
+each projection's basis images and chosen preimages (`section`); those
+documents are compared as bytes.
+
 The check stops at the first job that differs, naming it.  Exit status: 0
 when every job matches, 1 at the first difference.
 """
@@ -584,6 +593,61 @@ def run_cli_jobs(tree, jobs_path, result_path):
         json.dump(results, fh)
 
 
+def tower_jobs(tree, work):
+    """Write the section tuples of the library tower jobs under work with
+    tree's package; print each job, [tuple path, "series" or "centre"], as
+    one JSON list."""
+    sys.path.insert(0, str(Path(tree).resolve() / "src"))
+    import random
+    from fractions import Fraction
+    from unipavg import QQ, SectionTuple, full_unipotent_span, serialize
+    from unipavg.fixtures import point_from_coordinates, sqrt2_field
+
+    rng = random.Random(3901)
+    jobs = []
+    for n, field, ideals in ((4, sqrt2_field(), "series"), (5, QQ, "series"),
+                             (4, QQ, "centre")):
+        span = full_unipotent_span(n, field)
+        for q in (1, 2):
+            pts = [point_from_coordinates(span, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                                 for _ in range(span.dim)])
+                   for _ in range(q + 1)]
+            path = Path(work) / ("tower-%d.json" % len(jobs))
+            path.write_text(json.dumps(serialize.tuple_to_json(SectionTuple(span, pts))),
+                            encoding="utf-8")
+            jobs.append([str(path), ideals])
+    print(json.dumps(jobs))
+
+
+def run_tower_jobs(tree, jobs_path, result_path):
+    """Run each tower job of jobs_path with tree's package; result_path
+    lists, per job, the documents it wrote as JSON text."""
+    sys.path.insert(0, str(Path(tree).resolve() / "src"))
+    from unipavg import (LieSpan, NilMatrix, lower_central_series, quotient_span, serialize,
+                         tower_compatibility)
+    with open(jobs_path, encoding="utf-8") as fh:
+        jobs = json.load(fh)
+    results = []
+    for path, kind in jobs:
+        with open(path, encoding="utf-8") as fh:
+            t = serialize.tuple_from_json(json.load(fh))
+        group = t.group
+        series = lower_central_series(group)
+        if kind == "series":
+            ideals = series[1:]
+        else:
+            corner = NilMatrix.from_entries(group.ring, group.n, {(0, group.n - 1): 1})
+            ideals = [LieSpan([corner]), series[-1]]
+        docs = [serialize.tower_report_to_json(tower_compatibility(t, ideals))]
+        for ideal in ideals:
+            target, hom = quotient_span(group, ideal)
+            docs.append(serialize.span_to_json(target))
+            docs.append([serialize.matrix_to_json(m) for m in hom.images + hom.section])
+        results.append([json.dumps(doc) for doc in docs])
+    with open(result_path, "w", encoding="utf-8") as fh:
+        json.dump(results, fh)
+
+
 def _self(*args):
     """Run this script in a fresh process; return its standard output."""
     done = subprocess.run([sys.executable, str(SCRIPT)] + [str(a) for a in args],
@@ -596,6 +660,22 @@ def _read(path):
         return Path(path).read_bytes()
     except FileNotFoundError:
         return None
+
+
+def _fixed_jobs(kind, base, head, work):
+    """Write the inputs of the fixed jobs of kind ("cli" or "tower") once
+    with head's package, run them in one fresh process per tree, and return
+    the job list and each tree's results."""
+    job_dir = Path(work) / kind
+    job_dir.mkdir()
+    jobs_path = job_dir / "jobs.json"
+    jobs_path.write_text(_self("--%s-jobs" % kind, head, job_dir), encoding="utf-8")
+    results = {}
+    for label, tree in (("base", base), ("head", head)):
+        result_path = job_dir / ("result-%s.json" % label)
+        _self("--%s-run" % kind, tree, jobs_path, result_path)
+        results[label] = json.loads(result_path.read_text(encoding="utf-8"))
+    return json.loads(jobs_path.read_text(encoding="utf-8")), results
 
 
 def compare(base, head, work):
@@ -629,23 +709,18 @@ def compare(base, head, work):
                     return 1
             total += len(inputs)
             print("same: seed %d, workload %s, %d jobs" % (seed, name, len(inputs)))
-    cli_dir = Path(work) / "cli"
-    cli_dir.mkdir()
-    jobs_path = cli_dir / "jobs.json"
-    jobs_path.write_text(_self("--cli-jobs", head, cli_dir), encoding="utf-8")
-    results = {}
-    for label, tree in (("base", base), ("head", head)):
-        result_path = cli_dir / ("result-%s.json" % label)
-        _self("--cli-run", tree, jobs_path, result_path)
-        results[label] = json.loads(result_path.read_text(encoding="utf-8"))
-    jobs = json.loads(jobs_path.read_text(encoding="utf-8"))
-    for k, argv in enumerate(jobs):
-        if results["base"][k] != results["head"][k]:
-            print("DIFFERS: subcommand job %d (%s): exit code, standard output or "
-                  "standard error" % (k, " ".join(argv)))
-            return 1
-    total += len(jobs)
-    print("same: %d subcommand jobs" % len(jobs))
+    for kind, describe, same in (
+            ("cli", lambda k, argv: "subcommand job %d (%s): exit code, standard output or "
+             "standard error" % (k, " ".join(argv)), "subcommand jobs"),
+            ("tower", lambda k, job: "tower job %d (%s, ideals %s): tower report, quotient "
+             "span or hom images" % (k, job[0], job[1]), "tower jobs")):
+        jobs, results = _fixed_jobs(kind, base, head, work)
+        for k, job in enumerate(jobs):
+            if results["base"][k] != results["head"][k]:
+                print("DIFFERS: " + describe(k, job))
+                return 1
+        total += len(jobs)
+        print("same: %d %s" % (len(jobs), same))
     print("every one of %d jobs wrote the same bytes under both trees" % total)
     return 0
 
@@ -664,6 +739,12 @@ def main(argv=None):
         return 0
     if argv[:1] == ["--cli-run"]:
         run_cli_jobs(*argv[1:4])
+        return 0
+    if argv[:1] == ["--tower-jobs"]:
+        tower_jobs(argv[1], argv[2])
+        return 0
+    if argv[:1] == ["--tower-run"]:
+        run_tower_jobs(*argv[1:4])
         return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="checkout of the base commit")

@@ -52,7 +52,11 @@ polynomials on Lyndon words, evaluated by one bracket walk,
 `lie_polynomial`.  `quotient_span` seeds its target's table and class
 from the structure constants and series it computes anyway, records each
 projected basis vector's coordinates, and checks neither the target's
-closure nor the projection, which hold by construction.
+closure nor the projection, which hold by construction; the target builds
+its re-embedding, and the hom its image matrices, only when something
+reads them.  `apply_hom` also takes a coordinate vector, and a hom may be
+given, and checked, by its images' coordinates, so a chain of quotients
+can be mapped and compared without any matrix.
 """
 
 from __future__ import annotations
@@ -1327,39 +1331,61 @@ def full_unipotent_span(n: int, field: ScalarField) -> LieSpan:
 # homomorphisms
 # ---------------------------------------------------------------------------
 
+def _field_coords(field, dim, coords):
+    """A coordinate vector of dim field scalars, each given as a scalar or
+    as a constant polynomial over field."""
+    if len(coords) != dim:
+        raise InputError("expected %d coordinates, got %d" % (dim, len(coords)))
+    return tuple([c.constant_value() if isinstance(c, SimplexPoly) else field.value(c)
+                  for c in coords])
+
+
 class LieHom:
-    """A Lie algebra homomorphism between spans, given by basis images.
-    Construction verifies the images land in the target span and that
-    brackets of basis pairs are preserved, both in coordinates: the image
-    of [b_i, b_j] is read from the source table, the bracket of the images
-    from the target table.  A hom built with check=False promises that its
-    images lie in the target: `apply_hom` solves them once (`image_coords`),
-    so a broken promise raises MembershipError.  `identity` and
-    `quotient_span` keep it by construction."""
+    """A Lie algebra homomorphism between spans, given by its basis images,
+    as matrices in the target span (`images`) or as their target
+    coordinates (`image_coords`); either is built from the other on first
+    read.
+    Construction verifies that the two spans share a field, that matrix
+    images land in the target span and that brackets of basis pairs are
+    preserved, all in coordinates: the image of [b_i, b_j] is read from the
+    source table, the bracket of the images from the target table.  Images
+    given as coordinates are not solved.  A hom built with check=False
+    promises that its images lie in the target: `apply_hom` solves them
+    once (`image_coords`), so a broken promise raises MembershipError.
+    `identity` and `quotient_span` keep it by construction."""
 
-    __slots__ = ("source", "target", "images", "complement", "section", "_image_coords")
+    __slots__ = ("source", "target", "_images", "complement", "section", "_image_coords")
 
-    def __init__(self, source, target, images, check=True, complement=None,
+    def __init__(self, source, target, images=None, check=True, complement=None,
                  section=None, image_coords=None):
         if not isinstance(source, LieSpan) or not isinstance(target, LieSpan):
             raise InputError("hom endpoints must be LieSpan values")
-        images = tuple(images)
-        if len(images) != source.dim:
-            raise InputError("expected %d basis images, got %d" % (source.dim, len(images)))
+        if images is not None:
+            images, image_coords = tuple(images), None
+        elif image_coords is None:
+            raise InputError("a hom needs its basis images or their coordinates")
+        given = images if images is not None else image_coords
+        if len(given) != source.dim:
+            raise InputError("expected %d basis images, got %d" % (source.dim, len(given)))
         self.source = source
         self.target = target
-        self.images = images
+        self._images = images
         self.complement = complement
         self.section = section      # chosen preimages of the target basis, if any
-        self._image_coords = None if check else image_coords
+        self._image_coords = image_coords
         if check:
-            try:
-                coords = self.image_coords
-            except MembershipError:
-                raise InputError("a basis image lies outside the target span") from None
-            if source.field is not target.field:
+            field = target.field
+            if source.field is not field:
                 raise RingMismatch("matrix field does not match the hom")
-            zero = target.field.zero
+            if images is not None:
+                try:
+                    coords = self.image_coords
+                except MembershipError:
+                    raise InputError("a basis image lies outside the target span") from None
+            else:
+                coords = self._image_coords = tuple(_field_coords(field, target.dim, row)
+                                                    for row in image_coords)
+            zero = field.zero
             for i, j in combinations(range(source.dim), 2):
                 lhs = self.map_coordinates(source.table.struct[(i, j)], zero)
                 if lhs != target.table.bracket(coords[i], coords[j], zero):
@@ -1374,13 +1400,21 @@ class LieHom:
         return apply_hom(self, mat)
 
     @property
+    def images(self):
+        """The basis images as matrices over the target's ring; summed from
+        their coordinates on first read unless the hom was built with them."""
+        if self._images is None:
+            self._images = tuple(self.target.from_coordinates(c) for c in self._image_coords)
+        return self._images
+
+    @property
     def image_coords(self):
         """The target coordinates of each basis image, as field scalars;
         solved on first use unless the hom was built with them."""
         if self._image_coords is None:
             self._image_coords = tuple(
                 tuple(c.constant_value() for c in self.target.coordinates(img))
-                for img in self.images)
+                for img in self._images)
         return self._image_coords
 
     def map_coordinates(self, coords, zero):
@@ -1401,7 +1435,18 @@ class LieHom:
 def apply_hom(hom: LieHom, mat):
     """Apply a hom to an algebra element, or to a group element through
     log and exp, as a map of coordinates (`LieHom.map_coordinates`).
-    Polynomial entries are carried along."""
+    Polynomial entries are carried along.  The element may also be given
+    as its coordinate vector on the source basis, of field scalars or of
+    polynomials over one ring, which stands for an algebra and a group
+    element alike (log and exp are the identity in Lie coordinates); the
+    value is then its target coordinate vector."""
+    if isinstance(mat, (tuple, list)):
+        if len(mat) != hom.source.dim:
+            raise InputError("expected %d coordinates, got %d" % (hom.source.dim, len(mat)))
+        if mat and isinstance(mat[0], SimplexPoly):
+            return hom.map_coordinates(mat, mat[0].ring.zero())
+        field = hom.target.field
+        return hom.map_coordinates([field.value(c) for c in mat], field.zero)
     if isinstance(mat, UniMatrix):
         return exp_nilpotent(apply_hom(hom, log_unipotent(mat)))
     coords = hom.source.coordinates(mat)
@@ -1491,17 +1536,59 @@ class _PbwAlgebra:
         return out
 
     def left_mult_matrix(self, gen, ring):
-        """Matrix of v -> e_gen v on the sorted monomial basis."""
+        """Matrix of v -> e_gen v on the sorted monomial basis, over ring
+        (a ring with no variables), built in the integer form: left
+        multiplication raises the weighted degree, so every entry is
+        strictly upper."""
         dim = len(self.monomials)
-        entries = {}
+        index = _upper_positions(dim)[1]
+        entries = []
         for col, mono in enumerate(self.monomials):
             word = (gen,)
             for g in range(self.m):
                 word = word + (g,) * mono[g]
             for out_mono, c in self.straighten(word).items():
-                row = self.index[out_mono]
-                entries[(row, col)] = ring.constant(c)
-        return NilMatrix.from_entries(ring, dim, entries)
+                entries.append((index[(self.index[out_mono], col)], c))
+        # over the lcm of the canonical entries' denominators the gcd is 1
+        den = lcm(*[c.den for _, c in entries])
+        planes = [[0] * len(index) for _ in range(self.field.degree)]
+        for k, c in entries:
+            m = den // c.den
+            for plane, x in zip(planes, c.nums):
+                plane[k] = x * m
+        return NilMatrix._from_int(ring, dim, (den, planes))
+
+
+class _QuotientSpan(LieSpan):
+    """A quotient's target span: its field, its size n (the PBW monomial
+    count) and its structure-constant table are known at once, and its
+    re-embedding, the left multiplication matrices of the generators with
+    their rows and echelon store, is built when one of them is first read.
+    Every generator's matrix is the adapted basis vector's, so the table is
+    that of the built basis."""
+
+    __slots__ = ("_algebra",)
+
+    def __init__(self, algebra, ring, table):
+        self.field = table.field
+        self.ring = ring
+        self.n = len(algebra.monomials)
+        self._table = table
+        self._algebra = algebra
+
+    @property
+    def dim(self):
+        return self._table.dim
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset
+        if name not in ("basis", "_rows", "_echelon"):
+            raise AttributeError(name)
+        # closed under the bracket by construction, so not checked
+        built = LieSpan([self._algebra.left_mult_matrix(g, self.ring) for g in range(self.dim)],
+                        check=False)
+        self.basis, self._rows, self._echelon = built.basis, built._rows, built._echelon
+        return getattr(self, name)
 
 
 def quotient_span(span: LieSpan, ideal: LieSpan):
@@ -1513,7 +1600,10 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     (`complement`), which pins down compatible projections along towers,
     and each basis image's target coordinates (`image_coords`).  The
     target's table is its structure constants on the adapted basis, so a
-    caller can average in the quotient's Lie coordinates.
+    caller can average in the quotient's Lie coordinates.  The target's
+    basis matrices, and the hom's images, are built only when first read:
+    a caller that reads only the table, n and the projection coordinates
+    never builds the re-embedding.
     """
     field = span.field
     if ideal.n != span.n or ideal.field is not field:
@@ -1572,23 +1662,18 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     astruct = {(i, j): to_adapted(table.bracket(adapted[i][0], adapted[j][0], field.zero))
                for i, j in combinations(range(m), 2)}
 
-    algebra = _PbwAlgebra(field, weights, cls_bound, astruct)
-    ring = span.ring
-    rho = [algebra.left_mult_matrix(g, ring) for g in range(m)]
-    # closed under the bracket by construction, so not checked
-    target = LieSpan(rho, check=False)
-    # rho_i is the adapted basis vector i, so astruct is its table, and its
-    # class is the quotient's
-    target._table = LieTable(field, m, astruct, cls_bound)
+    # the class of the adapted table is the quotient's
+    target = _QuotientSpan(_PbwAlgebra(field, weights, cls_bound, astruct), span.ring,
+                           LieTable(field, m, astruct, cls_bound))
 
     # project each span basis vector: complement coords, then adapted coords
     image_coords = tuple(to_adapted(h_coords(dict(row))) for row in rows)
-    images = tuple(target.from_coordinates(c) for c in image_coords)
     # a preimage of each target basis vector: the same combination of the
     # complement representatives that defines the adapted basis vector
     reps = [rows[i] for i in complement]
-    section = tuple(_sum_rows(v, reps, ring, span.n) for v, _ in adapted)
-    # a hom by construction (rho is faithful on the quotient), so not checked
-    hom = LieHom(span, target, images, check=False, complement=complement,
-                 section=section, image_coords=image_coords)
+    section = tuple(_sum_rows(v, reps, span.ring, span.n) for v, _ in adapted)
+    # a hom by construction (the re-embedding is faithful on the quotient),
+    # so not checked
+    hom = LieHom(span, target, check=False, complement=complement, section=section,
+                 image_coords=image_coords)
     return target, hom

@@ -428,10 +428,10 @@ def tower_compatibility(t: SectionTuple, ideals) -> TowerReport:
         coarse_quotient, coarse_proj, coarse_avg = quotients[k]
         fine_quotient, fine_proj, fine_avg = quotients[k + 1]
         # the induced map sends each fine basis vector, via a chosen
-        # preimage upstairs, to its coarse projection
-        images = [apply_hom(coarse_proj, x) for x in fine_proj.section]
+        # preimage upstairs, to its coarse projection, in coordinates
+        images = [apply_hom(coarse_proj, group.coordinates(x)) for x in fine_proj.section]
         try:
-            induced = LieHom(fine_quotient, coarse_quotient, images)
+            induced = LieHom(fine_quotient, coarse_quotient, image_coords=images)
         except InputError as exc:
             report.ok = False
             report.failures.append("no induced map between quotients %d and %d: %s"

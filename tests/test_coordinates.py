@@ -380,3 +380,27 @@ def test_tower_rejects_a_wrong_induced_factorisation(monkeypatch):
     report = tower_compatibility(t, ideals)
     assert not report.ok
     assert "induced map 1 -> 0 does not factor the projection" in report.failures
+
+
+def test_tower_reports_a_floor_without_an_induced_map(monkeypatch):
+    # the chosen preimage of the first basis vector of U_4/gamma_3 (a
+    # bracket, which dies in the abelian U_4/gamma_2) is replaced by E_01,
+    # whose projection does not die: the images of a bracket of the fine
+    # floor are then not the bracket of the images in the abelian floor
+    span = full_unipotent_span(4, QQ)
+    ideals = lower_central_series(span)[1:]
+    t = rand_tuple(random.Random(905), span, 1)
+    original = simplicial.quotient_span
+
+    def corrupting(group, ideal):
+        quot, proj = original(group, ideal)
+        if ideal is ideals[1]:
+            proj.section = (span.basis[0],) + proj.section[1:]
+        return quot, proj
+
+    monkeypatch.setattr(simplicial, "quotient_span", corrupting)
+    report = tower_compatibility(t, ideals)
+    assert not report.ok
+    assert report.failures == ["no induced map between quotients 1 and 0: images do not "
+                               "preserve the bracket (basis pair 2, 3)"]
+    assert [lv["commutes"] for lv in report.levels] == [True, True, True]

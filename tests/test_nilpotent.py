@@ -243,9 +243,12 @@ def test_hom_must_preserve_brackets():
 
 @pytest.mark.parametrize("make_span", [heisenberg_span, abelian3_span])
 def test_hom_between_fields_is_rejected(make_span):
-    target = make_span(sqrt2_field())
-    with pytest.raises(RingMismatch, match="matrix field does not match the hom"):
-        LieHom(make_span(QQ), target, target.basis)
+    source, target = make_span(QQ), make_span(sqrt2_field())
+    # the fields are compared before any image is read, so images over the
+    # source's field are rejected the same way as images over the target's
+    for images in (target.basis, source.basis):
+        with pytest.raises(RingMismatch, match="matrix field does not match the hom"):
+            LieHom(source, target, images)
 
 
 def test_identity_hom_and_group_push():
