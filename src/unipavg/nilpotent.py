@@ -1331,27 +1331,17 @@ def full_unipotent_span(n: int, field: ScalarField) -> LieSpan:
 # homomorphisms
 # ---------------------------------------------------------------------------
 
-def _field_coords(field, dim, coords):
-    """A coordinate vector of dim field scalars, each given as a scalar or
-    as a constant polynomial over field."""
-    if len(coords) != dim:
-        raise InputError("expected %d coordinates, got %d" % (dim, len(coords)))
-    return tuple([c.constant_value() if isinstance(c, SimplexPoly) else field.value(c)
-                  for c in coords])
-
-
 class LieHom:
-    """A Lie algebra homomorphism between spans, given by its basis images,
+    """A Lie algebra homomorphism between spans, given by its basis images
     as matrices in the target span (`images`) or as their target
     coordinates (`image_coords`); either is built from the other on first
-    read.
-    Construction verifies that the two spans share a field, that matrix
-    images land in the target span and that brackets of basis pairs are
-    preserved, all in coordinates: the image of [b_i, b_j] is read from the
-    source table, the bracket of the images from the target table.  Images
-    given as coordinates are not solved.  A hom built with check=False
-    promises that its images lie in the target: `apply_hom` solves them
-    once (`image_coords`), so a broken promise raises MembershipError.
+    read.  Construction checks that the spans share a field, that matrix
+    images land in the target (coordinates are not solved) and that
+    brackets of basis pairs are preserved, in coordinates: the image of
+    [b_i, b_j] is read from the source table, the bracket of the images
+    from the target table.  A hom built with check=False promises that its
+    images lie in the target and keeps both forms as given: `apply_hom`
+    solves matrix images once, so a broken promise raises MembershipError.
     `identity` and `quotient_span` keep it by construction."""
 
     __slots__ = ("source", "target", "_images", "complement", "section", "_image_coords")
@@ -1361,7 +1351,9 @@ class LieHom:
         if not isinstance(source, LieSpan) or not isinstance(target, LieSpan):
             raise InputError("hom endpoints must be LieSpan values")
         if images is not None:
-            images, image_coords = tuple(images), None
+            images = tuple(images)
+            if check:
+                image_coords = None     # solved from the images it checks
         elif image_coords is None:
             raise InputError("a hom needs its basis images or their coordinates")
         given = images if images is not None else image_coords
@@ -1383,7 +1375,11 @@ class LieHom:
                 except MembershipError:
                     raise InputError("a basis image lies outside the target span") from None
             else:
-                coords = self._image_coords = tuple(_field_coords(field, target.dim, row)
+                for row in image_coords:
+                    if len(row) != target.dim:
+                        raise InputError("expected %d coordinates, got %d"
+                                         % (target.dim, len(row)))
+                coords = self._image_coords = tuple(tuple([field.value(c) for c in row])
                                                     for row in image_coords)
             zero = field.zero
             for i, j in combinations(range(source.dim), 2):
@@ -1536,27 +1532,17 @@ class _PbwAlgebra:
         return out
 
     def left_mult_matrix(self, gen, ring):
-        """Matrix of v -> e_gen v on the sorted monomial basis, over ring
-        (a ring with no variables), built in the integer form: left
-        multiplication raises the weighted degree, so every entry is
-        strictly upper."""
+        """Matrix of v -> e_gen v on the sorted monomial basis."""
         dim = len(self.monomials)
-        index = _upper_positions(dim)[1]
-        entries = []
+        entries = {}
         for col, mono in enumerate(self.monomials):
             word = (gen,)
             for g in range(self.m):
                 word = word + (g,) * mono[g]
             for out_mono, c in self.straighten(word).items():
-                entries.append((index[(self.index[out_mono], col)], c))
-        # over the lcm of the canonical entries' denominators the gcd is 1
-        den = lcm(*[c.den for _, c in entries])
-        planes = [[0] * len(index) for _ in range(self.field.degree)]
-        for k, c in entries:
-            m = den // c.den
-            for plane, x in zip(planes, c.nums):
-                plane[k] = x * m
-        return NilMatrix._from_int(ring, dim, (den, planes))
+                row = self.index[out_mono]
+                entries[(row, col)] = ring.constant(c)
+        return NilMatrix.from_entries(ring, dim, entries)
 
 
 class _QuotientSpan(LieSpan):
@@ -1584,9 +1570,13 @@ class _QuotientSpan(LieSpan):
         # reached only while a slot is unset
         if name not in ("basis", "_rows", "_echelon"):
             raise AttributeError(name)
+        mats = [self._algebra.left_mult_matrix(g, self.ring) for g in range(self.dim)]
+        for mat in mats:
+            # the rows are then read from the integer form, so the first
+            # read, often inside `apply_hom`, converts no constant polynomial
+            mat._int_form()
         # closed under the bracket by construction, so not checked
-        built = LieSpan([self._algebra.left_mult_matrix(g, self.ring) for g in range(self.dim)],
-                        check=False)
+        built = LieSpan(mats, check=False)
         self.basis, self._rows, self._echelon = built.basis, built._rows, built._echelon
         return getattr(self, name)
 

@@ -429,7 +429,8 @@ def tower_compatibility(t: SectionTuple, ideals) -> TowerReport:
         fine_quotient, fine_proj, fine_avg = quotients[k + 1]
         # the induced map sends each fine basis vector, via a chosen
         # preimage upstairs, to its coarse projection, in coordinates
-        images = [apply_hom(coarse_proj, group.coordinates(x)) for x in fine_proj.section]
+        images = [apply_hom(coarse_proj, [c.constant_value() for c in group.coordinates(x)])
+                  for x in fine_proj.section]
         try:
             induced = LieHom(fine_quotient, coarse_quotient, image_coords=images)
         except InputError as exc:

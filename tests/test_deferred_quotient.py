@@ -7,7 +7,7 @@ builds its image matrices from its image coordinates the same way.  Over
 U_4 (also on a basis whose quotient has a fractional structure constant),
 U_5 and the Heisenberg group, on Q and Q(sqrt2), by every term of the
 lower central series and by the centre, the deferred path is compared
-with an eager build of the same re-embedding written out here: the
+with an eager build of the same re-embedding: the
 written span byte for byte, the images, `apply_hom` on coordinate vectors
 against `apply_hom` on matrices, and `LieHom` given image coordinates
 against `LieHom` given matrices.  A tower reads no basis matrix at all.
@@ -58,20 +58,10 @@ def cases(field):
 
 
 def eager_basis(target):
-    """The target's PBW basis built as before: each generator's left
-    multiplication matrix from its entries, on a fresh algebra."""
+    """The target's PBW basis built at once, on a fresh copy of its algebra."""
     old = target._algebra
     algebra = nilpotent._PbwAlgebra(old.field, old.weights, old.cls_bound, old.struct)
-    ring = target.ring
-    out = []
-    for gen in range(algebra.m):
-        entries = {}
-        for col, mono in enumerate(algebra.monomials):
-            word = (gen,) + tuple(g for g in range(algebra.m) for _ in range(mono[g]))
-            for out_mono, c in algebra.straighten(word).items():
-                entries[(algebra.index[out_mono], col)] = ring.constant(c)
-        out.append(NilMatrix.from_entries(ring, len(algebra.monomials), entries))
-    return out
+    return [algebra.left_mult_matrix(g, target.ring) for g in range(algebra.m)]
 
 
 @pytest.fixture
@@ -184,6 +174,17 @@ def hom_outcome(source, target, **images):
     return "ok"
 
 
+def test_an_unchecked_hom_keeps_both_forms_it_is_given():
+    group = full_unipotent_span(4, QQ)
+    target, hom = quotient_span(group, lower_central_series(group)[2])
+    images, coords = hom.images, hom.image_coords
+    kept = LieHom(group, target, images, check=False, image_coords=coords)
+    assert kept.images is images and kept.image_coords is coords
+    # a checked hom solves the matrices it checks
+    solved = LieHom(group, target, images, image_coords=coords)
+    assert solved.image_coords == coords and solved.image_coords is not coords
+
+
 @pytest.mark.parametrize("name", FIELDS)
 def test_lie_hom_on_coordinates_raises_what_it_raises_on_matrices(name):
     field = FIELDS[name]
@@ -209,9 +210,11 @@ def test_lie_hom_on_coordinates_raises_what_it_raises_on_matrices(name):
             got = hom_outcome(group, target, image_coords=c)
             assert got == hom_outcome(group, target, images=m)
             seen.add(got if got == "ok" else got[1].split(" (")[0])
-        # the same hom as constant polynomials over the target's ring
+        # image coordinates are field scalars, not polynomials
         polys = [[group.ring.constant(x) for x in row] for row in coords]
-        assert hom_outcome(group, target, image_coords=polys) == "ok"
+        rejected = ("InputError", "cannot build a field element from 'SimplexPoly'")
+        assert hom_outcome(group, target, image_coords=polys) == (
+            rejected if target.dim else "ok")
         # and between spans over two fields, checked before any image
         twin = full_unipotent_span(group.n, other) if group.dim != 3 else heisenberg_span(other)
         assert (hom_outcome(twin, target, image_coords=coords)
