@@ -80,12 +80,15 @@ code, standard output and standard error of each are compared.
 
 No subcommand reaches a quotient, so `tower_jobs` writes, once with HEAD's
 package, section tuples for library tower jobs at q = 1 and q = 2: U_4
-over Q(sqrt2) and U_5 over Q along their lower central series, and U_4
-over Q along its centre and the zero ideal.  One fresh process per tree
-reads each tuple, runs `tower_compatibility` and then `quotient_span` on
-every ideal, and writes the tower report, each quotient target's span and
-each projection's basis images and chosen preimages (`section`); those
-documents are compared as bytes.
+over Q(sqrt2), the cyclic cubic field and Q[x]/(x^2 - 1/2) and U_5 over Q
+along their lower central series, and U_4 over Q along its centre and the
+zero ideal.  One fresh process per tree reads each tuple, runs
+`tower_compatibility` and then `quotient_span` on every ideal, and writes
+the tower report, each quotient target's span, each projection's basis
+images and chosen preimages (`section`), and each floor's average in the
+quotient's Lie coordinates; the same process also writes the terms of
+Phi_{c,q}, the universal polynomial, for (c, q) = (3, 2), (3, 3), (3, 4)
+and (5, 2).  Those documents are compared as bytes.
 
 The check stops at the first job that differs, naming it.  Exit status: 0
 when every job matches, 1 at the first difference.
@@ -595,18 +598,20 @@ def run_cli_jobs(tree, jobs_path, result_path):
 
 def tower_jobs(tree, work):
     """Write the section tuples of the library tower jobs under work with
-    tree's package; print each job, [tuple path, "series" or "centre"], as
-    one JSON list."""
+    tree's package; print each job, [tuple path, "series" or "centre"], and
+    each Phi job, ["phi", [c, q]], as one JSON list."""
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
     import random
     from fractions import Fraction
-    from unipavg import QQ, SectionTuple, full_unipotent_span, serialize
-    from unipavg.fixtures import point_from_coordinates, sqrt2_field
+    from unipavg import QQ, ScalarField, SectionTuple, full_unipotent_span, serialize
+    from unipavg.fixtures import cubic_field, point_from_coordinates, sqrt2_field
 
     rng = random.Random(3901)
     jobs = []
+    half = ScalarField.extension("x", (Fraction(-1, 2), 0, 1))
     for n, field, ideals in ((4, sqrt2_field(), "series"), (5, QQ, "series"),
-                             (4, QQ, "centre")):
+                             (4, QQ, "centre"), (4, cubic_field(), "series"),
+                             (4, half, "series")):
         span = full_unipotent_span(n, field)
         for q in (1, 2):
             pts = [point_from_coordinates(span, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -616,6 +621,7 @@ def tower_jobs(tree, work):
             path.write_text(json.dumps(serialize.tuple_to_json(SectionTuple(span, pts))),
                             encoding="utf-8")
             jobs.append([str(path), ideals])
+    jobs += [["phi", [c, q]] for c, q in ((3, 2), (3, 3), (3, 4), (5, 2))]
     print(json.dumps(jobs))
 
 
@@ -623,12 +629,17 @@ def run_tower_jobs(tree, jobs_path, result_path):
     """Run each tower job of jobs_path with tree's package; result_path
     lists, per job, the documents it wrote as JSON text."""
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
-    from unipavg import (LieSpan, NilMatrix, lower_central_series, quotient_span, serialize,
-                         tower_compatibility)
+    from unipavg import (LieSpan, NilMatrix, log_unipotent, lower_central_series,
+                         quotient_span, serialize, tower_compatibility, wav)
+    from unipavg.average import CoordinateTuple, universal_polynomial
     with open(jobs_path, encoding="utf-8") as fh:
         jobs = json.load(fh)
     results = []
     for path, kind in jobs:
+        if path == "phi":
+            results.append([json.dumps([[list(word), serialize.poly_to_json(x)]
+                                        for word, x in universal_polynomial(*kind)])])
+            continue
         with open(path, encoding="utf-8") as fh:
             t = serialize.tuple_from_json(json.load(fh))
         group = t.group
@@ -639,8 +650,12 @@ def run_tower_jobs(tree, jobs_path, result_path):
             corner = NilMatrix.from_entries(group.ring, group.n, {(0, group.n - 1): 1})
             ideals = [LieSpan([corner]), series[-1]]
         docs = [serialize.tower_report_to_json(tower_compatibility(t, ideals))]
+        logs = [group.coordinates(log_unipotent(s)) for s in t.sections]
         for ideal in ideals:
             target, hom = quotient_span(group, ideal)
+            floor = CoordinateTuple(target.table, [hom.map_coordinates(x, t.ring.zero())
+                                                   for x in logs], t.ring)
+            docs.append([serialize.poly_to_json(x) for x in wav(floor)])
             docs.append(serialize.span_to_json(target))
             docs.append([serialize.matrix_to_json(m) for m in hom.images + hom.section])
         results.append([json.dumps(doc) for doc in docs])
@@ -712,8 +727,9 @@ def compare(base, head, work):
     for kind, describe, same in (
             ("cli", lambda k, argv: "subcommand job %d (%s): exit code, standard output or "
              "standard error" % (k, " ".join(argv)), "subcommand jobs"),
-            ("tower", lambda k, job: "tower job %d (%s, ideals %s): tower report, quotient "
-             "span or hom images" % (k, job[0], job[1]), "tower jobs")):
+            ("tower", lambda k, job: "library job %d (%s, %s): tower report, floor average, "
+             "quotient span, hom images or Phi terms" % (k, job[0], job[1]),
+             "library tower and Phi jobs")):
         jobs, results = _fixed_jobs(kind, base, head, work)
         for k, job in enumerate(jobs):
             if results["base"][k] != results["head"][k]:

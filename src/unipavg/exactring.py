@@ -27,10 +27,11 @@ appear only at the boundary: `terms`, the JSON writer, `repr`, monomials
 new to a pullback plan (kept by its source ring), and evaluation.
 
 A sum of products sum_k x_k y_k, the entry of a matrix product or of a
-power series, is one fused accumulation (`sum_of_products`, which is also
-the product of two polynomials): each pair is scaled to the lcm of the
-pair denominators, the integer numerators of every product are summed in
-one dict (over a number field as unreduced convolutions, each reduced
+power series or a coordinate of a Lie bracket (there with a rational
+multiplier per pair), is one fused accumulation (`sum_of_products`, which
+is also the product of two polynomials): each pair is scaled to the lcm of
+the pair denominators, the integer numerators of every product are summed
+in one dict (over a number field as unreduced convolutions, each reduced
 modulo m(x) once), and the sum is put into canonical form once, so no
 partial sum is built or divided by a gcd.
 """
@@ -711,13 +712,16 @@ def _canonical(ring, den, nums):
     return SimplexPoly(ring, den, nums)
 
 
-def sum_of_products(ring, pairs):
-    """sum_k x_k y_k in canonical form, for a list of pairs of a
+def sum_of_products(ring, pairs, mults=None):
+    """sum_k m_k x_k y_k in canonical form, for a list of pairs of a
     SimplexPoly x_k over ring and a factor y_k that is a SimplexPoly over
-    ring or a rational scalar (an int or a Fraction).  A product of two
-    polynomials is the sum of one pair.
+    ring, a rational scalar (an int or a Fraction) or a value of ring's
+    field, and a parallel list `mults` of rational multipliers m_k (ints or
+    Fractions), each 1 when it is not given.  A product of two polynomials
+    is the sum of one pair.  A value of another field raises RingMismatch.
 
-    Every pair's product is scaled to the lcm of the pair denominators, so
+    Every pair's product, times its multiplier's numerator, is scaled to
+    the lcm of the pair denominators (the multiplier's included), so
     the whole sum is one integer accumulation: over Q one integer per
     exponent, over a number field one unreduced convolution per exponent,
     reduced modulo m(x) once.  The sum is put into canonical form once, so
@@ -744,15 +748,23 @@ def sum_of_products(ring, pairs):
                 raise InputError("a product of total degrees %d and %d exceeds the "
                                  "limit of %d" % (max(a) >> shift, max(b) >> shift,
                                                   MAX_DEGREE))
-            work.append((a, b if s is None else None, s, x.den * y.den))
+            work.append((a, b if s is None else None, s, 1, x.den * y.den))
+        elif isinstance(y, ScalarValue):
+            if y.field is not field:
+                raise RingMismatch("value belongs to a different field")
+            work.append((x.nums, None, y.nums, 1, x.den * y.den))
         else:
-            work.append((x.nums, None, (y.numerator,), x.den * y.denominator))
-    den = math.lcm(*[w[3] for w in work])
+            work.append((x.nums, None, (y.numerator,), 1, x.den * y.denominator))
+    if mults is not None:
+        # a multiplier's numerator scales its pair's products, and its
+        # denominator joins the pair's
+        work = [w[:3] + (m.numerator, w[4] * m.denominator) for w, m in zip(work, mults)]
+    den = math.lcm(*[w[4] for w in work])
     if field.degree == 1:
         acc = {}
         get = acc.get
-        for a, b, s, pden in work:
-            m = den // pden
+        for a, b, s, mult, pden in work:
+            m = den // pden * mult
             if b is None:
                 m *= s[0]
                 for e, (u,) in a.items():
@@ -773,8 +785,8 @@ def sum_of_products(ring, pairs):
             c = conv[e] = [0] * width
         return c
 
-    for a, b, s, pden in work:
-        m = den // pden
+    for a, b, s, mult, pden in work:
+        m = den // pden * mult
         for ea, u in a.items():
             if m != 1:
                 u = [m * x for x in u]

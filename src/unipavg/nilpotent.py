@@ -11,7 +11,9 @@ is exact.  Every strictly upper entry of a triangular product, of a power
 series (after the powers of x are formed), of an inverse and of a linear
 combination is one fused sum of products (`exactring.sum_of_products`),
 put into canonical form once; an entry that is a single term times 1 is
-that term.
+that term.  So is every polynomial coordinate of a bracket, of a
+combination and of a hom's map in Lie coordinates (`LieTable`,
+`LieHom.map_coordinates`).
 
 A matrix over a ring with no variables (the points of an orbit, the
 transition logs and their brackets) computes in one integer form
@@ -41,11 +43,11 @@ ground vector 1.
 
 Each span also has a structure-constant table (`LieTable`), recorded by
 its closure check or built on first use; the lower central series, the
-derived length and the nilpotency class are read from it, and a hom's
-bracket check compares the two tables.  The table is the group law in
-Lie coordinates as well: an element is the coordinate vector of its log
-and the product is BCH truncated at the class, so a quotient floor can be
-averaged on its table alone.  `free_lie_table` builds the table of a free
+derived length and the nilpotency class are read from it, on sparse rows,
+and a hom's bracket check compares the two tables.  The table is the group
+law in Lie coordinates as well: an element is the coordinate vector of its
+log and the product is BCH truncated at the class, so a quotient floor can
+be averaged on its table alone.  `free_lie_table` builds the table of a free
 nilpotent Lie algebra on its Lyndon basis, and the same triangular solve
 writes BCH on that basis; BCH and the average's Phi are both Lie
 polynomials on Lyndon words, evaluated by one bracket walk,
@@ -67,9 +69,9 @@ from itertools import chain, combinations, compress
 from math import factorial, gcd, lcm
 
 from .errors import InputError, MembershipError, RingMismatch
-from .exactring import (FieldAutomorphism, PolyRing, ScalarField, SimplexPoly, _canonical,
-                        _canonical_scalar, extend_to_simplex, substitute_simplex_map,
-                        sum_of_products)
+from .exactring import (FieldAutomorphism, PolyRing, ScalarField, ScalarValue, SimplexPoly,
+                        _canonical, _canonical_scalar, extend_to_simplex,
+                        substitute_simplex_map, sum_of_products)
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +801,13 @@ class _Echelon:
 class LieTable:
     """The structure constants of a Lie algebra on a basis e_0, ...,
     e_{dim-1}: [e_i, e_j] = sum_k struct[(i, j)][k] e_k for i < j, as field
-    scalars.  Coordinate vectors may hold scalars or polynomials over any
-    ring with the table's field.
+    scalars.  Coordinate vectors may hold field scalars, or polynomials
+    over one ring with the table's field.  Over polynomials each
+    coordinate of a bracket, and of a combination, is one fused sum of
+    products (`exactring.sum_of_products`): the table keeps its constants
+    indexed by output, and a rational constant is the multiplier of its
+    pair, an irrational one scales the pair's first factor.  The lower
+    central and derived series bracket sparse rows.
 
     For a nilpotent algebra the table is also its group's law in Lie
     coordinates: an element is the coordinate vector of its log, the
@@ -811,7 +818,7 @@ class LieTable:
     the average's Phi.  `average.wsym` and `wav` run on this law as on the
     matrix product.  A known class may be given."""
 
-    __slots__ = ("field", "dim", "struct", "_pairs", "_class", "_derived_length")
+    __slots__ = ("field", "dim", "struct", "_pairs", "_outputs", "_class", "_derived_length")
 
     def __init__(self, field, dim, struct, nilpotency_class=None):
         self.field = field
@@ -830,14 +837,36 @@ class LieTable:
                 self._pairs.append((pair, nonzero))
             else:
                 zero_row = consts
+        self._outputs = None
         self._class = nilpotency_class
         self._derived_length = None
 
+    def _by_output(self):
+        """For each output k, the (i, j, s, -s) of the pairs i < j whose
+        bracket has the constant s != 0 at e_k, built on first use; a
+        rational s is an int or a Fraction, an irrational one a field
+        value."""
+        if self._outputs is None:
+            out = [[] for _ in range(self.dim)]
+            for (i, j), consts in self._pairs:
+                for k, s in consts:
+                    if s.is_rational:
+                        s = Fraction(s.nums[0], s.den) if s.den != 1 else s.nums[0]
+                    out[k].append((i, j, s, -s))
+            self._outputs = out
+        return self._outputs
+
     def bracket(self, u, v, zero=None):
         """[u, v] for coordinate vectors u and v; `zero` is the zero of
-        their entries, by default that of the polynomials in u."""
-        if zero is None and self.dim:
-            zero = u[0].ring.zero()
+        their entries, by default that of the polynomials in u, or the
+        field's for field scalars.  Over polynomials each coordinate is one
+        sum of products over the nonzero pairs (u_i, v_j) and (u_j, v_i)."""
+        if not self.dim:
+            return ()
+        if isinstance(u[0], SimplexPoly):
+            return self._poly_bracket(u, v)
+        if zero is None:
+            zero = self.field.zero
         out = [zero] * self.dim
         for (i, j), consts in self._pairs:
             ui, uj, vi, vj = u[i], u[j], v[i], v[j]
@@ -854,20 +883,61 @@ class LieTable:
                     out[k] = out[k] + c * s
         return tuple(out)
 
+    def _poly_bracket(self, u, v):
+        ring = u[0].ring
+        if ring.field is not self.field:
+            raise RingMismatch("value belongs to a different field")
+        if any(x.ring is not ring for x in chain(u, v)):
+            raise RingMismatch("polynomials over different rings")
+        zero = ring.zero()
+        out = []
+        for terms in self._by_output():
+            pairs, mults = [], []
+            for i, j, s, t in terms:
+                for a, b, m in ((u[i], v[j], s), (u[j], v[i], t)):
+                    if a.nums and b.nums:
+                        if type(m) is ScalarValue:
+                            a, m = a.scale(m), 1    # irrational: scale the first factor
+                        pairs.append((a, b))
+                        mults.append(m)
+            out.append(sum_of_products(ring, pairs, mults) if pairs else zero)
+        return tuple(out)
+
     def _series(self, pairs):
         """Nonzero terms s_0 = g, s_1, ... of a bracket series, each an
         independent list of coordinate vectors; s_{k+1} keeps the brackets of
-        pairs(s_0, s_k) that are independent of the ones kept before them."""
-        zero, one = self.field.zero, self.field.one
-        cur = [tuple(one if k == i else zero for k in range(self.dim))
-               for i in range(self.dim)]
+        pairs(s_0, s_k) that are independent of the ones kept before them.
+        The terms are bracketed as sparse {index: value} rows, through the
+        map ad[i][j] of the nonzero constants of [e_i, e_j], and returned
+        as dense vectors."""
+        field = self.field
+        one = field.one
+        ad = {}
+        for (i, j), consts in self._pairs:
+            ad.setdefault(i, {})[j] = dict(consts)
+            ad.setdefault(j, {})[i] = {k: -s for k, s in consts}
+
+        def bracket(a, b):
+            acc = {}
+            for i, x in a.items():
+                row = ad.get(i)
+                if row:
+                    for j, y in b.items():
+                        consts = row.get(j)
+                        if consts:
+                            _axpy(acc, y if x is one else x * y, consts)
+            return acc
+
+        cur = [{i: one} for i in range(self.dim)]
         out = []
         while cur:
             out.append(cur)
-            ech = _Echelon(self.field)
-            cur = [w for w in (self.bracket(a, b, zero) for a, b in pairs(out[0], cur))
-                   if ech.add(w)]
-        return out
+            ech = _Echelon(field)
+            cur = [w for w in (bracket(a, b) for a, b in pairs(out[0], cur))
+                   if w and ech.add_row(dict(w))]
+        zero = field.zero
+        return [[tuple(row.get(k, zero) for k in range(self.dim)) for row in level]
+                for level in out]
 
     def lower_central_series(self):
         """g = g_1, g_{k+1} = [g, g_k], down to the last nonzero term."""
@@ -903,14 +973,26 @@ class LieTable:
         return lie_polynomial(self, _bch_terms(self.nilpotency_class), (x, y))
 
     def combine(self, xs, coefs):
-        """sum_k coefs[k] xs[k] for vectors xs[k] of polynomials over one
-        ring, whose coefficients are rational scalars or polynomials over
-        that ring or, for t-constant vectors, over the q-simplex, to which
-        the vectors are then lifted: one sum of products per coordinate."""
+        """sum_k coefs[k] xs[k] for vectors xs[k] over one ring, whose
+        coefficients are rational scalars, field values or polynomials over
+        that ring or, for t-constant vectors, over the q-simplex, where the
+        sum then lies: one sum of products per coordinate.  A t-constant
+        entry with no parameters is the constant factor of its pair, as in
+        `NilMatrix.combination`; vectors with parameters are lifted to the
+        simplex.  Vectors of field scalars are summed entry by entry."""
         if not self.dim:
             return ()
+        if not isinstance(xs[0][0], SimplexPoly):
+            zero = self.field.zero
+            return tuple(sum([x[k] * c for x, c in zip(xs, coefs) if not x[k].is_zero], zero)
+                         for k in range(self.dim))
         ring = xs[0][0].ring
         target = next((c.ring for c in coefs if isinstance(c, SimplexPoly)), ring)
+        if target is not ring and not ring.nvars:
+            coefs = [c if isinstance(c, SimplexPoly) else target.constant(c) for c in coefs]
+            return tuple(sum_of_products(target, [(c, x[k].constant_value())
+                                                  for x, c in zip(xs, coefs) if x[k].nums])
+                         for k in range(self.dim))
         if target is not ring:
             xs = [self.embed(x, target.q) for x in xs]
             ring = target
@@ -1344,7 +1426,8 @@ class LieHom:
     solves matrix images once, so a broken promise raises MembershipError.
     `identity` and `quotient_span` keep it by construction."""
 
-    __slots__ = ("source", "target", "_images", "complement", "section", "_image_coords")
+    __slots__ = ("source", "target", "_images", "complement", "section", "_image_coords",
+                 "_columns")
 
     def __init__(self, source, target, images=None, check=True, complement=None,
                  section=None, image_coords=None):
@@ -1365,6 +1448,7 @@ class LieHom:
         self.complement = complement
         self.section = section      # chosen preimages of the target basis, if any
         self._image_coords = image_coords
+        self._columns = None        # image coordinates by target index
         if check:
             field = target.field
             if source.field is not field:
@@ -1415,7 +1499,19 @@ class LieHom:
 
     def map_coordinates(self, coords, zero):
         """The target coordinates of the hom's value at the source element
-        with these coordinates; `zero` is the zero of their entries."""
+        with these coordinates; `zero` is the zero of their entries.  Over
+        polynomials each target coordinate is one sum of products over the
+        pairs (coords[i], image_coords[i][k])."""
+        if isinstance(zero, SimplexPoly):
+            if self._columns is None:
+                self._columns = [[(i, row[k]) for i, row in enumerate(self.image_coords)
+                                  if not row[k].is_zero] for k in range(self.target.dim)]
+            ring = zero.ring
+            out = []
+            for column in self._columns:
+                pairs = [(coords[i], a) for i, a in column if coords[i].nums]
+                out.append(sum_of_products(ring, pairs) if pairs else zero)
+            return tuple(out)
         out = [zero] * self.target.dim
         for x, row in zip(coords, self.image_coords):
             if not x.is_zero:
@@ -1440,7 +1536,11 @@ def apply_hom(hom: LieHom, mat):
         if len(mat) != hom.source.dim:
             raise InputError("expected %d coordinates, got %d" % (hom.source.dim, len(mat)))
         if mat and isinstance(mat[0], SimplexPoly):
-            return hom.map_coordinates(mat, mat[0].ring.zero())
+            ring = mat[0].ring
+            coords = [c if isinstance(c, SimplexPoly) else ring.constant(c) for c in mat]
+            if any(c.ring is not ring for c in coords):
+                raise RingMismatch("polynomials over different rings")
+            return hom.map_coordinates(coords, ring.zero())
         field = hom.target.field
         return hom.map_coordinates([field.value(c) for c in mat], field.zero)
     if isinstance(mat, UniMatrix):
