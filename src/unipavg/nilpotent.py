@@ -103,10 +103,11 @@ def _scale_rows(rows, s):
     return tuple(tuple(x if x.is_zero else x * s for x in row) for row in rows)
 
 def _entry(ring, pairs):
-    """sum_k x_k y_k for the nonempty pairs of one matrix entry, each x_k a
-    nonzero polynomial over ring and each y_k a polynomial over ring or a
-    rational scalar: one sum of products, but a lone product is one
-    product, and a lone term times the scalar 1 is the term itself."""
+    """sum_k x_k y_k for the pairs of one matrix entry or vector coordinate,
+    each x_k a polynomial over ring and each y_k a polynomial over ring, a
+    rational scalar or a field value: one sum of products, but a lone
+    product is one product, and a lone term times the scalar 1 is the term
+    itself."""
     if len(pairs) == 1:
         x, y = pairs[0]
         if type(y) is SimplexPoly:
@@ -1507,10 +1508,12 @@ class LieHom:
                 self._columns = [[(i, row[k]) for i, row in enumerate(self.image_coords)
                                   if not row[k].is_zero] for k in range(self.target.dim)]
             ring = zero.ring
+            if ring.field is not self.target.field:
+                raise RingMismatch("value belongs to a different field")
             out = []
             for column in self._columns:
                 pairs = [(coords[i], a) for i, a in column if coords[i].nums]
-                out.append(sum_of_products(ring, pairs) if pairs else zero)
+                out.append(_entry(ring, pairs) if pairs else zero)
             return tuple(out)
         out = [zero] * self.target.dim
         for x, row in zip(coords, self.image_coords):
