@@ -81,8 +81,12 @@ code, standard output and standard error of each are compared.
 No subcommand reaches a quotient, so `tower_jobs` writes, once with HEAD's
 package, section tuples for library tower jobs at q = 1 and q = 2: U_4
 over Q(sqrt2), the cyclic cubic field and Q[x]/(x^2 - 1/2) and U_5 over Q
-along their lower central series, and U_4 over Q along its centre and the
-zero ideal.  One fresh process per tree reads each tuple, runs
+along their lower central series, U_4 over Q along its centre and the
+zero ideal, and, so that the echelon stores of the quotients eliminate
+rather than read axes, U_4 on a fixed random unitriangular change of basis
+over Q and Q(sqrt2) and the non-full class-3 subgroup of U_5 (the E_ij
+with j <= 3 and the corner E_04) over Q and the cubic field, along their
+lower central series.  One fresh process per tree reads each tuple, runs
 `tower_compatibility` and then `quotient_span` on every ideal, and writes
 the tower report, each quotient target's span, each projection's basis
 images and chosen preimages (`section`), and each floor's average in the
@@ -603,16 +607,14 @@ def tower_jobs(tree, work):
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
     import random
     from fractions import Fraction
-    from unipavg import QQ, ScalarField, SectionTuple, full_unipotent_span, serialize
+    from unipavg import (QQ, LieSpan, NilMatrix, PolyRing, ScalarField, SectionTuple,
+                         full_unipotent_span, serialize)
     from unipavg.fixtures import cubic_field, point_from_coordinates, sqrt2_field
 
     rng = random.Random(3901)
     jobs = []
-    half = ScalarField.extension("x", (Fraction(-1, 2), 0, 1))
-    for n, field, ideals in ((4, sqrt2_field(), "series"), (5, QQ, "series"),
-                             (4, QQ, "centre"), (4, cubic_field(), "series"),
-                             (4, half, "series")):
-        span = full_unipotent_span(n, field)
+
+    def add_jobs(span, ideals):
         for q in (1, 2):
             pts = [point_from_coordinates(span, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                                                  for _ in range(span.dim)])
@@ -621,6 +623,29 @@ def tower_jobs(tree, work):
             path.write_text(json.dumps(serialize.tuple_to_json(SectionTuple(span, pts))),
                             encoding="utf-8")
             jobs.append([str(path), ideals])
+
+    half = ScalarField.extension("x", (Fraction(-1, 2), 0, 1))
+    for n, field, ideals in ((4, sqrt2_field(), "series"), (5, QQ, "series"),
+                             (4, QQ, "centre"), (4, cubic_field(), "series"),
+                             (4, half, "series")):
+        add_jobs(full_unipotent_span(n, field), ideals)
+    # bases whose echelon stores eliminate: U_4 on a fixed unitriangular
+    # change of the E_ij, and the subgroup of U_5 spanned by the E_ij with
+    # j <= 3 and the corner E_04 (dimension 7, class 3)
+    for field in (QQ, sqrt2_field()):
+        basis = list(full_unipotent_span(4, field).basis)
+        changed = []
+        for k, b in enumerate(basis):
+            for later in basis[k + 1:]:
+                if rng.random() < 0.5:
+                    b = b + later.scale(field.value(Fraction(rng.randint(-2, 2),
+                                                             rng.randint(1, 2))))
+            changed.append(b)
+        add_jobs(LieSpan(changed), "series")
+    for field in (QQ, cubic_field()):
+        ring = PolyRing(field, 0)
+        add_jobs(LieSpan([NilMatrix.from_entries(ring, 5, {(i, j): 1}) for i in range(5)
+                          for j in range(i + 1, 5) if j <= 3 or i == 0]), "series")
     jobs += [["phi", [c, q]] for c, q in ((3, 2), (3, 3), (3, 4), (5, 2))]
     print(json.dumps(jobs))
 

@@ -27,6 +27,18 @@ agree below superdiagonal ceil(n/2), and for Lie coordinates when 2m
 exceeds the class.  The proofs are in `wsym`.  `wav_by_passes` runs the
 lift and the passes; it is the one place the formula is iterated.
 
+In Lie coordinates Lemma A makes the average itself linear.  Let x_j be
+the coordinates of log f_j and let the class be <= 2, so that BCH stops at
+the first bracket and every triple bracket vanishes.  Then
+L_j = BCH(x_j, -x_0) = x_j - x_0 - [x_j, x_0]/2, and, as sum_j t_j = 1,
+S = sum_j t_j L_j = A - x_0 - [A, x_0]/2 with A = sum_j t_j x_j.  So
+log(exp(S) f_0) = BCH(S, x_0) = S + x_0 + [S, x_0]/2
+= A - [A, x_0]/2 + [A - x_0, x_0]/2 = A, since [x_0, x_0] = 0.  `wav` on
+a `CoordinateTuple` of class <= 2 is therefore the one combination
+sum_j t_j x_j (`LieTable.combine`), with no log, bracket or product; a
+`SectionTuple` keeps exp(S) f_0, since a sum of group matrices is not
+their product.
+
 The formula is natural: every step is a group operation, so a pass
 commutes with group homomorphisms and with ring automorphisms of the
 entries.  If a coefficient automorphism sigma and a permutation pi of the
@@ -547,14 +559,18 @@ def _average(t, terms, coefficient, place):
 def wav(t, d_override=None):
     """The weighted average of a tuple of t-constant sections: the value of
     `wav_by_passes`, computed as exp(Phi(L)) f_0 wherever `_phi_terms`
-    knows Phi.  An override below the derived length is refused on both
-    paths."""
+    knows Phi, and for Lie coordinates of class <= 2 as sum_j t_j f_j (see
+    the module docstring).  An override below the derived length is
+    refused on all paths."""
     more = _pass_bound(t, d_override)
+    law, q = t.law, t.q
+    ring = PolyRing(t.ring.field, q, t.ring.params)
+    if type(t) is CoordinateTuple and law.nilpotency_class <= 2:
+        # Lemma A in Lie coordinates: the average is sum_j t_j f_j
+        return law.combine(t.sections, [ring.coordinate(j) for j in range(q + 1)])
     terms = _phi_terms(t)
     if terms is None:
         return _passes(t, more)
-    law, q = t.law, t.q
-    ring = PolyRing(t.ring.field, q, t.ring.params)
     return _average(t, terms, lambda x: extend_scalars(x, ring), lambda g: law.embed(g, q))
 
 

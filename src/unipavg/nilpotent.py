@@ -51,14 +51,18 @@ be averaged on its table alone.  `free_lie_table` builds the table of a free
 nilpotent Lie algebra on its Lyndon basis, and the same triangular solve
 writes BCH on that basis; BCH and the average's Phi are both Lie
 polynomials on Lyndon words, evaluated by one bracket walk,
-`lie_polynomial`.  `quotient_span` seeds its target's table and class
-from the structure constants and series it computes anyway, records each
-projected basis vector's coordinates, and checks neither the target's
-closure nor the projection, which hold by construction; the target builds
-its re-embedding, and the hom its image matrices, only when something
-reads them.  `apply_hom` also takes a coordinate vector, and a hom may be
-given, and checked, by its images' coordinates, so a chain of quotients
-can be mapped and compared without any matrix.
+`lie_polynomial`.  `quotient_span` works in the span's Lie coordinates:
+past the containment solves, its ideal check, complement and quotient
+constants come from the span's table on sparse rows (`bracket_rows`, the
+map the series use).  It seeds its target's table and class from the
+structure constants and series it computes anyway, records each projected
+basis vector's coordinates and each chosen preimage's span coordinates,
+and checks neither the target's closure nor the projection, which hold by
+construction; the target builds its re-embedding, and the hom its image
+and section matrices, only when something reads them.  `apply_hom` also
+takes a coordinate vector, and a hom may be given, and checked on its
+tables' nonzero structure, by its images' coordinates, so a chain of
+quotients can be mapped and compared without any matrix.
 """
 
 from __future__ import annotations
@@ -819,7 +823,8 @@ class LieTable:
     the average's Phi.  `average.wsym` and `wav` run on this law as on the
     matrix product.  A known class may be given."""
 
-    __slots__ = ("field", "dim", "struct", "_pairs", "_outputs", "_class", "_derived_length")
+    __slots__ = ("field", "dim", "struct", "_pairs", "_outputs", "_ad", "_class",
+                 "_derived_length")
 
     def __init__(self, field, dim, struct, nilpotency_class=None):
         self.field = field
@@ -839,6 +844,7 @@ class LieTable:
             else:
                 zero_row = consts
         self._outputs = None
+        self._ad = None
         self._class = nilpotency_class
         self._derived_length = None
 
@@ -904,37 +910,40 @@ class LieTable:
             out.append(sum_of_products(ring, pairs, mults) if pairs else zero)
         return tuple(out)
 
+    def bracket_rows(self, a, b):
+        """[a, b] for sparse {index: nonzero field value} rows, as a fresh
+        row of that kind: only the nonzero entries of a and b are read, each
+        pair through the map ad[i][j] of the nonzero constants of [e_i, e_j]
+        (either order), built on first use."""
+        ad, one = self._ad, self.field.one
+        if ad is None:
+            ad = self._ad = {}
+            for (i, j), consts in self._pairs:
+                ad.setdefault(i, {})[j] = dict(consts)
+                ad.setdefault(j, {})[i] = {k: -s for k, s in consts}
+        acc = {}
+        for i, x in a.items():
+            row = ad.get(i)
+            if row:
+                for j, y in b.items():
+                    consts = row.get(j)
+                    if consts:
+                        _axpy(acc, y if x is one else x * y, consts)
+        return acc
+
     def _series(self, pairs):
         """Nonzero terms s_0 = g, s_1, ... of a bracket series, each an
         independent list of coordinate vectors; s_{k+1} keeps the brackets of
         pairs(s_0, s_k) that are independent of the ones kept before them.
-        The terms are bracketed as sparse {index: value} rows, through the
-        map ad[i][j] of the nonzero constants of [e_i, e_j], and returned
+        The terms are bracketed as sparse rows (`bracket_rows`) and returned
         as dense vectors."""
         field = self.field
-        one = field.one
-        ad = {}
-        for (i, j), consts in self._pairs:
-            ad.setdefault(i, {})[j] = dict(consts)
-            ad.setdefault(j, {})[i] = {k: -s for k, s in consts}
-
-        def bracket(a, b):
-            acc = {}
-            for i, x in a.items():
-                row = ad.get(i)
-                if row:
-                    for j, y in b.items():
-                        consts = row.get(j)
-                        if consts:
-                            _axpy(acc, y if x is one else x * y, consts)
-            return acc
-
-        cur = [{i: one} for i in range(self.dim)]
+        cur = [{i: field.one} for i in range(self.dim)]
         out = []
         while cur:
             out.append(cur)
             ech = _Echelon(field)
-            cur = [w for w in (bracket(a, b) for a, b in pairs(out[0], cur))
+            cur = [w for w in (self.bracket_rows(a, b) for a, b in pairs(out[0], cur))
                    if w and ech.add_row(dict(w))]
         zero = field.zero
         return [[tuple(row.get(k, zero) for k in range(self.dim)) for row in level]
@@ -977,7 +986,8 @@ class LieTable:
         """sum_k coefs[k] xs[k] for vectors xs[k] over one ring, whose
         coefficients are rational scalars, field values or polynomials over
         that ring or, for t-constant vectors, over the q-simplex, where the
-        sum then lies: one sum of products per coordinate.  A t-constant
+        sum then lies: one sum of products per coordinate.  Polynomials over
+        any other ring raise RingMismatch.  A t-constant
         entry with no parameters is the constant factor of its pair, as in
         `NilMatrix.combination`; vectors with parameters are lifted to the
         simplex.  Vectors of field scalars are summed entry by entry."""
@@ -989,6 +999,9 @@ class LieTable:
                          for k in range(self.dim))
         ring = xs[0][0].ring
         target = next((c.ring for c in coefs if isinstance(c, SimplexPoly)), ring)
+        if ({x.ring for x in chain(*xs)} != {ring}
+                or any(isinstance(c, SimplexPoly) and c.ring is not target for c in coefs)):
+            raise RingMismatch("polynomials over different rings")
         if target is not ring and not ring.nvars:
             coefs = [c if isinstance(c, SimplexPoly) else target.constant(c) for c in coefs]
             return tuple(sum_of_products(target, [(c, x[k].constant_value())
@@ -1420,18 +1433,25 @@ class LieHom:
     coordinates (`image_coords`); either is built from the other on first
     read.  Construction checks that the spans share a field, that matrix
     images land in the target (coordinates are not solved) and that
-    brackets of basis pairs are preserved, in coordinates: the image of
-    [b_i, b_j] is read from the source table, the bracket of the images
-    from the target table.  A hom built with check=False promises that its
-    images lie in the target and keeps both forms as given: `apply_hom`
-    solves matrix images once, so a broken promise raises MembershipError.
-    `identity` and `quotient_span` keep it by construction."""
+    brackets of basis pairs are preserved, in coordinates and on the
+    nonzero structure only: the image of [b_i, b_j] is summed from the
+    source table's nonzero constants, the bracket of the images from the
+    target table's (`LieTable.bracket_rows`) on their nonzero entries, and
+    a pair with neither is zero on both sides.  The first pair (i, j) that
+    differs, in order, is reported.  A hom built with check=False promises
+    that its images lie in the target and keeps both forms as given:
+    `apply_hom` solves matrix images once, so a broken promise raises
+    MembershipError.  `identity` and `quotient_span` keep it by
+    construction.  A hom may also carry chosen preimages of the target
+    basis (`section`), as matrices or as source coordinates
+    (`section_coords`, field scalars); the matrices are summed from the
+    coordinates on first read unless given."""
 
-    __slots__ = ("source", "target", "_images", "complement", "section", "_image_coords",
-                 "_columns")
+    __slots__ = ("source", "target", "_images", "complement", "_section", "section_coords",
+                 "_image_coords", "_columns")
 
     def __init__(self, source, target, images=None, check=True, complement=None,
-                 section=None, image_coords=None):
+                 section=None, image_coords=None, section_coords=None):
         if not isinstance(source, LieSpan) or not isinstance(target, LieSpan):
             raise InputError("hom endpoints must be LieSpan values")
         if images is not None:
@@ -1447,7 +1467,8 @@ class LieHom:
         self.target = target
         self._images = images
         self.complement = complement
-        self.section = section      # chosen preimages of the target basis, if any
+        self._section = section
+        self.section_coords = section_coords
         self._image_coords = image_coords
         self._columns = None        # image coordinates by target index
         if check:
@@ -1466,12 +1487,20 @@ class LieHom:
                                          % (target.dim, len(row)))
                 coords = self._image_coords = tuple(tuple([field.value(c) for c in row])
                                                     for row in image_coords)
-            zero = field.zero
+            rows = [{k: a for k, a in enumerate(row) if not a.is_zero} for row in coords]
+            lhs = {}
+            for pair, consts in source.table._pairs:
+                acc = lhs[pair] = {}
+                for k, s in consts:
+                    _axpy(acc, s, rows[k])
+            rhs = {}
             for i, j in combinations(range(source.dim), 2):
-                lhs = self.map_coordinates(source.table.struct[(i, j)], zero)
-                if lhs != target.table.bracket(coords[i], coords[j], zero):
+                if rows[i] and rows[j]:
+                    rhs[(i, j)] = target.table.bracket_rows(rows[i], rows[j])
+            for pair in sorted(lhs.keys() | rhs.keys()):
+                if lhs.get(pair, {}) != rhs.get(pair, {}):
                     raise InputError("images do not preserve the bracket "
-                                     "(basis pair %d, %d)" % (i, j))
+                                     "(basis pair %d, %d)" % pair)
 
     @classmethod
     def identity(cls, span):
@@ -1487,6 +1516,14 @@ class LieHom:
         if self._images is None:
             self._images = tuple(self.target.from_coordinates(c) for c in self._image_coords)
         return self._images
+
+    @property
+    def section(self):
+        """The chosen preimages as matrices over the source's ring, or None;
+        summed from `section_coords` on first read unless given."""
+        if self._section is None and self.section_coords is not None:
+            self._section = tuple(self.source.from_coordinates(c) for c in self.section_coords)
+        return self._section
 
     @property
     def image_coords(self):
@@ -1691,53 +1728,72 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     Returns (quotient LieSpan, LieHom from span onto it).  The hom also
     records which span basis indices were chosen to complement the ideal
     (`complement`), which pins down compatible projections along towers,
-    and each basis image's target coordinates (`image_coords`).  The
-    target's table is its structure constants on the adapted basis, so a
-    caller can average in the quotient's Lie coordinates.  The target's
-    basis matrices, and the hom's images, are built only when first read:
-    a caller that reads only the table, n and the projection coordinates
-    never builds the re-embedding.
+    each basis image's target coordinates (`image_coords`) and a chosen
+    preimage of each target basis vector as span coordinates
+    (`section_coords`).  The target's table is its structure constants on
+    the adapted basis, so a caller can average in the quotient's Lie
+    coordinates.  The target's basis matrices, and the hom's images and
+    section matrices, are built only when first read.
+
+    Past the containment solves, all is done in the span's Lie coordinates:
+    each bracket of a span basis vector with an ideal vector, on the
+    table's nonzero constants (`LieTable.bracket_rows`), is solved in one
+    echelon store of the ideal vectors; the complement is the unit vectors
+    that store then keeps; the quotient's constants are the solves of the
+    table's nonzero constants.
     """
     field = span.field
     if ideal.n != span.n or ideal.field is not field:
         raise RingMismatch("ideal lives in a different matrix space")
-    rows, ideal_rows = span._rows, ideal._rows
-    for row in ideal_rows:
+    zero, one = field.zero, field.one
+    gens = []               # the ideal basis as sparse span coordinates
+    for row in ideal._rows:
         try:
-            span.coordinates(dict(row))
+            coords = span.coordinates(dict(row))
         except MembershipError:
             raise InputError("ideal is not contained in the span") from None
-    for a in rows:
-        for b in ideal_rows:
-            try:
-                ideal.coordinates(_upper_bracket(a, b, span.n))
-            except MembershipError:
-                raise InputError("the given subspace is not an ideal") from None
+        gens.append({k: c for k, c in enumerate(coords) if not c.is_zero})
 
     if ideal.dim == 0:
-        hom = LieHom(span, span, span.basis, check=False,
-                     complement=tuple(range(span.dim)), section=span.basis)
+        units = tuple(tuple(one if k == i else zero for k in range(span.dim))
+                      for i in range(span.dim))
+        hom = LieHom(span, span, span.basis, check=False, complement=tuple(range(span.dim)),
+                     section=span.basis, section_coords=units)
         return span, hom
     if ideal.dim == span.dim:
+        # the ideal is the span itself, so every bracket lies in it
         target = LieSpan((), n=1, field=field)
         images = tuple(NilMatrix.zero(span.ring, 1) for _ in span.basis)
-        hom = LieHom(span, target, images, check=False, complement=(), section=())
+        hom = LieHom(span, target, images, check=False, complement=(), section_coords=())
         return target, hom
 
-    # pick span basis vectors completing the ideal to a basis of the span;
-    # the store then solves on the ideal basis followed by the complement
-    # (the store and its solves take their rows over, so each gets a copy)
-    ech = _Echelon(field, [dict(row) for row in ideal_rows], what="ideal basis")
-    complement = tuple(idx for idx, row in enumerate(rows) if ech.add_row(dict(row)))
+    span_table = span.table
+    # the store takes its rows over, so it gets copies
+    ech = _Echelon(field, [dict(g) for g in gens], what="ideal basis")
+    for a in range(span.dim):
+        for g in gens:
+            bracket = span_table.bracket_rows({a: one}, g)
+            if bracket:
+                try:
+                    ech.solve(bracket, zero)
+                except MembershipError:
+                    raise InputError("the given subspace is not an ideal") from None
+
+    # the unit vectors completing the ideal to a basis of the span; the
+    # store then solves on the ideal basis followed by the complement
+    complement = tuple(idx for idx in range(span.dim) if ech.add_row({idx: one}))
     m = len(complement)
 
     def h_coords(vec):
-        return tuple(ech.solve(vec, field.zero)[ideal.dim:])
+        return tuple(ech.solve(vec, zero)[ideal.dim:])
 
     # structure constants of the quotient on the complement classes
-    struct = {(i, j): h_coords(_upper_bracket(rows[complement[i]], rows[complement[j]],
-                                              span.n))
-              for i, j in combinations(range(m), 2)}
+    nonzero = dict(span_table._pairs)
+    zero_row = (zero,) * m
+    struct = {}
+    for i, j in combinations(range(m), 2):
+        consts = nonzero.get((complement[i], complement[j]))
+        struct[(i, j)] = h_coords(dict(consts)) if consts else zero_row
     table = LieTable(field, m, struct)
 
     # weights from a lower-central-series adapted basis of the quotient
@@ -1750,9 +1806,9 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     weights = [w for _, w in adapted]
 
     def to_adapted(vec):
-        return tuple(ech2.solve(vec, field.zero))
+        return tuple(ech2.solve(vec, zero))
 
-    astruct = {(i, j): to_adapted(table.bracket(adapted[i][0], adapted[j][0], field.zero))
+    astruct = {(i, j): to_adapted(table.bracket(adapted[i][0], adapted[j][0], zero))
                for i, j in combinations(range(m), 2)}
 
     # the class of the adapted table is the quotient's
@@ -1760,13 +1816,17 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
                            LieTable(field, m, astruct, cls_bound))
 
     # project each span basis vector: complement coords, then adapted coords
-    image_coords = tuple(to_adapted(h_coords(dict(row))) for row in rows)
+    image_coords = tuple(to_adapted(h_coords({idx: one})) for idx in range(span.dim))
     # a preimage of each target basis vector: the same combination of the
     # complement representatives that defines the adapted basis vector
-    reps = [rows[i] for i in complement]
-    section = tuple(_sum_rows(v, reps, span.ring, span.n) for v, _ in adapted)
+    section_coords = []
+    for v, _ in adapted:
+        coords = [zero] * span.dim
+        for idx, x in zip(complement, v):
+            coords[idx] = x
+        section_coords.append(tuple(coords))
     # a hom by construction (the re-embedding is faithful on the quotient),
     # so not checked
-    hom = LieHom(span, target, check=False, complement=complement, section=section,
-                 image_coords=image_coords)
+    hom = LieHom(span, target, check=False, complement=complement,
+                 section_coords=tuple(section_coords), image_coords=image_coords)
     return target, hom

@@ -12,9 +12,13 @@ simplices reproduces the datum of the reindexed multi-index.
 descending chain of ideals: projections to each quotient commute with the
 average, and the quotient averages agree along the induced maps.  Each
 quotient floor is averaged in Lie coordinates, with the truncated BCH
-product of its structure constants, rather than in its matrix
-re-embedding: a section enters as the coordinates of its log, projected
-linearly, and every comparison is between exact coordinate vectors.
+product of its structure constants (at class <= 2 one combination, by
+Lemma A), rather than in its matrix re-embedding: a section enters as the
+coordinates of its log, projected linearly, and every comparison is
+between exact coordinate vectors.  The quotients are computed from the
+group's table, and an induced map is built from the chosen preimages'
+span coordinates (`LieHom.section_coords`), so the tower builds no
+matrix past the group's own logs and average.
 """
 
 from __future__ import annotations
@@ -429,8 +433,7 @@ def tower_compatibility(t: SectionTuple, ideals) -> TowerReport:
         fine_quotient, fine_proj, fine_avg = quotients[k + 1]
         # the induced map sends each fine basis vector, via a chosen
         # preimage upstairs, to its coarse projection, in coordinates
-        images = [apply_hom(coarse_proj, [c.constant_value() for c in group.coordinates(x)])
-                  for x in fine_proj.section]
+        images = [apply_hom(coarse_proj, x) for x in fine_proj.section_coords]
         try:
             induced = LieHom(fine_quotient, coarse_quotient, image_coords=images)
         except InputError as exc:

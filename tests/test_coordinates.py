@@ -385,17 +385,20 @@ def test_tower_rejects_a_wrong_induced_factorisation(monkeypatch):
 def test_tower_reports_a_floor_without_an_induced_map(monkeypatch):
     # the chosen preimage of the first basis vector of U_4/gamma_3 (a
     # bracket, which dies in the abelian U_4/gamma_2) is replaced by E_01,
-    # whose projection does not die: the images of a bracket of the fine
-    # floor are then not the bracket of the images in the abelian floor
+    # given as its coordinate vector on the span basis, the form the tower
+    # reads, whose projection does not die: the images of a bracket of the
+    # fine floor are then not the bracket of the images in the abelian floor
     span = full_unipotent_span(4, QQ)
     ideals = lower_central_series(span)[1:]
     t = rand_tuple(random.Random(905), span, 1)
     original = simplicial.quotient_span
+    e01 = (QQ.one,) + (QQ.zero,) * (span.dim - 1)
+    assert span.basis[0] == span.from_coordinates(e01)
 
     def corrupting(group, ideal):
         quot, proj = original(group, ideal)
         if ideal is ideals[1]:
-            proj.section = (span.basis[0],) + proj.section[1:]
+            proj.section_coords = (e01,) + proj.section_coords[1:]
         return quot, proj
 
     monkeypatch.setattr(simplicial, "quotient_span", corrupting)
