@@ -6,8 +6,9 @@ matrix-row algorithm it replaced is kept here (`old_quotient`) and must
 give the same complement, tables, image coordinates, section and PBW
 basis, and the same errors, on bases whose echelon stores eliminate: U_4
 and U_5 under a random unitriangular change of basis, the Heisenberg
-group on the E_ij and changed, `abelian3_span` and the non-full class-3 subgroup of U_5, by ideals
-given on their own random bases too, over Q, Q(sqrt2) and the cubic field.
+group on the E_ij and changed, `abelian3_span` and the non-full class-3
+subgroup of U_5, by ideals given on their own random bases too, over Q,
+Q(sqrt2) and the cubic field.
 
 `LieHom`'s bracket check reads only the nonzero structure; the dense
 per-pair loop it replaced is kept here (`dense_failure`) and must accept
