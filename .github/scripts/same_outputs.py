@@ -90,9 +90,13 @@ lower central series.  One fresh process per tree reads each tuple, runs
 `tower_compatibility` and then `quotient_span` on every ideal, and writes
 the tower report, each quotient target's span, each projection's basis
 images and chosen preimages (`section`), and each floor's average in the
-quotient's Lie coordinates; the same process also writes the terms of
-Phi_{c,q}, the universal polynomial, for (c, q) = (3, 2), (3, 3), (3, 4)
-and (5, 2).  Those documents are compared as bytes.
+quotient's Lie coordinates; then the span and the projection's images and
+section of the quotient by the whole group (a 1 x 1 target), and the
+images and section of `LieHom.identity` of the group, so that every hom
+whose matrices are summed from its coordinates is compared; the same
+process also writes the terms of Phi_{c,q}, the universal polynomial, for
+(c, q) = (3, 2), (3, 3), (3, 4) and (5, 2).  Those documents are compared
+as bytes.
 
 The check stops at the first job that differs, naming it.  Exit status: 0
 when every job matches, 1 at the first difference.
@@ -654,7 +658,7 @@ def run_tower_jobs(tree, jobs_path, result_path):
     """Run each tower job of jobs_path with tree's package; result_path
     lists, per job, the documents it wrote as JSON text."""
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
-    from unipavg import (LieSpan, NilMatrix, log_unipotent, lower_central_series,
+    from unipavg import (LieHom, LieSpan, NilMatrix, log_unipotent, lower_central_series,
                          quotient_span, serialize, tower_compatibility, wav)
     from unipavg.average import CoordinateTuple, universal_polynomial
     with open(jobs_path, encoding="utf-8") as fh:
@@ -683,6 +687,12 @@ def run_tower_jobs(tree, jobs_path, result_path):
             docs.append([serialize.poly_to_json(x) for x in wav(floor)])
             docs.append(serialize.span_to_json(target))
             docs.append([serialize.matrix_to_json(m) for m in hom.images + hom.section])
+        # the quotient by the group itself and the identity
+        target, hom = quotient_span(group, group)
+        docs.append(serialize.span_to_json(target))
+        docs.append([serialize.matrix_to_json(m) for m in hom.images + hom.section])
+        hom = LieHom.identity(group)
+        docs.append([serialize.matrix_to_json(m) for m in hom.images + hom.section])
         results.append([json.dumps(doc) for doc in docs])
     with open(result_path, "w", encoding="utf-8") as fh:
         json.dump(results, fh)

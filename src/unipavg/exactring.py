@@ -605,7 +605,7 @@ class PolyRing:
     validation and later jobs; CLI maps have q <= `cli.MAX_Q`, so it is bounded.
     """
 
-    __slots__ = ("field", "q", "params", "nvars", "_zero", "_one", "_plans")
+    __slots__ = ("field", "q", "params", "nvars", "_zero", "_one", "_coordinates", "_plans")
     _table = {}
 
     def __new__(cls, field, q, params=()):
@@ -626,6 +626,7 @@ class PolyRing:
             self.nvars = q + len(params)
             self._zero = None
             self._one = None
+            self._coordinates = None
             self._plans = {}
             # setdefault keeps one object per key even if two threads build it
             self = cls._table.setdefault(key, self)
@@ -655,21 +656,17 @@ class PolyRing:
         return SimplexPoly(self, v.den, {0: v.nums})
 
     def coordinate(self, j) -> "SimplexPoly":
-        """The simplex coordinate t_j in canonical form (t_q eliminated)."""
+        """The simplex coordinate t_j in canonical form (t_q eliminated);
+        t_0, ..., t_q are built together on first use and kept."""
         if not isinstance(j, int) or not 0 <= j <= self.q:
             raise InputError("coordinate index out of range 0..%d" % self.q)
-        if self.q == 0:
-            return self.one()
-        if j < self.q:
-            exp = [0] * self.nvars
-            exp[j] = 1
-            return self.poly({tuple(exp): 1})
-        terms = {(0,) * self.nvars: 1}
-        for i in range(self.q):
-            exp = [0] * self.nvars
-            exp[i] = 1
-            terms[tuple(exp)] = -1
-        return self.poly(terms)
+        if self._coordinates is None:
+            units = [tuple([int(i == k) for i in range(self.nvars)]) for k in range(self.q)]
+            last = {(0,) * self.nvars: 1}
+            last.update((exp, -1) for exp in units)
+            self._coordinates = tuple([self.poly({exp: 1}) for exp in units]
+                                      + [self.poly(last) if self.q else self.one()])
+        return self._coordinates[j]
 
     def parameter(self, name) -> "SimplexPoly":
         try:

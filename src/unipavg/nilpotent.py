@@ -58,11 +58,12 @@ map the series use).  It seeds its target's table and class from the
 structure constants and series it computes anyway, records each projected
 basis vector's coordinates and each chosen preimage's span coordinates,
 and checks neither the target's closure nor the projection, which hold by
-construction; the target builds its re-embedding, and the hom its image
-and section matrices, only when something reads them.  `apply_hom` also
-takes a coordinate vector, and a hom may be given, and checked on its
-tables' nonzero structure, by its images' coordinates, so a chain of
-quotients can be mapped and compared without any matrix.
+construction; the target builds its re-embedding only when something reads
+it.  A hom is its images' target coordinates and its section's source
+coordinates, and sums their matrices when they are read; matrix images are
+solved once, when it is built.  `apply_hom` also takes a coordinate
+vector, and a hom is checked on its tables' nonzero structure, so a chain
+of quotients can be mapped and compared without any matrix.
 """
 
 from __future__ import annotations
@@ -867,28 +868,17 @@ class LieTable:
         """[u, v] for coordinate vectors u and v; `zero` is the zero of
         their entries, by default that of the polynomials in u, or the
         field's for field scalars.  Over polynomials each coordinate is one
-        sum of products over the nonzero pairs (u_i, v_j) and (u_j, v_i)."""
+        sum of products over the nonzero pairs (u_i, v_j) and (u_j, v_i);
+        field scalars are bracketed as sparse rows (`bracket_rows`)."""
         if not self.dim:
             return ()
         if isinstance(u[0], SimplexPoly):
             return self._poly_bracket(u, v)
+        row = self.bracket_rows({i: x for i, x in enumerate(u) if not x.is_zero},
+                                {j: y for j, y in enumerate(v) if not y.is_zero})
         if zero is None:
             zero = self.field.zero
-        out = [zero] * self.dim
-        for (i, j), consts in self._pairs:
-            ui, uj, vi, vj = u[i], u[j], v[i], v[j]
-            if ui.is_zero or vj.is_zero:
-                if uj.is_zero or vi.is_zero:
-                    continue
-                c = -(uj * vi)
-            elif uj.is_zero or vi.is_zero:
-                c = ui * vj
-            else:
-                c = ui * vj - uj * vi
-            if not c.is_zero:
-                for k, s in consts:
-                    out[k] = out[k] + c * s
-        return tuple(out)
+        return tuple([row.get(k, zero) for k in range(self.dim)])
 
     def _poly_bracket(self, u, v):
         ring = u[0].ring
@@ -931,16 +921,22 @@ class LieTable:
                         _axpy(acc, y if x is one else x * y, consts)
         return acc
 
-    def _series(self, pairs):
-        """Nonzero terms s_0 = g, s_1, ... of a bracket series, each an
-        independent list of coordinate vectors; s_{k+1} keeps the brackets of
-        pairs(s_0, s_k) that are independent of the ones kept before them.
-        The terms are bracketed as sparse rows (`bracket_rows`) and returned
-        as dense vectors."""
+    def _series(self, what, pairs):
+        """Nonzero terms s_0 = g, s_1, ... of the `what` bracket series, each
+        an independent list of coordinate vectors; s_{k+1} keeps the
+        brackets of pairs(s_0, s_k) that are independent of the ones kept
+        before them.  Each term of a series that reaches zero is smaller
+        than the one before, so a term past the dim-th raises InputError
+        (the algebra is not nilpotent, or not solvable).  The terms are
+        bracketed as sparse rows (`bracket_rows`) and returned as dense
+        vectors."""
         field = self.field
         cur = [{i: field.one} for i in range(self.dim)]
         out = []
         while cur:
+            if len(out) == self.dim:
+                raise InputError("the %s series does not reach zero in %d terms"
+                                 % (what, self.dim))
             out.append(cur)
             ech = _Echelon(field)
             cur = [w for w in (self.bracket_rows(a, b) for a, b in pairs(out[0], cur))
@@ -951,7 +947,8 @@ class LieTable:
 
     def lower_central_series(self):
         """g = g_1, g_{k+1} = [g, g_k], down to the last nonzero term."""
-        return self._series(lambda unit, cur: ((a, b) for a in unit for b in cur))
+        return self._series("lower central",
+                            lambda unit, cur: ((a, b) for a in unit for b in cur))
 
     @property
     def nilpotency_class(self):
@@ -964,7 +961,8 @@ class LieTable:
         """The number of nonzero terms of g, [g, g], [[g,g],[g,g]], ...;
         [g, g] is spanned by the brackets of pairs i < j."""
         if self._derived_length is None:
-            self._derived_length = len(self._series(lambda unit, cur: combinations(cur, 2)))
+            self._derived_length = len(self._series(
+                "derived", lambda unit, cur: combinations(cur, 2)))
         return self._derived_length
 
     def derived_length_exceeds(self, k):
@@ -1428,66 +1426,58 @@ def full_unipotent_span(n: int, field: ScalarField) -> LieSpan:
 # ---------------------------------------------------------------------------
 
 class LieHom:
-    """A Lie algebra homomorphism between spans, given by its basis images
-    as matrices in the target span (`images`) or as their target
-    coordinates (`image_coords`); either is built from the other on first
-    read.  Construction checks that the spans share a field, that matrix
-    images land in the target (coordinates are not solved) and that
-    brackets of basis pairs are preserved, in coordinates and on the
-    nonzero structure only: the image of [b_i, b_j] is summed from the
-    source table's nonzero constants, the bracket of the images from the
-    target table's (`LieTable.bracket_rows`) on their nonzero entries, and
-    a pair with neither is zero on both sides.  The first pair (i, j) that
-    differs, in order, is reported.  A hom built with check=False promises
-    that its images lie in the target and keeps both forms as given:
-    `apply_hom` solves matrix images once, so a broken promise raises
-    MembershipError.  `identity` and `quotient_span` keep it by
-    construction.  A hom may also carry chosen preimages of the target
-    basis (`section`), as matrices or as source coordinates
-    (`section_coords`, field scalars); the matrices are summed from the
-    coordinates on first read unless given."""
+    """A Lie algebra homomorphism between spans, held as the target
+    coordinates of its basis images (`image_coords`, field scalars) and,
+    when it has one, as source coordinates of chosen preimages of the
+    target basis (`section_coords`, field scalars).  Images given as
+    matrices (`images=`) are solved once, at construction, so one outside
+    the target raises InputError, checked or not; the matrices `images`
+    and `section` are summed from the coordinates on each read.
+    Construction checks that the spans share a field and that brackets of
+    basis pairs are preserved, in coordinates and on the nonzero structure
+    only: the image of [b_i, b_j] is summed from the source table's nonzero
+    constants, the bracket of the images from the target table's
+    (`LieTable.bracket_rows`) on their nonzero entries, and a pair with
+    neither is zero on both sides.  The first pair (i, j) that differs, in
+    order, is reported.  A hom built with check=False is taken as given;
+    `identity` and `quotient_span` are homs by construction."""
 
-    __slots__ = ("source", "target", "_images", "complement", "_section", "section_coords",
-                 "_image_coords", "_columns")
+    __slots__ = ("source", "target", "image_coords", "complement", "section_coords",
+                 "_columns")
 
     def __init__(self, source, target, images=None, check=True, complement=None,
-                 section=None, image_coords=None, section_coords=None):
+                 image_coords=None, section_coords=None):
         if not isinstance(source, LieSpan) or not isinstance(target, LieSpan):
             raise InputError("hom endpoints must be LieSpan values")
         if images is not None:
             images = tuple(images)
-            if check:
-                image_coords = None     # solved from the images it checks
         elif image_coords is None:
             raise InputError("a hom needs its basis images or their coordinates")
         given = images if images is not None else image_coords
         if len(given) != source.dim:
             raise InputError("expected %d basis images, got %d" % (source.dim, len(given)))
+        field = target.field
+        if check and source.field is not field:
+            raise RingMismatch("matrix field does not match the hom")
+        if images is not None:
+            try:
+                image_coords = tuple(tuple([c.constant_value() for c in target.coordinates(img)])
+                                     for img in images)
+            except MembershipError:
+                raise InputError("a basis image lies outside the target span") from None
+        elif check:
+            for row in image_coords:
+                if len(row) != target.dim:
+                    raise InputError("expected %d coordinates, got %d" % (target.dim, len(row)))
+            image_coords = tuple(tuple([field.value(c) for c in row]) for row in image_coords)
         self.source = source
         self.target = target
-        self._images = images
+        self.image_coords = image_coords
         self.complement = complement
-        self._section = section
         self.section_coords = section_coords
-        self._image_coords = image_coords
         self._columns = None        # image coordinates by target index
         if check:
-            field = target.field
-            if source.field is not field:
-                raise RingMismatch("matrix field does not match the hom")
-            if images is not None:
-                try:
-                    coords = self.image_coords
-                except MembershipError:
-                    raise InputError("a basis image lies outside the target span") from None
-            else:
-                for row in image_coords:
-                    if len(row) != target.dim:
-                        raise InputError("expected %d coordinates, got %d"
-                                         % (target.dim, len(row)))
-                coords = self._image_coords = tuple(tuple([field.value(c) for c in row])
-                                                    for row in image_coords)
-            rows = [{k: a for k, a in enumerate(row) if not a.is_zero} for row in coords]
+            rows = [{k: a for k, a in enumerate(row) if not a.is_zero} for row in image_coords]
             lhs = {}
             for pair, consts in source.table._pairs:
                 acc = lhs[pair] = {}
@@ -1504,46 +1494,41 @@ class LieHom:
 
     @classmethod
     def identity(cls, span):
-        return cls(span, span, span.basis, check=False, section=span.basis)
+        """The identity of a span: the projection onto its quotient by the
+        zero ideal, with every basis index in the complement."""
+        zero, one = span.field.zero, span.field.one
+        units = tuple(tuple([one if k == i else zero for k in range(span.dim)])
+                      for i in range(span.dim))
+        return cls(span, span, check=False, complement=tuple(range(span.dim)),
+                   image_coords=units, section_coords=units)
 
     def __call__(self, mat):
         return apply_hom(self, mat)
 
     @property
     def images(self):
-        """The basis images as matrices over the target's ring; summed from
-        their coordinates on first read unless the hom was built with them."""
-        if self._images is None:
-            self._images = tuple(self.target.from_coordinates(c) for c in self._image_coords)
-        return self._images
+        """The basis images as matrices over the target's ring."""
+        return tuple([self.target.from_coordinates(c) for c in self.image_coords])
 
     @property
     def section(self):
-        """The chosen preimages as matrices over the source's ring, or None;
-        summed from `section_coords` on first read unless given."""
-        if self._section is None and self.section_coords is not None:
-            self._section = tuple(self.source.from_coordinates(c) for c in self.section_coords)
-        return self._section
-
-    @property
-    def image_coords(self):
-        """The target coordinates of each basis image, as field scalars;
-        solved on first use unless the hom was built with them."""
-        if self._image_coords is None:
-            self._image_coords = tuple(
-                tuple(c.constant_value() for c in self.target.coordinates(img))
-                for img in self._images)
-        return self._image_coords
+        """The chosen preimages as matrices over the source's ring, or None."""
+        if self.section_coords is None:
+            return None
+        return tuple([self.source.from_coordinates(c) for c in self.section_coords])
 
     def map_coordinates(self, coords, zero):
         """The target coordinates of the hom's value at the source element
-        with these coordinates; `zero` is the zero of their entries.  Over
-        polynomials each target coordinate is one sum of products over the
-        pairs (coords[i], image_coords[i][k])."""
+        with these coordinates; `zero` is the zero of their entries.  Target
+        coordinate k sums the products of coords[i] with the nonzero
+        image_coords[i][k], read by column (`_columns`, built on first use);
+        over polynomials it is one sum of products."""
+        if len(coords) != self.source.dim:
+            raise InputError("expected %d coordinates, got %d" % (self.source.dim, len(coords)))
+        if self._columns is None:
+            self._columns = [[(i, row[k]) for i, row in enumerate(self.image_coords)
+                              if not row[k].is_zero] for k in range(self.target.dim)]
         if isinstance(zero, SimplexPoly):
-            if self._columns is None:
-                self._columns = [[(i, row[k]) for i, row in enumerate(self.image_coords)
-                                  if not row[k].is_zero] for k in range(self.target.dim)]
             ring = zero.ring
             if ring.field is not self.target.field:
                 raise RingMismatch("value belongs to a different field")
@@ -1552,13 +1537,8 @@ class LieHom:
                 pairs = [(coords[i], a) for i, a in column if coords[i].nums]
                 out.append(_entry(ring, pairs) if pairs else zero)
             return tuple(out)
-        out = [zero] * self.target.dim
-        for x, row in zip(coords, self.image_coords):
-            if not x.is_zero:
-                for k, a in enumerate(row):
-                    if not a.is_zero:
-                        out[k] = out[k] + x * a
-        return tuple(out)
+        return tuple([sum([coords[i] * a for i, a in column if not coords[i].is_zero], zero)
+                      for column in self._columns])
 
     def __repr__(self):
         return "LieHom(%r -> %r)" % (self.source, self.target)
@@ -1573,8 +1553,6 @@ def apply_hom(hom: LieHom, mat):
     element alike (log and exp are the identity in Lie coordinates); the
     value is then its target coordinate vector."""
     if isinstance(mat, (tuple, list)):
-        if len(mat) != hom.source.dim:
-            raise InputError("expected %d coordinates, got %d" % (hom.source.dim, len(mat)))
         if mat and isinstance(mat[0], SimplexPoly):
             ring = mat[0].ring
             coords = [c if isinstance(c, SimplexPoly) else ring.constant(c) for c in mat]
@@ -1732,8 +1710,8 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
     preimage of each target basis vector as span coordinates
     (`section_coords`).  The target's table is its structure constants on
     the adapted basis, so a caller can average in the quotient's Lie
-    coordinates.  The target's basis matrices, and the hom's images and
-    section matrices, are built only when first read.
+    coordinates.  The target's basis matrices are built only when first
+    read, and the hom's images and section matrices on each read.
 
     Past the containment solves, all is done in the span's Lie coordinates:
     each bracket of a span basis vector with an ideal vector, on the
@@ -1755,16 +1733,12 @@ def quotient_span(span: LieSpan, ideal: LieSpan):
         gens.append({k: c for k, c in enumerate(coords) if not c.is_zero})
 
     if ideal.dim == 0:
-        units = tuple(tuple(one if k == i else zero for k in range(span.dim))
-                      for i in range(span.dim))
-        hom = LieHom(span, span, span.basis, check=False, complement=tuple(range(span.dim)),
-                     section=span.basis, section_coords=units)
-        return span, hom
+        return span, LieHom.identity(span)
     if ideal.dim == span.dim:
         # the ideal is the span itself, so every bracket lies in it
         target = LieSpan((), n=1, field=field)
-        images = tuple(NilMatrix.zero(span.ring, 1) for _ in span.basis)
-        hom = LieHom(span, target, images, check=False, complement=(), section_coords=())
+        hom = LieHom(span, target, check=False, complement=(),
+                     image_coords=((),) * span.dim, section_coords=())
         return target, hom
 
     span_table = span.table

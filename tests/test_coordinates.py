@@ -373,7 +373,7 @@ def test_tower_rejects_a_wrong_induced_factorisation(monkeypatch):
         if ideal is ideals[1]:
             coords = list(proj.image_coords)
             coords[0] = tuple(c + 1 for c in coords[0])
-            proj._image_coords = tuple(coords)
+            proj.image_coords = tuple(coords)
         return quot, proj
 
     monkeypatch.setattr(simplicial, "quotient_span", corrupting)

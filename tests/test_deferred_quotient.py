@@ -3,14 +3,15 @@
 `quotient_span` returns a target that knows its size n, its dimension and
 its structure-constant table at once, and builds its PBW basis matrices,
 rows and echelon store only when one of them is read; the projection hom
-builds its image matrices from its image coordinates the same way.  Over
+holds coordinates only and sums its image matrices from them when read.  Over
 U_4 (also on a basis whose quotient has a fractional structure constant),
 U_5 and the Heisenberg group, on Q and Q(sqrt2), by every term of the
 lower central series and by the centre, the deferred path is compared
 with an eager build of the same re-embedding: the
 written span byte for byte, the images, `apply_hom` on coordinate vectors
 against `apply_hom` on matrices, and `LieHom` given image coordinates
-against `LieHom` given matrices.  A tower reads no basis matrix at all.
+against `LieHom` given matrices, which it solves at once, checked or not.
+A tower reads no basis matrix at all.
 """
 
 import json
@@ -90,7 +91,7 @@ def test_the_table_and_size_are_read_without_the_matrices(name, built):
         assert target.n == len(target._algebra.monomials)
         assert target.table.nilpotency_class >= 1
         assert len(hom.image_coords) == group.dim and len(hom.section) == target.dim
-        hom.map_coordinates(hom.image_coords[0], group.field.zero)
+        hom.map_coordinates(hom.section_coords[0], group.field.zero)
         repr(target), repr(hom)
         assert built == [], "reading the table, n and the coordinates built matrices"
         target.basis
@@ -152,8 +153,14 @@ def test_apply_hom_on_coordinates_matches_the_matrices(name):
 def test_bad_coordinate_vectors_are_rejected():
     group = full_unipotent_span(4, QQ)
     target, hom = quotient_span(group, lower_central_series(group)[2])
-    with pytest.raises(InputError, match="expected 6 coordinates, got 5"):
-        apply_hom(hom, [QQ.one] * 5)
+    ring = PolyRing(QQ, 1)
+    for length in (0, 5, 7):
+        for one, zero in ((QQ.one, QQ.zero), (ring.one(), ring.zero())):
+            # short and long vectors, of field scalars and of polynomials
+            with pytest.raises(InputError, match="expected 6 coordinates, got %d" % length):
+                apply_hom(hom, [one] * length)
+            with pytest.raises(InputError, match="expected 6 coordinates, got %d" % length):
+                hom.map_coordinates([one] * length, zero)
     for wrong in (sqrt2_field().one, PolyRing(sqrt2_field(), 1).one()):
         with pytest.raises(RingMismatch, match="value belongs to a different field"):
             apply_hom(hom, [wrong] * 6)
@@ -166,23 +173,54 @@ def test_bad_coordinate_vectors_are_rejected():
         LieHom(group, target)
 
 
+@pytest.mark.parametrize("name", FIELDS)
+def test_a_hom_given_its_image_matrices_holds_their_coordinates(name):
+    # matrices are solved once, to the coordinates the projection records,
+    # checked or not, and read back as the same matrices
+    for group, ideal in cases(FIELDS[name]):
+        target, hom = quotient_span(group, ideal)
+        mats = [matrix_to_json(m) for m in hom.images]
+        for check in (True, False):
+            given = LieHom(group, target, images=hom.images, check=check)
+            assert given.image_coords == hom.image_coords
+            assert [matrix_to_json(m) for m in given.images] == mats
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_the_identity_and_the_trivial_quotients_write_what_they_wrote(name):
+    # the identity and the quotients by the zero ideal and by the group
+    # hold coordinates; their matrices are the basis and 1 x 1 zeros
+    def written(mats):
+        return json.dumps([matrix_to_json(m) for m in mats])
+
+    for group in (full_unipotent_span(4, FIELDS[name]), sheared_u4(FIELDS[name]),
+                  heisenberg_span(FIELDS[name])):
+        basis = written(group.basis)
+        same, hom = quotient_span(group, lower_central_series(group)[-1])
+        assert same is group and hom.complement == tuple(range(group.dim))
+        for h in (LieHom.identity(group), hom):
+            assert written(h.images) == written(h.section) == basis
+        target, hom = quotient_span(group, group)
+        assert (target.dim, target.n, hom.complement, hom.section) == (0, 1, (), ())
+        assert written(hom.images) == written([NilMatrix.zero(group.ring, 1)] * group.dim)
+
+
+def test_an_unchecked_hom_solves_its_image_matrices():
+    # E_01 lies outside gamma_2 of U_4, so the identity's matrices are no
+    # images into it, checked or not
+    group = full_unipotent_span(4, QQ)
+    gamma2 = lower_central_series(group)[1]
+    for check in (True, False):
+        with pytest.raises(InputError, match="a basis image lies outside the target span"):
+            LieHom(group, gamma2, group.basis, check=check)
+
+
 def hom_outcome(source, target, **images):
     try:
         LieHom(source, target, **images)
     except (InputError, RingMismatch) as exc:
         return type(exc).__name__, str(exc)
     return "ok"
-
-
-def test_an_unchecked_hom_keeps_both_forms_it_is_given():
-    group = full_unipotent_span(4, QQ)
-    target, hom = quotient_span(group, lower_central_series(group)[2])
-    images, coords = hom.images, hom.image_coords
-    kept = LieHom(group, target, images, check=False, image_coords=coords)
-    assert kept.images is images and kept.image_coords is coords
-    # a checked hom solves the matrices it checks
-    solved = LieHom(group, target, images, image_coords=coords)
-    assert solved.image_coords == coords and solved.image_coords is not coords
 
 
 @pytest.mark.parametrize("name", FIELDS)

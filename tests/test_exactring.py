@@ -259,6 +259,27 @@ def test_last_coordinate_eliminated():
     assert make_simplex_coordinate(2, 2) == expected
 
 
+@pytest.mark.parametrize("params", [(), ("w", "v")])
+@pytest.mark.parametrize("q", range(4))
+def test_coordinates_are_built_once_per_ring(q, params):
+    # t_0, ..., t_q are kept on the (interned) ring, and each equals the
+    # form built term by term through `poly`
+    ring = PolyRing(QQ, q, params)
+    for j in range(q + 1):
+        assert ring.coordinate(j) is ring.coordinate(j) is PolyRing(QQ, q, params).coordinate(j)
+        if q == 0:
+            built = ring.one()
+        elif j < q:
+            built = ring.poly({tuple(int(i == j) for i in range(ring.nvars)): 1})
+        else:
+            built = ring.poly({(0,) * ring.nvars: 1, **{
+                tuple(int(i == k) for i in range(ring.nvars)): -1 for k in range(q)}})
+        assert ring.coordinate(j) == built
+    for bad in (-1, q + 1, 0.0, "0"):
+        with pytest.raises(InputError, match=r"coordinate index out of range 0\.\.%d$" % q):
+            ring.coordinate(bad)
+
+
 def test_canonical_equality_of_rearrangements():
     ring = PolyRing(QQ, 2)
     t0, t1 = ring.coordinate(0), ring.coordinate(1)

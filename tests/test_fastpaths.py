@@ -177,9 +177,9 @@ def count_series_builds(monkeypatch):
     builds = []
     real = nilpotent_module.LieTable._series
 
-    def counting(table, pairs):
+    def counting(table, *args):
         builds.append(table)
-        return real(table, pairs)
+        return real(table, *args)
 
     monkeypatch.setattr(nilpotent_module.LieTable, "_series", counting)
     return builds

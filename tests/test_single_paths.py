@@ -311,15 +311,14 @@ def test_quotient_span_matches_the_old_loop(field, monkeypatch):
     cases = [(span, ideal) for span in (full_unipotent_span(4, field), heisenberg_span(field))
              for ideal in lower_central_series(span)[1:-1]]
     new = [quotient_span(span, ideal) for span, ideal in cases]
-    for _, hom in new:
-        # the images and the section are summed on first read, so read them
-        # before the old helper is put in
-        hom.images, hom.section
+    # the images and the section are summed on each read, so the new
+    # helper's matrices are taken before the old helper is put in
+    new_mats = [target.basis + hom.images + hom.section for target, hom in new]
     monkeypatch.setattr(nilpotent, "_sum_rows", old_sum_rows)
     old = [quotient_span(span, ideal) for span, ideal in cases]
-    for (new_target, new_hom), (old_target, old_hom) in zip(new, old):
-        for a, b in zip(new_target.basis + new_hom.images + new_hom.section,
-                        old_target.basis + old_hom.images + old_hom.section):
+    for mats, (new_target, new_hom), (old_target, old_hom) in zip(new_mats, new, old):
+        for a, b in zip(mats, old_target.basis + old_hom.images + old_hom.section,
+                        strict=True):
             assert_same(a, b)
         assert len(new_hom.section) == len(old_hom.section) == new_target.dim
         assert new_hom.complement == old_hom.complement

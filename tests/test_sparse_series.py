@@ -8,6 +8,7 @@ pair: on full U_n for n <= 8 over Q and the cubic field, under a random
 unitriangular change of basis (where the class is n - 1 and the derived
 length is ceil(log2 n)); on random subalgebras generated by 2-3 random
 elements; on every quotient table of `quotient_span`; and on free tables.
+A series that does not reach zero within dim terms raises InputError.
 Phi_{c,q}, which the pass loop computes on the free table, is unchanged for
 every admitted (c, q): it equals Phi computed with the per-pair bracket and
 combination, and its terms hash as they did before the fused kernels.
@@ -20,7 +21,7 @@ from itertools import combinations
 
 import pytest
 
-from unipavg import (QQ, LieSpan, NilMatrix, PolyRing, full_unipotent_span,
+from unipavg import (QQ, InputError, LieSpan, NilMatrix, PolyRing, full_unipotent_span,
                      lower_central_series, quotient_span)
 from unipavg.average import CoordinateTuple, universal_polynomial, wav_by_passes
 from unipavg.fixtures import cubic_field, heisenberg_span, sqrt2_field
@@ -66,7 +67,7 @@ def dense_series(table, pairs):
 def assert_series_match(table):
     lower = table.lower_central_series()
     assert lower == dense_series(table, lambda unit, cur: ((a, b) for a in unit for b in cur))
-    derived = table._series(lambda unit, cur: combinations(cur, 2))
+    derived = table._series("derived", lambda unit, cur: combinations(cur, 2))
     assert derived == dense_series(table, lambda unit, cur: combinations(cur, 2))
     return len(lower), len(derived)
 
@@ -130,6 +131,26 @@ def test_quotient_tables(field):
             target, _ = quotient_span(group, ideal)
             assert_series_match(target.table)
     assert_series_match(sheared_quotient(field))
+
+
+def test_a_series_that_does_not_reach_zero_raises():
+    # sl_2 on e, h, f as field values: [g, g] = g, so neither series stops;
+    # on [e_0, e_1] = e_1 the derived series stops at [g, g] = <e_1>, where
+    # the lower central series stays
+    v = QQ.value
+    sl2 = LieTable(QQ, 3, {(0, 1): (v(-2), v(0), v(0)), (0, 2): (v(0), v(1), v(0)),
+                           (1, 2): (v(0), v(0), v(-2))})
+    lower = "the lower central series does not reach zero in %d terms"
+    with pytest.raises(InputError, match=lower % 3):
+        sl2.nilpotency_class
+    with pytest.raises(InputError, match=lower % 3):
+        sl2.lower_central_series()
+    with pytest.raises(InputError, match="the derived series does not reach zero in 3 terms"):
+        sl2.derived_length
+    affine = LieTable(QQ, 2, {(0, 1): (v(0), v(1))})
+    assert affine.derived_length == 2
+    with pytest.raises(InputError, match=lower % 2):
+        affine.nilpotency_class
 
 
 @pytest.mark.parametrize("q,c", [(2, 3), (2, 5), (3, 3), (4, 3), (2, 6)])
